@@ -1,7 +1,7 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench-json bench-sweep bench-pack \
-	bench-ctx soak failover-soak vuln
+.PHONY: check build vet test race fuzz bench bench-json bench-sweep \
+	bench-pack bench-ctx soak failover-soak vuln
 
 # check is the CI gate: vet + full test suite (which includes the
 # city-frame compression-ratio smoke test, TestRatioSmoke), then the
@@ -21,9 +21,21 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Machine-readable performance numbers: serial/parallel compress and decode
-# timings, steady-state Encoder allocation counts, and frame-pipeline FPS
-# for this machine.
+# The repository's benchmark (BENCHMARK.json, bench/README.md): one of the
+# five workloads, built from source and run for 15 s. TRACE=1 reports the
+# per-layer metrics instead of the end-to-end ones. Speed claims are rows of
+# this, before and after; `.bench_build/dbgc-bench -compare a.jsonl b.jsonl`
+# compares two `-out` files.
+WORKLOAD ?= codec_city
+SEED ?= 1
+TRACE ?= 0
+bench:
+	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --trace $(TRACE)
+
+# The PR 5 perf experiment, kept for its BENCH_5.json history: serial/parallel
+# compress and decode timings, steady-state Encoder allocation counts, and
+# frame-pipeline FPS for this machine. New measurements go through `make
+# bench` above.
 bench-json:
 	$(GO) run ./cmd/dbgc-bench -exp perf -json BENCH_5.json
 

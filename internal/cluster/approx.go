@@ -19,14 +19,20 @@ import (
 // The pipeline is sort-based: point keys are radix-sorted once, giving the
 // occupied cells, their populations, and the point runs for the final
 // labeling in a single pass; window populations and the dilation test are
-// then monotone range sweeps over sorted key arrays (see window.go). The
-// previous hash-probe formulation spent over half of total compression
-// time in map lookups; the sweeps replace every probe with sequential
-// array traversal. With Params.Parallel the key construction, sweeps, and
-// labeling shard across CPUs with identical results.
+// then two calls of windowSums, which slides a z histogram along the sorted
+// rows of cells (see window.go). With Params.Parallel the key construction
+// and the window rows shard across CPUs with identical results.
 //
 // Cells are addressed by packed 21-bit-per-axis integer keys; LiDAR scenes
-// span thousands of cells per axis, far below the 2^21 limit.
+// span thousands of cells per axis, far below the 2^21 limit. A frame that
+// does exceed it — one finite stray return a hundred kilometers out is
+// enough — is not rejected: its axis indices wrap, distant cells alias, and
+// the labels, still a deterministic function of the input, stop meaning
+// density. Every split compresses and decodes correctly, so that costs
+// ratio on that frame and nothing else: windowSums reads the fields back
+// out of the keys and sizes its histogram by the largest z field present
+// plus the window, at most 2^21+2m+1 bins, so no field value can index
+// outside it.
 func Approximate(pc geom.PointCloud, p Params) Result {
 	res := Result{Dense: make([]bool, len(pc))}
 	if len(pc) == 0 || p.Q <= 0 || p.K <= 0 {
@@ -89,7 +95,7 @@ func Approximate(pc geom.PointCloud, p Params) Result {
 	u := len(occ)
 
 	// A cell is dense when its window population reaches the threshold.
-	s.sums = windowSums(occ, cnt, m, p.Parallel, s.sums)
+	s.sums = windowSums(occ, occ, cnt, m, p.Parallel, s.sums)
 	denseKeys := s.denseKeys[:0]
 	for j := 0; j < u; j++ {
 		if s.sums[j] >= minPts {
@@ -97,19 +103,14 @@ func Approximate(pc geom.PointCloud, p Params) Result {
 		}
 	}
 
-	// Dilation: an occupied sparse cell whose window holds a dense cell
-	// joins the dense set.
-	s.reach = windowReach(occ, denseKeys, m, p.Parallel, s.reach)
+	// Dilation: an occupied cell whose window holds a dense cell — itself,
+	// if it is one — is labeled dense.
+	s.sums = windowSums(occ, denseKeys, nil, m, p.Parallel, s.sums)
 
 	// Final labeling straight off the sorted point runs.
 	var numDense int64
-	di := 0
 	for j := 0; j < u; j++ {
-		isDense := di < len(denseKeys) && denseKeys[di] == occ[j]
-		if isDense {
-			di++
-		}
-		if isDense || s.reach[j] {
+		if s.sums[j] > 0 {
 			res.NumDenseCells++
 			numDense += int64(cnt[j])
 			for _, pi := range idx[runStart[j]:runStart[j+1]] {
@@ -130,7 +131,6 @@ type approxScratch struct {
 	cnt       []int32
 	runStart  []int32
 	sums      []int32
-	reach     []bool
 	denseKeys []uint64
 	sort      radix.Scratch
 }

@@ -23,11 +23,10 @@ import (
 // cheap per-cell population bound skips the neighbor count entirely for
 // points whose whole ε-window cannot reach minPts, and the border sweep
 // only examines occupied cells whose window actually contains a dense
-// cell. Window populations and the dense-cell prefilter come from the
-// sorted-key sweeps in window.go instead of hash probes, and with
-// Params.Parallel the per-cell scans of passes 1 and 3 shard across CPUs
-// (each cell's writes touch only its own points, so the shards are
-// independent and the result identical).
+// cell. Window populations and the dense-cell prefilter come from
+// windowSums (window.go), and with Params.Parallel the per-cell scans of
+// passes 1 and 3 shard across CPUs (each cell's writes touch only its own
+// points, so the shards are independent and the result identical).
 func CellBased(pc geom.PointCloud, p Params) Result {
 	res := Result{Dense: make([]bool, len(pc))}
 	if len(pc) == 0 || p.Q <= 0 || p.K <= 0 {
@@ -45,7 +44,7 @@ func CellBased(pc geom.PointCloud, p Params) Result {
 
 	// Upper-bound pruning: the population of the (2m+1)³ window around a
 	// cell bounds any member's ε-ball count from above.
-	windowTotal := windowSums(g.keys, cnt, m, p.Parallel, nil)
+	windowTotal := windowSums(g.keys, g.keys, cnt, m, p.Parallel, nil)
 
 	// Pass 1: find dense cells. Within a cell, stop at the first core
 	// point.
@@ -86,11 +85,11 @@ func CellBased(pc geom.PointCloud, p Params) Result {
 	// The window-reach prefilter finds the occupied sparse cells whose
 	// window holds a dense cell; only their points are distance-checked,
 	// with early accept.
-	near := windowReach(g.keys, denseKeys, m, p.Parallel, nil)
+	near := windowSums(g.keys, denseKeys, nil, m, p.Parallel, nil)
 	eps2 := eps * eps
 	scanBorders := func(w, lo, hi int) {
 		for j := lo; j < hi; j++ {
-			if denseRun[j] || !near[j] {
+			if denseRun[j] || near[j] == 0 {
 				continue
 			}
 			id := g.keys[j]

@@ -92,12 +92,10 @@ func (r Result) Split() (dense, sparse []int) {
 	return dense, sparse
 }
 
-// Cell keys pack three 21-bit axis indices into an int64 (or, padded, into
-// a canonical uint64 — see packPadded in window.go). Axis values are
-// offsets from the cloud minimum, hence non-negative, and real LiDAR
-// scenes stay far below the 2^21 per-axis limit.
-type cellID = int64
-
+// Cell keys pack three 21-bit axis indices into a uint64 (see packPadded in
+// window.go). Axis values are offsets from the cloud minimum, hence
+// non-negative, and real LiDAR scenes stay far below the 2^21 per-axis
+// limit; what happens beyond it is described at Approximate.
 const axisBits = 21
 
 // cellStepX and cellStepY advance a packed key by one cell along x or y;
@@ -107,25 +105,19 @@ const (
 	cellStepY = int64(1) << axisBits
 )
 
-func packCell(x, y, z int64) cellID {
-	return x<<(2*axisBits) | y<<axisBits | z
-}
-
 // grid buckets points into cells of side 2Q anchored at the cloud minimum,
 // mirroring the octree leaf layout. The layout is a sorted CSR: cell keys
 // ascending in keys, each cell's point indices in ptIdx[start[j]:start[j+1]].
-// Window scans walk contiguous key ranges found by binary search; single-
-// cell membership goes through the open-addressing lookup (fastmap.go),
-// which maps a key to its run index. pad is the canonical-key axis offset
-// and bounds the window radius m the grid may be probed with.
+// Window scans walk contiguous key ranges found by binary search. pad is
+// the canonical-key axis offset and bounds the window radius m the grid may
+// be probed with.
 type grid struct {
-	keys   []uint64
-	start  []int32
-	ptIdx  []int32
-	lookup *cellMap
-	min    geom.Point
-	side   float64
-	pad    int64
+	keys  []uint64
+	start []int32
+	ptIdx []int32
+	min   geom.Point
+	side  float64
+	pad   int64
 }
 
 // buildGrid sorts the cloud into the CSR layout. pad must be at least the
@@ -156,10 +148,6 @@ func buildGrid(pc geom.PointCloud, q float64, pad int64) *grid {
 		i = j
 	}
 	g.start = append(g.start, int32(n))
-	g.lookup = newCellMap(len(g.keys))
-	for run, k := range g.keys {
-		g.lookup.add(cellID(k), int32(run)+1)
-	}
 	return g
 }
 
@@ -172,14 +160,9 @@ func (g *grid) cellOf(p geom.Point) uint64 {
 		g.pad)
 }
 
-// run returns the CSR run index of the cell with the given key, or -1.
-func (g *grid) run(key uint64) int {
-	return int(g.lookup.get(cellID(key))) - 1
-}
-
 // cellPoints returns the point indices of run j.
 func (g *grid) cellPoints(j int) []int32 {
-	return g.ptIdx[g.start[j] : g.start[j+1]]
+	return g.ptIdx[g.start[j]:g.start[j+1]]
 }
 
 // runRange returns the half-open run interval [i0, i1) of cells with keys

@@ -2,9 +2,6 @@ package cluster
 
 import "dbgc/internal/par"
 
-// numChunks returns the worker count used by parallelChunks for n items.
-func numChunks(n int) int { return par.Workers(n) }
-
-// parallelChunks invokes f(w, lo, hi) over [0, n) split into numChunks(n)
-// contiguous chunks, one goroutine each, and waits for completion.
+// parallelChunks invokes f(w, lo, hi) over [0, n) split into contiguous
+// chunks, one goroutine each, and waits for completion.
 func parallelChunks(n int, f func(w, lo, hi int)) { par.Chunks(n, f) }

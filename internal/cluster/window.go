@@ -1,48 +1,59 @@
 package cluster
 
 import (
-	"sort"
+	"math"
 	"sync"
-
-	"dbgc/internal/radix"
 )
 
-// This file holds the sorted-key window machinery shared by both
-// classifiers. Clustering needs, for every occupied cell, the population of
-// the (2m+1)³ cell window around it (core-point pruning) and whether the
-// window holds a marked cell (border dilation). The previous implementation
-// answered both with (2m+1)² hash probes per cell against an
-// open-addressing map — over half of total compression time went into
-// those probes. Keys packed as (x, y, z) bit fields are ordered
-// lexicographically, so a window is a union of (2m+1)² *contiguous* key
-// ranges, and over cells visited in sorted order each range's endpoints
-// advance monotonically. Scattering the counts along x first (as before)
-// folds the dx dimension away; the remaining (dy, z-range) gather is then
-// 2m+1 two-pointer sweeps over a sorted array — sequential memory access,
-// no hashing. (Sweeping all (2m+1)² offsets directly over the unscattered
-// cell array was measured ~2x slower end-to-end: it trades the one radix
-// sort for (2m+1)²-per-cell query overhead.)
+// This file holds the window routine shared by both classifiers.
+// Clustering needs, for every occupied cell, the population of the (2m+1)³
+// cell window around it (core-point pruning) and whether the window holds
+// a marked cell (border dilation). Both are one question — the weighted
+// count of source cells in the window of each query cell — and sorted
+// packed keys already have the order that answers it cheaply: keys are
+// x-major, then y, then z, so a row is a run of equal x and a column a run
+// of equal (x, y). The window of a query column is the same for all its
+// cells up to the z range, and its sources lie in at most 2m+1 source
+// rows, each contributing the columns with y within m. As the query
+// column advances along its row that interval of columns slides, so a
+// histogram over z of the source cells inside the (x, y) window is kept
+// incrementally: every source cell enters and leaves it once per query row
+// within m of its own, 2(2m+1) array updates per cell in a table that fits
+// the L1 cache, and a query cell reads its 2m+1 z bins. (Searching the
+// (2m+1)² columns of every cell's window directly costs (2m+1)² range
+// searches per cell, which measured several times slower.)
 //
-// Keys must be canonical: every axis index padded by at least m cells (see
-// packPadded) so that probe keys never borrow or carry across bit fields
-// and unsigned key order equals (x, y, z) order.
+// Fields are taken from the keys as they are: a frame beyond the 21-bit
+// axis range (see Approximate) aliases cells but cannot index outside the
+// histogram, which is sized by the largest z field present plus the window.
+
+const axisMask = 1<<axisBits - 1
 
 // packPadded packs non-negative axis indices, offset by pad cells per
-// axis, into a canonical key. Pad must be at least the window radius m of
-// any later window query so probes stay canonical.
+// axis, into a key whose unsigned order is (x, y, z) order. The offset
+// keeps the cells of a window of radius up to pad inside the axis range, so
+// the key probes of grid.runRange never borrow across bit fields.
 func packPadded(x, y, z, pad int64) uint64 {
 	return uint64((x+pad)<<(2*axisBits) | (y+pad)<<axisBits | (z + pad))
 }
 
-// winScratch holds the reusable buffers of the scatter/sweep passes.
-type winScratch struct {
-	xKeys []uint64
-	xVals []int32
-	xPre  []int32
-	sort  radix.Scratch
+// windowScratch holds the reusable buffers of windowSums: the indexed
+// source list of a call, and the histogram and row cursors of a sweep.
+// hist is all zero whenever the scratch is in the pool.
+type windowScratch struct {
+	src  windowSource
+	hist []int32
+	rows []rowCursor
 }
 
-var winPool = sync.Pool{New: func() any { return new(winScratch) }}
+// rowCursor tracks one source row within m of the query row.
+type rowCursor struct {
+	lo, hi int32 // columns [lo, hi) of the row are in the histogram
+	end    int32 // one past the last column of the row
+	next   int32 // smallest query y at which a column enters or leaves
+}
+
+var windowPool = sync.Pool{New: func() any { return new(windowScratch) }}
 
 // growU64 returns s with length n, reallocating only when capacity is
 // short; the contents are unspecified.
@@ -60,130 +71,196 @@ func growI32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// windowSums returns, for every cell of occ (sorted canonical keys with
-// per-cell populations cnt), the total population of the (2m+1)³ window
-// around it, accumulated into sums (resized as needed). With parallel set
-// the sweeps shard across CPUs; the result is identical.
-func windowSums(occ []uint64, cnt []int32, m int64, parallel bool, sums []int32) []int32 {
-	u := len(occ)
-	sums = growI32(sums, u)
-	for j := range sums {
-		sums[j] = 0
+// maxZField returns the largest z field among keys.
+func maxZField(keys []uint64) uint64 {
+	var z uint64
+	for _, k := range keys {
+		z = max(z, k&axisMask)
 	}
-	if u == 0 {
-		return sums
-	}
-	s := winPool.Get().(*winScratch)
-	k := int(2*m + 1)
-	xn := u * k
-	xKeys := growU64(s.xKeys, xn)
-	xVals := growI32(s.xVals, xn)
-	pos := 0
-	for dx := -m; dx <= m; dx++ {
-		delta := uint64(dx * cellStepX)
-		for j, key := range occ {
-			xKeys[pos] = key + delta
-			xVals[pos] = cnt[j]
-			pos++
-		}
-	}
-	radix.Sort(xKeys, xVals, &s.sort)
-	// Prefix sums turn every contiguous key range into one subtraction.
-	// Populations sum to at most the point total, so int32 cannot
-	// overflow.
-	xPre := growI32(s.xPre, xn+1)
-	xPre[0] = 0
-	for i, v := range xVals {
-		xPre[i+1] = xPre[i] + v
-	}
-	sweep := func(w, lo, hi int) {
-		for dy := -m; dy <= m; dy++ {
-			delta := uint64(dy * cellStepY)
-			l := sort.Search(xn, func(i int) bool { return xKeys[i] >= occ[lo]+delta-uint64(m) })
-			h := l
-			for j := lo; j < hi; j++ {
-				base := occ[j] + delta
-				ql, qh := base-uint64(m), base+uint64(m)
-				for l < xn && xKeys[l] < ql {
-					l++
-				}
-				if h < l {
-					h = l
-				}
-				for h < xn && xKeys[h] <= qh {
-					h++
-				}
-				sums[j] += xPre[h] - xPre[l]
-			}
-		}
-	}
-	if parallel {
-		parallelChunks(u, sweep)
-	} else {
-		sweep(0, 0, u)
-	}
-	s.xKeys, s.xVals, s.xPre = xKeys, xVals, xPre
-	winPool.Put(s)
-	return sums
+	return z
 }
 
-// windowReach reports, for every cell of occ, whether the (2m+1)³ window
-// around it contains any marked cell. marked must be sorted canonical keys.
-// The result is written into reach (resized as needed).
-func windowReach(occ []uint64, marked []uint64, m int64, parallel bool, reach []bool) []bool {
-	u := len(occ)
-	if cap(reach) < u {
-		reach = make([]bool, u)
+// rowBoundary returns the first index at or after i where a row of keys
+// begins, or len(keys).
+func rowBoundary(keys []uint64, i int) int {
+	for i > 0 && i < len(keys) && keys[i]>>(2*axisBits) == keys[i-1]>>(2*axisBits) {
+		i++
 	}
-	reach = reach[:u]
-	for j := range reach {
-		reach[j] = false
-	}
-	if u == 0 || len(marked) == 0 {
-		return reach
-	}
-	s := winPool.Get().(*winScratch)
-	k := int(2*m + 1)
-	xn := len(marked) * k
-	xKeys := growU64(s.xKeys, xn)
-	pos := 0
-	for dx := -m; dx <= m; dx++ {
-		delta := uint64(dx * cellStepX)
-		for _, key := range marked {
-			xKeys[pos] = key + delta
-			pos++
+	return i
+}
+
+// windowSource is the indexed source list of one windowSums call, shared
+// read-only by its sweeps.
+type windowSource struct {
+	cells    []uint64
+	w        []int32 // weight per cell; nil weighs every cell 1
+	m        int32
+	colStart []int32 // first cell of each column, then len(cells)
+	colY     []int32 // y field of each column
+	rowStart []int32 // first column of each row, then len(colY)
+	rowX     []int32 // x field of each row
+}
+
+// update adds sign times the weight of the cells of source columns [lo, hi)
+// to their z bins. Bins are offset by m so that the window of a query cell
+// with z field z is hist[z : z+2m+1].
+func (s *windowSource) update(hist []int32, lo, hi, sign int32) {
+	from, to := s.colStart[lo], s.colStart[hi]
+	m := uint64(s.m)
+	if s.w == nil {
+		for _, k := range s.cells[from:to] {
+			hist[k&axisMask+m] += sign
 		}
+		return
 	}
-	radix.Sort(xKeys, nil, &s.sort)
-	sweep := func(w, lo, hi int) {
-		for dy := -m; dy <= m; dy++ {
-			delta := uint64(dy * cellStepY)
-			l := sort.Search(xn, func(i int) bool { return xKeys[i] >= occ[lo]+delta-uint64(m) })
-			h := l
-			for j := lo; j < hi; j++ {
-				base := occ[j] + delta
-				ql, qh := base-uint64(m), base+uint64(m)
-				for l < xn && xKeys[l] < ql {
-					l++
-				}
-				if h < l {
-					h = l
-				}
-				for h < xn && xKeys[h] <= qh {
-					h++
-				}
-				if h > l {
-					reach[j] = true
+	w := s.w[from:to]
+	for i, k := range s.cells[from:to] {
+		hist[k&axisMask+m] += sign * w[i]
+	}
+}
+
+// slide moves the cursor's interval of columns to the window of query
+// column y and updates hist by the columns that leave and enter.
+func (s *windowSource) slide(hist []int32, cur *rowCursor, y int32) {
+	colY := s.colY
+	l, h, e := cur.lo, cur.hi, cur.end
+	for l < h && colY[l] < y-s.m {
+		l++
+	}
+	if l > cur.lo {
+		s.update(hist, cur.lo, l, -1)
+	}
+	if l == h {
+		// The window is empty: columns no query column reaches are passed
+		// over without entering.
+		for h < e && colY[h] < y-s.m {
+			h++
+		}
+		l = h
+	}
+	enter := h
+	for h < e && colY[h] <= y+s.m {
+		h++
+	}
+	if h > enter {
+		s.update(hist, enter, h, 1)
+	}
+	next := int32(math.MaxInt32)
+	if l < h {
+		next = colY[l] + s.m + 1
+	}
+	if h < e {
+		next = min(next, colY[h]-s.m)
+	}
+	cur.lo, cur.hi, cur.next = l, h, next
+}
+
+// sweep computes sums for the rows of query that begin in [from, to).
+func (s *windowSource) sweep(query []uint64, from, to, histLen int, sums []int32) {
+	from, to = rowBoundary(query, from), rowBoundary(query, to)
+	if from == to {
+		return
+	}
+	t := windowPool.Get().(*windowScratch)
+	defer windowPool.Put(t)
+	if cap(t.hist) < histLen {
+		t.hist = make([]int32, histLen)
+	}
+	hist := t.hist[:histLen]
+	span := uint64(2*s.m + 1)
+
+	r0 := 0 // first source row not below the window of the query row
+	for j := from; j < to; {
+		x := int32(query[j] >> (2 * axisBits))
+		for r0 < len(s.rowX) && s.rowX[r0] < x-s.m {
+			r0++
+		}
+		rows := t.rows[:0]
+		nextAny := int32(math.MaxInt32) // smallest next of rows
+		for r := r0; r < len(s.rowX) && s.rowX[r] <= x+s.m; r++ {
+			c := s.rowStart[r]
+			next := s.colY[c] - s.m
+			rows = append(rows, rowCursor{lo: c, hi: c, end: s.rowStart[r+1], next: next})
+			nextAny = min(nextAny, next)
+		}
+		t.rows = rows
+		for j < to && int32(query[j]>>(2*axisBits)) == x {
+			col := query[j] >> axisBits
+			if y := int32(col & axisMask); y >= nextAny {
+				nextAny = math.MaxInt32
+				for a := range rows {
+					if cur := &rows[a]; y >= cur.next {
+						s.slide(hist, cur, y)
+					}
+					nextAny = min(nextAny, rows[a].next)
 				}
 			}
+			for ; j < to && query[j]>>axisBits == col; j++ {
+				z := query[j] & axisMask
+				var sum int32
+				for _, v := range hist[z : z+span] {
+					sum += v
+				}
+				sums[j] = sum
+			}
+		}
+		// Leave the histogram zero for the next row.
+		for _, cur := range rows {
+			s.update(hist, cur.lo, cur.hi, -1)
 		}
 	}
-	if parallel {
-		parallelChunks(u, sweep)
-	} else {
-		sweep(0, 0, u)
+}
+
+// windowSums returns, for every cell of query, the total weight of the
+// cells of src inside the (2m+1)³ window around it, written into sums
+// (resized as needed). query and src are sorted packed keys without
+// duplicates and may be the same slice; w holds the weight of each source
+// cell, nil meaning 1 each. Weights must sum to less than 2^31. With
+// parallel set the query rows shard across CPUs; the result is identical.
+func windowSums(query, src []uint64, w []int32, m int64, parallel bool, sums []int32) []int32 {
+	sums = growI32(sums, len(query))
+	if len(query) == 0 {
+		return sums
 	}
-	s.xKeys = xKeys
-	winPool.Put(s)
-	return reach
+	if len(src) == 0 {
+		clear(sums)
+		return sums
+	}
+	t := windowPool.Get().(*windowScratch)
+	s := &t.src
+	defer func() {
+		s.cells, s.w = nil, nil
+		windowPool.Put(t)
+	}()
+
+	// Index the source rows and columns. There are at most as many as
+	// cells, so sized once the appends below never reallocate.
+	n := len(src) + 1
+	colStart, colY := growI32(s.colStart, n)[:0], growI32(s.colY, n)[:0]
+	rowStart, rowX := growI32(s.rowStart, n)[:0], growI32(s.rowX, n)[:0]
+	prev := ^uint64(0)
+	for i, k := range src {
+		col := k >> axisBits
+		if col == prev {
+			continue
+		}
+		if col>>axisBits != prev>>axisBits {
+			rowStart = append(rowStart, int32(len(colY)))
+			rowX = append(rowX, int32(col>>axisBits))
+		}
+		colStart = append(colStart, int32(i))
+		colY = append(colY, int32(col&axisMask))
+		prev = col
+	}
+	colStart = append(colStart, int32(len(src)))
+	rowStart = append(rowStart, int32(len(colY)))
+	*s = windowSource{cells: src, w: w, m: int32(m), colStart: colStart, colY: colY, rowStart: rowStart, rowX: rowX}
+
+	histLen := int(max(maxZField(query), maxZField(src))) + int(2*m+1)
+	if parallel {
+		parallelChunks(len(query), func(_, from, to int) { s.sweep(query, from, to, histLen, sums) })
+	} else {
+		s.sweep(query, 0, len(query), histLen, sums)
+	}
+	return sums
 }

@@ -279,10 +279,11 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 		opts.UPhi = (26.8 / 64) * math.Pi / 180
 	}
 	// Real capture files occasionally carry garbage records; a NaN or
-	// infinite coordinate would silently poison quantization, so reject
-	// the frame up front with a pointed error.
+	// infinite coordinate would silently poison quantization, and a finite
+	// one whose norm overflows encodes a range the decoder rejects, so
+	// refuse the frame up front with a pointed error.
 	if bad := firstNonFinite(pc, opts.Parallel); bad >= 0 {
-		return nil, nil, fmt.Errorf("core: point %d has a non-finite coordinate: %v", bad, pc[bad])
+		return nil, nil, fmt.Errorf("core: point %d has a non-finite coordinate or norm: %v", bad, pc[bad])
 	}
 	e.stats = Stats{NumPoints: len(pc)}
 	stats := &e.stats
@@ -534,20 +535,23 @@ func encodeOutliers(pts geom.PointCloud, opts Options) ([]byte, []int, error) {
 	}
 }
 
-// finite reports whether v is neither NaN nor infinite.
-func finite(v float64) bool {
-	return !math.IsNaN(v) && !math.IsInf(v, 0)
+// finiteNorm reports whether the squared norm of p is neither NaN nor
+// infinite, which also holds for none of its coordinates then.
+func finiteNorm(p geom.Point) bool {
+	n2 := p.X*p.X + p.Y*p.Y + p.Z*p.Z
+	return !math.IsNaN(n2) && !math.IsInf(n2, 0)
 }
 
 // firstNonFinite returns the lowest index of a point with a NaN or infinite
-// coordinate, or -1 if all points are finite. With parallel set the scan is
-// chunked across goroutines; the reported index is deterministic either way.
+// coordinate, or with finite coordinates whose squared norm overflows, or
+// -1 if there is none. With parallel set the scan is chunked across
+// goroutines; the reported index is deterministic either way.
 func firstNonFinite(pc geom.PointCloud, parallel bool) int {
 	const minChunk = 1 << 15
 	workers := runtime.GOMAXPROCS(0)
 	if !parallel || workers < 2 || len(pc) < 2*minChunk {
 		for i, p := range pc {
-			if !finite(p.X) || !finite(p.Y) || !finite(p.Z) {
+			if !finiteNorm(p) {
 				return i
 			}
 		}
@@ -565,8 +569,7 @@ func firstNonFinite(pc geom.PointCloud, parallel bool) int {
 			firsts[w] = -1
 			lo, hi := len(pc)*w/workers, len(pc)*(w+1)/workers
 			for i := lo; i < hi; i++ {
-				p := pc[i]
-				if !finite(p.X) || !finite(p.Y) || !finite(p.Z) {
+				if !finiteNorm(pc[i]) {
 					firsts[w] = i
 					return
 				}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -248,5 +250,58 @@ func TestRejectsNonFinitePoints(t *testing.T) {
 		if _, _, err := Compress(pc, DefaultOptions(0.02)); err == nil {
 			t.Errorf("non-finite point %v accepted", bad)
 		}
+	}
+}
+
+// TestStraysBeyondClusterKeyRange: a finite stray return that stretches the
+// clustering grid past its 21 bits per axis (2^21 cells of 2q are 84 km at
+// q = 2 cm) makes cell keys alias. The split is then arbitrary, but every
+// split is a valid one: the frame must still round-trip within the bound,
+// under both classifiers.
+func TestStraysBeyondClusterKeyRange(t *testing.T) {
+	city := frame(t, lidar.City)
+	const cells = 1 << 21
+	for _, stray := range []geom.Point{
+		{X: 1.5 * cells * 0.04},
+		{Y: -2.5 * cells * 0.04},
+		{Z: -1e9},
+		{Z: -(cells - 3) * 0.04}, // ground cells wrap to z fields under the window radius
+	} {
+		pc := append(append(geom.PointCloud(nil), city...), stray)
+		for _, exact := range []bool{false, true} {
+			opts := DefaultOptions(0.02)
+			opts.ExactClustering = exact
+			data, stats, err := Compress(pc, opts)
+			if err != nil {
+				t.Fatalf("stray %v exact=%v: %v", stray, exact, err)
+			}
+			verifyRoundTrip(t, pc, data, stats, 0.02)
+		}
+	}
+}
+
+// TestRejectsOverflowingNorm: a finite coordinate whose squared norm
+// overflows used to compress without error into a frame Decompress
+// rejected ("invalid rMax +Inf"). The pre-scan refuses it, on the serial
+// and on the chunked scan, and a stray that does not overflow still
+// round-trips.
+func TestRejectsOverflowingNorm(t *testing.T) {
+	city := frame(t, lidar.City)
+	for _, parallel := range []bool{false, true} {
+		opts := DefaultOptions(0.02)
+		opts.Parallel = parallel
+		for _, bad := range []geom.Point{{X: 1e300}, {Y: -1e200}, {X: 1e154, Z: 1e154}} {
+			pc := append(append(geom.PointCloud(nil), city...), bad)
+			_, _, err := Compress(pc, opts)
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("point %d ", len(city))) {
+				t.Errorf("parallel=%v: point %v: got error %v, want one naming point %d", parallel, bad, err, len(city))
+			}
+		}
+		pc := append(append(geom.PointCloud(nil), city...), geom.Point{X: 1e9})
+		data, stats, err := Compress(pc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verifyRoundTrip(t, pc, data, stats, 0.02)
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -262,14 +263,15 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Seqs returns the stored sequence numbers in unspecified order.
+// Seqs returns the stored sequence numbers in ascending order.
 func (s *Store) Seqs() []uint64 {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]uint64, 0, len(s.index))
 	for seq := range s.index {
 		out = append(out, seq)
 	}
+	s.mu.Unlock()
+	slices.Sort(out)
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -254,8 +255,8 @@ func TestSeqs(t *testing.T) {
 	defer s.Close()
 	s.Put(3, KindCompressed, nil)
 	s.Put(1, KindCompressed, nil)
-	seqs := s.Seqs()
-	if len(seqs) != 2 {
-		t.Fatalf("Seqs = %v", seqs)
+	s.Put(2, KindCompressed, nil)
+	if seqs := s.Seqs(); !slices.Equal(seqs, []uint64{1, 2, 3}) {
+		t.Fatalf("Seqs = %v, want ascending 1 2 3", seqs)
 	}
 }
