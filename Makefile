@@ -14,6 +14,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -100,5 +101,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzBlockPack -fuzztime=$(FUZZTIME) ./internal/blockpack
 	$(GO) test -fuzz=FuzzContextOctree -fuzztime=$(FUZZTIME) ./internal/octree
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) ./internal/arith
+	$(GO) test -fuzz=FuzzCoderMatchesReference -fuzztime=$(FUZZTIME) ./internal/arith
 	$(GO) test -fuzz=FuzzShardedStream -fuzztime=$(FUZZTIME) ./internal/arith
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) ./internal/core

@@ -189,7 +189,7 @@ func main() {
 	limits := dbgc.DecodeLimits{MaxPoints: *maxPoints, MemBudget: *memBudget}
 	cfg := reliable.ServerConfig{
 		Handle:               handler(stg, group, *decompress, *parallel, *partial, syncAlways, limits, repl),
-		Query:                querier(stg),
+		Query:                querier(stg, limits),
 		Quarantine:           quarantiner(stg),
 		ReadTimeout:          *readTimeout,
 		NoAck:                *noack,
@@ -524,14 +524,14 @@ func handler(stg *storage, group *store.Group, decompress, parallel, partial, sy
 }
 
 // querier answers spatial queries from the tenant's shard.
-func querier(stg *storage) func(tenant string, q netproto.Query) ([]byte, error) {
+func querier(stg *storage, limits dbgc.DecodeLimits) func(tenant string, q netproto.Query) ([]byte, error) {
 	return func(tenant string, q netproto.Query) ([]byte, error) {
 		st, release, err := stg.acquire(tenant)
 		if err != nil {
 			return nil, err
 		}
 		defer release()
-		pts, err := answerQuery(st, q)
+		pts, err := answerQuery(st, q, limits)
 		if err != nil {
 			return nil, err
 		}
@@ -575,15 +575,18 @@ func quarantiner(stg *storage) func(tenant string, m netproto.Message, reason st
 }
 
 // answerQuery resolves a spatial query against the store: compressed
-// frames use the pruning region decoder; raw frames decode and filter.
-func answerQuery(st *store.Store, q netproto.Query) (dbgc.PointCloud, error) {
+// frames use the pruning region decoder, under the same decode limits as
+// ingest-time decoding (payloads are stored unvalidated by default, so the
+// query is where a hostile frame is first decoded); raw frames decode and
+// filter.
+func answerQuery(st *store.Store, q netproto.Query, limits dbgc.DecodeLimits) (dbgc.PointCloud, error) {
 	payload, kind, err := st.Get(q.Seq)
 	if err != nil {
 		return nil, err
 	}
 	switch kind {
 	case store.KindCompressed:
-		return dbgc.DecompressRegion(payload, q.Box)
+		return dbgc.DecompressRegionWith(payload, q.Box, dbgc.DecompressOptions{Limits: limits})
 	case store.KindDecompressed:
 		pc, err := lidar.ReadBin(bytes.NewReader(payload))
 		if err != nil {

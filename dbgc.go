@@ -177,6 +177,14 @@ func DecompressRegion(data []byte, region AABB) (PointCloud, error) {
 	return core.DecompressRegion(data, region)
 }
 
+// DecompressRegionWith is DecompressRegion with explicit options. Limits
+// bound the region decode as they bound DecompressWith: a frame that one
+// refuses under given limits, the other refuses too. Use it on frames from
+// untrusted sources, stored ones included.
+func DecompressRegionWith(data []byte, region AABB, opts DecompressOptions) (PointCloud, error) {
+	return core.DecompressRegionWith(data, region, opts)
+}
+
 // VerifyErrorBound checks that dec is a faithful reconstruction of orig
 // under mapping (from Stats.Mapping): same size, mapping is a permutation,
 // and every point pair within Euclidean distance √3·q. It returns the

@@ -2,7 +2,9 @@ package dbgc_test
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"dbgc"
 	"dbgc/internal/benchkit"
@@ -134,5 +136,48 @@ func TestEncoderSteadyStateAllocs(t *testing.T) {
 	const bound = 25000
 	if allocs > bound {
 		t.Errorf("steady-state Encoder.Compress allocates %.0f times per frame, want <= %d", allocs, bound)
+	}
+}
+
+// TestDecompressSteadyStateAllocs is the read side's bound. A warm
+// Decompress allocates its result, the per-stream slices of the quadtree
+// and the reference symbols, and little else; before the decoders wrote
+// each point once into one result slice and kept their level, stream and
+// polyline scratch in pools, a city frame cost 3.4k allocations and seven
+// times the bytes it returned. The bounds leave room for a garbage
+// collection emptying the pools between runs, not for a slice per polyline
+// or per octree level.
+func TestDecompressSteadyStateAllocs(t *testing.T) {
+	pc, err := benchkit.Frame(lidar.City, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := dbgc.Compress(pc, dbgc.DefaultOptions(0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := dbgc.Decompress(data) // warm the pools
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := dbgc.Decompress(data); err != nil {
+			t.Error(err)
+		}
+	})
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls the function once more than it measures.
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	returned := float64(len(back)) * float64(unsafe.Sizeof(back[0]))
+	t.Logf("steady-state Decompress: %.0f allocs/op, %.2f MB/op for %.2f MB of points", allocs, perRun/1e6, returned/1e6)
+	const bound = 600
+	if allocs > bound {
+		t.Errorf("steady-state Decompress allocates %.0f times per frame, want <= %d", allocs, bound)
+	}
+	if perRun > 3*returned {
+		t.Errorf("steady-state Decompress allocates %.0f bytes per frame, want <= 3x the %.0f returned", perRun, returned)
 	}
 }

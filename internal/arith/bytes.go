@@ -2,6 +2,7 @@ package arith
 
 import (
 	"fmt"
+	"slices"
 
 	"dbgc/internal/declimits"
 	"dbgc/internal/varint"
@@ -39,12 +40,17 @@ func DecompressBytes(buf []byte, n int) ([]byte, error) {
 // against b up front (the decode loop is bounded by n, so one charge
 // covers it). A nil budget is unlimited.
 func DecompressBytesLimited(buf []byte, n int, b *declimits.Budget) ([]byte, error) {
+	return AppendDecompressBytes(nil, buf, n, b)
+}
+
+// AppendDecompressBytes is DecompressBytesLimited appending to dst.
+func AppendDecompressBytes(dst, buf []byte, n int, b *declimits.Budget) ([]byte, error) {
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
 	d := GetDecoder(buf)
 	m := GetModel(256)
-	out := make([]byte, 0, clampCap(n))
+	out := slices.Grow(dst, clampCap(n))
 	for i := 0; i < n; i++ {
 		sym, err := d.Decode(m)
 		if err != nil {
@@ -74,12 +80,18 @@ func DecompressInts(buf []byte, n int) ([]int64, error) {
 // DecompressIntsLimited is DecompressInts charging the n decoded elements
 // (and their 8 output bytes each) against b up front.
 func DecompressIntsLimited(buf []byte, n int, b *declimits.Budget) ([]int64, error) {
+	return AppendDecompressInts(nil, buf, n, b)
+}
+
+// AppendDecompressInts is DecompressIntsLimited appending the integers to
+// dst, so a caller that decodes stream after stream can reuse one buffer.
+func AppendDecompressInts(dst []int64, buf []byte, n int, b *declimits.Budget) ([]int64, error) {
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
 	d := GetDecoder(buf)
 	m := GetModel(256)
-	out := make([]int64, 0, clampCap(n))
+	out := slices.Grow(dst, clampCap(n))
 	for i := 0; i < n; i++ {
 		v, err := decodeVarint(d, m)
 		if err != nil {
@@ -108,12 +120,17 @@ func DecompressUints(buf []byte, n int) ([]uint64, error) {
 // DecompressUintsLimited is DecompressUints charging the n decoded
 // elements (and their 8 output bytes each) against b up front.
 func DecompressUintsLimited(buf []byte, n int, b *declimits.Budget) ([]uint64, error) {
+	return AppendDecompressUints(nil, buf, n, b)
+}
+
+// AppendDecompressUints is DecompressUintsLimited appending to dst.
+func AppendDecompressUints(dst []uint64, buf []byte, n int, b *declimits.Budget) ([]uint64, error) {
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
 	d := GetDecoder(buf)
 	m := GetModel(256)
-	out := make([]uint64, 0, clampCap(n))
+	out := slices.Grow(dst, clampCap(n))
 	for i := 0; i < n; i++ {
 		v, err := decodeVarint(d, m)
 		if err != nil {

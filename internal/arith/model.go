@@ -17,13 +17,22 @@ const maxTotal = 1 << 15
 // LiDAR streams are.
 const increment = 32
 
-// Model is an adaptive frequency model over a fixed alphabet. A Fenwick
-// (binary indexed) tree stores the counts so cumulative frequencies and
-// symbol lookups cost O(log n).
+// blockSize is how many symbols share one partial sum.
+const (
+	blockShift = 4
+	blockSize  = 1 << blockShift
+)
+
+// Model is an adaptive frequency model over a fixed alphabet: the symbol
+// counts, flat, plus the sum of every block of blockSize counts. A
+// cumulative frequency is a scan over the blocks before the symbol's and
+// then over the counts before it inside its block; the skewed byte streams
+// DBGC codes rarely leave the first block.
 type Model struct {
-	tree  []uint32 // 1-based Fenwick tree over symbol counts
-	n     int      // alphabet size
-	total uint32
+	counts []uint32 // padded with zeros to a whole number of blocks
+	blocks []uint32 // blocks[b] = sum of counts[b*blockSize:(b+1)*blockSize]
+	n      int      // alphabet size
+	total  uint32
 }
 
 // NewModel returns a model over the alphabet {0, ..., n-1} with all symbol
@@ -32,73 +41,62 @@ func NewModel(n int) *Model {
 	if n <= 0 {
 		panic("arith: model alphabet size must be positive")
 	}
-	m := &Model{tree: make([]uint32, n+1), n: n}
-	for s := 0; s < n; s++ {
-		m.add(s, 1)
-	}
-	m.total = uint32(n)
+	nb := (n + blockSize - 1) >> blockShift
+	table := make([]uint32, nb*blockSize+nb)
+	m := &Model{counts: table[:nb*blockSize], blocks: table[nb*blockSize:], n: n}
+	m.Reset()
 	return m
 }
 
 // Reset restores the model to its initial uniform state (every count 1),
-// as if freshly returned by NewModel, without allocating. A Fenwick node i
-// covering all-one counts holds exactly i&(-i).
+// as if freshly returned by NewModel, without allocating.
 func (m *Model) Reset() {
-	for i := 1; i <= m.n; i++ {
-		m.tree[i] = uint32(i & (-i))
+	for s := range m.counts[:m.n] {
+		m.counts[s] = 1
 	}
-	m.total = uint32(m.n)
+	m.sum()
 }
 
-func (m *Model) add(sym int, delta uint32) {
-	for i := sym + 1; i <= m.n; i += i & (-i) {
-		m.tree[i] += delta
+// sum recomputes the block sums and the total from the counts.
+func (m *Model) sum() {
+	m.total = 0
+	for b := range m.blocks {
+		var s uint32
+		for _, c := range m.counts[b<<blockShift : (b+1)<<blockShift] {
+			s += c
+		}
+		m.blocks[b] = s
+		m.total += s
 	}
-}
-
-// cumBelow returns the sum of counts of symbols < sym.
-func (m *Model) cumBelow(sym int) uint32 {
-	var s uint32
-	for i := sym; i > 0; i -= i & (-i) {
-		s += m.tree[i]
-	}
-	return s
 }
 
 // interval returns the cumulative interval [lo, hi) of sym and the current
 // total.
 func (m *Model) interval(sym int) (lo, hi, total uint32) {
-	lo = m.cumBelow(sym)
-	hi = m.cumBelow(sym + 1)
-	return lo, hi, m.total
+	b := sym >> blockShift
+	for _, s := range m.blocks[:b] {
+		lo += s
+	}
+	for _, c := range m.counts[b<<blockShift : sym] {
+		lo += c
+	}
+	return lo, lo + m.counts[sym], m.total
 }
 
 // find returns the symbol whose cumulative interval contains target, along
-// with its interval bounds.
+// with its interval bounds. target must be below the total.
 func (m *Model) find(target uint32) (sym int, lo, hi uint32) {
-	// Walk the Fenwick tree from the highest power of two downward.
-	pos := 0
-	rem := target
-	mask := 1
-	for mask<<1 <= m.n {
-		mask <<= 1
+	b := 0
+	for lo+m.blocks[b] <= target {
+		lo += m.blocks[b]
+		b++
 	}
-	for ; mask > 0; mask >>= 1 {
-		next := pos + mask
-		if next <= m.n && m.tree[next] <= rem {
-			pos = next
-			rem -= m.tree[next]
-		}
+	sym = b << blockShift
+	for lo+m.counts[sym] <= target {
+		lo += m.counts[sym]
+		sym++
 	}
-	lo = target - rem
-	sym = pos
-	hi = lo + m.count(sym)
-	return sym, lo, hi
-}
-
-func (m *Model) count(sym int) uint32 {
-	c := m.cumBelow(sym+1) - m.cumBelow(sym)
-	return c
+	return sym, lo, lo + m.counts[sym]
 }
 
 // update increases sym's frequency, halving all counts first if the total
@@ -107,25 +105,17 @@ func (m *Model) update(sym int) {
 	if m.total+increment > maxTotal {
 		m.rescale()
 	}
-	m.add(sym, increment)
+	m.counts[sym] += increment
+	m.blocks[sym>>blockShift] += increment
 	m.total += increment
 }
 
 // rescale halves every count, rounding up so no symbol becomes impossible.
 func (m *Model) rescale() {
-	counts := make([]uint32, m.n)
-	for s := 0; s < m.n; s++ {
-		counts[s] = m.count(s)
+	for s, c := range m.counts[:m.n] {
+		m.counts[s] = (c + 1) / 2
 	}
-	for i := range m.tree {
-		m.tree[i] = 0
-	}
-	m.total = 0
-	for s, c := range counts {
-		nc := (c + 1) / 2
-		m.add(s, nc)
-		m.total += nc
-	}
+	m.sum()
 }
 
 // Update advances the adaptive state for sym exactly as coding the symbol
@@ -146,7 +136,8 @@ func (m *Model) CopyFrom(src *Model) {
 	if m.n != src.n {
 		panic("arith: CopyFrom across alphabet sizes")
 	}
-	copy(m.tree, src.tree)
+	copy(m.counts, src.counts)
+	copy(m.blocks, src.blocks)
 	m.total = src.total
 }
 

@@ -89,7 +89,7 @@ func PutDecoder(d *Decoder) {
 	if d == nil {
 		return
 	}
-	d.r.Reset(nil)
+	d.buf = nil
 	decoderPool.Put(d)
 }
 

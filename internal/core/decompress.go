@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sync"
 
 	"dbgc/internal/declimits"
@@ -214,17 +215,13 @@ func DecompressWith(data []byte, opts DecompressOptions) (geom.PointCloud, error
 			return nil, err
 		}
 	}
-	pts, errs := decodeSections(c, opts, b, false)
+	buf, pts, errs := decodeSections(c, opts, b, false)
 	for id, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", SectionID(id), err)
 		}
 	}
-	out := make(geom.PointCloud, 0, len(pts[SectionDense])+len(pts[SectionSparse])+len(pts[SectionOutlier]))
-	out = append(out, pts[SectionDense]...)
-	out = append(out, pts[SectionSparse]...)
-	out = append(out, pts[SectionOutlier]...)
-	return out, nil
+	return buf.Join(pts[:]...), nil
 }
 
 // DecompressPartial decodes every intact section of a frame and skips
@@ -261,16 +258,13 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 			c.sec[id].payload = nil
 		}
 	}
-	pts, errs := decodeSections(c, opts, b, true)
-	out := geom.PointCloud{}
+	buf, pts, errs := decodeSections(c, opts, b, true)
 	for id := range reports {
 		if errs[id] != nil {
 			if reports[id].Err == nil {
 				reports[id].Err = errs[id]
 			}
-			continue
-		}
-		if reports[id].Err != nil && pts[id] == nil {
+			pts[id] = nil
 			continue
 		}
 		// A section decodes here either because it was intact or because
@@ -278,52 +272,85 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 		// Err stays set (recording the damage) while Points counts what
 		// survived.
 		reports[id].Points = len(pts[id])
-		out = append(out, pts[id]...)
 	}
-	return out, reports, nil
+	return buf.Join(pts[:]...), reports, nil
 }
 
 // decodeSections decodes the three sections of a parsed frame, in parallel
 // when requested, charging b throughout. salvage lets the sparse decoder
 // skip CRC-condemned radial groups of a v3 stream instead of failing the
-// section (DecompressPartial's group-level recovery).
-func decodeSections(c container, opts DecompressOptions, b *declimits.Budget, salvage bool) (pts [numSections]geom.PointCloud, errs [numSections]error) {
+// section (DecompressPartial's group-level recovery). The sections decode
+// into consecutive windows of buf, one slice sized from the point counts
+// their headers declare, so buf.Join(pts...) of intact sections is buf
+// itself, every point written once.
+func decodeSections(c container, opts DecompressOptions, b *declimits.Budget, salvage bool) (buf geom.PointCloud, pts [numSections]geom.PointCloud, errs [numSections]error) {
 	// The container version (plus the v5 dialect byte), not the payload,
 	// selects the entropy dialect of the dense and outlier sections; sparse
 	// streams are self-flagged.
 	sharded, blockpacked, ctx := c.flags()
 	octOpts := octree.DecodeOptions{Budget: b, Sharded: sharded, BlockPack: blockpacked, Context: ctx, Parallel: opts.Parallel}
 	sparseOpts := sparse.DecodeOptions{Parallel: opts.Parallel, Budget: b, Salvage: salvage}
+
+	var offs [numSections + 1]uint64
+	offs[SectionDense+1] = octree.PointCount(c.sec[SectionDense].payload)
+	offs[SectionSparse+1] = offs[SectionSparse] + sparse.PointCount(c.sec[SectionSparse].payload)
+	offs[SectionOutlier+1] = offs[SectionOutlier] + outlierCount(c.sec[SectionOutlier].payload, c.mode)
+	buf = make(geom.PointCloud, 0, b.Prealloc(offs[numSections]))
+	decode := func(id SectionID) {
+		dst, data := buf.Window(offs[id], offs[id+1]-offs[id]), c.sec[id].payload
+		switch id {
+		case SectionDense:
+			pts[id], errs[id] = octree.DecodeInto(dst, data, octOpts)
+		case SectionSparse:
+			pts[id], errs[id] = sparse.DecodeInto(dst, data, sparseOpts)
+		case SectionOutlier:
+			pts[id], errs[id] = decodeOutliers(dst, data, c.mode, octOpts)
+		}
+	}
 	if opts.Parallel {
 		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			pts[SectionDense], errs[SectionDense] = octree.DecodeWith(c.sec[SectionDense].payload, octOpts)
-		}()
-		go func() {
-			defer wg.Done()
-			pts[SectionOutlier], errs[SectionOutlier] = decodeOutliers(c.sec[SectionOutlier].payload, c.mode, b, sharded, blockpacked, ctx, opts.Parallel)
-		}()
+		for _, id := range []SectionID{SectionDense, SectionOutlier} {
+			wg.Add(1)
+			go func(id SectionID) {
+				defer wg.Done()
+				decode(id)
+			}(id)
+		}
 		// The sparse section fans its radial groups out to further
 		// goroutines; decode it on this one.
-		pts[SectionSparse], errs[SectionSparse] = sparse.DecodeWith(c.sec[SectionSparse].payload, sparseOpts)
+		decode(SectionSparse)
 		wg.Wait()
 	} else {
-		pts[SectionDense], errs[SectionDense] = octree.DecodeWith(c.sec[SectionDense].payload, octOpts)
-		pts[SectionSparse], errs[SectionSparse] = sparse.DecodeWith(c.sec[SectionSparse].payload, sparseOpts)
-		pts[SectionOutlier], errs[SectionOutlier] = decodeOutliers(c.sec[SectionOutlier].payload, c.mode, b, sharded, blockpacked, ctx, opts.Parallel)
+		for id := SectionID(0); id < numSections; id++ {
+			decode(id)
+		}
 	}
-	return pts, errs
+	return buf, pts, errs
 }
 
-func decodeOutliers(data []byte, mode OutlierMode, b *declimits.Budget, sharded, blockpacked, ctx, parallel bool) (pc geom.PointCloud, err error) {
+// outlierCount returns the point count the outlier section declares under
+// mode (zero if unreadable): an untrusted sizing hint like the sections'
+// PointCount.
+func outlierCount(data []byte, mode OutlierMode) uint64 {
+	switch mode {
+	case OutlierQuadtree:
+		return outlier.PointCount(data)
+	case OutlierOctree:
+		return octree.PointCount(data)
+	default:
+		return uint64(len(data)) / 12
+	}
+}
+
+// decodeOutliers decodes the outlier section under mode and appends its
+// points to dst. opts carries the frame's dialect and budget.
+func decodeOutliers(dst geom.PointCloud, data []byte, mode OutlierMode, opts octree.DecodeOptions) (pc geom.PointCloud, err error) {
 	defer declimits.Recover(&err, ErrCorrupt)
 	switch mode {
 	case OutlierQuadtree:
-		return outlier.DecodeWith(data, outlier.DecodeOptions{Budget: b, Sharded: sharded, BlockPack: blockpacked, Parallel: parallel})
+		return outlier.DecodeInto(dst, data, outlier.DecodeOptions{Budget: opts.Budget, Sharded: opts.Sharded, BlockPack: opts.BlockPack, Parallel: opts.Parallel})
 	case OutlierOctree:
-		return octree.DecodeWith(data, octree.DecodeOptions{Budget: b, Sharded: sharded, BlockPack: blockpacked, Context: ctx, Parallel: parallel})
+		return octree.DecodeInto(dst, data, opts)
 	case OutlierNone:
 		n, used, err := varint.Uint(data)
 		if err != nil {
@@ -335,16 +362,16 @@ func decodeOutliers(data []byte, mode OutlierMode, b *declimits.Budget, sharded,
 		if n != uint64(len(data))/12 || uint64(len(data)) != 12*n {
 			return nil, fmt.Errorf("%w: raw outlier section has %d bytes, want 12*%d", ErrCorrupt, len(data), n)
 		}
-		if err := b.Points(int64(n)); err != nil {
+		if err := opts.Budget.Points(int64(n)); err != nil {
 			return nil, err
 		}
-		out := make(geom.PointCloud, n)
-		for i := range out {
-			out[i] = geom.Point{
-				X: float64(readFloat32(data[12*i:])),
-				Y: float64(readFloat32(data[12*i+4:])),
-				Z: float64(readFloat32(data[12*i+8:])),
-			}
+		out := slices.Grow(dst, int(n))
+		for ; len(data) > 0; data = data[12:] {
+			out = append(out, geom.Point{
+				X: float64(readFloat32(data)),
+				Y: float64(readFloat32(data[4:])),
+				Z: float64(readFloat32(data[8:])),
+			})
 		}
 		return out, nil
 	default:

@@ -85,5 +85,11 @@ func FuzzDecompress(f *testing.F) {
 		// group-salvage partial path; neither may panic.
 		_, _ = DecompressWith(b, DecompressOptions{Parallel: true})
 		_, _, _ = DecompressPartial(b, DecompressOptions{})
+		// The query path decodes the same untrusted bytes; under limits it
+		// must stop at a charge, not at the allocator.
+		lim := DecompressOptions{Limits: DecodeLimits{MaxPoints: 1 << 20, MaxNodes: 1 << 22, MemBudget: 64 << 20}}
+		if reg, err := DecompressRegionWith(b, laneBox, lim); err == nil && len(reg) > 1<<20 {
+			t.Fatalf("region decode returned %d points past MaxPoints", len(reg))
+		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dbgc/internal/lidar"
+	"dbgc/internal/octree"
 	"dbgc/internal/varint"
 )
 
@@ -106,13 +107,13 @@ func TestRawOutlierCountOverflow(t *testing.T) {
 	n := uint64(1)<<62 + 1
 	data := varint.AppendUint(nil, n)
 	data = append(data, make([]byte, 12)...)
-	if _, err := decodeOutliers(data, OutlierNone, nil, false, false, false, false); err == nil {
+	if _, err := decodeOutliers(nil, data, OutlierNone, octree.DecodeOptions{}); err == nil {
 		t.Fatal("wrapped outlier count accepted")
 	}
 	// Sanity: the bound still admits a correct stream.
 	good := varint.AppendUint(nil, 1)
 	good = append(good, make([]byte, 12)...)
-	pts, err := decodeOutliers(good, OutlierNone, nil, false, false, false, false)
+	pts, err := decodeOutliers(nil, good, OutlierNone, octree.DecodeOptions{})
 	if err != nil || len(pts) != 1 {
 		t.Fatalf("valid raw outlier section rejected: %v", err)
 	}

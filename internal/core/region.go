@@ -16,7 +16,16 @@ import (
 // radial interval cannot reach the box are skipped entirely; everything
 // else decodes normally and filters.
 func DecompressRegion(data []byte, region geom.AABB) (geom.PointCloud, error) {
-	c, err := parseContainer(data, nil)
+	return DecompressRegionWith(data, region, DecompressOptions{})
+}
+
+// DecompressRegionWith is DecompressRegion with explicit options. Limits
+// are charged as DecompressWith charges them — each section that decodes
+// pays for every point it declares, inside the box or not — so a frame the
+// one refuses, the other refuses too.
+func DecompressRegionWith(data []byte, region geom.AABB, opts DecompressOptions) (geom.PointCloud, error) {
+	b := newBudget(opts.Limits)
+	c, err := parseContainer(data, b)
 	if err != nil {
 		return nil, err
 	}
@@ -27,7 +36,8 @@ func DecompressRegion(data []byte, region geom.AABB) (geom.PointCloud, error) {
 	}
 
 	sharded, blockpacked, ctx := c.flags()
-	out, err := octree.DecodeRegionWith(c.sec[SectionDense].payload, region, octree.DecodeOptions{Sharded: sharded, BlockPack: blockpacked, Context: ctx})
+	octOpts := octree.DecodeOptions{Budget: b, Sharded: sharded, BlockPack: blockpacked, Context: ctx, Parallel: opts.Parallel}
+	out, err := octree.DecodeRegionWith(c.sec[SectionDense].payload, region, octOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: dense: %w", err)
 	}
@@ -35,23 +45,19 @@ func DecompressRegion(data []byte, region geom.AABB) (geom.PointCloud, error) {
 	// Sparse groups: [rLo, rHi] of the box from the sensor decides which
 	// groups can contribute.
 	rLo, rHi := regionRadialRange(region)
-	sparsePts, err := sparse.DecodeRadialRange(c.sec[SectionSparse].payload, rLo, rHi)
+	sparsePts, err := sparse.DecodeRadialRange(c.sec[SectionSparse].payload, rLo, rHi, sparse.DecodeOptions{Parallel: opts.Parallel, Budget: b})
 	if err != nil {
 		return nil, fmt.Errorf("core: sparse: %w", err)
 	}
-	for _, p := range sparsePts {
-		if region.Contains(p) {
-			out = append(out, p)
-		}
-	}
-
-	outlierPts, err := decodeOutliers(c.sec[SectionOutlier].payload, c.mode, nil, sharded, blockpacked, ctx, false)
+	outlierPts, err := decodeOutliers(nil, c.sec[SectionOutlier].payload, c.mode, octOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: outliers: %w", err)
 	}
-	for _, p := range outlierPts {
-		if region.Contains(p) {
-			out = append(out, p)
+	for _, pts := range []geom.PointCloud{sparsePts, outlierPts} {
+		for _, p := range pts {
+			if region.Contains(p) {
+				out = append(out, p)
+			}
 		}
 	}
 	return out, nil

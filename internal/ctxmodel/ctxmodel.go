@@ -150,7 +150,7 @@ func popBucket(prev byte) int {
 }
 
 // ModelBytes256 is the memory one 256-symbol context model costs (the
-// Fenwick table plus header), charged per context against DecodeLimits.
+// count table plus header), charged per context against DecodeLimits.
 const ModelBytes256 = 1056
 
 // Bank is a resettable set of per-context adaptive models over one
@@ -242,7 +242,7 @@ func (b *Bank) Decode(d *arith.Decoder, ctx int) (int, error) {
 	return sym, err
 }
 
-// bankPool recycles Banks — and, critically, the arith Fenwick tables
+// bankPool recycles Banks — and, critically, the arith count tables
 // inside them — across shards and frames. Reshaping a pooled bank to a
 // different context count keeps the models already built.
 var bankPool = sync.Pool{New: func() any { return new(Bank) }}

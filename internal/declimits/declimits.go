@@ -229,6 +229,20 @@ func CapPrealloc(n uint64) int {
 	return int(n)
 }
 
+// Prealloc returns the capacity to reserve for n points that headers
+// declare but no decoder has charged yet: CapPrealloc(n), or zero when what
+// is left of the budget cannot cover n points — that decode is going to
+// stop at a charge, and it should not allocate first.
+func (b *Budget) Prealloc(n uint64) int {
+	if b != nil {
+		left := min(b.points.Load(), b.mem.Load()/pointBytes)
+		if left < 0 || n > uint64(left) {
+			return 0
+		}
+	}
+	return CapPrealloc(n)
+}
+
 // Recover converts a panic at a codec boundary into an error wrapping
 // sentinel, so a decoder bug on hostile bytes costs one failed frame
 // instead of the process:

@@ -132,3 +132,35 @@ func TestRecover(t *testing.T) {
 		t.Fatalf("want wrapped sentinel, got %v", err)
 	}
 }
+
+// TestPrealloc: a declared count is a capacity only when what is left of
+// the budget could pay for it, and never more than the clamp.
+func TestPrealloc(t *testing.T) {
+	var unlimited *Budget
+	if got := unlimited.Prealloc(100); got != 100 {
+		t.Fatalf("nil budget: %d", got)
+	}
+	if got := unlimited.Prealloc(1 << 40); got != CapPrealloc(1<<40) {
+		t.Fatalf("nil budget is not clamped: %d", got)
+	}
+	b := New(Limits{MaxPoints: 1000})
+	if got := b.Prealloc(1000); got != 1000 {
+		t.Fatalf("affordable: %d", got)
+	}
+	if got := b.Prealloc(1001); got != 0 {
+		t.Fatalf("over MaxPoints: %d", got)
+	}
+	if err := b.Points(600); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.Prealloc(401); got != 0 {
+		t.Fatalf("over what is left: %d", got)
+	}
+	if got := New(Limits{MemBudget: 24 * 10}).Prealloc(11); got != 0 {
+		t.Fatalf("over MemBudget: %d", got)
+	}
+	b.Points(1 << 20) // overdrawn
+	if got := b.Prealloc(1); got != 0 {
+		t.Fatalf("overdrawn budget: %d", got)
+	}
+}

@@ -149,3 +149,56 @@ func TestClone(t *testing.T) {
 		t.Fatal("Clone must not alias the original")
 	}
 }
+
+// fill appends n points, numbered from first, to w: a decoder's part.
+func fill(w PointCloud, first, n int) PointCloud {
+	for i := 0; i < n; i++ {
+		w = append(w, Point{X: float64(first + i)})
+	}
+	return w
+}
+
+// TestWindowJoin: parts appended into consecutive windows that each fill
+// exactly are adopted in place; a part that falls short, overflows its
+// window, or is missing makes Join copy — with the same points either way.
+func TestWindowJoin(t *testing.T) {
+	check := func(name string, got PointCloud, want int, inPlace bool, buf PointCloud) {
+		t.Helper()
+		if len(got) != want {
+			t.Fatalf("%s: %d points, want %d", name, len(got), want)
+		}
+		for i, p := range got {
+			if p.X != float64(i) {
+				t.Fatalf("%s: point %d is %v", name, i, p.X)
+			}
+		}
+		if same := want > 0 && cap(buf) > 0 && &got[0] == &buf[:1][0]; same != inPlace {
+			t.Fatalf("%s: in place = %v, want %v", name, same, inPlace)
+		}
+	}
+
+	buf := make(PointCloud, 0, 10)
+	a, b, c := fill(buf.Window(0, 3), 0, 3), fill(buf.Window(3, 0), 3, 0), fill(buf.Window(3, 7), 3, 7)
+	check("exact", buf.Join(a, b, c), 10, true, buf)
+
+	buf = make(PointCloud, 0, 10)
+	a, c = fill(buf.Window(0, 3), 0, 2), fill(buf.Window(3, 7), 2, 7) // a came up short
+	check("gap", buf.Join(a, c), 9, false, buf)
+
+	buf = make(PointCloud, 0, 10)
+	a, c = fill(buf.Window(0, 3), 0, 5), fill(buf.Window(3, 7), 5, 7) // a outgrew its window
+	check("overflow", buf.Join(a, c), 12, false, buf)
+
+	buf = make(PointCloud, 0, 4) // capacity clamped below the declared 10
+	a, c = fill(buf.Window(0, 3), 0, 3), fill(buf.Window(3, 7), 3, 7)
+	check("clamped", buf.Join(a, c), 10, false, buf)
+
+	buf = fill(make(PointCloud, 0, 10), 0, 2) // joining after points already there
+	a, c = fill(buf.Window(0, 3), 2, 3), fill(buf.Window(3, 5), 5, 5)
+	check("append", buf.Join(a, c), 10, true, buf)
+
+	check("nothing", PointCloud(nil).Join(nil, nil), 0, false, nil)
+	if w := buf.Window(1<<63, 1<<63); len(w) != 0 || cap(w) != 0 {
+		t.Fatalf("window past the capacity has cap %d", cap(w))
+	}
+}

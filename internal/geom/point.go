@@ -136,3 +136,40 @@ func (pc PointCloud) Centroid() Point {
 	}
 	return c.Scale(1 / float64(len(pc)))
 }
+
+// Window returns the empty slice that starts off points past the end of pc
+// in its backing array and has room for n more, as far as pc's capacity
+// reaches. A decoder appending at most n points to it writes them in
+// place, and decoders given disjoint windows may run concurrently.
+func (pc PointCloud) Window(off, n uint64) PointCloud {
+	free := uint64(cap(pc) - len(pc))
+	off = min(off, free)
+	lo := len(pc) + int(off)
+	return pc[lo : lo : lo+int(min(n, free-off))]
+}
+
+// Join appends parts to pc in order. Parts that already lie back to back
+// right after pc's last point — decoded into consecutive Windows that were
+// each filled exactly — are adopted without copying a point; any other
+// arrangement is copied, together with pc, into a fresh slice.
+func (pc PointCloud) Join(parts ...PointCloud) PointCloud {
+	for i, p := range parts {
+		if len(p) == 0 {
+			continue
+		}
+		if n := len(pc); n+len(p) <= cap(pc) && &pc[:n+1][n] == &p[0] {
+			pc = pc[:n+len(p)]
+			continue
+		}
+		total := len(pc)
+		for _, p := range parts[i:] {
+			total += len(p)
+		}
+		out := append(make(PointCloud, 0, total), pc...)
+		for _, p := range parts[i:] {
+			out = append(out, p...)
+		}
+		return out
+	}
+	return pc
+}

@@ -85,7 +85,7 @@ func EncodeGroupedWith(points geom.PointCloud, q float64, ctx bool) (Encoded, er
 		if ctx {
 			stream = appendGroupCtx(groups[p], groupOct[p], byte(p))
 		} else {
-			stream = compressOccupancy(groups[p])
+			stream = arith.CompressBytes(groups[p])
 		}
 		out = varint.AppendUint(out, uint64(p))
 		out = varint.AppendUint(out, uint64(len(groups[p])))
@@ -309,7 +309,7 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 			groups[p] = &group{dec: arith.GetDecoder(payload), bank: ctxmodel.GetBank(feats.Contexts(), 256), parent: byte(p), left: cnt}
 			continue
 		}
-		codes, err := decompressOccupancy(payload, cnt, b)
+		codes, err := arith.DecompressBytesLimited(payload, cnt, b)
 		if err != nil {
 			return nil, err
 		}
@@ -387,7 +387,7 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 	if len(level) != len(counts) {
 		return nil, fmt.Errorf("%w: %d leaves but %d counts", ErrCorrupt, len(level), len(counts))
 	}
-	out := make(geom.PointCloud, 0, clampCap(n))
+	out := make(geom.PointCloud, 0, declimits.CapPrealloc(n))
 	for i, cl := range level {
 		cnt := counts[i]
 		// Remaining-budget comparison: summing first could wrap uint64.

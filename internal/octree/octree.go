@@ -17,6 +17,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 
@@ -182,7 +184,7 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 		if opts.sharded() {
 			legacy = arith.AppendCompressCodesSharded(nil, occ, 256, opts.Shards, opts.Parallel)
 		} else {
-			legacy = compressOccupancy(occ)
+			legacy = arith.CompressBytes(occ)
 		}
 		if !opts.Context {
 			return legacy
@@ -451,18 +453,6 @@ func childCenter(center geom.Point, qh float64, c int) geom.Point {
 	return center.Add(off)
 }
 
-func compressOccupancy(occ []byte) []byte {
-	e := arith.GetEncoder()
-	m := arith.GetModel(256)
-	for _, code := range occ {
-		e.Encode(m, int(code))
-	}
-	out := e.AppendFinish(nil)
-	arith.PutModel(m)
-	arith.PutEncoder(e)
-	return out
-}
-
 // Decode reconstructs the point cloud from a stream produced by Encode.
 func Decode(data []byte) (geom.PointCloud, error) {
 	return DecodeLimited(data, nil)
@@ -498,214 +488,263 @@ func DecodeLimited(data []byte, b *declimits.Budget) (geom.PointCloud, error) {
 }
 
 // DecodeWith is Decode with explicit options.
-func DecodeWith(data []byte, opts DecodeOptions) (pc geom.PointCloud, err error) {
-	defer declimits.Recover(&err, ErrCorrupt)
-	b := opts.Budget
-	n, used, err := varint.Uint(data)
-	if err != nil {
-		return nil, fmt.Errorf("octree: point count: %w", err)
-	}
-	data = data[used:]
-	if n == 0 {
-		return geom.PointCloud{}, nil
-	}
-	if n > uint64(math.MaxInt32) {
-		return nil, fmt.Errorf("%w: point count overflow", ErrCorrupt)
-	}
-	if err := b.Points(int64(n)); err != nil {
-		return nil, err
-	}
-	var min geom.Point
-	var side float64
-	if min.X, data, err = readFloat(data); err != nil {
-		return nil, err
-	}
-	if min.Y, data, err = readFloat(data); err != nil {
-		return nil, err
-	}
-	if min.Z, data, err = readFloat(data); err != nil {
-		return nil, err
-	}
-	if side, data, err = readFloat(data); err != nil {
-		return nil, err
-	}
-	if side < 0 || math.IsNaN(side) || math.IsInf(side, 0) {
-		return nil, fmt.Errorf("%w: invalid cube side %v", ErrCorrupt, side)
-	}
-	depth64, used, err := varint.Uint(data)
-	if err != nil {
-		return nil, fmt.Errorf("octree: depth: %w", err)
-	}
-	data = data[used:]
-	if depth64 > maxDepth {
-		return nil, fmt.Errorf("%w: depth %d exceeds limit", ErrCorrupt, depth64)
-	}
-	depth := int(depth64)
+func DecodeWith(data []byte, opts DecodeOptions) (geom.PointCloud, error) {
+	return DecodeInto(geom.PointCloud{}, data, opts)
+}
 
-	occLen, occStream, data, err := readSection(data, "occupancy")
-	if err != nil {
-		return nil, err
+// DecodeInto is DecodeWith appending the points to dst. Given room for
+// PointCount(data) points it writes each point once, where it stays.
+func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (geom.PointCloud, error) {
+	return decode(dst, data, opts, nil)
+}
+
+// PointCount returns the number of points the header of an Encode stream
+// declares, or zero if there is no reading it. The count is untrusted: a
+// hint for sizing DecodeInto's destination, which the decode then holds
+// the stream to.
+func PointCount(data []byte) uint64 {
+	n, _, err := varint.Uint(data)
+	if err != nil || n > math.MaxInt32 {
+		return 0
 	}
-	countLen, countStream, _, err := readSection(data, "counts")
+	return n
+}
+
+// stream is a parsed Encode stream: the header fields and the two entropy
+// coded sections, still compressed.
+type stream struct {
+	n        uint64 // declared point count
+	min      geom.Point
+	side     float64
+	depth    int
+	occLen   int
+	occ      []byte
+	ctxOcc   bool // occ is the ctxmodel coding (v5 method marker)
+	countLen int
+	counts   []byte
+}
+
+// parse reads the header of an Encode stream and charges its declared
+// point count against the budget. An empty cloud parses to n == 0 and
+// nothing else.
+func parse(data []byte, opts DecodeOptions) (st stream, err error) {
+	var used int
+	if st.n, used, err = varint.Uint(data); err != nil {
+		return st, fmt.Errorf("octree: point count: %w", err)
+	}
+	data = data[used:]
+	if st.n == 0 {
+		return st, nil
+	}
+	if st.n > uint64(math.MaxInt32) {
+		return st, fmt.Errorf("%w: point count overflow", ErrCorrupt)
+	}
+	if err := opts.Budget.Points(int64(st.n)); err != nil {
+		return st, err
+	}
+	for _, f := range []*float64{&st.min.X, &st.min.Y, &st.min.Z, &st.side} {
+		if *f, data, err = readFloat(data); err != nil {
+			return st, err
+		}
+	}
+	if st.side < 0 || math.IsNaN(st.side) || math.IsInf(st.side, 0) {
+		return st, fmt.Errorf("%w: invalid cube side %v", ErrCorrupt, st.side)
+	}
+	depth, used, err := varint.Uint(data)
 	if err != nil {
-		return nil, err
+		return st, fmt.Errorf("octree: depth: %w", err)
+	}
+	data = data[used:]
+	if depth > maxDepth {
+		return st, fmt.Errorf("%w: depth %d exceeds limit", ErrCorrupt, depth)
+	}
+	st.depth = int(depth)
+
+	if st.occLen, st.occ, data, err = readSection(data, "occupancy"); err != nil {
+		return st, err
+	}
+	if st.countLen, st.counts, _, err = readSection(data, "counts"); err != nil {
+		return st, err
 	}
 	// Every leaf holds at least one point, so a counts section longer than
 	// the point total is corrupt; reject before decoding countLen symbols.
-	if uint64(countLen) > n {
-		return nil, fmt.Errorf("%w: %d leaf counts for %d points", ErrCorrupt, countLen, n)
+	if uint64(st.countLen) > st.n {
+		return st, fmt.Errorf("%w: %d leaf counts for %d points", ErrCorrupt, st.countLen, st.n)
 	}
-
-	ctxOcc := false
 	if opts.Context {
-		if len(occStream) < 1 {
-			return nil, fmt.Errorf("%w: missing occupancy method marker", ErrCorrupt)
+		if len(st.occ) < 1 {
+			return st, fmt.Errorf("%w: missing occupancy method marker", ErrCorrupt)
 		}
-		switch occStream[0] {
+		switch st.occ[0] {
 		case occMethodLegacy:
 		case occMethodCtx:
-			ctxOcc = true
+			st.ctxOcc = true
 		default:
-			return nil, fmt.Errorf("%w: unknown occupancy method %d", ErrCorrupt, occStream[0])
+			return st, fmt.Errorf("%w: unknown occupancy method %d", ErrCorrupt, st.occ[0])
 		}
-		occStream = occStream[1:]
+		st.occ = st.occ[1:]
 	}
+	return st, nil
+}
 
-	var occ []byte
-	var counts []uint64
+// decodeScratch holds what one decode needs besides its output: the
+// occupancy codes, the leaf counts, and the breadth-first replay's level of
+// cell centers with, for a region decode, their liveness. Pooled, and sized
+// from the stream's declared leaf count, so a steady-state decode
+// allocates none of it and a cold one allocates each slice once.
+type decodeScratch struct {
+	occ     []byte
+	counts  []uint64
+	centers []geom.Point
+	live    []bool
+}
+
+var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
+
+// decode is the one decoder behind DecodeInto (region == nil) and
+// DecodeRegionWith: entropy-decode both sections, replay the subdivision,
+// and append every leaf center, repeated by its count, that the region
+// keeps.
+func decode(dst geom.PointCloud, data []byte, opts DecodeOptions, region *geom.AABB) (pc geom.PointCloud, err error) {
+	defer declimits.Recover(&err, ErrCorrupt)
+	st, err := parse(data, opts)
+	if err != nil {
+		return nil, err
+	}
+	if st.n == 0 {
+		return dst, nil
+	}
+	b := opts.Budget
+	s := decodePool.Get().(*decodeScratch)
+	defer decodePool.Put(s)
+
 	switch {
-	case ctxOcc:
-		occ, err = ctxmodel.DecodeOcc(occStream, occLen, depth, b)
+	case st.ctxOcc:
+		s.occ, err = ctxmodel.DecodeOcc(st.occ, st.occLen, st.depth, b)
 	case opts.Sharded || opts.BlockPack:
-		occ, err = arith.DecompressCodesShardedLimited(occStream, occLen, 256, b, opts.Parallel)
+		s.occ, err = arith.DecompressCodesShardedLimited(st.occ, st.occLen, 256, b, opts.Parallel)
 	default:
-		occ, err = decompressOccupancy(occStream, occLen, b)
+		s.occ, err = arith.AppendDecompressBytes(s.occ[:0], st.occ, st.occLen, b)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("octree: occupancy: %w", err)
 	}
-	if opts.BlockPack {
-		counts, err = blockpack.UnpackUint64Sharded(countStream, countLen, b, opts.Parallel)
-	} else if opts.Sharded {
-		counts, err = arith.DecompressUintsShardedLimited(countStream, countLen, b, opts.Parallel)
-	} else {
-		counts, err = arith.DecompressUintsLimited(countStream, countLen, b)
+	switch {
+	case opts.BlockPack:
+		s.counts, err = blockpack.UnpackUint64Sharded(st.counts, st.countLen, b, opts.Parallel)
+	case opts.Sharded:
+		s.counts, err = arith.DecompressUintsShardedLimited(st.counts, st.countLen, b, opts.Parallel)
+	default:
+		s.counts, err = arith.AppendDecompressUints(s.counts[:0], st.counts, st.countLen, b)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("octree: counts: %w", err)
 	}
-
-	leaves, err := rebuildLeaves(occ, min, side, depth, b)
-	if err != nil {
+	if err := s.replay(st, region, b); err != nil {
 		return nil, err
 	}
-	if len(leaves) != len(counts) {
-		return nil, fmt.Errorf("%w: %d leaves but %d counts", ErrCorrupt, len(leaves), len(counts))
-	}
-	out := make(geom.PointCloud, 0, clampCap(n))
-	for i, c := range leaves {
-		cnt := counts[i]
-		// Compare against the remaining budget; summing cnt into the
-		// running total first could wrap uint64 for adversarial counts.
-		if cnt == 0 || cnt > n-uint64(len(out)) {
+
+	// First hold the counts to the header, and learn how many points the
+	// region keeps; then write them.
+	keep, left := uint64(0), st.n
+	for i, cnt := range s.counts {
+		// Compare against what is left: summing cnt first could wrap
+		// uint64 for adversarial counts.
+		if cnt == 0 || cnt > left {
 			return nil, fmt.Errorf("%w: leaf counts disagree with point total", ErrCorrupt)
 		}
-		for k := uint64(0); k < cnt; k++ {
+		left -= cnt
+		if region != nil {
+			s.live[i] = s.live[i] && region.Contains(s.centers[i])
+			if !s.live[i] {
+				continue
+			}
+		}
+		keep += cnt
+	}
+	if left != 0 {
+		return nil, fmt.Errorf("%w: decoded %d points, header says %d", ErrCorrupt, st.n-left, st.n)
+	}
+	out := slices.Grow(dst, declimits.CapPrealloc(keep))
+	for i, c := range s.centers {
+		if region != nil && !s.live[i] {
+			continue
+		}
+		for k := s.counts[i]; k > 0; k-- {
 			out = append(out, c)
 		}
 	}
-	if uint64(len(out)) != n {
-		return nil, fmt.Errorf("%w: decoded %d points, header says %d", ErrCorrupt, len(out), n)
-	}
 	return out, nil
 }
 
-// rebuildScratch holds the two ping-pong center slices of the decode-side
-// breadth-first replay.
-type rebuildScratch struct {
-	cur, next []geom.Point
-}
-
-var rebuildPool = sync.Pool{New: func() any { return new(rebuildScratch) }}
-
-// rebuildLeaves replays the breadth-first subdivision and returns the leaf
-// centers in emission order. All cells of one level share the same half
-// side length, so the replay tracks centers only. The returned slice is
-// freshly allocated; the working levels come from a pool.
-func rebuildLeaves(occ []byte, min geom.Point, side float64, depth int, b *declimits.Budget) ([]geom.Point, error) {
-	s := rebuildPool.Get().(*rebuildScratch)
-	defer rebuildPool.Put(s)
-	half := side / 2
-	level := append(s.cur[:0], min.Add(geom.Point{X: half, Y: half, Z: half}))
-	next := s.next[:0]
-	pos := 0
-	for d := 0; d < depth; d++ {
-		next = next[:0]
-		qh := half / 2
-		for _, center := range level {
-			if pos >= len(occ) {
-				s.cur, s.next = level, next
-				return nil, fmt.Errorf("%w: occupancy stream too short", ErrCorrupt)
-			}
-			code := occ[pos]
-			pos++
+// replay runs the breadth-first subdivision that st's occupancy codes (in
+// s.occ) describe and leaves the leaf centers in s.centers, in emission
+// order; there must be exactly as many as s.counts. All cells of one level
+// share one half side length, so the replay tracks centers only. A level
+// is expanded in place, back to front: every cell has at least one child,
+// so the children of the cells before cell i take at least i slots and
+// writing them never reaches a cell not yet read. With a region, s.live
+// tells which cells' cubes meet it; the cells below a dead one stay in the
+// level (their codes occupy stream positions) but get no center.
+func (s *decodeScratch) replay(st stream, region *geom.AABB, b *declimits.Budget) error {
+	leaves := len(s.counts)
+	half := st.side / 2
+	s.centers = append(slices.Grow(s.centers[:0], declimits.CapPrealloc(uint64(leaves))), st.min.Add(geom.Point{X: half, Y: half, Z: half}))
+	if region != nil {
+		s.live = append(slices.Grow(s.live[:0], declimits.CapPrealloc(uint64(leaves))), true)
+	}
+	occ := s.occ
+	for d := 0; d < st.depth; d++ {
+		n := len(s.centers)
+		if len(occ) < n {
+			return fmt.Errorf("%w: occupancy stream too short", ErrCorrupt)
+		}
+		codes := occ[:n]
+		occ = occ[n:]
+		next := 0
+		for _, code := range codes {
 			if code == 0 {
-				s.cur, s.next = level, next
-				return nil, fmt.Errorf("%w: empty occupancy code", ErrCorrupt)
+				return fmt.Errorf("%w: empty occupancy code", ErrCorrupt)
 			}
-			for c := 0; c < 8; c++ {
-				if code&(1<<uint(c)) != 0 {
-					next = append(next, childCenter(center, qh, c))
+			next += bits.OnesCount8(code)
+		}
+		if next > leaves {
+			return fmt.Errorf("%w: %d cells at level %d but %d leaf counts", ErrCorrupt, next, d+1, leaves)
+		}
+		if err := b.Nodes(int64(next)); err != nil {
+			return err
+		}
+		s.centers = slices.Grow(s.centers, next-n)[:next]
+		if region != nil {
+			s.live = slices.Grow(s.live, next-n)[:next]
+		}
+		qh := half / 2
+		w := next
+		for i := n - 1; i >= 0; i-- {
+			center, code := s.centers[i], codes[i]
+			alive := region == nil || s.live[i]
+			for c := 7; c >= 0; c-- {
+				if code&(1<<uint(c)) == 0 {
+					continue
+				}
+				w--
+				if alive {
+					s.centers[w] = childCenter(center, qh, c)
+				}
+				if region != nil {
+					s.live[w] = alive && cellIntersects(s.centers[w], qh, *region)
 				}
 			}
 		}
-		if err := b.Nodes(int64(len(next))); err != nil {
-			s.cur, s.next = level, next
-			return nil, err
-		}
-		level, next = next, level
 		half = qh
 	}
-	s.cur, s.next = level, next
-	if pos != len(occ) {
-		return nil, fmt.Errorf("%w: %d unused occupancy codes", ErrCorrupt, len(occ)-pos)
+	if len(occ) != 0 {
+		return fmt.Errorf("%w: %d unused occupancy codes", ErrCorrupt, len(occ))
 	}
-	centers := make([]geom.Point, len(level))
-	copy(centers, level)
-	return centers, nil
-}
-
-// clampCap bounds a header-declared element count before it is used as an
-// allocation capacity, so a corrupt header cannot trigger a huge up-front
-// allocation. Decoding still appends past the clamp when the stream really
-// carries that many elements.
-func clampCap(n uint64) int {
-	const maxPrealloc = 1 << 22
-	if n > maxPrealloc {
-		return maxPrealloc
+	if len(s.centers) != leaves {
+		return fmt.Errorf("%w: %d leaves but %d counts", ErrCorrupt, len(s.centers), leaves)
 	}
-	return int(n)
-}
-
-func decompressOccupancy(stream []byte, n int, b *declimits.Budget) ([]byte, error) {
-	if err := b.Nodes(int64(n)); err != nil {
-		return nil, err
-	}
-	d := arith.GetDecoder(stream)
-	m := arith.GetModel(256)
-	out := make([]byte, 0, clampCap(uint64(n)))
-	for i := 0; i < n; i++ {
-		sym, err := d.Decode(m)
-		if err != nil {
-			arith.PutModel(m)
-			arith.PutDecoder(d)
-			return nil, fmt.Errorf("octree: occupancy %d/%d: %w", i, n, err)
-		}
-		out = append(out, byte(sym))
-	}
-	arith.PutModel(m)
-	arith.PutDecoder(d)
-	return out, nil
+	return nil
 }
 
 // readSection reads "elementCount, byteLength, bytes" written by Encode.

@@ -1,15 +1,6 @@
 package octree
 
-import (
-	"fmt"
-	"math"
-
-	"dbgc/internal/arith"
-	"dbgc/internal/blockpack"
-	"dbgc/internal/ctxmodel"
-	"dbgc/internal/geom"
-	"dbgc/internal/varint"
-)
+import "dbgc/internal/geom"
 
 // DecodeRegion reconstructs only the points inside the query box from a
 // stream produced by Encode, without materializing the rest of the cloud.
@@ -22,152 +13,11 @@ func DecodeRegion(data []byte, region geom.AABB) (geom.PointCloud, error) {
 }
 
 // DecodeRegionWith is DecodeRegion with explicit options (sharded streams,
-// parallel shard decode, resource budget).
+// parallel shard decode, resource budget). The budget is charged as a full
+// decode charges it, declared point count included, so the two refuse the
+// same streams.
 func DecodeRegionWith(data []byte, region geom.AABB, opts DecodeOptions) (geom.PointCloud, error) {
-	n, used, err := varint.Uint(data)
-	if err != nil {
-		return nil, fmt.Errorf("octree: point count: %w", err)
-	}
-	data = data[used:]
-	if n == 0 {
-		return geom.PointCloud{}, nil
-	}
-	var min geom.Point
-	var side float64
-	if min.X, data, err = readFloat(data); err != nil {
-		return nil, err
-	}
-	if min.Y, data, err = readFloat(data); err != nil {
-		return nil, err
-	}
-	if min.Z, data, err = readFloat(data); err != nil {
-		return nil, err
-	}
-	if side, data, err = readFloat(data); err != nil {
-		return nil, err
-	}
-	if side < 0 || math.IsNaN(side) || math.IsInf(side, 0) {
-		return nil, fmt.Errorf("%w: invalid cube side %v", ErrCorrupt, side)
-	}
-	depth64, used, err := varint.Uint(data)
-	if err != nil {
-		return nil, fmt.Errorf("octree: depth: %w", err)
-	}
-	data = data[used:]
-	if depth64 > maxDepth {
-		return nil, fmt.Errorf("%w: depth %d exceeds limit", ErrCorrupt, depth64)
-	}
-	depth := int(depth64)
-
-	occLen, occStream, data, err := readSection(data, "occupancy")
-	if err != nil {
-		return nil, err
-	}
-	countLen, countStream, _, err := readSection(data, "counts")
-	if err != nil {
-		return nil, err
-	}
-	ctxOcc := false
-	if opts.Context {
-		// v5 streams lead the occupancy section with a method marker; see
-		// DecodeWith.
-		if len(occStream) < 1 {
-			return nil, fmt.Errorf("%w: missing occupancy method marker", ErrCorrupt)
-		}
-		switch occStream[0] {
-		case occMethodLegacy:
-		case occMethodCtx:
-			ctxOcc = true
-		default:
-			return nil, fmt.Errorf("%w: unknown occupancy method %d", ErrCorrupt, occStream[0])
-		}
-		occStream = occStream[1:]
-	}
-	var occ []byte
-	var counts []uint64
-	switch {
-	case ctxOcc:
-		occ, err = ctxmodel.DecodeOcc(occStream, occLen, depth, opts.Budget)
-	case opts.Sharded || opts.BlockPack:
-		occ, err = arith.DecompressCodesShardedLimited(occStream, occLen, 256, opts.Budget, opts.Parallel)
-	default:
-		occ, err = decompressOccupancy(occStream, occLen, opts.Budget)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("octree: occupancy: %w", err)
-	}
-	switch {
-	case opts.BlockPack:
-		counts, err = blockpack.UnpackUint64Sharded(countStream, countLen, opts.Budget, opts.Parallel)
-	case opts.Sharded:
-		counts, err = arith.DecompressUintsShardedLimited(countStream, countLen, opts.Budget, opts.Parallel)
-	default:
-		counts, err = arith.DecompressUints(countStream, countLen)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("octree: counts: %w", err)
-	}
-
-	// Replay the BFS; nodes disjoint from the region stay in the level
-	// list (their occupancy codes still occupy stream positions) but are
-	// marked dead so their leaves are skipped.
-	type cell struct {
-		center geom.Point
-		half   float64
-		live   bool
-	}
-	half := side / 2
-	level := []cell{{center: min.Add(geom.Point{X: half, Y: half, Z: half}), half: half, live: true}}
-	pos := 0
-	for d := 0; d < depth; d++ {
-		next := make([]cell, 0, len(level)*2)
-		for _, cl := range level {
-			if pos >= len(occ) {
-				return nil, fmt.Errorf("%w: occupancy stream too short", ErrCorrupt)
-			}
-			code := occ[pos]
-			pos++
-			if code == 0 {
-				return nil, fmt.Errorf("%w: empty occupancy code", ErrCorrupt)
-			}
-			qh := cl.half / 2
-			for c := 0; c < 8; c++ {
-				if code&(1<<uint(c)) == 0 {
-					continue
-				}
-				ctr := childCenter(cl.center, qh, c)
-				live := cl.live && cellIntersects(ctr, qh, region)
-				next = append(next, cell{center: ctr, half: qh, live: live})
-			}
-		}
-		level = next
-	}
-	if pos != len(occ) {
-		return nil, fmt.Errorf("%w: %d unused occupancy codes", ErrCorrupt, len(occ)-pos)
-	}
-	if len(level) != len(counts) {
-		return nil, fmt.Errorf("%w: %d leaves but %d counts", ErrCorrupt, len(level), len(counts))
-	}
-	var out geom.PointCloud
-	var total uint64
-	for i, cl := range level {
-		cnt := counts[i]
-		// Remaining-budget comparison: summing first could wrap uint64.
-		if cnt == 0 || cnt > n-total {
-			return nil, fmt.Errorf("%w: leaf counts disagree with point total", ErrCorrupt)
-		}
-		total += cnt
-		if !cl.live || !region.Contains(cl.center) {
-			continue
-		}
-		for k := uint64(0); k < cnt; k++ {
-			out = append(out, cl.center)
-		}
-	}
-	if total != n {
-		return nil, fmt.Errorf("%w: decoded %d points, header says %d", ErrCorrupt, total, n)
-	}
-	return out, nil
+	return decode(geom.PointCloud{}, data, opts, &region)
 }
 
 // cellIntersects reports whether the cube cell (center, half side) overlaps

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"dbgc/internal/arith"
 	"dbgc/internal/blockpack"
@@ -149,26 +150,56 @@ func DecodeLimited(data []byte, b *declimits.Budget) (geom.PointCloud, error) {
 }
 
 // DecodeWith is Decode with explicit options.
-func DecodeWith(data []byte, opts DecodeOptions) (pc geom.PointCloud, err error) {
-	defer declimits.Recover(&err, ErrCorrupt)
-	b := opts.Budget
-	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+func DecodeWith(data []byte, opts DecodeOptions) (geom.PointCloud, error) {
+	return DecodeInto(geom.PointCloud{}, data, opts)
+}
+
+// PointCount returns the number of points the headers of an Encode stream
+// declare, or zero if there is no reading them: an untrusted hint for
+// sizing DecodeInto's destination.
+func PointCount(data []byte) uint64 {
+	_, qt, _, err := readHeader(data)
+	if err != nil {
+		return 0
 	}
-	q := math.Float64frombits(binary.LittleEndian.Uint64(data))
+	n, _, err := varint.Uint(qt)
+	if err != nil || n > math.MaxInt32 {
+		return 0
+	}
+	return n
+}
+
+// readHeader reads the error bound and splits off the quadtree stream;
+// rest starts at the z stream's length.
+func readHeader(data []byte) (q float64, qt, rest []byte, err error) {
+	if len(data) < 8 {
+		return 0, nil, nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	}
+	q = math.Float64frombits(binary.LittleEndian.Uint64(data))
 	data = data[8:]
 	if !(q > 0) || math.IsInf(q, 0) {
-		return nil, fmt.Errorf("%w: invalid error bound %v", ErrCorrupt, q)
+		return 0, nil, nil, fmt.Errorf("%w: invalid error bound %v", ErrCorrupt, q)
 	}
 	qtLen, used, err := varint.Uint(data)
 	if err != nil {
-		return nil, fmt.Errorf("outlier: quadtree length: %w", err)
+		return 0, nil, nil, fmt.Errorf("outlier: quadtree length: %w", err)
 	}
 	data = data[used:]
 	if qtLen > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: quadtree stream truncated", ErrCorrupt)
+		return 0, nil, nil, fmt.Errorf("%w: quadtree stream truncated", ErrCorrupt)
 	}
-	xy, err := quadtree.DecodeWith(data[:qtLen], quadtree.DecodeOptions{
+	return q, data[:qtLen], data[qtLen:], nil
+}
+
+// DecodeInto is DecodeWith appending the points to dst.
+func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (pc geom.PointCloud, err error) {
+	defer declimits.Recover(&err, ErrCorrupt)
+	b := opts.Budget
+	q, qt, data, err := readHeader(data)
+	if err != nil {
+		return nil, err
+	}
+	xy, err := quadtree.DecodeWith(qt, quadtree.DecodeOptions{
 		Budget:    b,
 		Sharded:   opts.Sharded,
 		BlockPack: opts.BlockPack,
@@ -177,7 +208,6 @@ func DecodeWith(data []byte, opts DecodeOptions) (pc geom.PointCloud, err error)
 	if err != nil {
 		return nil, fmt.Errorf("outlier: quadtree: %w", err)
 	}
-	data = data[qtLen:]
 	zLen, used, err := varint.Uint(data)
 	if err != nil {
 		return nil, fmt.Errorf("outlier: z length: %w", err)
@@ -198,11 +228,11 @@ func DecodeWith(data []byte, opts DecodeOptions) (pc geom.PointCloud, err error)
 		return nil, fmt.Errorf("outlier: z deltas: %w", err)
 	}
 
-	out := make(geom.PointCloud, len(xy))
+	out := slices.Grow(dst, len(xy))
 	var zq int64
 	for i := range xy {
 		zq += dz[i]
-		out[i] = geom.Point{X: xy[i].X, Y: xy[i].Y, Z: float64(zq) * 2 * q}
+		out = append(out, geom.Point{X: xy[i].X, Y: xy[i].Y, Z: float64(zq) * 2 * q})
 	}
 	return out, nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"sync"
 
 	"dbgc/internal/arith"
@@ -59,76 +60,187 @@ func Decode(data []byte) (geom.PointCloud, error) {
 
 // DecodeWith is Decode with explicit options. Panics on hostile bytes are
 // recovered into ErrCorrupt-wrapped errors.
-func DecodeWith(data []byte, opts DecodeOptions) (pc geom.PointCloud, err error) {
+func DecodeWith(data []byte, opts DecodeOptions) (geom.PointCloud, error) {
+	return DecodeInto(geom.PointCloud{}, data, opts)
+}
+
+// DecodeInto is DecodeWith appending the points to dst. Given room for
+// PointCount(data) points, every radial group writes its points once,
+// where they stay.
+func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (pc geom.PointCloud, err error) {
 	defer declimits.Recover(&err, ErrCorrupt)
+	fr, err := parseFrame(data)
+	if err != nil {
+		return nil, err
+	}
+	return fr.decodeGroups(dst, fr.groups, opts)
+}
+
+// PointCount returns the number of points the group headers of an Encode
+// stream declare, or what of it can be read: an untrusted hint for sizing
+// DecodeInto's destination.
+func PointCount(data []byte) uint64 {
+	fr, _ := parseFrame(data)
+	var n uint64
+	for _, g := range fr.groups {
+		n += fr.groupPoints(g)
+	}
+	return n
+}
+
+// frame is a parsed sparse stream: the stream-wide header and the payloads
+// of the radial groups, each still an independently entropy-coded section.
+type frame struct {
+	q      float64
+	gf     groupFlags
+	groups [][]byte
+}
+
+// parseFrame reads the stream header and slices the group payloads out of
+// the stream (a cheap varint walk). On error the frame holds the groups
+// before the damage.
+func parseFrame(data []byte) (fr frame, err error) {
 	flags, used, err := varint.Uint(data)
 	if err != nil {
-		return nil, fmt.Errorf("sparse: flags: %w", err)
+		return fr, fmt.Errorf("sparse: flags: %w", err)
 	}
 	data = data[used:]
 	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+		return fr, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	q := math.Float64frombits(binary.LittleEndian.Uint64(data))
+	fr.q = math.Float64frombits(binary.LittleEndian.Uint64(data))
 	data = data[8:]
-	if !(q > 0) || math.IsInf(q, 0) {
-		return nil, fmt.Errorf("%w: invalid error bound %v", ErrCorrupt, q)
+	if !(fr.q > 0) || math.IsInf(fr.q, 0) {
+		return fr, fmt.Errorf("%w: invalid error bound %v", ErrCorrupt, fr.q)
 	}
-	gf := groupFlags{
+	fr.gf = groupFlags{
 		cartesian:  flags&flagCartesian != 0,
 		plainDelta: flags&flagPlainDelta != 0,
 		sharded:    flags&flagSharded != 0,
 		blockpack:  flags&flagBlockPack != 0,
 		ctx:        flags&flagContext != 0,
-		parallel:   opts.Parallel,
 	}
-
 	nGroups, used, err := varint.Uint(data)
 	if err != nil {
-		return nil, fmt.Errorf("sparse: group count: %w", err)
+		return fr, fmt.Errorf("sparse: group count: %w", err)
 	}
 	data = data[used:]
 	if nGroups > 1024 {
-		return nil, fmt.Errorf("%w: implausible group count %d", ErrCorrupt, nGroups)
+		return fr, fmt.Errorf("%w: implausible group count %d", ErrCorrupt, nGroups)
 	}
-
-	// Slice the group payloads out of the stream (a cheap varint walk), so
-	// each group — an independently entropy-coded section — can decode on
-	// its own goroutine.
-	groups := make([][]byte, 0, nGroups)
+	fr.groups = make([][]byte, 0, nGroups)
 	for gi := uint64(0); gi < nGroups; gi++ {
 		glen, used, err := varint.Uint(data)
 		if err != nil {
-			return nil, fmt.Errorf("sparse: group %d length: %w", gi, err)
+			return fr, fmt.Errorf("sparse: group %d length: %w", gi, err)
 		}
 		data = data[used:]
 		if glen > uint64(len(data)) {
-			return nil, fmt.Errorf("%w: group %d truncated", ErrCorrupt, gi)
+			return fr, fmt.Errorf("%w: group %d truncated", ErrCorrupt, gi)
 		}
-		groups = append(groups, data[:glen])
+		fr.groups = append(fr.groups, data[:glen])
 		data = data[glen:]
 	}
+	return fr, nil
+}
 
+// groupHeader is the fixed part of a group payload.
+type groupHeader struct {
+	rMax                  float64 // the group's outer radius; polar streams only
+	thPhi, thR            int64
+	nLines, nTails, nRefs int
+}
+
+// readGroupHeader reads the header of a group payload (its CRC prefix, if
+// the dialect has one, already stripped) and returns what follows it.
+func (fr frame) readGroupHeader(data []byte) (h groupHeader, rest []byte, err error) {
+	if !fr.gf.cartesian {
+		if len(data) < 8 {
+			return h, nil, fmt.Errorf("%w: missing rMax", ErrCorrupt)
+		}
+		h.rMax = math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
+		if math.IsNaN(h.rMax) || math.IsInf(h.rMax, 0) || h.rMax < 0 {
+			return h, nil, fmt.Errorf("%w: invalid rMax %v", ErrCorrupt, h.rMax)
+		}
+	}
+	var hdr [5]uint64
+	for i := range hdr {
+		v, used, err := varint.Uint(data)
+		if err != nil {
+			return h, nil, fmt.Errorf("sparse: group header[%d]: %w", i, err)
+		}
+		hdr[i] = v
+		data = data[used:]
+	}
+	if hdr[2] > sane || hdr[3] > sane || hdr[4] > sane {
+		return h, nil, fmt.Errorf("%w: implausible group header", ErrCorrupt)
+	}
+	h.thPhi, h.thR = int64(hdr[0]), int64(hdr[1])
+	h.nLines, h.nTails, h.nRefs = int(hdr[2]), int(hdr[3]), int(hdr[4])
+	return h, data, nil
+}
+
+// sane bounds the line, tail and reference counts a group header may
+// declare, and the length of one polyline.
+const sane = 1 << 28
+
+// groupBody strips the CRC-32C prefix that sharded (v3) and blockpacked
+// (v4) groups carry, without checking it.
+func (fr frame) groupBody(group []byte) []byte {
+	if fr.gf.sharded || fr.gf.blockpack {
+		return group[min(4, len(group)):]
+	}
+	return group
+}
+
+// groupPoints returns the point count group's header declares (a line has
+// a head and its tails), or zero if the header does not parse.
+func (fr frame) groupPoints(group []byte) uint64 {
+	h, _, err := fr.readGroupHeader(fr.groupBody(group))
+	if err != nil {
+		return 0
+	}
+	return uint64(h.nLines) + uint64(h.nTails)
+}
+
+// decodeGroups decodes groups, a subset of fr.groups in stream order, and
+// appends their points to dst. Each group decodes into its own window of
+// one buffer sized from the group headers, on its own goroutine if
+// opts.Parallel is set; a group is an independently entropy-coded section,
+// so the output is point-identical either way.
+func (fr frame) decodeGroups(dst geom.PointCloud, groups [][]byte, opts DecodeOptions) (geom.PointCloud, error) {
+	fr.gf.parallel = opts.Parallel
+	offs := make([]uint64, len(groups)+1)
+	for gi, g := range groups {
+		offs[gi+1] = offs[gi] + fr.groupPoints(g)
+	}
+	dst = slices.Grow(dst, opts.Budget.Prealloc(offs[len(groups)]))
 	pts := make([]geom.PointCloud, len(groups))
 	errs := make([]error, len(groups))
+	decode := func(lo, hi int) {
+		s := groupPool.Get().(*groupScratch)
+		defer groupPool.Put(s)
+		for gi := lo; gi < hi; gi++ {
+			func() {
+				defer declimits.Recover(&errs[gi], ErrCorrupt)
+				pts[gi], errs[gi] = fr.decodeGroupChecked(dst.Window(offs[gi], offs[gi+1]-offs[gi]), groups[gi], s, opts.Budget)
+			}()
+		}
+	}
 	if opts.Parallel && len(groups) > 1 {
 		var wg sync.WaitGroup
 		for gi := range groups {
 			wg.Add(1)
 			go func(gi int) {
 				defer wg.Done()
-				defer declimits.Recover(&errs[gi], ErrCorrupt)
-				pts[gi], errs[gi] = decodeGroupChecked(groups[gi], q, gf, opts.Budget)
+				decode(gi, gi+1)
 			}(gi)
 		}
 		wg.Wait()
 	} else {
-		for gi := range groups {
-			pts[gi], errs[gi] = decodeGroupChecked(groups[gi], q, gf, opts.Budget)
-		}
+		decode(0, len(groups))
 	}
-
-	total := 0
 	for gi := range groups {
 		if errs[gi] != nil {
 			// A CRC-attributable failure condemns only its own group when
@@ -139,20 +251,15 @@ func DecodeWith(data []byte, opts DecodeOptions) (pc geom.PointCloud, err error)
 			}
 			return nil, fmt.Errorf("sparse: group %d: %w", gi, errs[gi])
 		}
-		total += len(pts[gi])
 	}
-	out := make(geom.PointCloud, 0, total)
-	for _, p := range pts {
-		out = append(out, p...)
-	}
-	return out, nil
+	return dst.Join(pts...), nil
 }
 
-// decodeGroupChecked strips and verifies the CRC-32C prefix that sharded
-// (v3) and blockpacked (v4) groups carry, then decodes the group payload.
-// Legacy groups pass through unchanged.
-func decodeGroupChecked(data []byte, q float64, gf groupFlags, b *declimits.Budget) (geom.PointCloud, error) {
-	if gf.sharded || gf.blockpack {
+// decodeGroupChecked verifies the CRC-32C prefix that sharded (v3) and
+// blockpacked (v4) groups carry, then decodes the group payload. Legacy
+// groups pass through unchanged.
+func (fr frame) decodeGroupChecked(dst geom.PointCloud, data []byte, s *groupScratch, b *declimits.Budget) (geom.PointCloud, error) {
+	if fr.gf.sharded || fr.gf.blockpack {
 		if len(data) < 4 {
 			return nil, fmt.Errorf("%w: group shorter than its CRC", ErrCorrupt)
 		}
@@ -162,44 +269,34 @@ func decodeGroupChecked(data []byte, q float64, gf groupFlags, b *declimits.Budg
 			return nil, ErrGroupCRC
 		}
 	}
-	return decodeGroup(data, q, gf, b)
+	return fr.decodeGroup(dst, data, s, b)
 }
 
-func decodeGroup(data []byte, q float64, gf groupFlags, b *declimits.Budget) (geom.PointCloud, error) {
-	cartesian, plainDelta := gf.cartesian, gf.plainDelta
-	var qz Quantizer
-	var cq cartesianQuantizer
-	if cartesian {
-		cq = cartesianQuantizer{q: q}
-	} else {
-		if len(data) < 8 {
-			return nil, fmt.Errorf("%w: missing rMax", ErrCorrupt)
-		}
-		rMax := math.Float64frombits(binary.LittleEndian.Uint64(data))
-		data = data[8:]
-		if math.IsNaN(rMax) || math.IsInf(rMax, 0) || rMax < 0 {
-			return nil, fmt.Errorf("%w: invalid rMax %v", ErrCorrupt, rMax)
-		}
-		qz = NewQuantizer(q, rMax)
+// groupScratch holds what decoding one group needs besides its output:
+// the polyline lengths, the five integer streams (θ head deltas, θ tails, φ
+// head deltas, φ tails, radials), the inflated bytes of a DEFLATEd stream,
+// every line's points in one array with the lines slicing it, and the
+// consensus merge buffers. Pooled, one per goroutine decoding groups, so a
+// steady-state decode allocates none of it.
+type groupScratch struct {
+	lens  []uint64
+	ints  [5][]int64
+	raw   []byte
+	pts   []polyline.Point
+	lines []polyline.Line
+	cons  polyline.ConsensusScratch
+}
+
+var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
+
+// decodeGroup decodes one group payload and appends its points to dst.
+func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b *declimits.Budget) (geom.PointCloud, error) {
+	gf, q := fr.gf, fr.q
+	h, data, err := fr.readGroupHeader(data)
+	if err != nil {
+		return nil, err
 	}
-	hdr := make([]uint64, 5)
-	for i := range hdr {
-		v, used, err := varint.Uint(data)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: group header[%d]: %w", i, err)
-		}
-		hdr[i] = v
-		data = data[used:]
-	}
-	thPhi := int64(hdr[0])
-	thR := int64(hdr[1])
-	nLines := int(hdr[2])
-	nTails := int(hdr[3])
-	nRefs := int(hdr[4])
-	const sane = 1 << 28
-	if hdr[2] > sane || hdr[3] > sane || hdr[4] > sane {
-		return nil, fmt.Errorf("%w: implausible group header", ErrCorrupt)
-	}
+	nLines, nTails := h.nLines, h.nTails
 
 	// v5 groups carry a methods byte naming the entropy coder of each
 	// angular stream; for earlier dialects it stays zero, which is exactly
@@ -216,7 +313,7 @@ func decodeGroup(data []byte, q float64, gf groupFlags, b *declimits.Budget) (ge
 		}
 	}
 
-	streams := make([][]byte, 7)
+	var streams [7][]byte
 	for i := range streams {
 		l, used, err := varint.Uint(data)
 		if err != nil {
@@ -233,16 +330,15 @@ func decodeGroup(data []byte, q float64, gf groupFlags, b *declimits.Budget) (ge
 		return nil, fmt.Errorf("%w: %d trailing bytes in group", ErrCorrupt, len(data))
 	}
 
-	var lens []uint64
-	var err error
 	if gf.blockpack {
-		lens, err = blockpack.UnpackUint64Sharded(streams[0], nLines, b, gf.parallel)
+		s.lens, err = blockpack.UnpackUint64Sharded(streams[0], nLines, b, gf.parallel)
 	} else {
-		lens, err = arith.DecompressUintsLimited(streams[0], nLines, b)
+		s.lens, err = arith.AppendDecompressUints(s.lens[:0], streams[0], nLines, b)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("sparse: lengths: %w", err)
 	}
+	lens := s.lens
 	total := 0
 	for _, l := range lens {
 		if l < 2 || l > sane {
@@ -261,7 +357,8 @@ func decodeGroup(data []byte, q float64, gf groupFlags, b *declimits.Budget) (ge
 	// (v4) packs every stream (heads plain, high-volume streams in the shard
 	// framing); otherwise the azimuthal streams (1, 2) are DEFLATEd varints,
 	// the φ heads (3) plain arithmetic, and the high-volume streams (4, 5)
-	// arithmetic in the shard framing when the group is sharded (v3).
+	// arithmetic in the shard framing when the group is sharded (v3). The
+	// plain paths decode into the scratch's slot for the stream.
 	legacyInts := func(i, n int, highVolume bool) ([]int64, error) {
 		if gf.blockpack {
 			if highVolume {
@@ -273,17 +370,17 @@ func decodeGroup(data []byte, q float64, gf groupFlags, b *declimits.Budget) (ge
 		case 1, 2:
 			// A zigzag varint is at most 10 bytes, so a valid head/tail
 			// stream inflates to at most 10 bytes per element; the bound
-			// stops DEFLATE bombs before io.ReadAll materializes them.
-			raw, err := inflateBytesBounded(streams[i], 10*int64(n), b)
-			if err != nil {
+			// stops DEFLATE bombs before they materialize.
+			var err error
+			if s.raw, err = inflateBytesBounded(s.raw[:0], streams[i], 10*int64(n), b); err != nil {
 				return nil, err
 			}
-			return varint.DecodeInts(raw, n)
+			return varint.AppendDecodeInts(s.ints[i-1][:0], s.raw, n)
 		default:
 			if highVolume && gf.sharded {
 				return arith.DecompressIntsShardedLimited(streams[i], n, b, gf.parallel)
 			}
-			return arith.DecompressIntsLimited(streams[i], n, b)
+			return arith.AppendDecompressInts(s.ints[i-1][:0], streams[i], n, b)
 		}
 	}
 	// decodeInts dispatches stream i on its v5 method marker; marker zero is
@@ -297,7 +394,7 @@ func decodeGroup(data []byte, q float64, gf groupFlags, b *declimits.Budget) (ge
 			if highVolume && gf.sharded {
 				return arith.DecompressIntsShardedLimited(streams[i], n, b, gf.parallel)
 			}
-			return arith.DecompressIntsLimited(streams[i], n, b)
+			return arith.AppendDecompressInts(s.ints[i-1][:0], streams[i], n, b)
 		case intMethodCtx:
 			return ctxmodel.DecodeIntsCtx(streams[i], n, b, gf.parallel)
 		default:
@@ -305,43 +402,47 @@ func decodeGroup(data []byte, q float64, gf groupFlags, b *declimits.Budget) (ge
 		}
 	}
 
-	var dThetaHeads, thetaTails, dPhiHeads, phiTails, radials []int64
-	dThetaHeads, err = decodeInts(1, nLines, 0, false)
-	if err != nil {
+	// Whatever a stream decoded into — its slot or, in the other dialects,
+	// a slice of the decoder's own — goes back into the slot for reuse.
+	ints := &s.ints
+	if ints[0], err = decodeInts(1, nLines, 0, false); err != nil {
 		return nil, fmt.Errorf("sparse: theta heads: %w", err)
 	}
-	thetaTails, err = decodeInts(2, nTails, 2, true)
-	if err != nil {
+	if ints[1], err = decodeInts(2, nTails, 2, true); err != nil {
 		return nil, fmt.Errorf("sparse: theta tails: %w", err)
 	}
-	dPhiHeads, err = legacyInts(3, nLines, false)
-	if err != nil {
+	if ints[2], err = legacyInts(3, nLines, false); err != nil {
 		return nil, fmt.Errorf("sparse: phi heads: %w", err)
 	}
-	phiTails, err = decodeInts(4, nTails, 4, true)
-	if err != nil {
+	if ints[3], err = decodeInts(4, nTails, 4, true); err != nil {
 		return nil, fmt.Errorf("sparse: phi tails: %w", err)
 	}
-	radials, err = legacyInts(5, total, true)
-	if err != nil {
+	if ints[4], err = legacyInts(5, total, true); err != nil {
 		return nil, fmt.Errorf("sparse: radials: %w", err)
 	}
-	if err := b.Nodes(int64(nRefs)); err != nil {
+	thetaTails, phiTails, radials := ints[1], ints[3], ints[4]
+	if err := b.Nodes(int64(h.nRefs)); err != nil {
 		return nil, err
 	}
-	refs, err := decompressRefs(streams[6], nRefs)
+	refs, err := decompressRefs(streams[6], h.nRefs)
 	if err != nil {
 		return nil, err
 	}
 
-	// Rebuild θ and φ of every line (steps 2/6/7 inverted).
-	thetaHeads := undeltaInts(dThetaHeads)
-	phiHeads := undeltaInts(dPhiHeads)
-	lines := make([]polyline.Line, nLines)
+	// Rebuild θ and φ of every line (steps 2/6/7 inverted). One array
+	// backs the points of all lines; every field of every point is set
+	// here, so what the array held before does not matter.
+	thetaHeads := undeltaInts(ints[0])
+	phiHeads := undeltaInts(ints[2])
+	s.pts = slices.Grow(s.pts[:0], total)[:total]
+	s.lines = slices.Grow(s.lines[:0], nLines)[:nLines]
+	lines := s.lines
+	rest := s.pts
 	tp := 0
-	for i := 0; i < nLines; i++ {
+	for i := range lines {
 		n := int(lens[i])
-		line := make(polyline.Line, n)
+		line := polyline.Line(rest[:n:n])
+		rest = rest[n:]
 		line[0] = polyline.Point{Theta: thetaHeads[i], Phi: phiHeads[i], Orig: -1}
 		for k := 1; k < n; k++ {
 			line[k] = polyline.Point{
@@ -357,11 +458,11 @@ func decodeGroup(data []byte, q float64, gf groupFlags, b *declimits.Budget) (ge
 	// Replay the radial reference decisions to recover r (step 8
 	// inverted).
 	rp, refp := 0, 0
-	var cs polyline.ConsensusScratch
+	plainDelta := gf.plainDelta
 	for i, l := range lines {
 		var ctx refContext
 		if !plainDelta {
-			ctx = refContext{cons: cs.Consensus(lines, i, thPhi), thR: thR}
+			ctx = refContext{cons: s.cons.Consensus(lines, i, h.thPhi), thR: h.thR}
 		}
 		for k := range l {
 			if k == 0 {
@@ -405,14 +506,16 @@ func decodeGroup(data []byte, q float64, gf groupFlags, b *declimits.Budget) (ge
 		return nil, fmt.Errorf("%w: %d unused L_ref symbols", ErrCorrupt, len(refs)-refp)
 	}
 
-	out := make(geom.PointCloud, 0, total)
-	for _, l := range lines {
-		for _, p := range l {
-			if cartesian {
-				out = append(out, cq.Dequantize(p.Theta, p.Phi, p.R))
-			} else {
-				out = append(out, geom.ToCartesian(qz.Dequantize(p.Theta, p.Phi, p.R)))
-			}
+	out := slices.Grow(dst, total)
+	if gf.cartesian {
+		cq := cartesianQuantizer{q: q}
+		for _, p := range s.pts {
+			out = append(out, cq.Cartesian(p))
+		}
+	} else {
+		qz := NewQuantizer(q, h.rMax)
+		for _, p := range s.pts {
+			out = append(out, qz.Cartesian(p))
 		}
 	}
 	return out, nil

@@ -554,15 +554,10 @@ func deltaInts(vs []int64) []int64 {
 }
 
 func undeltaInts(vs []int64) []int64 {
-	out := make([]int64, len(vs))
-	if len(vs) == 0 {
-		return out
-	}
-	out[0] = vs[0]
 	for i := 1; i < len(vs); i++ {
-		out[i] = out[i-1] + vs[i]
+		vs[i] += vs[i-1]
 	}
-	return out
+	return vs
 }
 
 // streamScratch recycles the per-group staging buffer for stream assembly.
@@ -655,16 +650,6 @@ func deflateBytes(data []byte) []byte {
 	return buf.Bytes()
 }
 
-func inflateBytes(data []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("sparse: inflate: %w", err)
-	}
-	return out, nil
-}
-
 // GroupStreams holds one radial group's raw integer streams exactly as the
 // encoder hands them to the entropy layer, for codec ablations.
 type GroupStreams struct {
@@ -712,22 +697,38 @@ func CollectStreams(pc geom.PointCloud, idx []int32, opts Options) ([]GroupStrea
 	return streams, outliers, nil
 }
 
-// inflateBytesBounded is inflateBytes refusing to inflate past maxLen bytes
-// (a DEFLATE stream can expand ~1000x, so the inflated size must be bounded
-// by what the caller can legitimately consume) and charging the inflated
-// bytes against b.
-func inflateBytesBounded(data []byte, maxLen int64, b *declimits.Budget) ([]byte, error) {
+// inflater is a DEFLATE reader with its source, recycled through
+// inflatePool: flate.NewReader allocates the 32 KB window and the Huffman
+// tables that Reset keeps.
+type inflater struct {
+	src bytes.Reader
+	r   io.ReadCloser
+}
+
+var inflatePool = sync.Pool{New: func() any { return new(inflater) }}
+
+// inflateBytesBounded inflates data into dst's storage, refusing to inflate
+// past maxLen bytes (a DEFLATE stream can expand ~1000x, so the inflated
+// size must be bounded by what the caller can legitimately consume) and
+// charging the inflated bytes against b.
+func inflateBytesBounded(dst, data []byte, maxLen int64, b *declimits.Budget) ([]byte, error) {
 	if err := b.Mem(maxLen); err != nil {
 		return nil, err
 	}
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
-	out, err := io.ReadAll(io.LimitReader(r, maxLen+1))
-	if err != nil {
+	z := inflatePool.Get().(*inflater)
+	defer inflatePool.Put(z)
+	z.src.Reset(data)
+	if z.r == nil {
+		z.r = flate.NewReader(&z.src)
+	} else if err := z.r.(flate.Resetter).Reset(&z.src, nil); err != nil {
 		return nil, fmt.Errorf("sparse: inflate: %w", err)
 	}
-	if int64(len(out)) > maxLen {
+	out := bytes.NewBuffer(dst[:0])
+	if _, err := out.ReadFrom(io.LimitReader(z.r, maxLen+1)); err != nil {
+		return nil, fmt.Errorf("sparse: inflate: %w", err)
+	}
+	if int64(out.Len()) > maxLen {
 		return nil, fmt.Errorf("%w: inflated stream exceeds %d bytes", ErrCorrupt, maxLen)
 	}
-	return out, nil
+	return out.Bytes(), nil
 }

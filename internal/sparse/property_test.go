@@ -1,6 +1,10 @@
 package sparse
 
 import (
+	"bytes"
+	"compress/flate"
+	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -183,6 +187,18 @@ func TestPropertyRefsRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// inflateBytes inflates without a bound. Test-only: the decoder reaches
+// DEFLATE through inflateBytesBounded alone.
+func inflateBytes(data []byte) ([]byte, error) {
+	r := flate.NewReader(bytes.NewReader(data))
+	defer r.Close()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("sparse: inflate: %w", err)
+	}
+	return out, nil
 }
 
 // TestPropertyDeflate: the Deflate helpers are lossless.

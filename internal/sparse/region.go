@@ -2,11 +2,10 @@ package sparse
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 
+	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
-	"dbgc/internal/varint"
 )
 
 // DecodeRadialRange decodes only the radial groups whose interval can
@@ -14,76 +13,39 @@ import (
 // Groups are radial shells (each records its r_max; its lower edge is the
 // previous group's r_max), so a bounding-box query culls most groups of a
 // large frame. Cartesian-mode streams carry no radial structure and decode
-// fully.
-func DecodeRadialRange(data []byte, rLo, rHi float64) (geom.PointCloud, error) {
-	flags, used, err := varint.Uint(data)
+// fully. The groups that decode are charged to opts.Budget as DecodeWith
+// charges them, and a skipped group still pays for the points its header
+// declares, so the point limit that refuses a frame's full decode refuses
+// its every query.
+func DecodeRadialRange(data []byte, rLo, rHi float64, opts DecodeOptions) (pc geom.PointCloud, err error) {
+	defer declimits.Recover(&err, ErrCorrupt)
+	fr, err := parseFrame(data)
 	if err != nil {
-		return nil, fmt.Errorf("sparse: flags: %w", err)
+		return nil, err
 	}
-	data = data[used:]
-	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
-	}
-	q := math.Float64frombits(binary.LittleEndian.Uint64(data))
-	data = data[8:]
-	if !(q > 0) || math.IsInf(q, 0) {
-		return nil, fmt.Errorf("%w: invalid error bound %v", ErrCorrupt, q)
-	}
-	gf := groupFlags{
-		cartesian:  flags&flagCartesian != 0,
-		plainDelta: flags&flagPlainDelta != 0,
-		sharded:    flags&flagSharded != 0,
-		blockpack:  flags&flagBlockPack != 0,
-		ctx:        flags&flagContext != 0,
-	}
-	cartesian := gf.cartesian
-
-	nGroups, used, err := varint.Uint(data)
-	if err != nil {
-		return nil, fmt.Errorf("sparse: group count: %w", err)
-	}
-	data = data[used:]
-	if nGroups > 1024 {
-		return nil, fmt.Errorf("%w: implausible group count %d", ErrCorrupt, nGroups)
-	}
-	var out geom.PointCloud
-	prevRMax := 0.0
-	for gi := uint64(0); gi < nGroups; gi++ {
-		glen, used, err := varint.Uint(data)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: group %d length: %w", gi, err)
-		}
-		data = data[used:]
-		if glen > uint64(len(data)) {
-			return nil, fmt.Errorf("%w: group %d truncated", ErrCorrupt, gi)
-		}
-		group := data[:glen]
-		data = data[glen:]
-
-		// Sharded (v3) and blockpacked (v4) groups carry a 4-byte CRC
-		// before the payload; the rMax culling peek must look past it.
-		body := group
-		if gf.sharded || gf.blockpack {
-			if len(body) < 4 {
-				return nil, fmt.Errorf("%w: group %d shorter than its CRC", ErrCorrupt, gi)
+	groups := fr.groups
+	if !fr.gf.cartesian {
+		groups = nil
+		prevRMax := 0.0
+		for _, g := range fr.groups {
+			// A group too short for its header is kept, for decodeGroups
+			// to refuse.
+			if body := fr.groupBody(g); len(body) >= 8 {
+				rMax := math.Float64frombits(binary.LittleEndian.Uint64(body))
+				lo := prevRMax
+				prevRMax = rMax
+				// Quantization can nudge a point just past its group edge.
+				slack := 2 * fr.q
+				if rMax+slack < rLo || lo-slack > rHi {
+					// Shell disjoint from the query interval.
+					if err := opts.Budget.Points(int64(fr.groupPoints(g))); err != nil {
+						return nil, err
+					}
+					continue
+				}
 			}
-			body = body[4:]
+			groups = append(groups, g)
 		}
-		if !cartesian && len(body) >= 8 {
-			rMax := math.Float64frombits(binary.LittleEndian.Uint64(body))
-			lo := prevRMax
-			prevRMax = rMax
-			// Quantization can nudge a point just past its group edge.
-			slack := 2 * q
-			if rMax+slack < rLo || lo-slack > rHi {
-				continue // shell disjoint from the query interval
-			}
-		}
-		pts, err := decodeGroupChecked(group, q, gf, nil)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: group %d: %w", gi, err)
-		}
-		out = append(out, pts...)
 	}
-	return out, nil
+	return fr.decodeGroups(geom.PointCloud{}, groups, opts)
 }

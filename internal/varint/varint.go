@@ -70,7 +70,11 @@ func EncodeInts(vs []int64) []byte {
 // DecodeInts decodes exactly n zigzag varints from buf. It returns an error
 // if buf is truncated or holds trailing garbage.
 func DecodeInts(buf []byte, n int) ([]int64, error) {
-	out := make([]int64, 0, n)
+	return AppendDecodeInts(make([]int64, 0, n), buf, n)
+}
+
+// AppendDecodeInts is DecodeInts appending the values to dst.
+func AppendDecodeInts(out []int64, buf []byte, n int) ([]int64, error) {
 	for i := 0; i < n; i++ {
 		v, used, err := Int(buf)
 		if err != nil {
