@@ -199,6 +199,26 @@ func BenchmarkFig12Latency(b *testing.B) {
 			}
 		}
 	})
+	// The sparse-heavy frame (a third of the points dense): polyline
+	// organization and sparse coding are most of its compress time. A warm
+	// Encoder, as a streaming caller holds one.
+	b.Run("kitti-road/Compress", func(b *testing.B) {
+		road, err := benchkit.Frame(lidar.Road, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		enc := dbgc.NewEncoder(dbgc.DefaultOptions(benchkit.DefaultQ))
+		if _, _, err := dbgc.CompressWith(enc, road); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := dbgc.CompressWith(enc, road); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkDecodeThroughput measures the decode path serially and with the

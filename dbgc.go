@@ -86,6 +86,12 @@ func SensorOptions(q float64, meta lidar.Meta) Options {
 // per dimension q for octree- and quadtree-coded points, and within
 // Euclidean distance √3·q for spherical-coded points (Theorem 3.2 — the
 // same worst case as independent per-dimension errors of q).
+//
+// The bound is held for coordinates up to q·2^48 in magnitude (5.6e12 m at
+// q = 2 cm). Compress refuses a cloud with a NaN, infinite or larger
+// coordinate, with an error naming the first such point: past that range
+// float64 has no q of precision left for the far point, and ordinary points
+// near it in the coder's partition would lose the bound with it.
 func Compress(pc PointCloud, opts Options) ([]byte, *Stats, error) {
 	return core.Compress(pc, opts)
 }

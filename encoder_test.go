@@ -115,27 +115,35 @@ func TestSerialParallelDecodeEquivalence(t *testing.T) {
 }
 
 // TestEncoderSteadyStateAllocs bounds the per-frame allocation count of a
-// warm Encoder. The bound is loose — the irreducible allocations are the
-// returned buffers and per-line slices — but catches any regression back to
-// per-frame scratch reallocation, which sat an order of magnitude higher.
+// warm Encoder, on the dense-heavy and on the sparse-heavy frame. What is
+// left is the returned buffers, one slice per radial group for its lines'
+// points, its payload and its index lists, a few slices per quadtree and
+// octree, and slice growth — about 250 measured on either frame. The bound
+// leaves room for the pools being emptied between runs (by a garbage
+// collection, or by the race detector, under which sync.Pool drops a
+// quarter of what is put back: ~900 measured), not for a slice per polyline
+// (~4k on the road frame) or four per quadtree node per level (~11k),
+// which is where the count stood before.
 func TestEncoderSteadyStateAllocs(t *testing.T) {
-	pc, err := benchkit.Frame(lidar.City, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := dbgc.NewEncoder(dbgc.DefaultOptions(0.02))
-	if _, _, err := dbgc.CompressWith(enc, pc); err != nil { // warm the scratch
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(2, func() {
-		if _, _, err := dbgc.CompressWith(enc, pc); err != nil {
-			t.Error(err)
+	for _, kind := range []lidar.SceneKind{lidar.City, lidar.Road} {
+		pc, err := benchkit.Frame(kind, 1)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	t.Logf("steady-state Encoder.Compress: %.0f allocs/op for %d points", allocs, len(pc))
-	const bound = 25000
-	if allocs > bound {
-		t.Errorf("steady-state Encoder.Compress allocates %.0f times per frame, want <= %d", allocs, bound)
+		enc := dbgc.NewEncoder(dbgc.DefaultOptions(0.02))
+		if _, _, err := dbgc.CompressWith(enc, pc); err != nil { // warm the scratch
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(2, func() {
+			if _, _, err := dbgc.CompressWith(enc, pc); err != nil {
+				t.Error(err)
+			}
+		})
+		t.Logf("%s: steady-state Encoder.Compress: %.0f allocs/op for %d points", kind, allocs, len(pc))
+		const bound = 1500
+		if allocs > bound {
+			t.Errorf("%s: steady-state Encoder.Compress allocates %.0f times per frame, want <= %d", kind, allocs, bound)
+		}
 	}
 }
 

@@ -224,11 +224,11 @@ func buildCases(counts []uint64, groups []sparse.GroupStreams, dz []int64) []pac
 		},
 		{
 			name: "sparse.dThetaHeads", legacy: "varint+deflate", i64: dThetaHeads,
-			legEncI: deflateInts, legDecI: inflateInts, packEncI: packIPlain, packDecI: packIPlainDec,
+			legEncI: sparse.DeflateInts, legDecI: inflateInts, packEncI: packIPlain, packDecI: packIPlainDec,
 		},
 		{
 			name: "sparse.thetaTails", legacy: "varint+deflate", i64: thetaTails,
-			legEncI: deflateInts, legDecI: inflateInts, packEncI: packI, packDecI: packIDec,
+			legEncI: sparse.DeflateInts, legDecI: inflateInts, packEncI: packI, packDecI: packIDec,
 		},
 		{
 			name: "sparse.dPhiHeads", legacy: "arith", i64: dPhiHeads,
@@ -391,24 +391,6 @@ func benchCase(c packCase, iters int) (PackStream, error) {
 		row.EncodeSpeedup = row.LegacyEncNs / row.PackEncNs
 	}
 	return row, nil
-}
-
-// deflateInts is the legacy azimuthal-stream codec: zigzag varints through
-// DEFLATE at best compression, as sparse.Encode uses for the θ streams.
-func deflateInts(vs []int64) []byte {
-	raw := varint.AppendInts(nil, vs)
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.BestCompression)
-	if err != nil {
-		panic(err) // only fails for invalid level
-	}
-	if _, err := w.Write(raw); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
-	if err := w.Close(); err != nil {
-		panic(err)
-	}
-	return buf.Bytes()
 }
 
 func inflateInts(data []byte, n int) ([]int64, error) {

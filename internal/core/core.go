@@ -279,11 +279,16 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 		opts.UPhi = (26.8 / 64) * math.Pi / 180
 	}
 	// Real capture files occasionally carry garbage records; a NaN or
-	// infinite coordinate would silently poison quantization, and a finite
-	// one whose norm overflows encodes a range the decoder rejects, so
+	// infinite coordinate would silently poison quantization, a finite one
+	// whose norm overflows encodes a range the decoder rejects, and one
+	// beyond maxCoordinate costs it and its neighbours the error bound, so
 	// refuse the frame up front with a pointed error.
-	if bad := firstNonFinite(pc, opts.Parallel); bad >= 0 {
-		return nil, nil, fmt.Errorf("core: point %d has a non-finite coordinate or norm: %v", bad, pc[bad])
+	limit := maxCoordinate(opts.Q)
+	if bad := firstRefused(pc, limit, opts.Parallel); bad >= 0 {
+		if !finiteNorm(pc[bad]) {
+			return nil, nil, fmt.Errorf("core: point %d has a non-finite coordinate or norm: %v", bad, pc[bad])
+		}
+		return nil, nil, fmt.Errorf("core: point %d has a coordinate beyond q·2^48 = %g m, the range the error bound holds over: %v", bad, limit, pc[bad])
 	}
 	e.stats = Stats{NumPoints: len(pc)}
 	stats := &e.stats
@@ -535,6 +540,14 @@ func encodeOutliers(pts geom.PointCloud, opts Options) ([]byte, []int, error) {
 	}
 }
 
+// maxCoordinate returns the largest coordinate magnitude Compress accepts
+// under error bound q: q·2^48, 5.6e12 m at 2 cm. Up to it every decoded
+// point is within the bound. Two powers of two further the float64
+// conversions have no q of precision left at the far point's range, and not
+// only that point comes back outside the bound: the ordinary points sharing
+// its quadtree square or its radial group do too.
+func maxCoordinate(q float64) float64 { return q * (1 << 48) }
+
 // finiteNorm reports whether the squared norm of p is neither NaN nor
 // infinite, which also holds for none of its coordinates then.
 func finiteNorm(p geom.Point) bool {
@@ -542,16 +555,21 @@ func finiteNorm(p geom.Point) bool {
 	return !math.IsNaN(n2) && !math.IsInf(n2, 0)
 }
 
-// firstNonFinite returns the lowest index of a point with a NaN or infinite
-// coordinate, or with finite coordinates whose squared norm overflows, or
-// -1 if there is none. With parallel set the scan is chunked across
-// goroutines; the reported index is deterministic either way.
-func firstNonFinite(pc geom.PointCloud, parallel bool) int {
+// firstRefused returns the lowest index of a point Compress refuses — a
+// NaN or infinite coordinate, finite coordinates whose squared norm
+// overflows, or a coordinate beyond limit in magnitude — or -1 if there is
+// none. With parallel set the scan is chunked across goroutines; the
+// reported index is deterministic either way.
+func firstRefused(pc geom.PointCloud, limit float64, parallel bool) int {
+	// NaN fails every comparison, so the negated form catches it.
+	refused := func(p geom.Point) bool {
+		return !(math.Abs(p.X) <= limit && math.Abs(p.Y) <= limit && math.Abs(p.Z) <= limit) || !finiteNorm(p)
+	}
 	const minChunk = 1 << 15
 	workers := runtime.GOMAXPROCS(0)
 	if !parallel || workers < 2 || len(pc) < 2*minChunk {
 		for i, p := range pc {
-			if !finiteNorm(p) {
+			if refused(p) {
 				return i
 			}
 		}
@@ -569,7 +587,7 @@ func firstNonFinite(pc geom.PointCloud, parallel bool) int {
 			firsts[w] = -1
 			lo, hi := len(pc)*w/workers, len(pc)*(w+1)/workers
 			for i := lo; i < hi; i++ {
-				if !finiteNorm(pc[i]) {
+				if refused(pc[i]) {
 					firsts[w] = i
 					return
 				}

@@ -305,3 +305,35 @@ func TestRejectsOverflowingNorm(t *testing.T) {
 		verifyRoundTrip(t, pc, data, stats, 0.02)
 	}
 }
+
+// TestCoordinateLimit: Compress holds the error bound for every point of a
+// frame whose coordinates reach q·2^48 in magnitude, and refuses a frame
+// with a coordinate beyond that, naming the point. Two powers of two past
+// the limit the far point and hundreds of ordinary points with it used to
+// come back outside √3·q with no error from either side.
+func TestCoordinateLimit(t *testing.T) {
+	city := frame(t, lidar.City)
+	for _, q := range []float64{0.001, 0.02, 0.1} {
+		limit := q * (1 << 48)
+		for _, parallel := range []bool{false, true} {
+			opts := DefaultOptions(q)
+			opts.Parallel = parallel
+			for _, stray := range []geom.Point{{X: limit}, {Z: -limit}, {X: -limit, Y: limit / 2, Z: limit / 4}} {
+				pc := append(append(geom.PointCloud(nil), city...), stray)
+				data, stats, err := Compress(pc, opts)
+				if err != nil {
+					t.Fatalf("q=%v parallel=%v stray %v at the limit: %v", q, parallel, stray, err)
+				}
+				verifyRoundTrip(t, pc, data, stats, q)
+			}
+			beyond := math.Nextafter(limit, math.Inf(1))
+			for _, stray := range []geom.Point{{Y: beyond}, {X: 1, Y: 2, Z: -beyond}} {
+				pc := append(append(geom.PointCloud(nil), city...), stray)
+				_, _, err := Compress(pc, opts)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("point %d ", len(city))) {
+					t.Errorf("q=%v parallel=%v stray %v beyond the limit: got error %v, want one naming point %d", q, parallel, stray, err, len(city))
+				}
+			}
+		}
+	}
+}

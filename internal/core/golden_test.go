@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"os"
 	"testing"
 
 	"dbgc/internal/geom"
@@ -34,12 +35,17 @@ func pointsSHA(pc geom.PointCloud) string {
 // dialect the codec emits by option (v2 default and exact clustering, v3
 // sharded, v5 context-modeled), the compressed bytes, the decoded points
 // (serial and parallel decode alike) and the points of a lane-box region
-// decode. The byte hashes of the first two option sets were recorded before
-// the clustering window sums were rewritten (PR 12), the rest before the
-// arithmetic coder and the decoders' memory handling were (PR 13); they say
+// decode. The point hashes and the byte hashes of the context-modeled rows
+// were recorded before the clustering window sums (PR 12), the arithmetic
+// coder and the decoders' memory handling (PR 13) were rewritten; they say
 // that a change kept every label, every coded symbol and every decoded
-// float, not only the sizes. A change that means to alter them updates them
-// here.
+// float, not only the sizes. The byte hashes of the other rows were
+// re-recorded when the θ streams' DEFLATE encoder went from level 9 to the
+// smaller of Huffman-only and level 5 (PR 14): same symbols in the same
+// format, other DEFLATE bytes, and parentBytes — the frame's size before
+// that — is what each of those frames may not exceed. (The context-modeled
+// rows did not move: there the θ streams go to a coder that beats either
+// DEFLATE.) A change that means to alter a hash updates it here.
 func TestCompressGolden(t *testing.T) {
 	// Exact clustering labels a few points differently, so it decodes to
 	// other points; the sharded and context-modeled dialects code the same
@@ -55,27 +61,28 @@ func TestCompressGolden(t *testing.T) {
 		name                string
 		set                 func(*Options)
 		bytes, pts, lanePts string
+		parentBytes         int
 	}{
 		{lidar.City, "default", func(*Options) {},
-			"6c12e16e5deae9a35106072d913cdd357ee7b6a1ef75252bb4a862acfbef2358", cityPts, cityLane},
+			"ea94f0aa41d9cd754588ca9e1bf7a6f2329aca9e99afd6bd820ea02de836213d", cityPts, cityLane, 72498},
 		{lidar.City, "exact", func(o *Options) { o.ExactClustering = true },
-			"83f4f347e7fbc2bf798dc20341a6c0e98ccf1973bf4432bad4a28f27e39c5b4a",
+			"87ee8f4ac56f9ecaecdbcf83da0187c6d52a7be35b14a6379dcfa6b468b07044",
 			"3c3005f3e366b2e3f4d0f50a12a6048a318e19dca934e61ae0a604eace2f4a44",
-			"6d5b0ce04288c06ca673b54911620f1dd670f6c39950d0e8bf7f77eae0dd065d"},
+			"6d5b0ce04288c06ca673b54911620f1dd670f6c39950d0e8bf7f77eae0dd065d", 74011},
 		{lidar.City, "shards8", func(o *Options) { o.Shards = 8 },
-			"2e343f7071b7b188600bdc0738941a28252721dfd3786bbd712903b876973819", cityPts, cityLane},
+			"9eb3f1f029477e7147542ff4b93c2f4e47da7090c88c22cef996bc4a99161b15", cityPts, cityLane, 72680},
 		{lidar.City, "ctx", func(o *Options) { o.ContextModel = true },
-			"d29c52d3475259d1e6dfa8e1c3edb253d7b0ddb6e27a88ea74dd1284994140f3", cityPts, cityLane},
+			"d29c52d3475259d1e6dfa8e1c3edb253d7b0ddb6e27a88ea74dd1284994140f3", cityPts, cityLane, 69730},
 		{lidar.Road, "default", func(*Options) {},
-			"1756414da3194929340a58e22627e153b97671879bb15d42aeae82af194cd201", roadPts, roadLane},
+			"65ecc49cb802db312f73c86dc0aee98750e42debe7fc91da81f7819cd423aa9a", roadPts, roadLane, 82741},
 		{lidar.Road, "exact", func(o *Options) { o.ExactClustering = true },
-			"fb889cb8e5e3da8b79f0526d87fcf0a4f64f47cfad68cb6e452bea6d54a254ce",
+			"e5aa5cc418292f75abbdfff15aecb628f1f709e1b3a75f33befaf77c22b591d7",
 			"f31d70b408ec938e7a1033b9417c86271359b97a3b3ade5c66e05f371f525418",
-			"c64de1e5249fef80e19e89a4f1aed9505cfea68c3f16c20aaeeb1f896df20740"},
+			"c64de1e5249fef80e19e89a4f1aed9505cfea68c3f16c20aaeeb1f896df20740", 83998},
 		{lidar.Road, "shards8", func(o *Options) { o.Shards = 8 },
-			"8178a5dec31102f1fe00c857cb670aba7223af3d47ef49ffd8a49f758b3860ee", roadPts, roadLane},
+			"c4fd4be204a0e43c2776e4cebfde40af7e3e2f4ab86f59b489e0beb72c1e7465", roadPts, roadLane, 82921},
 		{lidar.Road, "ctx", func(o *Options) { o.ContextModel = true },
-			"ba99140cec7b413837b721ed4ed66cc7d7096de0a1f2e96d6dc1ac7c1860b425", roadPts, roadLane},
+			"ba99140cec7b413837b721ed4ed66cc7d7096de0a1f2e96d6dc1ac7c1860b425", roadPts, roadLane, 79569},
 	}
 	for _, g := range golden {
 		pc := frame(t, g.kind) // layout 1, sensor seed 1
@@ -91,6 +98,9 @@ func TestCompressGolden(t *testing.T) {
 			if got := sha(out); got != g.bytes {
 				t.Errorf("%s %s parallel=%v: %d bytes, sha256 %s, want %s", g.kind, g.name, parallel, len(out), got, g.bytes)
 			}
+			if len(out) > g.parentBytes {
+				t.Errorf("%s %s parallel=%v: %d bytes, larger than the %d before PR 14", g.kind, g.name, parallel, len(out), g.parentBytes)
+			}
 			back, err := DecompressWith(out, DecompressOptions{Parallel: parallel})
 			if err != nil {
 				t.Fatal(err)
@@ -105,6 +115,52 @@ func TestCompressGolden(t *testing.T) {
 		}
 		if got := pointsSHA(lane); got != g.lanePts {
 			t.Errorf("%s %s: %d lane-box points, sha256 %s, want %s", g.kind, g.name, len(lane), got, g.lanePts)
+		}
+	}
+}
+
+// TestDecodeGoldenVectors decodes frames that the encoder of PR 13 (commit
+// ff27d99, level-9 DEFLATE on the θ streams) wrote, checked in under
+// testdata/: the points of the city frame (layout 1, sensor seed 1) whose
+// azimuth atan2(y, x)+π lies in [10, 11)·2π/25 — 4972 points, about half of
+// them dense, 147 polylines, 89 outliers — under DefaultOptions(0.02) and
+// with Shards: 8. Unlike TestCompressGolden, nothing here depends on
+// today's encoder: bytes an earlier release wrote must keep decoding to
+// these points.
+func TestDecodeGoldenVectors(t *testing.T) {
+	const (
+		pts     = "0099b9c9ce9f0b51d007431d13b0ed2676c5eaf9acbd4215ed6d7ad54ff64e96"
+		lanePts = "86f50a4589931cee3a9b75266b0a423dc0a282b2a37d3112634f94ee0559cec2"
+	)
+	for _, v := range []struct {
+		file    string
+		version byte
+	}{
+		{"testdata/city-sector-default.dbgc", version2},
+		{"testdata/city-sector-shards8.dbgc", version3},
+	} {
+		data, err := os.ReadFile(v.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[4] != v.version {
+			t.Errorf("%s: container version %d, want %d", v.file, data[4], v.version)
+		}
+		for _, parallel := range []bool{false, true} {
+			back, err := DecompressWith(data, DecompressOptions{Parallel: parallel})
+			if err != nil {
+				t.Fatalf("%s parallel=%v: %v", v.file, parallel, err)
+			}
+			if got := pointsSHA(back); len(back) != 4972 || got != pts {
+				t.Errorf("%s parallel=%v: %d decoded points, sha256 %s, want 4972, %s", v.file, parallel, len(back), got, pts)
+			}
+		}
+		lane, err := DecompressRegion(data, laneBox)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := pointsSHA(lane); len(lane) != 926 || got != lanePts {
+			t.Errorf("%s: %d lane-box points, sha256 %s, want 926, %s", v.file, len(lane), got, lanePts)
 		}
 	}
 }

@@ -11,7 +11,9 @@
 package polyline
 
 import (
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -56,57 +58,54 @@ type Config struct {
 }
 
 // Organize runs Algorithm 1: it partitions pts into polylines and
-// outliers. Points are consumed in (φ, θ) order so the result is
-// deterministic. Single-point lines are returned as outliers.
-//
-// The candidate index inverts the sine/cosine evaluations of Algorithm 1's
-// Euclidean-distance test: every point's Cartesian position is computed
-// once up front instead of on every probe, and the (θ, φ) buckets live in
-// an open-addressing table with intrusive chains rather than a Go map.
-// Taken points are unlinked from their chain as scans pass them, so
-// repeatedly-probed buckets shrink as extraction consumes the cloud.
+// outliers. Points are consumed in (φ, θ, r) order so the result is
+// deterministic. Single-point lines are returned as outliers. One array
+// backs the points of all returned lines.
 func Organize(pts []Point, cfg Config) (lines []Line, outliers []Point) {
 	if len(pts) == 0 {
 		return nil, nil
 	}
 	s := organizePool.Get().(*organizeScratch)
 	defer organizePool.Put(s)
-	idx := newThetaPhiIndex(pts, cfg, s)
-	seeds := s.sortSeeds(pts)
+	minP, maxP := bounds(pts)
+	idx := s.buildIndex(pts, minP, maxP, cfg)
+	seeds := s.sortSeeds(pts, minP, maxP)
 
+	backing := make([]Point, 0, len(pts))
 	right := s.right[:0]
 	left := s.left[:0]
 	for _, sd := range seeds {
-		if idx.taken[sd] {
+		at := idx.rank[sd]
+		if idx.taken[at] {
 			continue
 		}
-		idx.take(sd)
+		idx.taken[at] = true
 		seed := pts[sd]
 		// The polyline's polar corridor is fixed by its seed (§3.4):
 		// [φ_seed − u_φ, φ_seed + u_φ].
 		phiMin := float64(seed.Phi) - cfg.UPhi
 		phiMax := float64(seed.Phi) + cfg.UPhi
 
-		// Extend right: candidates have θ − θ_tail ∈ (0, 2u_θ].
-		right = append(right[:0], sd)
+		// Extend right: candidates have θ − θ_tail ∈ [0, 2u_θ].
+		right = append(right[:0], at)
 		for {
-			next, ok := idx.bestCandidate(right[len(right)-1], phiMin, phiMax, false)
+			next, ok := idx.bestCandidate(at, right[len(right)-1], phiMin, phiMax, false)
 			if !ok {
 				break
 			}
-			idx.take(next)
+			idx.taken[next] = true
 			right = append(right, next)
 		}
 		// Extend left, symmetrically; collected head-outward and reversed
 		// into the line afterwards, so extension is O(1) per point.
 		left = left[:0]
-		head := sd
+		head := at
 		for {
-			prev, ok := idx.bestCandidate(head, phiMin, phiMax, true)
+			prev, ok := idx.bestCandidate(at, head, phiMin, phiMax, true)
 			if !ok {
 				break
 			}
-			idx.take(prev)
+			idx.taken[prev] = true
 			left = append(left, prev)
 			head = prev
 		}
@@ -114,14 +113,14 @@ func Organize(pts []Point, cfg Config) (lines []Line, outliers []Point) {
 			outliers = append(outliers, seed)
 			continue
 		}
-		line := make(Line, 0, len(left)+len(right))
+		from := len(backing)
 		for i := len(left) - 1; i >= 0; i-- {
-			line = append(line, pts[left[i]])
+			backing = append(backing, pts[idx.cand[left[i]].id])
 		}
-		for _, i := range right {
-			line = append(line, pts[i])
+		for _, k := range right {
+			backing = append(backing, pts[idx.cand[k].id])
 		}
-		lines = append(lines, line)
+		lines = append(lines, Line(backing[from:len(backing):len(backing)]))
 	}
 	s.right, s.left = right, left
 	SortLines(lines)
@@ -141,34 +140,20 @@ func SortLines(lines []Line) {
 
 // organizeScratch recycles the per-call buffers of Organize across frames.
 type organizeScratch struct {
-	seeds   []int32
-	keys    []uint64
-	pos     []geom.Point
-	next    []int32
-	taken   []bool
-	slotKey []uint64
-	slotVal []int32
-	left    []int32
-	right   []int32
-	sort    radix.Scratch
+	seeds []int32
+	keys  []uint64
+	order []int32
+	index candidateIndex
+	left  []int32
+	right []int32
+	sort  radix.Scratch
 }
 
 var organizePool = sync.Pool{New: func() any { return new(organizeScratch) }}
 
-// sortSeeds returns the point indices in (φ, θ, r) order. When the
-// coordinate ranges fit a packed 64-bit key the order comes from one radix
-// sort; otherwise it falls back to a comparison sort. Full-coordinate ties
-// keep ascending index order either way (the radix sort is stable).
-func (s *organizeScratch) sortSeeds(pts []Point) []int32 {
-	n := len(pts)
-	if cap(s.seeds) < n {
-		s.seeds = make([]int32, n)
-	}
-	seeds := s.seeds[:n]
-	for i := range seeds {
-		seeds[i] = int32(i)
-	}
-	minP, maxP := pts[0], pts[0]
+// bounds returns the per-coordinate minima and maxima of pts.
+func bounds(pts []Point) (minP, maxP Point) {
+	minP, maxP = pts[0], pts[0]
 	for _, p := range pts[1:] {
 		minP.Theta = min(minP.Theta, p.Theta)
 		maxP.Theta = max(maxP.Theta, p.Theta)
@@ -177,6 +162,30 @@ func (s *organizeScratch) sortSeeds(pts []Point) []int32 {
 		minP.R = min(minP.R, p.R)
 		maxP.R = max(maxP.R, p.R)
 	}
+	return minP, maxP
+}
+
+// identity returns buf resized to n and filled with 0…n-1.
+func identity(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		buf = make([]int32, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = int32(i)
+	}
+	return buf
+}
+
+// sortSeeds returns the point indices in (φ, θ, r) order, given the bounds
+// of pts. When the coordinate ranges fit a packed 64-bit key the order comes from one radix
+// sort; otherwise it falls back to a comparison sort. Full-coordinate ties
+// keep ascending index order either way: the radix sort is stable, and the
+// comparison takes the index as its last key.
+func (s *organizeScratch) sortSeeds(pts []Point, minP, maxP Point) []int32 {
+	n := len(pts)
+	s.seeds = identity(s.seeds, n)
+	seeds := s.seeds
 	tb := bits.Len64(uint64(maxP.Theta - minP.Theta))
 	pb := bits.Len64(uint64(maxP.Phi - minP.Phi))
 	rb := bits.Len64(uint64(maxP.R - minP.R))
@@ -189,14 +198,15 @@ func (s *organizeScratch) sortSeeds(pts []Point) []int32 {
 			if pa.Theta != pb.Theta {
 				return pa.Theta < pb.Theta
 			}
-			return pa.R < pb.R
+			if pa.R != pb.R {
+				return pa.R < pb.R
+			}
+			return seeds[a] < seeds[b]
 		})
 		return seeds
 	}
-	if cap(s.keys) < n {
-		s.keys = make([]uint64, n)
-	}
-	keys := s.keys[:n]
+	s.keys = slices.Grow(s.keys[:0], n)[:n]
+	keys := s.keys
 	for i, p := range pts {
 		keys[i] = uint64(p.Phi-minP.Phi)<<(tb+rb) |
 			uint64(p.Theta-minP.Theta)<<rb |
@@ -206,163 +216,174 @@ func (s *organizeScratch) sortSeeds(pts []Point) []int32 {
 	return seeds
 }
 
-// thetaPhiIndex buckets available points on a (θ, φ) grid with cell sides
-// (u_θ, u_φ) for the candidate queries of Algorithm 1. Buckets are chains
-// threaded through next, headed by an open-addressing table: slotVal is 0
-// for a free slot, 1 for an emptied bucket, and head+2 otherwise. Emptied
-// buckets stay occupied so later probes for colliding keys still find
-// their slots.
-type thetaPhiIndex struct {
-	pts     []Point
-	pos     []geom.Point // Cartesian position of each point, precomputed
-	next    []int32
-	taken   []bool
-	slotKey []uint64
-	slotVal []int32
-	mask    uint64
-	ut, up  float64
+// candidateIndex answers the candidate queries of Algorithm 1 from one
+// sorted layout. A point's column is ⌊θ/u_θ⌋; the points are stored in
+// (column, φ, index) order, so a column is a contiguous run sorted by φ and
+// a query — θ within 2u_θ of the anchor on one side, φ in the seed's
+// corridor — reads the anchor's column and its one or two neighbours on
+// that side, from the first φ inside the corridor to the last. Each entry
+// carries what the candidate tests read (θ and φ as the float64 values the
+// tests compare, the Cartesian position computed once up front instead of
+// on every probe), so a query touches consecutive memory. Taken points are
+// flagged and skipped. The index only has to enumerate a superset of a
+// query's window: bestCandidate applies the tests themselves.
+type candidateIndex struct {
+	cand  []candidate
+	cols  []column // one per occupied column, ascending, plus an end sentinel
+	rank  []int32  // rank[i] is the position of pts[i] in cand
+	taken []bool   // by position in cand
+	span  float64  // 2u_θ
 }
 
-func newThetaPhiIndex(pts []Point, cfg Config, s *organizeScratch) *thetaPhiIndex {
+type candidate struct {
+	theta, phi float64
+	pos        geom.Point
+	id         int32 // index into pts
+	col        int32 // index into cols
+}
+
+// column is a run of candidates sharing ⌊θ/u_θ⌋: it starts at cand[start]
+// and ends where the next column starts. Columns ascend in θ — every θ of
+// one column is below every θ of the next — so minTheta and maxTheta tell a
+// query whether any point of the column, and with it of any column beyond,
+// can be within 2u_θ of the anchor. A polyline's corridor is fixed by its
+// seed and its extension steps revisit the columns they overlap, so a column
+// remembers where the corridor of the line being extended starts in it:
+// lower is the first candidate with φ at or above the corridor's lower edge,
+// valid while lowerFor is that line's seed (a position in cand).
+type column struct {
+	start              int32
+	minTheta, maxTheta float64
+	lower, lowerFor    int32
+}
+
+// buildIndex sorts pts, whose bounds are given, into the candidate layout.
+// The order comes from one
+// radix sort of packed (column, φ) keys — stable, so equal keys keep
+// ascending index order — or, when the column and φ ranges do not fit 64
+// bits together, from a comparison sort on (column, φ, index).
+func (s *organizeScratch) buildIndex(pts []Point, minP, maxP Point, cfg Config) *candidateIndex {
 	n := len(pts)
-	idx := &thetaPhiIndex{pts: pts, ut: cfg.UTheta, up: cfg.UPhi}
-	if idx.ut <= 0 {
-		idx.ut = 1
+	ut := cfg.UTheta
+	if ut <= 0 {
+		ut = 1
 	}
-	if idx.up <= 0 {
-		idx.up = 1
-	}
-	if cap(s.pos) < n {
-		s.pos = make([]geom.Point, n)
-	}
-	if cap(s.next) < n {
-		s.next = make([]int32, n)
-	}
-	if cap(s.taken) < n {
-		s.taken = make([]bool, n)
-	}
-	idx.pos, idx.next, idx.taken = s.pos[:n], s.next[:n], s.taken[:n]
-	for i := range idx.taken {
-		idx.taken[i] = false
-	}
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
-	if cap(s.slotKey) < size {
-		s.slotKey = make([]uint64, size)
-		s.slotVal = make([]int32, size)
-	}
-	idx.slotKey, idx.slotVal = s.slotKey[:size], s.slotVal[:size]
-	for i := range idx.slotVal {
-		idx.slotVal[i] = 0
-	}
-	idx.mask = uint64(size - 1)
-	// Insert in reverse so each chain lists its points in ascending index
-	// order.
-	for i := n - 1; i >= 0; i-- {
-		p := pts[i]
-		idx.pos[i] = cfg.Cartesian(p)
-		key := bucketKey(int32(float64(p.Theta)/idx.ut), int32(float64(p.Phi)/idx.up))
-		slot := idx.findSlot(key)
-		if idx.slotVal[slot] == 0 {
-			idx.slotKey[slot] = key
-			idx.next[i] = -1
-		} else {
-			idx.next[i] = idx.slotVal[slot] - 2
+	colOf := func(p Point) float64 { return math.Floor(float64(p.Theta) / ut) }
+
+	s.order = identity(s.order, n)
+	order := s.order
+	// Columns are monotone in θ, so the extreme θ give the extreme columns.
+	minCol := colOf(minP)
+	colSpan := colOf(maxP) - minCol
+	pb := bits.Len64(uint64(maxP.Phi - minP.Phi))
+	// Below 2^53 the column differences of the packed key are exact.
+	if colSpan >= 1<<53 || bits.Len64(uint64(colSpan))+pb > 64 {
+		sort.Slice(order, func(a, b int) bool {
+			pa, pb := pts[order[a]], pts[order[b]]
+			if ca, cb := colOf(pa), colOf(pb); ca != cb {
+				return ca < cb
+			}
+			if pa.Phi != pb.Phi {
+				return pa.Phi < pb.Phi
+			}
+			return order[a] < order[b]
+		})
+	} else {
+		s.keys = slices.Grow(s.keys[:0], n)[:n]
+		keys := s.keys
+		for i, p := range pts {
+			keys[i] = uint64(colOf(p)-minCol)<<pb | uint64(p.Phi-minP.Phi)
 		}
-		idx.slotVal[slot] = int32(i) + 2
+		radix.Sort(keys, order, &s.sort)
 	}
-	s.pos, s.next, s.taken = idx.pos, idx.next, idx.taken
-	s.slotKey, s.slotVal = idx.slotKey, idx.slotVal
+
+	idx := &s.index
+	idx.span = 2 * ut
+	idx.cand = slices.Grow(idx.cand[:0], n)[:n]
+	idx.rank = slices.Grow(idx.rank[:0], n)[:n]
+	idx.taken = slices.Grow(idx.taken[:0], n)[:n]
+	clear(idx.taken)
+	idx.cols = idx.cols[:0]
+	col := math.Inf(-1)
+	for k, i := range order {
+		p := pts[i]
+		theta := float64(p.Theta)
+		if c := colOf(p); c != col {
+			col = c
+			idx.cols = append(idx.cols, column{start: int32(k), minTheta: theta, maxTheta: theta, lowerFor: -1})
+		}
+		cur := &idx.cols[len(idx.cols)-1]
+		cur.minTheta = min(cur.minTheta, theta)
+		cur.maxTheta = max(cur.maxTheta, theta)
+		idx.cand[k] = candidate{
+			theta: theta,
+			phi:   float64(p.Phi),
+			pos:   cfg.Cartesian(p),
+			id:    i,
+			col:   int32(len(idx.cols) - 1),
+		}
+		idx.rank[i] = int32(k)
+	}
+	idx.cols = append(idx.cols, column{start: int32(n)})
 	return idx
 }
 
-func bucketKey(bt, bp int32) uint64 {
-	return uint64(uint32(bt))<<32 | uint64(uint32(bp))
-}
-
-// findSlot probes for key, returning its slot or the free slot where it
-// belongs. The table is sized at twice the point count and never grows.
-func (idx *thetaPhiIndex) findSlot(key uint64) int {
-	h := (key * 0x9E3779B97F4A7C15) >> 32
-	for slot := h & idx.mask; ; slot = (slot + 1) & idx.mask {
-		if idx.slotVal[slot] == 0 || idx.slotKey[slot] == key {
-			return int(slot)
-		}
-	}
-}
-
-func (idx *thetaPhiIndex) take(i int32) { idx.taken[i] = true }
-
 // bestCandidate finds the nearest (in Euclidean distance) available point
-// extending from the anchor point within the polar corridor: θ strictly
-// beyond the anchor by at most 2u_θ, in the direction given by left.
-// Distance ties pick the lowest index, so neither bucket-chain order nor
-// probe order affects the result.
-func (idx *thetaPhiIndex) bestCandidate(anchor int32, phiMin, phiMax float64, left bool) (int32, bool) {
-	ut := idx.ut
-	ap := idx.pts[anchor]
-	// The paper's candidate window is 0 < Δθ ≤ 2u_θ. With quantized
-	// coordinates the azimuthal step can round to zero (near-field groups
-	// quantize angles coarsely), so zero is admitted too: equal-θ
-	// neighbors chain with a zero delta instead of stranding as outliers.
-	var thetaLo, thetaHi float64
-	if left {
-		thetaLo = float64(ap.Theta) - 2*ut
-		thetaHi = float64(ap.Theta)
-	} else {
-		thetaLo = float64(ap.Theta)
-		thetaHi = float64(ap.Theta) + 2*ut
-	}
-	bLo := int32(thetaLo / ut)
-	bHi := int32(thetaHi / ut)
-	pLo := int32(phiMin / idx.up)
-	pHi := int32(phiMax / idx.up)
-
-	anchorPos := idx.pos[anchor]
-	best := int32(-1)
+// extending from the anchor within the polar corridor [phiMin, phiMax] of
+// the line's seed (both positions in cand): θ beyond the anchor by at most
+// 2u_θ, in the direction given by left. Distance ties pick the lowest point
+// index.
+//
+// The paper's candidate window is 0 < Δθ ≤ 2u_θ. With quantized
+// coordinates the azimuthal step can round to zero (near-field groups
+// quantize angles coarsely), so zero is admitted too: equal-θ neighbors
+// chain with a zero delta instead of stranding as outliers.
+func (idx *candidateIndex) bestCandidate(seed, anchor int32, phiMin, phiMax float64, left bool) (int32, bool) {
+	a := &idx.cand[anchor]
+	best, bestID := int32(-1), int32(0)
 	bestD := 0.0
-	for bt := bLo - 1; bt <= bHi+1; bt++ {
-		for bp := pLo - 1; bp <= pHi+1; bp++ {
-			slot := idx.findSlot(bucketKey(bt, bp))
-			c := idx.slotVal[slot] - 2
-			prev := int32(-1)
-			for c >= 0 {
-				nxt := idx.next[c]
-				if idx.taken[c] {
-					// Unlink: taken points never come back, so the chain
-					// only shrinks.
-					if prev < 0 {
-						idx.slotVal[slot] = nxt + 2
-					} else {
-						idx.next[prev] = nxt
-					}
-					c = nxt
-					continue
+	step := int32(1)
+	if left {
+		step = -1
+	}
+	// Every θ in a column before the anchor's is below the anchor's, so the
+	// walk starts at the anchor's column; once a column's nearest θ is out
+	// of reach, so is every column beyond it.
+	for c := a.col; c >= 0 && int(c) < len(idx.cols)-1; c += step {
+		col := &idx.cols[c]
+		if left && a.theta-col.maxTheta > idx.span || !left && col.minTheta-a.theta > idx.span {
+			break
+		}
+		// The column's run is sorted by φ: skip to the corridor's lower edge.
+		lo, end := col.start, idx.cols[c+1].start
+		if col.lowerFor == seed {
+			lo = col.lower
+		} else {
+			for hi := end; lo < hi; {
+				if mid := lo + (hi-lo)/2; idx.cand[mid].phi < phiMin {
+					lo = mid + 1
+				} else {
+					hi = mid
 				}
-				p := idx.pts[c]
-				if float64(p.Phi) >= phiMin && float64(p.Phi) <= phiMax {
-					var dTheta float64
-					if left {
-						dTheta = float64(ap.Theta) - float64(p.Theta)
-					} else {
-						dTheta = float64(p.Theta) - float64(ap.Theta)
-					}
-					if dTheta >= 0 && dTheta <= 2*ut {
-						d := anchorPos.Dist2(idx.pos[c])
-						if best < 0 || d < bestD || (d == bestD && c < best) {
-							best, bestD = c, d
-						}
-					}
+			}
+			col.lower, col.lowerFor = lo, seed
+		}
+		for k := lo; k < end && idx.cand[k].phi <= phiMax; k++ {
+			if idx.taken[k] {
+				continue
+			}
+			p := &idx.cand[k]
+			dTheta := p.theta - a.theta
+			if left {
+				dTheta = -dTheta
+			}
+			if dTheta >= 0 && dTheta <= idx.span {
+				d := a.pos.Dist2(p.pos)
+				if best < 0 || d < bestD || (d == bestD && p.id < bestID) {
+					best, bestID, bestD = k, p.id, d
 				}
-				prev = c
-				c = nxt
 			}
 		}
 	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
+	return best, best >= 0
 }

@@ -95,65 +95,76 @@ func EncodeWith(points []Point2, q float64, opts EncodeOptions) (Encoded, error)
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(side))
 	out = varint.AppendUint(out, uint64(depth))
 
+	// A cell owns the run cur[lo:hi] of point indices. Each level splits
+	// every run into its four quadrants with a stable counting pass from
+	// cur into the other buffer, so a level costs no allocation of its own
+	// and the points of a cell keep ascending index order.
 	type cell struct {
-		pts        []int32
+		lo, hi     int32
 		cx, cy, hh float64
-		parent     byte
 	}
-	all := make([]int32, len(points))
-	for i := range all {
-		all[i] = int32(i)
+	quadrant := func(cl *cell, idx int32) int {
+		c := 0
+		if points[idx].X >= cl.cx {
+			c |= 1
+		}
+		if points[idx].Y >= cl.cy {
+			c |= 2
+		}
+		return c
+	}
+	cur, other := make([]int32, len(points)), make([]int32, len(points))
+	for i := range cur {
+		cur[i] = int32(i)
 	}
 	half := side / 2
-	level := []cell{{pts: all, cx: minX + half, cy: minY + half, hh: half}}
-	var occ, parents []byte
+	level := []cell{{hi: int32(len(points)), cx: minX + half, cy: minY + half, hh: half}}
+	var next []cell
+	var occ []byte
 	for d := 0; d < depth; d++ {
-		next := make([]cell, 0, len(level)*2)
-		for _, cl := range level {
-			var buckets [4][]int32
-			for _, idx := range cl.pts {
-				c := 0
-				if points[idx].X >= cl.cx {
-					c |= 1
-				}
-				if points[idx].Y >= cl.cy {
-					c |= 2
-				}
-				buckets[c] = append(buckets[c], idx)
+		next = next[:0]
+		for i := range level {
+			cl := &level[i]
+			var end [4]int32
+			for _, idx := range cur[cl.lo:cl.hi] {
+				end[quadrant(cl, idx)]++
 			}
 			var code byte
 			qh := cl.hh / 2
+			at := cl.lo
 			for c := 0; c < 4; c++ {
-				if len(buckets[c]) == 0 {
+				n := end[c]
+				end[c] = at // where the quadrant's next point goes
+				if n == 0 {
 					continue
 				}
 				code |= 1 << uint(c)
-			}
-			for c := 0; c < 4; c++ {
-				if len(buckets[c]) == 0 {
-					continue
-				}
 				next = append(next, cell{
-					pts:    buckets[c],
-					cx:     childOff(cl.cx, qh, c&1 != 0),
-					cy:     childOff(cl.cy, qh, c&2 != 0),
-					hh:     qh,
-					parent: code,
+					lo: at, hi: at + n,
+					cx: childOff(cl.cx, qh, c&1 != 0),
+					cy: childOff(cl.cy, qh, c&2 != 0),
+					hh: qh,
 				})
+				at += n
+			}
+			for _, idx := range cur[cl.lo:cl.hi] {
+				c := quadrant(cl, idx)
+				other[end[c]] = idx
+				end[c]++
 			}
 			occ = append(occ, code)
-			parents = append(parents, cl.parent)
 		}
-		level = next
+		cur, other = other, cur
+		level, next = next, level
 	}
 
-	counts := make([]uint64, 0, len(level))
-	order := make([]int, 0, len(points))
-	for _, leaf := range level {
-		counts = append(counts, uint64(len(leaf.pts)))
-		for _, idx := range leaf.pts {
-			order = append(order, int(idx))
-		}
+	counts := make([]uint64, len(level))
+	for i, leaf := range level {
+		counts[i] = uint64(leaf.hi - leaf.lo)
+	}
+	order := make([]int, len(points))
+	for i, idx := range cur {
+		order[i] = int(idx)
 	}
 	enc.DecodedOrder = order
 
@@ -166,7 +177,7 @@ func EncodeWith(points []Point2, q float64, opts EncodeOptions) (Encoded, error)
 			countStream = arith.AppendCompressUintsSharded(nil, counts, opts.Shards, opts.Parallel)
 		}
 	} else {
-		occStream = compressCodes(occ, parents)
+		occStream = compressCodes(occ)
 		countStream = arith.CompressUints(counts)
 	}
 	out = varint.AppendUint(out, uint64(len(occ)))
@@ -191,8 +202,7 @@ func childOff(c, qh float64, hi bool) float64 {
 // outlier occupancy streams are dominated by one-hot chains whose statistics
 // a single model already captures, and per-context adaptation is pure
 // overhead.)
-func compressCodes(codes, parents []byte) []byte {
-	_ = parents
+func compressCodes(codes []byte) []byte {
 	e := arith.NewEncoder()
 	m := arith.NewModel(16)
 	for _, c := range codes {

@@ -1,0 +1,123 @@
+package sparse
+
+import (
+	"bytes"
+	"compress/flate"
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"dbgc/internal/cluster"
+	"dbgc/internal/geom"
+	"dbgc/internal/lidar"
+	"dbgc/internal/varint"
+)
+
+// sparseInput is a frame's sparse subset as core.Compress hands it to
+// Encode under DefaultOptions(0.02).
+type sparseInput struct {
+	kind lidar.SceneKind
+	pc   geom.PointCloud
+	idx  []int32
+	opts Options
+}
+
+// thetaFrames returns the sparse points of city and road layout 1: what
+// the approximate clustering leaves, with core's default sparse options.
+func thetaFrames(t testing.TB) []sparseInput {
+	t.Helper()
+	var out []sparseInput
+	for _, kind := range []lidar.SceneKind{lidar.City, lidar.Road} {
+		scene, err := lidar.NewScene(kind, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := lidar.HDL64E().Simulate(scene, 1)
+		var idx []int32
+		for i, dense := range cluster.Approximate(pc, cluster.Params{Q: 0.02, K: 10}).Dense {
+			if !dense {
+				idx = append(idx, int32(i))
+			}
+		}
+		out = append(out, sparseInput{kind, pc, idx, Options{
+			Q: 0.02, Groups: 6, UTheta: 2 * math.Pi / 2000, UPhi: (26.8 / 64) * math.Pi / 180,
+		}})
+	}
+	return out
+}
+
+// deflateAt is one candidate of deflate coded alone.
+func deflateAt(t *testing.T, level int, data []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDeflateNeverLoses: whatever deflate emits inflates to its input and is
+// no longer than Huffman coding alone or LZ77 at lzLevel alone — on every θ
+// stream of city and road layout 1 and on three synthetic streams that sit
+// on either side of the choice. A constant run is the case Huffman coding
+// cannot take below one bit a value; the LZ77 candidate must.
+func TestDeflateNeverLoses(t *testing.T) {
+	inputs := map[string][]byte{}
+	for _, f := range thetaFrames(t) {
+		streams, _, err := CollectStreams(f.pc, f.idx, f.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for gi, g := range streams {
+			inputs[fmt.Sprintf("%s/group%d/heads", f.kind, gi)] = varint.AppendInts(nil, g.DThetaHeads)
+			inputs[fmt.Sprintf("%s/group%d/tails", f.kind, gi)] = varint.AppendInts(nil, g.ThetaTails)
+		}
+	}
+	constant := make([]int64, 20000)
+	period3 := make([]int64, 20000)
+	random := make([]byte, 20000)
+	for i := range constant {
+		constant[i] = 3
+		period3[i] = int64(i%3) - 1
+	}
+	rand.New(rand.NewSource(1)).Read(random)
+	inputs["constant"] = varint.AppendInts(nil, constant)
+	inputs["period3"] = varint.AppendInts(nil, period3)
+	inputs["random"] = random
+
+	var s encodeScratch
+	wins := map[string]int{}
+	for name, in := range inputs {
+		got := bytes.Clone(s.deflate(in))
+		back, err := inflateBytes(got)
+		if err != nil || !bytes.Equal(back, in) {
+			t.Fatalf("%s: does not inflate to the input (%v)", name, err)
+		}
+		huffman, lz := deflateAt(t, flate.HuffmanOnly, in), deflateAt(t, lzLevel, in)
+		if len(got) > len(huffman) || len(got) > len(lz) {
+			t.Errorf("%s: %d bytes, Huffman-only %d, level %d %d", name, len(got), len(huffman), lzLevel, len(lz))
+		}
+		if len(lz) < len(huffman) {
+			wins["lz"]++
+		} else {
+			wins["huffman"]++
+		}
+		// 78 maximal matches at a bit each for length and distance, plus
+		// the block's code tables: about 40 bytes against 2500.
+		if name == "constant" && len(got)*50 >= len(huffman) {
+			t.Errorf("constant run: %d bytes, not under 2%% of Huffman-only's %d", len(got), len(huffman))
+		}
+	}
+	t.Logf("%d streams: Huffman-only smallest or tied on %d, LZ77 on %d", len(inputs), wins["huffman"], wins["lz"])
+	if wins["huffman"] == 0 || wins["lz"] == 0 {
+		t.Errorf("one side of the choice never occurs: %v", wins)
+	}
+}

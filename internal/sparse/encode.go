@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -145,8 +146,6 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	if opts.Q <= 0 {
 		return Encoded{}, fmt.Errorf("sparse: error bound must be positive, got %v", opts.Q)
 	}
-	var enc Encoded
-	out := make([]byte, 0, 1024)
 	flags := uint64(0)
 	if opts.CartesianMode {
 		flags |= flagCartesian
@@ -163,69 +162,49 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	if opts.Context {
 		flags |= flagContext
 	}
-	out = varint.AppendUint(out, flags)
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(opts.Q))
 
-	// Group by radial distance (§3.5): sort by r, then split at geometric
-	// boundaries so every group's r_max/r_min ratio — and with it the
-	// excess angular precision q/r_max imposes on the group's nearest
-	// points — is bounded. (Equal-count splitting leaves the far group
-	// spanning a 10x radial range whose near end pays several wasted bits
-	// per angle.) Norms are computed once and radix-sorted on their IEEE
-	// bits — non-negative floats order identically to their bit patterns,
-	// and the stable sort keeps equal radii in ascending index order, as
-	// the comparison sort it replaces did. The sorted norms ride along for
-	// the grouping cuts and the per-group conversions.
-	sorted := append([]int32(nil), idx...)
-	rbits := make([]uint64, len(sorted))
-	for i, pi := range sorted {
-		rbits[i] = math.Float64bits(pc[pi].Norm())
-	}
-	radix.Sort(rbits, sorted, nil)
-	rs := make([]float64, len(rbits))
-	for i, b := range rbits {
-		rs[i] = math.Float64frombits(b)
-	}
-	g := opts.groups()
-	if len(sorted) < g {
-		g = 1
-	}
-	bounds := groupBoundaries(rs, g)
-	out = varint.AppendUint(out, uint64(g))
-	type groupResult struct {
-		data            []byte
-		outliers, order []int32
-		nLines          int
-		times           [3]time.Duration
-		err             error
-	}
+	es := encodePool.Get().(*encodeScratch)
+	defer encodePool.Put(es)
+	sorted, rs, bounds := es.groupByRadius(pc, idx, opts)
+	g := len(bounds) - 1
 	results := make([]groupResult, g)
-	encodeOne := func(gi int) {
-		r := &results[gi]
-		lo, hi := bounds[gi], bounds[gi+1]
-		r.data, r.outliers, r.order, r.nLines, r.times, r.err = encodeGroup(pc, sorted[lo:hi], rs[lo:hi], opts, nil)
+	encodeRange := func(es *encodeScratch, lo, hi int) {
+		for gi := lo; gi < hi; gi++ {
+			results[gi] = es.encodeGroup(pc, sorted[bounds[gi]:bounds[gi+1]], rs[bounds[gi]:bounds[gi+1]], opts, nil)
+		}
 	}
 	if opts.Parallel && g > 1 {
 		// Bounded fan-out: at most GOMAXPROCS workers, each encoding a
-		// contiguous run of groups. One goroutine per group regardless of
-		// core count was the BENCH_7 regression (DESIGN.md §12): on few
-		// cores the concurrent groups evict each other's working sets and
-		// the runtime timeslices between them for no throughput.
+		// contiguous run of groups on a scratch of its own. One goroutine
+		// per group regardless of core count was the BENCH_7 regression
+		// (DESIGN.md §12): on few cores the concurrent groups evict each
+		// other's working sets and the runtime timeslices between them for
+		// no throughput.
 		par.Chunks(g, func(_, lo, hi int) {
-			for gi := lo; gi < hi; gi++ {
-				encodeOne(gi)
-			}
+			worker := encodePool.Get().(*encodeScratch)
+			defer encodePool.Put(worker)
+			encodeRange(worker, lo, hi)
 		})
 	} else {
-		for gi := 0; gi < g; gi++ {
-			encodeOne(gi)
-		}
+		encodeRange(es, 0, g)
 	}
-	for gi := 0; gi < g; gi++ {
+
+	var enc Encoded
+	size, nOut, nOrder := 3*binary.MaxVarintLen64, 0, 0 // flags, q, group count
+	for gi := range results {
 		r := &results[gi]
-		if r.err != nil {
-			return Encoded{}, fmt.Errorf("sparse: group %d: %w", gi, r.err)
-		}
+		size += binary.MaxVarintLen64 + 4 + len(r.data) // length, CRC, payload
+		nOut += len(r.outliers)
+		nOrder += len(r.order)
+	}
+	out := make([]byte, 0, size)
+	out = varint.AppendUint(out, flags)
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(opts.Q))
+	out = varint.AppendUint(out, uint64(g))
+	enc.OutlierIdx = make([]int32, 0, nOut)
+	enc.DecodedOrder = make([]int32, 0, nOrder)
+	for gi := range results {
+		r := &results[gi]
 		if opts.Shards > 1 || opts.BlockPack {
 			// v3/v4 dialect: the group length covers a leading CRC-32C so a
 			// damaged group can be detected — and skipped — on its own.
@@ -244,6 +223,36 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	}
 	enc.Data = out
 	return enc, nil
+}
+
+// groupByRadius orders idx by radial distance and cuts it into the radial
+// groups (§3.5): sort by r, then split at geometric boundaries so every
+// group's r_max/r_min ratio — and with it the excess angular precision
+// q/r_max imposes on the group's nearest points — is bounded. (Equal-count
+// splitting leaves the far group spanning a 10x radial range whose near end
+// pays several wasted bits per angle.) Norms are computed once and
+// radix-sorted on their IEEE bits — non-negative floats order identically
+// to their bit patterns, and the stable sort keeps equal radii in ascending
+// index order. It returns the sorted indices and their norms (for the cuts
+// and the per-group conversions), both in the scratch, and the g+1 cut
+// positions.
+func (es *encodeScratch) groupByRadius(pc geom.PointCloud, idx []int32, opts Options) (sorted []int32, rs []float64, bounds []int) {
+	es.sorted = append(es.sorted[:0], idx...)
+	sorted = es.sorted
+	es.rbits = slices.Grow(es.rbits[:0], len(sorted))[:len(sorted)]
+	for i, pi := range sorted {
+		es.rbits[i] = math.Float64bits(pc[pi].Norm())
+	}
+	radix.Sort(es.rbits, sorted, &es.sort)
+	es.rs = slices.Grow(es.rs[:0], len(sorted))[:len(sorted)]
+	for i, b := range es.rbits {
+		es.rs[i] = math.Float64frombits(b)
+	}
+	g := opts.groups()
+	if len(sorted) < g {
+		g = 1
+	}
+	return sorted, es.rs, groupBoundaries(es.rs, g)
 }
 
 // groupBoundaries returns g+1 cut positions into the ascending norm list,
@@ -276,20 +285,58 @@ func groupBoundaries(rs []float64, g int) []int {
 	return bounds
 }
 
+// groupResult is what encoding one radial group yields: the group payload,
+// the original-cloud indices of its outliers and of its polyline points in
+// decode order, the polyline count, and the COR, ORG and SPA stage
+// durations. The slices are the group's own, not the scratch's.
+type groupResult struct {
+	data            []byte
+	outliers, order []int32
+	nLines          int
+	times           [3]time.Duration
+}
+
+// encodeScratch holds what encoding needs besides its output: the
+// radius-sorted indices and norms of the frame, and per group the quantized
+// points, the polyline lengths, the five integer streams (θ heads, θ tails,
+// φ heads, φ tails, radials), the reference symbols, the group payload
+// under assembly, the staging buffer of one stream, the consensus merge
+// buffers and the two DEFLATE writers with their outputs. Pooled, one per
+// goroutine encoding groups, so a steady-state encode allocates none of it.
+type encodeScratch struct {
+	sorted []int32
+	rbits  []uint64
+	rs     []float64
+	sort   radix.Scratch
+
+	qpts  []polyline.Point
+	lens  []uint64
+	ints  [5][]int64
+	refs  []int
+	data  []byte
+	stage []byte
+	cons  polyline.ConsensusScratch
+
+	huffman, lz       *flate.Writer
+	huffmanOut, lzOut bytes.Buffer
+}
+
+var encodePool = sync.Pool{New: func() any { return new(encodeScratch) }}
+
 // encodeGroup runs steps 1-9 for one radial group. rs carries the group's
-// precomputed norms in the same (ascending) order as group; times holds the
-// COR, ORG, and SPA stage durations. A non-nil capture receives copies of
-// the raw integer streams before they are entropy coded (CollectStreams).
-func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, capture *GroupStreams) (data []byte, outliers, order []int32, nLines int, times [3]time.Duration, err error) {
-	var qpts []polyline.Point
+// precomputed norms in the same (ascending) order as group. A non-nil
+// capture receives copies of the raw integer streams before they are
+// entropy coded (CollectStreams).
+func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, capture *GroupStreams) (res groupResult) {
 	var rMax float64
 	var cfg polyline.Config
 	var thR int64
 	t0 := time.Now()
 
+	es.qpts = slices.Grow(es.qpts[:0], len(group))[:len(group)]
+	qpts := es.qpts
 	if opts.CartesianMode {
 		cq := cartesianQuantizer{q: opts.Q}
-		qpts = make([]polyline.Point, len(group))
 		var rMed float64
 		for _, r := range rs {
 			rMed += r
@@ -314,7 +361,6 @@ func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, 
 			rMax = rs[len(rs)-1] // group norms ascend
 		}
 		qz := NewQuantizer(opts.Q, rMax)
-		qpts = make([]polyline.Point, len(group))
 		for k, i := range group {
 			t, p, r := qz.Quantize(geom.ToSphericalR(pc[i], rs[k]))
 			qpts[k] = polyline.Point{Theta: t, Phi: p, R: r, Orig: i}
@@ -333,43 +379,42 @@ func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, 
 	t1 := time.Now()
 
 	lines, loose := polyline.Organize(qpts, cfg)
-	for _, p := range loose {
-		outliers = append(outliers, p.Orig)
+	res.outliers = make([]int32, len(loose))
+	for i, p := range loose {
+		res.outliers[i] = p.Orig
 	}
-	nLines = len(lines)
+	res.nLines = len(lines)
 	t2 := time.Now()
 
-	// Stream assembly (steps 2-8).
+	// Stream assembly (steps 2-8), with the cross-line delta on the head
+	// sequences (step 6/7) taken in place.
 	nPts := 0
 	for _, l := range lines {
 		nPts += len(l)
 	}
-	lens := make([]uint64, 0, len(lines))
-	thetaHeads := make([]int64, 0, len(lines))
-	phiHeads := make([]int64, 0, len(lines))
-	thetaTails := make([]int64, 0, nPts-len(lines))
-	phiTails := make([]int64, 0, nPts-len(lines))
-	order = make([]int32, 0, nPts)
+	nTails := nPts - len(lines)
+	es.lens = slices.Grow(es.lens[:0], len(lines))
+	for i, n := range [5]int{len(lines), nTails, len(lines), nTails, nPts} {
+		es.ints[i] = slices.Grow(es.ints[i][:0], n)
+	}
+	lens, thetaHeads, thetaTails, phiHeads, phiTails := es.lens, es.ints[0], es.ints[1], es.ints[2], es.ints[3]
+	res.order = make([]int32, 0, nPts)
 	for _, l := range lines {
 		lens = append(lens, uint64(len(l)))
 		thetaHeads = append(thetaHeads, l.Head().Theta)
 		phiHeads = append(phiHeads, l.Head().Phi)
+		res.order = append(res.order, l[0].Orig)
 		for k := 1; k < len(l); k++ {
 			thetaTails = append(thetaTails, l[k].Theta-l[k-1].Theta)
 			phiTails = append(phiTails, l[k].Phi-l[k-1].Phi)
+			res.order = append(res.order, l[k].Orig)
 		}
 	}
-	for _, l := range lines {
-		for _, p := range l {
-			order = append(order, p.Orig)
-		}
-	}
-
-	radials, refs := encodeRadial(lines, thPhi, thR, opts.DisableRadialOpt)
-
-	// Cross-line delta on the head sequences (step 6/7).
 	dThetaHeads := deltaInts(thetaHeads)
 	dPhiHeads := deltaInts(phiHeads)
+	es.lens, es.ints[0], es.ints[1], es.ints[2], es.ints[3] = lens, thetaHeads, thetaTails, phiHeads, phiTails
+
+	radials, refs := es.encodeRadial(lines, thPhi, thR, opts.DisableRadialOpt)
 
 	if capture != nil {
 		capture.Lens = append([]uint64(nil), lens...)
@@ -380,7 +425,7 @@ func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, 
 		capture.Radials = append([]int64(nil), radials...)
 	}
 
-	data = make([]byte, 0, 1024)
+	data := es.data[:0]
 	if !opts.CartesianMode {
 		data = binary.LittleEndian.AppendUint64(data, math.Float64bits(rMax))
 	}
@@ -390,10 +435,11 @@ func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, 
 	data = varint.AppendUint(data, uint64(len(thetaTails)))
 	data = varint.AppendUint(data, uint64(len(refs)))
 
-	// Stage each stream in one pooled scratch buffer; appendStream copies
-	// into the output, so the scratch is safe to reuse immediately.
-	sp := streamScratch.Get().(*[]byte)
-	s := *sp
+	// Stage each stream in the scratch's buffer; appendStream copies into
+	// the payload, so the buffer is safe to reuse immediately. deflate
+	// returns one of the scratch's two DEFLATE outputs, good until it is
+	// called again.
+	s := es.stage
 	if opts.Context {
 		// v5 dialect: the three angular streams each pick the smallest of
 		// their legacy coding, plain adaptive arithmetic, and the
@@ -411,14 +457,16 @@ func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, 
 		if opts.BlockPack {
 			legacy = blockpack.PackInt64(nil, dThetaHeads)
 		} else {
-			legacy = deflateBytes(varint.AppendInts(nil, dThetaHeads))
+			s = varint.AppendInts(s[:0], dThetaHeads)
+			legacy = es.deflate(s)
 		}
 		data = chooseIntStream(data, methodsAt, 0, legacy, dThetaHeads, 1, opts.Parallel)
 
 		if opts.BlockPack {
 			legacy = blockpack.PackInt64Sharded(nil, thetaTails, opts.Shards, opts.Parallel)
 		} else {
-			legacy = deflateBytes(varint.AppendInts(nil, thetaTails))
+			s = varint.AppendInts(s[:0], thetaTails)
+			legacy = es.deflate(s)
 		}
 		data = chooseIntStream(data, methodsAt, 2, legacy, thetaTails, opts.Shards, opts.Parallel)
 
@@ -470,9 +518,9 @@ func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, 
 		s = arith.AppendCompressUints(s[:0], lens)
 		data = appendStream(data, s)
 		s = varint.AppendInts(s[:0], dThetaHeads)
-		data = appendStream(data, deflateBytes(s))
+		data = appendStream(data, es.deflate(s))
 		s = varint.AppendInts(s[:0], thetaTails)
-		data = appendStream(data, deflateBytes(s))
+		data = appendStream(data, es.deflate(s))
 		s = arith.AppendCompressInts(s[:0], dPhiHeads)
 		data = appendStream(data, s)
 		// φ tails and radials are the group's two high-volume streams; in the
@@ -493,22 +541,26 @@ func encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, 
 	}
 	s = appendCompressRefs(s[:0], refs)
 	data = appendStream(data, s)
-	*sp = s
-	streamScratch.Put(sp)
+	es.stage, es.data = s, data
+	res.data = bytes.Clone(data)
 	t3 := time.Now()
-	times = [3]time.Duration{t1.Sub(t0), t2.Sub(t1), t3.Sub(t2)}
-	return data, outliers, order, nLines, times, nil
+	res.times = [3]time.Duration{t1.Sub(t0), t2.Sub(t1), t3.Sub(t2)}
+	return res
 }
 
-// encodeRadial produces ∇L_r and L_ref (§3.5 step 8). With plainDelta the
-// reference is always the preceding point (heads reference the previous
-// head), reproducing classic delta encoding for the -Radial ablation.
-func encodeRadial(lines []polyline.Line, thPhi, thR int64, plainDelta bool) (radials []int64, refs []int) {
-	var cs polyline.ConsensusScratch
+// encodeRadial produces ∇L_r and L_ref (§3.5 step 8) in the scratch. With
+// plainDelta the reference is always the preceding point (heads reference
+// the previous head), reproducing classic delta encoding for the -Radial
+// ablation.
+func (es *encodeScratch) encodeRadial(lines []polyline.Line, thPhi, thR int64, plainDelta bool) (radials []int64, refs []int) {
+	// Room for every point's radial was made with the other streams; a
+	// tail yields at most one reference symbol.
+	radials = es.ints[4][:0]
+	refs = slices.Grow(es.refs[:0], len(es.ints[1]))
 	for i, l := range lines {
 		var ctx refContext
 		if !plainDelta {
-			ctx = refContext{cons: cs.Consensus(lines, i, thPhi), thR: thR}
+			ctx = refContext{cons: es.cons.Consensus(lines, i, thPhi), thR: thR}
 		}
 		for k, p := range l {
 			if k == 0 {
@@ -538,19 +590,16 @@ func encodeRadial(lines []polyline.Line, thPhi, thR int64, plainDelta bool) (rad
 			radials = append(radials, p.R-d.candidates[sym])
 		}
 	}
+	es.ints[4], es.refs = radials, refs
 	return radials, refs
 }
 
+// deltaInts replaces vs[i] by vs[i] − vs[i-1] in place, keeping vs[0].
 func deltaInts(vs []int64) []int64 {
-	out := make([]int64, len(vs))
-	if len(vs) == 0 {
-		return out
+	for i := len(vs) - 1; i > 0; i-- {
+		vs[i] -= vs[i-1]
 	}
-	out[0] = vs[0]
-	for i := 1; i < len(vs); i++ {
-		out[i] = vs[i] - vs[i-1]
-	}
-	return out
+	return vs
 }
 
 func undeltaInts(vs []int64) []int64 {
@@ -559,12 +608,6 @@ func undeltaInts(vs []int64) []int64 {
 	}
 	return vs
 }
-
-// streamScratch recycles the per-group staging buffer for stream assembly.
-var streamScratch = sync.Pool{New: func() any {
-	b := make([]byte, 0, 8192)
-	return &b
-}}
 
 func appendCompressRefs(dst []byte, refs []int) []byte {
 	e := arith.GetEncoder()
@@ -624,30 +667,59 @@ func chooseIntStream(dst []byte, methodsAt int, shift uint, legacy []byte, vs []
 	return appendStream(dst, best)
 }
 
-// flatePool recycles DEFLATE compressors; flate.NewWriter allocates large
-// internal tables that Reset reuses across frames.
-var flatePool = sync.Pool{New: func() any {
-	w, err := flate.NewWriter(nil, flate.BestCompression)
+// lzLevel is the effort of deflate's LZ77 candidate: compress/flate's level
+// 5, hash chains at most 32 deep. On the θ streams — three or four distinct
+// byte values — level 9's 4096-deep chains cost ten times the time for about
+// 1% fewer bytes, and levels 1-4 find too few of the matches that pay.
+const lzLevel = 5
+
+// deflate codes data as a raw DEFLATE stream (§3.5 step 6, "Deflate on θ")
+// and returns the smaller of two encodings of it, good until the next call:
+// Huffman coding alone, and LZ77 matching at lzLevel. Ties go to Huffman
+// only. A short-period or constant stream is all matches and shrinks a
+// hundredfold under LZ77; the usual θ stream is near-memoryless noise on a
+// tiny alphabet, where a match costs more bits than the literals it
+// replaces and Huffman coding alone is smaller. Either is what any inflater
+// reads; nothing in the format says which was chosen.
+func (es *encodeScratch) deflate(data []byte) []byte {
+	if es.huffman == nil {
+		es.huffman, es.lz = newDeflater(flate.HuffmanOnly), newDeflater(lzLevel)
+	}
+	run := func(w *flate.Writer, out *bytes.Buffer) []byte {
+		out.Reset()
+		w.Reset(out)
+		if _, err := w.Write(data); err != nil {
+			panic(err) // bytes.Buffer cannot fail
+		}
+		if err := w.Close(); err != nil {
+			panic(err)
+		}
+		return out.Bytes()
+	}
+	best := run(es.huffman, &es.huffmanOut)
+	if lz := run(es.lz, &es.lzOut); len(lz) < len(best) {
+		best = lz
+	}
+	return best
+}
+
+// DeflateInts codes vs the way Encode codes a group's θ streams: zigzag
+// varints in a raw DEFLATE stream, the smaller of deflate's two candidates.
+// Like CollectStreams it exists for the benchkit pack ablation, whose
+// baseline is this codec.
+func DeflateInts(vs []int64) []byte {
+	es := encodePool.Get().(*encodeScratch)
+	defer encodePool.Put(es)
+	es.stage = varint.AppendInts(es.stage[:0], vs)
+	return bytes.Clone(es.deflate(es.stage))
+}
+
+func newDeflater(level int) *flate.Writer {
+	w, err := flate.NewWriter(nil, level)
 	if err != nil {
-		panic(err) // only fails for invalid level
+		panic(err) // only fails for an invalid level
 	}
 	return w
-}}
-
-// deflateBytes compresses with DEFLATE at the best-compression setting, as
-// the paper uses for the azimuthal streams (step 6).
-func deflateBytes(data []byte) []byte {
-	var buf bytes.Buffer
-	w := flatePool.Get().(*flate.Writer)
-	w.Reset(&buf)
-	if _, err := w.Write(data); err != nil {
-		panic(err) // bytes.Buffer cannot fail
-	}
-	if err := w.Close(); err != nil {
-		panic(err)
-	}
-	flatePool.Put(w)
-	return buf.Bytes()
 }
 
 // GroupStreams holds one radial group's raw integer streams exactly as the
@@ -669,30 +741,14 @@ func CollectStreams(pc geom.PointCloud, idx []int32, opts Options) ([]GroupStrea
 	if opts.Q <= 0 {
 		return nil, nil, fmt.Errorf("sparse: error bound must be positive, got %v", opts.Q)
 	}
-	sorted := append([]int32(nil), idx...)
-	rbits := make([]uint64, len(sorted))
-	for i, pi := range sorted {
-		rbits[i] = math.Float64bits(pc[pi].Norm())
-	}
-	radix.Sort(rbits, sorted, nil)
-	rs := make([]float64, len(rbits))
-	for i, b := range rbits {
-		rs[i] = math.Float64frombits(b)
-	}
-	g := opts.groups()
-	if len(sorted) < g {
-		g = 1
-	}
-	bounds := groupBoundaries(rs, g)
-	streams := make([]GroupStreams, g)
+	es := encodePool.Get().(*encodeScratch)
+	defer encodePool.Put(es)
+	sorted, rs, bounds := es.groupByRadius(pc, idx, opts)
+	streams := make([]GroupStreams, len(bounds)-1)
 	var outliers []int32
-	for gi := 0; gi < g; gi++ {
+	for gi := range streams {
 		lo, hi := bounds[gi], bounds[gi+1]
-		_, out, _, _, _, err := encodeGroup(pc, sorted[lo:hi], rs[lo:hi], opts, &streams[gi])
-		if err != nil {
-			return nil, nil, fmt.Errorf("sparse: group %d: %w", gi, err)
-		}
-		outliers = append(outliers, out...)
+		outliers = append(outliers, es.encodeGroup(pc, sorted[lo:hi], rs[lo:hi], opts, &streams[gi]).outliers...)
 	}
 	return streams, outliers, nil
 }

@@ -262,12 +262,22 @@ func TestCorruptStreams(t *testing.T) {
 
 func BenchmarkEncodeSparse(b *testing.B) {
 	pc, idx, meta := sparseFrame(b)
-	opts := defaultOpts(meta)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Encode(pc, idx, opts); err != nil {
-			b.Fatal(err)
+	run := func(pc geom.PointCloud, idx []int32, opts Options) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Encode(pc, idx, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("kitti-city", run(pc, idx, defaultOpts(meta)))
+	// The road frame's sparse points as the codec sees them: what the
+	// clustering of core.Compress leaves, under its six radial groups.
+	for _, fs := range thetaFrames(b) {
+		if fs.kind == lidar.Road {
+			b.Run("kitti-road", run(fs.pc, fs.idx, fs.opts))
 		}
 	}
 }
