@@ -6,7 +6,9 @@ GO ?= go
 # check is the CI gate: vet + full test suite (which includes the
 # city-frame compression-ratio smoke test, TestRatioSmoke), then the
 # data-race pass (which includes the reliable-transport fault-injection
-# tests), then a known-vulnerability scan when the scanner is installed.
+# tests, and repeats on the packages that fan work out through
+# internal/par), then a known-vulnerability scan when the scanner is
+# installed.
 check: build vet test race vuln
 
 build:
@@ -21,6 +23,7 @@ test:
 
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=2 ./internal/par ./internal/cluster ./internal/core ./internal/sparse
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): one of the
 # five workloads, built from source and run for 15 s. TRACE=1 reports the
@@ -33,16 +36,16 @@ TRACE ?= 0
 bench:
 	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --trace $(TRACE)
 
-# The PR 5 perf experiment, kept for its BENCH_5.json history: serial/parallel
-# compress and decode timings, steady-state Encoder allocation counts, and
-# frame-pipeline FPS for this machine. New measurements go through `make
-# bench` above.
+# The PR 5 perf experiment, kept for its BENCH_5.json history: compress and
+# decode timings at GOMAXPROCS 1 and at the machine's own, steady-state
+# Encoder allocation counts, and frame-pipeline FPS. New measurements go
+# through `make bench` above.
 bench-json:
 	$(GO) run ./cmd/dbgc-bench -exp perf -json BENCH_5.json
 
-# Multi-core scaling sweep: the sharded entropy codec packed and unpacked
-# at GOMAXPROCS 1/2/4/8, with per-stage timings, shard ratio drift vs. the
-# legacy container, and the shards=1 byte-identity check.
+# Multi-core scaling sweep: the same sharded frame packed and unpacked by
+# the same code at GOMAXPROCS 1/2/4/8, with per-stage timings, shard ratio
+# drift vs. the legacy container, and the shards=1 byte-identity check.
 bench-sweep:
 	$(GO) run ./cmd/dbgc-bench -exp sweep -shards 8 -gomaxprocs 1,2,4,8 -json BENCH_7.json
 

@@ -17,6 +17,7 @@ import (
 	"dbgc/internal/benchkit"
 	"dbgc/internal/cluster"
 	"dbgc/internal/core"
+	"dbgc/internal/geom"
 	"dbgc/internal/lidar"
 	"dbgc/internal/octree"
 	"dbgc/internal/stream"
@@ -221,38 +222,26 @@ func BenchmarkFig12Latency(b *testing.B) {
 	})
 }
 
-// BenchmarkDecodeThroughput measures the decode path serially and with the
-// parallel section/group decoder, reporting points per second. On a
-// single-core host the two should match; the parallel variant scales with
-// cores.
+// BenchmarkDecodeThroughput measures the decode path, reporting points per
+// second. The sections and radial groups decode side by side on however
+// many processors there are: `-cpu 1,2` gives the one- and two-worker rows.
 func BenchmarkDecodeThroughput(b *testing.B) {
 	pc := cityFrame(b)
 	data, _, err := dbgc.Compress(pc, dbgc.DefaultOptions(benchkit.DefaultQ))
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, variant := range []struct {
-		name string
-		opts dbgc.DecompressOptions
-	}{
-		{"Serial", dbgc.DecompressOptions{}},
-		{"Parallel", dbgc.DecompressOptions{Parallel: true}},
-	} {
-		variant := variant
-		b.Run(variant.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			for i := 0; i < b.N; i++ {
-				if _, err := dbgc.DecompressWith(data, variant.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			elapsed := time.Since(start).Seconds()
-			if elapsed > 0 {
-				b.ReportMetric(float64(len(pc)*b.N)/elapsed/1e6, "Mpoints/s")
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		if _, err := dbgc.Decompress(data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	elapsed := time.Since(start).Seconds()
+	if elapsed > 0 {
+		b.ReportMetric(float64(len(pc)*b.N)/elapsed/1e6, "Mpoints/s")
 	}
 }
 
@@ -378,7 +367,7 @@ func BenchmarkClusteringApproxSpeedup(b *testing.B) {
 	b.Run("Approximate", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cluster.Approximate(pc, params)
+			cluster.Approximate(pc, geom.Bounds(pc).Min, params)
 		}
 	})
 }

@@ -320,21 +320,21 @@ func runTemporal(frames int, quick bool) error {
 var jsonOut string
 
 func runPerf(frames int, quick bool) error {
-	header("Performance architecture: parallel decode, scratch reuse, frame pipeline (city, q=2cm)")
+	header("Performance architecture: one worker vs all, scratch reuse, frame pipeline (city, q=2cm)")
 	res, err := benchkit.Perf(benchkit.DefaultQ, frames)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("cpus: %d (GOMAXPROCS %d), %d points/frame, %d bytes compressed (ratio %.2f)\n",
 		res.NumCPU, res.GOMAXPROCS, res.PointsPerFrame, res.FrameBytes, res.Ratio)
-	fmt.Printf("decode:   serial %7.1f ms, parallel %7.1f ms (%.2fx)\n",
-		res.SerialDecodeMs, res.ParallelDecodeMs, res.DecodeSpeedup)
-	fmt.Printf("          allocs/op: serial %.0f, parallel %.0f\n",
-		res.SerialDecodeAllocs, res.ParallelDecodeAllocs)
-	fmt.Printf("compress: serial %7.1f ms, parallel %7.1f ms (%.2fx)\n",
-		res.SerialCompressMs, res.ParallelCompressMs, res.CompressSpeedup)
-	fmt.Printf("          allocs/op: serial %.0f; parallel byte-identical: %v\n",
-		res.SerialCompressAllocs, res.CompressIdentical)
+	fmt.Printf("decode:   GOMAXPROCS 1 %7.1f ms, %d %7.1f ms (%.2fx)\n",
+		res.OneWorkerDecodeMs, res.GOMAXPROCS, res.AllWorkersDecodeMs, res.DecodeSpeedup)
+	fmt.Printf("          allocs/op: %.0f, %.0f\n",
+		res.OneWorkerDecodeAllocs, res.AllWorkersDecodeAllocs)
+	fmt.Printf("compress: GOMAXPROCS 1 %7.1f ms, %d %7.1f ms (%.2fx)\n",
+		res.OneWorkerCompressMs, res.GOMAXPROCS, res.AllWorkersCompressMs, res.CompressSpeedup)
+	fmt.Printf("          allocs/op at 1: %.0f; byte-identical across widths: %v\n",
+		res.OneWorkerCompressAllocs, res.CompressIdentical)
 	fmt.Printf("          reusable Encoder: %7.1f ms, %.0f allocs/op\n",
 		res.EncoderCompressMs, res.EncoderCompressAllocs)
 	fmt.Printf("pipeline (%d frames, %d workers): pack %.1f -> %.1f fps, read %.1f -> %.1f fps, byte-identical: %v\n",
@@ -342,7 +342,7 @@ func runPerf(frames int, quick bool) error {
 		res.SerialPackFPS, res.PipelinedPackFPS,
 		res.SerialReadFPS, res.PipelinedReadFPS, res.PipelineIdentical)
 	if res.NumCPU == 1 {
-		fmt.Println("note: single-core host; parallel paths cannot show wall-clock gains here")
+		fmt.Println("note: single-core host; more workers cannot show wall-clock gains here")
 	}
 	if jsonOut != "" {
 		blob, err := json.MarshalIndent(res, "", "  ")
@@ -492,11 +492,11 @@ func runCtx(frames int, quick bool) error {
 	fmt.Printf("sparse section: %d -> %d bytes (%+.2f%%)\n",
 		res.SparseLegacyBytes, res.SparseCtxBytes, res.SparseDeltaPct)
 	fmt.Printf("%-38s %8s %8s %8s %10s %10s %11s %11s %9s %6s\n",
-		"container", "version", "shards", "ratio", "bytes", "vs base", "unpack fps", "stream fps", "par=ser", "ok")
+		"container", "version", "shards", "ratio", "bytes", "vs base", "unpack fps", "stream fps", "1=all", "ok")
 	for _, f := range res.Frames {
 		fmt.Printf("%-38s %8d %8d %8.2f %10d %+9.3f%% %11.1f %11.1f %9v %6v\n",
 			f.Config, f.Version, f.Shards, f.Ratio, f.Bytes, f.DeltaVsBasePct,
-			f.UnpackFPS, f.StreamUnpackFPS, f.ParallelIdentical, f.RoundTripOK)
+			f.UnpackFPS, f.StreamUnpackFPS, f.OneWorkerIdentical, f.RoundTripOK)
 	}
 	fmt.Printf("headline ctx ratio %.2f (plateau 20.5 broken: %v), guard ok: %v, unpack within 15%%: %v\n",
 		res.CtxRatio, res.PlateauBroken, res.GuardOK, res.UnpackWithin15Pct)

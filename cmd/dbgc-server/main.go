@@ -31,7 +31,7 @@
 // Usage:
 //
 //	dbgc-server [-listen :7045] [-store frames.db | -store-dir dir]
-//	            [-decompress] [-parallel] [-partial]
+//	            [-decompress] [-partial]
 //	            [-max-points n] [-mem-budget bytes]
 //	            [-fsync off|always|<interval>] [-noack]
 //	            [-tenants n] [-max-sessions n] [-sessions-per-tenant n]
@@ -73,7 +73,6 @@ func main() {
 	storeDir := flag.String("store-dir", "", "store directory for multi-tenant mode: one shard per tenant")
 	openStores := flag.Int("open-stores", 64, "with -store-dir: max concurrently open shard files (LRU-evicted)")
 	decompress := flag.Bool("decompress", false, "decompress frames before storing (default stores B directly)")
-	parallel := flag.Bool("parallel", false, "decode the sections of each frame on separate goroutines (with -decompress)")
 	partial := flag.Bool("partial", false, "with -decompress: store the intact sections of damaged frames and quarantine the rest instead of nacking")
 	maxPoints := flag.Int64("max-points", dbgc.DefaultDecodeLimits().MaxPoints, "decode limit: maximum points per frame (0 = unlimited)")
 	memBudget := flag.Int64("mem-budget", dbgc.DefaultDecodeLimits().MemBudget, "decode limit: decoded-memory budget per frame in bytes (0 = unlimited)")
@@ -188,7 +187,7 @@ func main() {
 
 	limits := dbgc.DecodeLimits{MaxPoints: *maxPoints, MemBudget: *memBudget}
 	cfg := reliable.ServerConfig{
-		Handle:               handler(stg, group, *decompress, *parallel, *partial, syncAlways, limits, repl),
+		Handle:               handler(stg, group, *decompress, *partial, syncAlways, limits, repl),
 		Query:                querier(stg, limits),
 		Quarantine:           quarantiner(stg),
 		ReadTimeout:          *readTimeout,
@@ -452,8 +451,8 @@ func commit(group *store.Group, st *store.Store, always bool) error {
 // retried, not quarantined). In partial mode a frame with some damaged
 // sections stores what decoded and reports a PartialFrameError so the
 // session quarantines only the damaged bytes and still acks.
-func handler(stg *storage, group *store.Group, decompress, parallel, partial, syncAlways bool, limits dbgc.DecodeLimits, repl *replLink) func(tenant string, m netproto.Message) error {
-	opts := dbgc.DecompressOptions{Parallel: parallel, Limits: limits}
+func handler(stg *storage, group *store.Group, decompress, partial, syncAlways bool, limits dbgc.DecodeLimits, repl *replLink) func(tenant string, m netproto.Message) error {
+	opts := dbgc.DecompressOptions{Limits: limits}
 	return func(tenant string, m netproto.Message) error {
 		st, release, err := stg.acquire(tenant)
 		if err != nil {

@@ -58,8 +58,8 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  dbgc compress   [-q meters] [-groups n] [-exact] [-shards n] [-blockpack|-blockpack-force] [-ctx] [-parallel] input.bin output.dbgc
-  dbgc decompress [-parallel] input.dbgc output.bin
+  dbgc compress   [-q meters] [-groups n] [-exact] [-shards n] [-blockpack|-blockpack-force] [-ctx] input.bin output.dbgc
+  dbgc decompress input.dbgc output.bin
   dbgc info       input.dbgc
   dbgc simulate   [-scene kind] [-seed n] output.bin
   dbgc pack       [-q meters] [-fps n] [-intensity] [-shards n] [-blockpack] [-ctx] frames... output.dbgs
@@ -78,7 +78,6 @@ func runCompress(args []string) error {
 	blockpack := fs.Bool("blockpack", false, "block-bitpack the integer streams when it shrinks the frame (v4 container, size-guarded)")
 	blockpackForce := fs.Bool("blockpack-force", false, "always write the v4 container, skipping the blockpack size guard")
 	ctx := fs.Bool("ctx", false, "context-model the occupancy and angular streams when it shrinks each stream (v5 container, size-guarded)")
-	parallel := fs.Bool("parallel", false, "compress stages and shards concurrently")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		usage()
@@ -94,7 +93,6 @@ func runCompress(args []string) error {
 	opts.BlockPack = *blockpack
 	opts.BlockPackForce = *blockpackForce
 	opts.ContextModel = *ctx
-	opts.Parallel = *parallel
 	data, stats, err := dbgc.Compress(pc, opts)
 	if err != nil {
 		return err
@@ -110,7 +108,6 @@ func runCompress(args []string) error {
 
 func runDecompress(args []string) error {
 	fs := flag.NewFlagSet("decompress", flag.ExitOnError)
-	parallel := fs.Bool("parallel", false, "decode sections and entropy shards concurrently")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		usage()
@@ -119,7 +116,7 @@ func runDecompress(args []string) error {
 	if err != nil {
 		return err
 	}
-	pc, err := dbgc.DecompressWith(data, dbgc.DecompressOptions{Parallel: *parallel})
+	pc, err := dbgc.Decompress(data)
 	if err != nil {
 		return err
 	}

@@ -120,8 +120,8 @@ func Decompress(data []byte) (PointCloud, error) {
 	return core.Decompress(data)
 }
 
-// DecompressOptions configures decompression. The zero value decodes
-// serially, matching Decompress.
+// DecompressOptions configures decompression. The zero value sets no
+// limits, matching Decompress.
 type DecompressOptions = core.DecompressOptions
 
 // DecodeLimits bounds the resources a decode may spend on one untrusted
@@ -139,10 +139,7 @@ var ErrDecodeLimit = core.ErrLimit
 // real LiDAR frame while bounding hostile input.
 func DefaultDecodeLimits() DecodeLimits { return core.DefaultDecodeLimits() }
 
-// DecompressWith is Decompress with explicit options. With Parallel set the
-// dense, sparse, and outlier sections — and the radial groups inside the
-// sparse section — decode on separate goroutines; the result is
-// point-identical to Decompress.
+// DecompressWith is Decompress with explicit options.
 func DecompressWith(data []byte, opts DecompressOptions) (PointCloud, error) {
 	return core.DecompressWith(data, opts)
 }

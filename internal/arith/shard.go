@@ -61,9 +61,9 @@ func ClampShards(shards, n int) int {
 	return shards
 }
 
-// shardRange returns the element range [lo, hi) of shard i of s over n
+// ShardRange returns the element range [lo, hi) of shard i of s over n
 // elements. Computed in 64-bit so n near MaxInt cannot overflow.
-func shardRange(n, s, i int) (lo, hi int) {
+func ShardRange(n, s, i int) (lo, hi int) {
 	lo = int(int64(n) * int64(i) / int64(s))
 	hi = int(int64(n) * int64(i+1) / int64(s))
 	return lo, hi
@@ -78,16 +78,18 @@ var shardBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// appendSharded frames n elements into shards shards, encoding each with
-// encode(lo, hi, dst) (which appends shard [lo, hi) to dst and returns the
-// extended slice). With parallel set the shards encode concurrently.
-func appendSharded(dst []byte, n, shards int, parallel bool, encode func(lo, hi int, dst []byte) []byte) []byte {
+// AppendSharded frames n elements into the shard layout, encoding each
+// shard with encode(lo, hi, dst) (which appends shard [lo, hi) to dst and
+// returns the extended slice); the shards encode through par.Each. Exported
+// so other codecs (blockpack, ctxmodel) can reuse the container v3 framing
+// — and its determinism and validation contract — without duplicating it.
+func AppendSharded(dst []byte, n, shards int, encode func(lo, hi int, dst []byte) []byte) []byte {
 	s := ClampShards(shards, n)
 	dst = varint.AppendUint(dst, uint64(s))
 	if s == 1 {
 		// Single shard: encode straight into the output after its length.
 		// The length must precede the payload, so stage through a pooled
-		// buffer like the parallel path.
+		// buffer like the multi-shard path.
 		bp := shardBufPool.Get().(*[]byte)
 		part := encode(0, n, (*bp)[:0])
 		dst = varint.AppendUint(dst, uint64(len(part)))
@@ -98,26 +100,11 @@ func appendSharded(dst []byte, n, shards int, parallel bool, encode func(lo, hi 
 	}
 	bufs := make([]*[]byte, s)
 	parts := make([][]byte, s)
-	encodeShard := func(i int) {
-		lo, hi := shardRange(n, s, i)
+	par.Each(s, func(i int) {
+		lo, hi := ShardRange(n, s, i)
 		bufs[i] = shardBufPool.Get().(*[]byte)
 		parts[i] = encode(lo, hi, (*bufs[i])[:0])
-	}
-	if parallel {
-		// Bounded fan-out: par.Chunks runs at most GOMAXPROCS workers, each
-		// encoding a contiguous run of shards. One goroutine per shard (the
-		// previous scheme) oversubscribes badly when shard count exceeds the
-		// core count — see DESIGN.md §12 on the BENCH_7 regression.
-		par.Chunks(s, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				encodeShard(i)
-			}
-		})
-	} else {
-		for i := 0; i < s; i++ {
-			encodeShard(i)
-		}
-	}
+	})
 	for i := 0; i < s; i++ {
 		dst = varint.AppendUint(dst, uint64(len(parts[i])))
 	}
@@ -129,10 +116,11 @@ func appendSharded(dst []byte, n, shards int, parallel bool, encode func(lo, hi 
 	return dst
 }
 
-// parseShards splits a sharded stream into its S payloads, validating the
+// ParseShards splits a sharded stream into its S payloads, validating the
 // declared lengths against the available bytes and b's shard cap. The
-// returned slices alias data.
-func parseShards(data []byte, b *declimits.Budget) ([][]byte, error) {
+// returned slices alias data. DecodeSharded is the usual way in; a decoder
+// whose shards must be read in order (ctxmodel.DecodeOcc) walks them itself.
+func ParseShards(data []byte, b *declimits.Budget) ([][]byte, error) {
 	s64, used, err := varint.Uint(data)
 	if err != nil {
 		return nil, fmt.Errorf("arith: shard count: %w", err)
@@ -171,56 +159,32 @@ func parseShards(data []byte, b *declimits.Budget) ([][]byte, error) {
 	return shards, nil
 }
 
-// decodeSharded parses the shard framing and runs decode(i, shard, lo, hi)
-// for every shard, concurrently when parallel is set. The first error wins.
-func decodeSharded(data []byte, n int, b *declimits.Budget, parallel bool, decode func(i int, shard []byte, lo, hi int) error) error {
-	shards, err := parseShards(data, b)
+// DecodeSharded parses the shard framing, validating the declared shard
+// count and lengths against b, and runs decode(i, shard, lo, hi) for every
+// shard through par.Each, so the stream's declared count never sets the
+// width. The error of the lowest failing shard wins. The counterpart of
+// AppendSharded.
+func DecodeSharded(data []byte, n int, b *declimits.Budget, decode func(i int, shard []byte, lo, hi int) error) error {
+	shards, err := ParseShards(data, b)
 	if err != nil {
 		return err
 	}
 	s := len(shards)
-	if parallel && s > 1 {
-		errs := make([]error, s)
-		par.Chunks(s, func(_, clo, chi int) {
-			for i := clo; i < chi; i++ {
-				func() {
-					defer declimits.Recover(&errs[i], ErrCorrupt)
-					lo, hi := shardRange(n, s, i)
-					errs[i] = decode(i, shards[i], lo, hi)
-				}()
-			}
-		})
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
-		return nil
+	if s == 1 {
+		return decode(0, shards[0], 0, n)
 	}
-	for i := 0; i < s; i++ {
-		lo, hi := shardRange(n, s, i)
-		if err := decode(i, shards[i], lo, hi); err != nil {
+	errs := make([]error, s)
+	par.Each(s, func(i int) {
+		defer declimits.Recover(&errs[i], ErrCorrupt)
+		lo, hi := ShardRange(n, s, i)
+		errs[i] = decode(i, shards[i], lo, hi)
+	})
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// AppendSharded frames n elements into the shard layout, encoding each
-// shard with encode(lo, hi, dst) (which appends shard [lo, hi) to dst and
-// returns the extended slice). Exported so other codecs (blockpack) can
-// reuse the container v3 framing — and its determinism and validation
-// contract — without duplicating it.
-func AppendSharded(dst []byte, n, shards int, parallel bool, encode func(lo, hi int, dst []byte) []byte) []byte {
-	return appendSharded(dst, n, shards, parallel, encode)
-}
-
-// DecodeSharded parses the shard framing, validating the declared shard
-// count and lengths against b, and runs decode(i, shard, lo, hi) for every
-// shard — concurrently (bounded by GOMAXPROCS) when parallel is set. The
-// first error wins. The exported counterpart of AppendSharded.
-func DecodeSharded(data []byte, n int, b *declimits.Budget, parallel bool, decode func(i int, shard []byte, lo, hi int) error) error {
-	return decodeSharded(data, n, b, parallel, decode)
 }
 
 // AppendCompressCodesSharded appends the sharded order-0 adaptive coding of
@@ -228,8 +192,8 @@ func DecodeSharded(data []byte, n int, b *declimits.Budget, parallel bool, decod
 // alphabet. With shards <= 1 (or too few codes to split) the stream holds a
 // single shard whose payload is byte-identical to AppendCompressBytes /
 // compressOccupancy output for the same model size.
-func AppendCompressCodesSharded(dst, codes []byte, alphabet, shards int, parallel bool) []byte {
-	return appendSharded(dst, len(codes), shards, parallel, func(lo, hi int, out []byte) []byte {
+func AppendCompressCodesSharded(dst, codes []byte, alphabet, shards int) []byte {
+	return AppendSharded(dst, len(codes), shards, func(lo, hi int, out []byte) []byte {
 		e := GetEncoder()
 		m := GetModel(alphabet)
 		for _, c := range codes[lo:hi] {
@@ -243,14 +207,13 @@ func AppendCompressCodesSharded(dst, codes []byte, alphabet, shards int, paralle
 }
 
 // DecompressCodesShardedLimited inverts AppendCompressCodesSharded,
-// decoding exactly n codes and charging them against b. With parallel set
-// the shards decode on separate goroutines.
-func DecompressCodesShardedLimited(buf []byte, n, alphabet int, b *declimits.Budget, parallel bool) ([]byte, error) {
+// decoding exactly n codes and charging them against b.
+func DecompressCodesShardedLimited(buf []byte, n, alphabet int, b *declimits.Budget) ([]byte, error) {
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
 	out := make([]byte, n)
-	err := decodeSharded(buf, n, b, parallel, func(_ int, shard []byte, lo, hi int) error {
+	err := DecodeSharded(buf, n, b, func(_ int, shard []byte, lo, hi int) error {
 		d := GetDecoder(shard)
 		m := GetModel(alphabet)
 		for k := lo; k < hi; k++ {
@@ -279,20 +242,20 @@ func DecompressCodesShardedLimited(buf []byte, n, alphabet int, b *declimits.Bud
 
 // AppendCompressUintsSharded appends the sharded varint arithmetic coding
 // of vs (the sharded counterpart of AppendCompressUints).
-func AppendCompressUintsSharded(dst []byte, vs []uint64, shards int, parallel bool) []byte {
-	return appendSharded(dst, len(vs), shards, parallel, func(lo, hi int, out []byte) []byte {
+func AppendCompressUintsSharded(dst []byte, vs []uint64, shards int) []byte {
+	return AppendSharded(dst, len(vs), shards, func(lo, hi int, out []byte) []byte {
 		return AppendCompressUints(out, vs[lo:hi])
 	})
 }
 
 // DecompressUintsShardedLimited inverts AppendCompressUintsSharded,
 // decoding exactly n integers.
-func DecompressUintsShardedLimited(buf []byte, n int, b *declimits.Budget, parallel bool) ([]uint64, error) {
+func DecompressUintsShardedLimited(buf []byte, n int, b *declimits.Budget) ([]uint64, error) {
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
 	out := make([]uint64, n)
-	err := decodeSharded(buf, n, b, parallel, func(_ int, shard []byte, lo, hi int) error {
+	err := DecodeSharded(buf, n, b, func(_ int, shard []byte, lo, hi int) error {
 		d := GetDecoder(shard)
 		m := GetModel(256)
 		for k := lo; k < hi; k++ {
@@ -316,20 +279,20 @@ func DecompressUintsShardedLimited(buf []byte, n int, b *declimits.Budget, paral
 
 // AppendCompressIntsSharded appends the sharded zigzag-varint arithmetic
 // coding of vs (the sharded counterpart of AppendCompressInts).
-func AppendCompressIntsSharded(dst []byte, vs []int64, shards int, parallel bool) []byte {
-	return appendSharded(dst, len(vs), shards, parallel, func(lo, hi int, out []byte) []byte {
+func AppendCompressIntsSharded(dst []byte, vs []int64, shards int) []byte {
+	return AppendSharded(dst, len(vs), shards, func(lo, hi int, out []byte) []byte {
 		return AppendCompressInts(out, vs[lo:hi])
 	})
 }
 
 // DecompressIntsShardedLimited inverts AppendCompressIntsSharded, decoding
 // exactly n integers.
-func DecompressIntsShardedLimited(buf []byte, n int, b *declimits.Budget, parallel bool) ([]int64, error) {
+func DecompressIntsShardedLimited(buf []byte, n int, b *declimits.Budget) ([]int64, error) {
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
 	out := make([]int64, n)
-	err := decodeSharded(buf, n, b, parallel, func(_ int, shard []byte, lo, hi int) error {
+	err := DecodeSharded(buf, n, b, func(_ int, shard []byte, lo, hi int) error {
 		d := GetDecoder(shard)
 		m := GetModel(256)
 		for k := lo; k < hi; k++ {

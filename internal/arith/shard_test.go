@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dbgc/internal/declimits"
+	"dbgc/internal/par/partest"
 )
 
 func TestShardRangeCoversAll(t *testing.T) {
@@ -13,7 +14,7 @@ func TestShardRangeCoversAll(t *testing.T) {
 		for _, s := range []int{1, 2, 3, 8, 64} {
 			prev := 0
 			for i := 0; i < s; i++ {
-				lo, hi := shardRange(n, s, i)
+				lo, hi := ShardRange(n, s, i)
 				if lo != prev {
 					t.Fatalf("n=%d s=%d shard %d: lo=%d want %d", n, s, i, lo, prev)
 				}
@@ -61,28 +62,37 @@ func TestShardedCodesRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 4096, 50000} {
 		codes := shardTestCodes(n, 256)
 		for _, shards := range []int{1, 2, 4, 8} {
-			for _, parallel := range []bool{false, true} {
-				buf := AppendCompressCodesSharded(nil, codes, 256, shards, parallel)
-				for _, pdec := range []bool{false, true} {
-					got, err := DecompressCodesShardedLimited(buf, n, 256, nil, pdec)
-					if err != nil {
-						t.Fatalf("n=%d shards=%d: decode: %v", n, shards, err)
-					}
-					if !bytes.Equal(got, codes) {
-						t.Fatalf("n=%d shards=%d parallel=%v/%v: roundtrip mismatch", n, shards, parallel, pdec)
-					}
-				}
+			buf := AppendCompressCodesSharded(nil, codes, 256, shards)
+			got, err := DecompressCodesShardedLimited(buf, n, 256, nil)
+			if err != nil {
+				t.Fatalf("n=%d shards=%d: decode: %v", n, shards, err)
+			}
+			if !bytes.Equal(got, codes) {
+				t.Fatalf("n=%d shards=%d: roundtrip mismatch", n, shards)
 			}
 		}
 	}
 }
 
-func TestShardedEncodeDeterministic(t *testing.T) {
+// TestShardedWidthInvariant: the shard framing writes the same bytes and
+// reads the same codes whatever GOMAXPROCS is.
+func TestShardedWidthInvariant(t *testing.T) {
 	codes := shardTestCodes(50000, 256)
-	serial := AppendCompressCodesSharded(nil, codes, 256, 4, false)
-	par := AppendCompressCodesSharded(nil, codes, 256, 4, true)
-	if !bytes.Equal(serial, par) {
-		t.Fatal("parallel sharded encode differs from serial")
+	var want []byte
+	for _, procs := range partest.Widths {
+		partest.At(procs, func() {
+			buf := AppendCompressCodesSharded(nil, codes, 256, 4)
+			if want == nil {
+				want = buf
+			}
+			if !bytes.Equal(buf, want) {
+				t.Fatalf("GOMAXPROCS=%d: sharded encode differs from GOMAXPROCS=%d", procs, partest.Widths[0])
+			}
+			got, err := DecompressCodesShardedLimited(buf, len(codes), 256, nil)
+			if err != nil || !bytes.Equal(got, codes) {
+				t.Fatalf("GOMAXPROCS=%d: roundtrip: %v", procs, err)
+			}
+		})
 	}
 }
 
@@ -96,8 +106,8 @@ func TestShardedUintsIntsRoundTrip(t *testing.T) {
 		is[i] = int64(rng.Intn(1<<12)) - (1 << 11)
 	}
 	for _, shards := range []int{1, 2, 8} {
-		ub := AppendCompressUintsSharded(nil, us, shards, true)
-		gotU, err := DecompressUintsShardedLimited(ub, n, nil, true)
+		ub := AppendCompressUintsSharded(nil, us, shards)
+		gotU, err := DecompressUintsShardedLimited(ub, n, nil)
 		if err != nil {
 			t.Fatalf("shards=%d: uints: %v", shards, err)
 		}
@@ -106,8 +116,8 @@ func TestShardedUintsIntsRoundTrip(t *testing.T) {
 				t.Fatalf("shards=%d: uint %d: got %d want %d", shards, i, gotU[i], us[i])
 			}
 		}
-		ib := AppendCompressIntsSharded(nil, is, shards, true)
-		gotI, err := DecompressIntsShardedLimited(ib, n, nil, true)
+		ib := AppendCompressIntsSharded(nil, is, shards)
+		gotI, err := DecompressIntsShardedLimited(ib, n, nil)
 		if err != nil {
 			t.Fatalf("shards=%d: ints: %v", shards, err)
 		}
@@ -125,7 +135,7 @@ func TestShardedUintsIntsRoundTrip(t *testing.T) {
 func TestShardedSingleMatchesLegacy(t *testing.T) {
 	codes := shardTestCodes(10000, 256)
 	legacy := AppendCompressBytes(nil, codes)
-	sharded := AppendCompressCodesSharded(nil, codes, 256, 1, false)
+	sharded := AppendCompressCodesSharded(nil, codes, 256, 1)
 	if len(sharded) < 2 || sharded[0] != 1 {
 		t.Fatalf("expected shard count 1 header, got % x", sharded[:2])
 	}
@@ -143,35 +153,35 @@ func TestShardedSingleMatchesLegacy(t *testing.T) {
 
 func TestShardedCorruptAndLimits(t *testing.T) {
 	codes := shardTestCodes(8*minShardElems, 256) // large enough for all 8 shards to engage
-	buf := AppendCompressCodesSharded(nil, codes, 256, 8, false)
+	buf := AppendCompressCodesSharded(nil, codes, 256, 8)
 
 	// Truncation anywhere must error, not panic.
 	for _, cut := range []int{0, 1, 3, len(buf) / 2, len(buf) - 1} {
-		if _, err := DecompressCodesShardedLimited(buf[:cut], len(codes), 256, nil, false); err == nil {
+		if _, err := DecompressCodesShardedLimited(buf[:cut], len(codes), 256, nil); err == nil {
 			t.Fatalf("truncated at %d: expected error", cut)
 		}
 	}
 
 	// Trailing garbage after the declared shards must error.
-	if _, err := DecompressCodesShardedLimited(append(append([]byte{}, buf...), 0xFF), len(codes), 256, nil, false); err == nil {
+	if _, err := DecompressCodesShardedLimited(append(append([]byte{}, buf...), 0xFF), len(codes), 256, nil); err == nil {
 		t.Fatal("trailing bytes: expected error")
 	}
 
 	// Zero shard count is invalid.
 	bad := append([]byte{0}, buf[1:]...)
-	if _, err := DecompressCodesShardedLimited(bad, len(codes), 256, nil, false); err == nil {
+	if _, err := DecompressCodesShardedLimited(bad, len(codes), 256, nil); err == nil {
 		t.Fatal("zero shard count: expected error")
 	}
 
 	// A budget shard cap below the declared count must reject the stream.
 	b := declimits.New(declimits.Limits{MaxShards: 4})
-	if _, err := DecompressCodesShardedLimited(buf, len(codes), 256, b, false); err == nil {
+	if _, err := DecompressCodesShardedLimited(buf, len(codes), 256, b); err == nil {
 		t.Fatal("MaxShards=4 against 8 shards: expected error")
 	}
 
 	// A node budget smaller than n must reject before allocating output.
 	b = declimits.New(declimits.Limits{MaxNodes: 100})
-	if _, err := DecompressCodesShardedLimited(buf, len(codes), 256, b, false); err == nil {
+	if _, err := DecompressCodesShardedLimited(buf, len(codes), 256, b); err == nil {
 		t.Fatal("tiny node budget: expected error")
 	}
 }

@@ -333,7 +333,7 @@ func ClusterExp(q float64) (ClusterResult, error) {
 	exact := cluster.CellBased(pc, params)
 	res.ExactTime = time.Since(t0)
 	t0 = time.Now()
-	approx := cluster.Approximate(pc, params)
+	approx := cluster.Approximate(pc, geom.Bounds(pc).Min, params)
 	res.ApproxTime = time.Since(t0)
 	if res.ApproxTime > 0 {
 		res.ClusterSpeedup = float64(res.ExactTime) / float64(res.ApproxTime)

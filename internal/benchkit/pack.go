@@ -206,12 +206,12 @@ func buildCases(counts []uint64, groups []sparse.GroupStreams, dz []int64) []pac
 	arithUDec := func(b []byte, n int) ([]uint64, error) { return arith.DecompressUintsLimited(b, n, nil) }
 	arithI := func(vs []int64) []byte { return arith.AppendCompressInts(nil, vs) }
 	arithIDec := func(b []byte, n int) ([]int64, error) { return arith.DecompressIntsLimited(b, n, nil) }
-	packU := func(vs []uint64) []byte { return blockpack.PackUint64Sharded(nil, vs, 1, false) }
-	packUDec := func(b []byte, n int) ([]uint64, error) { return blockpack.UnpackUint64Sharded(b, n, nil, false) }
+	packU := func(vs []uint64) []byte { return blockpack.PackUint64Sharded(nil, vs, 1) }
+	packUDec := func(b []byte, n int) ([]uint64, error) { return blockpack.UnpackUint64Sharded(b, n, nil) }
 	packIPlain := func(vs []int64) []byte { return blockpack.PackInt64(nil, vs) }
 	packIPlainDec := func(b []byte, n int) ([]int64, error) { return blockpack.UnpackInt64(b, n, nil) }
-	packI := func(vs []int64) []byte { return blockpack.PackInt64Sharded(nil, vs, 1, false) }
-	packIDec := func(b []byte, n int) ([]int64, error) { return blockpack.UnpackInt64Sharded(b, n, nil, false) }
+	packI := func(vs []int64) []byte { return blockpack.PackInt64Sharded(nil, vs, 1) }
+	packIDec := func(b []byte, n int) ([]int64, error) { return blockpack.UnpackInt64Sharded(b, n, nil) }
 
 	return []packCase{
 		{

@@ -10,12 +10,13 @@ import (
 	"dbgc/internal/stream"
 )
 
-// PerfResult reports the performance-architecture experiment: parallel
-// decode speedup, per-decode allocation counts (scratch reuse), and frame
+// PerfResult reports the performance-architecture experiment: decode and
+// compress time of the one code path at GOMAXPROCS 1 and at the process's
+// own GOMAXPROCS, per-op allocation counts (scratch reuse), and frame
 // pipeline throughput. All numbers are honest about the machine — NumCPU
 // records the cores actually available and GOMAXPROCS what the runtime was
-// allowed to use, and on a single-core host the parallel paths are
-// expected to land near 1.0x.
+// allowed to use, and on a single-core host the two widths are expected to
+// land near 1.0x of each other.
 type PerfResult struct {
 	NumCPU         int     `json:"num_cpu"`
 	GOMAXPROCS     int     `json:"gomaxprocs"`
@@ -23,23 +24,24 @@ type PerfResult struct {
 	FrameBytes     int     `json:"frame_bytes"`
 	Ratio          float64 `json:"ratio"`
 
-	SerialDecodeMs   float64 `json:"serial_decode_ms"`
-	ParallelDecodeMs float64 `json:"parallel_decode_ms"`
-	DecodeSpeedup    float64 `json:"decode_speedup"`
+	OneWorkerDecodeMs  float64 `json:"one_worker_decode_ms"`
+	AllWorkersDecodeMs float64 `json:"all_workers_decode_ms"`
+	DecodeSpeedup      float64 `json:"decode_speedup"`
 
-	SerialDecodeAllocs   float64 `json:"serial_decode_allocs"`
-	ParallelDecodeAllocs float64 `json:"parallel_decode_allocs"`
+	OneWorkerDecodeAllocs  float64 `json:"one_worker_decode_allocs"`
+	AllWorkersDecodeAllocs float64 `json:"all_workers_decode_allocs"`
 
-	SerialCompressMs   float64 `json:"serial_compress_ms"`
-	ParallelCompressMs float64 `json:"parallel_compress_ms"`
-	CompressSpeedup    float64 `json:"compress_speedup"`
+	OneWorkerCompressMs  float64 `json:"one_worker_compress_ms"`
+	AllWorkersCompressMs float64 `json:"all_workers_compress_ms"`
+	CompressSpeedup      float64 `json:"compress_speedup"`
 
 	// Encode experiment: steady-state reusable-Encoder timings and per-op
-	// allocation counts, plus byte-identity of the parallel encoding.
-	SerialCompressAllocs  float64 `json:"serial_compress_allocs"`
-	EncoderCompressMs     float64 `json:"encoder_compress_ms"`
-	EncoderCompressAllocs float64 `json:"encoder_compress_allocs"`
-	CompressIdentical     bool    `json:"compress_identical"`
+	// allocation counts at the process's GOMAXPROCS, plus byte-identity of
+	// the frames the two widths wrote.
+	OneWorkerCompressAllocs float64 `json:"one_worker_compress_allocs"`
+	EncoderCompressMs       float64 `json:"encoder_compress_ms"`
+	EncoderCompressAllocs   float64 `json:"encoder_compress_allocs"`
+	CompressIdentical       bool    `json:"compress_identical"`
 
 	PipelineFrames    int     `json:"pipeline_frames"`
 	PipelineWorkers   int     `json:"pipeline_workers"`
@@ -66,9 +68,15 @@ func timeOp(iters int, fn func() error) (time.Duration, float64, error) {
 	return d / time.Duration(iters), float64(m1.Mallocs-m0.Mallocs) / float64(iters), nil
 }
 
-// Perf measures the parallel decode path, scratch-reuse allocation counts,
-// and the frame pipeline, on the city scene at q. iters controls the
-// repetitions per measurement (at least 1).
+// atOneWorker runs fn with GOMAXPROCS 1 and restores the setting.
+func atOneWorker(fn func() error) error {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	return fn()
+}
+
+// Perf measures decode and compress at one worker and at all of them,
+// scratch-reuse allocation counts, and the frame pipeline, on the city
+// scene at q. iters controls the repetitions per measurement (at least 1).
 func Perf(q float64, iters int) (PerfResult, error) {
 	if iters < 1 {
 		iters = 1
@@ -88,60 +96,49 @@ func Perf(q float64, iters int) (PerfResult, error) {
 	res.FrameBytes = len(data)
 	res.Ratio = stats.CompressionRatio()
 
-	// Decode: serial vs parallel, with per-op allocation counts.
-	d, allocs, err := timeOp(iters, func() error {
+	// Decode and compress at one worker and at all, with per-op
+	// allocation counts.
+	decode := func() error {
 		_, err := dbgc.Decompress(data)
 		return err
-	})
-	if err != nil {
-		return res, err
 	}
-	res.SerialDecodeMs = d.Seconds() * 1e3
-	res.SerialDecodeAllocs = allocs
-	d, allocs, err = timeOp(iters, func() error {
-		_, err := dbgc.DecompressWith(data, dbgc.DecompressOptions{Parallel: true})
+	var onedata []byte
+	compress := func() error {
+		var err error
+		onedata, _, err = dbgc.Compress(pc, opts)
 		return err
-	})
-	if err != nil {
+	}
+	var d time.Duration
+	var allocs float64
+	if err := atOneWorker(func() error {
+		if d, allocs, err = timeOp(iters, decode); err != nil {
+			return err
+		}
+		res.OneWorkerDecodeMs, res.OneWorkerDecodeAllocs = d.Seconds()*1e3, allocs
+		d, allocs, err = timeOp(iters, compress)
+		res.OneWorkerCompressMs, res.OneWorkerCompressAllocs = d.Seconds()*1e3, allocs
+		return err
+	}); err != nil {
 		return res, err
 	}
-	res.ParallelDecodeMs = d.Seconds() * 1e3
-	res.ParallelDecodeAllocs = allocs
-	if res.ParallelDecodeMs > 0 {
-		res.DecodeSpeedup = res.SerialDecodeMs / res.ParallelDecodeMs
+	res.CompressIdentical = bytes.Equal(data, onedata)
+	if d, allocs, err = timeOp(iters, decode); err != nil {
+		return res, err
+	}
+	res.AllWorkersDecodeMs, res.AllWorkersDecodeAllocs = d.Seconds()*1e3, allocs
+	if res.AllWorkersDecodeMs > 0 {
+		res.DecodeSpeedup = res.OneWorkerDecodeMs / res.AllWorkersDecodeMs
+	}
+	if d, _, err = timeOp(iters, compress); err != nil {
+		return res, err
+	}
+	res.AllWorkersCompressMs = d.Seconds() * 1e3
+	if res.AllWorkersCompressMs > 0 {
+		res.CompressSpeedup = res.OneWorkerCompressMs / res.AllWorkersCompressMs
 	}
 
-	// Compress: serial vs parallel options.
-	d, allocs, err = timeOp(iters, func() error {
-		_, _, err := dbgc.Compress(pc, opts)
-		return err
-	})
-	if err != nil {
-		return res, err
-	}
-	res.SerialCompressMs = d.Seconds() * 1e3
-	res.SerialCompressAllocs = allocs
-	popts := opts
-	popts.Parallel = true
-	d, _, err = timeOp(iters, func() error {
-		_, _, err := dbgc.Compress(pc, popts)
-		return err
-	})
-	if err != nil {
-		return res, err
-	}
-	res.ParallelCompressMs = d.Seconds() * 1e3
-	if res.ParallelCompressMs > 0 {
-		res.CompressSpeedup = res.SerialCompressMs / res.ParallelCompressMs
-	}
-	pdata, _, err := dbgc.Compress(pc, popts)
-	if err != nil {
-		return res, err
-	}
-	res.CompressIdentical = bytes.Equal(data, pdata)
-
-	// Steady-state reusable Encoder: same serial options, scratch kept
-	// across frames.
+	// Steady-state reusable Encoder: same options, scratch kept across
+	// frames.
 	enc := dbgc.NewEncoder(opts)
 	if _, _, err := enc.Compress(pc); err != nil { // warm the scratch
 		return res, err

@@ -25,7 +25,7 @@ type StageMs struct {
 }
 
 // SweepPoint is one cell of the GOMAXPROCS × workers grid: single-frame
-// pack/unpack latency with the sharded parallel codec, the speedup against
+// pack/unpack latency with the sharded codec, the speedup against
 // the grid's GOMAXPROCS=1 cell, streaming pipeline throughput with as many
 // workers as cores, and where the compress time went.
 type SweepPoint struct {
@@ -70,8 +70,8 @@ type SweepResult struct {
 }
 
 // Sweep runs the GOMAXPROCS scaling experiment on the city scene at q:
-// for each requested GOMAXPROCS value it re-times the sharded parallel
-// pack/unpack path and the frame pipeline, restoring the runtime's
+// for each requested GOMAXPROCS value it re-times the sharded pack/unpack
+// path and the frame pipeline, restoring the runtime's
 // original setting before returning. iters controls repetitions per
 // timing. Points above runtime.NumCPU() are still measured — on a small
 // host they document the plateau instead of extrapolating it.
@@ -106,7 +106,6 @@ func Sweep(q float64, shards int, procs []int, iters int) (SweepResult, error) {
 
 	opts := legacyOpts
 	opts.Shards = shards
-	opts.Parallel = true
 	data, _, err := dbgc.Compress(pc, opts)
 	if err != nil {
 		return res, err
@@ -141,7 +140,7 @@ func Sweep(q float64, shards int, procs []int, iters int) (SweepResult, error) {
 		pt.PackFPS = 1 / d.Seconds()
 
 		d, _, err = timeOp(iters, func() error {
-			_, err := dbgc.DecompressWith(data, dbgc.DecompressOptions{Parallel: true})
+			_, err := dbgc.Decompress(data)
 			return err
 		})
 		if err != nil {

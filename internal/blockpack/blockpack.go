@@ -466,17 +466,17 @@ func UnpackDeltaUint64(data []byte, n int, b *declimits.Budget) ([]uint64, error
 
 // PackUint64Sharded appends vs in the container v3 shard framing with
 // blockpacked shard payloads. The split depends only on (len(vs), shards),
-// so the bytes are independent of parallel and GOMAXPROCS. Block boundaries
+// so the bytes are independent of GOMAXPROCS. Block boundaries
 // restart per shard, keeping shard payloads independently decodable.
-func PackUint64Sharded(dst []byte, vs []uint64, shards int, parallel bool) []byte {
-	return arith.AppendSharded(dst, len(vs), shards, parallel, func(lo, hi int, out []byte) []byte {
+func PackUint64Sharded(dst []byte, vs []uint64, shards int) []byte {
+	return arith.AppendSharded(dst, len(vs), shards, func(lo, hi int, out []byte) []byte {
 		return PackUint64(out, vs[lo:hi])
 	})
 }
 
 // UnpackUint64Sharded inverts PackUint64Sharded, decoding exactly n values,
 // charging them and the declared shard count against b.
-func UnpackUint64Sharded(buf []byte, n int, b *declimits.Budget, parallel bool) ([]uint64, error) {
+func UnpackUint64Sharded(buf []byte, n int, b *declimits.Budget) ([]uint64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative element count", ErrCorrupt)
 	}
@@ -484,7 +484,7 @@ func UnpackUint64Sharded(buf []byte, n int, b *declimits.Budget, parallel bool) 
 		return nil, err
 	}
 	out := make([]uint64, n)
-	err := arith.DecodeSharded(buf, n, b, parallel, func(_ int, shard []byte, lo, hi int) error {
+	err := arith.DecodeSharded(buf, n, b, func(_ int, shard []byte, lo, hi int) error {
 		return unpackUint64Into(out[lo:hi], shard)
 	})
 	if err != nil {
@@ -495,15 +495,15 @@ func UnpackUint64Sharded(buf []byte, n int, b *declimits.Budget, parallel bool) 
 
 // PackInt64Sharded appends vs (zigzag-mapped) in the shard framing with
 // blockpacked shard payloads.
-func PackInt64Sharded(dst []byte, vs []int64, shards int, parallel bool) []byte {
-	return arith.AppendSharded(dst, len(vs), shards, parallel, func(lo, hi int, out []byte) []byte {
+func PackInt64Sharded(dst []byte, vs []int64, shards int) []byte {
+	return arith.AppendSharded(dst, len(vs), shards, func(lo, hi int, out []byte) []byte {
 		return PackInt64(out, vs[lo:hi])
 	})
 }
 
 // UnpackInt64Sharded inverts PackInt64Sharded, decoding exactly n values.
-func UnpackInt64Sharded(buf []byte, n int, b *declimits.Budget, parallel bool) ([]int64, error) {
-	us, err := UnpackUint64Sharded(buf, n, b, parallel)
+func UnpackInt64Sharded(buf []byte, n int, b *declimits.Budget) ([]int64, error) {
+	us, err := UnpackUint64Sharded(buf, n, b)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package blockpack
 
 import (
-	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -164,7 +163,7 @@ func TestExceptionsKeepBlockNarrow(t *testing.T) {
 	roundTripUint64(t, vs)
 }
 
-func TestShardedRoundTripAndDeterminism(t *testing.T) {
+func TestShardedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	vs := make([]uint64, 3000)
 	for i := range vs {
@@ -175,23 +174,16 @@ func TestShardedRoundTripAndDeterminism(t *testing.T) {
 		is[i] = int64(v) - 1<<19
 	}
 	for _, shards := range []int{1, 2, 7} {
-		serial := PackUint64Sharded(nil, vs, shards, false)
-		parallel := PackUint64Sharded(nil, vs, shards, true)
-		if !bytes.Equal(serial, parallel) {
-			t.Fatalf("shards=%d: parallel packing changed the bytes", shards)
+		got, err := UnpackUint64Sharded(PackUint64Sharded(nil, vs, shards), len(vs), nil)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		for _, par := range []bool{false, true} {
-			got, err := UnpackUint64Sharded(serial, len(vs), nil, par)
-			if err != nil {
-				t.Fatalf("shards=%d parallel=%v: %v", shards, par, err)
-			}
-			for i := range vs {
-				if got[i] != vs[i] {
-					t.Fatalf("shards=%d: value %d mismatch", shards, i)
-				}
+		for i := range vs {
+			if got[i] != vs[i] {
+				t.Fatalf("shards=%d: value %d mismatch", shards, i)
 			}
 		}
-		gotI, err := UnpackInt64Sharded(PackInt64Sharded(nil, is, shards, false), len(is), nil, false)
+		gotI, err := UnpackInt64Sharded(PackInt64Sharded(nil, is, shards), len(is), nil)
 		if err != nil {
 			t.Fatalf("int64 shards=%d: %v", shards, err)
 		}
@@ -213,9 +205,9 @@ func TestBudgetEnforced(t *testing.T) {
 	// The shard clamp needs >= 8192 elements per shard for the declared
 	// count to survive, so use a big enough stream to really get 8 shards.
 	big := make([]uint64, 8*8192)
-	sharded := PackUint64Sharded(nil, big, 8, false)
+	sharded := PackUint64Sharded(nil, big, 8)
 	b = declimits.New(declimits.Limits{MaxShards: 4, MaxNodes: 1 << 20})
-	if _, err := UnpackUint64Sharded(sharded, len(big), b, false); !errors.Is(err, declimits.ErrLimit) {
+	if _, err := UnpackUint64Sharded(sharded, len(big), b); !errors.Is(err, declimits.ErrLimit) {
 		t.Fatalf("got %v, want ErrLimit past the shard cap", err)
 	}
 }

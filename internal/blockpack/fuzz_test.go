@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dbgc/internal/declimits"
+	"dbgc/internal/par/partest"
 )
 
 // FuzzBlockPack drives both directions of the codec: well-formed streams
@@ -18,7 +19,7 @@ func FuzzBlockPack(f *testing.F) {
 		ramp[i] = uint64(i * 7)
 	}
 	f.Add(PackUint64(nil, ramp), uint32(len(ramp)), uint8(0))
-	f.Add(PackUint64Sharded(nil, ramp, 4, false), uint32(len(ramp)), uint8(1))
+	f.Add(PackUint64Sharded(nil, ramp, 4), uint32(len(ramp)), uint8(1))
 	f.Add(PackDeltaUint64(nil, ramp), uint32(len(ramp)), uint8(2))
 	// Hostile headers: absurd width, exception counts, empty payloads.
 	f.Add([]byte{64, 128}, uint32(128), uint8(0))
@@ -48,13 +49,15 @@ func FuzzBlockPack(f *testing.F) {
 			}
 			_, _ = UnpackInt64(data, int(n), declimits.New(lim))
 		case 1:
-			for _, parallel := range []bool{false, true} {
-				if _, err := UnpackUint64Sharded(data, int(n), declimits.New(lim), parallel); err == nil {
-					if int64(n) > lim.MaxNodes {
-						t.Fatalf("sharded decode of %d values past the node budget", n)
+			for _, procs := range []int{1, 2} {
+				partest.At(procs, func() {
+					if _, err := UnpackUint64Sharded(data, int(n), declimits.New(lim)); err == nil {
+						if int64(n) > lim.MaxNodes {
+							t.Fatalf("sharded decode of %d values past the node budget", n)
+						}
 					}
-				}
-				_, _ = UnpackInt64Sharded(data, int(n), declimits.New(lim), parallel)
+					_, _ = UnpackInt64Sharded(data, int(n), declimits.New(lim))
+				})
 			}
 		default:
 			_, _ = UnpackDeltaUint64(data, int(n), declimits.New(lim))

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dbgc/internal/geom"
+	"dbgc/internal/par"
 	"dbgc/internal/radix"
 )
 
@@ -18,10 +19,15 @@ import (
 //
 // The pipeline is sort-based: point keys are radix-sorted once, giving the
 // occupied cells, their populations, and the point runs for the final
-// labeling in a single pass; window populations and the dilation test are
-// then two calls of windowSums, which slides a z histogram along the sorted
-// rows of cells (see window.go). With Params.Parallel the key construction
-// and the window rows shard across CPUs with identical results.
+// labeling; window populations and the dilation test are then two calls of
+// windowSums, which slides a z histogram along the sorted rows of cells (see
+// window.go). Key construction, the run-length pass and the labeling go
+// through par.Chunks over points or cells, the window rows through
+// windowSums' own chunks: every chunk writes only its range of the arrays,
+// and what crosses chunks is a count per chunk and a prefix over them.
+//
+// min is the componentwise minimum of pc (geom.Bounds(pc).Min): Compress's
+// pre-scan has it at hand, so it is not scanned for again here.
 //
 // Cells are addressed by packed 21-bit-per-axis integer keys; LiDAR scenes
 // span thousands of cells per axis, far below the 2^21 limit. A frame that
@@ -33,13 +39,12 @@ import (
 // out of the keys and sizes its histogram by the largest z field present
 // plus the window, at most 2^21+2m+1 bins, so no field value can index
 // outside it.
-func Approximate(pc geom.PointCloud, p Params) Result {
+func Approximate(pc geom.PointCloud, min geom.Point, p Params) Result {
 	res := Result{Dense: make([]bool, len(pc))}
 	if len(pc) == 0 || p.Q <= 0 || p.K <= 0 {
 		return res
 	}
 	side := 2 * p.Q
-	min := geom.Bounds(pc).Min
 	m := int64(math.Ceil(p.Eps() / side))
 
 	// The cube window holds more volume than the ε-ball the exact method
@@ -58,7 +63,7 @@ func Approximate(pc geom.PointCloud, p Params) Result {
 	n := len(pc)
 	keys := growU64(s.keys, n)
 	idx := growI32(s.idx, n)
-	computeKeys := func(w, lo, hi int) {
+	par.Chunks(n, keyGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			pt := pc[i]
 			keys[i] = packPadded(
@@ -68,34 +73,41 @@ func Approximate(pc geom.PointCloud, p Params) Result {
 				m)
 			idx[i] = int32(i)
 		}
-	}
-	if p.Parallel {
-		parallelChunks(n, computeKeys)
-	} else {
-		computeKeys(0, 0, n)
-	}
+	})
 	radix.Sort(keys, idx, &s.sort)
 
-	// Run-length the sorted keys into occupied cells, populations, and
-	// point-run offsets.
-	occ := s.occ[:0]
-	cnt := s.cnt[:0]
-	runStart := s.runStart[:0]
-	for i := 0; i < n; {
-		j := i + 1
-		for j < n && keys[j] == keys[i] {
-			j++
+	// Run-length the sorted keys into occupied cells and point-run offsets:
+	// count the runs that begin in each chunk, then write them from the
+	// prefix of those counts.
+	begins := func(i int) bool { return i == 0 || keys[i] != keys[i-1] }
+	base := par.Offsets(n, runGrain, func(lo, hi int) (runs int) {
+		for i := lo; i < hi; i++ {
+			if begins(i) {
+				runs++
+			}
 		}
-		occ = append(occ, keys[i])
-		cnt = append(cnt, int32(j-i))
-		runStart = append(runStart, int32(i))
-		i = j
+		return runs
+	})
+	u := base[len(base)-1]
+	occ := growU64(s.occ, u)
+	runStart := growI32(s.runStart, u+1)
+	par.Chunks(n, runGrain, func(c, lo, hi int) {
+		j := base[c]
+		for i := lo; i < hi; i++ {
+			if begins(i) {
+				occ[j], runStart[j] = keys[i], int32(i)
+				j++
+			}
+		}
+	})
+	runStart[u] = int32(n)
+	cnt := growI32(s.cnt, u)
+	for j := range cnt {
+		cnt[j] = runStart[j+1] - runStart[j]
 	}
-	runStart = append(runStart, int32(n))
-	u := len(occ)
 
 	// A cell is dense when its window population reaches the threshold.
-	s.sums = windowSums(occ, occ, cnt, m, p.Parallel, s.sums)
+	s.sums = windowSums(occ, occ, cnt, m, sweepGrain, s.sums)
 	denseKeys := s.denseKeys[:0]
 	for j := 0; j < u; j++ {
 		if s.sums[j] >= minPts {
@@ -105,23 +117,42 @@ func Approximate(pc geom.PointCloud, p Params) Result {
 
 	// Dilation: an occupied cell whose window holds a dense cell — itself,
 	// if it is one — is labeled dense.
-	s.sums = windowSums(occ, denseKeys, nil, m, p.Parallel, s.sums)
+	s.sums = windowSums(occ, denseKeys, nil, m, sweepGrain, s.sums)
 
 	// Final labeling straight off the sorted point runs.
-	var numDense int64
-	for j := 0; j < u; j++ {
-		if s.sums[j] > 0 {
-			res.NumDenseCells++
-			numDense += int64(cnt[j])
-			for _, pi := range idx[runStart[j]:runStart[j+1]] {
-				res.Dense[pi] = true
+	sums := s.sums
+	tally := make([][2]int, par.NumChunks(u, labelGrain)) // dense cells, dense points
+	par.Chunks(u, labelGrain, func(c, lo, hi int) {
+		var cells, points int
+		for j := lo; j < hi; j++ {
+			if sums[j] > 0 {
+				cells++
+				points += int(cnt[j])
+				for _, pi := range idx[runStart[j]:runStart[j+1]] {
+					res.Dense[pi] = true
+				}
 			}
 		}
+		tally[c] = [2]int{cells, points}
+	})
+	for _, t := range tally {
+		res.NumDenseCells += t[0]
+		res.NumDense += t[1]
 	}
-	res.NumDense = int(numDense)
 	s.keys, s.idx, s.occ, s.cnt, s.runStart, s.denseKeys = keys, idx, occ, cnt, runStart, denseKeys
 	return res
 }
+
+// Grains of Approximate's chunked passes. A helper goroutine takes some
+// tens of microseconds to start running on an idle processor — about 70 on
+// the virtual machine these were measured on — so a chunk is sized to
+// take a hundred or more, and a pass that is not worth two chunks stays on
+// the caller.
+const (
+	keyGrain   = 1 << 13 // points: three divisions and a pack, ~14 ns each
+	runGrain   = 1 << 16 // sorted keys: a compare, and a store per run, ~3 ns each
+	labelGrain = 1 << 14 // cells: a store per point, ~10 ns a cell
+)
 
 // approxScratch recycles the per-frame buffers of Approximate.
 type approxScratch struct {

@@ -4,7 +4,12 @@ import (
 	"math"
 
 	"dbgc/internal/geom"
+	"dbgc/internal/par"
 )
+
+// scanGrain is the least number of cells in a chunk of CellBased's per-cell
+// scans, which cost from nothing (pruned) to thousands of distance tests.
+const scanGrain = 256
 
 // CellBased runs the paper's exact cell-based clustering (§3.2). The dense
 // set it computes is the order-independent fixpoint of the rules in the
@@ -24,9 +29,9 @@ import (
 // points whose whole ε-window cannot reach minPts, and the border sweep
 // only examines occupied cells whose window actually contains a dense
 // cell. Window populations and the dense-cell prefilter come from
-// windowSums (window.go), and with Params.Parallel the per-cell scans of
-// passes 1 and 3 shard across CPUs (each cell's writes touch only its own
-// points, so the shards are independent and the result identical).
+// windowSums (window.go), and the per-cell scans of passes 1 and 3 go
+// through par.Chunks (each cell's writes touch only its own points, so the
+// chunks are independent).
 func CellBased(pc geom.PointCloud, p Params) Result {
 	res := Result{Dense: make([]bool, len(pc))}
 	if len(pc) == 0 || p.Q <= 0 || p.K <= 0 {
@@ -44,12 +49,12 @@ func CellBased(pc geom.PointCloud, p Params) Result {
 
 	// Upper-bound pruning: the population of the (2m+1)³ window around a
 	// cell bounds any member's ε-ball count from above.
-	windowTotal := windowSums(g.keys, g.keys, cnt, m, p.Parallel, nil)
+	windowTotal := windowSums(g.keys, g.keys, cnt, m, sweepGrain, nil)
 
 	// Pass 1: find dense cells. Within a cell, stop at the first core
 	// point.
 	denseRun := make([]bool, u)
-	scanCores := func(w, lo, hi int) {
+	par.Chunks(u, scanGrain, func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			if windowTotal[j] < int32(minPts) {
 				continue
@@ -61,12 +66,7 @@ func CellBased(pc geom.PointCloud, p Params) Result {
 				}
 			}
 		}
-	}
-	if p.Parallel {
-		parallelChunks(u, scanCores)
-	} else {
-		scanCores(0, 0, u)
-	}
+	})
 
 	// Pass 2: points in dense cells are dense.
 	denseKeys := make([]uint64, 0, u/4)
@@ -85,9 +85,9 @@ func CellBased(pc geom.PointCloud, p Params) Result {
 	// The window-reach prefilter finds the occupied sparse cells whose
 	// window holds a dense cell; only their points are distance-checked,
 	// with early accept.
-	near := windowSums(g.keys, denseKeys, nil, m, p.Parallel, nil)
+	near := windowSums(g.keys, denseKeys, nil, m, sweepGrain, nil)
 	eps2 := eps * eps
-	scanBorders := func(w, lo, hi int) {
+	par.Chunks(u, scanGrain, func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
 			if denseRun[j] || near[j] == 0 {
 				continue
@@ -114,12 +114,7 @@ func CellBased(pc geom.PointCloud, p Params) Result {
 				}
 			}
 		}
-	}
-	if p.Parallel {
-		parallelChunks(u, scanBorders)
-	} else {
-		scanBorders(0, 0, u)
-	}
+	})
 
 	for _, d := range res.Dense {
 		if d {

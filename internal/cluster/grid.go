@@ -23,10 +23,6 @@ type Params struct {
 	// MinPts is the core-point neighbor threshold. Zero means the
 	// surface-bound default (see DefaultMinPts).
 	MinPts int
-	// Parallel shards the classifiers' key construction, window sweeps,
-	// and per-cell scans across all CPUs. The result is identical to the
-	// serial run.
-	Parallel bool
 }
 
 // DefaultParams returns the default parameter choices for error bound q:

@@ -3,6 +3,8 @@ package cluster
 import (
 	"math"
 	"sync"
+
+	"dbgc/internal/par"
 )
 
 // This file holds the window routine shared by both classifiers.
@@ -215,9 +217,12 @@ func (s *windowSource) sweep(query []uint64, from, to, histLen int, sums []int32
 // cells of src inside the (2m+1)³ window around it, written into sums
 // (resized as needed). query and src are sorted packed keys without
 // duplicates and may be the same slice; w holds the weight of each source
-// cell, nil meaning 1 each. Weights must sum to less than 2^31. With
-// parallel set the query rows shard across CPUs; the result is identical.
-func windowSums(query, src []uint64, w []int32, m int64, parallel bool, sums []int32) []int32 {
+// cell, nil meaning 1 each. Weights must sum to less than 2^31. The query
+// rows are swept in chunks of at least grain cells handed out one at a
+// time: a row near the sensor has several times the columns, and so the
+// slides, of a far one, and equal shares of cells are not equal shares of
+// work.
+func windowSums(query, src []uint64, w []int32, m int64, grain int, sums []int32) []int32 {
 	sums = growI32(sums, len(query))
 	if len(query) == 0 {
 		return sums
@@ -257,10 +262,11 @@ func windowSums(query, src []uint64, w []int32, m int64, parallel bool, sums []i
 	*s = windowSource{cells: src, w: w, m: int32(m), colStart: colStart, colY: colY, rowStart: rowStart, rowX: rowX}
 
 	histLen := int(max(maxZField(query), maxZField(src))) + int(2*m+1)
-	if parallel {
-		parallelChunks(len(query), func(_, from, to int) { s.sweep(query, from, to, histLen, sums) })
-	} else {
-		s.sweep(query, 0, len(query), histLen, sums)
-	}
+	par.Chunks(len(query), grain, func(_, from, to int) { s.sweep(query, from, to, histLen, sums) })
 	return sums
 }
+
+// sweepGrain is the grain the classifiers sweep at. A chunk opens the
+// cursors of its first row again, which costs about what a hundred cells
+// do.
+const sweepGrain = 1 << 12

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dbgc/internal/geom"
+	"dbgc/internal/par/partest"
 )
 
 // cell is the axis fields of a packed key.
@@ -148,19 +149,21 @@ func TestWindowSumsMatchesBruteForce(t *testing.T) {
 				for i := range dirty {
 					dirty[i] = -7
 				}
-				got := windowSums(c.query, c.src, c.w, m, false, dirty)
+				got := windowSums(c.query, c.src, c.w, m, sweepGrain, dirty)
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d sums for %d query cells", name, len(got), len(want))
 				}
 				for j := range want {
 					if got[j] != want[j] {
-						t.Fatalf("%s: cell %+v: serial sum %d, brute force %d", name, cellOfKey(c.query[j]), got[j], want[j])
+						t.Fatalf("%s: cell %+v: sum %d, brute force %d", name, cellOfKey(c.query[j]), got[j], want[j])
 					}
 				}
+				// A grain far below these grids' size cuts every one of them
+				// into many chunks, mid-row.
 				for _, procs := range []int{1, 4} {
 					runtime.GOMAXPROCS(procs)
-					if got := windowSums(c.query, c.src, c.w, m, true, nil); !slices.Equal(got, want) {
-						t.Fatalf("%s: parallel sums at GOMAXPROCS %d differ from brute force", name, procs)
+					if got := windowSums(c.query, c.src, c.w, m, 16, nil); !slices.Equal(got, want) {
+						t.Fatalf("%s: chunked sums at GOMAXPROCS %d differ from brute force", name, procs)
 					}
 				}
 			}
@@ -175,8 +178,8 @@ func TestWindowSumsLeavesScratchClean(t *testing.T) {
 	a := sortedKeys(clumps(rng, 400, cell{}, [3]int{2, 2, 1}, [3]int{5, 5, 30}, 4))
 	b := sortedKeys(clumps(rng, 400, cell{}, [3]int{2, 2, 1}, [3]int{5, 5, 30}, 4))
 	for i := 0; i < 4; i++ {
-		windowSums(a, a, nil, 3, i%2 == 1, nil)
-		if got, want := windowSums(b, b, nil, 3, false, nil), bruteWindowSums(b, b, nil, 3); !slices.Equal(got, want) {
+		windowSums(a, a, nil, 3, 16+(i%2)*sweepGrain, nil)
+		if got, want := windowSums(b, b, nil, 3, sweepGrain, nil), bruteWindowSums(b, b, nil, 3); !slices.Equal(got, want) {
 			t.Fatalf("round %d: sums differ after an earlier call", i)
 		}
 	}
@@ -185,7 +188,7 @@ func TestWindowSumsLeavesScratchClean(t *testing.T) {
 // TestOutOfRangeFrames: a finite stray return stretches the grid past the
 // 21 bits a key gives each axis, so fields wrap. The labels are then
 // arbitrary, but classification must not panic, must stay deterministic
-// across serial and parallel runs, and must not index the histogram below
+// across widths, and must not index the histogram below
 // zero when a wrapped z field lands under the window radius.
 func TestOutOfRangeFrames(t *testing.T) {
 	base := testCloud(5)
@@ -215,13 +218,12 @@ func TestOutOfRangeFrames(t *testing.T) {
 				t.Fatalf("%s: no point has a wrapped z field under m = %d", name, m)
 			}
 		}
-		for _, classify := range []func(geom.PointCloud, Params) Result{Approximate, CellBased} {
-			serial := classify(pc, p)
-			pp := p
-			pp.Parallel = true
-			parallel := classify(pc, pp)
-			if len(serial.Dense) != len(pc) || !slices.Equal(serial.Dense, parallel.Dense) {
-				t.Fatalf("%s: serial and parallel labels differ", name)
+		for _, classify := range []func(geom.PointCloud, Params) Result{approximate, CellBased} {
+			var one, four Result
+			partest.At(1, func() { one = classify(pc, p) })
+			partest.At(4, func() { four = classify(pc, p) })
+			if len(one.Dense) != len(pc) || !slices.Equal(one.Dense, four.Dense) {
+				t.Fatalf("%s: labels at GOMAXPROCS 1 and 4 differ", name)
 			}
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -21,6 +20,7 @@ import (
 	"dbgc/internal/geom"
 	"dbgc/internal/octree"
 	"dbgc/internal/outlier"
+	"dbgc/internal/par"
 	"dbgc/internal/sparse"
 	"dbgc/internal/varint"
 )
@@ -74,18 +74,13 @@ type Options struct {
 	// the octree — the manual split of Figure 10. Negative means "use
 	// clustering".
 	ForceOctreeFraction float64
-	// Parallel runs the octree leg concurrently with the sparse pipeline
-	// and encodes radial groups on separate goroutines. The output is
-	// byte-identical to the serial encoding; only the stage timings in
-	// Stats overlap.
-	Parallel bool
 	// Shards splits every section's high-volume entropy streams (octree
 	// occupancy/count levels, sparse φ tails and radials, outlier
 	// quadtree/Δz payloads) into this many independently coded shards —
 	// the unit of multi-core entropy parallelism — and emits the container
 	// v3 dialect. Values <= 1 keep the legacy single-coder v2 container,
 	// byte-identical to previous releases. The output depends only on the
-	// input and the shard count, never on Parallel or GOMAXPROCS.
+	// input and the shard count, never on GOMAXPROCS.
 	Shards int
 	// BlockPack codes the integer hot paths — octree leaf counts, sparse
 	// polyline lengths and θ/φ/r deltas, outlier quadtree counts and Δz —
@@ -94,7 +89,7 @@ type Options struct {
 	// and emits the container v4 dialect. Arithmetic-coded occupancy and
 	// reference-symbol streams are unaffected. Off keeps v2/v3 bytes
 	// unchanged; on composes with Shards (blockpacked streams reuse the
-	// shard framing, so sharded parallel decode still applies).
+	// shard framing, so their shards still decode side by side).
 	//
 	// BlockPack is guarded by a whole-frame size comparison: the encoder
 	// also builds the plain v2/v3 container and emits whichever is
@@ -116,8 +111,8 @@ type Options struct {
 	// is size-guarded per stream: the encoder also builds the stream's
 	// v2/v3/v4 coding and keeps whichever is smaller, so enabling it costs
 	// at most a few marker bytes per frame and typically saves 3-4%.
-	// Composes with Shards (context state resets per shard; parallel encode
-	// stays byte-identical to serial) and with BlockPack.
+	// Composes with Shards (context state resets per shard) and with
+	// BlockPack.
 	ContextModel bool
 }
 
@@ -153,7 +148,10 @@ type Stats struct {
 
 	// Stage durations (Figure 13): clustering (DEN), octree coding (OCT),
 	// coordinate conversion (COR), point organization (ORG), sparse
-	// stream compression (SPA), outlier compression (OUT).
+	// stream compression (SPA), outlier compression (OUT). With more than
+	// one processor the octree leg runs beside the sparse one and the
+	// radial groups beside each other, so OCT overlaps COR/ORG/SPA and
+	// those three are sums over groups, not wall-clock spans.
 	DEN, OCT, COR, ORG, SPA, OUT time.Duration
 	// ENT is the entropy-coding share of OCT (the octree's arithmetic
 	// passes), split out so multi-core sweeps can attribute serialization
@@ -284,7 +282,8 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 	// beyond maxCoordinate costs it and its neighbours the error bound, so
 	// refuse the frame up front with a pointed error.
 	limit := maxCoordinate(opts.Q)
-	if bad := firstRefused(pc, limit, opts.Parallel); bad >= 0 {
+	bad, bounds := scanPoints(pc, limit)
+	if bad >= 0 {
 		if !finiteNorm(pc[bad]) {
 			return nil, nil, fmt.Errorf("core: point %d has a non-finite coordinate or norm: %v", bad, pc[bad])
 		}
@@ -295,48 +294,37 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 
 	// Stage 1: density-based clustering (DEN).
 	t0 := time.Now()
-	denseIdx, sparseIdx := e.splitPoints(pc, opts)
+	denseIdx, sparseIdx := e.splitPoints(pc, bounds.Min, opts)
 	stats.DEN = time.Since(t0)
 	stats.NumDense = len(denseIdx)
 
-	// Stage 2: octree compression of dense points (OCT), optionally
-	// concurrent with the sparse pipeline.
-	e.densePts = growPoints(e.densePts, len(denseIdx))
+	// Stage 2: octree compression of dense points (OCT), beside stages
+	// 3-5: conversion, organization, sparse coordinate compression
+	// (COR/ORG/SPA). The sparse leg is the longer one and splits further
+	// into its radial groups, so it goes first.
+	e.densePts = gather(e.densePts, pc, denseIdx)
 	densePts := e.densePts
-	for k, i := range denseIdx {
-		densePts[k] = pc[i]
-	}
 	var denseEnc octree.Encoded
-	var denseErr error
-	denseDone := make(chan struct{})
-	encodeDense := func() {
+	var sparseEnc sparse.Encoded
+	var denseErr, err error
+	par.Do(func() {
+		sparseEnc, err = sparse.Encode(pc, sparseIdx, sparse.Options{
+			Q:                opts.Q,
+			Groups:           opts.Groups,
+			UTheta:           opts.UTheta,
+			UPhi:             opts.UPhi,
+			DisableRadialOpt: opts.DisableRadialOpt,
+			CartesianMode:    opts.CartesianPolylines,
+			Shards:           opts.Shards,
+			BlockPack:        opts.BlockPack,
+			Context:          opts.ContextModel,
+		})
+	}, func() {
 		t := time.Now()
-		denseEnc, denseErr = octree.EncodeWith(densePts, opts.Q, octree.EncodeOptions{Parallel: opts.Parallel, Shards: opts.Shards, BlockPack: opts.BlockPack, Context: opts.ContextModel})
+		denseEnc, denseErr = octree.EncodeWith(densePts, opts.Q, octree.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack, Context: opts.ContextModel})
 		stats.OCT = time.Since(t)
 		stats.ENT = denseEnc.EntropyTime
-		close(denseDone)
-	}
-	if opts.Parallel {
-		go encodeDense()
-	} else {
-		encodeDense()
-	}
-
-	// Stages 3-5: conversion, organization, sparse coordinate
-	// compression (COR/ORG/SPA).
-	sparseEnc, err := sparse.Encode(pc, sparseIdx, sparse.Options{
-		Q:                opts.Q,
-		Groups:           opts.Groups,
-		UTheta:           opts.UTheta,
-		UPhi:             opts.UPhi,
-		DisableRadialOpt: opts.DisableRadialOpt,
-		CartesianMode:    opts.CartesianPolylines,
-		Parallel:         opts.Parallel,
-		Shards:           opts.Shards,
-		BlockPack:        opts.BlockPack,
-		Context:          opts.ContextModel,
 	})
-	<-denseDone
 	if denseErr != nil {
 		return nil, nil, fmt.Errorf("core: octree: %w", denseErr)
 	}
@@ -352,12 +340,8 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 
 	// Stage 6: outlier compression (OUT).
 	t0 = time.Now()
-	e.outlierPts = growPoints(e.outlierPts, len(sparseEnc.OutlierIdx))
-	outlierPts := e.outlierPts
-	for k, i := range sparseEnc.OutlierIdx {
-		outlierPts[k] = pc[i]
-	}
-	outlierData, outlierOrder, err := encodeOutliers(outlierPts, opts)
+	e.outlierPts = gather(e.outlierPts, pc, sparseEnc.OutlierIdx)
+	outlierData, outlierOrder, err := encodeOutliers(e.outlierPts, opts)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: outliers: %w", err)
 	}
@@ -444,20 +428,43 @@ func Compress(pc geom.PointCloud, opts Options) ([]byte, *Stats, error) {
 	return out, &st, nil
 }
 
-// growPoints returns s with length n, reallocating only when capacity is
+// Grains of Compress's own chunked passes over the points, sized like
+// cluster's: a chunk takes a hundred microseconds or more, and a pass not
+// worth two chunks stays on the caller.
+const (
+	scanGrain  = 1 << 15 // pre-scan and gathers: ~5 ns a point
+	splitGrain = 1 << 16 // index split: a byte read and an int32 store, ~2 ns a point
+)
+
+// gather returns dst, reallocated only when its capacity is short, holding
+// pc[idx[k]] at k.
+func gather(dst, pc geom.PointCloud, idx []int32) geom.PointCloud {
+	if cap(dst) < len(idx) {
+		dst = make(geom.PointCloud, len(idx))
+	}
+	dst = dst[:len(idx)]
+	par.Chunks(len(idx), scanGrain, func(_, lo, hi int) {
+		for k, i := range idx[lo:hi] {
+			dst[lo+k] = pc[i]
+		}
+	})
+	return dst
+}
+
+// growIdx returns s with length n, reallocating only when capacity is
 // short; the contents are unspecified.
-func growPoints(s geom.PointCloud, n int) geom.PointCloud {
+func growIdx(s []int32, n int) []int32 {
 	if cap(s) < n {
-		return make(geom.PointCloud, n)
+		return make([]int32, n)
 	}
 	return s[:n]
 }
 
 // splitPoints classifies the cloud into dense and sparse index sets, either
-// by clustering or by the manual nearest-fraction split of Figure 10. The
-// returned slices live in the encoder's scratch.
-func (e *Encoder) splitPoints(pc geom.PointCloud, opts Options) (dense, sparseIdx []int32) {
-	dense, sparseIdx = e.denseIdx[:0], e.sparseIdx[:0]
+// by clustering or by the manual nearest-fraction split of Figure 10. min
+// is the componentwise minimum of pc. The returned slices live in the
+// encoder's scratch.
+func (e *Encoder) splitPoints(pc geom.PointCloud, min geom.Point, opts Options) (dense, sparseIdx []int32) {
 	if f := opts.ForceOctreeFraction; f >= 0 {
 		if f > 1 {
 			f = 1
@@ -476,7 +483,7 @@ func (e *Encoder) splitPoints(pc geom.PointCloud, opts Options) (dense, sparseId
 		cut := int(math.Round(f * float64(len(pc))))
 		return order[:cut], order[cut:]
 	}
-	params := cluster.Params{Q: opts.Q, K: opts.K, MinPts: opts.MinPts, Parallel: opts.Parallel}
+	params := cluster.Params{Q: opts.Q, K: opts.K, MinPts: opts.MinPts}
 	if params.K <= 0 {
 		params.K = 10
 	}
@@ -484,15 +491,33 @@ func (e *Encoder) splitPoints(pc geom.PointCloud, opts Options) (dense, sparseId
 	if opts.ExactClustering {
 		res = cluster.CellBased(pc, params)
 	} else {
-		res = cluster.Approximate(pc, params)
+		res = cluster.Approximate(pc, min, params)
 	}
-	for i, d := range res.Dense {
-		if d {
-			dense = append(dense, int32(i))
-		} else {
-			sparseIdx = append(sparseIdx, int32(i))
+	// Both lists ascend: count the dense points of each chunk, then write
+	// the chunks at the prefix of those counts.
+	isDense := res.Dense
+	before := par.Offsets(len(pc), splitGrain, func(lo, hi int) (n int) {
+		for _, d := range isDense[lo:hi] {
+			if d {
+				n++
+			}
 		}
-	}
+		return n
+	})
+	nDense := before[len(before)-1]
+	dense, sparseIdx = growIdx(e.denseIdx, nDense), growIdx(e.sparseIdx, len(pc)-nDense)
+	par.Chunks(len(pc), splitGrain, func(c, lo, hi int) {
+		d, s := before[c], lo-before[c]
+		for i := lo; i < hi; i++ {
+			if isDense[i] {
+				dense[d] = int32(i)
+				d++
+			} else {
+				sparseIdx[s] = int32(i)
+				s++
+			}
+		}
+	})
 	e.denseIdx, e.sparseIdx = dense, sparseIdx
 	return dense, sparseIdx
 }
@@ -502,20 +527,20 @@ func (e *Encoder) splitPoints(pc geom.PointCloud, opts Options) (dense, sparseId
 // replays the codec choice on the real per-stream data of a frame.
 func SplitPoints(pc geom.PointCloud, opts Options) (dense, sparseIdx []int32) {
 	var e Encoder
-	d, s := e.splitPoints(pc, opts)
-	return append([]int32(nil), d...), append([]int32(nil), s...)
+	_, bounds := scanPoints(pc, math.Inf(1))
+	return e.splitPoints(pc, bounds.Min, opts)
 }
 
 func encodeOutliers(pts geom.PointCloud, opts Options) ([]byte, []int, error) {
 	switch opts.OutlierMode {
 	case OutlierQuadtree:
-		enc, err := outlier.EncodeWith(pts, opts.Q, outlier.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack, Parallel: opts.Parallel})
+		enc, err := outlier.EncodeWith(pts, opts.Q, outlier.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack})
 		if err != nil {
 			return nil, nil, err
 		}
 		return enc.Data, enc.DecodedOrder, nil
 	case OutlierOctree:
-		enc, err := octree.EncodeWith(pts, opts.Q, octree.EncodeOptions{Parallel: opts.Parallel, Shards: opts.Shards, BlockPack: opts.BlockPack, Context: opts.ContextModel})
+		enc, err := octree.EncodeWith(pts, opts.Q, octree.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack, Context: opts.ContextModel})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -555,53 +580,62 @@ func finiteNorm(p geom.Point) bool {
 	return !math.IsNaN(n2) && !math.IsInf(n2, 0)
 }
 
-// firstRefused returns the lowest index of a point Compress refuses — a
+// scanPoints is the one pass Compress makes over the raw cloud before
+// clustering. It returns the lowest index of a point Compress refuses — a
 // NaN or infinite coordinate, finite coordinates whose squared norm
 // overflows, or a coordinate beyond limit in magnitude — or -1 if there is
-// none. With parallel set the scan is chunked across goroutines; the
-// reported index is deterministic either way.
-func firstRefused(pc geom.PointCloud, limit float64, parallel bool) int {
-	// NaN fails every comparison, so the negated form catches it.
-	refused := func(p geom.Point) bool {
-		return !(math.Abs(p.X) <= limit && math.Abs(p.Y) <= limit && math.Abs(p.Z) <= limit) || !finiteNorm(p)
+// none, and the bounding box of the cloud, which means nothing if a point
+// was refused (a NaN coordinate fails every comparison and is skipped).
+func scanPoints(pc geom.PointCloud, limit float64) (bad int, bounds geom.AABB) {
+	if len(pc) == 0 {
+		return -1, bounds
 	}
-	const minChunk = 1 << 15
-	workers := runtime.GOMAXPROCS(0)
-	if !parallel || workers < 2 || len(pc) < 2*minChunk {
-		for i, p := range pc {
-			if refused(p) {
-				return i
+	type found struct {
+		bad      int
+		min, max geom.Point
+	}
+	chunks := make([]found, par.NumChunks(len(pc), scanGrain))
+	par.Chunks(len(pc), scanGrain, func(c, lo, hi int) {
+		f := found{bad: -1, min: pc[lo], max: pc[lo]}
+		for i := lo; i < hi; i++ {
+			p := pc[i]
+			// NaN fails every comparison, so the negated form catches it.
+			if f.bad < 0 && (!(math.Abs(p.X) <= limit && math.Abs(p.Y) <= limit && math.Abs(p.Z) <= limit) || !finiteNorm(p)) {
+				f.bad = i
 			}
+			f.min.X, f.max.X = lower(f.min.X, p.X), upper(f.max.X, p.X)
+			f.min.Y, f.max.Y = lower(f.min.Y, p.Y), upper(f.max.Y, p.Y)
+			f.min.Z, f.max.Z = lower(f.min.Z, p.Z), upper(f.max.Z, p.Z)
 		}
-		return -1
-	}
-	if max := (len(pc) + minChunk - 1) / minChunk; workers > max {
-		workers = max
-	}
-	firsts := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			firsts[w] = -1
-			lo, hi := len(pc)*w/workers, len(pc)*(w+1)/workers
-			for i := lo; i < hi; i++ {
-				if refused(pc[i]) {
-					firsts[w] = i
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+		chunks[c] = f
+	})
 	// Chunks cover ascending ranges, so the first hit is the lowest index.
-	for _, i := range firsts {
-		if i >= 0 {
-			return i
+	bad, bounds = -1, geom.AABB{Min: chunks[0].min, Max: chunks[0].max}
+	for _, f := range chunks {
+		if bad < 0 {
+			bad = f.bad
 		}
+		bounds.Min = geom.Point{X: lower(bounds.Min.X, f.min.X), Y: lower(bounds.Min.Y, f.min.Y), Z: lower(bounds.Min.Z, f.min.Z)}
+		bounds.Max = geom.Point{X: upper(bounds.Max.X, f.max.X), Y: upper(bounds.Max.Y, f.max.Y), Z: upper(bounds.Max.Z, f.max.Z)}
 	}
-	return -1
+	return bad, bounds
+}
+
+// lower and upper are min and max by one plain compare: math.Min and
+// math.Max order zeros and propagate NaN, neither of which a bounding box
+// of finite points needs, and cost several times as much.
+func lower(a, b float64) float64 {
+	if b < a {
+		return b
+	}
+	return a
+}
+
+func upper(a, b float64) float64 {
+	if b > a {
+		return b
+	}
+	return a
 }
 
 func appendFloat32(dst []byte, f float32) []byte {

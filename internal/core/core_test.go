@@ -9,6 +9,7 @@ import (
 
 	"dbgc/internal/geom"
 	"dbgc/internal/lidar"
+	"dbgc/internal/par/partest"
 )
 
 var (
@@ -282,27 +283,27 @@ func TestStraysBeyondClusterKeyRange(t *testing.T) {
 
 // TestRejectsOverflowingNorm: a finite coordinate whose squared norm
 // overflows used to compress without error into a frame Decompress
-// rejected ("invalid rMax +Inf"). The pre-scan refuses it, on the serial
-// and on the chunked scan, and a stray that does not overflow still
-// round-trips.
+// rejected ("invalid rMax +Inf"). The pre-scan refuses it, at one worker
+// and at four, and a stray that does not overflow still round-trips.
 func TestRejectsOverflowingNorm(t *testing.T) {
 	city := frame(t, lidar.City)
-	for _, parallel := range []bool{false, true} {
-		opts := DefaultOptions(0.02)
-		opts.Parallel = parallel
-		for _, bad := range []geom.Point{{X: 1e300}, {Y: -1e200}, {X: 1e154, Z: 1e154}} {
-			pc := append(append(geom.PointCloud(nil), city...), bad)
-			_, _, err := Compress(pc, opts)
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("point %d ", len(city))) {
-				t.Errorf("parallel=%v: point %v: got error %v, want one naming point %d", parallel, bad, err, len(city))
+	for _, procs := range []int{1, 4} {
+		partest.At(procs, func() {
+			opts := DefaultOptions(0.02)
+			for _, bad := range []geom.Point{{X: 1e300}, {Y: -1e200}, {X: 1e154, Z: 1e154}} {
+				pc := append(append(geom.PointCloud(nil), city...), bad)
+				_, _, err := Compress(pc, opts)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("point %d ", len(city))) {
+					t.Errorf("GOMAXPROCS=%d: point %v: got error %v, want one naming point %d", procs, bad, err, len(city))
+				}
 			}
-		}
-		pc := append(append(geom.PointCloud(nil), city...), geom.Point{X: 1e9})
-		data, stats, err := Compress(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifyRoundTrip(t, pc, data, stats, 0.02)
+			pc := append(append(geom.PointCloud(nil), city...), geom.Point{X: 1e9})
+			data, stats, err := Compress(pc, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verifyRoundTrip(t, pc, data, stats, 0.02)
+		})
 	}
 }
 
@@ -315,25 +316,26 @@ func TestCoordinateLimit(t *testing.T) {
 	city := frame(t, lidar.City)
 	for _, q := range []float64{0.001, 0.02, 0.1} {
 		limit := q * (1 << 48)
-		for _, parallel := range []bool{false, true} {
-			opts := DefaultOptions(q)
-			opts.Parallel = parallel
-			for _, stray := range []geom.Point{{X: limit}, {Z: -limit}, {X: -limit, Y: limit / 2, Z: limit / 4}} {
-				pc := append(append(geom.PointCloud(nil), city...), stray)
-				data, stats, err := Compress(pc, opts)
-				if err != nil {
-					t.Fatalf("q=%v parallel=%v stray %v at the limit: %v", q, parallel, stray, err)
+		for _, procs := range []int{1, 4} {
+			partest.At(procs, func() {
+				opts := DefaultOptions(q)
+				for _, stray := range []geom.Point{{X: limit}, {Z: -limit}, {X: -limit, Y: limit / 2, Z: limit / 4}} {
+					pc := append(append(geom.PointCloud(nil), city...), stray)
+					data, stats, err := Compress(pc, opts)
+					if err != nil {
+						t.Fatalf("q=%v GOMAXPROCS=%d stray %v at the limit: %v", q, procs, stray, err)
+					}
+					verifyRoundTrip(t, pc, data, stats, q)
 				}
-				verifyRoundTrip(t, pc, data, stats, q)
-			}
-			beyond := math.Nextafter(limit, math.Inf(1))
-			for _, stray := range []geom.Point{{Y: beyond}, {X: 1, Y: 2, Z: -beyond}} {
-				pc := append(append(geom.PointCloud(nil), city...), stray)
-				_, _, err := Compress(pc, opts)
-				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("point %d ", len(city))) {
-					t.Errorf("q=%v parallel=%v stray %v beyond the limit: got error %v, want one naming point %d", q, parallel, stray, err, len(city))
+				beyond := math.Nextafter(limit, math.Inf(1))
+				for _, stray := range []geom.Point{{Y: beyond}, {X: 1, Y: 2, Z: -beyond}} {
+					pc := append(append(geom.PointCloud(nil), city...), stray)
+					_, _, err := Compress(pc, opts)
+					if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("point %d ", len(city))) {
+						t.Errorf("q=%v GOMAXPROCS=%d stray %v beyond the limit: got error %v, want one naming point %d", q, procs, stray, err, len(city))
+					}
 				}
-			}
+			})
 		}
 	}
 }

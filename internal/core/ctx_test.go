@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -11,10 +10,9 @@ import (
 
 // TestContextModelEquivalence is the v5 contract: across the dialect matrix
 // (shards × blockpack), a ContextModel frame decodes to exactly the points
-// of the plain frame, serial and parallel encodes are byte-identical, the
-// container carries version 5 with the right dialect byte, and the
-// per-stream size guard keeps the frame from ever growing past the marker
-// overhead.
+// of the plain frame, the container carries version 5 with the right
+// dialect byte, and the per-stream size guard keeps the frame from ever
+// growing past the marker overhead.
 func TestContextModelEquivalence(t *testing.T) {
 	pc := frame(t, lidar.City)
 	plainData, _, err := Compress(pc, DefaultOptions(0.02))
@@ -43,14 +41,6 @@ func TestContextModelEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Parallel = true
-			parallel, _, err := Compress(pc, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial, parallel) {
-				t.Fatal("parallel context encode differs from serial")
-			}
 			if serial[len(magic)] != version5 {
 				t.Fatalf("context container has version %d, want %d", serial[len(magic)], version5)
 			}
@@ -73,14 +63,12 @@ func TestContextModelEquivalence(t *testing.T) {
 			if len(stats.Mapping) != len(pc) {
 				t.Fatalf("mapping has %d entries, want %d", len(stats.Mapping), len(pc))
 			}
-			for _, par := range []bool{false, true} {
-				got, err := DecompressWith(serial, DecompressOptions{Parallel: par})
-				if err != nil {
-					t.Fatalf("decode (parallel=%v): %v", par, err)
-				}
-				if !cloudsEqual(want, got) {
-					t.Fatalf("decode (parallel=%v) differs from legacy decode", par)
-				}
+			got, err := Decompress(serial)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !cloudsEqual(want, got) {
+				t.Fatal("decode differs from legacy decode")
 			}
 			lay, err := Inspect(serial)
 			if err != nil {

@@ -7,12 +7,12 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
-	"sync"
 
 	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
 	"dbgc/internal/octree"
 	"dbgc/internal/outlier"
+	"dbgc/internal/par"
 	"dbgc/internal/sparse"
 	"dbgc/internal/varint"
 )
@@ -33,16 +33,11 @@ var ErrLimit = declimits.ErrLimit
 // real LiDAR frame while bounding hostile input.
 func DefaultDecodeLimits() DecodeLimits { return declimits.DefaultLimits() }
 
-// DecompressOptions configures decoding. The zero value decodes serially
-// with no resource limits.
+// DecompressOptions configures decoding. The zero value decodes with no
+// resource limits.
 type DecompressOptions struct {
-	// Parallel decodes the dense, sparse, and outlier sections — and the
-	// radial groups within the sparse section — on separate goroutines.
-	// Each section is an independently entropy-coded stream, so the output
-	// is point-identical to serial decoding.
-	Parallel bool
-	// Limits bounds the decode. Sections decoding in parallel share one
-	// budget, so the caps hold for the frame as a whole.
+	// Limits bounds the decode. The sections, which decode side by side,
+	// share one budget, so the caps hold for the frame as a whole.
 	Limits DecodeLimits
 }
 
@@ -215,7 +210,7 @@ func DecompressWith(data []byte, opts DecompressOptions) (geom.PointCloud, error
 			return nil, err
 		}
 	}
-	buf, pts, errs := decodeSections(c, opts, b, false)
+	buf, pts, errs := decodeSections(c, b, false)
 	for id, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", SectionID(id), err)
@@ -258,7 +253,7 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 			c.sec[id].payload = nil
 		}
 	}
-	buf, pts, errs := decodeSections(c, opts, b, true)
+	buf, pts, errs := decodeSections(c, b, true)
 	for id := range reports {
 		if errs[id] != nil {
 			if reports[id].Err == nil {
@@ -276,27 +271,28 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 	return buf.Join(pts[:]...), reports, nil
 }
 
-// decodeSections decodes the three sections of a parsed frame, in parallel
-// when requested, charging b throughout. salvage lets the sparse decoder
-// skip CRC-condemned radial groups of a v3 stream instead of failing the
-// section (DecompressPartial's group-level recovery). The sections decode
-// into consecutive windows of buf, one slice sized from the point counts
+// decodeSections decodes the three sections of a parsed frame through
+// par.Each — each is an independently entropy-coded stream — charging b
+// throughout. salvage lets the sparse decoder skip CRC-condemned radial
+// groups of a v3 stream instead of failing the section (DecompressPartial's
+// group-level recovery). The sections decode into consecutive windows of buf, one slice sized from the point counts
 // their headers declare, so buf.Join(pts...) of intact sections is buf
 // itself, every point written once.
-func decodeSections(c container, opts DecompressOptions, b *declimits.Budget, salvage bool) (buf geom.PointCloud, pts [numSections]geom.PointCloud, errs [numSections]error) {
+func decodeSections(c container, b *declimits.Budget, salvage bool) (buf geom.PointCloud, pts [numSections]geom.PointCloud, errs [numSections]error) {
 	// The container version (plus the v5 dialect byte), not the payload,
 	// selects the entropy dialect of the dense and outlier sections; sparse
 	// streams are self-flagged.
 	sharded, blockpacked, ctx := c.flags()
-	octOpts := octree.DecodeOptions{Budget: b, Sharded: sharded, BlockPack: blockpacked, Context: ctx, Parallel: opts.Parallel}
-	sparseOpts := sparse.DecodeOptions{Parallel: opts.Parallel, Budget: b, Salvage: salvage}
+	octOpts := octree.DecodeOptions{Budget: b, Sharded: sharded, BlockPack: blockpacked, Context: ctx}
+	sparseOpts := sparse.DecodeOptions{Budget: b, Salvage: salvage}
 
 	var offs [numSections + 1]uint64
 	offs[SectionDense+1] = octree.PointCount(c.sec[SectionDense].payload)
 	offs[SectionSparse+1] = offs[SectionSparse] + sparse.PointCount(c.sec[SectionSparse].payload)
 	offs[SectionOutlier+1] = offs[SectionOutlier] + outlierCount(c.sec[SectionOutlier].payload, c.mode)
 	buf = make(geom.PointCloud, 0, b.Prealloc(offs[numSections]))
-	decode := func(id SectionID) {
+	par.Each(int(numSections), func(i int) {
+		id := SectionID(i)
 		dst, data := buf.Window(offs[id], offs[id+1]-offs[id]), c.sec[id].payload
 		switch id {
 		case SectionDense:
@@ -306,25 +302,7 @@ func decodeSections(c container, opts DecompressOptions, b *declimits.Budget, sa
 		case SectionOutlier:
 			pts[id], errs[id] = decodeOutliers(dst, data, c.mode, octOpts)
 		}
-	}
-	if opts.Parallel {
-		var wg sync.WaitGroup
-		for _, id := range []SectionID{SectionDense, SectionOutlier} {
-			wg.Add(1)
-			go func(id SectionID) {
-				defer wg.Done()
-				decode(id)
-			}(id)
-		}
-		// The sparse section fans its radial groups out to further
-		// goroutines; decode it on this one.
-		decode(SectionSparse)
-		wg.Wait()
-	} else {
-		for id := SectionID(0); id < numSections; id++ {
-			decode(id)
-		}
-	}
+	})
 	return buf, pts, errs
 }
 
@@ -348,7 +326,7 @@ func decodeOutliers(dst geom.PointCloud, data []byte, mode OutlierMode, opts oct
 	defer declimits.Recover(&err, ErrCorrupt)
 	switch mode {
 	case OutlierQuadtree:
-		return outlier.DecodeInto(dst, data, outlier.DecodeOptions{Budget: opts.Budget, Sharded: opts.Sharded, BlockPack: opts.BlockPack, Parallel: opts.Parallel})
+		return outlier.DecodeInto(dst, data, outlier.DecodeOptions{Budget: opts.Budget, Sharded: opts.Sharded, BlockPack: opts.BlockPack})
 	case OutlierOctree:
 		return octree.DecodeInto(dst, data, opts)
 	case OutlierNone:

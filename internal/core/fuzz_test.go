@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dbgc/internal/geom"
+	"dbgc/internal/par/partest"
 )
 
 // FuzzDecompress drives the whole decode stack with mutated streams. Run
@@ -77,19 +78,22 @@ func FuzzDecompress(f *testing.F) {
 	}
 	f.Add(mut5b)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		dec, err := Decompress(b)
-		if err == nil && dec == nil {
-			t.Fatal("nil cloud with nil error")
-		}
-		// v3 containers route through the sharded decoders and the
-		// group-salvage partial path; neither may panic.
-		_, _ = DecompressWith(b, DecompressOptions{Parallel: true})
-		_, _, _ = DecompressPartial(b, DecompressOptions{})
-		// The query path decodes the same untrusted bytes; under limits it
-		// must stop at a charge, not at the allocator.
-		lim := DecompressOptions{Limits: DecodeLimits{MaxPoints: 1 << 20, MaxNodes: 1 << 22, MemBudget: 64 << 20}}
-		if reg, err := DecompressRegionWith(b, laneBox, lim); err == nil && len(reg) > 1<<20 {
-			t.Fatalf("region decode returned %d points past MaxPoints", len(reg))
+		for _, procs := range []int{1, 2} {
+			partest.At(procs, func() {
+				dec, err := Decompress(b)
+				if err == nil && dec == nil {
+					t.Fatal("nil cloud with nil error")
+				}
+				// v3 containers route through the sharded decoders and the
+				// group-salvage partial path; neither may panic.
+				_, _, _ = DecompressPartial(b, DecompressOptions{})
+				// The query path decodes the same untrusted bytes; under
+				// limits it must stop at a charge, not at the allocator.
+				lim := DecompressOptions{Limits: DecodeLimits{MaxPoints: 1 << 20, MaxNodes: 1 << 22, MemBudget: 64 << 20}}
+				if reg, err := DecompressRegionWith(b, laneBox, lim); err == nil && len(reg) > 1<<20 {
+					t.Fatalf("region decode returned %d points past MaxPoints", len(reg))
+				}
+			})
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 
 	"dbgc/internal/geom"
 	"dbgc/internal/lidar"
+	"dbgc/internal/par/partest"
 )
 
 // laneBox is the region the golden test (and the benchmark) queries.
@@ -34,8 +35,7 @@ func pointsSHA(pc geom.PointCloud) string {
 // TestCompressGolden pins, for two full frames under every container
 // dialect the codec emits by option (v2 default and exact clustering, v3
 // sharded, v5 context-modeled), the compressed bytes, the decoded points
-// (serial and parallel decode alike) and the points of a lane-box region
-// decode. The point hashes and the byte hashes of the context-modeled rows
+// and the points of a lane-box region decode, at GOMAXPROCS 1 and 4 alike. The point hashes and the byte hashes of the context-modeled rows
 // were recorded before the clustering window sums (PR 12), the arithmetic
 // coder and the decoders' memory handling (PR 13) were rewritten; they say
 // that a change kept every label, every coded symbol and every decoded
@@ -88,33 +88,33 @@ func TestCompressGolden(t *testing.T) {
 		pc := frame(t, g.kind) // layout 1, sensor seed 1
 		opts := DefaultOptions(0.02)
 		g.set(&opts)
-		var out []byte
-		for _, parallel := range []bool{false, true} {
-			opts.Parallel = parallel
-			var err error
-			if out, _, err = Compress(pc, opts); err != nil {
-				t.Fatal(err)
-			}
-			if got := sha(out); got != g.bytes {
-				t.Errorf("%s %s parallel=%v: %d bytes, sha256 %s, want %s", g.kind, g.name, parallel, len(out), got, g.bytes)
-			}
-			if len(out) > g.parentBytes {
-				t.Errorf("%s %s parallel=%v: %d bytes, larger than the %d before PR 14", g.kind, g.name, parallel, len(out), g.parentBytes)
-			}
-			back, err := DecompressWith(out, DecompressOptions{Parallel: parallel})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := pointsSHA(back); got != g.pts {
-				t.Errorf("%s %s parallel=%v: %d decoded points, sha256 %s, want %s", g.kind, g.name, parallel, len(back), got, g.pts)
-			}
-		}
-		lane, err := DecompressRegion(out, laneBox)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := pointsSHA(lane); got != g.lanePts {
-			t.Errorf("%s %s: %d lane-box points, sha256 %s, want %s", g.kind, g.name, len(lane), got, g.lanePts)
+		for _, procs := range []int{1, 4} {
+			partest.At(procs, func() {
+				out, _, err := Compress(pc, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sha(out); got != g.bytes {
+					t.Errorf("%s %s GOMAXPROCS=%d: %d bytes, sha256 %s, want %s", g.kind, g.name, procs, len(out), got, g.bytes)
+				}
+				if len(out) > g.parentBytes {
+					t.Errorf("%s %s GOMAXPROCS=%d: %d bytes, larger than the %d before PR 14", g.kind, g.name, procs, len(out), g.parentBytes)
+				}
+				back, err := Decompress(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := pointsSHA(back); got != g.pts {
+					t.Errorf("%s %s GOMAXPROCS=%d: %d decoded points, sha256 %s, want %s", g.kind, g.name, procs, len(back), got, g.pts)
+				}
+				lane, err := DecompressRegion(out, laneBox)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := pointsSHA(lane); got != g.lanePts {
+					t.Errorf("%s %s GOMAXPROCS=%d: %d lane-box points, sha256 %s, want %s", g.kind, g.name, procs, len(lane), got, g.lanePts)
+				}
+			})
 		}
 	}
 }
@@ -146,21 +146,23 @@ func TestDecodeGoldenVectors(t *testing.T) {
 		if data[4] != v.version {
 			t.Errorf("%s: container version %d, want %d", v.file, data[4], v.version)
 		}
-		for _, parallel := range []bool{false, true} {
-			back, err := DecompressWith(data, DecompressOptions{Parallel: parallel})
-			if err != nil {
-				t.Fatalf("%s parallel=%v: %v", v.file, parallel, err)
-			}
-			if got := pointsSHA(back); len(back) != 4972 || got != pts {
-				t.Errorf("%s parallel=%v: %d decoded points, sha256 %s, want 4972, %s", v.file, parallel, len(back), got, pts)
-			}
-		}
-		lane, err := DecompressRegion(data, laneBox)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := pointsSHA(lane); len(lane) != 926 || got != lanePts {
-			t.Errorf("%s: %d lane-box points, sha256 %s, want 926, %s", v.file, len(lane), got, lanePts)
+		for _, procs := range []int{1, 4} {
+			partest.At(procs, func() {
+				back, err := Decompress(data)
+				if err != nil {
+					t.Fatalf("%s GOMAXPROCS=%d: %v", v.file, procs, err)
+				}
+				if got := pointsSHA(back); len(back) != 4972 || got != pts {
+					t.Errorf("%s GOMAXPROCS=%d: %d decoded points, sha256 %s, want 4972, %s", v.file, procs, len(back), got, pts)
+				}
+				lane, err := DecompressRegion(data, laneBox)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := pointsSHA(lane); len(lane) != 926 || got != lanePts {
+					t.Errorf("%s GOMAXPROCS=%d: %d lane-box points, sha256 %s, want 926, %s", v.file, procs, len(lane), got, lanePts)
+				}
+			})
 		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"dbgc/internal/geom"
 	"dbgc/internal/lidar"
+	"dbgc/internal/octree"
 	"dbgc/internal/varint"
 )
 
@@ -214,4 +215,23 @@ func cloudsEqual(a, b geom.PointCloud) bool {
 		}
 	}
 	return true
+}
+
+// TestRawOutlierCountOverflow: a header count chosen so 12*n wraps uint64
+// must be rejected, not used as an allocation size.
+func TestRawOutlierCountOverflow(t *testing.T) {
+	// n = 2^62 + 1 makes 12*n ≡ 12 (mod 2^64), matching a 12-byte payload.
+	n := uint64(1)<<62 + 1
+	data := varint.AppendUint(nil, n)
+	data = append(data, make([]byte, 12)...)
+	if _, err := decodeOutliers(nil, data, OutlierNone, octree.DecodeOptions{}); err == nil {
+		t.Fatal("wrapped outlier count accepted")
+	}
+	// Sanity: the bound still admits a correct stream.
+	good := varint.AppendUint(nil, 1)
+	good = append(good, make([]byte, 12)...)
+	pts, err := decodeOutliers(nil, good, OutlierNone, octree.DecodeOptions{})
+	if err != nil || len(pts) != 1 {
+		t.Fatalf("valid raw outlier section rejected: %v", err)
+	}
 }

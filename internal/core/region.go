@@ -6,6 +6,7 @@ import (
 
 	"dbgc/internal/geom"
 	"dbgc/internal/octree"
+	"dbgc/internal/par"
 	"dbgc/internal/sparse"
 )
 
@@ -36,24 +37,26 @@ func DecompressRegionWith(data []byte, region geom.AABB, opts DecompressOptions)
 	}
 
 	sharded, blockpacked, ctx := c.flags()
-	octOpts := octree.DecodeOptions{Budget: b, Sharded: sharded, BlockPack: blockpacked, Context: ctx, Parallel: opts.Parallel}
-	out, err := octree.DecodeRegionWith(c.sec[SectionDense].payload, region, octOpts)
-	if err != nil {
-		return nil, fmt.Errorf("core: dense: %w", err)
-	}
-
+	octOpts := octree.DecodeOptions{Budget: b, Sharded: sharded, BlockPack: blockpacked, Context: ctx}
 	// Sparse groups: [rLo, rHi] of the box from the sensor decides which
 	// groups can contribute.
 	rLo, rHi := regionRadialRange(region)
-	sparsePts, err := sparse.DecodeRadialRange(c.sec[SectionSparse].payload, rLo, rHi, sparse.DecodeOptions{Parallel: opts.Parallel, Budget: b})
-	if err != nil {
-		return nil, fmt.Errorf("core: sparse: %w", err)
+	var pts [numSections]geom.PointCloud
+	var errs [numSections]error
+	par.Do(func() {
+		pts[SectionDense], errs[SectionDense] = octree.DecodeRegionWith(c.sec[SectionDense].payload, region, octOpts)
+	}, func() {
+		pts[SectionSparse], errs[SectionSparse] = sparse.DecodeRadialRange(c.sec[SectionSparse].payload, rLo, rHi, sparse.DecodeOptions{Budget: b})
+	}, func() {
+		pts[SectionOutlier], errs[SectionOutlier] = decodeOutliers(nil, c.sec[SectionOutlier].payload, c.mode, octOpts)
+	})
+	for id, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("core: %s: %w", SectionID(id), err)
+		}
 	}
-	outlierPts, err := decodeOutliers(nil, c.sec[SectionOutlier].payload, c.mode, octOpts)
-	if err != nil {
-		return nil, fmt.Errorf("core: outliers: %w", err)
-	}
-	for _, pts := range []geom.PointCloud{sparsePts, outlierPts} {
+	out := pts[SectionDense]
+	for _, pts := range pts[SectionSparse:] {
 		for _, p := range pts {
 			if region.Contains(p) {
 				out = append(out, p)

@@ -12,9 +12,8 @@ import (
 )
 
 // TestShardedEquivalence is the shard-count equivalence contract: for every
-// shard count, serial and parallel encodes produce the same bytes, serial
-// and parallel decodes produce the same points, and those points equal the
-// legacy (unsharded) decode exactly. The compressed size must stay within
+// shard count the decoded points equal the legacy (unsharded) decode
+// exactly. The compressed size must stay within
 // ±0.5% of the legacy container.
 func TestShardedEquivalence(t *testing.T) {
 	pc := frame(t, lidar.City)
@@ -31,17 +30,9 @@ func TestShardedEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			opts := DefaultOptions(0.02)
 			opts.Shards = shards
-			serial, _, err := Compress(pc, opts)
+			serial, stats, err := Compress(pc, opts)
 			if err != nil {
 				t.Fatal(err)
-			}
-			opts.Parallel = true
-			parallel, stats, err := Compress(pc, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial, parallel) {
-				t.Fatal("parallel sharded encode differs from serial")
 			}
 			if shards > 1 && serial[len(magic)] != version3 {
 				t.Fatalf("sharded container has version %d, want %d", serial[len(magic)], version3)
@@ -53,14 +44,12 @@ func TestShardedEquivalence(t *testing.T) {
 			if len(stats.Mapping) != len(pc) {
 				t.Fatalf("mapping has %d entries, want %d", len(stats.Mapping), len(pc))
 			}
-			for _, par := range []bool{false, true} {
-				got, err := DecompressWith(serial, DecompressOptions{Parallel: par})
-				if err != nil {
-					t.Fatalf("decode (parallel=%v): %v", par, err)
-				}
-				if !cloudsEqual(want, got) {
-					t.Fatalf("decode (parallel=%v) differs from legacy decode", par)
-				}
+			got, err := Decompress(serial)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !cloudsEqual(want, got) {
+				t.Fatal("decode differs from legacy decode")
 			}
 		})
 	}
@@ -174,29 +163,7 @@ func TestShardedPartialGroupSalvage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Locate the largest radial group inside the sparse payload and flip a
-	// byte in its middle — inside the group body, past its CRC, away from
-	// the group-length table so the section envelope still parses.
-	sp := c.sec[SectionSparse].payload
-	off, bestOff, bestLen := sparseHeaderLen(t, sp), 0, 0
-	rest := sp[off:]
-	for len(rest) > 0 {
-		glen, used, err := varint.Uint(rest)
-		if err != nil {
-			t.Fatal(err)
-		}
-		off += used
-		rest = rest[used:]
-		if int(glen) > bestLen {
-			bestLen, bestOff = int(glen), off
-		}
-		off += int(glen)
-		rest = rest[glen:]
-	}
-	if bestLen < 16 {
-		t.Fatalf("largest group is only %d bytes", bestLen)
-	}
-	sp[bestOff+bestLen/2] ^= 0xff
+	damageLargestGroup(t, c.sec[SectionSparse].payload)
 
 	part, reports, err := DecompressPartial(data, DecompressOptions{})
 	if err != nil {
@@ -222,14 +189,6 @@ func TestShardedPartialGroupSalvage(t *testing.T) {
 	}
 	if !cloudsEqual(full[len(full)-no:], part[len(part)-no:]) {
 		t.Fatal("outlier run differs after sparse group salvage")
-	}
-	// Parallel salvage must agree with serial salvage.
-	part2, _, err := DecompressPartial(data, DecompressOptions{Parallel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cloudsEqual(part, part2) {
-		t.Fatal("parallel partial decode differs from serial")
 	}
 }
 
@@ -273,4 +232,31 @@ func sparseHeaderLen(t *testing.T, sp []byte) int {
 		t.Fatal(err)
 	}
 	return u1 + 8 + u2
+}
+
+// damageLargestGroup locates the largest radial group inside the sparse
+// payload sp and flips a byte in its middle — inside the group body, past
+// its CRC, away from the group-length table so the section envelope still
+// parses.
+func damageLargestGroup(t *testing.T, sp []byte) {
+	t.Helper()
+	off, bestOff, bestLen := sparseHeaderLen(t, sp), 0, 0
+	rest := sp[off:]
+	for len(rest) > 0 {
+		glen, used, err := varint.Uint(rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off += used
+		rest = rest[used:]
+		if int(glen) > bestLen {
+			bestLen, bestOff = int(glen), off
+		}
+		off += int(glen)
+		rest = rest[glen:]
+	}
+	if bestLen < 16 {
+		t.Fatalf("largest group is only %d bytes", bestLen)
+	}
+	sp[bestOff+bestLen/2] ^= 0xff
 }

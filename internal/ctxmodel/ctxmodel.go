@@ -24,7 +24,8 @@
 //     surface orientation so geometrically equivalent codes share symbols.
 //
 // Context state is per-shard: every shard of a sharded stream restarts its
-// bank, so shard-parallel encode and decode stay byte-identical to serial.
+// bank, so shards encoding and decoding side by side write and read the
+// same bytes as one after the other.
 package ctxmodel
 
 import (

@@ -77,11 +77,7 @@ func TestOccRoundTrip(t *testing.T) {
 		occ := genOcc(rng, depth)
 		for _, f := range feats {
 			for _, shards := range []int{1, 4} {
-				stream := AppendOcc(nil, occ, depth, f, shards, false)
-				par := AppendOcc(nil, occ, depth, f, shards, true)
-				if !bytes.Equal(stream, par) {
-					t.Fatalf("depth %d feats %#x shards %d: parallel encode differs", depth, byte(f), shards)
-				}
+				stream := AppendOcc(nil, occ, depth, f, shards)
 				got, err := DecodeOcc(stream, len(occ), depth, nil)
 				if err != nil {
 					t.Fatalf("depth %d feats %#x shards %d: decode: %v", depth, byte(f), shards, err)
@@ -95,7 +91,7 @@ func TestOccRoundTrip(t *testing.T) {
 }
 
 func TestOccEmpty(t *testing.T) {
-	stream := AppendOcc(nil, nil, 0, DefaultFeatures, 1, false)
+	stream := AppendOcc(nil, nil, 0, DefaultFeatures, 1)
 	got, err := DecodeOcc(stream, 0, 0, nil)
 	if err != nil {
 		t.Fatalf("decode empty: %v", err)
@@ -107,7 +103,7 @@ func TestOccEmpty(t *testing.T) {
 
 func TestDecodeOccCorrupt(t *testing.T) {
 	occ := genOcc(rand.New(rand.NewSource(1)), 4)
-	stream := AppendOcc(nil, occ, 4, DefaultFeatures, 2, false)
+	stream := AppendOcc(nil, occ, 4, DefaultFeatures, 2)
 
 	if _, err := DecodeOcc(nil, len(occ), 4, nil); err == nil {
 		t.Error("empty stream: want error")
@@ -150,20 +146,14 @@ func TestIntsRoundTrip(t *testing.T) {
 			}
 		}
 		for _, shards := range []int{1, 3} {
-			stream := AppendIntsCtx(nil, vs, shards, false)
-			par := AppendIntsCtx(nil, vs, shards, true)
-			if !bytes.Equal(stream, par) {
-				t.Fatalf("n %d shards %d: parallel encode differs", n, shards)
+			stream := AppendIntsCtx(nil, vs, shards)
+			got, err := DecodeIntsCtx(stream, n, nil)
+			if err != nil {
+				t.Fatalf("n %d shards %d: %v", n, shards, err)
 			}
-			for _, pdec := range []bool{false, true} {
-				got, err := DecodeIntsCtx(stream, n, nil, pdec)
-				if err != nil {
-					t.Fatalf("n %d shards %d parallel %v: %v", n, shards, pdec, err)
-				}
-				for i := range vs {
-					if got[i] != vs[i] {
-						t.Fatalf("n %d shards %d: value %d = %d, want %d", n, shards, i, got[i], vs[i])
-					}
+			for i := range vs {
+				if got[i] != vs[i] {
+					t.Fatalf("n %d shards %d: value %d = %d, want %d", n, shards, i, got[i], vs[i])
 				}
 			}
 		}
@@ -172,14 +162,14 @@ func TestIntsRoundTrip(t *testing.T) {
 
 func TestDecodeIntsCorrupt(t *testing.T) {
 	vs := []int64{1, -2, 300, -40000, 5}
-	stream := AppendIntsCtx(nil, vs, 1, false)
+	stream := AppendIntsCtx(nil, vs, 1)
 	for l := 0; l < len(stream); l++ {
-		if _, err := DecodeIntsCtx(stream[:l], len(vs), nil, false); err == nil {
+		if _, err := DecodeIntsCtx(stream[:l], len(vs), nil); err == nil {
 			t.Errorf("truncated at %d: want error", l)
 		}
 	}
 	b := declimits.New(declimits.Limits{MaxContexts: 4})
-	if _, err := DecodeIntsCtx(stream, len(vs), b, false); err == nil {
+	if _, err := DecodeIntsCtx(stream, len(vs), b); err == nil {
 		t.Error("MaxContexts 4: want error")
 	}
 }
@@ -200,9 +190,9 @@ func TestBankSeeding(t *testing.T) {
 		for i, s := range syms {
 			vs[i] = int64(s - 128)
 		}
-		return AppendIntsCtx(nil, vs, 2, false)
+		return AppendIntsCtx(nil, vs, 2)
 	}()
-	got, err := DecodeIntsCtx(stream, len(syms), nil, false)
+	got, err := DecodeIntsCtx(stream, len(syms), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +209,14 @@ func TestBankSeeding(t *testing.T) {
 // contract).
 func TestBankPooling(t *testing.T) {
 	occ := genOcc(rand.New(rand.NewSource(5)), 5)
-	stream := AppendOcc(nil, occ, 5, DefaultFeatures, 2, false)
+	stream := AppendOcc(nil, occ, 5, DefaultFeatures, 2)
 	dst := make([]byte, 0, 2*len(stream))
 	// Warm the pools.
 	for i := 0; i < 3; i++ {
-		AppendOcc(dst[:0], occ, 5, DefaultFeatures, 2, false)
+		AppendOcc(dst[:0], occ, 5, DefaultFeatures, 2)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		AppendOcc(dst[:0], occ, 5, DefaultFeatures, 2, false)
+		AppendOcc(dst[:0], occ, 5, DefaultFeatures, 2)
 	})
 	// The shard framing allocates a few slice headers per encode; the
 	// bound is that models/tables (1KiB+ each) are NOT rebuilt: with 9

@@ -35,9 +35,9 @@ func magBucket(z uint64) int {
 
 // AppendIntsCtx appends the context-modeled zigzag coding of vs, sharded
 // into shards independently coded shards. The bytes depend only on
-// (vs, shards), never on parallel.
-func AppendIntsCtx(dst []byte, vs []int64, shards int, parallel bool) []byte {
-	return arith.AppendSharded(dst, len(vs), shards, parallel, func(lo, hi int, out []byte) []byte {
+// (vs, shards).
+func AppendIntsCtx(dst []byte, vs []int64, shards int) []byte {
+	return arith.AppendSharded(dst, len(vs), shards, func(lo, hi int, out []byte) []byte {
 		bank := GetBank(IntContexts, 256)
 		cont := arith.GetModel(256)
 		e := arith.GetEncoder()
@@ -69,9 +69,8 @@ func AppendIntsCtx(dst []byte, vs []int64, shards int, parallel bool) []byte {
 }
 
 // DecodeIntsCtx inverts AppendIntsCtx, decoding exactly n integers and
-// charging them (plus the context tables) against b. With parallel set the
-// shards decode concurrently.
-func DecodeIntsCtx(data []byte, n int, b *declimits.Budget, parallel bool) ([]int64, error) {
+// charging them (plus the context tables) against b.
+func DecodeIntsCtx(data []byte, n int, b *declimits.Budget) ([]int64, error) {
 	// +2 for the shared seeding model and the continuation model.
 	if err := b.Contexts(IntContexts+2, ModelBytes256); err != nil {
 		return nil, err
@@ -80,7 +79,7 @@ func DecodeIntsCtx(data []byte, n int, b *declimits.Budget, parallel bool) ([]in
 		return nil, err
 	}
 	out := make([]int64, n)
-	err := arith.DecodeSharded(data, n, b, parallel, func(_ int, shard []byte, lo, hi int) error {
+	err := arith.DecodeSharded(data, n, b, func(_ int, shard []byte, lo, hi int) error {
 		bank := GetBank(IntContexts, 256)
 		cont := arith.GetModel(256)
 		d := arith.GetDecoder(shard)

@@ -108,8 +108,8 @@ func (r *occReplay) observe(code byte) {
 // AppendOcc appends the context-modeled coding of the breadth-first
 // occupancy sequence occ (an octree of the given depth) under feats,
 // sharded into shards independently coded shards. The bytes depend only on
-// (occ, depth, feats, shards), never on parallel.
-func AppendOcc(dst, occ []byte, depth int, feats Features, shards int, parallel bool) []byte {
+// (occ, depth, feats, shards).
+func AppendOcc(dst, occ []byte, depth int, feats Features, shards int) []byte {
 	feats &= FeatAll
 	dst = append(dst, byte(feats))
 	dst = varint.AppendUint(dst, uint64(feats.Contexts()))
@@ -123,7 +123,7 @@ func AppendOcc(dst, occ []byte, depth int, feats Features, shards int, parallel 
 		r.observe(code)
 	}
 
-	dst = arith.AppendSharded(dst, len(occ), shards, parallel, func(lo, hi int, out []byte) []byte {
+	dst = arith.AppendSharded(dst, len(occ), shards, func(lo, hi int, out []byte) []byte {
 		bank := GetBank(feats.Contexts(), 256)
 		e := arith.GetEncoder()
 		for i := lo; i < hi; i++ {
@@ -144,9 +144,9 @@ func AppendOcc(dst, occ []byte, depth int, feats Features, shards int, parallel 
 
 // DecodeOcc inverts AppendOcc, decoding exactly n occupancy codes of a
 // depth-level octree and charging nodes and context-table memory against b.
-// Shards decode sequentially regardless of any parallel option: the
-// context replay threads structural state from each shard into the next
-// (see DESIGN.md §15), unlike the order-0 sharded streams.
+// Shards decode one after the other: the context replay threads structural
+// state from each shard into the next (see DESIGN.md §15), unlike the
+// order-0 sharded streams.
 func DecodeOcc(data []byte, n, depth int, b *declimits.Budget) ([]byte, error) {
 	if len(data) < 1 {
 		return nil, fmt.Errorf("%w: missing feature byte", ErrCorrupt)
@@ -176,7 +176,11 @@ func DecodeOcc(data []byte, n, depth int, b *declimits.Budget) ([]byte, error) {
 	defer putReplay(r)
 	bank := GetBank(feats.Contexts(), 256)
 	defer PutBank(bank)
-	err = arith.DecodeSharded(data, n, b, false, func(_ int, shard []byte, lo, hi int) error {
+	shards, err := arith.ParseShards(data, b)
+	if err != nil {
+		return nil, err
+	}
+	decodeShard := func(shard []byte, lo, hi int) error {
 		bank.Reset()
 		d := arith.GetDecoder(shard)
 		defer arith.PutDecoder(d)
@@ -194,9 +198,12 @@ func DecodeOcc(data []byte, n, depth int, b *declimits.Budget) ([]byte, error) {
 			r.observe(code)
 		}
 		return nil
-	})
-	if err != nil {
-		return nil, err
+	}
+	for i, shard := range shards {
+		lo, hi := arith.ShardRange(n, len(shards), i)
+		if err := decodeShard(shard, lo, hi); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }

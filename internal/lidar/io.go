@@ -1,7 +1,6 @@
 package lidar
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -25,25 +24,54 @@ func ReadBinWithIntensity(r io.Reader) (geom.PointCloud, []float32, error) {
 	return readBin(r, true)
 }
 
+// A .bin record is four little-endian float32s; records are converted a
+// block at a time.
+const (
+	binRecord = 16
+	binBlock  = 64 << 10
+)
+
+// binRecords returns the number of records r is about to deliver if r can
+// say — an in-memory reader by its Len, a regular file by its size — and
+// zero otherwise. It sizes the result once; the read does not rely on it.
+func binRecords(r io.Reader) int {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return r.Len() / binRecord
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return int(fi.Size() / binRecord)
+		}
+	}
+	return 0
+}
+
 func readBin(r io.Reader, withIntensity bool) (geom.PointCloud, []float32, error) {
-	br := bufio.NewReader(r)
-	var pc geom.PointCloud
+	n := binRecords(r)
+	pc := make(geom.PointCloud, 0, n)
 	var intens []float32
-	var rec [16]byte
+	if withIntensity {
+		intens = make([]float32, 0, n)
+	}
+	block := make([]byte, binBlock)
 	for {
-		_, err := io.ReadFull(br, rec[:])
-		if err == io.EOF {
+		got, err := io.ReadFull(r, block)
+		for rec := block[:got-got%binRecord]; len(rec) > 0; rec = rec[binRecord:] {
+			x := math.Float32frombits(binary.LittleEndian.Uint32(rec[0:]))
+			y := math.Float32frombits(binary.LittleEndian.Uint32(rec[4:]))
+			z := math.Float32frombits(binary.LittleEndian.Uint32(rec[8:]))
+			pc = append(pc, geom.Point{X: float64(x), Y: float64(y), Z: float64(z)})
+			if withIntensity {
+				intens = append(intens, math.Float32frombits(binary.LittleEndian.Uint32(rec[12:])))
+			}
+		}
+		switch {
+		case err == nil:
+		case (err == io.EOF || err == io.ErrUnexpectedEOF) && got%binRecord == 0:
+			// The input ended on a record boundary.
 			return pc, intens, nil
-		}
-		if err != nil {
+		default:
 			return nil, nil, fmt.Errorf("lidar: reading .bin record %d: %w", len(pc), err)
-		}
-		x := math.Float32frombits(binary.LittleEndian.Uint32(rec[0:]))
-		y := math.Float32frombits(binary.LittleEndian.Uint32(rec[4:]))
-		z := math.Float32frombits(binary.LittleEndian.Uint32(rec[8:]))
-		pc = append(pc, geom.Point{X: float64(x), Y: float64(y), Z: float64(z)})
-		if withIntensity {
-			intens = append(intens, math.Float32frombits(binary.LittleEndian.Uint32(rec[12:])))
 		}
 	}
 }
@@ -59,22 +87,29 @@ func WriteBinWithIntensity(w io.Writer, pc geom.PointCloud, intensity []float32)
 	if intensity != nil && len(intensity) != len(pc) {
 		return fmt.Errorf("lidar: %d intensities for %d points", len(intensity), len(pc))
 	}
-	bw := bufio.NewWriter(w)
-	var rec [16]byte
+	// A writer that can make room for the whole frame — a bytes.Buffer —
+	// does so once, not by doubling.
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(binRecord * len(pc))
+	}
+	block := make([]byte, 0, min(binBlock, binRecord*len(pc)))
 	for i, p := range pc {
-		binary.LittleEndian.PutUint32(rec[0:], math.Float32bits(float32(p.X)))
-		binary.LittleEndian.PutUint32(rec[4:], math.Float32bits(float32(p.Y)))
-		binary.LittleEndian.PutUint32(rec[8:], math.Float32bits(float32(p.Z)))
+		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(float32(p.X)))
+		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(float32(p.Y)))
+		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(float32(p.Z)))
 		var in float32
 		if intensity != nil {
 			in = intensity[i]
 		}
-		binary.LittleEndian.PutUint32(rec[12:], math.Float32bits(in))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return fmt.Errorf("lidar: writing .bin: %w", err)
+		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(in))
+		if len(block) == cap(block) || i == len(pc)-1 {
+			if _, err := w.Write(block); err != nil {
+				return fmt.Errorf("lidar: writing .bin: %w", err)
+			}
+			block = block[:0]
 		}
 	}
-	return bw.Flush()
+	return nil
 }
 
 // ReadBinFile reads a .bin frame from disk.

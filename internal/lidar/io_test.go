@@ -2,8 +2,16 @@ package lidar
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"dbgc/internal/geom"
 )
@@ -70,5 +78,141 @@ func TestBinFileRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadBinFile(dir + "/missing.bin"); err == nil {
 		t.Fatal("missing file read successfully")
+	}
+}
+
+// binCloud returns n points and intensities that survive a float32 round
+// trip exactly, and the .bin bytes they must be written as, built one
+// record at a time the way the format is defined.
+func binCloud(n int) (geom.PointCloud, []float32, []byte) {
+	pc := make(geom.PointCloud, n)
+	intens := make([]float32, n)
+	var want []byte
+	for i := range pc {
+		x, y, z := float32(i)*0.25, -float32(i)*0.5, float32(i%7)-3
+		pc[i] = geom.Point{X: float64(x), Y: float64(y), Z: float64(z)}
+		intens[i] = float32(i%256) / 255
+		for _, f := range []float32{x, y, z, intens[i]} {
+			want = binary.LittleEndian.AppendUint32(want, math.Float32bits(f))
+		}
+	}
+	return pc, intens, want
+}
+
+// plainReader hides everything but Read, so the reader has no Len.
+type plainReader struct{ r io.Reader }
+
+func (p plainReader) Read(b []byte) (int, error) { return p.r.Read(b) }
+
+// TestBinBlocks: clouds below, at and above the block size are written as
+// the same bytes the record-at-a-time format defines, with intensities and
+// without, and read back exactly from readers that can size themselves
+// (bytes.Reader, a file), that cannot, and that deliver a byte at a time.
+func TestBinBlocks(t *testing.T) {
+	const perBlock = binBlock / binRecord
+	for _, n := range []int{0, 1, perBlock - 1, perBlock, perBlock + 1, 3*perBlock + 17} {
+		pc, intens, want := binCloud(n)
+		var buf bytes.Buffer
+		if err := WriteBinWithIntensity(&buf, pc, intens); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("n=%d: WriteBinWithIntensity wrote other bytes than the format's", n)
+		}
+		buf.Reset()
+		if err := WriteBin(&buf, pc); err != nil {
+			t.Fatal(err)
+		}
+		zeroed := bytes.Clone(want)
+		for i := 12; i < len(zeroed); i += binRecord {
+			copy(zeroed[i:], []byte{0, 0, 0, 0})
+		}
+		if !bytes.Equal(buf.Bytes(), zeroed) {
+			t.Fatalf("n=%d: WriteBin wrote other bytes than the format's with zero intensity", n)
+		}
+
+		path := filepath.Join(t.TempDir(), "frame.bin")
+		if err := os.WriteFile(path, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		for name, r := range map[string]io.Reader{
+			"bytes.Reader": bytes.NewReader(want),
+			"file":         f,
+			"no Len":       plainReader{bytes.NewReader(want)},
+			"one byte":     iotest.OneByteReader(bytes.NewReader(want)),
+		} {
+			gotPC, gotIn, err := ReadBinWithIntensity(r)
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+			if len(gotPC) != n || len(gotIn) != n {
+				t.Fatalf("n=%d %s: read %d points, %d intensities", n, name, len(gotPC), len(gotIn))
+			}
+			for i := range pc {
+				if gotPC[i] != pc[i] || gotIn[i] != intens[i] {
+					t.Fatalf("n=%d %s: record %d is %v %v, want %v %v", n, name, i, gotPC[i], gotIn[i], pc[i], intens[i])
+				}
+			}
+		}
+		back, err := ReadBin(bytes.NewReader(want))
+		if err != nil || len(back) != n {
+			t.Fatalf("n=%d: ReadBin: %d points, %v", n, len(back), err)
+		}
+	}
+}
+
+// TestBinTornTail: an input that ends inside a record is an error naming
+// that record, wherever in the record and in the block it ends; one that
+// ends between records is a shorter cloud.
+func TestBinTornTail(t *testing.T) {
+	const perBlock = binBlock / binRecord
+	_, _, data := binCloud(perBlock + 2)
+	for _, records := range []int{0, 1, perBlock - 1, perBlock, perBlock + 1} {
+		for extra := 0; extra < binRecord; extra++ {
+			cut := data[:records*binRecord+extra]
+			for name, r := range map[string]io.Reader{
+				"bytes.Reader": bytes.NewReader(cut),
+				"no Len":       plainReader{bytes.NewReader(cut)},
+			} {
+				pc, err := ReadBin(r)
+				if extra == 0 {
+					if err != nil || len(pc) != records {
+						t.Fatalf("%s, %d whole records: %d points, %v", name, records, len(pc), err)
+					}
+					continue
+				}
+				if !errors.Is(err, io.ErrUnexpectedEOF) || pc != nil {
+					t.Fatalf("%s, %d records and %d bytes: %d points, error %v, want unexpected EOF", name, records, extra, len(pc), err)
+				}
+				if want := fmt.Sprintf("record %d:", records); !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s, %d records and %d bytes: error %q does not name %q", name, records, extra, err, want)
+				}
+			}
+		}
+	}
+	// A reader that fails mid-stream reports its own error, with the record.
+	boom := errors.New("boom")
+	_, err := ReadBin(io.MultiReader(bytes.NewReader(data[:40]), iotest.ErrReader(boom)))
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "record 2:") {
+		t.Fatalf("failing reader: error %v, want boom at record 2", err)
+	}
+}
+
+func BenchmarkBinCodec(b *testing.B) {
+	pc, _, _ := binCloud(115000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if err := WriteBin(&buf, pc); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := ReadBin(&buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

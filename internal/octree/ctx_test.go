@@ -1,7 +1,6 @@
 package octree
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -9,9 +8,8 @@ import (
 )
 
 // TestContextRoundTrip: the context-modeled occupancy dialect decodes to
-// the same geometry as the legacy stream across shard counts, serial and
-// parallel encodes are byte-identical, and the stream leads with a valid
-// method marker.
+// the same geometry as the legacy stream across shard counts, and the
+// stream leads with a valid method marker.
 func TestContextRoundTrip(t *testing.T) {
 	pc := randomCloud(60000, 120, 9)
 	const q = 0.02
@@ -31,29 +29,19 @@ func TestContextRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts.Parallel = true
-				par, err := EncodeWith(pc, q, opts)
+				got, err := DecodeWith(serial.Data, DecodeOptions{Sharded: shards > 1, Context: true})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("decode: %v", err)
 				}
-				if !bytes.Equal(serial.Data, par.Data) {
-					t.Fatal("parallel context encode differs from serial")
+				if len(got) != len(want) {
+					t.Fatalf("decoded %d points, want %d", len(got), len(want))
 				}
-				for _, pdec := range []bool{false, true} {
-					got, err := DecodeWith(serial.Data, DecodeOptions{Sharded: shards > 1, Context: true, Parallel: pdec})
-					if err != nil {
-						t.Fatalf("decode (parallel=%v): %v", pdec, err)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
 					}
-					if len(got) != len(want) {
-						t.Fatalf("decoded %d points, want %d", len(got), len(want))
-					}
-					for i := range got {
-						if got[i] != want[i] {
-							t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
-						}
-					}
-					checkErrorBound(t, pc, got, serial.DecodedOrder, q)
 				}
+				checkErrorBound(t, pc, got, serial.DecodedOrder, q)
 			})
 		}
 	}

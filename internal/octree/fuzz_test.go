@@ -47,7 +47,6 @@ func FuzzDecode(f *testing.F) {
 		// The v3/v4/v5 dialect flags are out of band, so every input is also
 		// fed through the sharded, blockpack, and context decoders.
 		_, _ = DecodeWith(b, DecodeOptions{Sharded: true})
-		_, _ = DecodeWith(b, DecodeOptions{Sharded: true, Parallel: true})
 		_, _ = DecodeWith(b, DecodeOptions{BlockPack: true})
 		_, _ = DecodeWith(b, DecodeOptions{Context: true})
 	})
@@ -94,7 +93,7 @@ func FuzzContextOctree(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _ = DecodeWith(b, DecodeOptions{Context: true})
-		_, _ = DecodeWith(b, DecodeOptions{Context: true, Sharded: true, Parallel: true})
+		_, _ = DecodeWith(b, DecodeOptions{Context: true, Sharded: true})
 		_, _ = DecodeGrouped(b)
 		_, _ = DecodeRegionWith(b, geom.AABB{Min: geom.Point{X: -5, Y: -5, Z: -5}, Max: geom.Point{X: 5, Y: 5, Z: 5}}, DecodeOptions{Context: true})
 	})

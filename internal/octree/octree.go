@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -72,7 +73,6 @@ type buildScratch struct {
 	next    []span
 	occ     []byte
 	counts  []uint64
-	codes   []byte  // per-span occupancy codes of the parallel pass
 	counts8 []int32 // per-span flattened [8]int32 child counts
 }
 
@@ -88,10 +88,6 @@ func grow[T any](s []T, n int) []T {
 
 // EncodeOptions tunes Encode.
 type EncodeOptions struct {
-	// Parallel shards the per-level occupancy construction across CPUs and
-	// runs the arithmetic coding passes concurrently. The stream is
-	// byte-identical to a serial encode with the same Shards value.
-	Parallel bool
 	// Shards splits the occupancy and count entropy streams into this many
 	// independently-coded shards (container v3). Values <= 1 keep the
 	// legacy single-coder streams, byte-identical to previous releases.
@@ -171,18 +167,18 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	header = varint.AppendUint(header, uint64(depth))
 
 	scratch := buildPool.Get().(*buildScratch)
-	occ, counts, order := buildAndSerialize(scratch, points, cube.Min, side, depth, opts.Parallel)
+	occ, counts, order := buildAndSerialize(scratch, points, cube.Min, side, depth)
 	enc.DecodedOrder = order
 
-	// The two output streams are independent; the occupancy and count
-	// coders run concurrently when parallelism is on, and each stream
-	// additionally splits into opts.Shards independent shards.
+	// The two output streams are independent, so the occupancy and count
+	// coders run side by side, and each stream additionally splits into
+	// opts.Shards independent shards.
 	entStart := time.Now()
 	var occStream, countStream []byte
 	encodeOcc := func() []byte {
 		var legacy []byte
 		if opts.sharded() {
-			legacy = arith.AppendCompressCodesSharded(nil, occ, 256, opts.Shards, opts.Parallel)
+			legacy = arith.AppendCompressCodesSharded(nil, occ, 256, opts.Shards)
 		} else {
 			legacy = arith.CompressBytes(occ)
 		}
@@ -193,7 +189,7 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 		// of the context-modeled and legacy codings wins. Ties go to
 		// legacy, so guarded output degenerates to exactly the v3/v4 bytes
 		// plus one marker.
-		ctx := ctxmodel.AppendOcc(make([]byte, 1, 64+len(legacy)), occ, depth, opts.ctxFeatures(), opts.Shards, opts.Parallel)
+		ctx := ctxmodel.AppendOcc(make([]byte, 1, 64+len(legacy)), occ, depth, opts.ctxFeatures(), opts.Shards)
 		if len(ctx) < len(legacy)+1 {
 			ctx[0] = occMethodCtx
 			return ctx
@@ -202,26 +198,17 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	}
 	encodeCounts := func() []byte {
 		if opts.BlockPack {
-			return blockpack.PackUint64Sharded(nil, counts, opts.Shards, opts.Parallel)
+			return blockpack.PackUint64Sharded(nil, counts, opts.Shards)
 		}
 		if opts.sharded() {
-			return arith.AppendCompressUintsSharded(nil, counts, opts.Shards, opts.Parallel)
+			return arith.AppendCompressUintsSharded(nil, counts, opts.Shards)
 		}
 		return arith.AppendCompressUints(nil, counts)
 	}
-	if opts.Parallel {
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			countStream = encodeCounts()
-		}()
-		occStream = encodeOcc()
-		wg.Wait()
-	} else {
-		occStream = encodeOcc()
-		countStream = encodeCounts()
-	}
+	par.Do(
+		func() { occStream = encodeOcc() },
+		func() { countStream = encodeCounts() },
+	)
 	enc.EntropyTime = time.Since(entStart)
 
 	out := header
@@ -254,7 +241,7 @@ func CollectCounts(points geom.PointCloud, q float64) ([]uint64, error) {
 		side = cube.MaxDim()
 	}
 	scratch := buildPool.Get().(*buildScratch)
-	_, counts, _ := buildAndSerialize(scratch, points, cube.Min, side, depth, false)
+	_, counts, _ := buildAndSerialize(scratch, points, cube.Min, side, depth)
 	out := append([]uint64(nil), counts...)
 	buildPool.Put(scratch)
 	return out, nil
@@ -278,7 +265,7 @@ func CollectOccupancy(points geom.PointCloud, q float64) ([]byte, int, error) {
 		side = cube.MaxDim()
 	}
 	scratch := buildPool.Get().(*buildScratch)
-	occ, _, _ := buildAndSerialize(scratch, points, cube.Min, side, depth, false)
+	occ, _, _ := buildAndSerialize(scratch, points, cube.Min, side, depth)
 	out := append([]byte(nil), occ...)
 	buildPool.Put(scratch)
 	return out, depth, nil
@@ -300,9 +287,9 @@ func depthFor(side, q float64) int {
 	return int(d)
 }
 
-// parallelLevelMin is the span count above which a level's occupancy pass
-// fans out; small top levels stay serial to skip the fork-join overhead.
-const parallelLevelMin = 16
+// levelGrain is the least number of points in a chunk of one level's split
+// pass: two passes over them, ~10 ns a point.
+const levelGrain = 1 << 14
 
 // buildAndSerialize performs the breadth-first construction on pooled
 // scratch, returning the occupancy code sequence, the per-leaf point counts
@@ -310,12 +297,14 @@ const parallelLevelMin = 16
 // alias the scratch and are only valid until it is returned to the pool;
 // order is freshly allocated (it leaves Encode as DecodedOrder).
 //
-// With parallel set, each level splits into a parallel occupancy pass —
-// every node's octant counts, point scatter, and code byte touch only that
-// node's range of the index arrays, so nodes shard freely — and a serial
-// stitch appending the per-node results to the occupancy sequence and next
-// level in node order. The output is identical to the serial construction.
-func buildAndSerialize(s *buildScratch, points geom.PointCloud, min geom.Point, side float64, depth int, parallel bool) (occ []byte, counts []uint64, order []int) {
+// Each level is a split pass over its nodes — every node's octant counts
+// and point scatter touch only that node's range of the index arrays, so
+// nodes shard freely — and a stitch appending the per-node results to the
+// occupancy sequence and next level in node order. The nodes of a level
+// tile the index arrays in order, so the pass is chunked by points, a node
+// going to the chunk its first point is in: equal shares of points are
+// equal shares of work, where equal shares of nodes are not.
+func buildAndSerialize(s *buildScratch, points geom.PointCloud, min geom.Point, side float64, depth int) (occ []byte, counts []uint64, order []int) {
 	n := len(points)
 	src := grow(s.idx[0], n)
 	dst := grow(s.idx[1], n)
@@ -350,58 +339,37 @@ func buildAndSerialize(s *buildScratch, points geom.PointCloud, min geom.Point, 
 	for d := 0; d < depth; d++ {
 		next := s.next[:0]
 		qh := half / 2
-		if parallel && len(s.cur) >= parallelLevelMin {
-			nodes := s.cur
-			cnts := grow(s.counts8, 8*len(nodes))
-			par.Chunks(len(nodes), func(w, lo, hi int) {
-				for k := lo; k < hi; k++ {
-					var count [8]int
-					splitNode(nodes[k], &count)
-					for c := 0; c < 8; c++ {
-						cnts[8*k+c] = int32(count[c])
-					}
-				}
-			})
-			s.counts8 = cnts
-			// Serial stitch: emit codes and child spans in node order.
-			for k, nd := range nodes {
-				off := nd.start
-				var code byte
-				for c := 0; c < 8; c++ {
-					cv := int(cnts[8*k+c])
-					if cv == 0 {
-						continue
-					}
-					code |= 1 << uint(c)
-					next = append(next, span{
-						start:  off,
-						end:    off + cv,
-						center: childCenter(nd.center, qh, c),
-					})
-					off += cv
-				}
-				s.occ = append(s.occ, code)
-			}
-		} else {
-			for _, nd := range s.cur {
+		nodes := s.cur
+		cnts := grow(s.counts8, 8*len(nodes))
+		par.Chunks(n, levelGrain, func(_, lo, hi int) {
+			k := sort.Search(len(nodes), func(k int) bool { return nodes[k].start >= lo })
+			for ; k < len(nodes) && nodes[k].start < hi; k++ {
 				var count [8]int
-				splitNode(nd, &count)
-				off := nd.start
-				var code byte
+				splitNode(nodes[k], &count)
 				for c := 0; c < 8; c++ {
-					if count[c] == 0 {
-						continue
-					}
-					code |= 1 << uint(c)
-					next = append(next, span{
-						start:  off,
-						end:    off + count[c],
-						center: childCenter(nd.center, qh, c),
-					})
-					off += count[c]
+					cnts[8*k+c] = int32(count[c])
 				}
-				s.occ = append(s.occ, code)
 			}
+		})
+		s.counts8 = cnts
+		// Stitch: emit codes and child spans in node order.
+		for k, nd := range nodes {
+			off := nd.start
+			var code byte
+			for c := 0; c < 8; c++ {
+				cv := int(cnts[8*k+c])
+				if cv == 0 {
+					continue
+				}
+				code |= 1 << uint(c)
+				next = append(next, span{
+					start:  off,
+					end:    off + cv,
+					center: childCenter(nd.center, qh, c),
+				})
+				off += cv
+			}
+			s.occ = append(s.occ, code)
 		}
 		s.next = s.cur[:0]
 		s.cur = next
@@ -470,10 +438,6 @@ type DecodeOptions struct {
 	// the shard framing (container v4). Implies the sharded framing for the
 	// occupancy stream.
 	BlockPack bool
-	// Parallel decodes the shards of a sharded stream concurrently. It has
-	// no effect on unsharded streams, and none on a context-coded
-	// occupancy stream (the context replay is sequential by construction).
-	Parallel bool
 	// Context declares that the occupancy stream starts with a one-byte
 	// method marker (container v5): occMethodLegacy keeps the dialect the
 	// other options select, occMethodCtx is the ctxmodel coding.
@@ -618,27 +582,32 @@ func decode(dst geom.PointCloud, data []byte, opts DecodeOptions, region *geom.A
 	s := decodePool.Get().(*decodeScratch)
 	defer decodePool.Put(s)
 
-	switch {
-	case st.ctxOcc:
-		s.occ, err = ctxmodel.DecodeOcc(st.occ, st.occLen, st.depth, b)
-	case opts.Sharded || opts.BlockPack:
-		s.occ, err = arith.DecompressCodesShardedLimited(st.occ, st.occLen, 256, b, opts.Parallel)
-	default:
-		s.occ, err = arith.AppendDecompressBytes(s.occ[:0], st.occ, st.occLen, b)
+	// The two streams are independent, like the coders that wrote them.
+	var occErr, countErr error
+	par.Do(func() {
+		switch {
+		case st.ctxOcc:
+			s.occ, occErr = ctxmodel.DecodeOcc(st.occ, st.occLen, st.depth, b)
+		case opts.Sharded || opts.BlockPack:
+			s.occ, occErr = arith.DecompressCodesShardedLimited(st.occ, st.occLen, 256, b)
+		default:
+			s.occ, occErr = arith.AppendDecompressBytes(s.occ[:0], st.occ, st.occLen, b)
+		}
+	}, func() {
+		switch {
+		case opts.BlockPack:
+			s.counts, countErr = blockpack.UnpackUint64Sharded(st.counts, st.countLen, b)
+		case opts.Sharded:
+			s.counts, countErr = arith.DecompressUintsShardedLimited(st.counts, st.countLen, b)
+		default:
+			s.counts, countErr = arith.AppendDecompressUints(s.counts[:0], st.counts, st.countLen, b)
+		}
+	})
+	if occErr != nil {
+		return nil, fmt.Errorf("octree: occupancy: %w", occErr)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("octree: occupancy: %w", err)
-	}
-	switch {
-	case opts.BlockPack:
-		s.counts, err = blockpack.UnpackUint64Sharded(st.counts, st.countLen, b, opts.Parallel)
-	case opts.Sharded:
-		s.counts, err = arith.DecompressUintsShardedLimited(st.counts, st.countLen, b, opts.Parallel)
-	default:
-		s.counts, err = arith.AppendDecompressUints(s.counts[:0], st.counts, st.countLen, b)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("octree: counts: %w", err)
+	if countErr != nil {
+		return nil, fmt.Errorf("octree: counts: %w", countErr)
 	}
 	if err := s.replay(st, region, b); err != nil {
 		return nil, err

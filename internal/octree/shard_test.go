@@ -7,8 +7,7 @@ import (
 )
 
 // TestShardedRoundTrip: sharded streams decode to the same geometry as the
-// legacy stream, serial and parallel encodes are byte-identical, and
-// Shards<=1 reproduces the legacy bytes exactly.
+// legacy stream, and Shards<=1 reproduces the legacy bytes exactly.
 func TestShardedRoundTrip(t *testing.T) {
 	pc := randomCloud(60000, 120, 3)
 	const q = 0.02
@@ -26,31 +25,22 @@ func TestShardedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := EncodeWith(pc, q, EncodeOptions{Shards: shards, Parallel: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial.Data, par.Data) {
-				t.Fatal("parallel sharded encode differs from serial")
-			}
 			if shards <= 1 && !bytes.Equal(serial.Data, legacy.Data) {
 				t.Fatal("Shards=1 stream differs from legacy stream")
 			}
-			for _, pdec := range []bool{false, true} {
-				got, err := DecodeWith(serial.Data, DecodeOptions{Sharded: shards > 1, Parallel: pdec})
-				if err != nil {
-					t.Fatalf("decode (parallel=%v): %v", pdec, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("decoded %d points, want %d", len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
-					}
-				}
-				checkErrorBound(t, pc, got, serial.DecodedOrder, q)
+			got, err := DecodeWith(serial.Data, DecodeOptions{Sharded: shards > 1})
+			if err != nil {
+				t.Fatalf("decode: %v", err)
 			}
+			if len(got) != len(want) {
+				t.Fatalf("decoded %d points, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
+				}
+			}
+			checkErrorBound(t, pc, got, serial.DecodedOrder, q)
 		})
 	}
 }

@@ -42,8 +42,6 @@ type EncodeOptions struct {
 	// blockpack codec in the shard framing (container v4). Off keeps v2/v3
 	// bytes unchanged.
 	BlockPack bool
-	// Parallel encodes the shards of a sharded stream concurrently.
-	Parallel bool
 }
 
 // Encode compresses the outlier points with per-dimension error bound q.
@@ -60,7 +58,7 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	for i, p := range points {
 		xy[i] = quadtree.Point2{X: p.X, Y: p.Y}
 	}
-	qt, err := quadtree.EncodeWith(xy, q, quadtree.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack, Parallel: opts.Parallel})
+	qt, err := quadtree.EncodeWith(xy, q, quadtree.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack})
 	if err != nil {
 		return Encoded{}, fmt.Errorf("outlier: quadtree: %w", err)
 	}
@@ -81,9 +79,9 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	}
 	var zStream []byte
 	if opts.BlockPack {
-		zStream = blockpack.PackInt64Sharded(nil, dz, opts.Shards, opts.Parallel)
+		zStream = blockpack.PackInt64Sharded(nil, dz, opts.Shards)
 	} else if opts.Shards > 1 {
-		zStream = arith.AppendCompressIntsSharded(nil, dz, opts.Shards, opts.Parallel)
+		zStream = arith.AppendCompressIntsSharded(nil, dz, opts.Shards)
 	} else {
 		zStream = arith.CompressInts(dz)
 	}
@@ -138,8 +136,6 @@ type DecodeOptions struct {
 	// BlockPack declares that the z-delta and quadtree count streams use
 	// the blockpack codec in the shard framing (container v4).
 	BlockPack bool
-	// Parallel decodes the shards of a sharded stream concurrently.
-	Parallel bool
 }
 
 // DecodeLimited is Decode charging decoded points and entropy symbols
@@ -203,7 +199,6 @@ func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (pc geom.P
 		Budget:    b,
 		Sharded:   opts.Sharded,
 		BlockPack: opts.BlockPack,
-		Parallel:  opts.Parallel,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("outlier: quadtree: %w", err)
@@ -218,9 +213,9 @@ func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (pc geom.P
 	}
 	var dz []int64
 	if opts.BlockPack {
-		dz, err = blockpack.UnpackInt64Sharded(data[:zLen], len(xy), b, opts.Parallel)
+		dz, err = blockpack.UnpackInt64Sharded(data[:zLen], len(xy), b)
 	} else if opts.Sharded {
-		dz, err = arith.DecompressIntsShardedLimited(data[:zLen], len(xy), b, opts.Parallel)
+		dz, err = arith.DecompressIntsShardedLimited(data[:zLen], len(xy), b)
 	} else {
 		dz, err = arith.DecompressIntsLimited(data[:zLen], len(xy), b)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dbgc/internal/geom"
+	"dbgc/internal/par/partest"
 )
 
 // referenceOrganize is Algorithm 1 with no index at all: seeds in (φ, θ, r,
@@ -219,7 +220,11 @@ func FuzzOrganizeMatchesReference(f *testing.F) {
 	for shape := uint8(0); shape < organizeShapes; shape++ {
 		f.Add(int64(shape), shape)
 	}
-	f.Fuzz(checkOrganizeMatchesReference)
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		for _, procs := range []int{1, 2} {
+			partest.At(procs, func() { checkOrganizeMatchesReference(t, seed, shape) })
+		}
+	})
 }
 
 // TestSortSeedsFallbackTieOrder covers the comparison-sort path of

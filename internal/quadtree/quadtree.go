@@ -46,8 +46,6 @@ type EncodeOptions struct {
 	// shard framing (container v4) and moves the occupancy stream into the
 	// sharded framing. Off keeps v2/v3 bytes unchanged.
 	BlockPack bool
-	// Parallel encodes the shards of a sharded stream concurrently.
-	Parallel bool
 }
 
 // Encode compresses the 2D points so each reconstructed coordinate is
@@ -170,11 +168,11 @@ func EncodeWith(points []Point2, q float64, opts EncodeOptions) (Encoded, error)
 
 	var occStream, countStream []byte
 	if opts.Shards > 1 || opts.BlockPack {
-		occStream = arith.AppendCompressCodesSharded(nil, occ, 16, opts.Shards, opts.Parallel)
+		occStream = arith.AppendCompressCodesSharded(nil, occ, 16, opts.Shards)
 		if opts.BlockPack {
-			countStream = blockpack.PackUint64Sharded(nil, counts, opts.Shards, opts.Parallel)
+			countStream = blockpack.PackUint64Sharded(nil, counts, opts.Shards)
 		} else {
-			countStream = arith.AppendCompressUintsSharded(nil, counts, opts.Shards, opts.Parallel)
+			countStream = arith.AppendCompressUintsSharded(nil, counts, opts.Shards)
 		}
 	} else {
 		occStream = compressCodes(occ)
@@ -228,8 +226,6 @@ type DecodeOptions struct {
 	// the shard framing (container v4). Implies the sharded framing for the
 	// occupancy stream.
 	BlockPack bool
-	// Parallel decodes the shards of a sharded stream concurrently.
-	Parallel bool
 }
 
 // DecodeLimited is Decode charging decoded points, occupancy symbols, and
@@ -294,9 +290,9 @@ func DecodeWith(data []byte, opts DecodeOptions) (pts []Point2, err error) {
 	}
 	var counts []uint64
 	if opts.BlockPack {
-		counts, err = blockpack.UnpackUint64Sharded(countStream, countLen, b, opts.Parallel)
+		counts, err = blockpack.UnpackUint64Sharded(countStream, countLen, b)
 	} else if opts.Sharded {
-		counts, err = arith.DecompressUintsShardedLimited(countStream, countLen, b, opts.Parallel)
+		counts, err = arith.DecompressUintsShardedLimited(countStream, countLen, b)
 	} else {
 		counts, err = arith.DecompressUintsLimited(countStream, countLen, b)
 	}
@@ -305,10 +301,10 @@ func DecodeWith(data []byte, opts DecodeOptions) (pts []Point2, err error) {
 	}
 	// Unsharded streams decode occupancy lazily, interleaved with the tree
 	// walk; sharded streams materialize the code sequence first (the shards
-	// decode independently, possibly in parallel) and the walk replays it.
+	// decode independently) and the walk replays it.
 	var decodeCode func(parent byte) (byte, error)
 	if opts.Sharded || opts.BlockPack {
-		occ, err := arith.DecompressCodesShardedLimited(occStream, occLen, 16, b, opts.Parallel)
+		occ, err := arith.DecompressCodesShardedLimited(occStream, occLen, 16, b)
 		if err != nil {
 			return nil, fmt.Errorf("quadtree: occupancy: %w", err)
 		}

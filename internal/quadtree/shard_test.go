@@ -7,8 +7,7 @@ import (
 )
 
 // TestShardedRoundTrip: sharded quadtree streams decode identically to the
-// legacy stream, parallel encode is deterministic, and Shards<=1 keeps the
-// legacy bytes.
+// legacy stream, and Shards<=1 keeps the legacy bytes.
 func TestShardedRoundTrip(t *testing.T) {
 	pts := randomPoints(50000, 160, 5)
 	const q = 0.02
@@ -26,31 +25,22 @@ func TestShardedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := EncodeWith(pts, q, EncodeOptions{Shards: shards, Parallel: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial.Data, par.Data) {
-				t.Fatal("parallel sharded encode differs from serial")
-			}
 			if shards <= 1 && !bytes.Equal(serial.Data, legacy.Data) {
 				t.Fatal("Shards=1 stream differs from legacy stream")
 			}
-			for _, pdec := range []bool{false, true} {
-				got, err := DecodeWith(serial.Data, DecodeOptions{Sharded: shards > 1, Parallel: pdec})
-				if err != nil {
-					t.Fatalf("decode (parallel=%v): %v", pdec, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("decoded %d points, want %d", len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
-					}
-				}
-				checkBound(t, pts, got, serial.DecodedOrder, q)
+			got, err := DecodeWith(serial.Data, DecodeOptions{Sharded: shards > 1})
+			if err != nil {
+				t.Fatalf("decode: %v", err)
 			}
+			if len(got) != len(want) {
+				t.Fatalf("decoded %d points, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
+				}
+			}
+			checkBound(t, pts, got, serial.DecodedOrder, q)
 		})
 	}
 }

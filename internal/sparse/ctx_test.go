@@ -1,15 +1,13 @@
 package sparse
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
 
 // TestContextRoundTrip: the v5 context dialect decodes identically to the
-// legacy section across the dialect matrix (shards × blockpack), parallel
-// encode stays deterministic, and the section never grows by more than the
-// per-group methods byte.
+// legacy section across the dialect matrix (shards × blockpack), and the
+// section never grows by more than the per-group methods byte.
 func TestContextRoundTrip(t *testing.T) {
 	pc, idx, meta := sparseFrame(t)
 	base := defaultOpts(meta)
@@ -36,14 +34,6 @@ func TestContextRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Parallel = true
-			par, err := Encode(pc, idx, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial.Data, par.Data) {
-				t.Fatal("parallel context encode differs from serial")
-			}
 			// Guard bound: one methods byte per group is the only overhead
 			// the dialect may add when every coder loses.
 			if len(serial.Data) > len(plain.Data)+opts.groups() {
@@ -51,21 +41,19 @@ func TestContextRoundTrip(t *testing.T) {
 					len(serial.Data), len(plain.Data), opts.groups())
 			}
 			t.Logf("section bytes: plain %d, ctx %d", len(plain.Data), len(serial.Data))
-			for _, pdec := range []bool{false, true} {
-				got, err := DecodeWith(serial.Data, DecodeOptions{Parallel: pdec})
-				if err != nil {
-					t.Fatalf("decode (parallel=%v): %v", pdec, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("decoded %d points, want %d", len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
-					}
-				}
-				verify(t, pc, serial, got, base.Q)
+			got, err := Decode(serial.Data)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
 			}
+			if len(got) != len(want) {
+				t.Fatalf("decoded %d points, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
+				}
+			}
+			verify(t, pc, serial, got, base.Q)
 		})
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"dbgc/internal/ctxmodel"
 	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
+	"dbgc/internal/par"
 	"dbgc/internal/polyline"
 	"dbgc/internal/varint"
 )
@@ -25,13 +26,9 @@ var ErrCorrupt = errors.New("sparse: corrupt stream")
 // streams) does not match its payload. It wraps ErrCorrupt.
 var ErrGroupCRC = fmt.Errorf("%w: group CRC mismatch", ErrCorrupt)
 
-// DecodeOptions configures decoding. The zero value decodes serially.
+// DecodeOptions configures decoding. The zero value decodes without
+// limits.
 type DecodeOptions struct {
-	// Parallel decodes the radial groups on separate goroutines — and the
-	// shards within each group of a sharded (v3) stream. Each group is an
-	// independently entropy-coded section, so the output is
-	// point-identical to serial decoding.
-	Parallel bool
 	// Budget, when non-nil, bounds decoded points, entropy symbols, and
 	// memory. It is safe to share with concurrently decoding sections.
 	Budget *declimits.Budget
@@ -49,7 +46,6 @@ type groupFlags struct {
 	sharded    bool
 	blockpack  bool
 	ctx        bool
-	parallel   bool
 }
 
 // Decode reconstructs the polyline points from a stream produced by
@@ -205,12 +201,11 @@ func (fr frame) groupPoints(group []byte) uint64 {
 }
 
 // decodeGroups decodes groups, a subset of fr.groups in stream order, and
-// appends their points to dst. Each group decodes into its own window of
-// one buffer sized from the group headers, on its own goroutine if
-// opts.Parallel is set; a group is an independently entropy-coded section,
-// so the output is point-identical either way.
+// appends their points to dst. Each group is an independently entropy-coded
+// section and decodes into its own window of one buffer sized from the
+// group headers, so the groups go through par.Workers: however many the
+// stream declares, at most GOMAXPROCS workers and scratches are in use.
 func (fr frame) decodeGroups(dst geom.PointCloud, groups [][]byte, opts DecodeOptions) (geom.PointCloud, error) {
-	fr.gf.parallel = opts.Parallel
 	offs := make([]uint64, len(groups)+1)
 	for gi, g := range groups {
 		offs[gi+1] = offs[gi] + fr.groupPoints(g)
@@ -218,29 +213,16 @@ func (fr frame) decodeGroups(dst geom.PointCloud, groups [][]byte, opts DecodeOp
 	dst = slices.Grow(dst, opts.Budget.Prealloc(offs[len(groups)]))
 	pts := make([]geom.PointCloud, len(groups))
 	errs := make([]error, len(groups))
-	decode := func(lo, hi int) {
+	par.Workers(len(groups), func(next func() (int, bool)) {
 		s := groupPool.Get().(*groupScratch)
 		defer groupPool.Put(s)
-		for gi := lo; gi < hi; gi++ {
+		for gi, ok := next(); ok; gi, ok = next() {
 			func() {
 				defer declimits.Recover(&errs[gi], ErrCorrupt)
 				pts[gi], errs[gi] = fr.decodeGroupChecked(dst.Window(offs[gi], offs[gi+1]-offs[gi]), groups[gi], s, opts.Budget)
 			}()
 		}
-	}
-	if opts.Parallel && len(groups) > 1 {
-		var wg sync.WaitGroup
-		for gi := range groups {
-			wg.Add(1)
-			go func(gi int) {
-				defer wg.Done()
-				decode(gi, gi+1)
-			}(gi)
-		}
-		wg.Wait()
-	} else {
-		decode(0, len(groups))
-	}
+	})
 	for gi := range groups {
 		if errs[gi] != nil {
 			// A CRC-attributable failure condemns only its own group when
@@ -331,7 +313,7 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 	}
 
 	if gf.blockpack {
-		s.lens, err = blockpack.UnpackUint64Sharded(streams[0], nLines, b, gf.parallel)
+		s.lens, err = blockpack.UnpackUint64Sharded(streams[0], nLines, b)
 	} else {
 		s.lens, err = arith.AppendDecompressUints(s.lens[:0], streams[0], nLines, b)
 	}
@@ -362,7 +344,7 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 	legacyInts := func(i, n int, highVolume bool) ([]int64, error) {
 		if gf.blockpack {
 			if highVolume {
-				return blockpack.UnpackInt64Sharded(streams[i], n, b, gf.parallel)
+				return blockpack.UnpackInt64Sharded(streams[i], n, b)
 			}
 			return blockpack.UnpackInt64(streams[i], n, b)
 		}
@@ -378,7 +360,7 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 			return varint.AppendDecodeInts(s.ints[i-1][:0], s.raw, n)
 		default:
 			if highVolume && gf.sharded {
-				return arith.DecompressIntsShardedLimited(streams[i], n, b, gf.parallel)
+				return arith.DecompressIntsShardedLimited(streams[i], n, b)
 			}
 			return arith.AppendDecompressInts(s.ints[i-1][:0], streams[i], n, b)
 		}
@@ -392,11 +374,11 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 			return legacyInts(i, n, highVolume)
 		case intMethodArith:
 			if highVolume && gf.sharded {
-				return arith.DecompressIntsShardedLimited(streams[i], n, b, gf.parallel)
+				return arith.DecompressIntsShardedLimited(streams[i], n, b)
 			}
 			return arith.AppendDecompressInts(s.ints[i-1][:0], streams[i], n, b)
 		case intMethodCtx:
-			return ctxmodel.DecodeIntsCtx(streams[i], n, b, gf.parallel)
+			return ctxmodel.DecodeIntsCtx(streams[i], n, b)
 		default:
 			return nil, fmt.Errorf("%w: unknown stream method", ErrCorrupt)
 		}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dbgc/internal/arith"
@@ -44,9 +45,6 @@ type Options struct {
 	// THrMeters is the radial distance threshold TH_r; zero means the
 	// paper's 2 m.
 	THrMeters float64
-	// Parallel encodes the radial groups concurrently. The output is
-	// byte-identical to the serial encoding.
-	Parallel bool
 	// Shards splits each group's high-volume entropy streams (φ tails and
 	// radials) into this many independently-coded shards (container v3)
 	// and adds a per-group CRC so damaged groups can be salvaged
@@ -57,7 +55,7 @@ type Options struct {
 	// BlockPack codes the integer streams (polyline lengths, θ/φ heads and
 	// tails, radials) with the blockpack codec instead of varint+DEFLATE
 	// and the adaptive arithmetic coder (container v4). The high-volume
-	// streams keep the shard framing, so sharded parallel decode composes;
+	// streams keep the shard framing, so sharded decode composes;
 	// groups carry CRCs like the sharded dialect. The flag rides in the
 	// stream header. Off leaves every legacy dialect byte-identical.
 	BlockPack bool
@@ -167,27 +165,21 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	defer encodePool.Put(es)
 	sorted, rs, bounds := es.groupByRadius(pc, idx, opts)
 	g := len(bounds) - 1
+	// Groups differ severalfold in points and in polylines per point, so
+	// they go to the workers one at a time. The first worker to arrive
+	// encodes on the frame's scratch, the others on pooled ones of their own.
 	results := make([]groupResult, g)
-	encodeRange := func(es *encodeScratch, lo, hi int) {
-		for gi := lo; gi < hi; gi++ {
-			results[gi] = es.encodeGroup(pc, sorted[bounds[gi]:bounds[gi+1]], rs[bounds[gi]:bounds[gi+1]], opts, nil)
-		}
-	}
-	if opts.Parallel && g > 1 {
-		// Bounded fan-out: at most GOMAXPROCS workers, each encoding a
-		// contiguous run of groups on a scratch of its own. One goroutine
-		// per group regardless of core count was the BENCH_7 regression
-		// (DESIGN.md §12): on few cores the concurrent groups evict each
-		// other's working sets and the runtime timeslices between them for
-		// no throughput.
-		par.Chunks(g, func(_, lo, hi int) {
-			worker := encodePool.Get().(*encodeScratch)
+	var taken atomic.Bool
+	par.Workers(g, func(next func() (int, bool)) {
+		worker := es
+		if taken.Swap(true) {
+			worker = encodePool.Get().(*encodeScratch)
 			defer encodePool.Put(worker)
-			encodeRange(worker, lo, hi)
-		})
-	} else {
-		encodeRange(es, 0, g)
-	}
+		}
+		for gi, ok := next(); ok; gi, ok = next() {
+			results[gi] = worker.encodeGroup(pc, sorted[bounds[gi]:bounds[gi+1]], rs[bounds[gi]:bounds[gi+1]], opts, nil)
+		}
+	})
 
 	var enc Encoded
 	size, nOut, nOrder := 3*binary.MaxVarintLen64, 0, 0 // flags, q, group count
@@ -447,7 +439,7 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 		methodsAt := len(data)
 		data = append(data, 0)
 		if opts.BlockPack {
-			s = blockpack.PackUint64Sharded(s[:0], lens, opts.Shards, opts.Parallel)
+			s = blockpack.PackUint64Sharded(s[:0], lens, opts.Shards)
 		} else {
 			s = arith.AppendCompressUints(s[:0], lens)
 		}
@@ -460,15 +452,15 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 			s = varint.AppendInts(s[:0], dThetaHeads)
 			legacy = es.deflate(s)
 		}
-		data = chooseIntStream(data, methodsAt, 0, legacy, dThetaHeads, 1, opts.Parallel)
+		data = chooseIntStream(data, methodsAt, 0, legacy, dThetaHeads, 1)
 
 		if opts.BlockPack {
-			legacy = blockpack.PackInt64Sharded(nil, thetaTails, opts.Shards, opts.Parallel)
+			legacy = blockpack.PackInt64Sharded(nil, thetaTails, opts.Shards)
 		} else {
 			s = varint.AppendInts(s[:0], thetaTails)
 			legacy = es.deflate(s)
 		}
-		data = chooseIntStream(data, methodsAt, 2, legacy, thetaTails, opts.Shards, opts.Parallel)
+		data = chooseIntStream(data, methodsAt, 2, legacy, thetaTails, opts.Shards)
 
 		if opts.BlockPack {
 			s = blockpack.PackInt64(s[:0], dPhiHeads)
@@ -479,19 +471,19 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 
 		switch {
 		case opts.BlockPack:
-			legacy = blockpack.PackInt64Sharded(nil, phiTails, opts.Shards, opts.Parallel)
+			legacy = blockpack.PackInt64Sharded(nil, phiTails, opts.Shards)
 		case opts.Shards > 1:
-			legacy = arith.AppendCompressIntsSharded(nil, phiTails, opts.Shards, opts.Parallel)
+			legacy = arith.AppendCompressIntsSharded(nil, phiTails, opts.Shards)
 		default:
 			legacy = arith.AppendCompressInts(nil, phiTails)
 		}
-		data = chooseIntStream(data, methodsAt, 4, legacy, phiTails, opts.Shards, opts.Parallel)
+		data = chooseIntStream(data, methodsAt, 4, legacy, phiTails, opts.Shards)
 
 		switch {
 		case opts.BlockPack:
-			s = blockpack.PackInt64Sharded(s[:0], radials, opts.Shards, opts.Parallel)
+			s = blockpack.PackInt64Sharded(s[:0], radials, opts.Shards)
 		case opts.Shards > 1:
-			s = arith.AppendCompressIntsSharded(s[:0], radials, opts.Shards, opts.Parallel)
+			s = arith.AppendCompressIntsSharded(s[:0], radials, opts.Shards)
 		default:
 			s = arith.AppendCompressInts(s[:0], radials)
 		}
@@ -499,20 +491,20 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	} else if opts.BlockPack {
 		// v4 dialect: every integer stream blockpacks. The high-volume
 		// streams (lengths, tails, radials) keep the shard framing so
-		// sharded parallel decode composes; the tiny head streams pack
+		// sharded decode composes; the tiny head streams pack
 		// plain. Only the 4-symbol reference stream stays on the adaptive
 		// arithmetic coder, where sub-bit symbols beat any bit packing.
-		s = blockpack.PackUint64Sharded(s[:0], lens, opts.Shards, opts.Parallel)
+		s = blockpack.PackUint64Sharded(s[:0], lens, opts.Shards)
 		data = appendStream(data, s)
 		s = blockpack.PackInt64(s[:0], dThetaHeads)
 		data = appendStream(data, s)
-		s = blockpack.PackInt64Sharded(s[:0], thetaTails, opts.Shards, opts.Parallel)
+		s = blockpack.PackInt64Sharded(s[:0], thetaTails, opts.Shards)
 		data = appendStream(data, s)
 		s = blockpack.PackInt64(s[:0], dPhiHeads)
 		data = appendStream(data, s)
-		s = blockpack.PackInt64Sharded(s[:0], phiTails, opts.Shards, opts.Parallel)
+		s = blockpack.PackInt64Sharded(s[:0], phiTails, opts.Shards)
 		data = appendStream(data, s)
-		s = blockpack.PackInt64Sharded(s[:0], radials, opts.Shards, opts.Parallel)
+		s = blockpack.PackInt64Sharded(s[:0], radials, opts.Shards)
 		data = appendStream(data, s)
 	} else {
 		s = arith.AppendCompressUints(s[:0], lens)
@@ -528,9 +520,9 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 		// head/length/ref streams stay single-coder: sharding them would cost
 		// model restarts without useful parallelism.
 		if opts.Shards > 1 {
-			s = arith.AppendCompressIntsSharded(s[:0], phiTails, opts.Shards, opts.Parallel)
+			s = arith.AppendCompressIntsSharded(s[:0], phiTails, opts.Shards)
 			data = appendStream(data, s)
-			s = arith.AppendCompressIntsSharded(s[:0], radials, opts.Shards, opts.Parallel)
+			s = arith.AppendCompressIntsSharded(s[:0], radials, opts.Shards)
 			data = appendStream(data, s)
 		} else {
 			s = arith.AppendCompressInts(s[:0], phiTails)
@@ -649,18 +641,18 @@ func appendStream(dst, stream []byte) []byte {
 // magnitude-bucket coder, recording the winner's marker at bit position
 // shift of the methods byte at dst[methodsAt]. Ties go to the lowest marker,
 // so a stream the new coders cannot beat keeps its exact legacy bytes.
-func chooseIntStream(dst []byte, methodsAt int, shift uint, legacy []byte, vs []int64, shards int, parallel bool) []byte {
+func chooseIntStream(dst []byte, methodsAt int, shift uint, legacy []byte, vs []int64, shards int) []byte {
 	best, method := legacy, byte(intMethodLegacy)
 	var a []byte
 	if shards > 1 {
-		a = arith.AppendCompressIntsSharded(nil, vs, shards, parallel)
+		a = arith.AppendCompressIntsSharded(nil, vs, shards)
 	} else {
 		a = arith.AppendCompressInts(nil, vs)
 	}
 	if len(a) < len(best) {
 		best, method = a, intMethodArith
 	}
-	if c := ctxmodel.AppendIntsCtx(nil, vs, shards, parallel); len(c) < len(best) {
+	if c := ctxmodel.AppendIntsCtx(nil, vs, shards); len(c) < len(best) {
 		best, method = c, intMethodCtx
 	}
 	dst[methodsAt] |= method << shift

@@ -8,8 +8,7 @@ import (
 
 // TestShardedRoundTrip: sharded sparse sections (CRC-prefixed groups with
 // sharded φ-tail and radial streams) decode identically to the legacy
-// section, the parallel encode is deterministic, and Shards<=1 keeps the
-// legacy bytes.
+// section, and Shards<=1 keeps the legacy bytes.
 func TestShardedRoundTrip(t *testing.T) {
 	pc, idx, meta := sparseFrame(t)
 	base := defaultOpts(meta)
@@ -29,32 +28,22 @@ func TestShardedRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Parallel = true
-			par, err := Encode(pc, idx, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(serial.Data, par.Data) {
-				t.Fatal("parallel sharded encode differs from serial")
-			}
 			if shards <= 1 && !bytes.Equal(serial.Data, legacy.Data) {
 				t.Fatal("Shards=1 stream differs from legacy stream")
 			}
-			for _, pdec := range []bool{false, true} {
-				got, err := DecodeWith(serial.Data, DecodeOptions{Parallel: pdec})
-				if err != nil {
-					t.Fatalf("decode (parallel=%v): %v", pdec, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("decoded %d points, want %d", len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
-					}
-				}
-				verify(t, pc, serial, got, base.Q)
+			got, err := Decode(serial.Data)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
 			}
+			if len(got) != len(want) {
+				t.Fatalf("decoded %d points, want %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
+				}
+			}
+			verify(t, pc, serial, got, base.Q)
 		})
 	}
 }
