@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench bench-json bench-sweep \
+.PHONY: check build vet test race fuzz bench bench-pairs bench-json bench-sweep \
 	bench-pack bench-ctx soak failover-soak vuln
 
 # check is the CI gate: vet + full test suite (which includes the
@@ -35,6 +35,15 @@ SEED ?= 1
 TRACE ?= 0
 bench:
 	bash bench/run.sh --workload $(WORKLOAD) --seed $(SEED) --trace $(TRACE)
+
+# The campaign behind a speed claim: PAIRS alternated runs of PARENT (a
+# revision, checked out under .bench_build/parent) and of this tree on one
+# workload and seed, then `-compare` and each side's medians, quartiles and
+# pairs won. See scripts/bench-pairs.sh.
+PARENT ?= HEAD
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # The PR 5 perf experiment, kept for its BENCH_5.json history: compress and
 # decode timings at GOMAXPROCS 1 and at the machine's own, steady-state

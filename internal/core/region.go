@@ -55,13 +55,27 @@ func DecompressRegionWith(data []byte, region geom.AABB, opts DecompressOptions)
 			return nil, fmt.Errorf("core: %s: %w", SectionID(id), err)
 		}
 	}
-	out := pts[SectionDense]
-	for _, pts := range pts[SectionSparse:] {
-		for _, p := range pts {
+	// The sparse and outlier buffers are this call's own: filter them in
+	// place, then make room beside the dense points for the survivors, once
+	// and exactly.
+	rest := pts[SectionSparse:]
+	kept := 0
+	for id, sec := range rest {
+		in := sec[:0]
+		for _, p := range sec {
 			if region.Contains(p) {
-				out = append(out, p)
+				in = append(in, p)
 			}
 		}
+		rest[id] = in
+		kept += len(in)
+	}
+	out := pts[SectionDense]
+	if kept > cap(out)-len(out) {
+		out = append(make(geom.PointCloud, 0, len(out)+kept), out...)
+	}
+	for _, in := range rest {
+		out = append(out, in...)
 	}
 	return out, nil
 }

@@ -35,10 +35,12 @@ import (
 // ErrCorrupt reports a malformed octree stream.
 var ErrCorrupt = errors.New("octree: corrupt stream")
 
-// maxDepth caps subdivision depth; 40 levels cover any realistic scene-to-
-// error-bound ratio (2^40 cells per axis) and bound decoder work on corrupt
-// headers.
-const maxDepth = 40
+// maxDepth caps subdivision depth and bounds decoder work on corrupt
+// headers. 48 levels are what the widest cloud core.Compress accepts needs
+// for 2q leaves — coordinates to ±q·2^48, a cube 2^48 leaves across; with
+// fewer, a far point that clustering labels dense comes back up to
+// 2^(48-maxDepth)·q off.
+const maxDepth = 48
 
 // Encoded is the output of Encode.
 type Encoded struct {

@@ -1,6 +1,7 @@
 package octree
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
@@ -252,6 +253,46 @@ func TestDepthFor(t *testing.T) {
 	}
 	if d := depthFor(math.MaxFloat64, 1e-9); d != maxDepth {
 		t.Fatalf("depth must be capped at %d, got %d", maxDepth, d)
+	}
+}
+
+// TestDepthLimit: the widest cloud core.Compress accepts, coordinates to
+// ±q·2^48 and so a cube 2^48 leaves across, takes all maxDepth = 48 levels
+// and comes back within q per axis; a header that declares a 49th level is
+// corrupt. (Releases whose cap was 40 answer ErrCorrupt to the first stream,
+// and wrote such a cloud with leaves 2^8 times too wide.)
+func TestDepthLimit(t *testing.T) {
+	for _, q := range []float64{0.001, 0.02, 0.1} {
+		far := q * (1 << 48)
+		pc := geom.PointCloud{{X: -far, Y: 1, Z: 2}, {X: far, Y: -far, Z: far}, {X: 0.5, Y: 0.25, Z: -0.75}, {X: 0.5 + 3*q, Y: 0.25, Z: -0.75}}
+		enc, err := Encode(pc, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const depthAt = 1 + 4*8 // after the point count and the cube's corner and side
+		if got := enc.Data[depthAt]; got != maxDepth {
+			t.Fatalf("q=%v: stream declares depth %d, want %d", q, got, maxDepth)
+		}
+		dec, err := Decode(enc.Data)
+		if err != nil {
+			t.Fatalf("q=%v: %v", q, err)
+		}
+		if len(dec) != len(pc) {
+			t.Fatalf("q=%v: decoded %d points, want %d", q, len(dec), len(pc))
+		}
+		// float64 resolves q/2^5 at these magnitudes: leave the halvings an
+		// ulp of the far coordinate.
+		slack := math.Nextafter(far, math.Inf(1)) - far
+		for j, oi := range enc.DecodedOrder {
+			if d := pc[oi].ChebDist(dec[j]); d > q+slack {
+				t.Errorf("q=%v: point %d comes back %v off, bound %v", q, oi, d, q)
+			}
+		}
+		deeper := append([]byte(nil), enc.Data...)
+		deeper[depthAt] = maxDepth + 1
+		if _, err := Decode(deeper); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("q=%v: depth %d decoded with error %v, want ErrCorrupt", q, maxDepth+1, err)
+		}
 	}
 }
 

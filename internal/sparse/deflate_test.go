@@ -35,7 +35,7 @@ func thetaFrames(t testing.TB) []sparseInput {
 		}
 		pc := lidar.HDL64E().Simulate(scene, 1)
 		var idx []int32
-		for i, dense := range cluster.Approximate(pc, geom.Bounds(pc).Min, cluster.Params{Q: 0.02, K: 10}).Dense {
+		for i, dense := range cluster.Approximate(pc, geom.Bounds(pc), cluster.Params{Q: 0.02, K: 10}).Dense {
 			if !dense {
 				idx = append(idx, int32(i))
 			}
