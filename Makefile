@@ -1,7 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench bench-pairs bench-json bench-sweep \
-	bench-pack bench-ctx soak failover-soak vuln
+.PHONY: check build vet test race fuzz bench bench-pairs soak failover-soak vuln
 
 # check is the CI gate: vet + full test suite (which includes the
 # city-frame compression-ratio smoke test, TestRatioSmoke), then the
@@ -45,41 +44,14 @@ PAIRS ?= 10
 bench-pairs:
 	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
-# The PR 5 perf experiment, kept for its BENCH_5.json history: compress and
-# decode timings at GOMAXPROCS 1 and at the machine's own, steady-state
-# Encoder allocation counts, and frame-pipeline FPS. New measurements go
-# through `make bench` above.
-bench-json:
-	$(GO) run ./cmd/dbgc-bench -exp perf -json BENCH_5.json
-
-# Multi-core scaling sweep: the same sharded frame packed and unpacked by
-# the same code at GOMAXPROCS 1/2/4/8, with per-stage timings, shard ratio
-# drift vs. the legacy container, and the shards=1 byte-identity check.
-bench-sweep:
-	$(GO) run ./cmd/dbgc-bench -exp sweep -shards 8 -gomaxprocs 1,2,4,8 -json BENCH_7.json
-
-# Block bitpacking ablation: per-stream bytes and pack/unpack timings of
-# the blockpack codec against the legacy entropy coders, plus the
-# v2/v3/v4 container dialect matrix with the size-guard check.
-# PACK_ITERS=1 is the CI smoke scale; raise it for stable timings.
-PACK_ITERS ?= 15
-bench-pack:
-	$(GO) run ./cmd/dbgc-bench -exp pack -frames $(PACK_ITERS) -json BENCH_8.json
-
-# Context-modeling ablation: the occupancy feature sweep, the sparse-section
-# context gain, and the v5 container dialect matrix with the ratio/guard/
-# byte-identity acceptance checks. CTX_ITERS=1 is the CI smoke scale.
-CTX_ITERS ?= 10
-bench-ctx:
-	$(GO) run ./cmd/dbgc-bench -exp ctx -frames $(CTX_ITERS) -json BENCH_10.json
-
 # Chaos soak: concurrent tenants through fault-injected links and
 # crash-prone disks with induced crash-restarts, under the race detector.
 # Fails if any acked frame is missing or corrupt after the final restart.
 # FAULTNET_SEED=n replays a specific fault schedule.
 SOAK_FLAGS ?= -tenants 4 -clients 2 -frames 400 -crashes 3 \
-	-shed-high 48 -shed-low 12 -out BENCH_load.json
+	-shed-high 48 -shed-low 12 -out .bench_build/soak.json
 soak:
+	mkdir -p .bench_build
 	$(GO) run -race ./cmd/dbgc-loadgen $(SOAK_FLAGS)
 
 # Replication failover soak: sync-replicated primary→follower pair under
@@ -87,8 +59,9 @@ soak:
 # recover), kills the primary mid-stream, promotes the follower, and
 # cold-verifies every sync-acked frame in the follower's store.
 FAILOVER_FLAGS ?= -failover -tenants 4 -clients 2 -frames 100 \
-	-out BENCH_load.json
+	-out .bench_build/failover-soak.json
 failover-soak:
+	mkdir -p .bench_build
 	$(GO) run -race ./cmd/dbgc-loadgen $(FAILOVER_FLAGS)
 
 # Known-vulnerability scan. The scanner is not vendored: the target is a

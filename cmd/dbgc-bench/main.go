@@ -8,39 +8,50 @@
 //	dbgc-bench -exp fig9 -frames 3 # one experiment, 3 frames per config
 //
 // Experiments: fig3, fig9, fig10, fig11, table2, fig12, fig13, cluster,
-// throughput, memory, temporal, perf, sweep, pack, ctx, all.
+// throughput, memory, temporal, all. Speed and ratio numbers that enter the
+// repository come from the benchmark under bench/ (`make bench`), not from
+// here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"dbgc/internal/benchkit"
 	"dbgc/internal/lidar"
 )
 
+// order is the sequence `-exp all` runs, and the list the -exp help prints.
+var order = []string{"fig3", "fig9", "fig10", "fig11", "table2", "fig12", "fig13", "cluster", "throughput", "memory", "temporal"}
+
+var runners = map[string]func(frames int, quick bool) error{
+	"fig3":       runFig3,
+	"fig9":       runFig9,
+	"fig10":      runFig10,
+	"fig11":      runFig11,
+	"table2":     runTable2,
+	"fig12":      runFig12,
+	"fig13":      runFig13,
+	"cluster":    runCluster,
+	"throughput": runThroughput,
+	"memory":     runMemory,
+	"temporal":   runTemporal,
+}
+
+func expHelp() string {
+	return "experiment to run: " + strings.Join(order, ", ") + ", all"
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: fig3, fig9, fig10, fig11, table2, fig12, fig13, cluster, throughput, memory, temporal, perf, sweep, pack, ctx, all")
+	exp := flag.String("exp", "all", expHelp())
 	frames := flag.Int("frames", 2, "frames per configuration (the paper uses 1000)")
 	quick := flag.Bool("quick", false, "restrict sweeps to fewer error bounds and scenes")
 	csvDir := flag.String("csv", "", "also write raw rows as CSV files into this directory")
-	jsonPath := flag.String("json", "", "write the perf/sweep experiment result as JSON to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	shards := flag.Int("shards", 8, "entropy shard count for the sweep experiment")
-	procs := flag.String("gomaxprocs", "1,2,4,8", "comma-separated GOMAXPROCS values for the sweep experiment")
 	flag.Parse()
-	jsonOut = *jsonPath
-	sweepShards = *shards
-	var err error
-	if sweepProcs, err = parseInts(*procs); err != nil {
-		fmt.Fprintf(os.Stderr, "-gomaxprocs: %v\n", err)
-		os.Exit(2)
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -61,25 +72,6 @@ func main() {
 		}
 		csvOut = *csvDir
 	}
-
-	runners := map[string]func(int, bool) error{
-		"fig3":       runFig3,
-		"fig9":       runFig9,
-		"fig10":      runFig10,
-		"fig11":      runFig11,
-		"table2":     runTable2,
-		"fig12":      runFig12,
-		"fig13":      runFig13,
-		"cluster":    runCluster,
-		"throughput": runThroughput,
-		"memory":     runMemory,
-		"temporal":   runTemporal,
-		"perf":       runPerf,
-		"sweep":      runSweep,
-		"pack":       runPack,
-		"ctx":        runCtx,
-	}
-	order := []string{"fig3", "fig9", "fig10", "fig11", "table2", "fig12", "fig13", "cluster", "throughput", "memory", "temporal", "perf", "sweep", "pack", "ctx"}
 
 	var selected []string
 	if *exp == "all" {
@@ -314,205 +306,6 @@ func runTemporal(frames int, quick bool) error {
 	fmt.Printf("all-I container %d bytes, temporal %d bytes: %.2fx\n",
 		res.PlainBytes, res.TemporalBytes, res.Gain)
 	return nil
-}
-
-// jsonOut, when set, receives the perf experiment result as JSON.
-var jsonOut string
-
-func runPerf(frames int, quick bool) error {
-	header("Performance architecture: one worker vs all, scratch reuse, frame pipeline (city, q=2cm)")
-	res, err := benchkit.Perf(benchkit.DefaultQ, frames)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cpus: %d (GOMAXPROCS %d), %d points/frame, %d bytes compressed (ratio %.2f)\n",
-		res.NumCPU, res.GOMAXPROCS, res.PointsPerFrame, res.FrameBytes, res.Ratio)
-	fmt.Printf("decode:   GOMAXPROCS 1 %7.1f ms, %d %7.1f ms (%.2fx)\n",
-		res.OneWorkerDecodeMs, res.GOMAXPROCS, res.AllWorkersDecodeMs, res.DecodeSpeedup)
-	fmt.Printf("          allocs/op: %.0f, %.0f\n",
-		res.OneWorkerDecodeAllocs, res.AllWorkersDecodeAllocs)
-	fmt.Printf("compress: GOMAXPROCS 1 %7.1f ms, %d %7.1f ms (%.2fx)\n",
-		res.OneWorkerCompressMs, res.GOMAXPROCS, res.AllWorkersCompressMs, res.CompressSpeedup)
-	fmt.Printf("          allocs/op at 1: %.0f; byte-identical across widths: %v\n",
-		res.OneWorkerCompressAllocs, res.CompressIdentical)
-	fmt.Printf("          reusable Encoder: %7.1f ms, %.0f allocs/op\n",
-		res.EncoderCompressMs, res.EncoderCompressAllocs)
-	fmt.Printf("pipeline (%d frames, %d workers): pack %.1f -> %.1f fps, read %.1f -> %.1f fps, byte-identical: %v\n",
-		res.PipelineFrames, res.PipelineWorkers,
-		res.SerialPackFPS, res.PipelinedPackFPS,
-		res.SerialReadFPS, res.PipelinedReadFPS, res.PipelineIdentical)
-	if res.NumCPU == 1 {
-		fmt.Println("note: single-core host; more workers cannot show wall-clock gains here")
-	}
-	if jsonOut != "" {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(jsonOut, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return nil
-}
-
-// sweepShards and sweepProcs hold the -shards / -gomaxprocs flags for the
-// sweep experiment.
-var (
-	sweepShards int
-	sweepProcs  []int
-)
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		v, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func runSweep(frames int, quick bool) error {
-	header("Multi-core scaling: GOMAXPROCS sweep of the sharded codec (city, q=2cm)")
-	res, err := benchkit.Sweep(benchkit.DefaultQ, sweepShards, sweepProcs, frames)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cpus: %d, shards: %d, %d points/frame, %d bytes (ratio %.2f; legacy %.2f, drift %+.3f%%)\n",
-		res.NumCPU, res.Shards, res.PointsPerFrame, res.FrameBytes, res.Ratio, res.LegacyRatio, res.RatioDeltaPct)
-	fmt.Printf("shards=1 byte-identical to legacy container: %v\n", res.ShardsOneIdentical)
-	fmt.Printf("%6s %8s %12s %12s %10s %10s %12s %12s\n",
-		"procs", "workers", "compress", "decompress", "pack/s", "unpack/s", "stream-pack", "stream-unpack")
-	var csvRows [][]string
-	for _, p := range res.Sweep {
-		fmt.Printf("%6d %8d %9.1f ms %9.1f ms %10.2f %10.2f %12.2f %12.2f\n",
-			p.GOMAXPROCS, p.Workers, p.CompressMs, p.DecompressMs,
-			p.PackFPS, p.UnpackFPS, p.StreamPackFPS, p.StreamUnpackFPS)
-		fmt.Printf("       speedup vs procs=1: compress %.2fx, decompress %.2fx | stages DEN %.1f OCT %.1f (ENT %.1f) COR %.1f ORG %.1f SPA %.1f OUT %.1f ms\n",
-			p.CompressSpeedup, p.DecompressSpeedup,
-			p.Stages.DEN, p.Stages.OCT, p.Stages.ENT, p.Stages.COR, p.Stages.ORG, p.Stages.SPA, p.Stages.OUT)
-		csvRows = append(csvRows, []string{
-			fmt.Sprint(p.GOMAXPROCS), fmt.Sprint(p.Workers),
-			f64(p.CompressMs), f64(p.DecompressMs),
-			f64(p.CompressSpeedup), f64(p.DecompressSpeedup),
-			f64(p.StreamPackFPS), f64(p.StreamUnpackFPS),
-		})
-	}
-	if res.NumCPU == 1 {
-		fmt.Println("note: single-core host; the sweep documents the plateau, not a multi-core gain")
-	}
-	if jsonOut != "" {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(jsonOut, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return writeCSV("sweep", []string{"gomaxprocs", "workers", "compress_ms", "decompress_ms",
-		"compress_speedup", "decompress_speedup", "stream_pack_fps", "stream_unpack_fps"}, csvRows)
-}
-
-func runPack(frames int, quick bool) error {
-	header("Block bitpacking ablation: blockpack vs legacy codecs per integer stream (city, q=2cm)")
-	res, err := benchkit.Pack(benchkit.DefaultQ, frames)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d points, %d iters per timing\n", res.Points, res.Iters)
-	fmt.Printf("%-20s %9s %5s %10s %10s %8s %10s %10s %8s\n",
-		"stream", "count", "segs", "leg bytes", "bp bytes", "Δbytes", "leg dec", "bp dec", "dec spd")
-	var csvRows [][]string
-	for _, s := range res.Streams {
-		fmt.Printf("%-20s %9d %5d %10d %10d %+7.1f%% %8.2fms %8.2fms %7.2fx\n",
-			s.Name, s.Count, s.Segments, s.LegacyBytes, s.PackBytes, s.BytesDeltaPct,
-			s.LegacyDecNs/1e6, s.PackDecNs/1e6, s.DecodeSpeedup)
-		csvRows = append(csvRows, []string{
-			s.Name, fmt.Sprint(s.Count), fmt.Sprint(s.LegacyBytes), fmt.Sprint(s.PackBytes),
-			f64(s.LegacyEncNs), f64(s.PackEncNs), f64(s.LegacyDecNs), f64(s.PackDecNs),
-			f64(s.DecodeSpeedup),
-		})
-	}
-	fmt.Printf("streams total: %d -> %d bytes, decode speedup %.2fx (min %.2fx)\n",
-		res.TotalLegacyBytes, res.TotalPackBytes, res.TotalDecodeSpeedup, res.MinDecodeSpeedup)
-	fmt.Printf("%-26s %8s %8s %8s %10s %12s %8s\n",
-		"container", "version", "shards", "ratio", "bytes", "vs v3", "ok")
-	for _, f := range res.Frames {
-		fmt.Printf("%-26s %8d %8d %8.2f %10d %+11.3f%% %8v\n",
-			f.Config, f.Version, f.Shards, f.Ratio, f.Bytes, f.DeltaVsV3Pct, f.RoundTripOK)
-	}
-	fmt.Printf("v4 no larger than v3 and all round trips ok: %v\n", res.V4WithinV3)
-	if jsonOut != "" {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(jsonOut, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return writeCSV("pack", []string{"stream", "count", "legacy_bytes", "blockpack_bytes",
-		"legacy_encode_ns", "blockpack_encode_ns", "legacy_decode_ns", "blockpack_decode_ns",
-		"decode_speedup"}, csvRows)
-}
-
-func runCtx(frames int, quick bool) error {
-	header("Context-modeled entropy coding ablation: feature sweep and v5 dialect matrix (city, q=2cm)")
-	res, err := benchkit.Ctx(benchkit.DefaultQ, frames)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%d points, %d iters per timing\n", res.Points, res.Iters)
-	fmt.Printf("%-26s %9s %10s %10s %8s %10s %10s\n",
-		"features", "contexts", "leg bytes", "ctx bytes", "Δbytes", "enc", "dec")
-	var csvRows [][]string
-	for _, s := range res.Features {
-		fmt.Printf("%-26s %9d %10d %10d %+7.2f%% %8.2fms %8.2fms\n",
-			s.Features, s.Contexts, s.LegacyBytes, s.CtxBytes, s.BytesDeltaPct,
-			s.EncNs/1e6, s.DecNs/1e6)
-		csvRows = append(csvRows, []string{
-			s.Features, fmt.Sprint(s.Contexts), fmt.Sprint(s.LegacyBytes), fmt.Sprint(s.CtxBytes),
-			f64(s.BytesDeltaPct), f64(s.EncNs), f64(s.DecNs),
-		})
-	}
-	fmt.Printf("sparse section: %d -> %d bytes (%+.2f%%)\n",
-		res.SparseLegacyBytes, res.SparseCtxBytes, res.SparseDeltaPct)
-	fmt.Printf("%-38s %8s %8s %8s %10s %10s %11s %11s %9s %6s\n",
-		"container", "version", "shards", "ratio", "bytes", "vs base", "unpack fps", "stream fps", "1=all", "ok")
-	for _, f := range res.Frames {
-		fmt.Printf("%-38s %8d %8d %8.2f %10d %+9.3f%% %11.1f %11.1f %9v %6v\n",
-			f.Config, f.Version, f.Shards, f.Ratio, f.Bytes, f.DeltaVsBasePct,
-			f.UnpackFPS, f.StreamUnpackFPS, f.OneWorkerIdentical, f.RoundTripOK)
-	}
-	fmt.Printf("headline ctx ratio %.2f (plateau 20.5 broken: %v), guard ok: %v, unpack within 15%%: %v\n",
-		res.CtxRatio, res.PlateauBroken, res.GuardOK, res.UnpackWithin15Pct)
-	if jsonOut != "" {
-		blob, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return err
-		}
-		blob = append(blob, '\n')
-		if err := os.WriteFile(jsonOut, blob, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonOut)
-	}
-	return writeCSV("ctx", []string{"features", "contexts", "legacy_bytes", "ctx_bytes",
-		"bytes_delta_pct", "encode_ns", "decode_ns"}, csvRows)
 }
 
 func runMemory(frames int, quick bool) error {

@@ -2,9 +2,8 @@
 // pulls frames from the (simulated) sensor, compresses them, and streams
 // the bit sequences to a dbgc-server over TCP.
 //
-// By default every frame is acknowledged by the server and retransmitted
-// across nacks, timeouts, and reconnects; -noack restores the legacy
-// fire-and-forget wire behaviour.
+// Every frame is acknowledged by the server and retransmitted across nacks,
+// timeouts, and reconnects.
 //
 // Against a replicated deployment, -servers lists primary and follower
 // (comma-separated, primary first): the client fails over to the next
@@ -15,7 +14,7 @@
 //
 //	dbgc-client [-server localhost:7045 | -servers host:a,host:b]
 //	            [-scene kitti-city] [-frames 10]
-//	            [-q 0.02] [-rate 10] [-window 8] [-ack-timeout 5s] [-noack]
+//	            [-q 0.02] [-rate 10] [-window 8] [-ack-timeout 5s]
 //	            [-workers 1] [-partial] [-max-points n] [-mem-budget bytes]
 package main
 
@@ -60,7 +59,6 @@ func main() {
 	queryBox := flag.String("query", "", "after sending, query frame 0 for x0,y0,z0,x1,y1,z1")
 	window := flag.Int("window", 8, "max unacknowledged frames in flight")
 	ackTimeout := flag.Duration("ack-timeout", 5*time.Second, "resend frames unacked after this long")
-	noack := flag.Bool("noack", false, "legacy fire-and-forget mode: no acks, no retransmits")
 	workers := flag.Int("workers", 1, "compress this many frames concurrently (frames are sent in order)")
 	partial := flag.Bool("partial", false, "skip frames the server permanently rejects instead of aborting the run")
 	maxPoints := flag.Int64("max-points", 0, "verify each frame decodes under this point limit before sending (0 = no verification)")
@@ -74,61 +72,21 @@ func main() {
 	cfg := lidar.HDL64E()
 	opts := dbgc.SensorOptions(*q, cfg.Meta())
 
-	var send func(netproto.Message) error
-	var query func(netproto.Query) (netproto.Message, error)
-	var finish func() error
-
-	if *noack && *servers != "" {
-		log.Fatalf("-servers requires acknowledged mode (drop -noack)")
+	ropts := reliable.Options{
+		Tenant:      *tenant,
+		MaxInFlight: *window,
+		AckTimeout:  *ackTimeout,
+		Logf:        log.Printf,
 	}
-	if *noack {
-		conn, err := net.Dial("tcp", *server)
-		if err != nil {
-			log.Fatalf("connecting to server: %v", err)
-		}
-		defer conn.Close()
-		send = func(m netproto.Message) error { return netproto.Write(conn, m) }
-		query = func(qr netproto.Query) (netproto.Message, error) {
-			if err := netproto.Write(conn, netproto.Message{
-				Kind: netproto.KindQuery, Seq: qr.Seq, Payload: netproto.EncodeQuery(qr),
-			}); err != nil {
-				return netproto.Message{}, fmt.Errorf("sending query: %w", err)
-			}
-			return awaitQueryResult(conn)
-		}
-		finish = func() error {
-			return netproto.Write(conn, netproto.Message{Kind: netproto.KindBye, Seq: uint64(*frames)})
-		}
+	if *servers != "" {
+		ropts.Addrs = strings.Split(*servers, ",")
+		ropts.DialTo = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
 	} else {
-		opts := reliable.Options{
-			Tenant:      *tenant,
-			MaxInFlight: *window,
-			AckTimeout:  *ackTimeout,
-			Logf:        log.Printf,
-		}
-		if *servers != "" {
-			opts.Addrs = strings.Split(*servers, ",")
-			opts.DialTo = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-		} else {
-			opts.Dial = func() (net.Conn, error) { return net.Dial("tcp", *server) }
-		}
-		cli, err := reliable.NewClient(opts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		send = cli.Send
-		query = cli.Query
-		finish = func() error {
-			if err := cli.Close(); err != nil {
-				return err
-			}
-			st := cli.Stats()
-			if st.Resent > 0 || st.Reconnects > 1 || st.Failovers > 0 {
-				log.Printf("reliability: %d/%d frames acked, %d resent, %d nacks, %d connections, %d failovers",
-					st.Acked, st.Sent, st.Resent, st.Nacked, st.Reconnects, st.Failovers)
-			}
-			return nil
-		}
+		ropts.Dial = func() (net.Conn, error) { return net.Dial("tcp", *server) }
+	}
+	cli, err := reliable.NewClient(ropts)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var interval time.Duration
@@ -142,7 +100,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := send(netproto.Message{
+		if err := cli.Send(netproto.Message{
 			Kind:    netproto.KindCompressed,
 			Seq:     uint64(c.seq),
 			Payload: c.data,
@@ -236,14 +194,18 @@ func main() {
 			&b.Min.X, &b.Min.Y, &b.Min.Z, &b.Max.X, &b.Max.Y, &b.Max.Z); err != nil {
 			log.Fatalf("bad -query %q: %v", *queryBox, err)
 		}
-		resp, err := query(netproto.Query{Seq: 0, Box: b})
+		resp, err := cli.Query(netproto.Query{Seq: 0, Box: b})
 		if err != nil {
 			log.Fatalf("query: %v", err)
 		}
 		fmt.Printf("server returned %d points for frame 0 in box %s\n", len(resp.Payload)/16, *queryBox)
 	}
-	if err := finish(); err != nil {
+	if err := cli.Close(); err != nil {
 		log.Fatalf("finishing session: %v", err)
+	}
+	if st := cli.Stats(); st.Resent > 0 || st.Reconnects > 1 || st.Failovers > 0 {
+		log.Printf("reliability: %d/%d frames acked, %d resent, %d nacks, %d connections, %d failovers",
+			st.Acked, st.Sent, st.Resent, st.Nacked, st.Reconnects, st.Failovers)
 	}
 	elapsed := time.Since(start)
 	if rejected > 0 {
@@ -253,26 +215,4 @@ func main() {
 		*frames-rejected, elapsed.Round(time.Millisecond), totalRaw, totalCompressed,
 		float64(totalRaw)/float64(totalCompressed),
 		float64(totalCompressed)*8/elapsed.Seconds()/1e6)
-}
-
-// awaitQueryResult reads responses until the query result arrives,
-// tolerating interleaved non-result frames (e.g. stray acks from a server
-// not running in -noack mode) and reporting read failures as read
-// failures — not as a bogus frame kind from a zero-valued message.
-func awaitQueryResult(conn net.Conn) (netproto.Message, error) {
-	const maxSkipped = 32
-	for skipped := 0; skipped <= maxSkipped; skipped++ {
-		resp, err := netproto.Read(conn)
-		if errors.Is(err, netproto.ErrChecksum) {
-			continue // corrupt response frame: keep waiting
-		}
-		if err != nil {
-			return netproto.Message{}, fmt.Errorf("reading query response: %w", err)
-		}
-		if resp.Kind == netproto.KindQueryResult {
-			return resp, nil
-		}
-		log.Printf("skipping interleaved frame kind %d while waiting for query result", resp.Kind)
-	}
-	return netproto.Message{}, fmt.Errorf("no query result after %d frames", maxSkipped)
 }

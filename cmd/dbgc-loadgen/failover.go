@@ -53,7 +53,7 @@ type failoverOpts struct {
 	verbose                                 bool
 }
 
-// failoverReport is the failover-specific section of BENCH_load.json.
+// failoverReport is the failover-specific section of the -out file.
 type failoverReport struct {
 	PromotedEpoch     int                   `json:"promoted_epoch"`
 	KillAtFrames      int64                 `json:"kill_at_frames"`

@@ -21,7 +21,7 @@
 //	dbgc-loadgen [-tenants 4] [-clients 2] [-frames 200] [-frame-bytes 2048]
 //	             [-crashes 2] [-downtime 250ms] [-seed 1]
 //	             [-flip 0.001] [-drop 0.002] [-tear 0.005] [-write-err 0.0005]
-//	             [-shed-high 0] [-shed-low 0] [-dir work] [-out BENCH_load.json]
+//	             [-shed-high 0] [-shed-low 0] [-dir work] [-out loadgen.json]
 package main
 
 import (
@@ -61,7 +61,7 @@ func main() {
 	failover := flag.Bool("failover", false, "run the primary→follower replication failover scenario instead of the single-node soak")
 	syncTimeout := flag.Duration("sync-timeout", time.Second, "sync-replication follower ack budget per frame (failover scenario)")
 	dir := flag.String("dir", "", "shard directory (default: a fresh temp dir, removed on success)")
-	out := flag.String("out", "BENCH_load.json", "result JSON path")
+	out := flag.String("out", "loadgen.json", "result JSON path")
 	verbose := flag.Bool("v", false, "log per-client reliability events")
 	flag.Parse()
 

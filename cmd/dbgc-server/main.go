@@ -7,15 +7,16 @@
 // undecodable, and a client disconnect or hostile payload never disturbs
 // other connections. SIGINT/SIGTERM drain active sessions before exit.
 //
-// Multi-tenant mode: with -store-dir, each tenant announced by a client
-// hello gets its own store shard under the directory (lazily opened, the
-// open-file count bounded by -open-stores); admission control (-tenants,
-// -max-sessions, -sessions-per-tenant), per-tenant ingest budgets, and
-// load shedding (-shed-high/-shed-low) keep one noisy tenant from starving
-// the rest. -fsync always batches fsyncs across tenants via group commit:
-// every ack still means durable, but concurrent frames share fsync rounds.
+// Each tenant announced by a client hello gets its own store shard under
+// -store-dir (lazily opened, the open-file count bounded by -open-stores;
+// a client that sends no hello lands in the "default" tenant's shard);
+// admission control (-tenants, -max-sessions, -sessions-per-tenant),
+// per-tenant ingest budgets, and load shedding (-shed-high/-shed-low) keep
+// one noisy tenant from starving the rest. -fsync always batches fsyncs
+// across tenants via group commit: every ack still means durable, but
+// concurrent frames share fsync rounds.
 //
-// Replication (requires -store-dir): -replica-of ADDR runs this node as
+// Replication: -replica-of ADDR runs this node as
 // the primary and streams every stored record to the follower listening at
 // ADDR; -sync-repl additionally withholds each client ack until the
 // follower has the frame durably (quorum of 2). -follower runs this node
@@ -30,10 +31,10 @@
 //
 // Usage:
 //
-//	dbgc-server [-listen :7045] [-store frames.db | -store-dir dir]
+//	dbgc-server [-listen :7045] [-store-dir frames]
 //	            [-decompress] [-partial]
 //	            [-max-points n] [-mem-budget bytes]
-//	            [-fsync off|always|<interval>] [-noack]
+//	            [-fsync off|always|<interval>]
 //	            [-tenants n] [-max-sessions n] [-sessions-per-tenant n]
 //	            [-queue-depth n] [-tenant-budget n] [-open-stores n]
 //	            [-shed-high n] [-shed-low n] [-retry-after 200ms]
@@ -69,15 +70,13 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":7045", "address to listen on")
-	storePath := flag.String("store", "frames.db", "frame store file (single-store mode; ignored with -store-dir)")
-	storeDir := flag.String("store-dir", "", "store directory for multi-tenant mode: one shard per tenant")
-	openStores := flag.Int("open-stores", 64, "with -store-dir: max concurrently open shard files (LRU-evicted)")
+	storeDir := flag.String("store-dir", "frames", "store directory: one shard file per tenant")
+	openStores := flag.Int("open-stores", 64, "max concurrently open shard files (LRU-evicted)")
 	decompress := flag.Bool("decompress", false, "decompress frames before storing (default stores B directly)")
 	partial := flag.Bool("partial", false, "with -decompress: store the intact sections of damaged frames and quarantine the rest instead of nacking")
 	maxPoints := flag.Int64("max-points", dbgc.DefaultDecodeLimits().MaxPoints, "decode limit: maximum points per frame (0 = unlimited)")
 	memBudget := flag.Int64("mem-budget", dbgc.DefaultDecodeLimits().MemBudget, "decode limit: decoded-memory budget per frame in bytes (0 = unlimited)")
 	fsync := flag.String("fsync", "off", `durability mode: "off" (OS decides), "always" (group-committed sync before every ack), or a periodic interval like "500ms"`)
-	noack := flag.Bool("noack", false, "legacy fire-and-forget mode: do not send acks/nacks")
 	maxTenants := flag.Int("tenants", 0, "max concurrently active tenants (0 = unlimited)")
 	maxSessions := flag.Int("max-sessions", 0, "max concurrent connections server-wide (0 = unlimited)")
 	sessionsPerTenant := flag.Int("sessions-per-tenant", 0, "max concurrent sessions per tenant (0 = unlimited)")
@@ -87,8 +86,8 @@ func main() {
 	shedLow := flag.Int("shed-low", 0, "in-flight level at which shed tenants are readmitted (default shed-high/2)")
 	retryAfter := flag.Duration("retry-after", 200*time.Millisecond, "retry hint attached to busy nacks")
 	stallTimeout := flag.Duration("stall-timeout", 0, "cut sessions that stay backpressured this long without draining (0 = never)")
-	replicaOf := flag.String("replica-of", "", "run as primary, replicating every stored record to the follower at this address (requires -store-dir)")
-	followerMode := flag.Bool("follower", false, "run as follower: accept replication, refuse client traffic until promoted (requires -store-dir)")
+	replicaOf := flag.String("replica-of", "", "run as primary, replicating every stored record to the follower at this address")
+	followerMode := flag.Bool("follower", false, "run as follower: accept replication, refuse client traffic until promoted")
 	promote := flag.Bool("promote", false, "bump the replication epoch at startup (failover: fences the deposed primary)")
 	syncRepl := flag.Bool("sync-repl", false, "with -replica-of: withhold client acks until the follower has each frame durably (quorum 2)")
 	syncTimeout := flag.Duration("sync-timeout", 5*time.Second, "with -sync-repl: nack a frame if the follower ack takes longer than this")
@@ -105,11 +104,11 @@ func main() {
 		log.Fatalf("bad -fsync: %v", err)
 	}
 
-	stg, err := openStorage(*storeDir, *storePath, *openStores)
+	shards, err := store.OpenShards(*storeDir, *openStores)
 	if err != nil {
 		log.Fatalf("opening storage: %v", err)
 	}
-	defer stg.Close()
+	defer shards.Close()
 
 	// One commit group batches fsyncs across every tenant shard: "always"
 	// blocks each frame on its group round (ack ⇒ durable), an interval
@@ -122,14 +121,11 @@ func main() {
 
 	// Replication roles. Promotion happens before anything serves: the
 	// epoch bump must be durable before the first client frame is acked.
-	if (*replicaOf != "" || *followerMode || *promote) && stg.shards == nil {
-		log.Fatalf("replication flags (-replica-of/-follower/-promote) require -store-dir")
-	}
 	if *replicaOf != "" && *followerMode {
 		log.Fatalf("-replica-of and -follower are mutually exclusive")
 	}
 	if *promote && !*followerMode {
-		epoch, err := replica.Promote(stg.shards.Dir())
+		epoch, err := replica.Promote(shards.Dir())
 		if err != nil {
 			log.Fatalf("promote: %v", err)
 		}
@@ -138,7 +134,7 @@ func main() {
 	var receiver *replica.Receiver
 	var sender *replica.Sender
 	if *followerMode {
-		receiver, err = replica.NewReceiver(stg.shards, group, *wmEvery)
+		receiver, err = replica.NewReceiver(shards, group, *wmEvery)
 		if err != nil {
 			log.Fatalf("follower setup: %v", err)
 		}
@@ -155,12 +151,12 @@ func main() {
 		}
 	}
 	if *replicaOf != "" {
-		meta, err := replica.LoadMeta(stg.shards.Dir())
+		meta, err := replica.LoadMeta(shards.Dir())
 		if err != nil {
 			log.Fatalf("loading replication meta: %v", err)
 		}
 		sender, err = replica.NewSender(replica.SenderConfig{
-			Shards: stg.shards,
+			Shards: shards,
 			Addr:   *replicaOf,
 			DialTo: func(addr string) (net.Conn, error) {
 				return net.DialTimeout("tcp", addr, 5*time.Second)
@@ -187,11 +183,10 @@ func main() {
 
 	limits := dbgc.DecodeLimits{MaxPoints: *maxPoints, MemBudget: *memBudget}
 	cfg := reliable.ServerConfig{
-		Handle:               handler(stg, group, *decompress, *partial, syncAlways, limits, repl),
-		Query:                querier(stg, limits),
-		Quarantine:           quarantiner(stg),
+		Handle:               handler(shards, group, *decompress, *partial, syncAlways, limits, repl),
+		Query:                querier(shards, limits),
+		Quarantine:           quarantiner(shards),
 		ReadTimeout:          *readTimeout,
-		NoAck:                *noack,
 		MaxSessions:          *maxSessions,
 		MaxTenants:           *maxTenants,
 		MaxSessionsPerTenant: *sessionsPerTenant,
@@ -219,7 +214,7 @@ func main() {
 
 	var httpSrv *http.Server
 	if *httpAddr != "" {
-		httpSrv = opsServer(*httpAddr, srv, stg, group, sender, receiver, *replLagMax)
+		httpSrv = opsServer(*httpAddr, srv, shards, group, sender, receiver, *replLagMax)
 		go func() {
 			if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Printf("http: %v", err)
@@ -228,8 +223,8 @@ func main() {
 		log.Printf("ops endpoint on http://%s (/healthz, /metrics)", *httpAddr)
 	}
 
-	log.Printf("dbgc-server listening on %s, storage %s (decompress=%v, fsync=%s, noack=%v)",
-		ln.Addr(), stg, *decompress, *fsync, *noack)
+	log.Printf("dbgc-server listening on %s, storage dir %s (decompress=%v, fsync=%s)",
+		ln.Addr(), shards.Dir(), *decompress, *fsync)
 	go func() {
 		if err := srv.Serve(ln); err != nil && !errors.Is(err, reliable.ErrServerClosed) {
 			log.Printf("serve: %v", err)
@@ -256,10 +251,14 @@ func main() {
 			log.Printf("final group commit: %v", err)
 		}
 	}
-	if err := stg.Sync(); err != nil {
+	if err := shards.SyncAll(); err != nil {
 		log.Printf("final fsync: %v", err)
 	}
-	log.Printf("drained; %s", stg.Summary())
+	if tenants, err := shards.Tenants(); err != nil {
+		log.Printf("drained; shard summary unavailable: %v", err)
+	} else {
+		log.Printf("drained; %d tenant shards on disk, %d open", len(tenants), shards.OpenCount())
+	}
 }
 
 // parseFsync maps the -fsync flag onto (sync before every ack, periodic
@@ -277,70 +276,6 @@ func parseFsync(mode string) (always bool, every time.Duration, err error) {
 		}
 		return false, d, nil
 	}
-}
-
-// storage routes tenants to stores: either everything into one legacy
-// store file, or one shard per tenant under a directory.
-type storage struct {
-	single *store.Store
-	shards *store.Shards
-	desc   string
-}
-
-func openStorage(dir, path string, openStores int) (*storage, error) {
-	if dir != "" {
-		sh, err := store.OpenShards(dir, openStores)
-		if err != nil {
-			return nil, err
-		}
-		return &storage{shards: sh, desc: "dir " + dir}, nil
-	}
-	st, err := store.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	return &storage{single: st, desc: "file " + path}, nil
-}
-
-func (s *storage) String() string { return s.desc }
-
-// acquire pins the tenant's store for the duration of one operation; the
-// returned release must be called (it unpins the shard for LRU eviction).
-func (s *storage) acquire(tenant string) (*store.Store, func(), error) {
-	if s.shards != nil {
-		st, err := s.shards.Acquire(tenant)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, func() { s.shards.Release(tenant) }, nil
-	}
-	return s.single, func() {}, nil
-}
-
-func (s *storage) Sync() error {
-	if s.shards != nil {
-		return s.shards.SyncAll()
-	}
-	return s.single.Sync()
-}
-
-func (s *storage) Close() error {
-	if s.shards != nil {
-		return s.shards.Close()
-	}
-	return s.single.Close()
-}
-
-// Summary describes the end state for the shutdown log line.
-func (s *storage) Summary() string {
-	if s.shards != nil {
-		tenants, err := s.shards.Tenants()
-		if err != nil {
-			return fmt.Sprintf("shard summary unavailable: %v", err)
-		}
-		return fmt.Sprintf("%d tenant shards on disk, %d open", len(tenants), s.shards.OpenCount())
-	}
-	return fmt.Sprintf("%d frames stored", s.single.Len())
 }
 
 // replLink carries the replication sender into the frame handler: every
@@ -374,7 +309,7 @@ func (r *replLink) gate(tenant string, end int64) error {
 // harness. Health degrades (HTTP 503) on sticky fsync errors, a down
 // replication link, a fenced (deposed) primary, or replication lag over
 // lagMax bytes.
-func opsServer(addr string, srv *reliable.Server, stg *storage, group *store.Group,
+func opsServer(addr string, srv *reliable.Server, shards *store.Shards, group *store.Group,
 	sender *replica.Sender, receiver *replica.Receiver, lagMax int64) *http.Server {
 	health := &ops.Health{}
 	if group != nil {
@@ -414,10 +349,7 @@ func opsServer(addr string, srv *reliable.Server, stg *storage, group *store.Gro
 			Storage    string                 `json:"storage"`
 			Repl       *replica.SenderStats   `json:"repl_sender,omitempty"`
 			Follower   *replica.ReceiverStats `json:"repl_receiver,omitempty"`
-		}{MetricsSnapshot: srv.Metrics().Snapshot(), Storage: stg.String()}
-		if stg.shards != nil {
-			out.OpenShards = stg.shards.OpenCount()
-		}
+		}{MetricsSnapshot: srv.Metrics().Snapshot(), OpenShards: shards.OpenCount(), Storage: "dir " + shards.Dir()}
 		if sender != nil {
 			st := sender.Stats()
 			out.Repl = &st
@@ -451,14 +383,14 @@ func commit(group *store.Group, st *store.Store, always bool) error {
 // retried, not quarantined). In partial mode a frame with some damaged
 // sections stores what decoded and reports a PartialFrameError so the
 // session quarantines only the damaged bytes and still acks.
-func handler(stg *storage, group *store.Group, decompress, partial, syncAlways bool, limits dbgc.DecodeLimits, repl *replLink) func(tenant string, m netproto.Message) error {
+func handler(shards *store.Shards, group *store.Group, decompress, partial, syncAlways bool, limits dbgc.DecodeLimits, repl *replLink) func(tenant string, m netproto.Message) error {
 	opts := dbgc.DecompressOptions{Limits: limits}
 	return func(tenant string, m netproto.Message) error {
-		st, release, err := stg.acquire(tenant)
+		st, err := shards.Acquire(tenant)
 		if err != nil {
 			return fmt.Errorf("tenant %s store: %w", tenant, err)
 		}
-		defer release()
+		defer shards.Release(tenant)
 		var end int64
 		switch m.Kind {
 		case netproto.KindCompressed:
@@ -523,13 +455,13 @@ func handler(stg *storage, group *store.Group, decompress, partial, syncAlways b
 }
 
 // querier answers spatial queries from the tenant's shard.
-func querier(stg *storage, limits dbgc.DecodeLimits) func(tenant string, q netproto.Query) ([]byte, error) {
+func querier(shards *store.Shards, limits dbgc.DecodeLimits) func(tenant string, q netproto.Query) ([]byte, error) {
 	return func(tenant string, q netproto.Query) ([]byte, error) {
-		st, release, err := stg.acquire(tenant)
+		st, err := shards.Acquire(tenant)
 		if err != nil {
 			return nil, err
 		}
-		defer release()
+		defer shards.Release(tenant)
 		pts, err := answerQuery(st, q, limits)
 		if err != nil {
 			return nil, err
@@ -544,14 +476,14 @@ func querier(stg *storage, limits dbgc.DecodeLimits) func(tenant string, q netpr
 // must not shadow a stored frame). Damaged sections of a partially
 // recovered frame land under the sequence number with the top bit set, so
 // they coexist with the frame's stored good sections.
-func quarantiner(stg *storage) func(tenant string, m netproto.Message, reason string) {
+func quarantiner(shards *store.Shards) func(tenant string, m netproto.Message, reason string) {
 	return func(tenant string, m netproto.Message, reason string) {
-		st, release, err := stg.acquire(tenant)
+		st, err := shards.Acquire(tenant)
 		if err != nil {
 			log.Printf("%s frame %d: quarantine store unavailable: %v", tenant, m.Seq, err)
 			return
 		}
-		defer release()
+		defer shards.Release(tenant)
 		if strings.HasPrefix(reason, "partial: ") {
 			key := m.Seq | 1<<63
 			if err := st.Put(key, store.KindQuarantined, m.Payload); err != nil {

@@ -169,28 +169,27 @@ func (s Stats) CompressionRatio() float64 {
 
 const (
 	magic = "DBGC"
-	// version1 frames each section as "length uvarint | payload".
-	version1 = 1
-	// version2 adds a CRC32-C per section ("length uvarint | crc fixed32
-	// LE | payload") so damage is attributable to one section and the
-	// others stay recoverable (DecompressPartial). Both versions decode.
+	// version2 frames each section as "length uvarint | crc fixed32 LE |
+	// payload", the CRC32-C making damage attributable to one section so
+	// the others stay recoverable (DecompressPartial). Version 1, the same
+	// framing without the CRC, is no longer read.
 	version2 = 2
 	// version3 keeps the v2 envelope (magic, mode, per-section CRCs) but
 	// codes the high-volume entropy streams inside every section with the
 	// sharded framing of internal/arith, and prefixes each sparse radial
-	// group with its own CRC-32C. All three versions decode.
+	// group with its own CRC-32C.
 	version3 = 3
 	// version4 keeps the v3 envelope and framing but codes the integer hot
 	// paths (leaf counts, polyline lengths, θ/φ/r deltas, Δz) with the
 	// blockpack codec of internal/blockpack. Emitted when Options.BlockPack
 	// is set and the packed container wins the size guard (or when
-	// BlockPackForce skips the guard). All four versions decode.
+	// BlockPackForce skips the guard).
 	version4 = 4
 	// version5 keeps the envelope but follows the version byte with a
-	// dialect byte: v1-v4 infer the entropy dialect from the version number
+	// dialect byte: v2-v4 infer the entropy dialect from the version number
 	// alone, while v5's context modeling composes with sharding and
 	// blockpacking, so the combination must be spelled out. Emitted when
-	// Options.ContextModel is set. All five versions decode.
+	// Options.ContextModel is set. Versions 2 to 5 all decode.
 	version5 = 5
 	// version is what Compress emits for unsharded options (Shards <= 1);
 	// sharded compression emits version3, blockpacked version4,

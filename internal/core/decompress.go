@@ -85,16 +85,15 @@ type SectionReport struct {
 	Raw []byte
 }
 
-// section is one framed payload with its integrity metadata.
+// section is one framed payload with its CRC32-C.
 type section struct {
 	payload []byte
 	crc     uint32
-	hasCRC  bool
 }
 
-// verify checks the section CRC when the container version carries one.
+// verify checks the section CRC.
 func (s *section) verify(id SectionID) error {
-	if s.hasCRC && crc32.Checksum(s.payload, castagnoli) != s.crc {
+	if crc32.Checksum(s.payload, castagnoli) != s.crc {
 		return fmt.Errorf("%w: %s section CRC mismatch", ErrCorrupt, id)
 	}
 	return nil
@@ -110,7 +109,7 @@ type container struct {
 	sec     [numSections]section
 }
 
-// flags returns the per-stream entropy dialect of the container: v1/v2 are
+// flags returns the per-stream entropy dialect of the container: v2 is
 // plain, v3 sharded, v4 sharded+blockpacked, and v5 carries the combination
 // explicitly in its dialect byte.
 func (c container) flags() (sharded, blockpacked, ctx bool) {
@@ -121,11 +120,12 @@ func (c container) flags() (sharded, blockpacked, ctx bool) {
 }
 
 // parseContainer splits a frame into its envelope and sections, charging
-// declared section lengths against b. It reads all container versions:
-// v1 frames section payloads with a bare length, v2 adds a CRC32-C per
-// section (length uvarint, CRC fixed32 LE, payload), v3 keeps the v2
-// envelope while the section payloads use the sharded entropy dialect, and
-// v4 additionally codes the integer hot paths with blockpack.
+// declared section lengths against b. It reads versions 2 to 5, which share
+// one section framing (length uvarint, CRC32-C fixed32 LE, payload): v3
+// keeps the v2 envelope while the section payloads use the sharded entropy
+// dialect, v4 additionally codes the integer hot paths with blockpack, and
+// v5 names its dialect in a byte after the version. Version 1 (bare section
+// lengths, no CRC) is refused like any other unknown version.
 func parseContainer(data []byte, b *declimits.Budget) (container, error) {
 	var c container
 	if len(data) < len(magic)+1 {
@@ -135,7 +135,7 @@ func parseContainer(data []byte, b *declimits.Budget) (container, error) {
 		return c, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	c.version = data[len(magic)]
-	if c.version < version1 || c.version > version5 {
+	if c.version < version2 || c.version > version5 {
 		return c, fmt.Errorf("core: unsupported version %d", c.version)
 	}
 	data = data[len(magic)+1:]
@@ -165,14 +165,11 @@ func parseContainer(data []byte, b *declimits.Budget) (container, error) {
 		if err := b.Section(int64(l)); err != nil {
 			return c, err
 		}
-		if c.version >= version2 {
-			if len(data) < 4 {
-				return c, fmt.Errorf("%w: %s CRC truncated", ErrCorrupt, id)
-			}
-			c.sec[id].crc = binary.LittleEndian.Uint32(data)
-			c.sec[id].hasCRC = true
-			data = data[4:]
+		if len(data) < 4 {
+			return c, fmt.Errorf("%w: %s CRC truncated", ErrCorrupt, id)
 		}
+		c.sec[id].crc = binary.LittleEndian.Uint32(data)
+		data = data[4:]
 		if l > uint64(len(data)) {
 			return c, fmt.Errorf("%w: %s section truncated", ErrCorrupt, id)
 		}
@@ -221,12 +218,11 @@ func DecompressWith(data []byte, opts DecompressOptions) (geom.PointCloud, error
 
 // DecompressPartial decodes every intact section of a frame and skips
 // damaged ones, returning the partial cloud (sections in container order)
-// and a report per section. Damage is detected by section CRC on v2+
-// frames and by decode failure on all versions. On v3 frames the sparse
-// section additionally salvages at radial-group granularity: groups whose
-// own CRC-32C checks out decode even when the section as a whole is
-// damaged. The error is non-nil only when the frame envelope itself cannot
-// be parsed — then nothing is recoverable.
+// and a report per section. Damage is detected by section CRC and by
+// decode failure. On v3 frames the sparse section additionally salvages at
+// radial-group granularity: groups whose own CRC-32C checks out decode even
+// when the section as a whole is damaged. The error is non-nil only when
+// the frame envelope itself cannot be parsed — then nothing is recoverable.
 func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []SectionReport, error) {
 	b := newBudget(opts.Limits)
 	c, err := parseContainer(data, b)
@@ -275,9 +271,10 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 // par.Each — each is an independently entropy-coded stream — charging b
 // throughout. salvage lets the sparse decoder skip CRC-condemned radial
 // groups of a v3 stream instead of failing the section (DecompressPartial's
-// group-level recovery). The sections decode into consecutive windows of buf, one slice sized from the point counts
-// their headers declare, so buf.Join(pts...) of intact sections is buf
-// itself, every point written once.
+// group-level recovery). The sections decode into consecutive windows of
+// buf, one slice sized from the point counts their headers declare, so
+// buf.Join(pts...) of intact sections is buf itself, every point written
+// once.
 func decodeSections(c container, b *declimits.Budget, salvage bool) (buf geom.PointCloud, pts [numSections]geom.PointCloud, errs [numSections]error) {
 	// The container version (plus the v5 dialect byte), not the payload,
 	// selects the entropy dialect of the dense and outlier sections; sparse

@@ -137,8 +137,8 @@ func TestDecompressPartialCRCCatchesDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := SectionID(0); id < numSections; id++ {
-		if !c.sec[id].hasCRC {
-			t.Fatalf("%s section of a freshly written frame has no CRC", id)
+		if err := c.sec[id].verify(id); err != nil {
+			t.Fatalf("freshly written frame: %v", err)
 		}
 	}
 	dn := c.sec[SectionDense].payload
@@ -157,52 +157,44 @@ func TestDecompressPartialCRCCatchesDamage(t *testing.T) {
 	}
 }
 
-// TestV1FramesStillDecode: version-1 frames (no section CRCs) remain
-// readable, including by DecompressPartial.
-func TestV1FramesStillDecode(t *testing.T) {
+// TestV1FramesRefused: a version-1 frame (bare section lengths, no CRCs) is
+// no longer read. Every decode entry point answers it with the
+// unsupported-version error before touching a section, so a v1 stream whose
+// payloads would still decode fails closed rather than unchecked.
+func TestV1FramesRefused(t *testing.T) {
 	pc := frame(t, lidar.Residential)[:2000]
 	data, _, err := Compress(pc, DefaultOptions(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := rewriteAsV1(t, data)
-	want, err := Decompress(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decompress(v1)
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
-	}
-	if !cloudsEqual(want, got) {
-		t.Fatal("v1 decode differs from v2 decode")
-	}
-	_, reports, err := DecompressPartial(v1, DecompressOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rep := range reports {
-		if rep.Err != nil {
-			t.Fatalf("v1 %s section reported damaged: %v", rep.Section, rep.Err)
-		}
-	}
-}
-
-// rewriteAsV1 re-frames a v2 container in the legacy v1 layout (no section
-// CRCs), byte-for-byte preserving the payloads.
-func rewriteAsV1(t *testing.T, data []byte) []byte {
-	t.Helper()
 	c, err := parseContainer(data, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := append([]byte(magic), version1)
-	out = varint.AppendUint(out, uint64(c.mode))
+	v1 := append([]byte(magic), 1)
+	v1 = varint.AppendUint(v1, uint64(c.mode))
 	for id := SectionID(0); id < numSections; id++ {
-		out = varint.AppendUint(out, uint64(len(c.sec[id].payload)))
-		out = append(out, c.sec[id].payload...)
+		v1 = varint.AppendUint(v1, uint64(len(c.sec[id].payload)))
+		v1 = append(v1, c.sec[id].payload...)
 	}
-	return out
+	const want = "core: unsupported version 1"
+	entries := map[string]func() (geom.PointCloud, error){
+		"Decompress": func() (geom.PointCloud, error) { return Decompress(v1) },
+		"DecompressPartial": func() (geom.PointCloud, error) {
+			pts, _, err := DecompressPartial(v1, DecompressOptions{})
+			return pts, err
+		},
+		"DecompressRegion": func() (geom.PointCloud, error) { return DecompressRegion(v1, geom.Bounds(pc)) },
+	}
+	for name, decode := range entries {
+		pts, err := decode()
+		if err == nil || err.Error() != want {
+			t.Errorf("%s: error %v, want %q", name, err, want)
+		}
+		if len(pts) != 0 {
+			t.Errorf("%s: returned %d points from a refused frame", name, len(pts))
+		}
+	}
 }
 
 func cloudsEqual(a, b geom.PointCloud) bool {

@@ -13,9 +13,6 @@ type Layout struct {
 	BytesDense   int
 	BytesSparse  int
 	BytesOutlier int
-	// SectionCRCs reports whether the container carries per-section CRC32s
-	// (version 2 and later).
-	SectionCRCs bool
 	// ShardedStreams reports the v3 dialect: high-volume entropy streams
 	// split into independently coded shards, sparse groups CRC-prefixed.
 	ShardedStreams bool
@@ -46,7 +43,6 @@ func Inspect(data []byte) (Layout, error) {
 		return l, err
 	}
 	l.OutlierMode = c.mode
-	l.SectionCRCs = c.sec[SectionDense].hasCRC
 	l.ShardedStreams, l.BlockPacked, l.ContextModeled = c.flags()
 
 	dense := c.sec[SectionDense].payload

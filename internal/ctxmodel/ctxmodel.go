@@ -66,8 +66,8 @@ const (
 
 // DefaultFeatures is the measured sweet spot on the KITTI-style benchmark
 // frames: reflection plus the 8 adjacency contexts. The sibling and depth
-// features exist for the benchkit ablation; on the reference frames their
-// extra contexts dilute more than they sharpen (BENCH_10.json).
+// features lost the PR 10 ablation: on the reference frames their extra
+// contexts dilute more than they sharpen (DESIGN.md §15).
 const DefaultFeatures = FeatOctant | FeatParent
 
 // Contexts returns the size of the context bank the feature set selects.

@@ -225,54 +225,6 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	return enc, nil
 }
 
-// CollectCounts builds the octree for points at error bound q and returns
-// the per-leaf point count stream without entropy coding it. It exists for
-// the benchkit pack ablation, which compares codecs on the real count
-// stream of a frame.
-func CollectCounts(points geom.PointCloud, q float64) ([]uint64, error) {
-	if q <= 0 {
-		return nil, fmt.Errorf("octree: error bound must be positive, got %v", q)
-	}
-	if len(points) == 0 {
-		return nil, nil
-	}
-	cube := geom.Bounds(points).Cube()
-	depth := depthFor(cube.MaxDim(), q)
-	side := 2 * q * math.Pow(2, float64(depth))
-	if side < cube.MaxDim() {
-		side = cube.MaxDim()
-	}
-	scratch := buildPool.Get().(*buildScratch)
-	_, counts, _ := buildAndSerialize(scratch, points, cube.Min, side, depth)
-	out := append([]uint64(nil), counts...)
-	buildPool.Put(scratch)
-	return out, nil
-}
-
-// CollectOccupancy builds the octree for points at error bound q and
-// returns the breadth-first occupancy code sequence and the tree depth
-// without entropy coding. It exists for the benchkit ctx ablation, which
-// compares context schemes on the real occupancy stream of a frame.
-func CollectOccupancy(points geom.PointCloud, q float64) ([]byte, int, error) {
-	if q <= 0 {
-		return nil, 0, fmt.Errorf("octree: error bound must be positive, got %v", q)
-	}
-	if len(points) == 0 {
-		return nil, 0, nil
-	}
-	cube := geom.Bounds(points).Cube()
-	depth := depthFor(cube.MaxDim(), q)
-	side := 2 * q * math.Pow(2, float64(depth))
-	if side < cube.MaxDim() {
-		side = cube.MaxDim()
-	}
-	scratch := buildPool.Get().(*buildScratch)
-	occ, _, _ := buildAndSerialize(scratch, points, cube.Min, side, depth)
-	out := append([]byte(nil), occ...)
-	buildPool.Put(scratch)
-	return out, depth, nil
-}
-
 // depthFor returns the number of subdivision levels needed for leaf side
 // lengths of at most 2q.
 func depthFor(side, q float64) int {

@@ -95,32 +95,6 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	return Encoded{Data: out, DecodedOrder: qt.DecodedOrder}, nil
 }
 
-// CollectZDeltas builds the quadtree for points at error bound q and
-// returns the delta-encoded quantized z stream without entropy coding it.
-// It exists for the benchkit pack ablation, which compares codecs on the
-// real z-delta stream of a frame.
-func CollectZDeltas(points geom.PointCloud, q float64) ([]int64, error) {
-	if q <= 0 {
-		return nil, fmt.Errorf("outlier: error bound must be positive, got %v", q)
-	}
-	xy := make([]quadtree.Point2, len(points))
-	for i, p := range points {
-		xy[i] = quadtree.Point2{X: p.X, Y: p.Y}
-	}
-	qt, err := quadtree.Encode(xy, q)
-	if err != nil {
-		return nil, fmt.Errorf("outlier: quadtree: %w", err)
-	}
-	dz := make([]int64, len(points))
-	prev := int64(0)
-	for j, oi := range qt.DecodedOrder {
-		zq := int64(math.Round(points[oi].Z / (2 * q)))
-		dz[j] = zq - prev
-		prev = zq
-	}
-	return dz, nil
-}
-
 // Decode reconstructs the outlier points.
 func Decode(data []byte) (geom.PointCloud, error) {
 	return DecodeLimited(data, nil)

@@ -41,7 +41,7 @@ type Metrics struct {
 func (m *Metrics) ObserveLatency(d time.Duration) { m.lat.observe(d) }
 
 // MetricsSnapshot is a point-in-time copy of Metrics, JSON-ready for the
-// /metrics endpoint and BENCH_load.json.
+// /metrics endpoint and dbgc-loadgen's -out file.
 type MetricsSnapshot struct {
 	FramesIn         uint64  `json:"frames_in"`
 	BytesIn          uint64  `json:"bytes_in"`

@@ -420,40 +420,6 @@ func TestQueryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestNoAckLegacyMode: a fire-and-forget client is still served, and the
-// server stays silent.
-func TestNoAckLegacyMode(t *testing.T) {
-	addr, st, _ := startServer(t, ServerConfig{NoAck: true, ReadTimeout: time.Second})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	for seq := uint64(0); seq < 3; seq++ {
-		if err := netproto.Write(conn, netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: testPayload(seq, 128)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := netproto.Write(conn, netproto.Message{Kind: netproto.KindBye, Seq: 3}); err != nil {
-		t.Fatal(err)
-	}
-	// The server must close without having sent anything back.
-	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1)
-	if n, err := conn.Read(buf); n != 0 || !errors.Is(err, net.ErrClosed) && err.Error() == "" {
-		if n != 0 {
-			t.Fatalf("server sent %d unexpected bytes in NoAck mode", n)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for st.Len() < 3 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if st.Len() != 3 {
-		t.Fatalf("store holds %d frames, want 3", st.Len())
-	}
-}
-
 // TestGracefulShutdown: Shutdown waits for in-flight sessions, then
 // refuses new connections.
 func TestGracefulShutdown(t *testing.T) {

@@ -91,11 +91,6 @@ type ServerConfig struct {
 	ReadTimeout time.Duration
 	// WriteTimeout is the deadline for writing a response (default 10s).
 	WriteTimeout time.Duration
-	// NoAck suppresses ack/nack responses for wire compatibility with
-	// fire-and-forget clients; fault isolation still applies. With no
-	// way to signal backpressure, a full ingest queue blocks the reader
-	// instead (TCP flow control becomes the backpressure).
-	NoAck bool
 
 	// Admission control. Zero values mean unlimited.
 	//
@@ -239,9 +234,6 @@ func (s *Server) begin(conn net.Conn, track bool) bool {
 // the hello sequence number tells a reliable client when to come back.
 func (s *Server) refuse(conn net.Conn) {
 	defer conn.Close()
-	if s.cfg.NoAck {
-		return
-	}
 	conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
 	_ = netproto.Write(conn, netproto.NackBusy(netproto.HelloSeq, 2*s.cfg.RetryAfter, "server session limit"))
 }
@@ -387,7 +379,7 @@ func (s *Session) Run() (err error) {
 			// Payload corrupt but framing intact: isolate the frame
 			// and keep the stream.
 			s.quarantine(m, "payload checksum mismatch")
-			if err := s.respond(netproto.Nack(m.Seq, "checksum")); err != nil {
+			if err := s.write(netproto.Nack(m.Seq, "checksum")); err != nil {
 				return err
 			}
 			continue
@@ -428,7 +420,7 @@ func (s *Session) Run() (err error) {
 		default:
 			// Unknown kind from a newer client: reject the frame,
 			// keep the session.
-			if err := s.respond(netproto.Nack(m.Seq, "unknown kind")); err != nil {
+			if err := s.write(netproto.Nack(m.Seq, "unknown kind")); err != nil {
 				return err
 			}
 		}
@@ -459,7 +451,7 @@ func (s *Session) notReady(seq uint64) (refused bool, err error) {
 	if s.srv != nil {
 		s.srv.metrics.BusyNacked.Add(1)
 	}
-	if werr := s.respond(netproto.NackBusy(seq, retryAfter, reason)); werr != nil {
+	if werr := s.write(netproto.NackBusy(seq, retryAfter, reason)); werr != nil {
 		return true, werr
 	}
 	return true, errCloseSession
@@ -471,11 +463,11 @@ func (s *Session) notReady(seq uint64) (refused bool, err error) {
 // number; refusals (stale epoch, replication disabled) travel as nacks.
 func (s *Session) replHello(m netproto.Message) error {
 	if s.cfg.ReplHello == nil {
-		return s.respond(netproto.Nack(m.Seq, "replication unsupported"))
+		return s.write(netproto.Nack(m.Seq, "replication unsupported"))
 	}
 	resp, err := s.callReplHello(m.Payload)
 	if err != nil {
-		return s.respond(netproto.Nack(m.Seq, clip(err.Error())))
+		return s.write(netproto.Nack(m.Seq, clip(err.Error())))
 	}
 	return s.write(netproto.Message{Kind: netproto.KindReplAck, Seq: m.Seq, Payload: resp})
 }
@@ -510,12 +502,12 @@ func (s *Session) bindRepl() {
 // accept.
 func (s *Session) ingestRepl(m netproto.Message) error {
 	if s.cfg.ReplRecord == nil {
-		return s.respond(netproto.Nack(m.Seq, "replication unsupported"))
+		return s.write(netproto.Nack(m.Seq, "replication unsupported"))
 	}
 	s.bindRepl()
 	if s.bound != replPeer {
 		// A tenant-bound client smuggling repl frames: reject, keep session.
-		return s.respond(netproto.Nack(m.Seq, "session bound to a tenant"))
+		return s.write(netproto.Nack(m.Seq, "session bound to a tenant"))
 	}
 	if s.srv != nil {
 		s.srv.metrics.FramesIn.Add(1)
@@ -544,25 +536,25 @@ func (s *Session) hello(m netproto.Message) error {
 	name := string(m.Payload)
 	if s.bound != "" {
 		if name == s.bound {
-			return s.respond(netproto.Ack(netproto.HelloSeq)) // idempotent re-hello
+			return s.write(netproto.Ack(netproto.HelloSeq)) // idempotent re-hello
 		}
-		return s.respond(netproto.Nack(netproto.HelloSeq, "already bound to another tenant"))
+		return s.write(netproto.Nack(netproto.HelloSeq, "already bound to another tenant"))
 	}
 	if err := s.bind(name); err != nil {
 		var adm *admissionError
 		if errors.As(err, &adm) {
 			s.cfg.Logf("reliable: refusing %s (%s): %s", s.conn.RemoteAddr(), name, adm.reason)
-			if rerr := s.respond(netproto.NackBusy(netproto.HelloSeq, adm.retryAfter, adm.reason)); rerr != nil {
+			if rerr := s.write(netproto.NackBusy(netproto.HelloSeq, adm.retryAfter, adm.reason)); rerr != nil {
 				return rerr
 			}
 			return errCloseSession // polite refusal
 		}
-		if rerr := s.respond(netproto.Nack(netproto.HelloSeq, clip(err.Error()))); rerr != nil {
+		if rerr := s.write(netproto.Nack(netproto.HelloSeq, clip(err.Error()))); rerr != nil {
 			return rerr
 		}
 		return errCloseSession // misconfigured client: no point serving on
 	}
-	return s.respond(netproto.Ack(netproto.HelloSeq))
+	return s.write(netproto.Ack(netproto.HelloSeq))
 }
 
 // bind admits the session under the given tenant name and starts the
@@ -591,7 +583,7 @@ func (s *Session) ensureBound(seq uint64) error {
 	if err := s.bind(DefaultTenant); err != nil {
 		var adm *admissionError
 		if errors.As(err, &adm) {
-			if rerr := s.respond(netproto.NackBusy(seq, adm.retryAfter, adm.reason)); rerr != nil {
+			if rerr := s.write(netproto.NackBusy(seq, adm.retryAfter, adm.reason)); rerr != nil {
 				return rerr
 			}
 			return fmt.Errorf("reliable: default-tenant admission: %s", adm.reason)
@@ -633,13 +625,6 @@ func (s *Session) ingest(m netproto.Message) error {
 	if s.srv != nil {
 		s.srv.noteInflight(1)
 	}
-	if s.cfg.NoAck {
-		// No wire backpressure possible: block the reader, letting TCP
-		// flow control push back instead.
-		s.pipe.Submit(ingestJob{m: m, at: time.Now()})
-		s.notify <- struct{}{}
-		return nil
-	}
 	if !s.pipe.TrySubmit(ingestJob{m: m, at: time.Now()}) {
 		if s.tenant != nil {
 			s.tenant.release()
@@ -676,7 +661,7 @@ func (s *Session) busyNack(seq uint64, reason string) error {
 	if s.srv != nil {
 		s.srv.metrics.BusyNacked.Add(1)
 	}
-	return s.respond(netproto.NackBusy(seq, s.cfg.RetryAfter, reason))
+	return s.write(netproto.NackBusy(seq, s.cfg.RetryAfter, reason))
 }
 
 // process is the pipeline function: it runs the handler (panic-isolated)
@@ -725,7 +710,7 @@ func (s *Session) finish(r ingestDone) {
 			// primary's window logic can tell follower acks apart.
 			ack.Kind = netproto.KindReplAck
 		}
-		if err := s.respond(ack); err != nil {
+		if err := s.write(ack); err != nil {
 			s.conn.Close() // reader notices and ends the session
 		}
 		return
@@ -741,7 +726,7 @@ func (s *Session) finish(r ingestDone) {
 		if s.srv != nil {
 			s.srv.metrics.Acked.Add(1)
 		}
-		if err := s.respond(netproto.Ack(r.m.Seq)); err != nil {
+		if err := s.write(netproto.Ack(r.m.Seq)); err != nil {
 			s.conn.Close()
 		}
 		return
@@ -750,7 +735,7 @@ func (s *Session) finish(r ingestDone) {
 	if s.srv != nil {
 		s.srv.metrics.Nacked.Add(1)
 	}
-	if err := s.respond(netproto.Nack(r.m.Seq, clip(herr.Error()))); err != nil {
+	if err := s.write(netproto.Nack(r.m.Seq, clip(herr.Error()))); err != nil {
 		s.conn.Close()
 	}
 }
@@ -798,11 +783,11 @@ func (s *Session) answer(m netproto.Message) error {
 		return err
 	}
 	if s.cfg.Query == nil {
-		return s.respond(netproto.Nack(m.Seq, "queries unsupported"))
+		return s.write(netproto.Nack(m.Seq, "queries unsupported"))
 	}
 	q, err := netproto.DecodeQuery(m.Payload)
 	if err != nil {
-		return s.respond(netproto.Nack(m.Seq, clip(err.Error())))
+		return s.write(netproto.Nack(m.Seq, clip(err.Error())))
 	}
 	payload, err := s.callQuery(q)
 	if err != nil {
@@ -828,14 +813,6 @@ func (s *Session) quarantine(m netproto.Message, reason string) {
 	if s.cfg.Quarantine != nil {
 		s.cfg.Quarantine(s.tenantName(), m, reason)
 	}
-}
-
-// respond writes an ack/nack unless running in fire-and-forget mode.
-func (s *Session) respond(m netproto.Message) error {
-	if s.cfg.NoAck {
-		return nil
-	}
-	return s.write(m)
 }
 
 // write serializes one frame to the connection; the mutex keeps reader-

@@ -72,13 +72,9 @@ func deflateAt(t *testing.T, level int, data []byte) []byte {
 func TestDeflateNeverLoses(t *testing.T) {
 	inputs := map[string][]byte{}
 	for _, f := range thetaFrames(t) {
-		streams, _, err := CollectStreams(f.pc, f.idx, f.opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for gi, g := range streams {
-			inputs[fmt.Sprintf("%s/group%d/heads", f.kind, gi)] = varint.AppendInts(nil, g.DThetaHeads)
-			inputs[fmt.Sprintf("%s/group%d/tails", f.kind, gi)] = varint.AppendInts(nil, g.ThetaTails)
+		for gi, g := range collectStreams(f.pc, f.idx, f.opts) {
+			inputs[fmt.Sprintf("%s/group%d/heads", f.kind, gi)] = varint.AppendInts(nil, g.dThetaHeads)
+			inputs[fmt.Sprintf("%s/group%d/tails", f.kind, gi)] = varint.AppendInts(nil, g.thetaTails)
 		}
 	}
 	constant := make([]int64, 20000)

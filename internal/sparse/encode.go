@@ -317,9 +317,9 @@ var encodePool = sync.Pool{New: func() any { return new(encodeScratch) }}
 
 // encodeGroup runs steps 1-9 for one radial group. rs carries the group's
 // precomputed norms in the same (ascending) order as group. A non-nil
-// capture receives copies of the raw integer streams before they are
-// entropy coded (CollectStreams).
-func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, capture *GroupStreams) (res groupResult) {
+// capture receives copies of the θ streams before they are entropy coded
+// (collectStreams).
+func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, capture *groupStreams) (res groupResult) {
 	var rMax float64
 	var cfg polyline.Config
 	var thR int64
@@ -409,12 +409,8 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	radials, refs := es.encodeRadial(lines, thPhi, thR, opts.DisableRadialOpt)
 
 	if capture != nil {
-		capture.Lens = append([]uint64(nil), lens...)
-		capture.DThetaHeads = append([]int64(nil), dThetaHeads...)
-		capture.ThetaTails = append([]int64(nil), thetaTails...)
-		capture.DPhiHeads = append([]int64(nil), dPhiHeads...)
-		capture.PhiTails = append([]int64(nil), phiTails...)
-		capture.Radials = append([]int64(nil), radials...)
+		capture.dThetaHeads = slices.Clone(dThetaHeads)
+		capture.thetaTails = slices.Clone(thetaTails)
 	}
 
 	data := es.data[:0]
@@ -695,17 +691,6 @@ func (es *encodeScratch) deflate(data []byte) []byte {
 	return best
 }
 
-// DeflateInts codes vs the way Encode codes a group's θ streams: zigzag
-// varints in a raw DEFLATE stream, the smaller of deflate's two candidates.
-// Like CollectStreams it exists for the benchkit pack ablation, whose
-// baseline is this codec.
-func DeflateInts(vs []int64) []byte {
-	es := encodePool.Get().(*encodeScratch)
-	defer encodePool.Put(es)
-	es.stage = varint.AppendInts(es.stage[:0], vs)
-	return bytes.Clone(es.deflate(es.stage))
-}
-
 func newDeflater(level int) *flate.Writer {
 	w, err := flate.NewWriter(nil, level)
 	if err != nil {
@@ -714,35 +699,26 @@ func newDeflater(level int) *flate.Writer {
 	return w
 }
 
-// GroupStreams holds one radial group's raw integer streams exactly as the
-// encoder hands them to the entropy layer, for codec ablations.
-type GroupStreams struct {
-	Lens        []uint64
-	DThetaHeads []int64
-	ThetaTails  []int64
-	DPhiHeads   []int64
-	PhiTails    []int64
-	Radials     []int64
+// groupStreams holds one radial group's θ streams exactly as the encoder
+// hands them to deflate.
+type groupStreams struct {
+	dThetaHeads []int64
+	thetaTails  []int64
 }
 
-// CollectStreams runs the sparse pipeline on the subset of pc given by idx
-// and returns every group's raw integer streams plus the outlier indices,
-// without emitting a stream. It exists for the benchkit pack ablation,
-// which compares codecs on the real per-stream data of a frame.
-func CollectStreams(pc geom.PointCloud, idx []int32, opts Options) ([]GroupStreams, []int32, error) {
-	if opts.Q <= 0 {
-		return nil, nil, fmt.Errorf("sparse: error bound must be positive, got %v", opts.Q)
-	}
+// collectStreams runs the sparse pipeline on the subset of pc given by idx
+// and returns every group's θ streams without emitting a stream: the real
+// inputs TestDeflateNeverLoses holds deflate to.
+func collectStreams(pc geom.PointCloud, idx []int32, opts Options) []groupStreams {
 	es := encodePool.Get().(*encodeScratch)
 	defer encodePool.Put(es)
 	sorted, rs, bounds := es.groupByRadius(pc, idx, opts)
-	streams := make([]GroupStreams, len(bounds)-1)
-	var outliers []int32
+	streams := make([]groupStreams, len(bounds)-1)
 	for gi := range streams {
 		lo, hi := bounds[gi], bounds[gi+1]
-		outliers = append(outliers, es.encodeGroup(pc, sorted[lo:hi], rs[lo:hi], opts, &streams[gi]).outliers...)
+		es.encodeGroup(pc, sorted[lo:hi], rs[lo:hi], opts, &streams[gi])
 	}
-	return streams, outliers, nil
+	return streams
 }
 
 // inflater is a DEFLATE reader with its source, recycled through
