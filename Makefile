@@ -6,8 +6,8 @@ GO ?= go
 # city-frame compression-ratio smoke test, TestRatioSmoke), then the
 # data-race pass (which includes the reliable-transport fault-injection
 # tests, and repeats on the packages that fan work out through
-# internal/par), then a known-vulnerability scan when the scanner is
-# installed.
+# internal/par and on the server node and the chaos scenarios that crash
+# it), then a known-vulnerability scan when the scanner is installed.
 check: build vet test race vuln
 
 build:
@@ -22,7 +22,8 @@ test:
 
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=2 ./internal/par ./internal/cluster ./internal/core ./internal/sparse
+	$(GO) test -race -count=2 ./internal/par ./internal/cluster ./internal/core ./internal/sparse \
+		./internal/node ./cmd/dbgc-loadgen
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): one of the
 # five workloads, built from source and run for 15 s. TRACE=1 reports the

@@ -1,6 +1,7 @@
 // Command dbgc-loadgen is the chaos/soak harness for the multi-tenant
-// ingest service: it runs an in-process dbgc ingest server whose tenant
-// shards sit on simulated crash-prone disks (faultnet.Disk), drives it with
+// ingest service: it runs the server in-process — internal/node, the code
+// dbgc-server runs, not a copy of it — with its tenant shards on simulated
+// crash-prone disks (faultnet.Disk), drives it with
 // concurrent reliable clients over fault-injected links (faultnet link
 // flips, drops, torn writes), and — at configurable points mid-traffic —
 // crashes the disks and the server, restarts everything on the same
@@ -34,208 +35,160 @@ import (
 	"math/rand"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"dbgc/internal/faultnet"
 	"dbgc/internal/netproto"
+	"dbgc/internal/node"
 	"dbgc/internal/reliable"
 	"dbgc/internal/store"
 )
 
+// options is the flag set both scenarios share.
+type options struct {
+	tenants, clientsPer, frames, frameBytes, crashes int
+	downtime, syncTimeout                            time.Duration
+	seed                                             int64
+	flip, drop, tear, writeErr                       float64
+	shedHigh, shedLow                                int
+	dir                                              string
+	verbose                                          bool
+}
+
+// logf is the -v sink for per-client and per-node reliability events.
+func (o options) logf(format string, args ...any) {
+	if o.verbose {
+		log.Printf(format, args...)
+	}
+}
+
+// register declares the scenario flags on fs.
+func (o *options) register(fs *flag.FlagSet) {
+	fs.IntVar(&o.tenants, "tenants", 4, "number of tenants")
+	fs.IntVar(&o.clientsPer, "clients", 2, "concurrent clients per tenant")
+	fs.IntVar(&o.frames, "frames", 200, "frames per client")
+	fs.IntVar(&o.frameBytes, "frame-bytes", 2048, "payload bytes per frame")
+	fs.IntVar(&o.crashes, "crashes", 2, "induced crash-restart cycles during the run")
+	fs.DurationVar(&o.downtime, "downtime", 250*time.Millisecond, "server downtime per crash")
+	fs.Int64Var(&o.seed, "seed", 1, "master seed for all fault schedules")
+	fs.Float64Var(&o.flip, "flip", 0.001, "link bit-flip probability per I/O")
+	fs.Float64Var(&o.drop, "drop", 0.002, "link drop probability per write")
+	fs.Float64Var(&o.tear, "tear", 0.005, "link torn-write probability per write")
+	fs.Float64Var(&o.writeErr, "write-err", 0.0005, "disk injected write-fault probability")
+	fs.IntVar(&o.shedHigh, "shed-high", 0, "server shed high-water mark (0 = shedding off)")
+	fs.IntVar(&o.shedLow, "shed-low", 0, "server shed low-water mark")
+	fs.DurationVar(&o.syncTimeout, "sync-timeout", time.Second, "sync-replication follower ack budget per frame (failover scenario)")
+	fs.StringVar(&o.dir, "dir", "", "shard directory (default: a fresh temp dir, removed on success)")
+	fs.BoolVar(&o.verbose, "v", false, "log per-client reliability events")
+}
+
 func main() {
-	tenants := flag.Int("tenants", 4, "number of tenants")
-	clientsPer := flag.Int("clients", 2, "concurrent clients per tenant")
-	frames := flag.Int("frames", 200, "frames per client")
-	frameBytes := flag.Int("frame-bytes", 2048, "payload bytes per frame")
-	crashes := flag.Int("crashes", 2, "induced crash-restart cycles during the run")
-	downtime := flag.Duration("downtime", 250*time.Millisecond, "server downtime per crash")
-	seed := flag.Int64("seed", 1, "master seed for all fault schedules")
-	flip := flag.Float64("flip", 0.001, "link bit-flip probability per I/O")
-	drop := flag.Float64("drop", 0.002, "link drop probability per write")
-	tear := flag.Float64("tear", 0.005, "link torn-write probability per write")
-	writeErr := flag.Float64("write-err", 0.0005, "disk injected write-fault probability")
-	shedHigh := flag.Int("shed-high", 0, "server shed high-water mark (0 = shedding off)")
-	shedLow := flag.Int("shed-low", 0, "server shed low-water mark")
+	var o options
+	o.register(flag.CommandLine)
 	failover := flag.Bool("failover", false, "run the primary→follower replication failover scenario instead of the single-node soak")
-	syncTimeout := flag.Duration("sync-timeout", time.Second, "sync-replication follower ack budget per frame (failover scenario)")
-	dir := flag.String("dir", "", "shard directory (default: a fresh temp dir, removed on success)")
 	out := flag.String("out", "loadgen.json", "result JSON path")
-	verbose := flag.Bool("v", false, "log per-client reliability events")
 	flag.Parse()
 
 	if s := os.Getenv("FAULTNET_SEED"); s != "" {
 		var v int64
 		if _, err := fmt.Sscanf(s, "%d", &v); err == nil {
-			*seed = v
+			o.seed = v
 		}
 	}
-	log.Printf("dbgc-loadgen: seed %d (replay with FAULTNET_SEED=%d)", *seed, *seed)
+	log.Printf("dbgc-loadgen: seed %d (replay with FAULTNET_SEED=%d)", o.seed, o.seed)
 
-	workDir := *dir
-	cleanupDir := false
-	if workDir == "" {
+	cleanupDir := o.dir == ""
+	if cleanupDir {
 		var err error
-		workDir, err = os.MkdirTemp("", "dbgc-loadgen-*")
-		if err != nil {
+		if o.dir, err = os.MkdirTemp("", "dbgc-loadgen-*"); err != nil {
 			log.Fatal(err)
 		}
-		cleanupDir = true
 	}
-
+	run := runSoak
 	if *failover {
-		os.Exit(runFailover(failoverOpts{
-			tenants: *tenants, clientsPer: *clientsPer,
-			frames: *frames, frameBytes: *frameBytes,
-			seed: *seed, flip: *flip, drop: *drop, tear: *tear, writeErr: *writeErr,
-			downtime: *downtime, syncTimeout: *syncTimeout,
-			dir: workDir, cleanupDir: cleanupDir, out: *out, verbose: *verbose,
-		}))
+		run = runFailover
 	}
+	res, err := run(o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	blob, _ := json.MarshalIndent(res, "", "  ")
+	if err := os.WriteFile(*out, append(blob, '\n'), 0o644); err != nil {
+		log.Fatalf("writing %s: %v", *out, err)
+	}
+	log.Printf("wrote %s", *out)
+	if res.LostFrames > 0 || res.FailedClients > 0 {
+		log.Printf("FAIL: %d acked frames lost, %d client or assertion failures (work dir kept at %s)", res.LostFrames, res.FailedClients, o.dir)
+		os.Exit(1)
+	}
+	log.Printf("PASS: zero acked-frame loss across %d verified frames and %d induced crashes", res.VerifiedFrames, len(res.Crashes))
+	if cleanupDir {
+		os.RemoveAll(o.dir)
+	}
+}
 
-	h := &harness{
-		dir:      workDir,
-		seed:     *seed,
-		writeErr: *writeErr,
-		shedHigh: *shedHigh,
-		shedLow:  *shedLow,
-		verbose:  *verbose,
-		disks:    make(map[string]*faultnet.Disk),
+// runSoak is the single-node scenario: one node under client traffic,
+// crashed and restarted on the same address o.crashes times.
+func runSoak(o options) (benchResult, error) {
+	var tot totals
+	// Each epoch of the node replays its own deterministic disk-fault
+	// schedule, seeded from (master seed, epoch, path).
+	open := func(epoch int, addr string) (*chaosNode, error) {
+		return openNode(node.Config{Listen: addr, Dir: o.dir}, o.seed^int64(epoch)<<32, o)
 	}
-	if err := h.start("127.0.0.1:0"); err != nil {
-		log.Fatalf("starting server: %v", err)
+	n, err := open(1, "127.0.0.1:0")
+	if err != nil {
+		return benchResult{}, fmt.Errorf("starting server: %w", err)
 	}
-	addr := h.addr
-
-	totalFrames := *tenants * *clientsPer * *frames
-	var sentSoFar atomic.Int64
-	results := make([]clientResult, *tenants**clientsPer)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for t := 0; t < *tenants; t++ {
-		for c := 0; c < *clientsPer; c++ {
-			idx := t**clientsPer + c
-			cc := clientConfig{
-				tenant:     fmt.Sprintf("tenant%02d", t),
-				baseSeq:    uint64(c) * 1_000_000,
-				frames:     *frames,
-				frameBytes: *frameBytes,
-				seed:       *seed + int64(idx)*7919,
-				flip:       *flip,
-				drop:       *drop,
-				tear:       *tear,
-				addr:       addr,
-				verbose:    *verbose,
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[idx] = runClient(cc, &sentSoFar)
-			}()
-		}
-	}
-	clientsDone := make(chan struct{})
-	go func() {
-		wg.Wait()
-		close(clientsDone)
-	}()
+	defer func() { n.Abort() }()
+	addr := n.Addr()
+	f := startClients(o, func(cc *clientConfig) { cc.addr = addr })
 
 	// Crash controller: at evenly spaced progress points, crash the disks
-	// under live traffic, kill the server, restart on the same address,
-	// and measure how long the service takes to ack its first frame again.
+	// under live traffic, kill the node, restart on the same address, and
+	// measure how long the service takes to ack its first frame again.
 	var crashReports []crashReport
-	for i := 0; i < *crashes; i++ {
-		target := int64(totalFrames * (i + 1) / (*crashes + 1))
-		if !waitProgress(&sentSoFar, target, clientsDone) {
+	total := o.tenants * o.clientsPer * o.frames
+	for i := 0; i < o.crashes; i++ {
+		if !f.waitProgress(int64(total * (i + 1) / (o.crashes + 1))) {
 			log.Printf("clients finished before crash %d; skipping remaining crashes", i+1)
 			break
 		}
-		rep := h.crash()
+		rep := n.crash(&tot)
 		log.Printf("crash %d: %d shards crashed, %d unsynced ops survived, %d torn tails",
 			i+1, rep.Shards, rep.SurvivedOps, rep.TornTails)
-		time.Sleep(*downtime)
+		time.Sleep(o.downtime)
 		t0 := time.Now()
-		if err := h.start(addr); err != nil {
-			log.Fatalf("restart after crash %d: %v", i+1, err)
+		next, err := open(i+2, addr)
+		if err != nil {
+			return benchResult{}, fmt.Errorf("restart after crash %d: %w", i+1, err)
 		}
-		rep.RecoveryMs = float64(h.awaitFirstAck(10*time.Second).Microseconds()) / 1000
-		rep.RestartMs = float64(time.Since(t0).Microseconds()) / 1000
+		n = next
+		rep.RecoveryMs = ms(n.awaitAckAbove(0, 10*time.Second))
+		rep.RestartMs = ms(time.Since(t0))
 		crashReports = append(crashReports, rep)
 		log.Printf("crash %d: restarted in %.1fms, first ack after %.1fms", i+1, rep.RestartMs, rep.RecoveryMs)
 	}
-	<-clientsDone
-	duration := time.Since(start)
-	h.stop()
+	<-f.done
+	duration := time.Since(f.start)
+	n.stop(&tot)
 
-	// Verification: reopen every shard with the plain store (full rebuild,
-	// truncate-at-first-corrupt) and require every acked frame intact.
-	failures := 0
-	for i, r := range results {
-		if r.Err != "" {
-			log.Printf("client %d (%s): FAILED: %s", i, r.Tenant, r.Err)
-			failures++
-		}
+	res, err := conclude(o, f, o.dir, duration, tot, crashReports, 0)
+	if err == nil {
+		log.Printf("soak: %d frames acked in %v (%.0f frames/s, %.2f MB/s), p99 %.2fms, %d busy nacks, %d quarantined, %d shed, %d crashes",
+			res.FramesAcked, duration.Round(time.Millisecond), res.FramesPerSec, res.MBytesPerSec,
+			res.LatencyP99Ms, res.BusyNacked, res.Quarantined, res.TenantsShed, len(crashReports))
 	}
-	lost, verified, verr := verifyShards(workDir, results)
-	if verr != nil {
-		log.Fatalf("verification: %v", verr)
-	}
-
-	res := buildResult(*tenants, *clientsPer, *frames, *frameBytes, *seed, duration,
-		h.totals, crashReports, results, verified, lost, failures)
-	writeResult(*out, res)
-	log.Printf("soak: %d frames acked in %v (%.0f frames/s, %.2f MB/s), p99 %.2fms, %d busy nacks, %d quarantined, %d shed, %d crashes",
-		res.FramesAcked, duration.Round(time.Millisecond), res.FramesPerSec, res.MBytesPerSec,
-		res.LatencyP99Ms, res.BusyNacked, res.Quarantined, res.TenantsShed, len(crashReports))
-	if lost > 0 || failures > 0 {
-		log.Printf("FAIL: %d acked frames lost, %d clients failed (work dir kept at %s)", lost, failures, workDir)
-		os.Exit(1)
-	}
-	log.Printf("PASS: zero acked-frame loss across %d verified frames and %d induced crashes", verified, len(crashReports))
-	if cleanupDir {
-		os.RemoveAll(workDir)
-	}
+	return res, err
 }
 
-// waitProgress blocks until the sent counter reaches target; false when the
-// clients finish first.
-func waitProgress(sent *atomic.Int64, target int64, done <-chan struct{}) bool {
-	for sent.Load() < target {
-		select {
-		case <-done:
-			return false
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-	return true
-}
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// harness owns one epoch of the server stack: listener, reliable server,
-// shard set on crash-prone disks, and the fsync group. Crash tears it all
-// down the hard way; start builds a fresh epoch over the same directory.
-type harness struct {
-	dir      string
-	seed     int64
-	writeErr float64
-	shedHigh int
-	shedLow  int
-	verbose  bool
-	addr     string
-
-	mu     sync.Mutex
-	disks  map[string]*faultnet.Disk
-	epoch  int
-	shards *store.Shards
-	group  *store.Group
-	srv    *reliable.Server
-	ln     net.Listener
-
-	totals totals
-}
-
-// totals accumulates server metrics across epochs (each restart starts a
-// fresh Metrics).
+// totals accumulates server metrics across node epochs (each restart starts
+// a fresh Metrics).
 type totals struct {
 	FramesIn, BytesIn, Acked, Nacked, BusyNacked uint64
 	Quarantined, SessionsRejected, TenantsShed   uint64
@@ -254,85 +207,68 @@ func (t *totals) add(s reliable.MetricsSnapshot) {
 	t.TenantsShed += s.TenantsShed
 	t.SessionsOpened += s.SessionsOpened
 	t.SessionsStalled += s.SessionsStalled
-	if s.LatencyP50Ms > t.P50Ms {
-		t.P50Ms = s.LatencyP50Ms
-	}
-	if s.LatencyP99Ms > t.P99Ms {
-		t.P99Ms = s.LatencyP99Ms
-	}
+	t.P50Ms = max(t.P50Ms, s.LatencyP50Ms)
+	t.P99Ms = max(t.P99Ms, s.LatencyP99Ms)
 }
 
-func (h *harness) start(addr string) error {
-	h.mu.Lock()
-	h.epoch++
-	epoch := h.epoch
-	h.mu.Unlock()
-	shards, err := store.OpenShards(h.dir, 32)
-	if err != nil {
-		return err
-	}
-	// Every shard file sits on a simulated crash-prone disk; the seed is
-	// derived from (master seed, epoch, path) so each epoch replays its
-	// own deterministic fault schedule.
-	shards.OpenFile = func(path string) (store.File, error) {
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-		d := faultnet.NewDisk(f, fi.Size(), faultnet.DiskConfig{
-			Seed:         h.seed ^ int64(epoch)<<32 ^ int64(crc32.ChecksumIEEE([]byte(path))),
-			WriteErrProb: h.writeErr,
-			TearOnCrash:  true,
-			FlipOnTear:   true,
-		})
-		h.mu.Lock()
-		h.disks[path] = d
-		h.mu.Unlock()
-		return d, nil
-	}
-	group := store.NewGroup(0)
-	logf := func(string, ...any) {}
-	if h.verbose {
-		logf = log.Printf
-	}
-	srv := reliable.NewServer(reliable.ServerConfig{
-		Handle: func(tenant string, m netproto.Message) error {
-			st, err := shards.Acquire(tenant)
-			if err != nil {
-				return err
-			}
-			defer shards.Release(tenant)
-			if err := st.Put(m.Seq, store.KindCompressed, m.Payload); err != nil {
-				return err
-			}
-			return group.Commit(st) // ack ⇒ durable, fsync shared per round
-		},
+// chaosNode is one epoch of a real server (node.Node, the code dbgc-server
+// runs) whose shard files sit on simulated crash-prone disks. crash tears it
+// down the hard way; the scenario opens a fresh one over the same directory.
+type chaosNode struct {
+	*node.Node
+	seed     int64
+	writeErr float64
+
+	mu    sync.Mutex
+	disks map[string]*faultnet.Disk
+}
+
+// openNode opens cfg on fault disks seeded from (seed, path), with group-
+// committed fsync and the harness's timings — short queues and retry hints,
+// so backpressure and recovery show within a run of seconds — and serves it.
+func openNode(cfg node.Config, seed int64, o options) (*chaosNode, error) {
+	c := &chaosNode{seed: seed, writeErr: o.writeErr, disks: make(map[string]*faultnet.Disk)}
+	cfg.OpenStores = 32
+	cfg.OpenFile = c.openFile
+	cfg.Fsync = "always" // ack ⇒ durable, fsync shared per round
+	cfg.ServerConfig = reliable.ServerConfig{
 		ReadTimeout:   30 * time.Second,
 		WriteTimeout:  5 * time.Second,
 		RetryAfter:    20 * time.Millisecond,
 		QueueDepth:    8,
 		TenantBudget:  24,
-		ShedHighWater: h.shedHigh,
-		ShedLowWater:  h.shedLow,
-		Logf:          logf,
-	})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		shards.Close()
-		group.Close()
-		return err
+		ShedHighWater: o.shedHigh,
+		ShedLowWater:  o.shedLow,
+		Logf:          o.logf,
 	}
-	h.mu.Lock()
-	h.shards, h.group, h.srv, h.ln = shards, group, srv, ln
-	h.addr = ln.Addr().String()
-	h.mu.Unlock()
-	go srv.Serve(ln)
-	return nil
+	var err error
+	if c.Node, err = node.Open(cfg); err != nil {
+		return nil, err
+	}
+	go c.Serve()
+	return c, nil
+}
+
+func (c *chaosNode) openFile(path string) (store.File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	d := faultnet.NewDisk(f, fi.Size(), faultnet.DiskConfig{
+		Seed:         c.seed ^ int64(crc32.ChecksumIEEE([]byte(path))),
+		WriteErrProb: c.writeErr,
+		TearOnCrash:  true,
+		FlipOnTear:   true,
+	})
+	c.mu.Lock()
+	c.disks[path] = d
+	c.mu.Unlock()
+	return d, nil
 }
 
 type crashReport struct {
@@ -345,15 +281,13 @@ type crashReport struct {
 
 // crash pulls the plug: every disk loses its unsynced writes (possibly
 // tearing the record mid-write, as power loss does) while traffic is still
-// flowing, then the server is killed without draining. Returns what the
+// flowing, then the node is killed without draining. Returns what the
 // "power loss" destroyed.
-func (h *harness) crash() crashReport {
-	h.mu.Lock()
-	disks := h.disks
-	h.disks = make(map[string]*faultnet.Disk)
-	srv, group, shards := h.srv, h.group, h.shards
-	h.mu.Unlock()
-
+func (c *chaosNode) crash(tot *totals) crashReport {
+	c.mu.Lock()
+	disks := c.disks
+	c.disks = make(map[string]*faultnet.Disk)
+	c.mu.Unlock()
 	var rep crashReport
 	for _, d := range disks {
 		survived, torn, err := d.Crash()
@@ -367,48 +301,28 @@ func (h *harness) crash() crashReport {
 		}
 	}
 	// In-flight handlers now fail against crashed disks (nacked frames,
-	// clients retry after the restart); kill the server without draining.
-	ctx, cancel := expiredContext()
-	defer cancel()
-	srv.Shutdown(ctx)
-	h.totals.add(srv.Metrics().Snapshot())
-	group.Close()  // flush errors against crashed disks are expected
-	shards.Close() // likewise
+	// clients retry after the restart); flush errors are expected too.
+	c.Abort()
+	tot.add(c.Snapshot().MetricsSnapshot)
 	return rep
 }
 
-// stop is the graceful end-of-run teardown: drain sessions, flush the
-// commit group, sync and close every shard.
-func (h *harness) stop() {
-	h.mu.Lock()
-	srv, group, shards := h.srv, h.group, h.shards
-	h.mu.Unlock()
-	ctx, cancel := timeoutContext(10 * time.Second)
+// stop is the graceful end-of-run teardown: node.Close with time to drain.
+func (c *chaosNode) stop(tot *totals) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	if err := c.Close(ctx); err != nil {
 		log.Printf("final shutdown: %v", err)
 	}
-	h.totals.add(srv.Metrics().Snapshot())
-	if err := group.Close(); err != nil {
-		log.Printf("final group close: %v", err)
-	}
-	if err := shards.SyncAll(); err != nil {
-		log.Printf("final sync: %v", err)
-	}
-	if err := shards.Close(); err != nil {
-		log.Printf("final close: %v", err)
-	}
+	tot.add(c.Snapshot().MetricsSnapshot)
 }
 
-// awaitFirstAck polls the current epoch's metrics for the first
-// acknowledged frame — the moment the service is truly serving again.
-func (h *harness) awaitFirstAck(limit time.Duration) time.Duration {
-	h.mu.Lock()
-	srv := h.srv
-	h.mu.Unlock()
+// awaitAckAbove waits for the node's ack counter to pass base — the moment
+// it is truly serving client traffic (again).
+func (c *chaosNode) awaitAckAbove(base uint64, limit time.Duration) time.Duration {
 	t0 := time.Now()
 	for time.Since(t0) < limit {
-		if srv.Metrics().Acked.Load() > 0 {
+		if c.Snapshot().Acked > base {
 			return time.Since(t0)
 		}
 		time.Sleep(time.Millisecond)
@@ -416,16 +330,86 @@ func (h *harness) awaitFirstAck(limit time.Duration) time.Duration {
 	return limit
 }
 
-// expiredContext yields an already-cancelled context: Shutdown with it
-// force-closes connections instead of draining.
-func expiredContext() (context.Context, context.CancelFunc) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	return ctx, cancel
+// fleet is every client of a run, streaming concurrently.
+type fleet struct {
+	results []clientResult
+	acks    []*ackSet // per client: the sequence numbers it saw acknowledged
+	sent    atomic.Int64
+	start   time.Time
+	done    chan struct{} // closed once every client has returned
 }
 
-func timeoutContext(d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), d)
+// startClients launches o.tenants × o.clientsPer clients; tune points each
+// at its server(s).
+func startClients(o options, tune func(cc *clientConfig)) *fleet {
+	n := o.tenants * o.clientsPer
+	f := &fleet{results: make([]clientResult, n), acks: make([]*ackSet, n), start: time.Now(), done: make(chan struct{})}
+	var wg sync.WaitGroup
+	for t := 0; t < o.tenants; t++ {
+		for c := 0; c < o.clientsPer; c++ {
+			idx := t*o.clientsPer + c
+			f.acks[idx] = &ackSet{seqs: make(map[uint64]struct{})}
+			cc := clientConfig{
+				tenant:     fmt.Sprintf("tenant%02d", t),
+				baseSeq:    uint64(c) * 1_000_000,
+				frames:     o.frames,
+				frameBytes: o.frameBytes,
+				seed:       o.seed + int64(idx)*7919,
+				flip:       o.flip,
+				drop:       o.drop,
+				tear:       o.tear,
+				onAck:      f.acks[idx].add,
+				logf:       o.logf,
+			}
+			tune(&cc)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				f.results[idx] = runClient(cc, &f.sent)
+			}()
+		}
+	}
+	go func() {
+		wg.Wait()
+		close(f.done)
+	}()
+	return f
+}
+
+// waitProgress blocks until the sent counter reaches target; false when the
+// clients finish first.
+func (f *fleet) waitProgress(target int64) bool {
+	for f.sent.Load() < target {
+		select {
+		case <-f.done:
+			return false
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+	return true
+}
+
+// ackSet records which sequence numbers a client saw acknowledged: each one
+// is a durability promise (in sync mode, covering both nodes).
+type ackSet struct {
+	mu   sync.Mutex
+	seqs map[uint64]struct{}
+}
+
+func (a *ackSet) add(seq uint64) {
+	a.mu.Lock()
+	a.seqs[seq] = struct{}{}
+	a.mu.Unlock()
+}
+
+func (a *ackSet) all() []uint64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := make([]uint64, 0, len(a.seqs))
+	for s := range a.seqs {
+		out = append(out, s)
+	}
+	return out
 }
 
 type clientConfig struct {
@@ -444,9 +428,9 @@ type clientConfig struct {
 	// ackTimeout overrides the 2s default resend timer (sync replication
 	// holds acks longer than a single-node server would).
 	ackTimeout time.Duration
-	// onAck, when set, observes every acknowledged sequence number.
-	onAck   func(seq uint64)
-	verbose bool
+	// onAck observes every acknowledged sequence number.
+	onAck func(seq uint64)
+	logf  func(format string, args ...any)
 }
 
 type clientResult struct {
@@ -472,13 +456,16 @@ func runClient(cc clientConfig, sent *atomic.Int64) clientResult {
 		DropProb:    cc.drop,
 		PartialProb: cc.tear,
 	})
-	logf := func(string, ...any) {}
-	if cc.verbose {
-		logf = log.Printf
-	}
 	ackTimeout := cc.ackTimeout
 	if ackTimeout <= 0 {
 		ackTimeout = 2 * time.Second
+	}
+	dialTo := func(addr string) (net.Conn, error) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return inj.Wrap(c), nil
 	}
 	opts := reliable.Options{
 		Tenant:       cc.tenant,
@@ -491,25 +478,12 @@ func runClient(cc clientConfig, sent *atomic.Int64) clientResult {
 		FrameRetries: 1000, // link flips burn retries; the budget is generous
 		BusyRetries:  10000,
 		Seed:         cc.seed,
-		Logf:         logf,
+		Logf:         cc.logf,
 	}
 	if len(cc.addrs) > 0 {
-		opts.Addrs = cc.addrs
-		opts.DialTo = func(addr string) (net.Conn, error) {
-			c, err := net.Dial("tcp", addr)
-			if err != nil {
-				return nil, err
-			}
-			return inj.Wrap(c), nil
-		}
+		opts.Addrs, opts.DialTo = cc.addrs, dialTo
 	} else {
-		opts.Dial = func() (net.Conn, error) {
-			c, err := net.Dial("tcp", cc.addr)
-			if err != nil {
-				return nil, err
-			}
-			return inj.Wrap(c), nil
-		}
+		opts.Dial = func() (net.Conn, error) { return dialTo(cc.addr) }
 	}
 	cli, err := reliable.NewClient(opts)
 	if err != nil {
@@ -550,31 +524,25 @@ func framePayload(tenant string, seq uint64, n int) []byte {
 	return b
 }
 
-// verifyShards reopens every tenant shard cold (plain files, full rebuild)
-// and checks that each frame a client saw acknowledged is present and
-// byte-identical. Returns (lost, verified) counts.
-func verifyShards(dir string, results []clientResult) (lost, verified int, err error) {
-	byTenant := map[string][]clientResult{}
-	for _, r := range results {
-		byTenant[r.Tenant] = append(byTenant[r.Tenant], r)
+// verifyShards is the oracle, independent of internal/node: it reopens
+// every tenant shard under dir cold (plain files, full rebuild, truncate at
+// the first corrupt record) and checks that each frame a client saw
+// acknowledged is present and byte-identical. Returns (lost, verified).
+func verifyShards(dir string, f *fleet) (lost, verified int, err error) {
+	byTenant := map[string][]*ackSet{}
+	for i, r := range f.results {
+		byTenant[r.Tenant] = append(byTenant[r.Tenant], f.acks[i])
 	}
-	for tenant, clients := range byTenant {
-		st, err := store.Open(fmt.Sprintf("%s/%s.db", dir, tenant))
+	for tenant, sets := range byTenant {
+		st, err := store.Open(filepath.Join(dir, tenant+".db"))
 		if err != nil {
 			return lost, verified, fmt.Errorf("reopening %s shard: %w", tenant, err)
 		}
-		for _, c := range clients {
-			// A clean client acked everything it sent; a failed client's
-			// ack set is unknown, so its frames are skipped here (the
-			// failure itself already fails the run).
-			if c.Err != "" {
-				continue
-			}
-			for i := 0; i < c.Sent; i++ {
-				seq := c.BaseSeq + uint64(i)
+		for _, a := range sets {
+			for _, seq := range a.all() {
 				payload, kind, gerr := st.Get(seq)
 				if gerr != nil {
-					log.Printf("LOST: %s frame %d: %v", tenant, seq, gerr)
+					log.Printf("LOST: %s frame %d acked but missing: %v", tenant, seq, gerr)
 					lost++
 					continue
 				}
@@ -621,23 +589,26 @@ type benchResult struct {
 	Failover         *failoverReport `json:"failover,omitempty"`
 }
 
-// writeResult serializes one run's result JSON for CI trending.
-func writeResult(path string, res benchResult) {
-	blob, _ := json.MarshalIndent(res, "", "  ")
-	if err := os.WriteFile(path, append(blob, '\n'), 0o644); err != nil {
-		log.Fatalf("writing %s: %v", path, err)
+// conclude ends a run whose nodes are down: failed clients are counted on
+// top of the scenario's own failures, the shards under dir go through
+// verifyShards, and the result is assembled for -out.
+func conclude(o options, f *fleet, dir string, dur time.Duration, t totals, crashes []crashReport, failures int) (benchResult, error) {
+	for i, c := range f.results {
+		if c.Err != "" {
+			log.Printf("client %d (%s): FAILED: %s", i, c.Tenant, c.Err)
+			failures++
+		}
 	}
-	log.Printf("wrote %s", path)
-}
-
-func buildResult(tenants, clients, frames, frameBytes int, seed int64, dur time.Duration,
-	t totals, crashes []crashReport, clientRes []clientResult, verified, lost, failures int) benchResult {
+	lost, verified, err := verifyShards(dir, f)
+	if err != nil {
+		return benchResult{}, fmt.Errorf("verification: %w", err)
+	}
 	var r benchResult
-	r.Config.Tenants = tenants
-	r.Config.Clients = clients
-	r.Config.Frames = frames
-	r.Config.FrameBytes = frameBytes
-	r.Config.Seed = seed
+	r.Config.Tenants = o.tenants
+	r.Config.Clients = o.clientsPer
+	r.Config.Frames = o.frames
+	r.Config.FrameBytes = o.frameBytes
+	r.Config.Seed = o.seed
 	r.DurationS = dur.Seconds()
 	r.FramesAcked = t.Acked
 	r.FramesPerSec = float64(t.Acked) / dur.Seconds()
@@ -652,9 +623,9 @@ func buildResult(tenants, clients, frames, frameBytes int, seed int64, dur time.
 	r.SessionsStalled = t.SessionsStalled
 	r.SessionsOpened = t.SessionsOpened
 	r.Crashes = crashes
-	r.Clients = clientRes
+	r.Clients = f.results
 	r.VerifiedFrames = verified
 	r.LostFrames = lost
 	r.FailedClients = failures
-	return r
+	return r, nil
 }

@@ -1,0 +1,540 @@
+// Package node is the server of the DBGC system (Figure 2: receive →
+// optionally decompress → store) as one importable value. Open assembles
+// tenant shards → commit group → replication role → reliable.Server, and
+// the package owns the only copy of what runs per frame: the handler, the
+// fsync commit, the sync-replication gate, the querier, the quarantiner and
+// the health probes. cmd/dbgc-server is this package behind flags;
+// cmd/dbgc-loadgen crashes this package's nodes, not replicas of them.
+//
+// The contract: an ack means durable according to Config.Fsync, and with
+// SyncRepl durable on two disks. A frame's shard stays pinned across
+// Append → commit → Kick → WaitDurable, the sequence bench/service.go
+// mirrors.
+package node
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"strings"
+	"sync"
+	"time"
+
+	"dbgc"
+	"dbgc/internal/lidar"
+	"dbgc/internal/netproto"
+	"dbgc/internal/ops"
+	"dbgc/internal/reliable"
+	"dbgc/internal/replica"
+	"dbgc/internal/store"
+)
+
+// Config describes one node. Every field is a dbgc-server flag or a hook
+// the chaos harness injects; zero values take the components' defaults.
+type Config struct {
+	// Listen is the TCP address clients and the replication peer dial.
+	Listen string
+	// Dir holds one shard file per tenant, at most OpenStores of them open
+	// at once. OpenFile, when set, opens a shard's backing file
+	// (store.Shards.OpenFile: where the harness puts a faultnet.Disk).
+	Dir        string
+	OpenStores int
+	OpenFile   func(path string) (store.File, error)
+	// Fsync is the durability mode: "off" (or empty: the OS decides),
+	// "always" (group-committed sync before every ack) or a positive
+	// duration (periodic sync; acks may run ahead of the disk by that much).
+	Fsync string
+	// Decompress stores decoded points instead of the bit sequence B.
+	// Partial (with Decompress) stores the intact sections of a damaged
+	// frame and quarantines the rest instead of nacking it. Limits bound
+	// every decode, at ingest and at query time.
+	Decompress, Partial bool
+	Limits              dbgc.DecodeLimits
+
+	// ServerConfig carries the transport's timeouts, admission limits,
+	// backpressure and shedding marks, and Logf — the node's one log sink.
+	// Open fills Handle, Query, Quarantine, ReplHello, ReplRecord, NotReady.
+	reliable.ServerConfig
+
+	// Follower accepts replication and busy-nacks clients until promoted,
+	// persisting watermarks every WMEvery applied records. Promote bumps
+	// the replication epoch before the node serves (fencing the deposed
+	// primary).
+	Follower bool
+	Promote  bool
+	WMEvery  int
+
+	// SenderConfig.Addr, when set, makes this node the primary of the
+	// follower listening there; ScrubInterval, Poll, MaxInFlight, Seed and
+	// DialTo (default: TCP, 5 s timeout) shape the link. Open fills Shards,
+	// Epoch and Logf. SyncRepl withholds each client ack until the follower
+	// has the frame durably, nacking after SyncTimeout; it needs Addr and
+	// Fsync "always", or the ack would not mean two disks. /healthz
+	// degrades once replication lag exceeds ReplLagMax bytes (0 = never).
+	replica.SenderConfig
+	SyncRepl    bool
+	SyncTimeout time.Duration
+	ReplLagMax  int64
+}
+
+// Node is a running server. Open builds it, Serve accepts connections,
+// Close tears it down.
+type Node struct {
+	cfg        Config
+	syncAlways bool
+	logf       func(format string, args ...any)
+
+	shards   *store.Shards
+	group    *store.Group      // nil with fsync off
+	sender   *replica.Sender   // primary only
+	receiver *replica.Receiver // follower only
+	srv      *reliable.Server
+	ln       net.Listener
+	health   ops.Health
+
+	closeOnce sync.Once
+}
+
+// parseFsync maps the fsync mode onto (sync before every ack, periodic
+// interval).
+func parseFsync(mode string) (always bool, every time.Duration, err error) {
+	switch mode {
+	case "", "off":
+		return false, 0, nil
+	case "always":
+		return true, 0, nil
+	default:
+		d, err := time.ParseDuration(mode)
+		if err != nil || d <= 0 {
+			return false, 0, fmt.Errorf("want off, always, or a positive duration, got %q", mode)
+		}
+		return false, d, nil
+	}
+}
+
+// Open validates cfg, assembles the node and binds its listener. Promotion
+// happens before anything serves: the epoch bump must be durable before the
+// first client frame is acked. On error nothing is left running.
+func Open(cfg Config) (_ *Node, err error) {
+	syncAlways, syncEvery, err := parseFsync(cfg.Fsync)
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("node: fsync mode: %w", err)
+	case cfg.Addr != "" && cfg.Follower:
+		return nil, errors.New("node: -replica-of and -follower are mutually exclusive")
+	case cfg.SyncRepl && cfg.Addr == "":
+		return nil, errors.New("node: -sync-repl needs a follower (-replica-of): an ack would mean one disk")
+	case cfg.SyncRepl && !syncAlways:
+		return nil, errors.New("node: -sync-repl needs -fsync always: an ack would be durable on the follower only")
+	case cfg.Partial && !cfg.Decompress:
+		return nil, errors.New("node: -partial needs -decompress")
+	}
+	n := &Node{cfg: cfg, syncAlways: syncAlways, logf: cfg.ServerConfig.Logf}
+	if n.logf == nil {
+		n.logf = func(string, ...any) {}
+	}
+	defer func() {
+		if err != nil {
+			n.Abort()
+		}
+	}()
+
+	if n.shards, err = store.OpenShards(cfg.Dir, cfg.OpenStores); err != nil {
+		return nil, fmt.Errorf("node: opening storage: %w", err)
+	}
+	n.shards.OpenFile = cfg.OpenFile
+	// One commit group batches fsyncs across every tenant shard: "always"
+	// blocks each frame on its group round (ack ⇒ durable), an interval
+	// makes rounds periodic, off disables the group entirely.
+	if syncAlways || syncEvery > 0 {
+		n.group = store.NewGroup(syncEvery)
+	}
+
+	if cfg.Promote && !cfg.Follower {
+		epoch, err := replica.Promote(n.shards.Dir())
+		if err != nil {
+			return nil, fmt.Errorf("node: promote: %w", err)
+		}
+		n.logf("promoted: replication epoch now %d", epoch)
+	}
+	if cfg.Follower {
+		if n.receiver, err = replica.NewReceiver(n.shards, n.group, cfg.WMEvery); err != nil {
+			return nil, fmt.Errorf("node: follower setup: %w", err)
+		}
+		if cfg.Promote {
+			// Promote through the live receiver so the client-refusal
+			// gate drops too — a bare on-disk epoch bump would leave the
+			// node serving nobody.
+			if _, err := n.Promote(); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if cfg.Addr != "" {
+		meta, err := replica.LoadMeta(n.shards.Dir())
+		if err != nil {
+			return nil, fmt.Errorf("node: loading replication meta: %w", err)
+		}
+		sc := cfg.SenderConfig
+		sc.Shards, sc.Epoch, sc.Logf = n.shards, meta.Epoch, n.logf
+		if sc.DialTo == nil {
+			sc.DialTo = func(addr string) (net.Conn, error) {
+				return net.DialTimeout("tcp", addr, 5*time.Second)
+			}
+		}
+		if n.sender, err = replica.NewSender(sc); err != nil {
+			return nil, fmt.Errorf("node: replication sender: %w", err)
+		}
+		go n.sender.Run()
+		n.logf("replicating to %s (epoch %d, sync=%v)", cfg.Addr, meta.Epoch, cfg.SyncRepl)
+	}
+
+	if n.ln, err = net.Listen("tcp", cfg.Listen); err != nil {
+		return nil, fmt.Errorf("node: listen: %w", err)
+	}
+	sc := cfg.ServerConfig
+	sc.Handle, sc.Query, sc.Quarantine = n.handle, n.query, n.quarantine
+	if n.receiver != nil {
+		sc.ReplHello = n.receiver.HandleHello
+		sc.ReplRecord = n.receiver.HandleRecord
+		sc.NotReady = n.receiver.NotReady
+	}
+	n.srv = reliable.NewServer(sc)
+	if n.group != nil {
+		// Sticky fsync failures surface in both /metrics and /healthz.
+		n.group.OnError = func(error) { n.srv.Metrics().StoreSyncErrors.Add(1) }
+	}
+	n.addProbes()
+	return n, nil
+}
+
+// Addr is the address the node listens on (the bound port of a ":0").
+func (n *Node) Addr() string { return n.ln.Addr().String() }
+
+// Serve accepts connections until Close; it returns nil after a Close and
+// the accept error otherwise.
+func (n *Node) Serve() error {
+	if err := n.srv.Serve(n.ln); !errors.Is(err, reliable.ErrServerClosed) {
+		return err
+	}
+	return nil
+}
+
+// Promote turns a follower into the primary: the epoch bump is persisted,
+// the old primary's records are fenced and clients are admitted. Returns
+// the new epoch.
+func (n *Node) Promote() (byte, error) {
+	if n.receiver == nil {
+		return 0, errors.New("node: only a follower can be promoted")
+	}
+	epoch, err := n.receiver.Promote()
+	if err != nil {
+		return 0, fmt.Errorf("node: promote: %w", err)
+	}
+	n.logf("promoted: replication epoch now %d", epoch)
+	return epoch, nil
+}
+
+// Abort is Close without the drain: connections are cut, not finished — the
+// crash a chaos harness induces, and the teardown of a node that failed to
+// open.
+func (n *Node) Abort() error {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	return n.Close(ctx)
+}
+
+// Close shuts the node down in order: drain sessions until ctx expires
+// (then cut them), stop the sender, persist the
+// receiver's watermarks, flush the commit group, sync and close every
+// shard. It is safe on a partly opened node; calls after the first do
+// nothing.
+func (n *Node) Close(ctx context.Context) (err error) {
+	n.closeOnce.Do(func() { err = n.shutdown(ctx) })
+	return err
+}
+
+func (n *Node) shutdown(ctx context.Context) error {
+	var errs []error
+	note := func(what string, err error) {
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", what, err))
+		}
+	}
+	if n.srv != nil {
+		note("draining sessions (remaining connections closed)", n.srv.Shutdown(ctx))
+	}
+	if n.ln != nil {
+		n.ln.Close() // Shutdown only knows the listener once Serve ran
+	}
+	if n.sender != nil {
+		n.sender.Stop()
+		n.sender.Wait()
+	}
+	if n.receiver != nil {
+		note("persisting watermarks", n.receiver.Close())
+	}
+	if n.group != nil {
+		note("final group commit", n.group.Close())
+	}
+	if n.shards != nil {
+		note("final fsync", n.shards.SyncAll())
+		if tenants, err := n.shards.Tenants(); err == nil {
+			n.logf("drained; %d tenant shards on disk, %d open", len(tenants), n.shards.OpenCount())
+		}
+		note("closing shards", n.shards.Close())
+	}
+	return errors.Join(errs...)
+}
+
+// addProbes registers the /healthz probes: health degrades (HTTP 503) on
+// sticky fsync errors, a down replication link, a fenced (deposed) primary,
+// or replication lag over ReplLagMax bytes.
+func (n *Node) addProbes() {
+	if n.group != nil {
+		n.health.Add("store", func() (string, bool) {
+			if err := n.group.Err(); err != nil {
+				return fmt.Sprintf("fsync failing (%d rounds): %v", n.group.ErrCount(), err), false
+			}
+			return "", true
+		})
+	}
+	if n.sender != nil {
+		lagMax := n.cfg.ReplLagMax
+		n.health.Add("replication", func() (string, bool) {
+			st := n.sender.Stats()
+			switch {
+			case st.Fenced:
+				return "fenced by promoted follower", false
+			case !st.LinkUp:
+				return "link down", false
+			case lagMax > 0 && st.LagBytes > lagMax:
+				return fmt.Sprintf("lag %d bytes exceeds %d", st.LagBytes, lagMax), false
+			}
+			return fmt.Sprintf("lag %d bytes", st.LagBytes), true
+		})
+	}
+	if n.receiver != nil {
+		n.health.Add("role", func() (string, bool) {
+			if n.receiver.Promoted() {
+				return "primary (promoted)", true
+			}
+			return "follower", true
+		})
+	}
+}
+
+// Health is the node's /healthz: hand it to ops.NewServer.
+func (n *Node) Health() *ops.Health { return &n.health }
+
+// Snapshot is the /metrics body: the transport's counters plus storage and
+// replication state.
+type Snapshot struct {
+	reliable.MetricsSnapshot
+	OpenShards int                    `json:"open_shards,omitempty"`
+	Storage    string                 `json:"storage"`
+	Repl       *replica.SenderStats   `json:"repl_sender,omitempty"`
+	Follower   *replica.ReceiverStats `json:"repl_receiver,omitempty"`
+}
+
+// Snapshot reads the node's counters; it stays valid after Close.
+func (n *Node) Snapshot() Snapshot {
+	out := Snapshot{MetricsSnapshot: n.srv.Metrics().Snapshot(), OpenShards: n.shards.OpenCount(), Storage: "dir " + n.shards.Dir()}
+	if n.sender != nil {
+		st := n.sender.Stats()
+		out.Repl = &st
+	}
+	if n.receiver != nil {
+		st := n.receiver.Stats()
+		out.Follower = &st
+	}
+	return out
+}
+
+// commit makes one frame durable according to the fsync mode: group-commit
+// (blocking) for always, dirty-mark for interval mode, nothing when off.
+func (n *Node) commit(st *store.Store) error {
+	switch {
+	case n.group == nil:
+		return nil
+	case n.syncAlways:
+		return n.group.Commit(st)
+	default:
+		n.group.Async(st)
+		return nil
+	}
+}
+
+// gate finishes one frame's replication obligations after local commit:
+// every stored frame kicks the ship loop, and in sync mode the ack is
+// withheld until the follower confirms durability.
+func (n *Node) gate(tenant string, end int64) error {
+	if n.sender == nil {
+		return nil
+	}
+	n.sender.Kick()
+	if !n.cfg.SyncRepl {
+		return nil
+	}
+	if err := n.sender.WaitDurable(tenant, end, n.cfg.SyncTimeout); err != nil {
+		// Nack: the client retransmits, and the retry waits again. The
+		// frame is locally durable but unconfirmed on the follower — in
+		// sync mode that is not yet an ackable state.
+		return fmt.Errorf("sync replication: %w", err)
+	}
+	return nil
+}
+
+// handle stores one data frame in its tenant's shard, decompressing first
+// when asked. Decode failures are reported as ErrBadFrame so the session
+// quarantines the payload; store failures are plain errors (nacked,
+// retried, not quarantined). In partial mode a frame with some damaged
+// sections stores what decoded and reports a PartialFrameError so the
+// session quarantines only the damaged bytes and still acks.
+func (n *Node) handle(tenant string, m netproto.Message) error {
+	st, err := n.shards.Acquire(tenant)
+	if err != nil {
+		return fmt.Errorf("tenant %s store: %w", tenant, err)
+	}
+	defer n.shards.Release(tenant)
+	opts := dbgc.DecompressOptions{Limits: n.cfg.Limits}
+	var end int64
+	var partial error
+	switch {
+	case m.Kind == netproto.KindCompressed && n.cfg.Partial:
+		pc, reports, err := dbgc.DecompressPartial(m.Payload, opts)
+		if err != nil {
+			return fmt.Errorf("%w: frame %d: %v", reliable.ErrBadFrame, m.Seq, err)
+		}
+		var damaged []byte
+		var reasons []string
+		for _, rep := range reports {
+			if rep.Err != nil {
+				damaged = append(damaged, rep.Raw...)
+				reasons = append(reasons, fmt.Sprintf("%s: %v", rep.Section, rep.Err))
+			}
+		}
+		if end, err = st.Append(m.Seq, store.KindDecompressed, encodeRaw(pc)); err != nil {
+			return err
+		}
+		if len(reasons) > 0 {
+			n.logf("%s frame %d: partial recovery, stored %d points", tenant, m.Seq, len(pc))
+			partial = &reliable.PartialFrameError{Reason: strings.Join(reasons, "; "), Damaged: damaged}
+		}
+	case m.Kind == netproto.KindCompressed && n.cfg.Decompress:
+		pc, err := dbgc.DecompressWith(m.Payload, opts)
+		if err != nil {
+			return fmt.Errorf("%w: frame %d: %v", reliable.ErrBadFrame, m.Seq, err)
+		}
+		if end, err = st.Append(m.Seq, store.KindDecompressed, encodeRaw(pc)); err != nil {
+			return err
+		}
+	case m.Kind == netproto.KindCompressed:
+		if end, err = st.Append(m.Seq, store.KindCompressed, m.Payload); err != nil {
+			return err
+		}
+	case m.Kind == netproto.KindRaw:
+		if end, err = st.Append(m.Seq, store.KindDecompressed, m.Payload); err != nil {
+			return err
+		}
+	default:
+		return fmt.Errorf("%w: unexpected kind %d", reliable.ErrBadFrame, m.Kind)
+	}
+	if err := n.commit(st); err != nil {
+		return err
+	}
+	// Local durability first, then the replication gate: a sync-mode ack
+	// proves the frame is on both nodes' disks.
+	if err := n.gate(tenant, end); err != nil {
+		return err
+	}
+	return partial
+}
+
+// query answers spatial queries from the tenant's shard.
+func (n *Node) query(tenant string, q netproto.Query) ([]byte, error) {
+	st, err := n.shards.Acquire(tenant)
+	if err != nil {
+		return nil, err
+	}
+	defer n.shards.Release(tenant)
+	pts, err := answerQuery(st, q, n.cfg.Limits)
+	if err != nil {
+		return nil, err
+	}
+	return encodeRaw(pts), nil
+}
+
+// quarantine preserves a rejected payload for forensics — unless a good
+// record for that sequence number already exists (a corrupt retransmit
+// must not shadow a stored frame). Damaged sections of a partially
+// recovered frame land under the sequence number with the top bit set, so
+// they coexist with the frame's stored good sections.
+func (n *Node) quarantine(tenant string, m netproto.Message, reason string) {
+	st, err := n.shards.Acquire(tenant)
+	if err != nil {
+		n.logf("%s frame %d: quarantine store unavailable: %v", tenant, m.Seq, err)
+		return
+	}
+	defer n.shards.Release(tenant)
+	if strings.HasPrefix(reason, "partial: ") {
+		key := m.Seq | 1<<63
+		if err := st.Put(key, store.KindQuarantined, m.Payload); err != nil {
+			n.logf("%s frame %d: quarantining damaged sections failed: %v", tenant, m.Seq, err)
+			return
+		}
+		n.logf("%s frame %d: quarantined %d damaged section bytes under key %#x (%s)",
+			tenant, m.Seq, len(m.Payload), key, reason)
+		return
+	}
+	if kind, ok := st.Kind(m.Seq); ok && kind != store.KindQuarantined {
+		return
+	}
+	if err := st.Put(m.Seq, store.KindQuarantined, m.Payload); err != nil {
+		n.logf("%s frame %d: quarantine failed: %v", tenant, m.Seq, err)
+		return
+	}
+	n.logf("%s frame %d: quarantined %d bytes (%s)", tenant, m.Seq, len(m.Payload), reason)
+}
+
+// answerQuery resolves a spatial query against the store: compressed
+// frames use the pruning region decoder, under the same decode limits as
+// ingest-time decoding (payloads are stored unvalidated by default, so the
+// query is where a hostile frame is first decoded); raw frames decode and
+// filter.
+func answerQuery(st *store.Store, q netproto.Query, limits dbgc.DecodeLimits) (dbgc.PointCloud, error) {
+	payload, kind, err := st.Get(q.Seq)
+	if err != nil {
+		return nil, err
+	}
+	switch kind {
+	case store.KindCompressed:
+		return dbgc.DecompressRegionWith(payload, q.Box, dbgc.DecompressOptions{Limits: limits})
+	case store.KindDecompressed:
+		pc, err := lidar.ReadBin(bytes.NewReader(payload))
+		if err != nil {
+			return nil, err
+		}
+		var out dbgc.PointCloud
+		for _, p := range pc {
+			if q.Box.Contains(p) {
+				out = append(out, p)
+			}
+		}
+		return out, nil
+	case store.KindQuarantined:
+		return nil, fmt.Errorf("frame %d is quarantined", q.Seq)
+	default:
+		return nil, fmt.Errorf("unknown stored kind %d", kind)
+	}
+}
+
+func encodeRaw(pc dbgc.PointCloud) []byte {
+	var buf bytes.Buffer
+	if err := lidar.WriteBin(&buf, pc); err != nil {
+		panic(err) // in-memory write cannot fail
+	}
+	return buf.Bytes()
+}

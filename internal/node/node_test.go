@@ -1,0 +1,597 @@
+package node
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dbgc"
+	"dbgc/internal/faultnet"
+	"dbgc/internal/lidar"
+	"dbgc/internal/netproto"
+	"dbgc/internal/reliable"
+	"dbgc/internal/replica"
+	"dbgc/internal/store"
+)
+
+// testFrame is one small simulated frame (16-beam sensor) and its bit
+// sequence, built once.
+var testFrame = sync.OnceValues(func() (dbgc.PointCloud, []byte) {
+	scene, err := lidar.NewScene(lidar.Road, 1)
+	if err != nil {
+		panic(err)
+	}
+	pc := lidar.VLP16().Simulate(scene, 1)
+	blob, _, err := dbgc.Compress(pc, dbgc.DefaultOptions(0.02))
+	if err != nil {
+		panic(err)
+	}
+	return pc, blob
+})
+
+var laneBox = dbgc.AABB{Min: dbgc.Point{X: -10, Y: -4, Z: -3}, Max: dbgc.Point{X: 30, Y: 4, Z: 3}}
+
+// openNode opens cfg on a loopback port (and a fresh directory unless one
+// is given), serves it, and closes it gracefully when the test ends.
+func openNode(t *testing.T, cfg Config) *Node {
+	t.Helper()
+	cfg.Listen = "127.0.0.1:0"
+	if cfg.Dir == "" {
+		cfg.Dir = t.TempDir()
+	}
+	cfg.ServerConfig.Logf = t.Logf
+	n, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go n.Serve()
+	t.Cleanup(func() { closeNode(t, n) })
+	return n
+}
+
+func closeNode(t *testing.T, n *Node) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := n.Close(ctx); err != nil {
+		t.Errorf("close: %v", err)
+	}
+}
+
+func dial(t *testing.T, n *Node, o reliable.Options) *reliable.Client {
+	t.Helper()
+	addr := n.Addr()
+	o.Dial = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 2*time.Second) }
+	o.Logf = t.Logf
+	cli, err := reliable.NewClient(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cli
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		if cond() {
+			return
+		}
+	}
+	t.Fatalf("timed out waiting for %s", what)
+}
+
+// viaBin is a cloud as the .bin layout (float32) carries it.
+func viaBin(t *testing.T, pc dbgc.PointCloud) dbgc.PointCloud {
+	t.Helper()
+	out, err := lidar.ReadBin(bytes.NewReader(encodeRaw(pc)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func inBox(pc dbgc.PointCloud, box dbgc.AABB) dbgc.PointCloud {
+	var out dbgc.PointCloud
+	for _, p := range pc {
+		if box.Contains(p) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func sameMultiset(a, b dbgc.PointCloud) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	key := func(pc dbgc.PointCloud) []string {
+		out := make([]string, len(pc))
+		for i, p := range pc {
+			out[i] = fmt.Sprint(p.X, p.Y, p.Z)
+		}
+		sort.Strings(out)
+		return out
+	}
+	ka, kb := key(a), key(b)
+	for i := range ka {
+		if ka[i] != kb[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestOpenValidatesConfig: the combinations Open refuses — a -sync-repl
+// whose ack would mean one disk among them — are refused before anything
+// touches the disk, and the ones it accepts open and close cleanly.
+func TestOpenValidatesConfig(t *testing.T) {
+	const dead = "127.0.0.1:1" // a sender keeps redialing; nothing needs to answer
+	to := func(addr string) replica.SenderConfig { return replica.SenderConfig{Addr: addr} }
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		wantErr string
+	}{
+		{"fsync default", Config{}, ""},
+		{"fsync off", Config{Fsync: "off"}, ""},
+		{"fsync always", Config{Fsync: "always"}, ""},
+		{"fsync interval", Config{Fsync: "500ms"}, ""},
+		{"fsync word", Config{Fsync: "banana"}, "fsync mode"},
+		{"fsync zero interval", Config{Fsync: "0s"}, "fsync mode"},
+		{"fsync negative interval", Config{Fsync: "-1s"}, "fsync mode"},
+		{"async replication, fsync off", Config{SenderConfig: to(dead)}, ""},
+		{"sync-repl, fsync always", Config{Fsync: "always", SenderConfig: to(dead), SyncRepl: true}, ""},
+		{"sync-repl without follower", Config{Fsync: "always", SyncRepl: true}, "-replica-of"},
+		{"sync-repl, fsync off", Config{SenderConfig: to(dead), SyncRepl: true}, "-fsync always"},
+		{"sync-repl, fsync interval", Config{Fsync: "500ms", SenderConfig: to(dead), SyncRepl: true}, "-fsync always"},
+		{"primary and follower", Config{SenderConfig: to(dead), Follower: true}, "mutually exclusive"},
+		{"follower", Config{Fsync: "always", Follower: true}, ""},
+		{"follower promoted at start", Config{Follower: true, Promote: true}, ""},
+		{"partial with decompress", Config{Decompress: true, Partial: true}, ""},
+		{"partial without decompress", Config{Partial: true}, "-decompress"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Listen, cfg.Dir = "127.0.0.1:0", filepath.Join(t.TempDir(), "shards")
+			cfg.ServerConfig.Logf = t.Logf
+			n, err := Open(cfg)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("refused: %v", err)
+				}
+				closeNode(t, n)
+				return
+			}
+			if err == nil {
+				closeNode(t, n)
+				t.Fatalf("accepted, want an error naming %q", tc.wantErr)
+			}
+			if !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("error %q does not name %q", err, tc.wantErr)
+			}
+			if _, serr := os.Stat(cfg.Dir); !os.IsNotExist(serr) {
+				t.Errorf("a refused config created %s", cfg.Dir)
+			}
+		})
+	}
+}
+
+// TestIngestQueryRoundTrip sends one frame and reads a region of it back,
+// in every fsync mode and storage mode: the answer is the box filter of the
+// full decode.
+func TestIngestQueryRoundTrip(t *testing.T) {
+	pc, blob := testFrame()
+	full, err := dbgc.Decompress(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fsync := range []string{"off", "20ms", "always"} {
+		for _, mode := range []struct {
+			name       string
+			decompress bool
+			msg        netproto.Message
+			want       dbgc.PointCloud
+			kind       byte
+		}{
+			// Stored compressed, the box is cut before the .bin encoding;
+			// stored as points, after it.
+			{"compressed", false, netproto.Message{Kind: netproto.KindCompressed, Payload: blob}, viaBin(t, inBox(full, laneBox)), store.KindCompressed},
+			{"decompress", true, netproto.Message{Kind: netproto.KindCompressed, Payload: blob}, inBox(viaBin(t, full), laneBox), store.KindDecompressed},
+			{"raw", false, netproto.Message{Kind: netproto.KindRaw, Payload: encodeRaw(pc)}, inBox(viaBin(t, pc), laneBox), store.KindDecompressed},
+		} {
+			t.Run(fsync+"/"+mode.name, func(t *testing.T) {
+				n := openNode(t, Config{Fsync: fsync, Decompress: mode.decompress, Limits: dbgc.DefaultDecodeLimits()})
+				cli := dial(t, n, reliable.Options{Tenant: "acme"})
+				msg := mode.msg
+				msg.Seq = 7
+				if err := cli.Send(msg); err != nil {
+					t.Fatal(err)
+				}
+				res, err := cli.Query(netproto.Query{Seq: 7, Box: laneBox})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := lidar.ReadBin(bytes.NewReader(res.Payload))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(mode.want) == 0 || !sameMultiset(got, mode.want) {
+					t.Errorf("query answered %d points, the box filter of the full decode has %d", len(got), len(mode.want))
+				}
+				if miss, err := cli.Query(netproto.Query{Seq: 8, Box: laneBox}); err != nil || len(miss.Payload) != 0 {
+					t.Errorf("query of a frame never sent: %d bytes, %v", len(miss.Payload), err)
+				}
+				if err := cli.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if snap := n.Snapshot(); snap.Acked != 1 || snap.Nacked != 0 || snap.OpenShards != 1 {
+					t.Errorf("snapshot %+v, want one ack, no nack, one open shard", snap.MetricsSnapshot)
+				}
+				closeNode(t, n)
+				st, err := store.Open(filepath.Join(n.cfg.Dir, "acme.db"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer st.Close()
+				if kind, ok := st.Kind(7); !ok || kind != mode.kind {
+					t.Errorf("stored kind %d (found %v), want %d", kind, ok, mode.kind)
+				}
+			})
+		}
+	}
+}
+
+// TestPartialFrameStoredAndQuarantined: with -decompress -partial a frame
+// with one damaged section is acked, its intact sections are stored, and
+// the damaged bytes land beside them under seq | 1<<63.
+func TestPartialFrameStoredAndQuarantined(t *testing.T) {
+	_, blob := testFrame()
+	damaged := bytes.Clone(blob)
+	damaged[len(damaged)-1] ^= 0xff // the tail of the last section's payload
+	salvaged, reports, err := dbgc.DecompressPartial(damaged, dbgc.DecompressOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lost []byte
+	for _, r := range reports {
+		if r.Err != nil {
+			lost = append(lost, r.Raw...)
+		}
+	}
+	if len(lost) == 0 || len(salvaged) == 0 {
+		t.Fatalf("the flipped byte damaged %d section bytes and left %d points: not a partial frame", len(lost), len(salvaged))
+	}
+
+	n := openNode(t, Config{Fsync: "always", Decompress: true, Partial: true})
+	cli := dial(t, n, reliable.Options{Tenant: "acme"})
+	if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 3, Payload: damaged}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatalf("a partially recovered frame must be acked: %v", err)
+	}
+	if st := cli.Stats(); st.Acked != 1 || st.Nacked != 0 {
+		t.Fatalf("client saw %+v, want one ack and no nack", st)
+	}
+	closeNode(t, n)
+
+	st, err := store.Open(filepath.Join(n.cfg.Dir, "acme.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if payload, kind, err := st.Get(3); err != nil || kind != store.KindDecompressed || !bytes.Equal(payload, encodeRaw(salvaged)) {
+		t.Errorf("frame 3: kind %d, %d bytes, %v; want the %d salvaged points", kind, len(payload), err, len(salvaged))
+	}
+	if payload, kind, err := st.Get(3 | 1<<63); err != nil || kind != store.KindQuarantined || !bytes.Equal(payload, lost) {
+		t.Errorf("quarantine key: kind %d, %d bytes, %v; want the %d damaged section bytes", kind, len(payload), err, len(lost))
+	}
+}
+
+// sendCorrupt writes one data frame whose payload was damaged in flight
+// (the header checksum holds, the payload's does not) and returns the
+// server's answer.
+func sendCorrupt(t *testing.T, n *Node, seq uint64, payload []byte) netproto.Message {
+	t.Helper()
+	var wire bytes.Buffer
+	if err := netproto.Write(&wire, netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	wire.Bytes()[wire.Len()-1] ^= 0xff
+	conn, err := net.DialTimeout("tcp", n.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(wire.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := netproto.Read(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestCorruptRetransmitNeverShadows: a frame that fails its wire checksum
+// is quarantined under its sequence number — unless a good record already
+// holds that number; and a good frame arriving later replaces a quarantined
+// one.
+func TestCorruptRetransmitNeverShadows(t *testing.T) {
+	n := openNode(t, Config{Fsync: "always"})
+	good := []byte("the frame as the sensor sent it")
+	send := func(seq uint64) {
+		t.Helper()
+		cli := dial(t, n, reliable.Options{}) // no hello: the default tenant, like sendCorrupt
+		if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: good}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stored := func(seq uint64) (string, byte) {
+		t.Helper()
+		st, err := n.shards.Acquire(reliable.DefaultTenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.shards.Release(reliable.DefaultTenant)
+		payload, kind, err := st.Get(seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(payload), kind
+	}
+
+	send(5)
+	if resp := sendCorrupt(t, n, 5, good); resp.Kind != netproto.KindNack {
+		t.Fatalf("corrupt retransmit answered with kind %d, want a nack", resp.Kind)
+	}
+	if payload, kind := stored(5); kind != store.KindCompressed || payload != string(good) {
+		t.Errorf("after a corrupt retransmit frame 5 is kind %d %q", kind, payload)
+	}
+
+	if resp := sendCorrupt(t, n, 6, good); resp.Kind != netproto.KindNack {
+		t.Fatalf("corrupt frame answered with kind %d, want a nack", resp.Kind)
+	}
+	if _, kind := stored(6); kind != store.KindQuarantined {
+		t.Errorf("corrupt first copy of frame 6 stored as kind %d, want quarantined", kind)
+	}
+	if _, err := n.query(reliable.DefaultTenant, netproto.Query{Seq: 6, Box: laneBox}); err == nil {
+		t.Error("a quarantined frame answered a query")
+	}
+	send(6)
+	if payload, kind := stored(6); kind != store.KindCompressed || payload != string(good) {
+		t.Errorf("after the good retransmit frame 6 is kind %d %q", kind, payload)
+	}
+	if q := n.Snapshot().Quarantined; q != 2 {
+		t.Errorf("%d quarantine events counted, want 2", q)
+	}
+}
+
+// openPair opens a follower and a primary replicating to it.
+func openPair(t *testing.T, syncRepl bool) (primary, follower *Node) {
+	t.Helper()
+	follower = openNode(t, Config{Fsync: "always", Follower: true, WMEvery: 4})
+	primary = openNode(t, Config{
+		Fsync:        "always",
+		SenderConfig: replica.SenderConfig{Addr: follower.Addr(), Poll: 2 * time.Millisecond},
+		SyncRepl:     syncRepl,
+		SyncTimeout:  5 * time.Second,
+		ReplLagMax:   32 << 20,
+	})
+	return primary, follower
+}
+
+// TestSyncReplicatedPairSurvivesOnFollower: every frame a sync-replicated
+// primary acked is byte-identical in the follower's directory after a cold
+// reopen — the ack meant two disks.
+func TestSyncReplicatedPairSurvivesOnFollower(t *testing.T) {
+	primary, follower := openPair(t, true)
+	payload := func(tenant string, seq uint64) []byte {
+		return bytes.Repeat([]byte(fmt.Sprintf("%s/%d ", tenant, seq)), 50)
+	}
+	acked := map[string][]uint64{}
+	for _, tenant := range []string{"acme", "globex"} {
+		cli := dial(t, primary, reliable.Options{Tenant: tenant, OnAck: func(seq uint64) { acked[tenant] = append(acked[tenant], seq) }})
+		for seq := uint64(1); seq <= 12; seq++ {
+			if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: payload(tenant, seq)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := cli.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := primary.Health().Evaluate(); st.Status != "ok" {
+		t.Errorf("primary of a caught-up pair reports %+v", st)
+	}
+	if snap := follower.Snapshot(); snap.Follower == nil || snap.Follower.Records < 24 || snap.Repl != nil {
+		t.Errorf("follower snapshot %+v, want 24 applied records and no sender", snap.Follower)
+	}
+	closeNode(t, primary)
+	closeNode(t, follower)
+
+	for tenant, seqs := range acked {
+		if len(seqs) != 12 {
+			t.Errorf("%s: %d acks, want 12", tenant, len(seqs))
+		}
+		st, err := store.Open(filepath.Join(follower.cfg.Dir, tenant+".db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seq := range seqs {
+			if got, kind, err := st.Get(seq); err != nil || kind != store.KindCompressed || !bytes.Equal(got, payload(tenant, seq)) {
+				t.Errorf("%s frame %d on the follower: kind %d, %d bytes, %v", tenant, seq, kind, len(got), err)
+			}
+		}
+		st.Close()
+	}
+}
+
+// TestFollowerRefusesClientsUntilPromoted drives the NotReady gate and
+// Promote over a real connection.
+func TestFollowerRefusesClientsUntilPromoted(t *testing.T) {
+	follower := openNode(t, Config{Fsync: "always", Follower: true})
+	frame := netproto.Message{Kind: netproto.KindCompressed, Seq: 1, Payload: []byte("x")}
+	cli := dial(t, follower, reliable.Options{Tenant: "acme", AckTimeout: 500 * time.Millisecond, BusyRetries: 2, MaxStalls: 3})
+	if err := cli.Send(frame); err == nil {
+		if err := cli.Close(); err == nil {
+			t.Fatal("unpromoted follower accepted a client frame")
+		}
+	}
+	if st := follower.Health().Evaluate(); st.Status != "ok" || st.Detail["role"] != "follower" {
+		t.Errorf("standby follower reports %+v", st)
+	}
+
+	if epoch, err := follower.Promote(); err != nil || epoch != 1 {
+		t.Fatalf("promote: epoch %d, %v", epoch, err)
+	}
+	cli = dial(t, follower, reliable.Options{Tenant: "acme"})
+	if err := cli.Send(frame); err != nil {
+		t.Fatalf("promoted follower refused a client frame: %v", err)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := follower.Health().Evaluate(); st.Detail["role"] != "primary (promoted)" {
+		t.Errorf("promoted follower reports %+v", st)
+	}
+	if _, err := openNode(t, Config{}).Promote(); err == nil {
+		t.Error("a node that is not a follower was promoted")
+	}
+}
+
+// TestFencedPrimaryReportsUnhealthy: once the follower is promoted, the
+// deposed primary's next shipped record is refused and /healthz degrades.
+func TestFencedPrimaryReportsUnhealthy(t *testing.T) {
+	primary, follower := openPair(t, false)
+	cli := dial(t, primary, reliable.Options{Tenant: "acme"})
+	send := func(seq uint64) {
+		t.Helper()
+		if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cli.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(1)
+	waitFor(t, "replication caught up", func() bool { return follower.Snapshot().Follower.Records == 1 })
+	if st := primary.Health().Evaluate(); st.Status != "ok" {
+		t.Fatalf("primary before the promotion reports %+v", st)
+	}
+	if _, err := follower.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	send(2)
+	waitFor(t, "primary fenced", func() bool { return primary.Snapshot().Repl.Fenced })
+	st := primary.Health().Evaluate()
+	if st.Status != "degraded" || len(st.Reasons) != 1 || !strings.Contains(st.Reasons[0], "fenced") {
+		t.Errorf("fenced primary reports %+v", st)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// failingSync is a shard file whose fsync starts failing on command.
+type failingSync struct {
+	store.File
+	fail *atomic.Bool
+}
+
+func (f failingSync) Sync() error {
+	if f.fail.Load() {
+		return errors.New("injected fsync failure")
+	}
+	return f.File.Sync()
+}
+
+// TestFsyncFailureNacksAndDegrades: through the OpenFile hook, a disk whose
+// fsync fails costs the frame its ack and turns the store probe red.
+func TestFsyncFailureNacksAndDegrades(t *testing.T) {
+	var fail atomic.Bool
+	n := openNode(t, Config{Fsync: "always", OpenFile: func(path string) (store.File, error) {
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		return failingSync{faultnet.NewDisk(f, 0, faultnet.DiskConfig{}), &fail}, nil
+	}})
+	cli := dial(t, n, reliable.Options{Tenant: "acme", FrameRetries: 1})
+	if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 1, Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	fail.Store(true)
+	err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 2, Payload: []byte("y")})
+	if err == nil {
+		err = cli.Flush()
+	}
+	if !errors.Is(err, reliable.ErrFrameRejected) {
+		t.Fatalf("frame on a disk that cannot fsync: %v, want ErrFrameRejected", err)
+	}
+	st := n.Health().Evaluate()
+	if st.Status != "degraded" || !strings.Contains(st.Detail["store"], "fsync failing") {
+		t.Errorf("health %+v, want a failing store probe", st)
+	}
+	if snap := n.Snapshot(); snap.StoreSyncErrors == 0 || snap.Acked != 1 {
+		t.Errorf("snapshot %+v, want fsync errors counted and one ack", snap.MetricsSnapshot)
+	}
+	fail.Store(false) // let the shutdown's final fsync through
+	if err := cli.Close(); err != nil {
+		t.Errorf("client close after the rejected frame: %v", err)
+	}
+}
+
+// TestCloseIsSafeAndIdempotent: Close on a node that never opened anything,
+// on one whose Open failed half way, and twice on a running one.
+func TestCloseIsSafeAndIdempotent(t *testing.T) {
+	if err := new(Node).Close(context.Background()); err != nil {
+		t.Errorf("close of an empty node: %v", err)
+	}
+
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	dir := t.TempDir()
+	// Shards, group, receiver are up when the listener fails to bind.
+	if n, err := Open(Config{Listen: taken.Addr().String(), Dir: dir, Fsync: "always", Follower: true}); err == nil {
+		closeNode(t, n)
+		t.Fatal("opened on an address already in use")
+	}
+
+	n, err := Open(Config{Listen: "127.0.0.1:0", Dir: dir, Fsync: "always", Follower: true})
+	if err != nil {
+		t.Fatalf("reopening the directory of a failed Open: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- n.Serve() }()
+	closeNode(t, n)
+	if err := <-served; err != nil {
+		t.Errorf("Serve returned %v after Close", err)
+	}
+	if err := n.Close(context.Background()); err != nil {
+		t.Errorf("second close: %v", err)
+	}
+	if _, err := net.DialTimeout("tcp", n.Addr(), time.Second); err == nil {
+		t.Error("a closed node still accepts connections")
+	}
+}
