@@ -77,13 +77,15 @@ vuln:
 
 # Short fuzz sweeps over the wire decoder and every geometry decoder, each
 # running under DecodeLimits so a decompression bomb fails the target, and
-# over the two differential targets (polyline candidate index, arithmetic
-# coder) that hold an optimized kernel to its reference.
+# over the three differential targets (polyline candidate index, sliding
+# consensus line, arithmetic coder) that hold an optimized kernel to its
+# reference.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/netproto
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/sparse
 	$(GO) test -fuzz=FuzzOrganizeMatchesReference -fuzztime=$(FUZZTIME) ./internal/polyline
+	$(GO) test -fuzz=FuzzConsensusMatchesReference -fuzztime=$(FUZZTIME) ./internal/polyline
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/kdtree
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/gpcc
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/quadtree

@@ -176,6 +176,10 @@ func BenchmarkTable2Outliers(b *testing.B) {
 	}
 }
 
+// laneBox is the lane ahead of the vehicle, the box the repository
+// benchmark's region reads ask for.
+var laneBox = dbgc.AABB{Min: dbgc.Point{X: 5, Y: -5, Z: -3}, Max: dbgc.Point{X: 25, Y: 5, Z: 3}}
+
 // BenchmarkFig12Latency measures Figure 12: compression and decompression
 // latency of DBGC on the city scene at 2 cm.
 func BenchmarkFig12Latency(b *testing.B) {
@@ -201,21 +205,38 @@ func BenchmarkFig12Latency(b *testing.B) {
 		}
 	})
 	// The sparse-heavy frame (a third of the points dense): polyline
-	// organization and sparse coding are most of its compress time. A warm
-	// Encoder, as a streaming caller holds one.
+	// organization and sparse coding are most of its compress time, the
+	// radial groups most of its reads; `-cpu 1,2` shows how both scale with
+	// width. A warm Encoder, as a streaming caller holds one.
+	road, err := benchkit.Frame(lidar.Road, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	enc := dbgc.NewEncoder(dbgc.DefaultOptions(benchkit.DefaultQ))
+	roadData, _, err := dbgc.CompressWith(enc, road)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.Run("kitti-road/Compress", func(b *testing.B) {
-		road, err := benchkit.Frame(lidar.Road, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		enc := dbgc.NewEncoder(dbgc.DefaultOptions(benchkit.DefaultQ))
-		if _, _, err := dbgc.CompressWith(enc, road); err != nil {
-			b.Fatal(err)
-		}
 		b.ReportAllocs()
-		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := dbgc.CompressWith(enc, road); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("kitti-road/Decompress", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := dbgc.Decompress(roadData); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("kitti-road/DecompressRegion", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := dbgc.DecompressRegion(roadData, laneBox); err != nil {
 				b.Fatal(err)
 			}
 		}

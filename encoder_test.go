@@ -213,7 +213,6 @@ func TestRegionAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	whole := dbgc.AABB{Min: dbgc.Point{X: -1e4, Y: -1e4, Z: -1e4}, Max: dbgc.Point{X: 1e4, Y: 1e4, Z: 1e4}}
-	lane := dbgc.AABB{Min: dbgc.Point{X: 5, Y: -5, Z: -3}, Max: dbgc.Point{X: 25, Y: 5, Z: 3}}
 	for _, c := range []struct {
 		name  string
 		box   dbgc.AABB
@@ -221,9 +220,9 @@ func TestRegionAllocs(t *testing.T) {
 		limit func(returned float64) float64 // nil: logged only
 	}{
 		{"whole frame", whole, 1, func(returned float64) float64 { return 2.5 * returned }},
-		{"lane box", lane, 1, func(float64) float64 { return 2.68e6 }},
+		{"lane box", laneBox, 1, func(float64) float64 { return 2.68e6 }},
 		{"whole frame", whole, 4, func(returned float64) float64 { return 3 * returned }},
-		{"lane box", lane, 4, nil},
+		{"lane box", laneBox, 4, nil},
 	} {
 		var points int
 		decode := func() {

@@ -300,7 +300,9 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 	// Stage 2: octree compression of dense points (OCT), beside stages
 	// 3-5: conversion, organization, sparse coordinate compression
 	// (COR/ORG/SPA). The sparse leg is the longer one and splits further
-	// into its radial groups, so it goes first.
+	// into its radial groups, so it goes first: largest first is the
+	// better order, though whoever ends up waiting joins those groups
+	// either way.
 	e.densePts = gather(e.densePts, pc, denseIdx)
 	densePts := e.densePts
 	var denseEnc octree.Encoded

@@ -7,6 +7,11 @@
 // goroutines. With GOMAXPROCS 1, or one item, everything runs inline on
 // the caller and no goroutine is started.
 //
+// Nobody idles while items are unclaimed anywhere: a helper out of items
+// joins another open fan-out, and so does a caller left waiting for its
+// helpers, which means an item can run on the stack of another item whose
+// fan-out is waiting. Items therefore hold no lock across a fan-out.
+//
 // Nothing here makes output depend on width: an item writes only what it
 // owns (its slot of a result slice, its range of an array), and what
 // crosses items — counts, offsets, the first error — is combined by the
@@ -39,10 +44,11 @@ func acquire(procs int32) bool {
 }
 
 // open lists the fan-outs whose callers are still handing out items, oldest
-// first. A helper that runs out of items in one fan-out joins another from
-// here before it gives its place back, so a processor freed by a short leg
-// (the octree beside the sparse groups, the dense section beside them on
-// decode) goes to the long one without waiting for that leg's next claim.
+// first. A worker that runs out of items in one fan-out joins another from
+// here — a helper before it gives its place back, a caller before it blocks
+// waiting for its helpers — so a processor freed by a short leg (the octree
+// beside the sparse groups, the dense section beside them on decode) goes
+// to the long one without waiting for that leg's next claim.
 var open struct {
 	sync.Mutex
 	list []*fanOut
@@ -52,8 +58,9 @@ var open struct {
 // Items are handed out one at a time, in index order, to whichever worker
 // is free, so items of unequal cost even out; workers are the caller plus
 // helpers started, or joining from a fan-out they have finished, only while
-// both unclaimed items and allowance remain. A panic in f stops the
-// hand-out and is raised again on the caller once every worker has
+// both unclaimed items and allowance remain. A caller left waiting for its
+// helpers works on the other open fan-outs meanwhile. A panic in f stops
+// the hand-out and is raised again on the caller once every worker has
 // returned.
 func Each(n int, f func(i int)) {
 	if n < 2 || runtime.GOMAXPROCS(0) < 2 {
@@ -90,13 +97,25 @@ func Workers(n int, work func(next func() (int, bool))) {
 	open.Lock()
 	open.list = append(open.list, e)
 	open.Unlock()
-	e.run()
-	// Once e is off the list no helper can join it, so every Add to its
-	// WaitGroup from a joining helper happens before the Wait below.
+	e.run(nil)
+	// Once e is off the list nobody can join it, so every Add to its
+	// WaitGroup from a joining worker happens before the Wait below.
 	open.Lock()
 	open.list = slices.DeleteFunc(open.list, func(o *fanOut) bool { return o == e })
 	open.Unlock()
-	if e.joined.Load() > 0 {
+	// The caller's items have run out; its helpers may each be inside one
+	// more, and if that one holds a fan-out of its own — the sparse section
+	// with its radial groups — nobody there can recruit before the item
+	// ends. So the caller joins the open fan-outs as a finished helper
+	// does, until its own helpers have returned: a foreign item delays its
+	// return by no more than the one it is inside.
+	for e.active.Load() > 0 {
+		if at := join(); at != nil {
+			at.run(e)
+			at.done()
+			continue
+		}
+		// Nothing to do but wait: lend the processor to whoever claims next.
 		helpers.Add(-1)
 		e.wg.Wait()
 		helpers.Add(1)
@@ -111,21 +130,39 @@ type fanOut struct {
 	n        int64
 	work     func(next func() (int, bool))
 	procs    int32
-	next     atomic.Int64 // next unclaimed item
-	joined   atomic.Int32 // helpers that have worked on it, started or joining
-	wg       sync.WaitGroup
+	next     atomic.Int64   // next unclaimed item
+	active   atomic.Int32   // workers besides the caller that have not returned
+	wg       sync.WaitGroup // counts the same workers, for the caller to block on
 	panicked atomic.Pointer[any]
 }
 
-// run is one worker's share: work, claiming items until none are left.
-func (e *fanOut) run() {
+// run is one worker's share: work, claiming items until none are left —
+// or, for the caller of waiting filling its wait on e, until waiting's
+// helpers have all returned.
+func (e *fanOut) run(waiting *fanOut) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.panicked.CompareAndSwap(nil, &r)
 			e.next.Store(e.n)
 		}
 	}()
-	e.work(e.claim)
+	e.work(func() (int, bool) {
+		if waiting != nil && waiting.active.Load() == 0 {
+			return 0, false
+		}
+		return e.claim()
+	})
+}
+
+// enter counts a worker besides the caller in, and done out again.
+func (e *fanOut) enter() {
+	e.active.Add(1)
+	e.wg.Add(1)
+}
+
+func (e *fanOut) done() {
+	e.active.Add(-1)
+	e.wg.Done()
 }
 
 // claim hands out the next item, and starts a helper if there are more.
@@ -149,26 +186,24 @@ func (e *fanOut) recruit() {
 	}
 	// The counter cannot be zero here unless this is the caller before its
 	// Wait: a helper adding is itself still counted.
-	e.joined.Add(1)
-	e.wg.Add(1)
+	e.enter()
 	go func() {
 		defer helpers.Add(-1)
 		for at := e; at != nil; at = join() {
-			at.run()
-			at.wg.Done()
+			at.run(nil)
+			at.done()
 		}
 	}()
 }
 
 // join picks the oldest open fan-out with unclaimed items — the outermost,
-// whose items are the largest — and counts the calling helper in.
+// whose items are the largest — and counts the calling worker in.
 func join() *fanOut {
 	open.Lock()
 	defer open.Unlock()
 	for _, e := range open.list {
 		if e.next.Load() < e.n {
-			e.joined.Add(1)
-			e.wg.Add(1)
+			e.enter()
 			return e
 		}
 	}

@@ -254,6 +254,46 @@ func TestHelpersJoin(t *testing.T) {
 	})
 }
 
+// TestCallerJoins: the mirror of TestHelpersJoin. The caller has the short
+// leg, which ends once the one helper GOMAXPROCS=2 allows is inside the
+// first item of the long leg's nested fan-out — where it cannot recruit,
+// and the allowance was its own anyway. That item ends only once another
+// item of its fan-out has started, which nobody but the caller, out of
+// items and waiting for that very helper, is free to do.
+func TestCallerJoins(t *testing.T) {
+	atProcs(2, func() {
+		inFirst, second := make(chan struct{}), make(chan struct{})
+		var once sync.Once
+		timedOut := false
+		idleHelpers() // the helper must be free for the long leg
+		Do(func() {
+			select {
+			case <-inFirst:
+			case <-time.After(5 * time.Second):
+			}
+		}, func() {
+			Each(4, func(i int) {
+				if i > 0 {
+					once.Do(func() { close(second) })
+					return
+				}
+				close(inFirst)
+				select {
+				case <-second:
+				case <-time.After(5 * time.Second):
+					timedOut = true
+				}
+			})
+		})
+		if timedOut {
+			t.Error("the caller did not join the long fan-out while waiting for its helper inside it")
+		}
+		if h := idleHelpers(); h != 0 {
+			t.Errorf("%d helpers still counted after the fan-out returned", h)
+		}
+	})
+}
+
 // TestUsesHelpers: with processors to spare, items do run side by side.
 func TestUsesHelpers(t *testing.T) {
 	atProcs(4, func() {

@@ -14,8 +14,8 @@ func TestRefWindowCap(t *testing.T) {
 	if 499-lo != MaxRefLines {
 		t.Fatalf("window size %d, want cap %d", 499-lo, MaxRefLines)
 	}
-	cons := Consensus(lines, 499, 5)
-	if cons == nil {
+	cons := slidingConsensus(t, lines, 499, 5)
+	if len(cons) == 0 {
 		t.Fatal("capped window still has lines; consensus must exist")
 	}
 	if len(cons) > MaxRefLines {
@@ -31,7 +31,7 @@ func TestConsensusLaterLineWins(t *testing.T) {
 		{{Theta: 40, Phi: 11, R: 2}, {Theta: 60, Phi: 11, R: 2}},
 		{{Theta: 50, Phi: 12, R: 9}},
 	}
-	cons := Consensus(lines, 2, 5)
+	cons := slidingConsensus(t, lines, 2, 5)
 	for _, p := range cons {
 		if p.Theta >= 40 && p.Theta <= 60 && p.R != 2 {
 			t.Fatalf("span [40,60] should come from line 1: %+v", p)

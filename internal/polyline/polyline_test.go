@@ -168,7 +168,7 @@ func TestConsensusMerge(t *testing.T) {
 		{{Theta: 8, Phi: 102, R: 20}, {Theta: 18, Phi: 102, R: 21}},
 		{{Theta: 5, Phi: 104, R: 30}},
 	}
-	cons := Consensus(lines, 2, 10)
+	cons := slidingConsensus(t, lines, 2, 10)
 	// Line 1 replaces the consensus span θ∈[8,18] of line 0:
 	// expect θ = 0, 8, 18, 20, 30 with rs 10, 20, 21, 12, 13.
 	wantT := []int64{0, 8, 18, 20, 30}
@@ -185,11 +185,11 @@ func TestConsensusMerge(t *testing.T) {
 
 func TestConsensusEmptyWindow(t *testing.T) {
 	lines := []Line{{{Theta: 0, Phi: 0}}, {{Theta: 0, Phi: 1000}}}
-	if cons := Consensus(lines, 1, 5); cons != nil {
-		t.Fatalf("expected nil consensus, got %+v", cons)
+	if cons := slidingConsensus(t, lines, 1, 5); len(cons) != 0 {
+		t.Fatalf("expected empty consensus, got %+v", cons)
 	}
-	if cons := Consensus(lines, 0, 5); cons != nil {
-		t.Fatalf("first line must have nil consensus, got %+v", cons)
+	if cons := slidingConsensus(t, lines, 0, 5); len(cons) != 0 {
+		t.Fatalf("first line must have empty consensus, got %+v", cons)
 	}
 }
 

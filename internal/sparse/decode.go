@@ -256,17 +256,18 @@ func (fr frame) decodeGroupChecked(dst geom.PointCloud, data []byte, s *groupScr
 
 // groupScratch holds what decoding one group needs besides its output:
 // the polyline lengths, the five integer streams (θ head deltas, θ tails, φ
-// head deltas, φ tails, radials), the inflated bytes of a DEFLATEd stream,
-// every line's points in one array with the lines slicing it, and the
-// consensus merge buffers. Pooled, one per goroutine decoding groups, so a
-// steady-state decode allocates none of it.
+// head deltas, φ tails, radials), the reference symbols, the inflated bytes
+// of a DEFLATEd stream, every line's points in one array with the lines
+// slicing it, and the consensus line. Pooled, one per goroutine decoding
+// groups, so a steady-state decode allocates none of it.
 type groupScratch struct {
 	lens  []uint64
 	ints  [5][]int64
+	refs  []int
 	raw   []byte
 	pts   []polyline.Point
 	lines []polyline.Line
-	cons  polyline.ConsensusScratch
+	cons  polyline.Consensus
 }
 
 var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
@@ -406,8 +407,7 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 	if err := b.Nodes(int64(h.nRefs)); err != nil {
 		return nil, err
 	}
-	refs, err := decompressRefs(streams[6], h.nRefs)
-	if err != nil {
+	if s.refs, err = decompressRefs(s.refs[:0], streams[6], h.nRefs); err != nil {
 		return nil, err
 	}
 
@@ -432,6 +432,11 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 				Phi:   line[k-1].Phi + phiTails[tp],
 				Orig:  -1,
 			}
+			// No encoder extends a polyline towards lower θ, and step 8's
+			// consensus line is sorted only if none does.
+			if line[k].Theta < line[k-1].Theta {
+				return nil, fmt.Errorf("%w: polyline %d turns back in θ", ErrCorrupt, i)
+			}
 			tp++
 		}
 		lines[i] = line
@@ -439,53 +444,8 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 
 	// Replay the radial reference decisions to recover r (step 8
 	// inverted).
-	rp, refp := 0, 0
-	plainDelta := gf.plainDelta
-	for i, l := range lines {
-		var ctx refContext
-		if !plainDelta {
-			ctx = refContext{cons: s.cons.Consensus(lines, i, h.thPhi), thR: h.thR}
-		}
-		for k := range l {
-			if k == 0 {
-				var ref int64
-				if plainDelta {
-					if i > 0 {
-						ref = lines[i-1].Head().R
-					}
-				} else {
-					ref = headRef(ctx, lines, i, l[k].Theta)
-				}
-				l[k].R = radials[rp] + ref
-				rp++
-				continue
-			}
-			blR := l[k-1].R
-			if plainDelta {
-				l[k].R = radials[rp] + blR
-				rp++
-				continue
-			}
-			d := classifyTail(ctx, l[k].Theta, blR)
-			if !d.needSymbol {
-				l[k].R = radials[rp] + d.candidates[refBottomLeft]
-				rp++
-				continue
-			}
-			if refp >= len(refs) {
-				return nil, fmt.Errorf("%w: L_ref exhausted", ErrCorrupt)
-			}
-			sym := refs[refp]
-			refp++
-			if !d.present[sym] {
-				return nil, fmt.Errorf("%w: reference symbol %d not available", ErrCorrupt, sym)
-			}
-			l[k].R = radials[rp] + d.candidates[sym]
-			rp++
-		}
-	}
-	if refp != len(refs) {
-		return nil, fmt.Errorf("%w: %d unused L_ref symbols", ErrCorrupt, len(refs)-refp)
+	if _, err := codeRadial(&s.cons, lines, h.thPhi, h.thR, gf.plainDelta, true, radials, s.refs); err != nil {
+		return nil, err
 	}
 
 	out := slices.Grow(dst, total)

@@ -292,9 +292,9 @@ type groupResult struct {
 // radius-sorted indices and norms of the frame, and per group the quantized
 // points, the polyline lengths, the five integer streams (θ heads, θ tails,
 // φ heads, φ tails, radials), the reference symbols, the group payload
-// under assembly, the staging buffer of one stream, the consensus merge
-// buffers and the two DEFLATE writers with their outputs. Pooled, one per
-// goroutine encoding groups, so a steady-state encode allocates none of it.
+// under assembly, the staging buffer of one stream, the consensus line and
+// the two DEFLATE writers with their outputs. Pooled, one per goroutine
+// encoding groups, so a steady-state encode allocates none of it.
 type encodeScratch struct {
 	sorted []int32
 	rbits  []uint64
@@ -307,7 +307,7 @@ type encodeScratch struct {
 	refs  []int
 	data  []byte
 	stage []byte
-	cons  polyline.ConsensusScratch
+	cons  polyline.Consensus
 
 	huffman, lz       *flate.Writer
 	huffmanOut, lzOut bytes.Buffer
@@ -317,8 +317,8 @@ var encodePool = sync.Pool{New: func() any { return new(encodeScratch) }}
 
 // encodeGroup runs steps 1-9 for one radial group. rs carries the group's
 // precomputed norms in the same (ascending) order as group. A non-nil
-// capture receives copies of the θ streams before they are entropy coded
-// (collectStreams).
+// capture receives copies of the θ streams before they are entropy coded,
+// and the polylines (collectStreams).
 func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []float64, opts Options, capture *groupStreams) (res groupResult) {
 	var rMax float64
 	var cfg polyline.Config
@@ -411,6 +411,7 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	if capture != nil {
 		capture.dThetaHeads = slices.Clone(dThetaHeads)
 		capture.thetaTails = slices.Clone(thetaTails)
+		capture.lines, capture.thPhi, capture.thR = lines, thPhi, thR
 	}
 
 	data := es.data[:0]
@@ -536,48 +537,13 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	return res
 }
 
-// encodeRadial produces ∇L_r and L_ref (§3.5 step 8) in the scratch. With
-// plainDelta the reference is always the preceding point (heads reference
-// the previous head), reproducing classic delta encoding for the -Radial
-// ablation.
+// encodeRadial produces ∇L_r and L_ref (§3.5 step 8) in the scratch.
 func (es *encodeScratch) encodeRadial(lines []polyline.Line, thPhi, thR int64, plainDelta bool) (radials []int64, refs []int) {
 	// Room for every point's radial was made with the other streams; a
 	// tail yields at most one reference symbol.
-	radials = es.ints[4][:0]
+	radials = es.ints[4][:len(es.ints[1])+len(lines)]
 	refs = slices.Grow(es.refs[:0], len(es.ints[1]))
-	for i, l := range lines {
-		var ctx refContext
-		if !plainDelta {
-			ctx = refContext{cons: es.cons.Consensus(lines, i, thPhi), thR: thR}
-		}
-		for k, p := range l {
-			if k == 0 {
-				var ref int64
-				if plainDelta {
-					if i > 0 {
-						ref = lines[i-1].Head().R
-					}
-				} else {
-					ref = headRef(ctx, lines, i, p.Theta)
-				}
-				radials = append(radials, p.R-ref)
-				continue
-			}
-			blR := l[k-1].R
-			if plainDelta {
-				radials = append(radials, p.R-blR)
-				continue
-			}
-			d := classifyTail(ctx, p.Theta, blR)
-			if !d.needSymbol {
-				radials = append(radials, p.R-d.candidates[refBottomLeft])
-				continue
-			}
-			sym := d.choose(p.R)
-			refs = append(refs, sym)
-			radials = append(radials, p.R-d.candidates[sym])
-		}
-	}
+	refs, _ = codeRadial(&es.cons, lines, thPhi, thR, plainDelta, false, radials, refs) // only decoding fails
 	es.ints[4], es.refs = radials, refs
 	return radials, refs
 }
@@ -609,22 +575,23 @@ func appendCompressRefs(dst []byte, refs []int) []byte {
 	return dst
 }
 
-func decompressRefs(data []byte, n int) ([]int, error) {
+// decompressRefs appends the n symbols of L_ref to dst.
+func decompressRefs(dst []int, data []byte, n int) ([]int, error) {
 	d := arith.GetDecoder(data)
 	m := arith.GetModel(4)
-	out := make([]int, n)
-	for i := range out {
+	defer func() {
+		arith.PutModel(m)
+		arith.PutDecoder(d)
+	}()
+	dst = slices.Grow(dst, n)
+	for i := 0; i < n; i++ {
 		s, err := d.Decode(m)
 		if err != nil {
-			arith.PutModel(m)
-			arith.PutDecoder(d)
 			return nil, fmt.Errorf("sparse: ref symbol %d/%d: %w", i, n, err)
 		}
-		out[i] = s
+		dst = append(dst, s)
 	}
-	arith.PutModel(m)
-	arith.PutDecoder(d)
-	return out, nil
+	return dst, nil
 }
 
 func appendStream(dst, stream []byte) []byte {
@@ -700,15 +667,19 @@ func newDeflater(level int) *flate.Writer {
 }
 
 // groupStreams holds one radial group's θ streams exactly as the encoder
-// hands them to deflate.
+// hands them to deflate, and its polylines and thresholds exactly as step 8
+// gets them.
 type groupStreams struct {
 	dThetaHeads []int64
 	thetaTails  []int64
+	lines       []polyline.Line
+	thPhi, thR  int64
 }
 
 // collectStreams runs the sparse pipeline on the subset of pc given by idx
-// and returns every group's θ streams without emitting a stream: the real
-// inputs TestDeflateNeverLoses holds deflate to.
+// and returns every group's θ streams and polylines without emitting a
+// stream: the real inputs TestDeflateNeverLoses holds deflate to, and
+// TestRadialMatchesReference step 8.
 func collectStreams(pc geom.PointCloud, idx []int32, opts Options) []groupStreams {
 	es := encodePool.Get().(*encodeScratch)
 	defer encodePool.Put(es)

@@ -1,10 +1,108 @@
 package sparse
 
 import (
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
+	"math"
 	"testing"
 
+	"dbgc/internal/arith"
 	"dbgc/internal/geom"
+	"dbgc/internal/polyline"
+	"dbgc/internal/varint"
 )
+
+// craftStream writes lines, as they are, as the one radial group of a
+// spherical stream in the legacy dialect or, with shards above one, the
+// sharded one with its group CRC: the streams Encode would write for them,
+// had Organize produced them. Encode cannot be made to write a polyline
+// that turns back in θ; this can.
+func craftStream(lines []polyline.Line, shards int) []byte {
+	const q, rMax, thPhi, thR = 0.02, 40.0, 8, 50
+	var lens []uint64
+	var thetaHeads, thetaTails, phiHeads, phiTails []int64
+	for _, l := range lines {
+		lens = append(lens, uint64(len(l)))
+		thetaHeads = append(thetaHeads, l[0].Theta)
+		phiHeads = append(phiHeads, l[0].Phi)
+		for k := 1; k < len(l); k++ {
+			thetaTails = append(thetaTails, l[k].Theta-l[k-1].Theta)
+			phiTails = append(phiTails, l[k].Phi-l[k-1].Phi)
+		}
+	}
+	radials := make([]int64, len(lines)+len(thetaTails))
+	refs, _ := codeRadial(new(polyline.Consensus), lines, thPhi, thR, false, false, radials, nil)
+
+	var es encodeScratch
+	group := binary.LittleEndian.AppendUint64(nil, math.Float64bits(rMax))
+	for _, v := range []int{thPhi, thR, len(lines), len(thetaTails), len(refs)} {
+		group = varint.AppendUint(group, uint64(v))
+	}
+	group = appendStream(group, arith.AppendCompressUints(nil, lens))
+	group = appendStream(group, es.deflate(varint.AppendInts(nil, deltaInts(thetaHeads))))
+	group = appendStream(group, es.deflate(varint.AppendInts(nil, thetaTails)))
+	group = appendStream(group, arith.AppendCompressInts(nil, deltaInts(phiHeads)))
+	if shards > 1 {
+		group = appendStream(group, arith.AppendCompressIntsSharded(nil, phiTails, shards))
+		group = appendStream(group, arith.AppendCompressIntsSharded(nil, radials, shards))
+	} else {
+		group = appendStream(group, arith.AppendCompressInts(nil, phiTails))
+		group = appendStream(group, arith.AppendCompressInts(nil, radials))
+	}
+	group = appendStream(group, appendCompressRefs(nil, refs))
+
+	var out []byte
+	if shards > 1 {
+		out = varint.AppendUint(out, flagSharded)
+		group = append(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(group, crcTable)), group...)
+	} else {
+		out = varint.AppendUint(out, 0)
+	}
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(q))
+	out = varint.AppendUint(out, 1)
+	return appendStream(out, group)
+}
+
+// turnedBack returns three overlapping polylines, the second of which steps
+// back in θ when backwards is set: a negative θ tail, which no encoder path
+// emits and which would put an unsorted line into step 8's consensus.
+func turnedBack(backwards bool) []polyline.Line {
+	mid := int64(130)
+	if backwards {
+		mid = 90
+	}
+	return []polyline.Line{
+		{{Theta: 100, Phi: 500, R: 900}, {Theta: 110, Phi: 500, R: 905}, {Theta: 120, Phi: 501, R: 2000}},
+		{{Theta: 105, Phi: 503, R: 910}, {Theta: mid, Phi: 503, R: 1500}, {Theta: 140, Phi: 503, R: 2100}},
+		{{Theta: 95, Phi: 506, R: 920}, {Theta: 112, Phi: 506, R: 1400}, {Theta: 150, Phi: 507, R: 930}},
+	}
+}
+
+// TestNegativeThetaTailRefused: a group with a polyline that turns back in
+// θ fails closed, whichever way the stream is read — and is not a group
+// salvage may skip, since its CRC is good. The same streams with the
+// polyline going forward decode, so it is the turn they are refused for.
+func TestNegativeThetaTailRefused(t *testing.T) {
+	readers := map[string]func([]byte) (geom.PointCloud, error){
+		"Decode": Decode,
+		"DecodeRadialRange": func(b []byte) (geom.PointCloud, error) {
+			return DecodeRadialRange(b, 0, math.Inf(1), DecodeOptions{})
+		},
+		"salvage": func(b []byte) (geom.PointCloud, error) { return DecodeWith(b, DecodeOptions{Salvage: true}) },
+	}
+	for _, shards := range []int{1, 2} {
+		for name, read := range readers {
+			if pc, err := read(craftStream(turnedBack(false), shards)); err != nil || len(pc) != 9 {
+				t.Errorf("%s, shards %d: forward polylines decode to %d points, %v", name, shards, len(pc), err)
+			}
+			pc, err := read(craftStream(turnedBack(true), shards))
+			if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrGroupCRC) || pc != nil {
+				t.Errorf("%s, shards %d: polyline turning back in θ gives %d points, %v; want ErrCorrupt", name, shards, len(pc), err)
+			}
+		}
+	}
+}
 
 // FuzzDecode hammers the sparse decoder with mutated group streams; it
 // must never panic.
@@ -45,6 +143,8 @@ func FuzzDecode(f *testing.F) {
 		mut[16] ^= 0xff
 	}
 	f.Add(mut)
+	f.Add(craftStream(turnedBack(true), 1))
+	f.Add(craftStream(turnedBack(true), 2))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// The sharded, blockpack, and context flags ride in the stream

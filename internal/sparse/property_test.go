@@ -174,7 +174,7 @@ func TestPropertyRefsRoundTrip(t *testing.T) {
 		for i, b := range raw {
 			refs[i] = int(b % 4)
 		}
-		dec, err := decompressRefs(appendCompressRefs(nil, refs), len(refs))
+		dec, err := decompressRefs(nil, appendCompressRefs(nil, refs), len(refs))
 		if err != nil {
 			return false
 		}

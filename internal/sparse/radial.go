@@ -1,6 +1,10 @@
 package sparse
 
-import "dbgc/internal/polyline"
+import (
+	"fmt"
+
+	"dbgc/internal/polyline"
+)
 
 // Radial reference-point symbols recorded in L_ref when situation (2)(b)
 // of §3.5 step 8 applies. The bottom-left point needs no symbol in
@@ -12,94 +16,100 @@ const (
 	refUpperMid   = 3 // consensus point exactly at θ_p, when present
 )
 
-// refContext bundles what both coder sides know when the radial reference
-// of point k of a line is determined: the consensus line and the preceding
-// point's decoded radial value.
-type refContext struct {
-	cons polyline.Line
-	thR  int64 // TH_r in quantized units
-}
-
-// headRef resolves the reference radial value for the head of line i
-// (situation (1)): the rightmost consensus point left of the head, else
-// the head of the preceding polyline, else zero for the very first line.
-func headRef(ctx refContext, lines []polyline.Line, i int, theta int64) int64 {
-	if ctx.cons != nil {
-		if p, ok := polyline.SearchLeft(ctx.cons, theta); ok {
-			return p.R
+// codeRadial is the radial distance optimized delta encoding (§3.5 step 8)
+// over the lines of one group, in either direction. radials holds ∇L_r, one
+// value per point in line order, and refs is L_ref. Encoding reads every
+// point's r, fills radials and appends a symbol to refs, which comes in
+// empty, for each point in situation (2)(b); decoding reads both and sets
+// every point's r, and fails if refs does not hold exactly the symbols the
+// lines call for. Which reference a point takes depends only on values
+// that precede it, so the decoder replays the encoder's decisions. With
+// plainDelta the reference is always the preceding point (heads reference
+// the previous head): classic delta encoding, the -Radial ablation.
+func codeRadial(cons *polyline.Consensus, lines []polyline.Line, thPhi, thR int64, plainDelta, decode bool, radials []int64, refs []int) ([]int, error) {
+	rp, refp := 0, 0
+	settle := func(p *polyline.Point, ref int64) {
+		if decode {
+			p.R = radials[rp] + ref
+		} else {
+			radials[rp] = p.R - ref
+		}
+		rp++
+	}
+	for i, l := range lines {
+		// Situation (1), a head: the rightmost consensus point left of it,
+		// else the head of the preceding polyline, else zero.
+		var ref int64
+		if i > 0 {
+			ref = lines[i-1].Head().R
+		}
+		if !plainDelta {
+			cons.Advance(lines, i, thPhi)
+			cons.Find(l[0].Theta)
+			if ul, ok := cons.Left(); ok {
+				ref = ul
+			}
+		}
+		settle(&l[0], ref)
+		for k := 1; k < len(l); k++ {
+			p, bl := &l[k], l[k-1].R
+			if plainDelta {
+				settle(p, bl)
+				continue
+			}
+			cons.Walk(p.Theta)
+			ul, okUL := cons.Left()
+			ur, okUR := cons.Right()
+			if !okUL || !okUR || abs64(ul-ur) <= thR && abs64(ul-bl) <= thR && abs64(ur-bl) <= thR {
+				// Situation (2)(a): no consensus neighbors, or a locally
+				// flat scene; the bottom-left point is the reference and
+				// nothing is recorded. (An averaged bl/ul/ur reference was
+				// evaluated to suppress reference noise, but the consensus
+				// neighbors sit at different azimuths, and on sloped
+				// surfaces their bias costs more than the smoothing saves.)
+				settle(p, bl)
+				continue
+			}
+			// Situation (2)(b): the candidates by symbol; only the
+			// upper-middle one can be absent.
+			cand := [4]int64{refBottomLeft: bl, refUpperLeft: ul, refUpperRight: ur}
+			n := refUpperMid
+			if um, ok := cons.At(); ok {
+				cand[refUpperMid] = um
+				n++
+			}
+			var sym int
+			if decode {
+				if refp >= len(refs) {
+					return nil, fmt.Errorf("%w: L_ref exhausted", ErrCorrupt)
+				}
+				sym = refs[refp]
+				refp++
+				if sym >= n {
+					return nil, fmt.Errorf("%w: reference symbol %d not available", ErrCorrupt, sym)
+				}
+			} else {
+				sym = nearest(cand[:n], p.R)
+				refs = append(refs, sym)
+			}
+			settle(p, cand[sym])
 		}
 	}
-	if i > 0 {
-		return lines[i-1].Head().R
+	if decode && refp != len(refs) {
+		return nil, fmt.Errorf("%w: %d unused L_ref symbols", ErrCorrupt, len(refs)-refp)
 	}
-	return 0
+	return refs, nil
 }
 
-// tailRefDecision captures the deterministic part of situation (2): which
-// branch applies and, for (2)(b), the candidate radial values on offer.
-type tailRefDecision struct {
-	// needSymbol is true in situation (2)(b): the encoder must record
-	// (and the decoder read) a reference symbol.
-	needSymbol bool
-	// candidates maps symbol → radial value; -1 marks absent candidates
-	// (only refUpperMid can be absent when needSymbol is true).
-	candidates [4]int64
-	present    [4]bool
-}
-
-// classifyTail evaluates situations (2)(a) vs (2)(b) for a non-head point
-// at azimuth theta whose bottom-left neighbor has radial value blR. The
-// decision uses only previously decoded values, so the decompressor replays
-// it exactly.
-func classifyTail(ctx refContext, theta int64, blR int64) tailRefDecision {
-	var d tailRefDecision
-	d.candidates[refBottomLeft] = blR
-	d.present[refBottomLeft] = true
-	if ctx.cons == nil {
-		return d
-	}
-	ul, okUL := polyline.SearchLeft(ctx.cons, theta)
-	ur, okUR := polyline.SearchRight(ctx.cons, theta)
-	if !okUL || !okUR {
-		return d
-	}
-	if abs64(ul.R-ur.R) <= ctx.thR && abs64(ul.R-blR) <= ctx.thR && abs64(ur.R-blR) <= ctx.thR {
-		// Situation (2)(a): locally flat scene; the bottom-left point is
-		// the reference and nothing is recorded. (An averaged
-		// bl/ul/ur reference was evaluated to suppress reference noise,
-		// but the consensus neighbors sit at different azimuths, and on
-		// sloped surfaces their bias costs more than the smoothing
-		// saves.)
-		return d
-	}
-	d.needSymbol = true
-	d.candidates[refUpperLeft] = ul.R
-	d.present[refUpperLeft] = true
-	d.candidates[refUpperRight] = ur.R
-	d.present[refUpperRight] = true
-	if um, ok := polyline.SearchAt(ctx.cons, theta); ok {
-		d.candidates[refUpperMid] = um.R
-		d.present[refUpperMid] = true
-	}
-	return d
-}
-
-// choose picks the candidate whose radial value is nearest to r, breaking
-// ties by the lowest symbol. Only the encoder calls this — the decoder
-// reads the chosen symbol from L_ref.
-func (d tailRefDecision) choose(r int64) int {
-	best := -1
-	var bestDist int64
-	for sym := 0; sym < 4; sym++ {
-		if !d.present[sym] {
-			continue
-		}
-		dist := abs64(d.candidates[sym] - r)
-		if best < 0 || dist < bestDist {
-			best, bestDist = sym, dist
+// nearest returns the symbol of the candidate whose radial value is nearest
+// to r, the lowest on a tie.
+func nearest(cand []int64, r int64) (sym int) {
+	for s := 1; s < len(cand); s++ {
+		if abs64(cand[s]-r) < abs64(cand[sym]-r) {
+			sym = s
 		}
 	}
-	return best
+	return sym
 }
 
 func abs64(v int64) int64 {
