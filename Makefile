@@ -6,8 +6,9 @@ GO ?= go
 # city-frame compression-ratio smoke test, TestRatioSmoke), then the
 # data-race pass (which includes the reliable-transport fault-injection
 # tests, and repeats on the packages that fan work out through
-# internal/par and on the server node and the chaos scenarios that crash
-# it), then a known-vulnerability scan when the scanner is installed.
+# internal/par or internal/framepipe, on the session worker and on the
+# server node and the chaos scenarios that crash it), then a
+# known-vulnerability scan when the scanner is installed.
 check: build vet test race vuln
 
 build:
@@ -23,7 +24,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/par ./internal/cluster ./internal/core ./internal/sparse \
-		./internal/node ./cmd/dbgc-loadgen
+		./internal/stream ./internal/framepipe ./internal/reliable ./internal/node ./cmd/dbgc-loadgen
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): one of the
 # five workloads, built from source and run for 15 s. TRACE=1 reports the
@@ -75,7 +76,8 @@ vuln:
 		echo "vuln: govulncheck not installed, skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# Short fuzz sweeps over the wire decoder and every geometry decoder, each
+# Short fuzz sweeps over the wire decoder, the stream container's reader and
+# every geometry decoder, each
 # running under DecodeLimits so a decompression bomb fails the target, and
 # over the three differential targets (polyline candidate index, sliding
 # consensus line, arithmetic coder) that hold an optimized kernel to its
@@ -95,3 +97,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzCoderMatchesReference -fuzztime=$(FUZZTIME) ./internal/arith
 	$(GO) test -fuzz=FuzzShardedStream -fuzztime=$(FUZZTIME) ./internal/arith
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/stream

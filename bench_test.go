@@ -8,8 +8,6 @@ package dbgc_test
 
 import (
 	"bytes"
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -267,89 +265,54 @@ func BenchmarkDecodeThroughput(b *testing.B) {
 }
 
 // BenchmarkPipelineFPS measures end-to-end frames per second through the
-// stream container, serial vs the framepipe worker pool.
+// stream container. How many frames are in flight follows GOMAXPROCS: run it
+// with -cpu 1,2 for the one-core and two-core rows.
 func BenchmarkPipelineFPS(b *testing.B) {
 	clouds, err := benchkit.Frames(lidar.City, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
 	opts := dbgc.DefaultOptions(benchkit.DefaultQ)
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, workers := range workerCounts {
-		workers := workers
-		b.Run(fmt.Sprintf("Pack/workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			start := time.Now()
-			frames := 0
-			for i := 0; i < b.N; i++ {
-				var buf bytes.Buffer
-				w, err := stream.NewWriter(&buf, opts, 10)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if workers > 1 {
-					if err := w.EnablePipeline(workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, pc := range clouds {
-					if _, err := w.WriteFrame(pc, nil); err != nil {
-						b.Fatal(err)
-					}
-					frames++
-				}
-				if err := w.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-				b.ReportMetric(float64(frames)/elapsed, "frames/s")
-			}
-		})
-	}
 	var container bytes.Buffer
-	w, err := stream.NewWriter(&container, opts, 10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, pc := range clouds {
-		if _, err := w.WriteFrame(pc, nil); err != nil {
+	pack := func(b *testing.B) {
+		container.Reset()
+		w, err := stream.NewWriter(&container, opts, 10)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, pc := range clouds {
+			if err := w.WriteFrame(pc, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
+	read := func(b *testing.B) {
+		r, err := stream.NewReader(bytes.NewReader(container.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for range clouds {
+			if _, err := r.ReadFrame(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
-	for _, workers := range workerCounts {
-		workers := workers
-		b.Run(fmt.Sprintf("Read/workers=%d", workers), func(b *testing.B) {
+	pack(b) // Read's input, whichever legs -bench selects
+	for _, leg := range []struct {
+		name string
+		run  func(*testing.B)
+	}{{"Pack", pack}, {"Read", read}} {
+		b.Run(leg.name, func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			start := time.Now()
-			frames := 0
 			for i := 0; i < b.N; i++ {
-				r, err := stream.NewReader(bytes.NewReader(container.Bytes()))
-				if err != nil {
-					b.Fatal(err)
-				}
-				if workers > 1 {
-					if err := r.EnablePipeline(workers); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for range clouds {
-					if _, err := r.ReadFrame(); err != nil {
-						b.Fatal(err)
-					}
-					frames++
-				}
+				leg.run(b)
 			}
 			if elapsed := time.Since(start).Seconds(); elapsed > 0 {
-				b.ReportMetric(float64(frames)/elapsed, "frames/s")
+				b.ReportMetric(float64(len(clouds)*b.N)/elapsed, "frames/s")
 			}
 		})
 	}

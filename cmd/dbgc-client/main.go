@@ -2,6 +2,11 @@
 // pulls frames from the (simulated) sensor, compresses them, and streams
 // the bit sequences to a dbgc-server over TCP.
 //
+// Capture stays paced on the main goroutine while the frames behind it
+// compress, as many side by side as GOMAXPROCS allows; they are sent in
+// capture order, each when a later capture (or the end of the run) finds it
+// finished.
+//
 // Every frame is acknowledged by the server and retransmitted across nacks,
 // timeouts, and reconnects.
 //
@@ -15,7 +20,7 @@
 //	dbgc-client [-server localhost:7045 | -servers host:a,host:b]
 //	            [-scene kitti-city] [-frames 10]
 //	            [-q 0.02] [-rate 10] [-window 8] [-ack-timeout 5s]
-//	            [-workers 1] [-partial] [-max-points n] [-mem-budget bytes]
+//	            [-partial] [-max-points n] [-mem-budget bytes]
 package main
 
 import (
@@ -35,8 +40,8 @@ import (
 	"dbgc/internal/reliable"
 )
 
-// captureJob and compressedFrame carry frames through the -workers
-// compression pipeline.
+// captureJob and compressedFrame carry frames through the compression
+// window.
 type captureJob struct {
 	seq int
 	pc  dbgc.PointCloud
@@ -59,7 +64,6 @@ func main() {
 	queryBox := flag.String("query", "", "after sending, query frame 0 for x0,y0,z0,x1,y1,z1")
 	window := flag.Int("window", 8, "max unacknowledged frames in flight")
 	ackTimeout := flag.Duration("ack-timeout", 5*time.Second, "resend frames unacked after this long")
-	workers := flag.Int("workers", 1, "compress this many frames concurrently (frames are sent in order)")
 	partial := flag.Bool("partial", false, "skip frames the server permanently rejects instead of aborting the run")
 	maxPoints := flag.Int64("max-points", 0, "verify each frame decodes under this point limit before sending (0 = no verification)")
 	memBudget := flag.Int64("mem-budget", 0, "verify each frame decodes under this memory budget before sending (0 = no verification)")
@@ -139,55 +143,17 @@ func main() {
 			data: data, stats: stats,
 		}, nil
 	}
-	if *workers > 1 {
-		// Frame pipeline: capture stays paced on this goroutine while up to
-		// -workers frames compress concurrently; frames are still sent in
-		// capture order.
-		pipe := framepipe.New(*workers, 2**workers, compressOne)
-		for seq := 0; seq < *frames; seq++ {
-			frameStart := time.Now()
-			pc := cfg.Simulate(scene, int64(seq+1))
-			for {
-				c, err, ok := pipe.TryNext()
-				if !ok {
-					break
-				}
-				deliver(c, err)
-			}
-			for pipe.Full() {
-				c, err, ok := pipe.Next()
-				if !ok {
-					break
-				}
-				deliver(c, err)
-			}
-			pipe.Submit(captureJob{seq: seq, pc: pc})
-			if interval > 0 {
-				if sleep := interval - time.Since(frameStart); sleep > 0 {
-					time.Sleep(sleep)
-				}
-			}
-		}
-		for {
-			c, err, ok := pipe.Next()
-			if !ok {
-				break
-			}
-			deliver(c, err)
-		}
-		pipe.Close()
-	} else {
-		for seq := 0; seq < *frames; seq++ {
-			frameStart := time.Now()
-			pc := cfg.Simulate(scene, int64(seq+1))
-			deliver(compressOne(captureJob{seq: seq, pc: pc}))
-			if interval > 0 {
-				if sleep := interval - time.Since(frameStart); sleep > 0 {
-					time.Sleep(sleep)
-				}
+	pipe := framepipe.New(compressOne, deliver)
+	for seq := 0; seq < *frames; seq++ {
+		frameStart := time.Now()
+		pipe.Submit(captureJob{seq: seq, pc: cfg.Simulate(scene, int64(seq+1))})
+		if interval > 0 {
+			if sleep := interval - time.Since(frameStart); sleep > 0 {
+				time.Sleep(sleep)
 			}
 		}
 	}
+	pipe.Drain()
 	if *queryBox != "" {
 		var b dbgc.AABB
 		if _, err := fmt.Sscanf(*queryBox, "%f,%f,%f,%f,%f,%f",

@@ -8,7 +8,7 @@
 //	dbgc info       input.dbgc
 //	dbgc simulate   [-scene kitti-city] [-seed 1] output.bin
 //	dbgc pack       [-q 0.02] [-intensity] frames... output.dbgs
-//	dbgc unpack     input.dbgs output-dir
+//	dbgc unpack     [-partial] [-max-points n] [-mem-budget bytes] input.dbgs output-dir
 //
 // Frames use the KITTI .bin layout (little-endian float32 records of
 // x, y, z, intensity) or PLY when the file name ends in .ply.
@@ -63,7 +63,7 @@ func usage() {
   dbgc info       input.dbgc
   dbgc simulate   [-scene kind] [-seed n] output.bin
   dbgc pack       [-q meters] [-fps n] [-intensity] [-shards n] [-blockpack] [-ctx] frames... output.dbgs
-  dbgc unpack     input.dbgs output-dir
+  dbgc unpack     [-max-points n] [-mem-budget bytes] [-partial] input.dbgs output-dir
   dbgc view       [-extent m] [-size WxH] frame.bin|frame.ply|frame.dbgc
   dbgc query      -box x0,y0,z0,x1,y1,z1 frame.dbgc output.bin`)
 	os.Exit(2)

@@ -21,13 +21,12 @@ func runPack(args []string) error {
 	q := fs.Float64("q", 0.02, "per-dimension error bound in meters")
 	fps := fs.Float64("fps", 10, "sensor frame rate recorded in the container")
 	withIntensity := fs.Bool("intensity", false, "carry the intensity channel")
-	workers := fs.Int("workers", 1, "compress this many frames concurrently")
 	shards := fs.Int("shards", 1, "entropy shard count per frame (>1 writes v3 frames)")
 	blockpack := fs.Bool("blockpack", false, "block-bitpack the integer streams when it shrinks each frame (v4, size-guarded)")
 	ctx := fs.Bool("ctx", false, "context-model the occupancy and angular streams when it shrinks each stream (v5, size-guarded)")
 	fs.Parse(args)
 	if fs.NArg() < 2 {
-		fmt.Fprintln(os.Stderr, "usage: dbgc pack [-q m] [-fps n] [-intensity] [-workers n] [-shards n] [-blockpack] [-ctx] frame1.bin [frame2.bin ...] output.dbgs")
+		fmt.Fprintln(os.Stderr, "usage: dbgc pack [-q m] [-fps n] [-intensity] [-shards n] [-blockpack] [-ctx] frame1.bin [frame2.bin ...] output.dbgs")
 		os.Exit(2)
 	}
 	inputs := fs.Args()[:fs.NArg()-1]
@@ -60,59 +59,21 @@ func runPack(args []string) error {
 		return errors.New("no input frames")
 	}
 
-	out, err := os.Create(outPath)
-	if err != nil {
-		return err
-	}
 	packOpts := dbgc.DefaultOptions(*q)
 	packOpts.Shards = *shards
 	packOpts.BlockPack = *blockpack
 	packOpts.ContextModel = *ctx
-	w, err := stream.NewWriter(out, packOpts, *fps)
+	out, err := os.Create(outPath)
 	if err != nil {
-		out.Close()
 		return err
 	}
-	var rawTotal, compTotal int
-	// Definitive per-frame stats arrive via the callback: in pipelined mode
-	// WriteFrame returns before compression finishes.
-	w.OnStats = func(fstat stream.FrameStats) {
-		compTotal += fstat.GeometryBytes + fstat.IntensityBytes
-		fmt.Printf("%s: %d points -> %d bytes (ratio %.2f)\n",
-			frames[fstat.Seq], fstat.Points, fstat.GeometryBytes, fstat.Ratio)
+	rawTotal, compTotal, err := packFrames(out, frames, packOpts, *fps, *withIntensity)
+	if cerr := out.Close(); err == nil {
+		err = cerr
 	}
-	if *workers > 1 {
-		if err := w.EnablePipeline(*workers); err != nil {
-			out.Close()
-			return err
-		}
-	}
-	for _, path := range frames {
-		f, err := os.Open(path)
-		if err != nil {
-			return err
-		}
-		var pc dbgc.PointCloud
-		var intens []float32
-		if *withIntensity {
-			pc, intens, err = lidar.ReadBinWithIntensity(f)
-		} else {
-			pc, err = lidar.ReadBin(f)
-		}
-		f.Close()
-		if err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		if _, err := w.WriteFrame(pc, intens); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		rawTotal += pc.RawSize()
-	}
-	if err := w.Close(); err != nil {
-		out.Close()
-		return err
-	}
-	if err := out.Close(); err != nil {
+	if err != nil {
+		// A container without its end marker is not one: leave nothing behind.
+		os.Remove(outPath)
 		return err
 	}
 	fmt.Printf("packed %d frames: %d -> %d bytes (%.2fx)\n",
@@ -120,20 +81,53 @@ func runPack(args []string) error {
 	return nil
 }
 
+// packFrames writes the named frames to out as one container and returns the
+// raw and compressed byte totals.
+func packFrames(out io.Writer, frames []string, opts dbgc.Options, fps float64, withIntensity bool) (rawTotal, compTotal int, err error) {
+	w, err := stream.NewWriter(out, opts, fps)
+	if err != nil {
+		return 0, 0, err
+	}
+	w.OnStats = func(fstat stream.FrameStats) {
+		compTotal += fstat.GeometryBytes + fstat.IntensityBytes
+		fmt.Printf("%s: %d points -> %d bytes (ratio %.2f)\n",
+			frames[fstat.Seq], fstat.Points, fstat.GeometryBytes, fstat.Ratio)
+	}
+	for _, path := range frames {
+		f, err := os.Open(path)
+		if err != nil {
+			return 0, 0, err
+		}
+		var pc dbgc.PointCloud
+		var intens []float32
+		if withIntensity {
+			pc, intens, err = lidar.ReadBinWithIntensity(f)
+		} else {
+			pc, err = lidar.ReadBin(f)
+		}
+		f.Close()
+		if err != nil {
+			return 0, 0, fmt.Errorf("%s: %w", path, err)
+		}
+		if err := w.WriteFrame(pc, intens); err != nil {
+			return 0, 0, err
+		}
+		rawTotal += pc.RawSize()
+	}
+	err = w.Close() // the last frames are written, and counted, here
+	return rawTotal, compTotal, err
+}
+
 // runUnpack extracts a .dbgs container back into .bin frames.
 func runUnpack(args []string) error {
 	fs := flag.NewFlagSet("unpack", flag.ExitOnError)
-	workers := fs.Int("workers", 1, "decode this many frames concurrently")
 	maxPoints := fs.Int64("max-points", 0, "decode limit: maximum points per frame (0 = unlimited)")
 	memBudget := fs.Int64("mem-budget", 0, "decode limit: decoded-memory budget per frame in bytes (0 = unlimited)")
 	partial := fs.Bool("partial", false, "recover intact sections of damaged frames instead of aborting")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: dbgc unpack [-workers n] [-max-points n] [-mem-budget bytes] [-partial] input.dbgs output-dir")
+		fmt.Fprintln(os.Stderr, "usage: dbgc unpack [-max-points n] [-mem-budget bytes] [-partial] input.dbgs output-dir")
 		os.Exit(2)
-	}
-	if *partial && *workers > 1 {
-		return errors.New("-partial is incompatible with -workers > 1")
 	}
 	in, err := os.Open(fs.Arg(0))
 	if err != nil {
@@ -153,11 +147,6 @@ func runUnpack(args []string) error {
 	}
 	if *partial {
 		if err := r.EnablePartial(); err != nil {
-			return err
-		}
-	}
-	if *workers > 1 {
-		if err := r.EnablePipeline(*workers); err != nil {
 			return err
 		}
 	}

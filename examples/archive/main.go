@@ -69,17 +69,18 @@ func record(capture []dbgc.PointCloud, intensity [][]float32, temporalInterval i
 			return 0, err
 		}
 	}
-	for i, pc := range capture {
-		fs, err := w.WriteFrame(pc, intensity[i])
-		if err != nil {
-			return 0, err
-		}
+	w.OnStats = func(fs stream.FrameStats) {
 		kind := "I"
 		if fs.Predicted {
 			kind = "P"
 		}
 		fmt.Printf("  frame %d [%s]: %7d geometry + %6d intensity bytes\n",
 			fs.Seq, kind, fs.GeometryBytes, fs.IntensityBytes)
+	}
+	for i, pc := range capture {
+		if err := w.WriteFrame(pc, intensity[i]); err != nil {
+			return 0, err
+		}
 	}
 	if err := w.Close(); err != nil {
 		return 0, err

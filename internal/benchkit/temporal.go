@@ -2,7 +2,6 @@ package benchkit
 
 import (
 	"bytes"
-	"fmt"
 
 	"dbgc"
 	"dbgc/internal/lidar"
@@ -53,12 +52,13 @@ func Temporal(kind lidar.SceneKind, frames int, q float64) (TemporalResult, erro
 			}
 		}
 		var rows []TemporalRow
-		for i, pc := range capture {
-			fs, err := w.WriteFrame(pc, nil)
-			if err != nil {
-				return 0, nil, fmt.Errorf("frame %d: %w", i, err)
+		w.OnStats = func(fs stream.FrameStats) {
+			rows = append(rows, TemporalRow{Seq: int(fs.Seq), Predicted: fs.Predicted, Bytes: fs.GeometryBytes, Ratio: fs.Ratio})
+		}
+		for _, pc := range capture {
+			if err := w.WriteFrame(pc, nil); err != nil {
+				return 0, nil, err
 			}
-			rows = append(rows, TemporalRow{Seq: i, Predicted: fs.Predicted, Bytes: fs.GeometryBytes, Ratio: fs.Ratio})
 		}
 		if err := w.Close(); err != nil {
 			return 0, nil, err

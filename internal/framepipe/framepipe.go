@@ -1,156 +1,82 @@
-// Package framepipe provides a bounded worker pool that runs per-frame jobs
-// concurrently while delivering results strictly in submission order. DBGC
-// frames in a stream are (outside temporal mode) independently coded, so
-// compression and decompression of consecutive frames can overlap; the
-// container format is still sequential, so results must come back in order.
+// Package framepipe runs per-frame jobs side by side and hands their results
+// back strictly in submission order. The frames of a DBGC stream are coded
+// one by one, so the compression or decompression of neighbouring frames can
+// overlap; the container is still sequential, so results must come back in
+// order.
 //
-// The pool is designed for a single goroutine that both submits and drains
-// (the stream writer or reader): Submit never blocks while the in-flight
-// window has room, and the caller checks Full before submitting, draining
-// completed results with Next or TryNext to open the window back up.
+// How wide is not the caller's to say: like internal/par, a Window reads it
+// from GOMAXPROCS. A frame that depends on the one before it is the caller's
+// business too — it calls Drain before submitting that frame.
 package framepipe
 
-import "sync"
-
-type job[In, Out any] struct {
-	in   In
-	slot chan result[Out]
-}
+import "runtime"
 
 type result[Out any] struct {
 	out Out
 	err error
 }
 
-// Pool runs fn over submitted inputs on a fixed set of workers. Results are
-// retrieved in submission order regardless of completion order.
-type Pool[In, Out any] struct {
-	jobs chan job[In, Out]
-	sem  chan struct{} // in-flight window tokens
-	wg   sync.WaitGroup
-
-	mu      sync.Mutex
-	pending []chan result[Out] // result slots in submission order
+// Window applies one function to submitted inputs, at most GOMAXPROCS of
+// them at a time, and passes each result to deliver in submission order.
+// A Window belongs to one goroutine: Submit and Drain are called from it,
+// and deliver runs on it, so deliver needs no lock but must not call back
+// into the Window. A drained Window holds no goroutine and needs no closing.
+type Window[In, Out any] struct {
+	fn      func(In) (Out, error)
+	deliver func(Out, error)
+	run     chan struct{}      // one token per job inside fn
+	pending []chan result[Out] // submitted and not yet delivered, oldest first
 }
 
-// New starts workers goroutines applying fn. window bounds the number of
-// submitted-but-undrained jobs; values below workers are raised to workers.
-func New[In, Out any](workers, window int, fn func(In) (Out, error)) *Pool[In, Out] {
-	if workers < 1 {
-		workers = 1
+// New returns a Window over fn that hands results to deliver. Twice as many
+// jobs as run may be in flight, so a processor that finishes its job has the
+// next one waiting while the caller is busy fetching more.
+func New[In, Out any](fn func(In) (Out, error), deliver func(Out, error)) *Window[In, Out] {
+	return &Window[In, Out]{
+		fn:      fn,
+		deliver: deliver,
+		run:     make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
-	if window < workers {
-		window = workers
-	}
-	p := &Pool[In, Out]{
-		jobs: make(chan job[In, Out], window),
-		sem:  make(chan struct{}, window),
-	}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for j := range p.jobs {
-				var r result[Out]
-				r.out, r.err = fn(j.in)
-				j.slot <- r
-			}
-		}()
-	}
-	return p
 }
 
-// Full reports whether the in-flight window is exhausted. A full pool's
-// Submit would block until the caller drains a result, so a single
-// submit-and-drain goroutine must check Full first.
-func (p *Pool[In, Out]) Full() bool { return len(p.sem) == cap(p.sem) }
-
-// InFlight returns the number of submitted jobs not yet drained.
-func (p *Pool[In, Out]) InFlight() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pending)
-}
-
-// Submit queues one input. It blocks while the window is full.
-func (p *Pool[In, Out]) Submit(in In) {
-	p.sem <- struct{}{}
-	p.enqueue(in)
-}
-
-// TrySubmit queues one input only if the window has room, reporting whether
-// it did. It never blocks — the backpressure primitive for callers that
-// must refuse work instead of queueing it (e.g. an ingest session nacking
-// an overloaded tenant).
-func (p *Pool[In, Out]) TrySubmit(in In) bool {
-	select {
-	case p.sem <- struct{}{}:
-	default:
-		return false
-	}
-	p.enqueue(in)
-	return true
-}
-
-// enqueue registers the result slot and hands the job to a worker. The
-// caller holds a sem token, so the jobs channel (cap == window) has room
-// and the send cannot block.
-func (p *Pool[In, Out]) enqueue(in In) {
+// Submit delivers the results that are ready, then starts fn(in). It blocks,
+// on the oldest job in flight, only while the window is full.
+func (w *Window[In, Out]) Submit(in In) {
+	w.handOver(len(w.pending) == 2*cap(w.run))
 	slot := make(chan result[Out], 1)
-	p.mu.Lock()
-	p.pending = append(p.pending, slot)
-	p.mu.Unlock()
-	p.jobs <- job[In, Out]{in: in, slot: slot}
+	w.pending = append(w.pending, slot)
+	go func() {
+		w.run <- struct{}{}
+		var r result[Out]
+		r.out, r.err = w.fn(in)
+		<-w.run
+		slot <- r
+	}()
 }
 
-// Next blocks for the oldest in-flight result. ok is false when nothing is
-// in flight.
-func (p *Pool[In, Out]) Next() (out Out, err error, ok bool) {
-	slot := p.pop()
-	if slot == nil {
-		return out, nil, false
-	}
-	r := <-slot
-	<-p.sem
-	return r.out, r.err, true
-}
-
-// TryNext returns the oldest in-flight result only if it has already
-// finished; ok is false when nothing is in flight or the oldest job is
-// still running.
-func (p *Pool[In, Out]) TryNext() (out Out, err error, ok bool) {
-	p.mu.Lock()
-	if len(p.pending) == 0 {
-		p.mu.Unlock()
-		return out, nil, false
-	}
-	slot := p.pending[0]
-	select {
-	case r := <-slot:
-		p.pending = p.pending[1:]
-		p.mu.Unlock()
-		<-p.sem
-		return r.out, r.err, true
-	default:
-		p.mu.Unlock()
-		return out, nil, false
+// Drain delivers every result still in flight, waiting for each.
+func (w *Window[In, Out]) Drain() {
+	for len(w.pending) > 0 {
+		w.handOver(true)
 	}
 }
 
-func (p *Pool[In, Out]) pop() chan result[Out] {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.pending) == 0 {
-		return nil
+// handOver delivers, oldest first, the results that have arrived; with wait
+// set it waits for the oldest.
+func (w *Window[In, Out]) handOver(wait bool) {
+	for len(w.pending) > 0 {
+		var r result[Out]
+		if wait {
+			r = <-w.pending[0]
+			wait = false
+		} else {
+			select {
+			case r = <-w.pending[0]:
+			default:
+				return
+			}
+		}
+		w.pending = w.pending[1:]
+		w.deliver(r.out, r.err)
 	}
-	slot := p.pending[0]
-	p.pending = p.pending[1:]
-	return slot
-}
-
-// Close stops the workers once queued jobs finish. Drain every result with
-// Next before closing; in-flight results are unreachable afterwards.
-func (p *Pool[In, Out]) Close() {
-	close(p.jobs)
-	p.wg.Wait()
 }

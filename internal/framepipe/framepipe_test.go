@@ -3,49 +3,45 @@ package framepipe
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// collect returns a deliver callback that appends to got, failing the test on
+// any error.
+func collect[T any](t *testing.T, got *[]T) func(T, error) {
+	return func(v T, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		*got = append(*got, v)
+	}
+}
+
 // TestOrdering: results come back in submission order even when jobs finish
 // out of order.
 func TestOrdering(t *testing.T) {
-	// Earlier jobs sleep longer, so completion order is reversed.
-	p := New(4, 8, func(i int) (int, error) {
-		time.Sleep(time.Duration(16-i) * time.Millisecond)
-		return i * i, nil
-	})
-	defer p.Close()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 16
-	got := make([]int, 0, n)
+	var got []int
+	// Earlier jobs sleep longer, so completion order is reversed.
+	w := New(func(i int) (int, error) {
+		time.Sleep(time.Duration(n-i) * time.Millisecond)
+		return i * i, nil
+	}, collect(t, &got))
 	for i := 0; i < n; i++ {
-		for p.Full() {
-			v, err, ok := p.Next()
-			if !ok || err != nil {
-				t.Fatalf("Next: %v %v", err, ok)
-			}
-			got = append(got, v)
-		}
-		p.Submit(i)
+		w.Submit(i)
 	}
-	for {
-		v, err, ok := p.Next()
-		if !ok {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, v)
+	w.Drain()
+	if len(got) != n {
+		t.Fatalf("delivered %d results, want %d", len(got), n)
 	}
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("result %d = %d, want %d", i, v, i*i)
 		}
-	}
-	if len(got) != n {
-		t.Fatalf("drained %d results, want %d", len(got), n)
 	}
 }
 
@@ -53,165 +49,95 @@ func TestOrdering(t *testing.T) {
 // earlier or later.
 func TestErrorStaysInOrder(t *testing.T) {
 	boom := errors.New("boom")
-	p := New(3, 4, func(i int) (int, error) {
+	var errs []error
+	w := New(func(i int) (int, error) {
 		if i == 2 {
 			return 0, boom
 		}
 		return i, nil
+	}, func(v int, err error) {
+		if err == nil && v != len(errs) {
+			t.Errorf("position %d delivered %d", len(errs), v)
+		}
+		errs = append(errs, err)
 	})
-	defer p.Close()
 	for i := 0; i < 4; i++ {
-		p.Submit(i)
+		w.Submit(i)
 	}
-	for i := 0; i < 4; i++ {
-		v, err, ok := p.Next()
-		if !ok {
-			t.Fatalf("Next %d: pool empty", i)
-		}
-		if i == 2 {
-			if !errors.Is(err, boom) {
-				t.Fatalf("position 2: got err %v, want boom", err)
-			}
-			continue
-		}
-		if err != nil || v != i {
-			t.Fatalf("position %d: got (%d, %v)", i, v, err)
-		}
+	w.Drain()
+	if len(errs) != 4 {
+		t.Fatalf("delivered %d results, want 4", len(errs))
 	}
-	if _, _, ok := p.Next(); ok {
-		t.Fatal("pool should be drained")
+	for i, err := range errs {
+		if (i == 2) != errors.Is(err, boom) {
+			t.Fatalf("position %d: err %v", i, err)
+		}
 	}
 }
 
-// TestTryNext: TryNext never blocks and only returns finished heads.
-func TestTryNext(t *testing.T) {
-	release := make(chan struct{})
-	p := New(1, 2, func(i int) (int, error) {
-		<-release
-		return i, nil
-	})
-	defer p.Close()
-	if _, _, ok := p.TryNext(); ok {
-		t.Fatal("TryNext on empty pool returned ok")
-	}
-	p.Submit(7)
-	if _, _, ok := p.TryNext(); ok {
-		t.Fatal("TryNext returned a result for a job that cannot have finished")
-	}
-	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if v, err, ok := p.TryNext(); ok {
-			if err != nil || v != 7 {
-				t.Fatalf("got (%d, %v), want (7, nil)", v, err)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("TryNext never saw the finished job")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestWindowBound: no more than window jobs run-or-wait at once.
+// TestWindowBound: no more than GOMAXPROCS jobs run at once and no more
+// than twice that are in flight, because Submit hands the oldest results
+// over without being asked to drain.
 func TestWindowBound(t *testing.T) {
-	var active, peak atomic.Int64
-	p := New(2, 3, func(i int) (int, error) {
-		a := active.Add(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	var running, peak atomic.Int64
+	submitted, delivered, widest := 0, 0, 0
+	w := New(func(i int) (int, error) {
+		now := running.Add(1)
 		for {
 			pk := peak.Load()
-			if a <= pk || peak.CompareAndSwap(pk, a) {
+			if now <= pk || peak.CompareAndSwap(pk, now) {
 				break
 			}
 		}
 		time.Sleep(2 * time.Millisecond)
-		active.Add(-1)
+		running.Add(-1)
 		return i, nil
-	})
-	defer p.Close()
+	}, func(int, error) { delivered++ })
 	for i := 0; i < 12; i++ {
-		for p.Full() {
-			if _, err, ok := p.Next(); !ok || err != nil {
-				t.Fatalf("Next: %v %v", err, ok)
-			}
-		}
-		p.Submit(i)
+		w.Submit(i)
+		submitted++
+		widest = max(widest, submitted-delivered)
 	}
-	for {
-		if _, _, ok := p.Next(); !ok {
-			break
-		}
+	if widest > 4 || delivered < 12-4 {
+		t.Fatalf("%d jobs in flight at the widest, %d of 12 delivered before Drain; the window is 2*GOMAXPROCS = 4", widest, delivered)
+	}
+	w.Drain()
+	if delivered != 12 {
+		t.Fatalf("delivered %d results, want 12", delivered)
 	}
 	if pk := peak.Load(); pk > 2 {
-		t.Fatalf("%d jobs ran concurrently, want <= 2 workers", pk)
+		t.Fatalf("%d jobs ran at once, want <= GOMAXPROCS = 2", pk)
 	}
 }
 
-// TestManyJobsStress drives enough jobs through a small pool to shake out
-// ordering races under -race.
+// TestManyJobsStress drives enough jobs through a window to shake out
+// ordering races under -race, and checks a drained window holds no
+// goroutine.
 func TestManyJobsStress(t *testing.T) {
-	p := New(4, 4, func(i int) (string, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	before := runtime.NumGoroutine()
+	var got []string
+	w := New(func(i int) (string, error) {
 		return fmt.Sprintf("job-%d", i), nil
-	})
-	defer p.Close()
-	next := 0
-	check := func(v string, err error, ok bool) {
-		if !ok {
-			t.Fatal("pool empty mid-drain")
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("job-%d", next); v != want {
+	}, collect(t, &got))
+	for i := 0; i < 500; i++ {
+		w.Submit(i)
+	}
+	w.Drain()
+	if len(got) != 500 {
+		t.Fatalf("delivered %d results, want 500", len(got))
+	}
+	for i, v := range got {
+		if want := fmt.Sprintf("job-%d", i); v != want {
 			t.Fatalf("got %q, want %q", v, want)
 		}
-		next++
 	}
-	for i := 0; i < 500; i++ {
-		for p.Full() {
-			v, err, ok := p.Next()
-			check(v, err, ok)
+	// A job's goroutine outlives its result by a few instructions.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Drain, %d before the window", runtime.NumGoroutine(), before)
 		}
-		p.Submit(i)
-	}
-	for p.InFlight() > 0 {
-		v, err, ok := p.Next()
-		check(v, err, ok)
-	}
-	if next != 500 {
-		t.Fatalf("drained %d results, want 500", next)
-	}
-}
-
-func TestTrySubmitRefusesWhenFull(t *testing.T) {
-	release := make(chan struct{})
-	p := New(1, 2, func(n int) (int, error) {
-		<-release
-		return n, nil
-	})
-	defer p.Close()
-	if !p.TrySubmit(1) || !p.TrySubmit(2) {
-		t.Fatal("TrySubmit refused with window room")
-	}
-	if p.TrySubmit(3) {
-		t.Fatal("TrySubmit accepted past the window")
-	}
-	if !p.Full() {
-		t.Fatal("pool should report full")
-	}
-	close(release)
-	for i := 1; i <= 2; i++ {
-		out, err, ok := p.Next()
-		if !ok || err != nil || out != i {
-			t.Fatalf("Next = (%d, %v, %v), want %d", out, err, ok, i)
-		}
-	}
-	// Draining opened the window back up.
-	if !p.TrySubmit(4) {
-		t.Fatal("TrySubmit refused after drain")
-	}
-	if out, _, ok := p.Next(); !ok || out != 4 {
-		t.Fatalf("Next after reopen = %d, %v", out, ok)
+		time.Sleep(time.Millisecond)
 	}
 }

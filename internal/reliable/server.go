@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dbgc/internal/framepipe"
 	"dbgc/internal/netproto"
 )
 
@@ -284,8 +283,8 @@ func (s *Server) connCount() int {
 }
 
 // Session serves one connection: reads frames, queues them on the bounded
-// per-tenant ingest pipeline, and responds with acks/nacks from a worker
-// that drains the queue in order. Frame-level failures (checksum, decode,
+// session queue, and responds with acks/nacks from one worker that handles
+// the queue in order. Frame-level failures (checksum, decode,
 // handler panic) are isolated — nacked and quarantined — while
 // framing-level failures (corrupt header, torn stream) end the session so
 // the client can reconnect. Overload (queue or tenant budget full) is
@@ -298,8 +297,12 @@ type Session struct {
 	tenant *tenant // nil until bound (and always nil when srv is nil)
 	bound  string  // tenant name after binding, "" before
 
-	pipe       *framepipe.Pool[ingestJob, ingestDone]
-	notify     chan struct{}
+	// The ingest queue, made when the session binds. A frame holds a slot
+	// from the moment it is accepted until its handler has returned, so
+	// len(slots) is the session's share of QueueDepth; jobs carries the
+	// accepted frames to the worker and can never be fuller than slots.
+	slots      chan struct{}
+	jobs       chan ingestJob
 	workerDone chan struct{}
 	writeMu    sync.Mutex
 
@@ -307,17 +310,10 @@ type Session struct {
 }
 
 // ingestJob carries one data frame plus its arrival time through the
-// session pipeline.
+// session queue.
 type ingestJob struct {
 	m  netproto.Message
 	at time.Time
-}
-
-// ingestDone is the pipeline output: the frame and its handler verdict.
-type ingestDone struct {
-	m   netproto.Message
-	at  time.Time
-	err error
 }
 
 // NewSession wraps an accepted connection in a standalone session (no
@@ -350,13 +346,12 @@ func (s *Session) Run() (err error) {
 		if err != nil {
 			s.conn.Close()
 		}
-		// Drain the pipeline before the clean-exit close: frames
+		// Drain the queue before the clean-exit close: frames
 		// accepted before a Bye still get their acks, bounded by
 		// WriteTimeout if the peer is already gone.
-		if s.notify != nil {
-			close(s.notify)
+		if s.jobs != nil {
+			close(s.jobs)
 			<-s.workerDone
-			s.pipe.Close()
 		}
 		s.conn.Close()
 		if s.srv != nil {
@@ -481,7 +476,7 @@ func (s *Session) callReplHello(payload []byte) (resp []byte, err error) {
 	return s.cfg.ReplHello(payload)
 }
 
-// bindRepl lazily sets up the ingest pipeline for a replication session.
+// bindRepl lazily sets up the ingest queue for a replication session.
 // Unlike bind it skips tenant admission and budgets — the peer is a single
 // trusted primary, and its backpressure is the bounded session queue.
 func (s *Session) bindRepl() {
@@ -489,13 +484,38 @@ func (s *Session) bindRepl() {
 		return
 	}
 	s.bound = replPeer
-	s.pipe = framepipe.New(1, s.cfg.QueueDepth, s.process)
-	s.notify = make(chan struct{}, s.cfg.QueueDepth)
-	s.workerDone = make(chan struct{})
-	go s.respondLoop()
+	s.startWorker()
 }
 
-// ingestRepl admits one replication record into the pipeline. Records flow
+// startWorker makes the session queue and starts the goroutine that works
+// through it; Run's exit closes the queue and waits for the goroutine.
+func (s *Session) startWorker() {
+	s.slots = make(chan struct{}, s.cfg.QueueDepth)
+	s.jobs = make(chan ingestJob, s.cfg.QueueDepth) // never fuller than slots, so enqueue never blocks
+	s.workerDone = make(chan struct{})
+	go func() {
+		defer close(s.workerDone)
+		for j := range s.jobs {
+			err := s.dispatch(j.m)
+			<-s.slots
+			s.finish(j, err)
+		}
+	}()
+}
+
+// enqueue hands one frame to the worker if the queue has room, reporting
+// whether it did. It never blocks: a full queue is answered, not waited on.
+func (s *Session) enqueue(m netproto.Message) bool {
+	select {
+	case s.slots <- struct{}{}:
+	default:
+		return false
+	}
+	s.jobs <- ingestJob{m: m, at: time.Now()}
+	return true
+}
+
+// ingestRepl admits one replication record into the session queue. Records flow
 // through the same bounded queue as client frames (full queue → busy nack,
 // so the primary's sender backs off), but bypass tenant budgets and the
 // NotReady gate — replication is exactly the traffic a follower exists to
@@ -517,13 +537,12 @@ func (s *Session) ingestRepl(m netproto.Message) error {
 	if s.srv != nil {
 		s.srv.noteInflight(1)
 	}
-	if !s.pipe.TrySubmit(ingestJob{m: m, at: time.Now()}) {
+	if !s.enqueue(m) {
 		if s.srv != nil {
 			s.srv.noteInflight(-1)
 		}
 		return s.overloaded(m.Seq, "replica queue full")
 	}
-	s.notify <- struct{}{}
 	return nil
 }
 
@@ -558,7 +577,7 @@ func (s *Session) hello(m netproto.Message) error {
 }
 
 // bind admits the session under the given tenant name and starts the
-// ingest pipeline. Standalone sessions (no server) bind trivially.
+// ingest queue. Standalone sessions (no server) bind trivially.
 func (s *Session) bind(name string) error {
 	if s.srv != nil {
 		t, err := s.srv.admit(name)
@@ -568,10 +587,7 @@ func (s *Session) bind(name string) error {
 		s.tenant = t
 	}
 	s.bound = name
-	s.pipe = framepipe.New(1, s.cfg.QueueDepth, s.process)
-	s.notify = make(chan struct{}, s.cfg.QueueDepth)
-	s.workerDone = make(chan struct{})
-	go s.respondLoop()
+	s.startWorker()
 	return nil
 }
 
@@ -593,7 +609,7 @@ func (s *Session) ensureBound(seq uint64) error {
 	return nil
 }
 
-// ingest admits one data frame into the bounded pipeline, or refuses it
+// ingest admits one data frame into the bounded session queue, or refuses it
 // with a busy nack when the session queue or the tenant budget is full.
 func (s *Session) ingest(m netproto.Message) error {
 	if refused, err := s.notReady(m.Seq); refused {
@@ -613,7 +629,7 @@ func (s *Session) ingest(m netproto.Message) error {
 		if err := s.busyNack(m.Seq, "tenant shedding"); err != nil {
 			return err
 		}
-		if s.pipe.InFlight() == 0 {
+		if len(s.slots) == 0 {
 			s.cfg.Logf("reliable: session %s (%s) shed", s.conn.RemoteAddr(), s.bound)
 			return errCloseSession // drained: close now
 		}
@@ -625,7 +641,7 @@ func (s *Session) ingest(m netproto.Message) error {
 	if s.srv != nil {
 		s.srv.noteInflight(1)
 	}
-	if !s.pipe.TrySubmit(ingestJob{m: m, at: time.Now()}) {
+	if !s.enqueue(m) {
 		if s.tenant != nil {
 			s.tenant.release()
 		}
@@ -634,7 +650,6 @@ func (s *Session) ingest(m netproto.Message) error {
 		}
 		return s.overloaded(m.Seq, "session queue full")
 	}
-	s.notify <- struct{}{}
 	return nil
 }
 
@@ -664,28 +679,8 @@ func (s *Session) busyNack(seq uint64, reason string) error {
 	return s.write(netproto.NackBusy(seq, s.cfg.RetryAfter, reason))
 }
 
-// process is the pipeline function: it runs the handler (panic-isolated)
-// off the reader goroutine.
-func (s *Session) process(j ingestJob) (ingestDone, error) {
-	return ingestDone{m: j.m, at: j.at, err: s.dispatch(j.m)}, nil
-}
-
-// respondLoop drains handler results in submission order and writes the
-// ack/nack for each. One notify token is sent per submitted job, so the
-// range loop drains every queued frame before exiting at session close.
-func (s *Session) respondLoop() {
-	defer close(s.workerDone)
-	for range s.notify {
-		r, _, ok := s.pipe.Next()
-		if !ok {
-			continue
-		}
-		s.finish(r)
-	}
-}
-
 // finish answers one handled frame and releases its backpressure tokens.
-func (s *Session) finish(r ingestDone) {
+func (s *Session) finish(r ingestJob, herr error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.cfg.Logf("reliable: finish panic on frame %d: %v", r.m.Seq, p)
@@ -699,7 +694,6 @@ func (s *Session) finish(r ingestDone) {
 			s.srv.metrics.ObserveLatency(time.Since(r.at))
 		}
 	}()
-	herr := r.err
 	if herr == nil {
 		if s.srv != nil {
 			s.srv.metrics.Acked.Add(1)

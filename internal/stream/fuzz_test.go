@@ -10,8 +10,9 @@ import (
 	"dbgc/internal/geom"
 )
 
-// FuzzReader hammers the container reader with mutated streams; it must
-// never panic and must terminate.
+// FuzzReader hammers the container reader with mutated streams, under decode
+// limits so that a decompression bomb fails the target; it must never panic
+// and must terminate.
 func FuzzReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, dbgc.DefaultOptions(0.02), 10)
@@ -19,7 +20,7 @@ func FuzzReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	pc := geom.PointCloud{{X: 4, Y: 1, Z: -1}, {X: 4.1, Y: 1.05, Z: -1}}
-	if _, err := w.WriteFrame(pc, []float32{0.5, 0.6}); err != nil {
+	if err := w.WriteFrame(pc, []float32{0.5, 0.6}); err != nil {
 		f.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -28,11 +29,30 @@ func FuzzReader(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:10])
 	f.Add([]byte("DBGS\x01"))
+	var temporal bytes.Buffer
+	w, err = NewWriter(&temporal, dbgc.DefaultOptions(0.02), 10)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := w.EnableTemporal(2); err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := w.WriteFrame(pc, nil); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(temporal.Bytes())
+	f.Add(oversizedHeader())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := NewReader(bytes.NewReader(b))
 		if err != nil {
 			return
 		}
+		r.SetLimits(dbgc.DecodeLimits{MaxPoints: 1 << 20, MaxNodes: 1 << 22, MaxSectionBytes: 1 << 20, MemBudget: 64 << 20})
 		for i := 0; i < 100; i++ {
 			if _, err := r.ReadFrame(); err != nil {
 				if !errors.Is(err, io.EOF) {

@@ -57,7 +57,7 @@ func TestPartialRecoversOtherFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pc := range frames {
-		if _, err := w.WriteFrame(pc, nil); err != nil {
+		if err := w.WriteFrame(pc, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -153,7 +153,7 @@ func TestPartialBreaksPredictionChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pc := range frames {
-		if _, err := w.WriteFrame(pc, nil); err != nil {
+		if err := w.WriteFrame(pc, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,155 +4,77 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"dbgc"
+	"dbgc/internal/geom"
 )
 
-// TestPipelinedWriterByteIdentical: the pipelined writer must produce
-// exactly the container the serial writer produces — compression is
-// deterministic and frames are written in submission order.
-func TestPipelinedWriterByteIdentical(t *testing.T) {
-	frames := testFrames(t, 4)
-	opts := dbgc.DefaultOptions(0.02)
-
-	var serial bytes.Buffer
-	ws, err := NewWriter(&serial, opts, 10)
+// readAtWidth reads a whole container with GOMAXPROCS set to procs.
+func readAtWidth(t *testing.T, data []byte, procs int) []Frame {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	r, err := NewReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pc := range frames {
-		if _, err := ws.WriteFrame(pc, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ws.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var piped bytes.Buffer
-	wp, err := NewWriter(&piped, opts, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var statSeqs []uint64
-	wp.OnStats = func(fs FrameStats) {
-		statSeqs = append(statSeqs, fs.Seq)
-		if fs.GeometryBytes == 0 || fs.Ratio == 0 {
-			t.Errorf("frame %d: OnStats delivered incomplete stats: %+v", fs.Seq, fs)
-		}
-	}
-	if err := wp.EnablePipeline(3); err != nil {
-		t.Fatal(err)
-	}
-	for i, pc := range frames {
-		fs, err := wp.WriteFrame(pc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fs.Seq != uint64(i) || fs.Points != len(pc) {
-			t.Fatalf("queued frame stats wrong: %+v", fs)
-		}
-	}
-	if err := wp.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(serial.Bytes(), piped.Bytes()) {
-		t.Fatalf("pipelined container differs: %d vs %d bytes", piped.Len(), serial.Len())
-	}
-	if len(statSeqs) != len(frames) {
-		t.Fatalf("OnStats fired %d times, want %d", len(statSeqs), len(frames))
-	}
-	for i, seq := range statSeqs {
-		if seq != uint64(i) {
-			t.Fatalf("OnStats order: position %d got seq %d", i, seq)
-		}
-	}
-}
-
-// TestPipelinedReaderMatchesSerial: a pipelined reader returns the same
-// frames in the same order as a serial reader, including the intensity
-// channel.
-func TestPipelinedReaderMatchesSerial(t *testing.T) {
-	frames := testFrames(t, 4)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, dbgc.DefaultOptions(0.02), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for fi, pc := range frames {
-		intens := make([]float32, len(pc))
-		for i := range intens {
-			intens[i] = float32((i+fi)%256) / 255
-		}
-		if _, err := w.WriteFrame(pc, intens); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	readAll := func(r *Reader) []Frame {
-		var out []Frame
-		for {
-			fr, err := r.ReadFrame()
-			if errors.Is(err, io.EOF) {
-				return out
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, fr)
-		}
-	}
-	rs, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := readAll(rs)
-	rp, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rp.EnablePipeline(3); err != nil {
-		t.Fatal(err)
-	}
-	piped := readAll(rp)
-
-	if len(serial) != len(piped) {
-		t.Fatalf("pipelined read %d frames, serial %d", len(piped), len(serial))
-	}
-	for i := range serial {
-		if serial[i].Seq != piped[i].Seq {
-			t.Fatalf("frame %d: seq %d vs %d", i, piped[i].Seq, serial[i].Seq)
-		}
-		if len(serial[i].Cloud) != len(piped[i].Cloud) {
-			t.Fatalf("frame %d: %d points vs %d", i, len(piped[i].Cloud), len(serial[i].Cloud))
-		}
-		for j := range serial[i].Cloud {
-			if serial[i].Cloud[j] != piped[i].Cloud[j] {
-				t.Fatalf("frame %d point %d differs", i, j)
-			}
-		}
-		for j := range serial[i].Intensity {
-			if serial[i].Intensity[j] != piped[i].Intensity[j] {
-				t.Fatalf("frame %d intensity %d differs", i, j)
-			}
-		}
-	}
+	frames := readAll(t, r)
 	// Reading past EOF stays EOF.
-	if _, err := rp.ReadFrame(); !errors.Is(err, io.EOF) {
+	if _, err := r.ReadFrame(); !errors.Is(err, io.EOF) {
 		t.Fatalf("expected EOF, got %v", err)
 	}
+	return frames
 }
 
-// TestPipelinedReaderTemporalStream: a pipelined reader on a temporal
-// stream must still decode correctly — P-frames force a drain and decode
-// serially against the preceding frame.
+// sameAtEveryWidth reads a container of n frames one frame at a time
+// (GOMAXPROCS 1) and with read-ahead, and wants the same frames in the same
+// order.
+func sameAtEveryWidth(t *testing.T, data []byte, n int) {
+	t.Helper()
+	serial := readAtWidth(t, data, 1)
+	if len(serial) != n {
+		t.Fatalf("read %d frames, wrote %d", len(serial), n)
+	}
+	for _, procs := range widths[1:] {
+		piped := readAtWidth(t, data, procs)
+		if len(piped) != n {
+			t.Fatalf("GOMAXPROCS %d: read %d frames, wrote %d", procs, len(piped), n)
+		}
+		for i := range serial {
+			if serial[i].Seq != piped[i].Seq || !cloudsEqual(serial[i].Cloud, piped[i].Cloud) ||
+				!slices.Equal(serial[i].Intensity, piped[i].Intensity) {
+				t.Fatalf("GOMAXPROCS %d: frame %d (seq %d) differs from seq %d read one at a time",
+					procs, i, piped[i].Seq, serial[i].Seq)
+			}
+		}
+	}
+}
+
+// TestPipelinedReaderMatchesSerial: reading ahead returns the same frames in
+// the same order as reading one frame at a time, intensity channel included.
+func TestPipelinedReaderMatchesSerial(t *testing.T) {
+	frames := testFrames(t, 4)
+	sameAtEveryWidth(t, pack(t, frames, 0), len(frames))
+}
+
+// TestPipelinedReaderTemporalStream: read-ahead stops at each P-frame until
+// the frame it is predicted from has arrived, so a temporal stream decodes to
+// the same frames at every width.
 func TestPipelinedReaderTemporalStream(t *testing.T) {
 	frames := testFrames(t, 5)
+	sameAtEveryWidth(t, pack(t, frames, 2), len(frames))
+}
+
+// TestTemporalWriterWide is the combination the writer used to refuse: a
+// temporal writer with room for several frames in flight. Each frame waits
+// for the one before it, so stats arrive in order, I and P alternate as the
+// interval says, and the stream decodes within the bound.
+func TestTemporalWriterWide(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	frames := staticFrames(t, 5)
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, dbgc.DefaultOptions(0.02), 10)
 	if err != nil {
@@ -161,190 +83,58 @@ func TestPipelinedReaderTemporalStream(t *testing.T) {
 	if err := w.EnableTemporal(2); err != nil {
 		t.Fatal(err)
 	}
-	for _, pc := range frames {
-		if _, err := w.WriteFrame(pc, nil); err != nil {
-			t.Fatal(err)
+	var statted int
+	w.OnStats = func(fs FrameStats) {
+		if fs.Seq != uint64(statted) || fs.Predicted != (statted%2 == 1) {
+			t.Errorf("position %d: frame %d, predicted=%v", statted, fs.Seq, fs.Predicted)
+		}
+		statted++
+	}
+	for i, pc := range frames {
+		if err := w.WriteFrame(pc, nil); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		if statted < i {
+			t.Fatalf("frame %d queued with only %d frames written before it", i, statted)
 		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	rs, err := NewReader(bytes.NewReader(buf.Bytes()))
+	if statted != len(frames) {
+		t.Fatalf("OnStats fired %d times, want %d", statted, len(frames))
+	}
+	r, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rp.EnablePipeline(2); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; ; i++ {
-		sf, serr := rs.ReadFrame()
-		pf, perr := rp.ReadFrame()
-		if errors.Is(serr, io.EOF) {
-			if !errors.Is(perr, io.EOF) {
-				t.Fatalf("serial EOF at %d but pipelined err %v", i, perr)
-			}
-			if i != len(frames) {
-				t.Fatalf("read %d frames, wrote %d", i, len(frames))
-			}
-			return
-		}
-		if serr != nil || perr != nil {
-			t.Fatalf("frame %d: serial err %v, pipelined err %v", i, serr, perr)
-		}
-		if sf.Seq != pf.Seq || len(sf.Cloud) != len(pf.Cloud) {
-			t.Fatalf("frame %d mismatch: seq %d/%d, %d/%d points",
-				i, sf.Seq, pf.Seq, len(sf.Cloud), len(pf.Cloud))
-		}
-		for j := range sf.Cloud {
-			if sf.Cloud[j] != pf.Cloud[j] {
-				t.Fatalf("frame %d point %d differs", i, j)
-			}
-		}
+	for i, fr := range readAll(t, r) {
+		verifyAgainstOriginal(t, frames[i], fr.Cloud, 0.02)
 	}
 }
 
-// TestPipelineTemporalMutuallyExclusive: the two writer modes cannot
-// combine in either order.
-func TestPipelineTemporalMutuallyExclusive(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, dbgc.DefaultOptions(0.02), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EnableTemporal(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EnablePipeline(2); err == nil {
-		t.Fatal("EnablePipeline after EnableTemporal succeeded")
-	}
-
-	w2, err := NewWriter(&buf, dbgc.DefaultOptions(0.02), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.EnablePipeline(2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.EnableTemporal(2); err == nil {
-		t.Fatal("EnableTemporal after EnablePipeline succeeded")
-	}
-}
-
-// TestPipelinedWriterErrorSurfaces: a compression failure inside the pool
-// surfaces on a later WriteFrame or Close instead of being swallowed.
+// TestPipelinedWriterErrorSurfaces: a compression failure inside the window
+// surfaces on a later WriteFrame or Close instead of being swallowed, and
+// nothing after the failed frame is written.
 func TestPipelinedWriterErrorSurfaces(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, dbgc.DefaultOptions(0.02), 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.EnablePipeline(2); err != nil {
-		t.Fatal(err)
-	}
-	// A NaN coordinate makes dbgc.Compress fail inside the worker.
-	bad := dbgc.PointCloud{{X: 1, Y: 2, Z: 3}}
-	bad[0].X = nan()
-	if _, err := w.WriteFrame(bad, nil); err != nil {
+	w.OnStats = func(fs FrameStats) { t.Errorf("frame %d written after a failed frame", fs.Seq) }
+	// A NaN coordinate makes dbgc.Compress fail inside the window.
+	bad := geom.PointCloud{{X: math.NaN(), Y: 2, Z: 3}}
+	if err := w.WriteFrame(bad, nil); err != nil {
 		t.Fatalf("submission itself should succeed, got %v", err)
+	}
+	good := geom.PointCloud{{X: 4, Y: 1, Z: -1}}
+	for i := 0; i < 3*runtime.GOMAXPROCS(0); i++ {
+		if w.WriteFrame(good, nil) != nil {
+			break
+		}
 	}
 	if err := w.Close(); err == nil {
 		t.Fatal("compression error never surfaced")
-	}
-}
-
-func nan() float64 {
-	z := 0.0
-	return z / z
-}
-
-// TestPipelineSingleWorkerBypass: EnablePipeline(1) must not start a worker
-// pool — WriteFrame behaves serially (full FrameStats, OnStats before
-// return), output is byte-identical to a plain serial writer, and the
-// temporal/partial mutual exclusions still hold.
-func TestPipelineSingleWorkerBypass(t *testing.T) {
-	frames := testFrames(t, 2)
-	opts := dbgc.DefaultOptions(0.02)
-
-	var serial bytes.Buffer
-	ws, err := NewWriter(&serial, opts, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pc := range frames {
-		if _, err := ws.WriteFrame(pc, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ws.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, opts, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EnablePipeline(1); err != nil {
-		t.Fatal(err)
-	}
-	if w.pipe != nil {
-		t.Fatal("single-worker pipeline started a worker pool")
-	}
-	if err := w.EnablePipeline(1); err == nil {
-		t.Fatal("second EnablePipeline succeeded")
-	}
-	if err := w.EnableTemporal(2); err == nil {
-		t.Fatal("EnableTemporal after EnablePipeline(1) succeeded")
-	}
-	var statted int
-	w.OnStats = func(fs FrameStats) { statted++ }
-	for i, pc := range frames {
-		fs, err := w.WriteFrame(pc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fs.GeometryBytes == 0 || fs.Ratio == 0 {
-			t.Fatalf("frame %d: bypass should return full serial stats, got %+v", i, fs)
-		}
-		if statted != i+1 {
-			t.Fatalf("frame %d: OnStats not called before WriteFrame returned", i)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serial.Bytes(), buf.Bytes()) {
-		t.Fatalf("bypass container differs: %d vs %d bytes", buf.Len(), serial.Len())
-	}
-
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EnablePipeline(1); err != nil {
-		t.Fatal(err)
-	}
-	if r.pipe != nil {
-		t.Fatal("single-worker reader pipeline started a worker pool")
-	}
-	if err := r.EnablePartial(); err == nil {
-		t.Fatal("EnablePartial after EnablePipeline(1) succeeded")
-	}
-	for i := range frames {
-		f, err := r.ReadFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Seq != uint64(i) || len(f.Cloud) != len(frames[i]) {
-			t.Fatalf("frame %d: got seq %d with %d points", i, f.Seq, len(f.Cloud))
-		}
-	}
-	if _, err := r.ReadFrame(); err != io.EOF {
-		t.Fatalf("want io.EOF at end, got %v", err)
 	}
 }

@@ -2,15 +2,13 @@ package stream
 
 import (
 	"bytes"
-	"io"
 	"testing"
 
 	"dbgc"
 )
 
 // TestStreamShardedFrames: a stream packed with sharded entropy options
-// carries v3 frames that read back to the same clouds as a legacy stream,
-// with or without the reader pipeline.
+// carries v3 frames that read back to the same clouds as a legacy stream.
 func TestStreamShardedFrames(t *testing.T) {
 	frames := testFrames(t, 3)
 	pack := func(opts dbgc.Options) []byte {
@@ -20,7 +18,7 @@ func TestStreamShardedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, pc := range frames {
-			if _, err := w.WriteFrame(pc, nil); err != nil {
+			if err := w.WriteFrame(pc, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -34,44 +32,20 @@ func TestStreamShardedFrames(t *testing.T) {
 	opts.Shards = 4
 	sharded := pack(opts)
 
-	read := func(data []byte, workers int) []dbgc.PointCloud {
+	read := func(data []byte) []Frame {
 		r, err := NewReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if workers > 1 {
-			if err := r.EnablePipeline(workers); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var out []dbgc.PointCloud
-		for {
-			fr, err := r.ReadFrame()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			out = append(out, fr.Cloud)
-		}
-		return out
+		return readAll(t, r)
 	}
-	want := read(legacy, 1)
-	for _, workers := range []int{1, 2} {
-		got := read(sharded, workers)
-		if len(got) != len(want) {
-			t.Fatalf("workers=%d: read %d frames, want %d", workers, len(got), len(want))
-		}
-		for i := range got {
-			if len(got[i]) != len(want[i]) {
-				t.Fatalf("workers=%d frame %d: %d points, want %d", workers, i, len(got[i]), len(want[i]))
-			}
-			for j := range got[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("workers=%d frame %d point %d differs", workers, i, j)
-				}
-			}
+	want, got := read(legacy), read(sharded)
+	if len(got) != len(want) {
+		t.Fatalf("read %d frames, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if !cloudsEqual(got[i].Cloud, want[i].Cloud) {
+			t.Fatalf("frame %d differs from the legacy stream's", i)
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"dbgc"
 	"dbgc/internal/attr"
@@ -63,104 +64,96 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // maxSection bounds one frame section against corrupt headers.
 const maxSection = 256 << 20
 
-// Writer compresses frames into a container.
+// Writer compresses frames into a container. Frames compress side by side,
+// as many as GOMAXPROCS allows, and are written in the order WriteFrame
+// received them.
 type Writer struct {
 	w        *bufio.Writer
 	opts     dbgc.Options
 	seq      uint64
 	done     bool
-	interval int // 0 = all I-frames
-	prev     geom.PointCloud
+	interval int             // 0 = all I-frames
+	prev     geom.PointCloud // temporal mode: the last written frame as a reader decodes it
+	window   *framepipe.Window[encodeJob, encodedFrame]
+	err      error // first compression or write error, sticky
 
-	// Pipelined mode (EnablePipeline). pipelined is set even when the
-	// worker pool is bypassed (workers <= 1) so the temporal mutual
-	// exclusion still holds.
-	pipelined bool
-	pipe      *framepipe.Pool[pipeJob, pipeFrame]
-	err       error // first compression or write error, sticky
-
-	// OnStats, when set, receives the definitive FrameStats of each frame
-	// as it completes. In pipelined mode it is called from later WriteFrame
-	// and Close calls on the caller's goroutine; in serial mode WriteFrame
-	// calls it before returning.
+	// OnStats, when set, receives the FrameStats of each frame as it is
+	// written, in frame order, from a later WriteFrame or Close call on the
+	// caller's goroutine.
 	OnStats func(FrameStats)
 }
 
-// pipeJob is one frame submitted to the compression pool.
-type pipeJob struct {
+// encodeJob is one frame on its way through the compression window.
+type encodeJob struct {
 	seq       uint64
 	pc        geom.PointCloud
 	intensity []float32
 	opts      dbgc.Options
+	temporal  bool            // decode the frame again for the next one to predict from
+	ref       geom.PointCloud // non-nil: code a P-frame against this cloud
 }
 
-// pipeFrame is a fully framed body (seq..crc) ready to write.
-type pipeFrame struct {
-	buf   []byte
-	stats FrameStats
+// encodedFrame is a fully framed body (seq..crc) ready to write.
+type encodedFrame struct {
+	body    []byte
+	stats   FrameStats
+	decoded geom.PointCloud // set for encodeJob.temporal
 }
 
-// EnablePipeline compresses frames on workers concurrent goroutines while
-// writing them in submission order. It is mutually exclusive with temporal
-// mode: P-frames are predicted from the previous decoded frame, so a
-// temporal stream has no independent frames to overlap.
-//
-// In pipelined mode WriteFrame returns as soon as the frame is queued; the
-// returned FrameStats carries only Seq and Points, and compression errors
-// surface on a later WriteFrame or on Close. Set OnStats to observe the
-// definitive per-frame statistics. The caller must not mutate the cloud or
-// intensity slice after passing them in.
-//
-// With workers <= 1 no worker pool is started: frames compress serially on
-// the caller's goroutine exactly as without EnablePipeline (WriteFrame
-// returns full FrameStats), while the incompatibility with temporal mode
-// still applies.
-func (w *Writer) EnablePipeline(workers int) error {
-	if w.interval >= 2 {
-		return errors.New("stream: pipeline is incompatible with temporal mode")
-	}
-	if w.pipelined {
-		return errors.New("stream: pipeline already enabled")
-	}
-	w.pipelined = true
-	if workers <= 1 {
-		return nil // serial path already does what one worker would
-	}
-	w.pipe = framepipe.New(workers, 2*workers, func(j pipeJob) (pipeFrame, error) {
-		return encodeFrameBody(j)
-	})
-	return nil
-}
-
-// encodeFrameBody compresses one I-frame and assembles the container body
+// encodeFrame compresses one frame, I or P, and assembles the container body
 // (seq | kind | sections | crc). It is safe to call concurrently.
-func encodeFrameBody(j pipeJob) (pipeFrame, error) {
-	data, stats, err := dbgc.Compress(j.pc, j.opts)
-	if err != nil {
-		return pipeFrame{}, fmt.Errorf("stream: frame %d: %w", j.seq, err)
+func encodeFrame(j encodeJob) (encodedFrame, error) {
+	var out encodedFrame
+	kind := byte(frameI)
+	var data []byte
+	var mapping []int32
+	var static int
+	var err error
+	if j.ref != nil {
+		kind = frameP
+		ref := newTemporalRef(j.ref, j.opts.Q)
+		if data, mapping, static, err = encodeP(j.pc, ref, j.opts); err != nil {
+			return out, fmt.Errorf("stream: frame %d: %w", j.seq, err)
+		}
+		if out.decoded, err = decodeP(data, ref, dbgc.DecodeLimits{}); err != nil {
+			return out, fmt.Errorf("stream: verifying P-frame %d: %w", j.seq, err)
+		}
+	} else {
+		var stats *dbgc.Stats
+		if data, stats, err = dbgc.Compress(j.pc, j.opts); err != nil {
+			return out, fmt.Errorf("stream: frame %d: %w", j.seq, err)
+		}
+		mapping = stats.Mapping
+		if j.temporal {
+			if out.decoded, err = dbgc.Decompress(data); err != nil {
+				return out, fmt.Errorf("stream: verifying I-frame %d: %w", j.seq, err)
+			}
+		}
 	}
 	var attrData []byte
 	if j.intensity != nil {
-		attrData, err = attr.EncodeIntensity(j.intensity, stats.Mapping, 8)
+		attrData, err = attr.EncodeIntensity(j.intensity, mapping, 8)
 		if err != nil {
-			return pipeFrame{}, fmt.Errorf("stream: frame %d intensity: %w", j.seq, err)
+			return out, fmt.Errorf("stream: frame %d intensity: %w", j.seq, err)
 		}
 	}
-	var buf []byte
-	buf = varint.AppendUint(buf, j.seq)
-	buf = append(buf, frameI)
+	buf := varint.AppendUint(nil, j.seq)
+	buf = append(buf, kind)
 	buf = varint.AppendUint(buf, uint64(len(data)))
 	buf = append(buf, data...)
 	buf = varint.AppendUint(buf, uint64(len(attrData)))
 	buf = append(buf, attrData...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-	return pipeFrame{buf: buf, stats: FrameStats{
+	out.body = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	out.stats = FrameStats{
 		Seq:            j.seq,
 		Points:         len(j.pc),
 		GeometryBytes:  len(data),
 		IntensityBytes: len(attrData),
 		Ratio:          float64(len(j.pc)*12) / float64(len(data)),
-	}}, nil
+		Predicted:      kind == frameP,
+		StaticPoints:   static,
+	}
+	return out, nil
 }
 
 // EnableTemporal switches the writer to temporal mode: one I-frame every
@@ -168,13 +161,11 @@ func encodeFrameBody(j pipeJob) (pipeFrame, error) {
 // between. interval must be at least 2. Suitable for static or slowly
 // changing scenes (tripod captures, §1 of the paper); for fast-moving
 // sensors P-frames degrade to mostly-residual frames and cost about as
-// much as I-frames.
+// much as I-frames. Each frame of a temporal stream waits for the one
+// before it, so they compress one at a time.
 func (w *Writer) EnableTemporal(interval int) error {
 	if interval < 2 {
 		return fmt.Errorf("stream: temporal interval must be >= 2, got %d", interval)
-	}
-	if w.pipelined {
-		return errors.New("stream: temporal mode is incompatible with pipeline")
 	}
 	w.interval = interval
 	return nil
@@ -200,7 +191,9 @@ func NewWriter(w io.Writer, opts dbgc.Options, fps float64) (*Writer, error) {
 	if _, err := bw.Write(hdr[:]); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, opts: opts}, nil
+	wr := &Writer{w: bw, opts: opts}
+	wr.window = framepipe.New(encodeFrame, wr.finish)
+	return wr, nil
 }
 
 // FrameStats summarizes one written frame.
@@ -216,154 +209,65 @@ type FrameStats struct {
 	StaticPoints int
 }
 
-// WriteFrame compresses and appends one frame. intensity may be nil; when
+// WriteFrame queues one frame for compression and returns; the frame is
+// written, and OnStats told, by a later WriteFrame or by Close, which is
+// also where a compression error surfaces. intensity may be nil; when
 // present it must hold one value per point and is stored as an 8-bit
-// channel aligned with the decoded geometry.
-func (w *Writer) WriteFrame(pc geom.PointCloud, intensity []float32) (FrameStats, error) {
+// channel aligned with the decoded geometry. The caller must not mutate the
+// cloud or the intensity slice afterwards.
+func (w *Writer) WriteFrame(pc geom.PointCloud, intensity []float32) error {
 	if w.done {
-		return FrameStats{}, errors.New("stream: writer already closed")
+		return errors.New("stream: writer already closed")
 	}
-	if w.pipe != nil {
-		return w.writeFramePipelined(pc, intensity)
-	}
-	kind := byte(frameI)
-	var data []byte
-	var mapping []int32
-	var static int
-	if w.interval >= 2 && w.prev != nil && w.seq%uint64(w.interval) != 0 {
-		kind = frameP
-		ref := newTemporalRef(w.prev, w.opts.Q)
-		var err error
-		data, mapping, static, err = encodeP(pc, ref, w.opts)
-		if err != nil {
-			return FrameStats{}, err
+	j := encodeJob{seq: w.seq, pc: pc, intensity: intensity, opts: w.opts}
+	if w.interval >= 2 {
+		// A temporal frame is predicted from, or will be the reference of,
+		// its neighbour as a reader decodes it: wait for that one.
+		w.window.Drain()
+		j.temporal = true
+		if w.seq%uint64(w.interval) != 0 {
+			j.ref = w.prev
 		}
-		w.prev, err = decodeP(data, ref, dbgc.DecodeLimits{})
-		if err != nil {
-			return FrameStats{}, fmt.Errorf("stream: verifying P-frame: %w", err)
-		}
-	} else {
-		var stats *dbgc.Stats
-		var err error
-		data, stats, err = dbgc.Compress(pc, w.opts)
-		if err != nil {
-			return FrameStats{}, err
-		}
-		mapping = stats.Mapping
-		if w.interval >= 2 {
-			w.prev, err = dbgc.Decompress(data)
-			if err != nil {
-				return FrameStats{}, fmt.Errorf("stream: verifying I-frame: %w", err)
-			}
-		}
-	}
-	var attrData []byte
-	if intensity != nil {
-		var err error
-		attrData, err = attr.EncodeIntensity(intensity, mapping, 8)
-		if err != nil {
-			return FrameStats{}, err
-		}
-	}
-	if err := w.w.WriteByte(markerFrame); err != nil {
-		return FrameStats{}, err
-	}
-	var buf []byte
-	buf = varint.AppendUint(buf, w.seq)
-	buf = append(buf, kind)
-	buf = varint.AppendUint(buf, uint64(len(data)))
-	buf = append(buf, data...)
-	buf = varint.AppendUint(buf, uint64(len(attrData)))
-	buf = append(buf, attrData...)
-	sum := crc32.Checksum(buf, castagnoli)
-	buf = binary.LittleEndian.AppendUint32(buf, sum)
-	if _, err := w.w.Write(buf); err != nil {
-		return FrameStats{}, err
-	}
-	fs := FrameStats{
-		Seq:            w.seq,
-		Points:         len(pc),
-		GeometryBytes:  len(data),
-		IntensityBytes: len(attrData),
-		Ratio:          float64(len(pc)*12) / float64(len(data)),
-		Predicted:      kind == frameP,
-		StaticPoints:   static,
-	}
-	w.seq++
-	if w.OnStats != nil {
-		w.OnStats(fs)
-	}
-	return fs, nil
-}
-
-// writeFramePipelined queues one frame on the compression pool, first
-// draining completed frames (and, when the window is full, blocking on the
-// oldest) so the pool can never deadlock on its own window.
-func (w *Writer) writeFramePipelined(pc geom.PointCloud, intensity []float32) (FrameStats, error) {
-	for {
-		f, err, ok := w.pipe.TryNext()
-		if !ok {
-			break
-		}
-		w.finishPipelined(f, err)
-	}
-	for w.pipe.Full() {
-		f, err, ok := w.pipe.Next()
-		if !ok {
-			break
-		}
-		w.finishPipelined(f, err)
 	}
 	if w.err != nil {
-		return FrameStats{}, w.err
+		return w.err
 	}
-	seq := w.seq
 	w.seq++
-	w.pipe.Submit(pipeJob{seq: seq, pc: pc, intensity: intensity, opts: w.opts})
-	return FrameStats{Seq: seq, Points: len(pc)}, nil
+	w.window.Submit(j)
+	return w.err
 }
 
-// finishPipelined writes one completed frame body, keeping the first error.
-func (w *Writer) finishPipelined(f pipeFrame, err error) {
+// finish writes one compressed frame, keeping the first error.
+func (w *Writer) finish(f encodedFrame, err error) {
 	if w.err != nil {
 		return
+	}
+	if err == nil {
+		err = w.w.WriteByte(markerFrame)
+	}
+	if err == nil {
+		_, err = w.w.Write(f.body)
 	}
 	if err != nil {
 		w.err = err
 		return
 	}
-	if err := w.w.WriteByte(markerFrame); err != nil {
-		w.err = err
-		return
-	}
-	if _, err := w.w.Write(f.buf); err != nil {
-		w.err = err
-		return
-	}
+	w.prev = f.decoded
 	if w.OnStats != nil {
 		w.OnStats(f.stats)
 	}
 }
 
-// Close drains any pipelined frames, terminates the container, and flushes
-// buffered output.
+// Close writes the frames still compressing, terminates the container, and
+// flushes buffered output.
 func (w *Writer) Close() error {
 	if w.done {
 		return nil
 	}
 	w.done = true
-	if w.pipe != nil {
-		for {
-			f, err, ok := w.pipe.Next()
-			if !ok {
-				break
-			}
-			w.finishPipelined(f, err)
-		}
-		w.pipe.Close()
-		if w.err != nil {
-			return w.err
-		}
+	w.window.Drain()
+	if w.err != nil {
+		return w.err
 	}
 	if err := w.w.WriteByte(markerEnd); err != nil {
 		return err
@@ -371,33 +275,43 @@ func (w *Writer) Close() error {
 	return w.w.Flush()
 }
 
-// Reader iterates over a container.
+// Reader iterates over a container. It decodes ahead of the caller, as many
+// frames side by side as GOMAXPROCS allows, and returns them in stream
+// order; a P-frame waits for the frame it is predicted from.
 type Reader struct {
-	r    *bufio.Reader
-	q    float64
-	fps  float64
-	end  bool
-	prev geom.PointCloud
+	r   *bufio.Reader
+	q   float64
+	fps float64
 
 	// limits bounds each frame decode (SetLimits); zero = unlimited.
 	limits dbgc.DecodeLimits
 	// partial recovers intact sections of damaged frames (EnablePartial).
 	partial bool
 
-	// Pipelined mode (EnablePipeline). pipelined is set even when the
-	// worker pool is bypassed (workers <= 1) so the partial-mode mutual
-	// exclusion still holds.
-	pipelined bool
-	pipe      *framepipe.Pool[readJob, Frame]
-	stashP    *readJob // raw P-frame body waiting for in-flight frames
-	readErr   error    // deferred read error, surfaced after the drain
+	window *framepipe.Window[decodeJob, Frame]
+	ready  []decoded       // decoded and not yet returned, oldest first
+	prev   geom.PointCloud // the last decoded frame; nil once one is lost or damaged
+	err    error           // why reading stopped: io.EOF at the end marker, else the framing error
+	one    [1]byte         // fold's scratch
 }
 
-// readJob is one raw frame body handed to the decode pool.
-type readJob struct {
-	seq    uint64
-	raw    body
-	limits dbgc.DecodeLimits
+// decodeJob is one raw frame body on its way through the decode window.
+type decodeJob struct {
+	seq     uint64
+	kind    byte
+	geom    []byte
+	attr    []byte
+	crcBad  bool // partial mode: the body was read in full but its checksum failed
+	partial bool
+	limits  dbgc.DecodeLimits
+	q       float64
+	prev    geom.PointCloud // a P-frame's reference; nil when that frame was lost
+}
+
+// decoded is one outcome of the decode window.
+type decoded struct {
+	frame Frame
+	err   error
 }
 
 // SetLimits bounds the resources every subsequent frame decode may spend;
@@ -409,19 +323,10 @@ func (r *Reader) SetLimits(l dbgc.DecodeLimits) { r.limits = l }
 // frame no longer aborts iteration. ReadFrame returns the points of the
 // frame's intact sections and describes the damage in Frame.Damage; a
 // damaged frame also breaks the P-frame prediction chain until the next
-// clean I-frame. Incompatible with EnablePipeline.
+// clean I-frame.
 func (r *Reader) EnablePartial() error {
-	if r.pipelined {
-		return errors.New("stream: partial mode is incompatible with pipeline")
-	}
 	r.partial = true
 	return nil
-}
-
-// budget materializes the reader's limits for one frame decode; nil when
-// unlimited.
-func (r *Reader) budget() *declimits.Budget {
-	return newStreamBudget(r.limits)
 }
 
 func newStreamBudget(l dbgc.DecodeLimits) *declimits.Budget {
@@ -431,56 +336,78 @@ func newStreamBudget(l dbgc.DecodeLimits) *declimits.Budget {
 	return declimits.New(l)
 }
 
-// EnablePipeline decodes consecutive I-frames on workers concurrent
-// goroutines while returning frames in stream order. Read-ahead stops at a
-// P-frame — it is predicted from the immediately preceding decoded frame —
-// and resumes after it, so all-I streams (the only kind the pipelined
-// Writer produces) parallelize freely while temporal streams degrade to
-// serial decoding without losing correctness.
-// With workers <= 1 no worker pool is started: frames decode serially on
-// the caller's goroutine exactly as without EnablePipeline, while the
-// incompatibility with partial mode still applies.
-func (r *Reader) EnablePipeline(workers int) error {
-	if r.pipelined {
-		return errors.New("stream: pipeline already enabled")
+// decodeFrame decodes one frame body, I or P. In partial mode whatever is
+// wrong with the frame is described in Frame.Damage and the error is nil. It
+// is safe to call concurrently.
+func decodeFrame(j decodeJob) (Frame, error) {
+	cloud, sections, err := decodeGeometry(j)
+	f := Frame{Seq: j.seq, Cloud: cloud}
+	var attrErr error
+	if err == nil {
+		f.Intensity, attrErr = decodeIntensity(j.seq, j.attr, len(cloud))
 	}
-	if r.partial {
-		return errors.New("stream: pipeline is incompatible with partial mode")
+	if j.partial {
+		if j.crcBad || err != nil || sections != nil || attrErr != nil {
+			f.Damage = &FrameDamage{CRCMismatch: j.crcBad, Sections: sections, Err: err, AttrErr: attrErr}
+		}
+		return f, nil
 	}
-	r.pipelined = true
-	if workers <= 1 {
-		return nil // serial path already does what one worker would
+	if err == nil {
+		err = attrErr
 	}
-	r.pipe = framepipe.New(workers, 2*workers, decodeIFrame)
-	return nil
-}
-
-// decodeIFrame decodes one self-contained frame body. It is safe to call
-// concurrently.
-func decodeIFrame(j readJob) (Frame, error) {
-	cloud, err := dbgc.DecompressWith(j.raw.geom, dbgc.DecompressOptions{Limits: j.limits})
 	if err != nil {
-		return Frame{}, fmt.Errorf("stream: frame %d geometry: %w", j.seq, err)
+		return Frame{}, err
 	}
-	return frameFromParts(j.seq, cloud, j.raw.attr)
+	return f, nil
 }
 
-// frameFromParts attaches the optional intensity channel to a decoded
-// cloud.
-func frameFromParts(seq uint64, cloud geom.PointCloud, attrData []byte) (Frame, error) {
-	var intensity []float32
-	if len(attrData) > 0 {
-		var err error
-		intensity, err = attr.DecodeIntensity(attrData)
-		if err != nil {
-			return Frame{}, fmt.Errorf("stream: frame %d intensity: %w", seq, err)
+// decodeGeometry decodes a frame body's geometry section. sections is set
+// when partial mode salvaged an I-frame some of whose sections are damaged.
+func decodeGeometry(j decodeJob) (cloud geom.PointCloud, sections []dbgc.SectionReport, err error) {
+	dopts := dbgc.DecompressOptions{Limits: j.limits}
+	switch j.kind {
+	case frameI:
+		if !j.partial {
+			cloud, err = dbgc.DecompressWith(j.geom, dopts)
+			break
 		}
-		if len(intensity) != len(cloud) {
-			return Frame{}, fmt.Errorf("%w: frame %d has %d intensities for %d points",
-				ErrCorrupt, seq, len(intensity), len(cloud))
+		cloud, sections, err = dbgc.DecompressPartial(j.geom, dopts)
+		if !slices.ContainsFunc(sections, func(rep dbgc.SectionReport) bool { return rep.Err != nil }) {
+			sections = nil
 		}
+	case frameP:
+		if j.prev == nil {
+			missing := "a preceding frame"
+			if j.partial {
+				missing = "an intact reference"
+			}
+			return nil, nil, fmt.Errorf("%w: P-frame %d without %s", ErrCorrupt, j.seq, missing)
+		}
+		cloud, err = decodeP(j.geom, newTemporalRef(j.prev, j.q), j.limits)
+	default:
+		return nil, nil, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, j.kind)
 	}
-	return Frame{Seq: seq, Cloud: cloud, Intensity: intensity}, nil
+	if err != nil {
+		return nil, nil, fmt.Errorf("stream: frame %d geometry: %w", j.seq, err)
+	}
+	return cloud, sections, nil
+}
+
+// decodeIntensity decodes the optional intensity channel of a frame of
+// points points; nil when the frame carries none.
+func decodeIntensity(seq uint64, attrData []byte, points int) ([]float32, error) {
+	if len(attrData) == 0 {
+		return nil, nil
+	}
+	intensity, err := attr.DecodeIntensity(attrData)
+	if err != nil {
+		return nil, fmt.Errorf("stream: frame %d intensity: %w", seq, err)
+	}
+	if len(intensity) != points {
+		return nil, fmt.Errorf("%w: frame %d has %d intensities for %d points",
+			ErrCorrupt, seq, len(intensity), points)
+	}
+	return intensity, nil
 }
 
 // NewReader validates the container header and prepares iteration.
@@ -501,7 +428,9 @@ func NewReader(r io.Reader) (*Reader, error) {
 	if !(q > 0) || math.IsInf(q, 0) {
 		return nil, fmt.Errorf("%w: invalid error bound %v", ErrCorrupt, q)
 	}
-	return &Reader{r: br, q: q, fps: fps}, nil
+	rd := &Reader{r: br, q: q, fps: fps}
+	rd.window = framepipe.New(decodeFrame, rd.deliver)
+	return rd, nil
 }
 
 // Q returns the stream's error bound.
@@ -539,236 +468,153 @@ type FrameDamage struct {
 	AttrErr error
 }
 
-// ReadFrame returns the next frame, or io.EOF after the end marker.
+// ReadFrame returns the next frame, or io.EOF after the end marker. A frame
+// that fails to decode costs one error and the P-frames predicted from it;
+// an error in the container's own framing ends iteration.
 func (r *Reader) ReadFrame() (Frame, error) {
-	if r.pipe != nil {
-		return r.readFramePipelined()
+	for len(r.ready) == 0 {
+		if r.err == nil {
+			r.err = r.readAhead()
+			continue
+		}
+		r.window.Drain()
+		if len(r.ready) == 0 {
+			return Frame{}, r.err
+		}
 	}
-	if r.end {
-		return Frame{}, io.EOF
-	}
+	d := r.ready[0]
+	r.ready[0] = decoded{} // the slice must not keep the cloud alive
+	r.ready = r.ready[1:]
+	return d.frame, d.err
+}
+
+// readAhead moves one frame body from the stream into the decode window. It
+// returns what ends reading: io.EOF at the end marker, or a framing error.
+func (r *Reader) readAhead() error {
 	marker, err := r.r.ReadByte()
-	if err != nil {
-		return Frame{}, fmt.Errorf("stream: marker: %w", err)
+	switch {
+	case err != nil:
+		return fmt.Errorf("stream: marker: %w", err)
+	case marker == markerEnd:
+		return io.EOF
+	case marker != markerFrame:
+		return fmt.Errorf("%w: unknown marker %#x", ErrCorrupt, marker)
 	}
-	switch marker {
-	case markerEnd:
-		r.end = true
-		return Frame{}, io.EOF
-	case markerFrame:
-	default:
-		return Frame{}, fmt.Errorf("%w: unknown marker %#x", ErrCorrupt, marker)
-	}
-	seq, kind, raw, err := r.readBody()
+	j, err := r.readBody()
 	if err != nil {
+		// A failed checksum leaves the stream positioned at the next frame,
+		// so partial mode salvages the intact sections and keeps going.
 		if !r.partial || !errors.Is(err, errChecksum) {
-			return Frame{}, err
+			return err
 		}
-		return r.readFramePartial(seq, kind, raw, true)
+		j.crcBad = true
 	}
-	if r.partial {
-		return r.readFramePartial(seq, kind, raw, false)
+	j.partial, j.limits, j.q = r.partial, r.limits, r.q
+	if j.kind == frameP {
+		// Predicted from the frame before it: let that one arrive first.
+		r.window.Drain()
+		j.prev = r.prev
 	}
-	var cloud geom.PointCloud
-	switch kind {
-	case frameI:
-		cloud, err = dbgc.DecompressWith(raw.geom, dbgc.DecompressOptions{Limits: r.limits})
-	case frameP:
-		if r.prev == nil {
-			return Frame{}, fmt.Errorf("%w: P-frame %d without a preceding frame", ErrCorrupt, seq)
-		}
-		cloud, err = decodeP(raw.geom, newTemporalRef(r.prev, r.q), r.limits)
-	default:
-		return Frame{}, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, kind)
-	}
-	if err != nil {
-		return Frame{}, fmt.Errorf("stream: frame %d geometry: %w", seq, err)
-	}
-	r.prev = cloud
-	return frameFromParts(seq, cloud, raw.attr)
+	r.window.Submit(j)
+	return nil
 }
 
-// readFramePartial decodes what it can of one frame body in partial mode.
-// It returns an error only for conditions unrelated to this frame's
-// damage; frame-level damage is described in Frame.Damage instead.
-func (r *Reader) readFramePartial(seq uint64, kind byte, raw body, crcBad bool) (Frame, error) {
-	dmg := &FrameDamage{CRCMismatch: crcBad}
-	var cloud geom.PointCloud
-	switch kind {
-	case frameI:
-		pc, reports, err := dbgc.DecompressPartial(raw.geom, dbgc.DecompressOptions{Limits: r.limits})
-		if err != nil {
-			dmg.Err = fmt.Errorf("stream: frame %d geometry: %w", seq, err)
-			break
-		}
-		cloud = pc
-		for _, rep := range reports {
-			if rep.Err != nil {
-				dmg.Sections = reports
-				break
-			}
-		}
-	case frameP:
-		if r.prev == nil {
-			dmg.Err = fmt.Errorf("%w: P-frame %d without an intact reference", ErrCorrupt, seq)
-			break
-		}
-		pc, err := decodeP(raw.geom, newTemporalRef(r.prev, r.q), r.limits)
-		if err != nil {
-			dmg.Err = fmt.Errorf("stream: frame %d geometry: %w", seq, err)
-			break
-		}
-		cloud = pc
-	default:
-		dmg.Err = fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, kind)
-	}
-	f := Frame{Seq: seq, Cloud: cloud}
-	if dmg.Err == nil {
-		if ff, err := frameFromParts(seq, cloud, raw.attr); err != nil {
-			dmg.AttrErr = err
-		} else {
-			f.Intensity = ff.Intensity
-		}
-	}
-	if crcBad || dmg.Err != nil || dmg.Sections != nil || dmg.AttrErr != nil {
-		f.Damage = dmg
-		// A partially recovered frame cannot serve as a P-frame prediction
-		// reference; the chain restarts at the next clean I-frame.
-		r.prev = nil
-	} else {
-		r.prev = cloud
-	}
-	return f, nil
-}
-
-// readFramePipelined tops the decode window up with consecutive I-frames,
-// then returns the oldest decoded frame. A P-frame pauses read-ahead (its
-// prediction reference is the frame right before it), drains the window,
-// decodes serially, and read-ahead resumes.
-func (r *Reader) readFramePipelined() (Frame, error) {
-	for r.stashP == nil && !r.end && r.readErr == nil && !r.pipe.Full() {
-		marker, err := r.r.ReadByte()
-		if err != nil {
-			r.readErr = fmt.Errorf("stream: marker: %w", err)
-			break
-		}
-		if marker == markerEnd {
-			r.end = true
-			break
-		}
-		if marker != markerFrame {
-			r.readErr = fmt.Errorf("%w: unknown marker %#x", ErrCorrupt, marker)
-			break
-		}
-		seq, kind, raw, err := r.readBody()
-		if err != nil {
-			r.readErr = err
-			break
-		}
-		switch kind {
-		case frameI:
-			r.pipe.Submit(readJob{seq: seq, raw: raw, limits: r.limits})
-		case frameP:
-			r.stashP = &readJob{seq: seq, raw: raw}
-		default:
-			r.readErr = fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, kind)
-		}
-	}
-	if f, err, ok := r.pipe.Next(); ok {
-		if err != nil {
-			return Frame{}, err
-		}
+// deliver takes one decoded frame, in stream order, from the window.
+func (r *Reader) deliver(f Frame, err error) {
+	// Only a frame recovered whole can be predicted from; after anything
+	// less the chain restarts at the next clean I-frame.
+	r.prev = nil
+	if err == nil && f.Damage == nil {
 		r.prev = f.Cloud
-		return f, nil
 	}
-	// Nothing in flight: a stashed P-frame, a deferred read error, or the
-	// end of the stream — in stream order, so the stash comes first.
-	if s := r.stashP; s != nil {
-		r.stashP = nil
-		if r.prev == nil {
-			return Frame{}, fmt.Errorf("%w: P-frame %d without a preceding frame", ErrCorrupt, s.seq)
-		}
-		cloud, err := decodeP(s.raw.geom, newTemporalRef(r.prev, r.q), r.limits)
-		if err != nil {
-			return Frame{}, fmt.Errorf("stream: frame %d geometry: %w", s.seq, err)
-		}
-		r.prev = cloud
-		return frameFromParts(s.seq, cloud, s.raw.attr)
-	}
-	if r.readErr != nil {
-		return Frame{}, r.readErr
-	}
-	return Frame{}, io.EOF
+	r.ready = append(r.ready, decoded{f, err})
 }
 
-type body struct {
-	geom, attr []byte
-}
-
-func (r *Reader) readBody() (uint64, byte, body, error) {
-	// Read the varint-prefixed sections while mirroring the bytes for
-	// the trailing CRC.
-	var mirrored []byte
-	readUvarint := func() (uint64, error) {
-		var v uint64
-		var shift uint
-		for {
-			b, err := r.r.ReadByte()
-			if err != nil {
-				return 0, err
-			}
-			mirrored = append(mirrored, b)
-			if shift >= 64 {
-				return 0, ErrCorrupt
-			}
-			v |= uint64(b&0x7f) << shift
-			if b < 0x80 {
-				return v, nil
-			}
-			shift += 7
-		}
+// readBody reads one frame body up to its checksum. A body read in full
+// whose checksum fails comes back with an errChecksum error.
+func (r *Reader) readBody() (decodeJob, error) {
+	var j decodeJob
+	var sum uint32 // crc32c of seq..attr as they are read
+	var err error
+	if j.seq, err = r.uvarint(&sum); err != nil {
+		return j, fmt.Errorf("stream: seq: %w", err)
 	}
-	readSection := func(name string) ([]byte, error) {
-		n, err := readUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("stream: %s length: %w", name, err)
-		}
-		if n > maxSection {
-			return nil, fmt.Errorf("%w: %s section of %d bytes", ErrCorrupt, name, n)
-		}
-		buf := make([]byte, n)
-		if _, err := io.ReadFull(r.r, buf); err != nil {
-			return nil, fmt.Errorf("stream: %s payload: %w", name, err)
-		}
-		mirrored = append(mirrored, buf...)
-		return buf, nil
+	if j.kind, err = r.r.ReadByte(); err != nil {
+		return j, fmt.Errorf("stream: frame kind: %w", err)
 	}
-
-	seq, err := readUvarint()
-	if err != nil {
-		return 0, 0, body{}, fmt.Errorf("stream: seq: %w", err)
+	r.fold(&sum, j.kind)
+	if j.geom, err = r.section("geometry", &sum); err != nil {
+		return j, err
 	}
-	kind, err := r.r.ReadByte()
-	if err != nil {
-		return 0, 0, body{}, fmt.Errorf("stream: frame kind: %w", err)
-	}
-	mirrored = append(mirrored, kind)
-	var b body
-	if b.geom, err = readSection("geometry"); err != nil {
-		return 0, 0, body{}, err
-	}
-	if b.attr, err = readSection("attribute"); err != nil {
-		return 0, 0, body{}, err
+	if j.attr, err = r.section("attribute", &sum); err != nil {
+		return j, err
 	}
 	var crcBuf [4]byte
 	if _, err := io.ReadFull(r.r, crcBuf[:]); err != nil {
-		return 0, 0, body{}, fmt.Errorf("stream: crc: %w", err)
+		return j, fmt.Errorf("stream: crc: %w", err)
 	}
-	if crc32.Checksum(mirrored, castagnoli) != binary.LittleEndian.Uint32(crcBuf[:]) {
-		// Return the parsed body alongside the error: the stream is
-		// positioned at the next frame, so partial mode can salvage the
-		// intact sections and keep iterating.
-		return seq, kind, b, fmt.Errorf("%w: frame %d %w", ErrCorrupt, seq, errChecksum)
+	if sum != binary.LittleEndian.Uint32(crcBuf[:]) {
+		return j, fmt.Errorf("%w: frame %d %w", ErrCorrupt, j.seq, errChecksum)
 	}
-	return seq, kind, b, nil
+	return j, nil
+}
+
+// fold adds one header byte to sum, through a scratch that costs no
+// allocation per byte.
+func (r *Reader) fold(sum *uint32, b byte) {
+	r.one[0] = b
+	*sum = crc32.Update(*sum, castagnoli, r.one[:])
+}
+
+// uvarint reads one varint, folding its bytes into sum.
+func (r *Reader) uvarint(sum *uint32) (uint64, error) {
+	var v uint64
+	for shift := uint(0); ; shift += 7 {
+		b, err := r.r.ReadByte()
+		if err != nil {
+			return 0, err
+		}
+		r.fold(sum, b)
+		if shift >= 64 {
+			return 0, ErrCorrupt
+		}
+		v |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			return v, nil
+		}
+	}
+}
+
+// section reads one length-prefixed section, folding it into sum. The
+// declared length is checked against the reader's limits before anything is
+// allocated, and memory is taken a step at a time as the bytes arrive: a
+// header may declare up to maxSection bytes that the stream does not hold,
+// and the reader keeps a window of sections in memory.
+func (r *Reader) section(name string, sum *uint32) ([]byte, error) {
+	n, err := r.uvarint(sum)
+	if err != nil {
+		return nil, fmt.Errorf("stream: %s length: %w", name, err)
+	}
+	if n > maxSection {
+		return nil, fmt.Errorf("%w: %s section of %d bytes", ErrCorrupt, name, n)
+	}
+	if err := declimits.New(r.limits).Section(int64(n)); err != nil {
+		return nil, fmt.Errorf("stream: %s section: %w", name, err)
+	}
+	const step = 1 << 20
+	buf := make([]byte, 0, min(int(n), step))
+	for len(buf) < int(n) {
+		end := min(int(n), len(buf)+step)
+		buf = slices.Grow(buf, end-len(buf))
+		_, err := io.ReadFull(r.r, buf[len(buf):end])
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF // the section broke off, it did not end
+		}
+		if err != nil {
+			return nil, fmt.Errorf("stream: %s payload: %w", name, err)
+		}
+		buf = buf[:end]
+	}
+	*sum = crc32.Update(*sum, castagnoli, buf)
+	return buf, nil
 }

@@ -2,15 +2,19 @@ package stream
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dbgc"
+	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
 	"dbgc/internal/lidar"
+	"dbgc/internal/varint"
 )
 
 func testFrames(t *testing.T, n int) []geom.PointCloud {
@@ -35,17 +39,23 @@ func TestStreamRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pc := range frames {
-		fs, err := w.WriteFrame(pc, nil)
-		if err != nil {
-			t.Fatal(err)
+	var statted int
+	w.OnStats = func(fs FrameStats) {
+		if fs.Seq != uint64(statted) || fs.Points != len(frames[statted]) || fs.GeometryBytes == 0 || fs.Ratio == 0 {
+			t.Errorf("frame %d stats wrong: %+v", statted, fs)
 		}
-		if fs.Seq != uint64(i) || fs.Points != len(pc) {
-			t.Fatalf("frame stats wrong: %+v", fs)
+		statted++
+	}
+	for _, pc := range frames {
+		if err := w.WriteFrame(pc, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if statted != len(frames) {
+		t.Fatalf("OnStats fired %d times, want %d", statted, len(frames))
 	}
 
 	r, err := NewReader(bytes.NewReader(buf.Bytes()))
@@ -102,18 +112,19 @@ func TestStreamWithIntensity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.OnStats = func(fs FrameStats) {
+		if fs.IntensityBytes == 0 {
+			t.Error("intensity channel missing from stats")
+		}
+	}
 	intens := make([][]float32, len(frames))
 	for i, pc := range frames {
 		intens[i] = make([]float32, len(pc))
 		for j := range intens[i] {
 			intens[i][j] = rng.Float32()
 		}
-		fs, err := w.WriteFrame(pc, intens[i])
-		if err != nil {
+		if err := w.WriteFrame(pc, intens[i]); err != nil {
 			t.Fatal(err)
-		}
-		if fs.IntensityBytes == 0 {
-			t.Fatal("intensity channel missing from stats")
 		}
 	}
 	if err := w.Close(); err != nil {
@@ -151,7 +162,7 @@ func TestWriterClosedRejectsFrames(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal("double close must be a no-op")
 	}
-	if _, err := w.WriteFrame(geom.PointCloud{{X: 1}}, nil); err == nil {
+	if err := w.WriteFrame(geom.PointCloud{{X: 1}}, nil); err == nil {
 		t.Fatal("write after close accepted")
 	}
 }
@@ -162,6 +173,49 @@ func TestInvalidOptions(t *testing.T) {
 	}
 }
 
+// oversizedHeader is a 31-byte container whose first frame declares a
+// 255 MiB geometry section and then breaks off.
+func oversizedHeader() []byte {
+	b := append([]byte("DBGS"), version)
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(0.02))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(10))
+	b = append(b, markerFrame, 0, frameI)
+	b = varint.AppendUint(b, 255<<20)
+	return append(b, 1, 2, 3)
+}
+
+// TestDeclaredLengthCostsNothing: a section length the stream does not back
+// up with bytes is refused outright when it is over the reader's section
+// limit, and otherwise read in steps — neither allocates what it declares.
+func TestDeclaredLengthCostsNothing(t *testing.T) {
+	read := func(limits dbgc.DecodeLimits) (err error, allocated uint64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := NewReader(bytes.NewReader(oversizedHeader()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetLimits(limits)
+		_, err = r.ReadFrame()
+		runtime.ReadMemStats(&after)
+		return err, after.TotalAlloc - before.TotalAlloc
+	}
+	err, allocated := read(dbgc.DecodeLimits{MaxSectionBytes: 1 << 20, MemBudget: 1 << 20})
+	if !errors.Is(err, declimits.ErrLimit) {
+		t.Errorf("a 255 MiB section under a 1 MiB section limit: %v, want a limit error", err)
+	}
+	if allocated > 4<<20 {
+		t.Errorf("refusing the section allocated %d bytes", allocated)
+	}
+	err, allocated = read(dbgc.DecodeLimits{})
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("a section that breaks off: %v, want unexpected EOF", err)
+	}
+	if allocated > 4<<20 {
+		t.Errorf("reading 3 of 255 Mi declared bytes allocated %d bytes", allocated)
+	}
+}
+
 func TestCorruptContainer(t *testing.T) {
 	frames := testFrames(t, 1)
 	var buf bytes.Buffer
@@ -169,7 +223,7 @@ func TestCorruptContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.WriteFrame(frames[0], nil); err != nil {
+	if err := w.WriteFrame(frames[0], nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {

@@ -63,16 +63,13 @@ func TestTemporalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var iBytes, pBytes, pFrames int
-	for i, pc := range frames {
-		fs, err := w.WriteFrame(pc, nil)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
+	w.OnStats = func(fs FrameStats) {
+		i := int(fs.Seq)
 		if i == 0 && fs.Predicted {
-			t.Fatal("first frame must be an I-frame")
+			t.Error("first frame must be an I-frame")
 		}
 		if i > 0 && !fs.Predicted {
-			t.Fatalf("frame %d should be predicted", i)
+			t.Errorf("frame %d should be predicted", i)
 		}
 		if fs.Predicted {
 			pBytes += fs.GeometryBytes
@@ -85,8 +82,16 @@ func TestTemporalRoundTrip(t *testing.T) {
 			iBytes += fs.GeometryBytes
 		}
 	}
+	for i, pc := range frames {
+		if err := w.WriteFrame(pc, nil); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if pFrames != len(frames)-1 {
+		t.Fatalf("%d P-frames reported, want %d", pFrames, len(frames)-1)
 	}
 	if pBytes/pFrames >= iBytes {
 		t.Errorf("P-frames (%d avg bytes) should be smaller than the I-frame (%d)", pBytes/pFrames, iBytes)
@@ -128,7 +133,7 @@ func TestTemporalWithIntensity(t *testing.T) {
 		for j := range intens {
 			intens[j] = float32(j%256) / 255
 		}
-		if _, err := w.WriteFrame(pc, intens); err != nil {
+		if err := w.WriteFrame(pc, intens); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
@@ -161,17 +166,23 @@ func TestTemporalKeyframeInterval(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPredicted := []bool{false, true, false, true, false}
-	for i, pc := range frames {
-		fs, err := w.WriteFrame(pc, nil)
-		if err != nil {
-			t.Fatal(err)
+	var statted int
+	w.OnStats = func(fs FrameStats) {
+		if fs.Seq != uint64(statted) || fs.Predicted != wantPredicted[statted] {
+			t.Errorf("position %d: frame %d predicted=%v, want %v", statted, fs.Seq, fs.Predicted, wantPredicted[statted])
 		}
-		if fs.Predicted != wantPredicted[i] {
-			t.Fatalf("frame %d: predicted=%v, want %v", i, fs.Predicted, wantPredicted[i])
+		statted++
+	}
+	for _, pc := range frames {
+		if err := w.WriteFrame(pc, nil); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if statted != len(frames) {
+		t.Fatalf("OnStats fired %d times, want %d", statted, len(frames))
 	}
 	r, err := NewReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -229,7 +240,7 @@ func TestTemporalDrivingSequence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, pc := range frames {
-		if _, err := w.WriteFrame(pc, nil); err != nil {
+		if err := w.WriteFrame(pc, nil); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 	}
