@@ -6,9 +6,10 @@ GO ?= go
 # city-frame compression-ratio smoke test, TestRatioSmoke), then the
 # data-race pass (which includes the reliable-transport fault-injection
 # tests, and repeats on the packages that fan work out through
-# internal/par or internal/framepipe, on the session worker and on the
-# server node and the chaos scenarios that crash it), then a
-# known-vulnerability scan when the scanner is installed.
+# internal/par or internal/framepipe, on the ack path — session lanes,
+# store and commit group, replication link — and on the server node and
+# the chaos scenarios that crash it), then a known-vulnerability scan when
+# the scanner is installed.
 check: build vet test race vuln
 
 build:
@@ -24,7 +25,8 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/par ./internal/cluster ./internal/core ./internal/sparse \
-		./internal/stream ./internal/framepipe ./internal/reliable ./internal/node ./cmd/dbgc-loadgen
+		./internal/stream ./internal/framepipe ./internal/reliable ./internal/store ./internal/replica \
+		./internal/node ./cmd/dbgc-loadgen
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): one of the
 # five workloads, built from source and run for 15 s. TRACE=1 reports the

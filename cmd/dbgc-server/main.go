@@ -74,7 +74,7 @@ func main() {
 	maxTenants := flag.Int("tenants", 0, "max concurrently active tenants (0 = unlimited)")
 	maxSessions := flag.Int("max-sessions", 0, "max concurrent connections server-wide (0 = unlimited)")
 	sessionsPerTenant := flag.Int("sessions-per-tenant", 0, "max concurrent sessions per tenant (0 = unlimited)")
-	queueDepth := flag.Int("queue-depth", 16, "per-session ingest queue depth before busy nacks")
+	queueDepth := flag.Int("queue-depth", 16, "per-session ingest queue depth before busy nacks (the queued frames are handled concurrently)")
 	tenantBudget := flag.Int("tenant-budget", 64, "per-tenant in-flight frame budget across all its sessions")
 	shedHigh := flag.Int("shed-high", 0, "total in-flight frames above which the newest tenants are shed (0 = off)")
 	shedLow := flag.Int("shed-low", 0, "in-flight level at which shed tenants are readmitted (default shed-high/2)")

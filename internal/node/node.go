@@ -489,14 +489,14 @@ func (n *Node) quarantine(tenant string, m netproto.Message, reason string) {
 			tenant, m.Seq, len(m.Payload), key, reason)
 		return
 	}
-	if kind, ok := st.Kind(m.Seq); ok && kind != store.KindQuarantined {
-		return
-	}
-	if err := st.Put(m.Seq, store.KindQuarantined, m.Payload); err != nil {
+	// One step under the store's lock: the good copy may be in a handler of
+	// this very session right now.
+	switch written, err := st.Quarantine(m.Seq, m.Payload); {
+	case err != nil:
 		n.logf("%s frame %d: quarantine failed: %v", tenant, m.Seq, err)
-		return
+	case written:
+		n.logf("%s frame %d: quarantined %d bytes (%s)", tenant, m.Seq, len(m.Payload), reason)
 	}
-	n.logf("%s frame %d: quarantined %d bytes (%s)", tenant, m.Seq, len(m.Payload), reason)
 }
 
 // answerQuery resolves a spatial query against the store: compressed

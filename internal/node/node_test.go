@@ -49,7 +49,9 @@ func openNode(t *testing.T, cfg Config) *Node {
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
-	cfg.ServerConfig.Logf = t.Logf
+	if cfg.ServerConfig.Logf == nil {
+		cfg.ServerConfig.Logf = t.Logf
+	}
 	n, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -303,8 +305,13 @@ func TestPartialFrameStoredAndQuarantined(t *testing.T) {
 // server's answer.
 func sendCorrupt(t *testing.T, n *Node, seq uint64, payload []byte) netproto.Message {
 	t.Helper()
+	return sendCorruptKind(t, n, netproto.KindCompressed, seq, payload)
+}
+
+func sendCorruptKind(t *testing.T, n *Node, kind byte, seq uint64, payload []byte) netproto.Message {
+	t.Helper()
 	var wire bytes.Buffer
-	if err := netproto.Write(&wire, netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: payload}); err != nil {
+	if err := netproto.Write(&wire, netproto.Message{Kind: kind, Seq: seq, Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
 	wire.Bytes()[wire.Len()-1] ^= 0xff
@@ -438,6 +445,105 @@ func TestSyncReplicatedPairSurvivesOnFollower(t *testing.T) {
 			}
 		}
 		st.Close()
+	}
+}
+
+// TestReplicationLinkPacedByTransport: the sizes the failover harness runs
+// with — a sender window of 64 against a follower queue of 8 — with 64 frames
+// in the primary's handlers at once. The follower never refuses its primary:
+// every frame is acked inside SyncTimeout, nothing is nacked busy or rejected,
+// and the watermark reaches the primary's end.
+func TestReplicationLinkPacedByTransport(t *testing.T) {
+	const frames, syncTimeout = 64, 5 * time.Second
+	follower := openNode(t, Config{Fsync: "always", Follower: true, WMEvery: 4,
+		ServerConfig: reliable.ServerConfig{QueueDepth: 8}})
+	primary := openNode(t, Config{
+		Fsync:        "always",
+		SenderConfig: replica.SenderConfig{Addr: follower.Addr(), Poll: 2 * time.Millisecond, MaxInFlight: frames},
+		SyncRepl:     true,
+		SyncTimeout:  syncTimeout,
+	})
+	// 64 KB a frame: 4 MB is more than the link's socket buffers hold, so
+	// the sender's Send does wait for the follower's reader.
+	payload := func(seq uint64) []byte { return bytes.Repeat([]byte{byte(seq)}, 64<<10) }
+	errs := make([]error, frames)
+	var wg sync.WaitGroup
+	begin := time.Now()
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			seq := uint64(i) + 1
+			errs[i] = primary.handle("acme", netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: payload(seq)})
+		}()
+	}
+	wg.Wait()
+	if took := time.Since(begin); took > syncTimeout {
+		t.Errorf("%d frames took %v, over the sync timeout %v", frames, took, syncTimeout)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("frame %d: %v", i+1, err)
+		}
+	}
+	snap := follower.Snapshot()
+	if snap.BusyNacked != 0 || snap.Nacked != 0 || snap.Follower.Rejected != 0 || snap.Follower.Records != frames {
+		t.Errorf("follower: %d busy nacks, %d nacks, receiver %+v; want %d records applied and none refused",
+			snap.BusyNacked, snap.Nacked, *snap.Follower, frames)
+	}
+	st, err := primary.shards.Acquire("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := st.End()
+	primary.shards.Release("acme")
+	if wm := follower.receiver.Watermark("acme"); wm != end {
+		t.Errorf("follower watermark %d, the primary's shard ends at %d", wm, end)
+	}
+	closeNode(t, primary)
+	closeNode(t, follower)
+	fst, err := store.Open(filepath.Join(follower.cfg.Dir, "acme.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fst.Close()
+	for seq := uint64(1); seq <= frames; seq++ {
+		if got, kind, err := fst.Get(seq); err != nil || kind != store.KindCompressed || !bytes.Equal(got, payload(seq)) {
+			t.Errorf("frame %d on the follower: kind %d, %d bytes, %v", seq, kind, len(got), err)
+		}
+	}
+}
+
+// TestCorruptReplicationRecordLeavesNoTrace: a replication record damaged on
+// the link is nacked for the primary to retransmit and counted; the follower
+// neither files it under the session's pseudo-tenant nor complains that it
+// cannot.
+func TestCorruptReplicationRecordLeavesNoTrace(t *testing.T) {
+	var mu sync.Mutex
+	var logged []string
+	follower := openNode(t, Config{Fsync: "always", Follower: true, ServerConfig: reliable.ServerConfig{
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	}})
+	rec := replica.EncodeRecord(replica.Record{Tenant: "acme", Seq: 1, Kind: store.KindCompressed, End: 10, Payload: []byte("x")})
+	if resp := sendCorruptKind(t, follower, netproto.KindReplRecord, 1, rec); resp.Kind != netproto.KindNack {
+		t.Fatalf("corrupt record answered with kind %d, want a nack", resp.Kind)
+	}
+	if snap := follower.Snapshot(); snap.Quarantined != 1 || snap.Follower.Rejected != 0 {
+		t.Errorf("%d quarantine events, receiver %+v; want the event counted and nothing handed to the receiver", snap.Quarantined, *snap.Follower)
+	}
+	if tenants, err := follower.shards.Tenants(); err != nil || len(tenants) != 0 {
+		t.Errorf("shards after a corrupt record: %v, %v", tenants, err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, line := range logged {
+		if strings.Contains(line, "quarantine") {
+			t.Errorf("logged %q", line)
+		}
 	}
 }
 

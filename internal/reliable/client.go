@@ -697,6 +697,16 @@ func (c *Client) helloHandshake() error {
 					c.dropConn(nil)
 					return errAckTimeout
 				}
+				if string(ev.msg.Payload) == nackChecksum {
+					// The hello was damaged in flight — a fault of the
+					// link, not a verdict on the tenant. The framing held,
+					// so say it again on the same connection.
+					if err := c.writeFrame(netproto.Hello(c.cfg.Tenant)); err != nil {
+						c.dropConn(err)
+						return err
+					}
+					continue
+				}
 				c.dropConn(nil)
 				return fmt.Errorf("%w: tenant %q: %s", ErrAdmission, c.cfg.Tenant, ev.msg.Payload)
 			}

@@ -177,7 +177,9 @@ func TestBadFrameQuarantined(t *testing.T) {
 	// On loopback the three rejections of frame 1 can all come back while
 	// Send(1) is still draining responses, so the give-up error may surface
 	// from any call from there on; the client stays usable past it, and
-	// frame 2 must still go out.
+	// frame 2 must still go out. Frames are answered as their handlers
+	// return, so the give-up of frame 1 says nothing about frame 2: the
+	// client is flushed again until every other frame has its ack.
 	var sendErr error
 	note := func(err error) {
 		if sendErr == nil {
@@ -192,9 +194,17 @@ func TestBadFrameQuarantined(t *testing.T) {
 			}
 		}
 	}
-	note(cli.Flush())
+	for err := cli.Flush(); err != nil; err = cli.Flush() {
+		if !errors.Is(err, ErrFrameRejected) {
+			t.Fatal(err)
+		}
+		note(err)
+	}
 	if sendErr == nil || !strings.Contains(sendErr.Error(), "frame 1") {
 		t.Fatalf("want permanent rejection of frame 1, got %v", sendErr)
+	}
+	if st := cli.Stats(); st.Acked != 2 {
+		t.Fatalf("acked %d frames, want frames 0 and 2", st.Acked)
 	}
 	for _, seq := range []uint64{0, 2} {
 		if _, _, err := st.Get(seq); err != nil {

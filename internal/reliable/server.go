@@ -23,6 +23,11 @@ var ErrServerClosed = errors.New("reliable: server closed")
 // quarantine because retrying may genuinely succeed.
 var ErrBadFrame = errors.New("reliable: bad frame")
 
+// nackChecksum is the nack reason of a frame whose payload failed the wire
+// checksum: the one refusal a client answers by sending the same bytes again,
+// whatever the frame was — a hello included.
+const nackChecksum = "checksum"
+
 // errStalled ends a session whose ingest queue stayed full past the stall
 // deadline without draining a single frame — a slow or wedged consumer
 // should reconnect and back off rather than pin a session slot.
@@ -56,16 +61,18 @@ type ServerConfig struct {
 	// Handle processes one data frame (KindCompressed or KindRaw) for a
 	// tenant. A nil return acks the frame; an error nacks it. Wrap
 	// content errors in ErrBadFrame to also quarantine the payload. Must
-	// be safe for concurrent use across sessions and idempotent per
-	// (tenant, sequence number) — retransmits can redeliver.
+	// be safe for concurrent use — a session has up to QueueDepth frames
+	// in Handle together — and idempotent per (tenant, sequence number):
+	// retransmits can redeliver, even while the first copy is in Handle.
 	Handle func(tenant string, m netproto.Message) error
 	// Query, when set, answers KindQuery frames against a tenant's data;
 	// the returned payload travels back as KindQueryResult. A nil Query
 	// nacks queries.
 	Query func(tenant string, q netproto.Query) ([]byte, error)
-	// Quarantine, when set, receives frames that failed validation (wire
-	// checksum mismatch, ErrBadFrame, or a handler panic) before they
-	// are nacked. Must be safe for concurrent use.
+	// Quarantine, when set, receives client frames that failed validation
+	// (wire checksum mismatch, ErrBadFrame, or a handler panic) before
+	// they are nacked. Must be safe for concurrent use. Replication
+	// records are only counted: the primary has the good copy and resends.
 	Quarantine func(tenant string, m netproto.Message, reason string)
 	// ReplHello, when set, answers KindReplHello exchanges from a
 	// replication peer: it receives the hello payload and returns the
@@ -76,8 +83,9 @@ type ServerConfig struct {
 	// is encoded inside the payload, not taken from the session). A nil
 	// return acks the record with KindReplAck; an error nacks it so the
 	// primary retransmits. Replication sessions bypass tenant admission
-	// and budgets — there is one trusted peer — but still flow through
-	// the bounded session queue, so busy nacks backpressure the primary.
+	// and budgets — there is one trusted peer — and are never refused
+	// busy: a full session queue stops the session reading, so the
+	// transport paces the primary. Runs concurrently, like Handle.
 	ReplRecord func(m netproto.Message) error
 	// NotReady, when set and returning refuse=true, turns away client
 	// ingest (hellos, data frames, queries) with a busy nack carrying
@@ -101,11 +109,11 @@ type ServerConfig struct {
 	// MaxSessionsPerTenant caps concurrent sessions per tenant.
 	MaxSessionsPerTenant int
 
-	// Backpressure. QueueDepth bounds each session's ingest queue
-	// (default 16); TenantBudget bounds a tenant's in-flight frames
-	// across all its sessions (default 64). A frame arriving past either
-	// bound is refused with a busy nack carrying RetryAfter (default
-	// 200ms) as the retry hint.
+	// Backpressure. QueueDepth bounds each session's ingest queue, all of
+	// which may be in the handler at once (default 16); TenantBudget
+	// bounds a tenant's in-flight frames across all its sessions (default
+	// 64). A client frame arriving past either bound is refused with a
+	// busy nack carrying RetryAfter (default 200ms) as the retry hint.
 	QueueDepth   int
 	TenantBudget int
 	RetryAfter   time.Duration
@@ -283,12 +291,15 @@ func (s *Server) connCount() int {
 }
 
 // Session serves one connection: reads frames, queues them on the bounded
-// session queue, and responds with acks/nacks from one worker that handles
-// the queue in order. Frame-level failures (checksum, decode,
-// handler panic) are isolated — nacked and quarantined — while
-// framing-level failures (corrupt header, torn stream) end the session so
-// the client can reconnect. Overload (queue or tenant budget full) is
-// answered with busy nacks carrying a retry-after hint.
+// session queue, and works the queue concurrently: every queued frame may be
+// in the handler at once, sharing fsync rounds and replication round trips
+// the way frames of different sessions do, and is answered when its own
+// handler returns — acks leave in completion order, matched by sequence
+// number. Frame-level failures (checksum, decode, handler panic) are
+// isolated — nacked and quarantined — while framing-level failures (corrupt
+// header, torn stream) end the session so the client can reconnect. Overload
+// (queue or tenant budget full) is answered with busy nacks carrying a
+// retry-after hint; a replication peer waits on the transport instead.
 type Session struct {
 	conn net.Conn
 	cfg  ServerConfig
@@ -300,11 +311,15 @@ type Session struct {
 	// The ingest queue, made when the session binds. A frame holds a slot
 	// from the moment it is accepted until its handler has returned, so
 	// len(slots) is the session's share of QueueDepth; jobs carries the
-	// accepted frames to the worker and can never be fuller than slots.
-	slots      chan struct{}
-	jobs       chan ingestJob
-	workerDone chan struct{}
-	writeMu    sync.Mutex
+	// accepted frames to the lanes and can never be fuller than slots. A
+	// lane handles one frame at a time for the rest of the session's life;
+	// the reader starts one whenever more frames hold slots than lanes
+	// exist: one lane for one frame at a time, QueueDepth for a full queue.
+	slots   chan struct{}
+	jobs    chan ingestJob
+	lanes   int            // started so far; the reader goroutine's alone
+	working sync.WaitGroup // the lanes
+	writeMu sync.Mutex
 
 	lastDrain atomic.Int64 // unix nanos of the last queue drain (stall detection)
 }
@@ -351,7 +366,7 @@ func (s *Session) Run() (err error) {
 		// WriteTimeout if the peer is already gone.
 		if s.jobs != nil {
 			close(s.jobs)
-			<-s.workerDone
+			s.working.Wait()
 		}
 		s.conn.Close()
 		if s.srv != nil {
@@ -374,7 +389,7 @@ func (s *Session) Run() (err error) {
 			// Payload corrupt but framing intact: isolate the frame
 			// and keep the stream.
 			s.quarantine(m, "payload checksum mismatch")
-			if err := s.write(netproto.Nack(m.Seq, "checksum")); err != nil {
+			if err := s.write(netproto.Nack(m.Seq, nackChecksum)); err != nil {
 				return err
 			}
 			continue
@@ -484,42 +499,59 @@ func (s *Session) bindRepl() {
 		return
 	}
 	s.bound = replPeer
-	s.startWorker()
+	s.makeQueue()
 }
 
-// startWorker makes the session queue and starts the goroutine that works
-// through it; Run's exit closes the queue and waits for the goroutine.
-func (s *Session) startWorker() {
+// makeQueue makes the session queue; Run's exit closes it and waits for the
+// lanes.
+func (s *Session) makeQueue() {
 	s.slots = make(chan struct{}, s.cfg.QueueDepth)
-	s.jobs = make(chan ingestJob, s.cfg.QueueDepth) // never fuller than slots, so enqueue never blocks
-	s.workerDone = make(chan struct{})
-	go func() {
-		defer close(s.workerDone)
-		for j := range s.jobs {
-			err := s.dispatch(j.m)
-			<-s.slots
-			s.finish(j, err)
-		}
-	}()
+	s.jobs = make(chan ingestJob, s.cfg.QueueDepth) // never fuller than slots, so enqueue never blocks on it
 }
 
-// enqueue hands one frame to the worker if the queue has room, reporting
-// whether it did. It never blocks: a full queue is answered, not waited on.
-func (s *Session) enqueue(m netproto.Message) bool {
-	select {
-	case s.slots <- struct{}{}:
-	default:
-		return false
+// lane handles queued frames one after another until the queue closes. The
+// slot is free before the ack is written: the frame the ack prompts fits.
+func (s *Session) lane() {
+	defer s.working.Done()
+	for j := range s.jobs {
+		err := s.dispatch(j.m)
+		<-s.slots
+		s.finish(j, err)
+	}
+}
+
+// enqueue hands one frame to the lanes if the queue has room, reporting
+// whether it did. A full queue is answered, not waited on, unless wait is set.
+func (s *Session) enqueue(m netproto.Message, wait bool) bool {
+	if wait {
+		s.slots <- struct{}{}
+	} else {
+		select {
+		case s.slots <- struct{}{}:
+		default:
+			return false
+		}
+	}
+	if len(s.slots) > s.lanes {
+		// Without another lane one of the queued frames would wait out a
+		// neighbour's fsync or replication round trip.
+		s.lanes++
+		s.working.Add(1)
+		go s.lane()
 	}
 	s.jobs <- ingestJob{m: m, at: time.Now()}
 	return true
 }
 
-// ingestRepl admits one replication record into the session queue. Records flow
-// through the same bounded queue as client frames (full queue → busy nack,
-// so the primary's sender backs off), but bypass tenant budgets and the
-// NotReady gate — replication is exactly the traffic a follower exists to
-// accept.
+// ingestRepl admits one replication record into the session queue. Records
+// flow through the same bounded queue as client frames but bypass tenant
+// budgets and the NotReady gate — replication is exactly the traffic a
+// follower exists to accept — and a full queue is waited on, not refused:
+// the socket fills and the primary's Send blocks, whatever its MaxInFlight.
+// (A busy nack would make the one trusted peer resend into the same full
+// queue.) The wait cannot deadlock against a sender that reads and writes on
+// one goroutine: the acks owed, at most MaxInFlight of ~20 bytes, fit the
+// socket buffer and the client's reader goroutine takes them off it.
 func (s *Session) ingestRepl(m netproto.Message) error {
 	if s.cfg.ReplRecord == nil {
 		return s.write(netproto.Nack(m.Seq, "replication unsupported"))
@@ -537,12 +569,7 @@ func (s *Session) ingestRepl(m netproto.Message) error {
 	if s.srv != nil {
 		s.srv.noteInflight(1)
 	}
-	if !s.enqueue(m) {
-		if s.srv != nil {
-			s.srv.noteInflight(-1)
-		}
-		return s.overloaded(m.Seq, "replica queue full")
-	}
+	s.enqueue(m, true)
 	return nil
 }
 
@@ -587,7 +614,7 @@ func (s *Session) bind(name string) error {
 		s.tenant = t
 	}
 	s.bound = name
-	s.startWorker()
+	s.makeQueue()
 	return nil
 }
 
@@ -641,7 +668,7 @@ func (s *Session) ingest(m netproto.Message) error {
 	if s.srv != nil {
 		s.srv.noteInflight(1)
 	}
-	if !s.enqueue(m) {
+	if !s.enqueue(m, false) {
 		if s.tenant != nil {
 			s.tenant.release()
 		}
@@ -654,8 +681,8 @@ func (s *Session) ingest(m netproto.Message) error {
 }
 
 // overloaded refuses one frame with a busy nack and enforces the stall
-// deadline: a session that keeps arriving at a full queue without the
-// worker draining anything is cut loose.
+// deadline: a session that keeps arriving at a full queue without any
+// handler returning is cut loose.
 func (s *Session) overloaded(seq uint64, reason string) error {
 	if err := s.busyNack(seq, reason); err != nil {
 		return err
@@ -804,14 +831,14 @@ func (s *Session) quarantine(m netproto.Message, reason string) {
 	if s.srv != nil {
 		s.srv.metrics.Quarantined.Add(1)
 	}
-	if s.cfg.Quarantine != nil {
+	if s.cfg.Quarantine != nil && m.Kind != netproto.KindReplRecord {
 		s.cfg.Quarantine(s.tenantName(), m, reason)
 	}
 }
 
 // write serializes one frame to the connection; the mutex keeps reader-
-// side responses (busy nacks, query results) from interleaving with the
-// worker's acks mid-frame.
+// side responses (busy nacks, query results) and the lanes' acks from
+// interleaving mid-frame.
 func (s *Session) write(m netproto.Message) error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()

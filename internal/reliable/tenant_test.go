@@ -419,7 +419,9 @@ func TestStallTimeoutCutsWedgedSession(t *testing.T) {
 	}
 }
 
-// TestMetricsSnapshotJSONShape sanity-checks a few counters end to end.
+// TestMetricsSnapshotCounters sanity-checks a few counters end to end, per
+// sequence number: the even frames are acked once each, the odd ones nacked
+// until the client gives up on them — in whatever order the handlers return.
 func TestMetricsSnapshotCounters(t *testing.T) {
 	srv, addr := startTenantServer(t, ServerConfig{
 		Handle: func(_ string, m netproto.Message) error {
@@ -430,37 +432,103 @@ func TestMetricsSnapshotCounters(t *testing.T) {
 		},
 		Logf: t.Logf,
 	})
+	var mu sync.Mutex
+	acked := map[uint64]int{}
 	cli, err := NewClient(Options{
 		Dial:         func() (net.Conn, error) { return net.Dial("tcp", addr) },
 		Tenant:       "metrics",
 		FrameRetries: 1,
-		Logf:         t.Logf,
+		OnAck: func(seq uint64) {
+			mu.Lock()
+			acked[seq]++
+			mu.Unlock()
+		},
+		Logf: t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rejected bool
-	for seq := uint64(0); seq < 4; seq++ {
-		err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: []byte("m")})
+	rejected := 0
+	note := func(err error) {
+		t.Helper()
 		if errors.Is(err, ErrFrameRejected) {
-			rejected = true
+			rejected++
 		} else if err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := cli.Close(); err != nil && !errors.Is(err, ErrFrameRejected) {
+	for seq := uint64(0); seq < 4; seq++ {
+		note(cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: []byte("m")}))
+	}
+	// A give-up ends the Flush it surfaces in; the frames still unanswered
+	// need another.
+	for err := cli.Flush(); err != nil; err = cli.Flush() {
+		note(err)
+	}
+	if err := cli.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !rejected {
-		// The rejection may surface on Flush/Close instead; either way the
-		// server must have nacked.
-		t.Log("rejection surfaced at close")
+	if rejected != 2 || len(acked) != 2 || acked[0] != 1 || acked[2] != 1 {
+		t.Fatalf("client gave up on %d frames and saw acks %v, want 2 and frames 0 and 2 once each", rejected, acked)
 	}
 	m := srv.Metrics().Snapshot()
-	if m.FramesIn < 4 || m.Acked < 2 || m.Nacked < 2 {
+	// Each odd frame is nacked on its first copy and on its one retry.
+	if m.FramesIn != 6 || m.Acked != 2 || m.Nacked != 4 {
 		t.Fatalf("metrics: %+v", m)
 	}
 	if m.SessionsOpened == 0 || m.LatencyP99Ms < 0 {
 		t.Fatalf("metrics: %+v", m)
+	}
+}
+
+// damageWrite passes a connection through except for one Write, whose last
+// byte it flips.
+type damageWrite struct {
+	net.Conn
+	nth int // 1-based; netproto writes a header, then a payload
+}
+
+func (d *damageWrite) Write(p []byte) (int, error) {
+	if d.nth--; d.nth == 0 && len(p) > 0 {
+		p = append([]byte(nil), p...)
+		p[len(p)-1] ^= 0xff
+	}
+	return d.Conn.Write(p)
+}
+
+// TestHelloDamagedInFlightIsRetried: a hello whose payload fails the wire
+// checksum is a link fault like any other frame's — the client says it
+// again — not an admission refusal that ends the stream. (The failover soak
+// hit this about once in a dozen runs of one seed.)
+func TestHelloDamagedInFlightIsRetried(t *testing.T) {
+	srv, addr := startTenantServer(t, ServerConfig{
+		Handle: func(string, netproto.Message) error { return nil },
+		Logf:   t.Logf,
+	})
+	cli, err := NewClient(Options{
+		Dial: func() (net.Conn, error) {
+			c, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return &damageWrite{Conn: c, nth: 2}, nil // the hello's payload
+		},
+		Tenant: "acme",
+		Logf:   t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 1, Payload: []byte("x")}); err != nil {
+		t.Fatalf("Send after a damaged hello: %v", err)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := cli.Stats(); st.Acked != 1 || st.Reconnects != 1 {
+		t.Errorf("client %+v, want the frame acked on the first connection", st)
+	}
+	if m := srv.Metrics().Snapshot(); m.Acked != 1 || m.SessionsOpened != 1 {
+		t.Errorf("server %+v", m)
 	}
 }

@@ -191,7 +191,9 @@ func (r *Receiver) HandleHello(payload []byte) ([]byte, error) {
 // HandleRecord applies one KindReplRecord frame (reliable.ServerConfig's
 // ReplRecord): epoch check, CRC32-C verification, append, group commit —
 // only then does the session ack, so an acked record is durable here. The
-// watermark advances through the prev chain; scrub records apply without
+// session runs it for several records at once and in any order: they share
+// commit rounds, and the watermark advances through the prev chain, parking
+// whatever arrives ahead of its predecessor; scrub records apply without
 // touching it.
 func (r *Receiver) HandleRecord(m netproto.Message) error {
 	rec, err := DecodeRecord(m.Payload)
@@ -229,7 +231,13 @@ func (r *Receiver) HandleRecord(m netproto.Message) error {
 		r.noteRejected()
 		return fmt.Errorf("replica: acquiring shard: %w", err)
 	}
-	_, err = st.Append(rec.Seq, rec.Kind, rec.Payload)
+	if rec.Kind == store.KindQuarantined {
+		// The session applies records in any order: a quarantined copy that
+		// the primary's good copy shadowed must not land on top of it here.
+		_, err = st.Quarantine(rec.Seq, rec.Payload)
+	} else {
+		_, err = st.Append(rec.Seq, rec.Kind, rec.Payload)
+	}
 	if err == nil {
 		if r.group != nil {
 			err = r.group.Commit(st)

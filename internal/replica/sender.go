@@ -47,7 +47,9 @@ type SenderConfig struct {
 	ScrubInterval time.Duration
 	// HandshakeTimeout bounds the replication hello exchange (default 5s).
 	HandshakeTimeout time.Duration
-	// MaxInFlight bounds unacked records on the wire (default 32).
+	// MaxInFlight bounds unacked records on the wire (default 32). It need
+	// not fit the follower's session queue, which paces the link by not
+	// reading.
 	MaxInFlight int
 	// Seed feeds the retry jitter (0 = deterministic).
 	Seed int64

@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -17,9 +18,12 @@ var ErrGroupClosed = errors.New("store: commit group closed")
 // widen the batch (classic group commit); with Interval zero a round
 // starts as soon as the previous one finishes.
 //
-// Commit provides the "acked means durable" contract: it returns only
-// after a Sync that began after the Commit call completed, so every write
-// the caller finished beforehand is on stable storage.
+// Commit provides the "acked means durable" contract: it is called after
+// Append returned and returns only after a Sync that began after the call,
+// so every write the caller finished beforehand is on stable storage. Sync
+// does not hold the store's index lock, so other sessions — and the other
+// queued frames of the same session — append while a round is on the disk,
+// and the next round carries all of them on one fsync.
 type Group struct {
 	interval time.Duration
 
@@ -169,6 +173,10 @@ func (g *Group) run() {
 	defer close(g.done)
 	for {
 		<-g.wake
+		// The round that just ended woke its waiters, and they and every
+		// other handler ready to run are about to Commit: let them, or a
+		// fast disk degenerates to one commit a round. Costs nothing idle.
+		runtime.Gosched()
 		if g.interval > 0 {
 			// Let the batch widen before paying for the fsyncs.
 			time.Sleep(g.interval)

@@ -77,10 +77,14 @@ func (f osFile) Size() (int64, error) {
 
 // Store is an append-only frame store. It is safe for concurrent use.
 type Store struct {
-	mu    sync.Mutex
+	mu    sync.Mutex // guards index and end, and orders appends
 	f     File
 	index map[uint64]recordPos
 	end   int64
+
+	// syncMu keeps Close from closing the file under a Sync in flight; Sync
+	// holds it instead of mu, so appends flow during an fsync.
+	syncMu sync.Mutex
 }
 
 type recordPos struct {
@@ -198,6 +202,24 @@ func (s *Store) Put(seq uint64, kind byte, payload []byte) error {
 func (s *Store) Append(seq uint64, kind byte, payload []byte) (end int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.appendLocked(seq, kind, payload)
+}
+
+// Quarantine appends payload as a KindQuarantined record under seq unless a
+// good record already holds that number, reporting whether it wrote. Check
+// and write are one step under the store mutex: a corrupt retransmit can
+// never shadow the good copy a concurrent handler is appending.
+func (s *Store) Quarantine(seq uint64, payload []byte) (written bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if pos, ok := s.index[seq]; ok && pos.kind != KindQuarantined {
+		return false, nil
+	}
+	_, err = s.appendLocked(seq, KindQuarantined, payload)
+	return err == nil, err
+}
+
+func (s *Store) appendLocked(seq uint64, kind byte, payload []byte) (end int64, err error) {
 	var hdr [recordHeader]byte
 	binary.LittleEndian.PutUint64(hdr[0:], seq)
 	hdr[8] = kind
@@ -248,11 +270,13 @@ func (s *Store) Kind(seq uint64) (byte, bool) {
 	return pos.kind, ok
 }
 
-// Sync flushes all appended records to stable storage. See the package
-// comment for the durability contract.
+// Sync flushes to stable storage every record whose Append returned before
+// Sync was called. See the package comment for the durability contract. The
+// fsync runs outside the index mutex: appends (and reads) proceed while a
+// round is on the disk, and whatever they add is the next Sync's to cover.
 func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	return s.f.Sync()
 }
 
@@ -359,8 +383,10 @@ func (s *Store) ReadSince(from int64, maxBytes int) ([]Record, error) {
 	return out, nil
 }
 
-// Close flushes and closes the underlying file.
+// Close flushes and closes the underlying file, after any Sync in flight.
 func (s *Store) Close() error {
+	s.syncMu.Lock()
+	defer s.syncMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.f.Sync(); err != nil {
