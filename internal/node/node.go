@@ -8,8 +8,9 @@
 //
 // The contract: an ack means durable according to Config.Fsync, and with
 // SyncRepl durable on two disks. A frame's shard stays pinned across
-// Append → commit → Kick → WaitDurable, the sequence bench/service.go
-// mirrors.
+// Append → commit → WaitDurable, the sequence bench/service.go mirrors;
+// Append itself hands the record to the replication sender, so the follower's
+// fsync runs beside the local one and the ack waits for the later of the two.
 package node
 
 import (
@@ -313,7 +314,8 @@ func (n *Node) addProbes() {
 			case lagMax > 0 && st.LagBytes > lagMax:
 				return fmt.Sprintf("lag %d bytes exceeds %d", st.LagBytes, lagMax), false
 			}
-			return fmt.Sprintf("lag %d bytes", st.LagBytes), true
+			return fmt.Sprintf("lag %d bytes; %d records shipped from memory, %d read back from disk",
+				st.LagBytes, st.FromMemory, st.FromDisk), true
 		})
 	}
 	if n.receiver != nil {
@@ -367,15 +369,11 @@ func (n *Node) commit(st *store.Store) error {
 	}
 }
 
-// gate finishes one frame's replication obligations after local commit:
-// every stored frame kicks the ship loop, and in sync mode the ack is
-// withheld until the follower confirms durability.
+// gate finishes one frame's replication obligations after local commit: in
+// sync mode the ack is withheld until the follower confirms durability of
+// the record Append handed to the sender.
 func (n *Node) gate(tenant string, end int64) error {
-	if n.sender == nil {
-		return nil
-	}
-	n.sender.Kick()
-	if !n.cfg.SyncRepl {
+	if n.sender == nil || !n.cfg.SyncRepl {
 		return nil
 	}
 	if err := n.sender.WaitDurable(tenant, end, n.cfg.SyncTimeout); err != nil {

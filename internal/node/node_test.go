@@ -428,6 +428,11 @@ func TestSyncReplicatedPairSurvivesOnFollower(t *testing.T) {
 	if snap := follower.Snapshot(); snap.Follower == nil || snap.Follower.Records < 24 || snap.Repl != nil {
 		t.Errorf("follower snapshot %+v, want 24 applied records and no sender", snap.Follower)
 	}
+	// Steady state never reads a payload back: every record went out from the
+	// slice its handler gave Append.
+	if snap := primary.Snapshot(); snap.Repl == nil || snap.Repl.FromMemory != 24 || snap.Repl.FromDisk != 0 {
+		t.Errorf("primary snapshot %+v, want 24 records shipped from memory and none from disk", snap.Repl)
+	}
 	closeNode(t, primary)
 	closeNode(t, follower)
 
@@ -445,6 +450,89 @@ func TestSyncReplicatedPairSurvivesOnFollower(t *testing.T) {
 			}
 		}
 		st.Close()
+	}
+}
+
+// heldSync is a shard file whose fsync waits until hold is closed.
+type heldSync struct {
+	store.File
+	hold <-chan struct{}
+}
+
+func (f heldSync) Sync() error {
+	<-f.hold
+	return f.File.Sync()
+}
+
+// TestSyncAckWaitsForTheLaterFsync: the two fsyncs of a sync-replicated ack
+// run side by side because Append hands the record to the sender, not because
+// of how the goroutines happen to be scheduled. Hold the primary's fsync and
+// the follower still gets the record, makes it durable and acks it; hold the
+// follower's and the primary still commits. Either way the client's ack waits
+// for the one that is held.
+func TestSyncAckWaitsForTheLaterFsync(t *testing.T) {
+	for _, held := range []string{"primary", "follower"} {
+		t.Run(held+" fsync held", func(t *testing.T) {
+			hold := make(chan struct{})
+			release := sync.OnceFunc(func() { close(hold) })
+			openHeld := func(path string) (store.File, error) {
+				f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+				if err != nil {
+					return nil, err
+				}
+				return heldSync{faultnet.NewDisk(f, 0, faultnet.DiskConfig{}), hold}, nil
+			}
+			fcfg := Config{Fsync: "always", Follower: true, WMEvery: 4}
+			pcfg := Config{Fsync: "always", SyncRepl: true, SyncTimeout: 5 * time.Second}
+			if held == "primary" {
+				pcfg.OpenFile = openHeld
+			} else {
+				fcfg.OpenFile = openHeld
+			}
+			follower := openNode(t, fcfg)
+			pcfg.SenderConfig = replica.SenderConfig{Addr: follower.Addr()}
+			primary := openNode(t, pcfg)
+			defer release() // before the nodes' final fsyncs
+
+			acked := false
+			cli := dial(t, primary, reliable.Options{Tenant: "acme", OnAck: func(uint64) { acked = true }})
+			if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 1, Payload: []byte("frame")}); err != nil {
+				t.Fatal(err)
+			}
+			holds := func(n *Node) bool {
+				st, err := n.shards.Acquire("acme")
+				if err != nil {
+					return false
+				}
+				defer n.shards.Release("acme")
+				got, _, err := st.Get(1)
+				return err == nil && string(got) == "frame"
+			}
+			waitFor(t, "the record in both stores", func() bool { return holds(primary) && holds(follower) })
+			st, err := primary.shards.Acquire("acme")
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := st.End()
+			primary.shards.Release("acme")
+			if held == "primary" {
+				// The follower's half is done while the primary's fsync hangs.
+				if err := primary.sender.WaitDurable("acme", end, 5*time.Second); err != nil {
+					t.Fatalf("follower durability with the primary's fsync held: %v", err)
+				}
+			} else {
+				if err := primary.sender.WaitDurable("acme", end, 50*time.Millisecond); !errors.Is(err, replica.ErrReplTimeout) {
+					t.Fatalf("follower durability with the follower's fsync held: %v, want ErrReplTimeout", err)
+				}
+			}
+			if err := cli.Tick(50 * time.Millisecond); err != nil || acked {
+				t.Fatalf("with the %s's fsync held: acked=%v, %v", held, acked, err)
+			}
+			release()
+			if err := cli.Close(); err != nil || !acked {
+				t.Fatalf("after release: acked=%v, %v", acked, err)
+			}
+		})
 	}
 }
 

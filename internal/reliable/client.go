@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"sync"
 	"time"
 
 	"dbgc/internal/netproto"
@@ -131,6 +132,9 @@ type Client struct {
 	lastErr error
 	stats   Stats
 	closed  bool
+	// abort is closed by Abort, the one method another goroutine may call.
+	abort     chan struct{}
+	abortOnce sync.Once
 }
 
 type pframe struct {
@@ -188,6 +192,7 @@ func NewClient(cfg Options) (*Client, error) {
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
 		bySeq: make(map[uint64]*pframe),
+		abort: make(chan struct{}),
 	}, nil
 }
 
@@ -233,6 +238,37 @@ func (c *Client) Send(m netproto.Message) error {
 	return nil
 }
 
+// Connect dials now, with the usual backoff, if the client holds no
+// connection, instead of at the next Send — for a caller whose Dial hook
+// learns something the first frame depends on (the replication sender's
+// cursors come from its handshake).
+func (c *Client) Connect() error {
+	if c.closed {
+		return ErrClosed
+	}
+	if c.conn != nil {
+		return nil
+	}
+	return c.reconnect()
+}
+
+// Abort makes the reconnect loop — under way or yet to come — return
+// ErrClosed at once instead of dialing and backing off. It alone is safe to
+// call from another goroutine: the way out for an owner that shuts down
+// while the peer is unreachable. Frames whose connection then fails stay
+// unacknowledged.
+func (c *Client) Abort() { c.abortOnce.Do(func() { close(c.abort) }) }
+
+// sleep waits d out, or until Abort is called.
+func (c *Client) sleep(d time.Duration) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+	case <-c.abort:
+	}
+}
+
 // Flush blocks until every sent frame has been acknowledged.
 func (c *Client) Flush() error {
 	for len(c.pending) > 0 {
@@ -248,7 +284,11 @@ func (c *Client) Flush() error {
 // busy-held frames whose backoff expired, and otherwise waits up to d for
 // one more response. A quiet wait is not an error. Replication senders use
 // it to pump acks (and fire OnAck) while no new frames are being sent.
-func (c *Client) Tick(d time.Duration) error {
+func (c *Client) Tick(d time.Duration) error { return c.TickOr(d, nil) }
+
+// TickOr is Tick cut short when wake delivers: the wait of a caller that has
+// new frames announced to it while acks are still owed.
+func (c *Client) TickOr(d time.Duration, wake <-chan struct{}) error {
 	if c.closed {
 		return ErrClosed
 	}
@@ -273,6 +313,8 @@ func (c *Client) Tick(d time.Duration) error {
 			return c.reconnect()
 		}
 		return c.handleEvent(ev)
+	case <-wake:
+		return nil
 	case <-timer.C:
 		return nil
 	}
@@ -312,7 +354,7 @@ func (c *Client) heldCount() int {
 // busy-held frame in send order.
 func (c *Client) resendHeld() error {
 	if wait := time.Until(c.busyUntil); wait > 0 {
-		time.Sleep(wait)
+		c.sleep(wait)
 	}
 	// Events may have arrived during the sleep (e.g. acks for frames that
 	// were queued server-side); process them so we don't resend acked
@@ -407,6 +449,9 @@ func (c *Client) Stats() Stats { return c.stats }
 // awaitEvent blocks for the next ack/nack (up to AckTimeout) and processes
 // it; a timeout or connection error triggers reconnect-and-retransmit.
 func (c *Client) awaitEvent() error {
+	if c.conn == nil {
+		return c.reconnect() // an earlier reconnect gave up; no reader to wait for
+	}
 	timer := time.NewTimer(c.cfg.AckTimeout)
 	defer timer.Stop()
 	select {
@@ -611,7 +656,12 @@ func (c *Client) reconnect() error {
 		}
 		// Honor any outstanding retry-after hint before dialing back in.
 		if wait := time.Until(c.busyUntil); wait > 0 {
-			time.Sleep(wait)
+			c.sleep(wait)
+		}
+		select {
+		case <-c.abort:
+			return ErrClosed
+		default:
 		}
 		c.stalls++
 		conn, err := c.dial()
@@ -756,7 +806,7 @@ func (c *Client) sleepBackoff(attempt int) {
 		d = c.cfg.MaxBackoff
 	}
 	d = time.Duration(float64(d) * (0.5 + c.rng.Float64()))
-	time.Sleep(d)
+	c.sleep(d)
 }
 
 // readLoop forwards server responses to the event channel until the

@@ -310,12 +310,17 @@ func (r *Receiver) noteRejected() {
 	r.mu.Unlock()
 }
 
-// Digests computes every tenant's digest from the local shard set.
+// Digests computes the digest of every tenant in the store directory.
 func Digests(shards *store.Shards) (map[string]Digest, error) {
 	tenants, err := shards.Tenants()
 	if err != nil {
 		return nil, err
 	}
+	return digestsOf(shards, tenants)
+}
+
+// digestsOf computes the given tenants' digests from the local shard set.
+func digestsOf(shards *store.Shards, tenants []string) (map[string]Digest, error) {
 	out := make(map[string]Digest, len(tenants))
 	for _, tenant := range tenants {
 		st, err := shards.Acquire(tenant)

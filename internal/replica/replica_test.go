@@ -27,10 +27,18 @@ type follower struct {
 
 func startFollower(t *testing.T, dir string) *follower {
 	t.Helper()
+	return startFollowerOn(t, dir, nil)
+}
+
+// startFollowerOn is startFollower with the shard files opened by openFile
+// (nil: plain files).
+func startFollowerOn(t *testing.T, dir string, openFile func(path string) (store.File, error)) *follower {
+	t.Helper()
 	shards, err := store.OpenShards(dir, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shards.OpenFile = openFile
 	group := store.NewGroup(0)
 	recv, err := NewReceiver(shards, group, 4)
 	if err != nil {
@@ -151,7 +159,6 @@ func TestReplicationStreamsAndSyncWaits(t *testing.T) {
 		lastEnd = appendFrame(t, shards, "tenant00", seq, []byte{byte(seq), 1, 2, 3})
 		appendFrame(t, shards, "tenant01", seq, []byte{byte(seq), 9})
 	}
-	s.Kick()
 	if err := s.WaitDurable("tenant00", lastEnd, 10*time.Second); err != nil {
 		t.Fatalf("WaitDurable: %v", err)
 	}
@@ -204,7 +211,6 @@ func TestFollowerRestartCatchUp(t *testing.T) {
 	for seq := uint64(0); seq < 10; seq++ {
 		end = appendFrame(t, shards, "tenant00", seq, []byte{byte(seq)})
 	}
-	s.Kick()
 	if err := s.WaitDurable("tenant00", end, 10*time.Second); err != nil {
 		t.Fatalf("first batch: %v", err)
 	}
@@ -222,7 +228,6 @@ func TestFollowerRestartCatchUp(t *testing.T) {
 		t.Fatalf("restarted follower lost its watermark: %d", w)
 	}
 	s2 := startSender(t, shards, f2.addr, 0, 0)
-	s2.Kick()
 	if err := s2.WaitDurable("tenant00", end, 10*time.Second); err != nil {
 		t.Fatalf("catch-up: %v", err)
 	}
@@ -262,7 +267,6 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 	s := startSender(t, shards, f.addr, 0, 0)
 	defer func() { s.Stop(); s.Wait() }()
 	end := appendFrame(t, shards, "tenant00", 1, []byte("a"))
-	s.Kick()
 	if err := s.WaitDurable("tenant00", end, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +284,6 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 	}
 	// The running sender trips over the fence as soon as it ships again.
 	appendFrame(t, shards, "tenant00", 3, []byte("c"))
-	s.Kick()
 	waitFor(t, "sender fenced", func() bool { return s.Stats().Fenced })
 	// Promotion also opens the node to client traffic.
 	if _, _, refuse := f.receiver.NotReady(); refuse {
@@ -358,7 +361,6 @@ func TestScrubRepairsDivergence(t *testing.T) {
 	for seq := uint64(0); seq < 5; seq++ {
 		end = appendFrame(t, shards, "tenant00", seq, []byte{0xa0 | byte(seq)})
 	}
-	s.Kick()
 	if err := s.WaitDurable("tenant00", end, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package replica
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -26,7 +27,8 @@ var ErrStopped = errors.New("replica: sender stopped")
 
 // SenderConfig configures a Sender. Shards, Addr, and DialTo are required.
 type SenderConfig struct {
-	// Shards is the primary's shard set to tail.
+	// Shards is the primary's shard set. NewSender subscribes to its appends
+	// (store.Shards.Subscribe: one sender per shard set).
 	Shards *store.Shards
 	// Addr is the follower's replication address; DialTo opens a
 	// connection to it (the seam where faultnet links are injected).
@@ -35,11 +37,13 @@ type SenderConfig struct {
 	// Epoch is this primary's replication epoch (from LoadMeta /
 	// Promote). The follower fences anything older than what it has seen.
 	Epoch byte
-	// Poll bounds how long the ship loop sleeps between tail scans when
-	// nothing is happening (default 5ms); Kick wakes it early.
+	// Poll is how long the ship loop waits before retrying a pass that
+	// failed (default 5ms). Nothing polls for work: appends wake the loop.
 	Poll time.Duration
-	// BatchBytes bounds the payload bytes read per tenant per scan
-	// (default 1 MiB).
+	// BatchBytes bounds, per tenant, the record bytes handed from Append
+	// to the ship loop and not yet taken by it, and the payload bytes of one
+	// catch-up read (default 1 MiB). Appends past the bound are shipped
+	// from disk.
 	BatchBytes int
 	// ScrubInterval, when positive, runs the anti-entropy scrub that
 	// often: digest comparison per tenant, manifest diff where digests
@@ -65,8 +69,13 @@ type shipRef struct {
 
 // SenderStats is a snapshot of primary-side replication counters.
 type SenderStats struct {
-	Epoch        byte   `json:"epoch"`
-	Records      uint64 `json:"records_shipped"`
+	Epoch   byte   `json:"epoch"`
+	Records uint64 `json:"records_shipped"`
+	// FromMemory and FromDisk split Records by where the payload came from:
+	// the slice Append announced, or a catch-up read of the segment (start,
+	// a follower that was behind, a hand-off past BatchBytes, a failed pass).
+	FromMemory   uint64 `json:"records_from_memory"`
+	FromDisk     uint64 `json:"records_from_disk"`
 	ScrubShipped uint64 `json:"records_scrub_shipped"`
 	Scrubs       uint64 `json:"scrub_passes"`
 	ScrubErrors  uint64 `json:"scrub_errors"`
@@ -76,40 +85,85 @@ type SenderStats struct {
 	LinkUp       bool   `json:"link_up"`
 }
 
-// Sender tails every tenant shard on the primary and streams new records
-// to the follower. Reliability (windowed acks, retransmits, reconnect
-// backoff with jitter) comes from reliable.Client; the sender adds the
-// replication handshake, per-tenant cursors, the prev chain, sync-mode
+// tenantLink is the sender's view of one tenant's segment, in the primary's
+// offsets.
+type tenantLink struct {
+	// base is the segment's end when the sender first heard of the tenant:
+	// the start of the first record announced to it, or End() at its first
+	// catch-up read if that came first. Nothing at or past base was ever
+	// shipped by an earlier process from this segment as it is now.
+	base int64
+	// next is the cursor: the end of the newest shipped record and the prev
+	// of the one to ship next. Records ship in append order, so everything
+	// below next is on the wire or acked. Set once from min(the follower's
+	// watermark, base) — a follower can hold a tail the primary lost in a
+	// crash, and its watermark then lies past records not yet written.
+	next   int64
+	seeded bool
+	// end is the newest segment end announced (or seen by a catch-up read).
+	end int64
+	// queued counts the tenant's record bytes in the sender's queue.
+	queued int
+	// outstanding maps the end of each shipped, unacked record to its prev.
+	outstanding map[int64]int64
+}
+
+// announced is one append handed over by the store.
+type announced struct {
+	tenant string
+	rec    store.Record
+}
+
+// Sender streams every record appended to the primary's shards to the
+// follower, in each tenant's append order. Append announces a record to it
+// under the store mutex (store.Shards.Subscribe) and the ship loop sends it
+// from the announced payload, so a record is on the wire while the primary's
+// own fsync runs; the segment is read back only to catch up (records that
+// predate the process or that the follower lacks, a hand-off that outgrew
+// BatchBytes, a pass that failed). Reliability (windowed acks, retransmits,
+// reconnect backoff with jitter) comes from reliable.Client; the sender adds
+// the replication handshake, per-tenant cursors, the prev chain, sync-mode
 // durability waits, and the anti-entropy scrub.
 //
 // All client interaction happens on the Run goroutine; WaitDurable, Kick,
 // and Stats are safe to call from any goroutine.
 type Sender struct {
-	cfg    SenderConfig
-	client *reliable.Client
+	cfg         SenderConfig
+	client      *reliable.Client
+	unsubscribe func()
 
-	mu          sync.Mutex
-	next        map[string]int64              // per-tenant read cursor (primary offsets)
-	prevEnd     map[string]int64              // end of the last shipped record (prev chain)
-	shippedTo   map[string]int64              // end of the newest shipped record
-	outstanding map[string]map[int64]struct{} // shipped-but-unacked record ends
-	inflight    map[uint64]shipRef            // link seq → record
-	waitCh      chan struct{}                 // closed+replaced on every ack
-	linkSeq     uint64
-	initialized bool // cursors seeded from the follower's watermarks
-	fenced      bool
-	linkUp      bool
-	records     uint64
-	scrubShip   uint64
-	scrubs      uint64
-	scrubErrs   uint64
+	// behind holds the tenants whose cursor trails records no queued
+	// announcement carries — at first every tenant in the directory — and
+	// each gets a catch-up read. Run goroutine only.
+	behind map[string]struct{}
+
+	// mu is taken under a store's mutex (onAppend): never call into the
+	// shard set while holding it.
+	mu         sync.Mutex
+	links      map[string]*tenantLink
+	queue      []announced         // appends not yet taken by the ship loop
+	dropped    map[string]struct{} // tenants with an append past BatchBytes, not queued
+	wm         map[string]int64    // the follower's watermarks at the first handshake
+	inflight   map[uint64]shipRef  // link seq → record
+	waitCh     chan struct{}       // closed+replaced by notifyLocked
+	linkSeq    uint64
+	fenced     bool
+	linkUp     bool
+	fromMemory uint64
+	fromDisk   uint64
+	scrubShip  uint64
+	scrubs     uint64
+	scrubErrs  uint64
 
 	kick chan struct{}
 	stop chan struct{}
 	done chan struct{}
 }
 
-// NewSender validates cfg and builds the sender; Run starts shipping.
+// NewSender validates cfg, builds the sender, subscribes it to the shard
+// set's appends and lists the store directory, once: the tenants in it get a
+// catch-up read, and every other tenant is heard of through its appends. Run
+// starts shipping.
 func NewSender(cfg SenderConfig) (*Sender, error) {
 	if cfg.Shards == nil || cfg.Addr == "" || cfg.DialTo == nil {
 		return nil, errors.New("replica: SenderConfig needs Shards, Addr, and DialTo")
@@ -130,16 +184,15 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Sender{
-		cfg:         cfg,
-		next:        make(map[string]int64),
-		prevEnd:     make(map[string]int64),
-		shippedTo:   make(map[string]int64),
-		outstanding: make(map[string]map[int64]struct{}),
-		inflight:    make(map[uint64]shipRef),
-		waitCh:      make(chan struct{}),
-		kick:        make(chan struct{}, 1),
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		cfg:      cfg,
+		links:    make(map[string]*tenantLink),
+		behind:   make(map[string]struct{}),
+		dropped:  make(map[string]struct{}),
+		inflight: make(map[uint64]shipRef),
+		waitCh:   make(chan struct{}),
+		kick:     make(chan struct{}, 1),
+		stop:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
 	client, err := reliable.NewClient(reliable.Options{
 		Dial:        func() (net.Conn, error) { return s.dialAndHandshake(cfg.Addr) },
@@ -156,7 +209,43 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 		return nil, err
 	}
 	s.client = client
+	s.unsubscribe = cfg.Shards.Subscribe(s.onAppend)
+	tenants, err := cfg.Shards.Tenants()
+	if err != nil {
+		s.unsubscribe()
+		return nil, fmt.Errorf("replica: listing %s: %w", cfg.Shards.Dir(), err)
+	}
+	for _, tenant := range tenants {
+		s.behind[tenant] = struct{}{}
+	}
 	return s, nil
+}
+
+// onAppend is the store's announcement of one append. It runs under that
+// store's mutex: enqueue and return.
+func (s *Sender) onAppend(tenant string, rec store.Record) {
+	s.mu.Lock()
+	l := s.linkLocked(tenant, rec.Off)
+	l.end = rec.End
+	if size := int(rec.End - rec.Off); l.queued == 0 || l.queued+size <= s.cfg.BatchBytes {
+		s.queue = append(s.queue, announced{tenant: tenant, rec: rec})
+		l.queued += size
+	} else {
+		s.dropped[tenant] = struct{}{}
+	}
+	s.mu.Unlock()
+	s.Kick()
+}
+
+// linkLocked returns the tenant's link, creating it with the given base.
+// Caller holds s.mu.
+func (s *Sender) linkLocked(tenant string, base int64) *tenantLink {
+	l := s.links[tenant]
+	if l == nil {
+		l = &tenantLink{base: base, outstanding: make(map[int64]int64)}
+		s.links[tenant] = l
+	}
+	return l
 }
 
 // Run ships records until Stop (or a fencing refusal, which means this
@@ -164,6 +253,7 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 func (s *Sender) Run() {
 	defer close(s.done)
 	defer s.client.Close()
+	defer s.unsubscribe()
 	var lastScrub time.Time
 	for {
 		select {
@@ -193,34 +283,48 @@ func (s *Sender) Run() {
 			}
 		}
 		if n > 0 {
-			continue // keep draining the tail at full speed
+			continue // more may have been announced meanwhile
 		}
 		if s.client.InFlight() > 0 {
-			s.noteErr("ack pump", s.client.Tick(s.cfg.Poll))
+			s.noteErr("ack pump", s.client.TickOr(s.cfg.Poll, s.kick))
 			continue
 		}
+		// Idle: an append wakes the loop. The timer is for a pass that left
+		// work undone, and otherwise for the next scrub.
+		wait := time.Duration(math.MaxInt64)
+		switch {
+		case err != nil || len(s.behind) > 0:
+			wait = s.cfg.Poll
+		case s.cfg.ScrubInterval > 0:
+			wait = time.Until(lastScrub.Add(s.cfg.ScrubInterval))
+		}
+		timer := time.NewTimer(wait)
 		select {
 		case <-s.kick:
-		case <-time.After(s.cfg.Poll):
+		case <-timer.C:
 		case <-s.stop:
 		}
+		timer.Stop()
 	}
 }
 
-// Stop signals the ship loop to exit; Wait blocks until it has.
+// Stop signals the ship loop to exit; Wait blocks until it has. Records in
+// flight are waited for while the link holds; a link that is down is not
+// redialed.
 func (s *Sender) Stop() {
 	select {
 	case <-s.stop:
 	default:
 		close(s.stop)
 	}
+	s.client.Abort()
 }
 
 // Wait blocks until Run has returned.
 func (s *Sender) Wait() { <-s.done }
 
-// Kick wakes the ship loop early (call after appending records a sync-mode
-// handler is about to wait on).
+// Kick wakes the ship loop. Append does it for every record; nothing else
+// needs to.
 func (s *Sender) Kick() {
 	select {
 	case s.kick <- struct{}{}:
@@ -229,35 +333,26 @@ func (s *Sender) Kick() {
 }
 
 // Stats snapshots the sender's counters and computes the replication lag:
-// bytes appended locally but not yet follower-durable, summed over
-// tenants.
+// bytes appended locally but not yet follower-durable, summed over the
+// tenants the sender has heard of (an append, or the catch-up at start).
 func (s *Sender) Stats() SenderStats {
-	ends := make(map[string]int64)
-	if tenants, err := s.cfg.Shards.Tenants(); err == nil {
-		for _, tenant := range tenants {
-			if st, err := s.cfg.Shards.Acquire(tenant); err == nil {
-				ends[tenant] = st.End()
-				s.cfg.Shards.Release(tenant)
-			}
-		}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var lag int64
-	for tenant, end := range ends {
-		durable := s.shippedTo[tenant]
-		for e := range s.outstanding[tenant] {
-			if e <= durable {
-				durable = e - 1
-			}
+	for _, l := range s.links {
+		durable := l.next
+		for _, prev := range l.outstanding {
+			durable = min(durable, prev)
 		}
-		if d := end - durable; d > 0 {
+		if d := l.end - durable; d > 0 {
 			lag += d
 		}
 	}
 	return SenderStats{
 		Epoch:        s.cfg.Epoch,
-		Records:      s.records,
+		Records:      s.fromMemory + s.fromDisk,
+		FromMemory:   s.fromMemory,
+		FromDisk:     s.fromDisk,
 		ScrubShipped: s.scrubShip,
 		Scrubs:       s.scrubs,
 		ScrubErrors:  s.scrubErrs,
@@ -310,12 +405,15 @@ func (s *Sender) WaitDurable(tenant string, end int64, timeout time.Duration) er
 }
 
 // durableLocked reports whether everything at or below end has been acked.
-// Caller holds s.mu.
+// Every appended record ships, in append order, so the cursor passing end
+// means the record ending there is on the wire and no later copy of its
+// sequence number stands in for it. Caller holds s.mu.
 func (s *Sender) durableLocked(tenant string, end int64) bool {
-	if s.shippedTo[tenant] < end {
+	l := s.links[tenant]
+	if l == nil || l.next < end {
 		return false // not even on the wire yet
 	}
-	for e := range s.outstanding[tenant] {
+	for e := range l.outstanding {
 		if e <= end {
 			return false
 		}
@@ -345,9 +443,15 @@ func (s *Sender) isFenced() bool {
 func (s *Sender) setFenced() {
 	s.mu.Lock()
 	s.fenced = true
+	s.notifyLocked()
+	s.mu.Unlock()
+	s.client.Abort() // a deposed primary has nobody to redial
+}
+
+// notifyLocked has every WaitDurable look again. Caller holds s.mu.
+func (s *Sender) notifyLocked() {
 	close(s.waitCh)
 	s.waitCh = make(chan struct{})
-	s.mu.Unlock()
 }
 
 // onAck runs on the ship goroutine whenever the follower acks a record.
@@ -355,66 +459,141 @@ func (s *Sender) onAck(seq uint64) {
 	s.mu.Lock()
 	if ref, ok := s.inflight[seq]; ok {
 		delete(s.inflight, seq)
-		if out := s.outstanding[ref.tenant]; out != nil {
-			delete(out, ref.end)
-		}
-		close(s.waitCh)
-		s.waitCh = make(chan struct{})
+		delete(s.links[ref.tenant].outstanding, ref.end)
+		s.notifyLocked()
 	}
 	s.mu.Unlock()
 }
 
-// shipOnce scans every tenant's tail past its cursor and ships what it
-// finds, returning how many records went out.
-func (s *Sender) shipOnce() (int, error) {
-	tenants, err := s.cfg.Shards.Tenants()
-	if err != nil {
+// shipOnce ships what Append has announced since the last pass, from memory
+// where a record continues its tenant's cursor, and catches up from disk the
+// tenants where it does not. It returns how many records went out. Nothing
+// ships before the link is up: the handshake brings the follower's
+// watermarks, which the cursors are seeded from.
+func (s *Sender) shipOnce() (shipped int, err error) {
+	if err := s.client.Connect(); err != nil {
 		return 0, err
 	}
-	shipped := 0
-	for _, tenant := range tenants {
-		st, err := s.cfg.Shards.Acquire(tenant)
-		if err != nil {
-			return shipped, err
-		}
-		s.mu.Lock()
-		cursor := s.next[tenant]
-		s.mu.Unlock()
-		var recs []store.Record
-		if st.End() > cursor {
-			recs, err = st.ReadSince(cursor, s.cfg.BatchBytes)
-		}
-		s.cfg.Shards.Release(tenant)
-		if err != nil {
-			return shipped, fmt.Errorf("replica: reading %s tail: %w", tenant, err)
-		}
-		for _, rec := range recs {
-			s.mu.Lock()
-			prev := s.prevEnd[tenant]
-			s.mu.Unlock()
-			err := s.ship(Record{
-				Epoch: s.cfg.Epoch, Tenant: tenant,
-				Seq: rec.Seq, Kind: rec.Kind,
-				End: rec.End, Prev: prev,
-				CRC: rec.CRC, Payload: rec.Payload,
-			}, true)
-			if err != nil {
-				// The cursor was not advanced; the record is re-read on
-				// the next pass.
+	s.mu.Lock()
+	queue := s.queue
+	s.queue = nil
+	for _, a := range queue {
+		s.links[a.tenant].queued = 0
+	}
+	for tenant := range s.dropped {
+		s.behind[tenant] = struct{}{}
+		delete(s.dropped, tenant)
+	}
+	s.mu.Unlock()
+	for i, a := range queue {
+		switch next := s.cursor(a.tenant); {
+		case a.rec.End <= next:
+			// A catch-up read got to it before its announcement did.
+		case a.rec.Off != next:
+			s.behind[a.tenant] = struct{}{} // what lies between was not queued
+		default:
+			if err := s.shipNext(a.tenant, a.rec, &s.fromMemory); err != nil {
+				for _, rest := range queue[i:] {
+					s.behind[rest.tenant] = struct{}{}
+				}
 				return shipped, err
 			}
-			s.mu.Lock()
-			s.next[tenant] = rec.End
-			s.prevEnd[tenant] = rec.End
-			if rec.End > s.shippedTo[tenant] {
-				s.shippedTo[tenant] = rec.End
-			}
-			s.records++
-			s.mu.Unlock()
 			shipped++
 		}
 	}
+	// A tenant stays behind past a pass that failed or a read that filled
+	// its batch; the next pass goes on from its cursor.
+	for tenant := range s.behind {
+		n, caughtUp, err := s.catchUp(tenant)
+		shipped += n
+		if err != nil {
+			return shipped, err
+		}
+		if caughtUp {
+			delete(s.behind, tenant)
+		}
+	}
 	return shipped, nil
+}
+
+// cursor returns an announced tenant's cursor, seeding it on first use.
+func (s *Sender) cursor(tenant string) int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seedLocked(tenant, s.links[tenant])
+}
+
+// seedLocked sets a link's cursor, once, to min(the follower's watermark,
+// the link's base) and returns the cursor. Caller holds s.mu; the handshake
+// has happened.
+func (s *Sender) seedLocked(tenant string, l *tenantLink) int64 {
+	if !l.seeded {
+		l.seeded = true
+		l.next = min(s.wm[tenant], l.base)
+		s.notifyLocked() // what the follower already holds is durable without an ack
+	}
+	return l.next
+}
+
+// catchUp ships one batch of a tenant's records from disk, from its cursor
+// on, and reports whether that reached the segment's end.
+func (s *Sender) catchUp(tenant string) (shipped int, caughtUp bool, err error) {
+	st, err := s.cfg.Shards.Acquire(tenant)
+	if err != nil {
+		return 0, false, err
+	}
+	end := st.End()
+	s.mu.Lock()
+	// If the link is new no append was announced before this lock was taken,
+	// so end is where the segment stood when the sender subscribed.
+	l := s.linkLocked(tenant, end)
+	l.end = max(l.end, end)
+	next := s.seedLocked(tenant, l)
+	s.mu.Unlock()
+	var recs []store.Record
+	if end > next {
+		recs, err = st.ReadSince(next, s.cfg.BatchBytes)
+	}
+	s.cfg.Shards.Release(tenant)
+	if err != nil {
+		return 0, false, fmt.Errorf("replica: reading %s tail: %w", tenant, err)
+	}
+	for _, rec := range recs {
+		if err := s.shipNext(tenant, rec, &s.fromDisk); err != nil {
+			return shipped, false, err
+		}
+		shipped++
+	}
+	return shipped, len(recs) == 0 || recs[len(recs)-1].End >= end, nil
+}
+
+// shipNext ships the record that continues the tenant's cursor and advances
+// it, counting the record in from (guarded by s.mu). On error the cursor
+// stays, and the record is read again from disk.
+func (s *Sender) shipNext(tenant string, rec store.Record, from *uint64) error {
+	s.mu.Lock()
+	l := s.links[tenant]
+	prev := l.next
+	s.mu.Unlock()
+	err := s.ship(Record{
+		Epoch: s.cfg.Epoch, Tenant: tenant,
+		Seq: rec.Seq, Kind: rec.Kind,
+		End: rec.End, Prev: prev,
+		CRC: rec.CRC, Payload: rec.Payload,
+	}, true)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	l.next = rec.End
+	*from++
+	if _, unacked := l.outstanding[rec.End]; !unacked {
+		// Send waited for room in the window and this record's own ack came
+		// in meanwhile, when the cursor did not cover it yet.
+		s.notifyLocked()
+	}
+	s.mu.Unlock()
+	return nil
 }
 
 // ship encodes and sends one record. Tracked records join the outstanding
@@ -425,12 +604,7 @@ func (s *Sender) ship(rec Record, track bool) error {
 	seq := s.linkSeq
 	if track {
 		s.inflight[seq] = shipRef{tenant: rec.Tenant, end: rec.End}
-		out := s.outstanding[rec.Tenant]
-		if out == nil {
-			out = make(map[int64]struct{})
-			s.outstanding[rec.Tenant] = out
-		}
-		out[rec.End] = struct{}{}
+		s.links[rec.Tenant].outstanding[rec.End] = rec.Prev
 	}
 	s.mu.Unlock()
 	err := s.client.Send(netproto.Message{
@@ -440,9 +614,7 @@ func (s *Sender) ship(rec Record, track bool) error {
 		s.mu.Lock()
 		if _, still := s.inflight[seq]; still {
 			delete(s.inflight, seq)
-			if out := s.outstanding[rec.Tenant]; out != nil {
-				delete(out, rec.End)
-			}
+			delete(s.links[rec.Tenant].outstanding, rec.End)
 		}
 		s.mu.Unlock()
 		if isFencedReason(err.Error()) {
@@ -456,10 +628,10 @@ func (s *Sender) ship(rec Record, track bool) error {
 
 // dialAndHandshake is the reliable.Client dial hook: it opens the
 // connection and completes the ModeStream handshake before the client's
-// reader attaches, seeding the cursors from the follower's watermarks on
-// the first successful exchange (later reconnects keep the cursors —
-// unacked records are retransmitted by the client, acked ones are durable
-// on the follower, so no rewind is ever needed).
+// reader attaches, keeping the follower's watermarks of the first
+// successful exchange for the cursors to be seeded from (later reconnects
+// keep the cursors — unacked records are retransmitted by the client, acked
+// ones are durable on the follower, so no rewind is ever needed).
 func (s *Sender) dialAndHandshake(addr string) (net.Conn, error) {
 	select {
 	case <-s.stop:
@@ -505,13 +677,8 @@ func (s *Sender) dialAndHandshake(addr string) (net.Conn, error) {
 				return nil, err
 			}
 			s.mu.Lock()
-			if !s.initialized {
-				s.initialized = true
-				for tenant, w := range wm {
-					s.next[tenant] = w
-					s.prevEnd[tenant] = w
-					s.shippedTo[tenant] = w
-				}
+			if s.wm == nil {
+				s.wm = wm
 			}
 			s.linkUp = true
 			s.mu.Unlock()
@@ -618,7 +785,13 @@ func (s *Sender) scrub() {
 		fail("digest decode", err)
 		return
 	}
-	local, err := Digests(s.cfg.Shards)
+	s.mu.Lock()
+	tenants := make([]string, 0, len(s.links))
+	for tenant := range s.links {
+		tenants = append(tenants, tenant)
+	}
+	s.mu.Unlock()
+	local, err := digestsOf(s.cfg.Shards, tenants)
 	if err != nil {
 		fail("local digests", err)
 		return

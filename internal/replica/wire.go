@@ -1,6 +1,7 @@
 // Package replica implements primary→follower replication of the frame
-// stores: the primary tails every tenant shard and streams records to a
-// follower over the netproto replication dialect (KindReplHello /
+// stores: the primary's shards announce every append to the sender, which
+// streams the records — from the announced payload, or from the segment when
+// it has to catch up — to a follower over the netproto replication dialect (KindReplHello /
 // KindReplRecord / KindReplAck), the follower verifies each record's
 // CRC32-C, applies it, makes it durable, and acks.
 //
@@ -19,10 +20,12 @@
 // offset of its predecessor (the prev chain); W advances only when a
 // record's prev is at or below W, so retransmit-induced reordering can
 // never open a hole under the watermark. Out-of-order arrivals are parked
-// and drained once the chain closes. After a follower restart the primary
-// restarts its cursors at the watermarks the follower reports in the
-// stream handshake — anything above W is re-shipped, and re-application is
-// idempotent (the store's last-Put-wins shadowing).
+// and drained once the chain closes. A sender starts each tenant's cursor at
+// the watermark the follower reports in its first stream handshake, or at
+// the end its own segment had when it started if that is lower (a primary
+// that lost an un-fsynced tail the follower already holds) — anything above
+// is re-shipped, and re-application is idempotent (the store's last-Put-wins
+// shadowing).
 //
 // # Anti-entropy scrub
 //

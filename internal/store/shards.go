@@ -35,8 +35,14 @@ type Shards struct {
 
 	mu     sync.Mutex
 	open   map[string]*shard
+	sub    *subscription
 	useSeq uint64
 	closed bool
+}
+
+// subscription is a Subscribe call; its address tells it from a later one.
+type subscription struct {
+	fn func(tenant string, rec Record)
 }
 
 type shard struct {
@@ -107,8 +113,48 @@ func (s *Shards) Acquire(tenant string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: opening shard %q: %w", tenant, err)
 	}
+	st.setAnnounce(s.announcerLocked(tenant))
 	s.open[tenant] = &shard{st: st, refs: 1, lastUse: s.useSeq}
 	return st, nil
+}
+
+// Subscribe has fn told of every record appended from now on to any shard
+// of the set, open already or opened later: the tenant, the record's info
+// (the CRC Append computed included) and the payload slice Append was given.
+// fn runs under the appending store's mutex, so in that shard's append order
+// and before any reader can see the record; it must not block and must not
+// call into the store. The set has one subscriber — the replication sender —
+// and a later Subscribe replaces an earlier one; cancel removes fn unless
+// that has happened.
+func (s *Shards) Subscribe(fn func(tenant string, rec Record)) (cancel func()) {
+	sub := &subscription{fn: fn}
+	s.mu.Lock()
+	s.setSubLocked(sub)
+	s.mu.Unlock()
+	return func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.sub == sub {
+			s.setSubLocked(nil)
+		}
+	}
+}
+
+func (s *Shards) setSubLocked(sub *subscription) {
+	s.sub = sub
+	for tenant, sh := range s.open {
+		sh.st.setAnnounce(s.announcerLocked(tenant))
+	}
+}
+
+// announcerLocked binds the subscriber to one tenant's store (nil without a
+// subscriber).
+func (s *Shards) announcerLocked(tenant string) func(Record) {
+	if s.sub == nil {
+		return nil
+	}
+	fn := s.sub.fn
+	return func(rec Record) { fn(tenant, rec) }
 }
 
 // Release unpins a store returned by Acquire.

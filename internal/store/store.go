@@ -77,21 +77,20 @@ func (f osFile) Size() (int64, error) {
 
 // Store is an append-only frame store. It is safe for concurrent use.
 type Store struct {
-	mu    sync.Mutex // guards index and end, and orders appends
-	f     File
-	index map[uint64]recordPos
+	mu sync.Mutex // guards log, index, end and announce, and orders appends
+	f  File
+	// log is every record of the segment in append (= offset) order, shadowed
+	// copies included; index maps a sequence number to the log position of
+	// its live copy.
+	log   []RecordInfo
+	index map[uint64]int
 	end   int64
+	// announce, when set (Shards.Subscribe), is told of every append under mu.
+	announce func(Record)
 
 	// syncMu keeps Close from closing the file under a Sync in flight; Sync
 	// holds it instead of mu, so appends flow during an fsync.
 	syncMu sync.Mutex
-}
-
-type recordPos struct {
-	off  int64
-	size uint32
-	crc  uint32
-	kind byte
 }
 
 // record layout: seq (8) | kind (1) | size (4) | crc32c (4) | payload.
@@ -122,7 +121,7 @@ func Open(path string) (*Store, error) {
 // from its contents. The caller keeps responsibility for directory-entry
 // durability of newly created files (Open handles it for paths).
 func OpenWith(f File) (*Store, error) {
-	s := &Store{f: f, index: make(map[uint64]recordPos)}
+	s := &Store{f: f, index: make(map[uint64]int)}
 	if err := s.rebuild(); err != nil {
 		f.Close()
 		return nil, err
@@ -181,11 +180,27 @@ func (s *Store) rebuild() error {
 		if sum.Sum32() != want {
 			break // corrupt record: stop and truncate here
 		}
-		s.index[seq] = recordPos{off: off, size: size, crc: want, kind: kind}
+		s.index[seq] = len(s.log)
+		s.log = append(s.log, RecordInfo{Seq: seq, Kind: kind, Size: size, CRC: want, Off: off, End: next})
 		off = next
 	}
 	s.end = off
 	return s.f.Truncate(off)
+}
+
+// liveLocked returns the live copy of seq. Caller holds s.mu.
+func (s *Store) liveLocked(seq uint64) (RecordInfo, bool) {
+	i, ok := s.index[seq]
+	if !ok {
+		return RecordInfo{}, false
+	}
+	return s.log[i], true
+}
+
+func (s *Store) setAnnounce(fn func(Record)) {
+	s.mu.Lock()
+	s.announce = fn
+	s.mu.Unlock()
 }
 
 // Put appends a frame record. A later Put with the same sequence number
@@ -198,7 +213,8 @@ func (s *Store) Put(seq uint64, kind byte, payload []byte) error {
 // Append is Put returning the segment end offset after the new record —
 // the position a replication sender can wait on: once the follower's
 // acknowledged watermark reaches end, this record (and everything appended
-// before it) is replicated.
+// before it) is replicated. A subscriber (Shards.Subscribe) is handed payload
+// itself, not a copy: the caller must not modify it afterwards.
 func (s *Store) Append(seq uint64, kind byte, payload []byte) (end int64, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -212,7 +228,7 @@ func (s *Store) Append(seq uint64, kind byte, payload []byte) (end int64, err er
 func (s *Store) Quarantine(seq uint64, payload []byte) (written bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if pos, ok := s.index[seq]; ok && pos.kind != KindQuarantined {
+	if live, ok := s.liveLocked(seq); ok && live.Kind != KindQuarantined {
 		return false, nil
 	}
 	_, err = s.appendLocked(seq, KindQuarantined, payload)
@@ -232,8 +248,16 @@ func (s *Store) appendLocked(seq uint64, kind byte, payload []byte) (end int64, 
 	if _, err := s.f.WriteAt(payload, s.end+recordHeader); err != nil {
 		return s.end, fmt.Errorf("store: writing payload: %w", err)
 	}
-	s.index[seq] = recordPos{off: s.end, size: uint32(len(payload)), crc: crc, kind: kind}
-	s.end += recordHeader + int64(len(payload))
+	info := RecordInfo{
+		Seq: seq, Kind: kind, Size: uint32(len(payload)), CRC: crc,
+		Off: s.end, End: s.end + recordHeader + int64(len(payload)),
+	}
+	s.index[seq] = len(s.log)
+	s.log = append(s.log, info)
+	s.end = info.End
+	if s.announce != nil {
+		s.announce(Record{RecordInfo: info, Payload: payload})
+	}
 	return s.end, nil
 }
 
@@ -241,24 +265,24 @@ func (s *Store) appendLocked(seq uint64, kind byte, payload []byte) (end int64, 
 // number.
 func (s *Store) Get(seq uint64) ([]byte, byte, error) {
 	s.mu.Lock()
-	pos, ok := s.index[seq]
+	pos, ok := s.liveLocked(seq)
 	s.mu.Unlock()
 	if !ok {
 		return nil, 0, ErrNotFound
 	}
 	var hdr [recordHeader]byte
-	if _, err := s.f.ReadAt(hdr[:], pos.off); err != nil {
+	if _, err := s.f.ReadAt(hdr[:], pos.Off); err != nil {
 		return nil, 0, err
 	}
-	payload := make([]byte, pos.size)
-	if _, err := s.f.ReadAt(payload, pos.off+recordHeader); err != nil {
+	payload := make([]byte, pos.Size)
+	if _, err := s.f.ReadAt(payload, pos.Off+recordHeader); err != nil {
 		return nil, 0, err
 	}
 	want := binary.LittleEndian.Uint32(hdr[13:])
 	if crc32.Checksum(payload, castagnoli) != want {
 		return nil, 0, ErrCorrupt
 	}
-	return payload, pos.kind, nil
+	return payload, pos.Kind, nil
 }
 
 // Kind reports the stored kind of the frame with the given sequence
@@ -266,8 +290,8 @@ func (s *Store) Get(seq uint64) ([]byte, byte, error) {
 func (s *Store) Kind(seq uint64) (byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pos, ok := s.index[seq]
-	return pos.kind, ok
+	live, ok := s.liveLocked(seq)
+	return live.Kind, ok
 }
 
 // Sync flushes to stable storage every record whose Append returned before
@@ -309,9 +333,9 @@ func (s *Store) End() int64 {
 	return s.end
 }
 
-// RecordInfo describes one live record without its payload: identity,
-// payload checksum, and segment extent in append order. Manifest entries
-// are what the anti-entropy scrub compares across replicas.
+// RecordInfo describes one record without its payload: identity, payload
+// checksum, and segment extent in append order. Manifest entries are what
+// the anti-entropy scrub compares across replicas.
 type RecordInfo struct {
 	Seq  uint64
 	Kind byte
@@ -321,55 +345,50 @@ type RecordInfo struct {
 	End  int64  // record end offset (Off + header + Size)
 }
 
-// Record is a live record with its payload, as read back for replication.
+// Record is a record with its payload, as handed to replication: announced
+// by Append, or read back by ReadSince.
 type Record struct {
 	RecordInfo
 	Payload []byte
 }
 
-// Manifest returns every live record (shadowed duplicates excluded),
-// sorted by segment offset — the store's append order restricted to the
-// surviving records.
+// Manifest returns every live record (shadowed duplicates excluded) in
+// segment order — the store's append order restricted to the surviving
+// records.
 func (s *Store) Manifest() []RecordInfo {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make([]RecordInfo, 0, len(s.index))
-	for seq, pos := range s.index {
-		out = append(out, RecordInfo{
-			Seq: seq, Kind: pos.kind, Size: pos.size, CRC: pos.crc,
-			Off: pos.off, End: pos.off + recordHeader + int64(pos.size),
-		})
+	for i, info := range s.log {
+		if s.index[info.Seq] == i {
+			out = append(out, info)
+		}
 	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Off < out[j].Off })
 	return out
 }
 
-// ReadSince returns live records whose start offset is at or past from, in
-// append order, stopping after maxBytes of payload (at least one record is
-// returned when any qualifies; maxBytes <= 0 means no byte bound). Each
-// payload is checksum-verified on read. This is the replication tail: a
-// sender keeps a cursor at the end offset of the last shipped record and
-// reads forward from it.
+// ReadSince returns the records whose start offset is at or past from —
+// every appended record, shadowed copies included — in append order, stopping
+// after maxBytes of payload (at least one record is returned when any
+// qualifies; maxBytes <= 0 means no byte bound). Each payload is
+// checksum-verified on read. This is the replication catch-up path: a sender
+// whose cursor (the end offset of the last shipped record) trails what Append
+// announced to it reads forward from there. The store mutex is held for a
+// binary search and the copy of the batch's infos, whatever the segment holds.
 func (s *Store) ReadSince(from int64, maxBytes int) ([]Record, error) {
 	s.mu.Lock()
-	infos := make([]RecordInfo, 0, 8)
-	for seq, pos := range s.index {
-		if pos.off < from {
-			continue
-		}
-		infos = append(infos, RecordInfo{
-			Seq: seq, Kind: pos.kind, Size: pos.size, CRC: pos.crc,
-			Off: pos.off, End: pos.off + recordHeader + int64(pos.size),
-		})
-	}
-	s.mu.Unlock()
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Off < infos[j].Off })
-	out := make([]Record, 0, len(infos))
-	budget := maxBytes
-	for _, info := range infos {
-		if maxBytes > 0 && budget < int(info.Size) && len(out) > 0 {
+	lo := sort.Search(len(s.log), func(i int) bool { return s.log[i].Off >= from })
+	hi, budget := lo, maxBytes
+	for ; hi < len(s.log); hi++ {
+		if maxBytes > 0 && hi > lo && budget < int(s.log[hi].Size) {
 			break
 		}
+		budget -= int(s.log[hi].Size)
+	}
+	infos := slices.Clone(s.log[lo:hi])
+	s.mu.Unlock()
+	out := make([]Record, 0, len(infos))
+	for _, info := range infos {
 		payload := make([]byte, info.Size)
 		if _, err := s.f.ReadAt(payload, info.Off+recordHeader); err != nil {
 			return out, fmt.Errorf("store: reading record %d: %w", info.Seq, err)
@@ -378,7 +397,6 @@ func (s *Store) ReadSince(from int64, maxBytes int) ([]Record, error) {
 			return out, fmt.Errorf("store: record %d: %w", info.Seq, ErrCorrupt)
 		}
 		out = append(out, Record{RecordInfo: info, Payload: payload})
-		budget -= int(info.Size)
 	}
 	return out, nil
 }
