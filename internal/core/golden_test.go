@@ -34,7 +34,8 @@ func pointsSHA(pc geom.PointCloud) string {
 
 // TestCompressGolden pins, for two full frames under every container
 // dialect the codec emits by option (v2 default and exact clustering, v3
-// sharded, v5 context-modeled), the compressed bytes, the decoded points
+// sharded, v4 blockpacked, v5 context-modeled alone and over either, and
+// the octree outlier mode), the compressed bytes, the decoded points
 // and the points of a lane-box region decode, at GOMAXPROCS 1 and 4 alike. The point hashes and the byte hashes of the context-modeled rows
 // were recorded before the clustering window sums (PR 12), the arithmetic
 // coder and the decoders' memory handling (PR 13) were rewritten; they say
@@ -45,17 +46,33 @@ func pointsSHA(pc geom.PointCloud) string {
 // format, other DEFLATE bytes, and parentBytes — the frame's size before
 // that — is what each of those frames may not exceed. (The context-modeled
 // rows did not move: there the θ streams go to a coder that beats either
-// DEFLATE.) A change that means to alter a hash updates it here.
+// DEFLATE.) The blockpack, combined and outlier-octree rows were recorded at
+// commit a8d4062, before the dialect → coder decision moved into
+// internal/streamcodec (PR 23); their parentBytes is the size they had
+// then. A change that means to alter a hash updates it here.
 func TestCompressGolden(t *testing.T) {
 	// Exact clustering labels a few points differently, so it decodes to
-	// other points; the sharded and context-modeled dialects code the same
-	// symbols as the default, so they decode to the same ones.
+	// other points, and the octree outlier mode snaps outliers to other
+	// cell centres; the sharded, blockpacked and context-modeled dialects
+	// code the same symbols as the default, so they decode to the same ones.
 	const (
 		cityPts  = "eddd57313485ff508721cc91e400b7d19d8184979e11b059876225d714e0d2a1"
 		cityLane = "80891f6c185194decce38070457a355764d0a4be2946cea349b811b0590ed186"
 		roadPts  = "cba9c9dd8771228d4481e2f03226d42863a8083e02d22949289ff4a545345625"
 		roadLane = "8d2c71de5cb42628fae9d34226b9503d006c5b4b95a95c918ffbc199063c2373"
+
+		cityOctPts  = "b2a10cef01bc81785deaaae7a46003d60caf9498f648826f66c2d6e2b1d1f9cd"
+		cityOctLane = "dd88e60ae2030188c326cb197f36df8e5c6345cf4d0f850c3cce8a1151c1c9fa"
+		roadOctPts  = "e2436a27564d72a5d83298ca7b2875fced5161efc08c1bb204bbdb4e9a4de7ed"
+		roadOctLane = "e3d150ae63e7c6d5c9a2706de7a4511dd17ea576ce6e4ded3eea6397248d8e4f"
 	)
+	blockpack := func(o *Options) { o.BlockPackForce = true }
+	shards8 := func(o *Options) { o.Shards = 8 }
+	ctx := func(o *Options) { o.ContextModel = true }
+	outlierOctree := func(o *Options) { o.OutlierMode = OutlierOctree }
+	both := func(a, b func(*Options)) func(*Options) {
+		return func(o *Options) { a(o); b(o) }
+	}
 	golden := []struct {
 		kind                lidar.SceneKind
 		name                string
@@ -69,20 +86,44 @@ func TestCompressGolden(t *testing.T) {
 			"87ee8f4ac56f9ecaecdbcf83da0187c6d52a7be35b14a6379dcfa6b468b07044",
 			"3c3005f3e366b2e3f4d0f50a12a6048a318e19dca934e61ae0a604eace2f4a44",
 			"6d5b0ce04288c06ca673b54911620f1dd670f6c39950d0e8bf7f77eae0dd065d", 74011},
-		{lidar.City, "shards8", func(o *Options) { o.Shards = 8 },
+		{lidar.City, "shards8", shards8,
 			"9eb3f1f029477e7147542ff4b93c2f4e47da7090c88c22cef996bc4a99161b15", cityPts, cityLane, 72680},
-		{lidar.City, "ctx", func(o *Options) { o.ContextModel = true },
+		{lidar.City, "ctx", ctx,
 			"d29c52d3475259d1e6dfa8e1c3edb253d7b0ddb6e27a88ea74dd1284994140f3", cityPts, cityLane, 69730},
+		{lidar.City, "blockpack", blockpack,
+			"8fd3cec5b5d599e7ea63151d6cea888a0229b8489d28750eeb6a0f088a0af360", cityPts, cityLane, 106339},
+		{lidar.City, "shards8+ctx", both(shards8, ctx),
+			"2b779a777a4633362b39c697746d94d85ce4cf9a17d2c5b62dc0a95bf293dbc6", cityPts, cityLane, 70077},
+		{lidar.City, "blockpack+ctx", both(blockpack, ctx),
+			"c390f2cce42ab8d71403d5d36fa82100dbe6b86befb5273832f93a796d981eda", cityPts, cityLane, 86762},
+		{lidar.City, "blockpack+shards8", both(blockpack, shards8),
+			"468da3ebab4ed2b8782ad094ca7cae3468ef2c826d14619c8bb407d93de89705", cityPts, cityLane, 106413},
+		{lidar.City, "outlier-octree", outlierOctree,
+			"be51c89af7553e8e1306e1fde373798962b6fbebb289bff8cf81918a6481f864", cityOctPts, cityOctLane, 72201},
+		{lidar.City, "outlier-octree+ctx", both(outlierOctree, ctx),
+			"959344ed96beb23f04ac759294c396099937ab15738417fee4e48f00dfac94a6", cityOctPts, cityOctLane, 69737},
 		{lidar.Road, "default", func(*Options) {},
 			"65ecc49cb802db312f73c86dc0aee98750e42debe7fc91da81f7819cd423aa9a", roadPts, roadLane, 82741},
 		{lidar.Road, "exact", func(o *Options) { o.ExactClustering = true },
 			"e5aa5cc418292f75abbdfff15aecb628f1f709e1b3a75f33befaf77c22b591d7",
 			"f31d70b408ec938e7a1033b9417c86271359b97a3b3ade5c66e05f371f525418",
 			"c64de1e5249fef80e19e89a4f1aed9505cfea68c3f16c20aaeeb1f896df20740", 83998},
-		{lidar.Road, "shards8", func(o *Options) { o.Shards = 8 },
+		{lidar.Road, "shards8", shards8,
 			"c4fd4be204a0e43c2776e4cebfde40af7e3e2f4ab86f59b489e0beb72c1e7465", roadPts, roadLane, 82921},
-		{lidar.Road, "ctx", func(o *Options) { o.ContextModel = true },
+		{lidar.Road, "ctx", ctx,
 			"ba99140cec7b413837b721ed4ed66cc7d7096de0a1f2e96d6dc1ac7c1860b425", roadPts, roadLane, 79569},
+		{lidar.Road, "blockpack", blockpack,
+			"387bb006868625dd51402417084bd807d77ffaa08a3aa353a7229e3ec92168c4", roadPts, roadLane, 122744},
+		{lidar.Road, "shards8+ctx", both(shards8, ctx),
+			"0a56817b26cd6a89b809f70741eaa7cc2f38e56a1d56d13a84e22b48c000bb63", roadPts, roadLane, 79901},
+		{lidar.Road, "blockpack+ctx", both(blockpack, ctx),
+			"1fea60d718dc95daabb66c00e65ac35cba63f82fcba29f0cf826d9be92207564", roadPts, roadLane, 95373},
+		{lidar.Road, "blockpack+shards8", both(blockpack, shards8),
+			"6bbbdbdae2b63df0910dc73692fa3650842a226df1778822bfbbea5b5351279c", roadPts, roadLane, 122677},
+		{lidar.Road, "outlier-octree", outlierOctree,
+			"acc0a1a32a8a2b927377ea1f4db4b094e98c4e8aba473a20fdd92370030f6792", roadOctPts, roadOctLane, 82884},
+		{lidar.Road, "outlier-octree+ctx", both(outlierOctree, ctx),
+			"83b2905ef1da40dec116ec93d9ab5318467215f5e32f5a7d2b0bb2db9a32dbcb", roadOctPts, roadOctLane, 79908},
 	}
 	for _, g := range golden {
 		pc := frame(t, g.kind) // layout 1, sensor seed 1
@@ -98,7 +139,7 @@ func TestCompressGolden(t *testing.T) {
 					t.Errorf("%s %s GOMAXPROCS=%d: %d bytes, sha256 %s, want %s", g.kind, g.name, procs, len(out), got, g.bytes)
 				}
 				if len(out) > g.parentBytes {
-					t.Errorf("%s %s GOMAXPROCS=%d: %d bytes, larger than the %d before PR 14", g.kind, g.name, procs, len(out), g.parentBytes)
+					t.Errorf("%s %s GOMAXPROCS=%d: %d bytes, larger than the %d recorded", g.kind, g.name, procs, len(out), g.parentBytes)
 				}
 				back, err := Decompress(out)
 				if err != nil {
@@ -119,12 +160,14 @@ func TestCompressGolden(t *testing.T) {
 	}
 }
 
-// TestDecodeGoldenVectors decodes frames that the encoder of PR 13 (commit
-// ff27d99, level-9 DEFLATE on the θ streams) wrote, checked in under
-// testdata/: the points of the city frame (layout 1, sensor seed 1) whose
-// azimuth atan2(y, x)+π lies in [10, 11)·2π/25 — 4972 points, about half of
-// them dense, 147 polylines, 89 outliers — under DefaultOptions(0.02) and
-// with Shards: 8. Unlike TestCompressGolden, nothing here depends on
+// TestDecodeGoldenVectors decodes frames that earlier encoders wrote,
+// checked in under testdata/: the points of the city frame (layout 1,
+// sensor seed 1) whose azimuth atan2(y, x)+π lies in [10, 11)·2π/25 — 4972
+// points, about half of them dense, 147 polylines, 89 outliers — under
+// DefaultOptions(0.02) and with Shards: 8 by the encoder of PR 13 (commit
+// ff27d99, level-9 DEFLATE on the θ streams), and with BlockPackForce and
+// with ContextModel by the encoder of PR 22 (commit a8d4062, the last
+// before internal/streamcodec). Unlike TestCompressGolden, nothing here depends on
 // today's encoder: bytes an earlier release wrote must keep decoding to
 // these points.
 func TestDecodeGoldenVectors(t *testing.T) {
@@ -138,6 +181,8 @@ func TestDecodeGoldenVectors(t *testing.T) {
 	}{
 		{"testdata/city-sector-default.dbgc", version2},
 		{"testdata/city-sector-shards8.dbgc", version3},
+		{"testdata/city-sector-blockpack.dbgc", version4},
+		{"testdata/city-sector-ctx.dbgc", version5},
 	} {
 		data, err := os.ReadFile(v.file)
 		if err != nil {
