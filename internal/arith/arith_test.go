@@ -2,15 +2,14 @@ package arith
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
-
-	"dbgc/internal/entropy"
 )
 
 func TestBytesRoundTripEmpty(t *testing.T) {
-	out, err := DecompressBytes(CompressBytes(nil), 0)
+	out, err := decompressBytes(compressBytes(nil), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,8 +27,8 @@ func TestBytesRoundTrip(t *testing.T) {
 		for i := range data {
 			data[i] = byte(rng.ExpFloat64() * 3)
 		}
-		enc := CompressBytes(data)
-		dec, err := DecompressBytes(enc, len(data))
+		enc := compressBytes(data)
+		dec, err := decompressBytes(enc, len(data), nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -41,7 +40,7 @@ func TestBytesRoundTrip(t *testing.T) {
 
 func TestBytesRoundTripQuick(t *testing.T) {
 	f := func(data []byte) bool {
-		dec, err := DecompressBytes(CompressBytes(data), len(data))
+		dec, err := decompressBytes(compressBytes(data), len(data), nil)
 		return err == nil && bytes.Equal(dec, data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -61,8 +60,19 @@ func TestSkewedCompression(t *testing.T) {
 			data[i] = byte(rng.Intn(4))
 		}
 	}
-	enc := CompressBytes(data)
-	h := entropy.OfBytes(data)
+	enc := compressBytes(data)
+	// Shannon entropy of the stream, in bits per byte (§2.1).
+	var counts [256]int
+	for _, c := range data {
+		counts[c]++
+	}
+	var h float64
+	for _, c := range counts {
+		if c > 0 {
+			p := float64(c) / float64(len(data))
+			h -= p * math.Log2(p)
+		}
+	}
 	gotBits := float64(len(enc)*8) / float64(len(data))
 	if gotBits > h*1.15+0.2 {
 		t.Fatalf("adaptive coder too far from entropy: %.3f bits/byte vs entropy %.3f", gotBits, h)
@@ -71,7 +81,7 @@ func TestSkewedCompression(t *testing.T) {
 
 func TestIntsRoundTrip(t *testing.T) {
 	vs := []int64{0, 1, -1, 100, -100, 1 << 40, -(1 << 40), 0, 0, 0}
-	dec, err := DecompressInts(CompressInts(vs), len(vs))
+	dec, err := decompressInts(compressInts(vs), len(vs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +94,7 @@ func TestIntsRoundTrip(t *testing.T) {
 
 func TestIntsRoundTripQuick(t *testing.T) {
 	f := func(vs []int64) bool {
-		dec, err := DecompressInts(CompressInts(vs), len(vs))
+		dec, err := decompressInts(compressInts(vs), len(vs), nil)
 		if err != nil {
 			return false
 		}
@@ -102,7 +112,7 @@ func TestIntsRoundTripQuick(t *testing.T) {
 
 func TestUintsRoundTripQuick(t *testing.T) {
 	f := func(vs []uint64) bool {
-		dec, err := DecompressUints(CompressUints(vs), len(vs))
+		dec, err := decompressUints(compressUints(vs), len(vs), nil)
 		if err != nil {
 			return false
 		}
@@ -188,7 +198,7 @@ func TestModelFindConsistency(t *testing.T) {
 func TestCorruptStream(t *testing.T) {
 	// Decoding far more symbols than a short stream encodes must fail
 	// with ErrCorrupt rather than spinning or panicking.
-	enc := CompressBytes([]byte{1, 2, 3})
+	enc := compressBytes([]byte{1, 2, 3})
 	d := NewDecoder(enc)
 	m := NewModel(256)
 	var err error
@@ -207,8 +217,8 @@ func TestDecompressTruncated(t *testing.T) {
 	for i := range data {
 		data[i] = byte(i * 31)
 	}
-	enc := CompressBytes(data)
-	_, err := DecompressBytes(enc[:len(enc)/4], len(data))
+	enc := compressBytes(data)
+	_, err := decompressBytes(enc[:len(enc)/4], len(data), nil)
 	if err == nil {
 		t.Fatal("expected error decoding truncated stream")
 	}
@@ -223,7 +233,7 @@ func BenchmarkCompressBytes(b *testing.B) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CompressBytes(data)
+		compressBytes(data)
 	}
 }
 
@@ -233,11 +243,11 @@ func BenchmarkDecompressBytes(b *testing.B) {
 	for i := range data {
 		data[i] = byte(rng.ExpFloat64() * 2)
 	}
-	enc := CompressBytes(data)
+	enc := compressBytes(data)
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecompressBytes(enc, len(data)); err != nil {
+		if _, err := decompressBytes(enc, len(data), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

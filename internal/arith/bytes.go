@@ -8,11 +8,27 @@ import (
 	"dbgc/internal/varint"
 )
 
-// CompressBytes compresses buf with an order-0 adaptive byte model. It is
-// the "arithmetic coder" building block the paper applies to serialized
-// occupancy codes and varint-encoded delta streams.
-func CompressBytes(buf []byte) []byte {
-	return AppendCompressBytes(nil, buf)
+// The stream coders: an order-0 adaptive model over a small alphabet
+// (occupancy codes, reference symbols) or over the LEB128 bytes of an
+// integer sequence whose alphabet is unbounded (Δφ, ∇r, Δz, lengths,
+// counts). Each is one append-style pair: the encoder appends the stream to
+// dst; the decoder appends exactly n elements to dst, charging them against
+// b up front (the decode loop is bounded by n, so one charge covers it; a
+// nil budget is unlimited). Element counts travel out of band: every DBGC
+// stream records its own next to its payload.
+
+// AppendCompressCodes appends the order-0 adaptive coding of codes, symbols
+// of {0,...,alphabet-1}, to dst and returns the extended slice.
+func AppendCompressCodes(dst, codes []byte, alphabet int) []byte {
+	e := GetEncoder()
+	m := GetModel(alphabet)
+	for _, c := range codes {
+		e.Encode(m, int(c))
+	}
+	dst = e.AppendFinish(dst)
+	PutModel(m)
+	PutEncoder(e)
+	return dst
 }
 
 // clampCap bounds a count taken from an untrusted stream header before it
@@ -29,119 +45,83 @@ func clampCap(n int) int {
 	return n
 }
 
-// DecompressBytes inverts CompressBytes. n is the number of original bytes,
-// which callers carry out of band (all DBGC streams record their element
-// counts).
-func DecompressBytes(buf []byte, n int) ([]byte, error) {
-	return DecompressBytesLimited(buf, n, nil)
-}
-
-// DecompressBytesLimited is DecompressBytes charging the n decoded symbols
-// against b up front (the decode loop is bounded by n, so one charge
-// covers it). A nil budget is unlimited.
-func DecompressBytesLimited(buf []byte, n int, b *declimits.Budget) ([]byte, error) {
-	return AppendDecompressBytes(nil, buf, n, b)
-}
-
-// AppendDecompressBytes is DecompressBytesLimited appending to dst.
-func AppendDecompressBytes(dst, buf []byte, n int, b *declimits.Budget) ([]byte, error) {
+// AppendDecompressCodes inverts AppendCompressCodes, appending the n codes
+// to dst.
+func AppendDecompressCodes(dst, buf []byte, n, alphabet int, b *declimits.Budget) ([]byte, error) {
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
 	d := GetDecoder(buf)
-	m := GetModel(256)
+	m := GetModel(alphabet)
+	defer func() {
+		PutModel(m)
+		PutDecoder(d)
+	}()
 	out := slices.Grow(dst, clampCap(n))
 	for i := 0; i < n; i++ {
 		sym, err := d.Decode(m)
 		if err != nil {
-			PutModel(m)
-			PutDecoder(d)
-			return nil, fmt.Errorf("arith: byte %d/%d: %w", i, n, err)
+			return nil, fmt.Errorf("arith: code %d/%d: %w", i, n, err)
 		}
 		out = append(out, byte(sym))
 	}
-	PutModel(m)
-	PutDecoder(d)
 	return out, nil
 }
 
-// CompressInts zigzag-varint-serializes vs and arithmetic-codes the bytes.
-// This is how DBGC entropy-codes integer delta sequences whose alphabet is
-// unbounded (Δφ, ∇r, Δz).
-func CompressInts(vs []int64) []byte {
-	return AppendCompressInts(nil, vs)
+// AppendCompressInts appends the arithmetic coding of the zigzag LEB128
+// bytes of vs to dst.
+func AppendCompressInts(dst []byte, vs []int64) []byte {
+	bp := getBuf()
+	buf := varint.AppendInts((*bp)[:0], vs)
+	dst = AppendCompressCodes(dst, buf, 256)
+	*bp = buf
+	putBuf(bp)
+	return dst
 }
 
-// DecompressInts inverts CompressInts, decoding exactly n integers.
-func DecompressInts(buf []byte, n int) ([]int64, error) {
-	return DecompressIntsLimited(buf, n, nil)
-}
-
-// DecompressIntsLimited is DecompressInts charging the n decoded elements
-// (and their 8 output bytes each) against b up front.
-func DecompressIntsLimited(buf []byte, n int, b *declimits.Budget) ([]int64, error) {
-	return AppendDecompressInts(nil, buf, n, b)
-}
-
-// AppendDecompressInts is DecompressIntsLimited appending the integers to
-// dst, so a caller that decodes stream after stream can reuse one buffer.
-func AppendDecompressInts(dst []int64, buf []byte, n int, b *declimits.Budget) ([]int64, error) {
-	if err := b.Nodes(int64(n)); err != nil {
-		return nil, err
-	}
-	d := GetDecoder(buf)
-	m := GetModel(256)
-	out := slices.Grow(dst, clampCap(n))
-	for i := 0; i < n; i++ {
-		v, err := decodeVarint(d, m)
-		if err != nil {
-			PutModel(m)
-			PutDecoder(d)
-			return nil, fmt.Errorf("arith: int %d/%d: %w", i, n, err)
-		}
-		out = append(out, varint.Unzigzag(v))
-	}
-	PutModel(m)
-	PutDecoder(d)
-	return out, nil
-}
-
-// CompressUints is CompressInts for unsigned sequences (e.g. polyline
+// AppendCompressUints is AppendCompressInts for unsigned sequences (polyline
 // lengths, leaf point counts).
-func CompressUints(vs []uint64) []byte {
-	return AppendCompressUints(nil, vs)
+func AppendCompressUints(dst []byte, vs []uint64) []byte {
+	bp := getBuf()
+	buf := varint.AppendUints((*bp)[:0], vs)
+	dst = AppendCompressCodes(dst, buf, 256)
+	*bp = buf
+	putBuf(bp)
+	return dst
 }
 
-// DecompressUints inverts CompressUints, decoding exactly n integers.
-func DecompressUints(buf []byte, n int) ([]uint64, error) {
-	return DecompressUintsLimited(buf, n, nil)
+// AppendDecompressInts inverts AppendCompressInts, appending the n integers
+// to dst, so a caller that decodes stream after stream can reuse one buffer.
+func AppendDecompressInts(dst []int64, buf []byte, n int, b *declimits.Budget) ([]int64, error) {
+	return appendDecompressVarints(dst, buf, n, b, true)
 }
 
-// DecompressUintsLimited is DecompressUints charging the n decoded
-// elements (and their 8 output bytes each) against b up front.
-func DecompressUintsLimited(buf []byte, n int, b *declimits.Budget) ([]uint64, error) {
-	return AppendDecompressUints(nil, buf, n, b)
-}
-
-// AppendDecompressUints is DecompressUintsLimited appending to dst.
+// AppendDecompressUints inverts AppendCompressUints, appending to dst.
 func AppendDecompressUints(dst []uint64, buf []byte, n int, b *declimits.Budget) ([]uint64, error) {
+	return appendDecompressVarints(dst, buf, n, b, false)
+}
+
+func appendDecompressVarints[T int64 | uint64](dst []T, buf []byte, n int, b *declimits.Budget, zigzag bool) ([]T, error) {
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
 	d := GetDecoder(buf)
 	m := GetModel(256)
+	defer func() {
+		PutModel(m)
+		PutDecoder(d)
+	}()
 	out := slices.Grow(dst, clampCap(n))
 	for i := 0; i < n; i++ {
 		v, err := decodeVarint(d, m)
 		if err != nil {
-			PutModel(m)
-			PutDecoder(d)
-			return nil, fmt.Errorf("arith: uint %d/%d: %w", i, n, err)
+			return nil, fmt.Errorf("arith: integer %d/%d: %w", i, n, err)
 		}
-		out = append(out, v)
+		if zigzag {
+			v = uint64(varint.Unzigzag(v))
+		}
+		out = append(out, T(v))
 	}
-	PutModel(m)
-	PutDecoder(d)
 	return out, nil
 }
 

@@ -3,8 +3,6 @@ package arith
 import (
 	"math/bits"
 	"sync"
-
-	"dbgc/internal/varint"
 )
 
 // Scratch pools for the coder's hot-path state. Every Compress/Decompress
@@ -102,46 +100,3 @@ var bufPool = sync.Pool{New: func() any {
 
 func getBuf() *[]byte  { return bufPool.Get().(*[]byte) }
 func putBuf(b *[]byte) { bufPool.Put(b) }
-
-// AppendCompressBytes appends the order-0 adaptive coding of buf to dst and
-// returns the extended slice. It is CompressBytes with caller-owned output
-// and pooled coder state.
-func AppendCompressBytes(dst, buf []byte) []byte {
-	e := GetEncoder()
-	m := GetModel(256)
-	for _, b := range buf {
-		e.Encode(m, int(b))
-	}
-	dst = e.AppendFinish(dst)
-	PutModel(m)
-	PutEncoder(e)
-	return dst
-}
-
-// AppendCompressInts appends the zigzag-varint arithmetic coding of vs to
-// dst (the pooled equivalent of CompressInts).
-func AppendCompressInts(dst []byte, vs []int64) []byte {
-	bp := getBuf()
-	buf := (*bp)[:0]
-	for _, v := range vs {
-		buf = varint.AppendInt(buf, v)
-	}
-	dst = AppendCompressBytes(dst, buf)
-	*bp = buf
-	putBuf(bp)
-	return dst
-}
-
-// AppendCompressUints appends the varint arithmetic coding of vs to dst
-// (the pooled equivalent of CompressUints).
-func AppendCompressUints(dst []byte, vs []uint64) []byte {
-	bp := getBuf()
-	buf := (*bp)[:0]
-	for _, v := range vs {
-		buf = varint.AppendUint(buf, v)
-	}
-	dst = AppendCompressBytes(dst, buf)
-	*bp = buf
-	putBuf(bp)
-	return dst
-}

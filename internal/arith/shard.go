@@ -80,9 +80,9 @@ var shardBufPool = sync.Pool{New: func() any {
 
 // AppendSharded frames n elements into the shard layout, encoding each
 // shard with encode(lo, hi, dst) (which appends shard [lo, hi) to dst and
-// returns the extended slice); the shards encode through par.Each. Exported
-// so other codecs (blockpack, ctxmodel) can reuse the container v3 framing
-// — and its determinism and validation contract — without duplicating it.
+// returns the extended slice); the shards encode through par.Each. The
+// framing knows nothing of what a shard holds: internal/streamcodec puts
+// any of its coders inside it, and ctxmodel its context-modeled ones.
 func AppendSharded(dst []byte, n, shards int, encode func(lo, hi int, dst []byte) []byte) []byte {
 	s := ClampShards(shards, n)
 	dst = varint.AppendUint(dst, uint64(s))
@@ -185,131 +185,4 @@ func DecodeSharded(data []byte, n int, b *declimits.Budget, decode func(i int, s
 		}
 	}
 	return nil
-}
-
-// AppendCompressCodesSharded appends the sharded order-0 adaptive coding of
-// codes over the alphabet {0,...,alphabet-1}. Every code must be below
-// alphabet. With shards <= 1 (or too few codes to split) the stream holds a
-// single shard whose payload is byte-identical to AppendCompressBytes /
-// compressOccupancy output for the same model size.
-func AppendCompressCodesSharded(dst, codes []byte, alphabet, shards int) []byte {
-	return AppendSharded(dst, len(codes), shards, func(lo, hi int, out []byte) []byte {
-		e := GetEncoder()
-		m := GetModel(alphabet)
-		for _, c := range codes[lo:hi] {
-			e.Encode(m, int(c))
-		}
-		out = e.AppendFinish(out)
-		PutModel(m)
-		PutEncoder(e)
-		return out
-	})
-}
-
-// DecompressCodesShardedLimited inverts AppendCompressCodesSharded,
-// decoding exactly n codes and charging them against b.
-func DecompressCodesShardedLimited(buf []byte, n, alphabet int, b *declimits.Budget) ([]byte, error) {
-	if err := b.Nodes(int64(n)); err != nil {
-		return nil, err
-	}
-	out := make([]byte, n)
-	err := DecodeSharded(buf, n, b, func(_ int, shard []byte, lo, hi int) error {
-		d := GetDecoder(shard)
-		m := GetModel(alphabet)
-		for k := lo; k < hi; k++ {
-			sym, err := d.Decode(m)
-			if err != nil {
-				PutModel(m)
-				PutDecoder(d)
-				return fmt.Errorf("arith: code %d/%d: %w", k, n, err)
-			}
-			if sym >= alphabet {
-				PutModel(m)
-				PutDecoder(d)
-				return fmt.Errorf("%w: code %d out of alphabet", ErrCorrupt, sym)
-			}
-			out[k] = byte(sym)
-		}
-		PutModel(m)
-		PutDecoder(d)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AppendCompressUintsSharded appends the sharded varint arithmetic coding
-// of vs (the sharded counterpart of AppendCompressUints).
-func AppendCompressUintsSharded(dst []byte, vs []uint64, shards int) []byte {
-	return AppendSharded(dst, len(vs), shards, func(lo, hi int, out []byte) []byte {
-		return AppendCompressUints(out, vs[lo:hi])
-	})
-}
-
-// DecompressUintsShardedLimited inverts AppendCompressUintsSharded,
-// decoding exactly n integers.
-func DecompressUintsShardedLimited(buf []byte, n int, b *declimits.Budget) ([]uint64, error) {
-	if err := b.Nodes(int64(n)); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	err := DecodeSharded(buf, n, b, func(_ int, shard []byte, lo, hi int) error {
-		d := GetDecoder(shard)
-		m := GetModel(256)
-		for k := lo; k < hi; k++ {
-			v, err := decodeVarint(d, m)
-			if err != nil {
-				PutModel(m)
-				PutDecoder(d)
-				return fmt.Errorf("arith: uint %d/%d: %w", k, n, err)
-			}
-			out[k] = v
-		}
-		PutModel(m)
-		PutDecoder(d)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// AppendCompressIntsSharded appends the sharded zigzag-varint arithmetic
-// coding of vs (the sharded counterpart of AppendCompressInts).
-func AppendCompressIntsSharded(dst []byte, vs []int64, shards int) []byte {
-	return AppendSharded(dst, len(vs), shards, func(lo, hi int, out []byte) []byte {
-		return AppendCompressInts(out, vs[lo:hi])
-	})
-}
-
-// DecompressIntsShardedLimited inverts AppendCompressIntsSharded, decoding
-// exactly n integers.
-func DecompressIntsShardedLimited(buf []byte, n int, b *declimits.Budget) ([]int64, error) {
-	if err := b.Nodes(int64(n)); err != nil {
-		return nil, err
-	}
-	out := make([]int64, n)
-	err := DecodeSharded(buf, n, b, func(_ int, shard []byte, lo, hi int) error {
-		d := GetDecoder(shard)
-		m := GetModel(256)
-		for k := lo; k < hi; k++ {
-			v, err := decodeVarint(d, m)
-			if err != nil {
-				PutModel(m)
-				PutDecoder(d)
-				return fmt.Errorf("arith: int %d/%d: %w", k, n, err)
-			}
-			out[k] = varint.Unzigzag(v)
-		}
-		PutModel(m)
-		PutDecoder(d)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

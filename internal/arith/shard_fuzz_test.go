@@ -14,15 +14,15 @@ import (
 // rejects streams declaring more shards than allowed.
 func FuzzShardedStream(f *testing.F) {
 	codes := shardTestCodes(4096, 256)
-	f.Add(AppendCompressCodesSharded(nil, codes, 256, 4), uint32(4096))
+	f.Add(appendCodesSharded(nil, codes, 256, 4), uint32(4096))
 	us := make([]uint64, 512)
 	is := make([]int64, 512)
 	for i := range us {
 		us[i] = uint64(i * i)
 		is[i] = int64(i) - 256
 	}
-	f.Add(AppendCompressUintsSharded(nil, us, 2), uint32(512))
-	f.Add(AppendCompressIntsSharded(nil, is, 8), uint32(512))
+	f.Add(appendUintsSharded(nil, us, 2), uint32(512))
+	f.Add(appendIntsSharded(nil, is, 8), uint32(512))
 	// Hostile headers: huge shard count, zero shards, lying lengths.
 	f.Add([]byte{0xff, 0xff, 0x7f, 1, 2, 3}, uint32(100))
 	f.Add([]byte{0}, uint32(1))
@@ -32,13 +32,13 @@ func FuzzShardedStream(f *testing.F) {
 		lim := declimits.Limits{MaxNodes: 1 << 16, MaxShards: 16, MemBudget: 16 << 20}
 		for _, procs := range []int{1, 2} {
 			partest.At(procs, func() {
-				if _, err := DecompressCodesShardedLimited(data, int(n), 256, declimits.New(lim)); err == nil {
+				if _, err := decodeCodesSharded(data, int(n), 256, declimits.New(lim)); err == nil {
 					if int64(n) > lim.MaxNodes {
 						t.Fatalf("decoded %d codes past the %d-node budget", n, lim.MaxNodes)
 					}
 				}
-				_, _ = DecompressUintsShardedLimited(data, int(n), declimits.New(lim))
-				_, _ = DecompressIntsShardedLimited(data, int(n), declimits.New(lim))
+				_, _ = decodeUintsSharded(data, int(n), declimits.New(lim))
+				_, _ = decodeIntsSharded(data, int(n), declimits.New(lim))
 			})
 		}
 		// The framing parser itself must honor the shard cap.

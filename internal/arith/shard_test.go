@@ -62,8 +62,8 @@ func TestShardedCodesRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 4096, 50000} {
 		codes := shardTestCodes(n, 256)
 		for _, shards := range []int{1, 2, 4, 8} {
-			buf := AppendCompressCodesSharded(nil, codes, 256, shards)
-			got, err := DecompressCodesShardedLimited(buf, n, 256, nil)
+			buf := appendCodesSharded(nil, codes, 256, shards)
+			got, err := decodeCodesSharded(buf, n, 256, nil)
 			if err != nil {
 				t.Fatalf("n=%d shards=%d: decode: %v", n, shards, err)
 			}
@@ -81,14 +81,14 @@ func TestShardedWidthInvariant(t *testing.T) {
 	var want []byte
 	for _, procs := range partest.Widths {
 		partest.At(procs, func() {
-			buf := AppendCompressCodesSharded(nil, codes, 256, 4)
+			buf := appendCodesSharded(nil, codes, 256, 4)
 			if want == nil {
 				want = buf
 			}
 			if !bytes.Equal(buf, want) {
 				t.Fatalf("GOMAXPROCS=%d: sharded encode differs from GOMAXPROCS=%d", procs, partest.Widths[0])
 			}
-			got, err := DecompressCodesShardedLimited(buf, len(codes), 256, nil)
+			got, err := decodeCodesSharded(buf, len(codes), 256, nil)
 			if err != nil || !bytes.Equal(got, codes) {
 				t.Fatalf("GOMAXPROCS=%d: roundtrip: %v", procs, err)
 			}
@@ -106,8 +106,8 @@ func TestShardedUintsIntsRoundTrip(t *testing.T) {
 		is[i] = int64(rng.Intn(1<<12)) - (1 << 11)
 	}
 	for _, shards := range []int{1, 2, 8} {
-		ub := AppendCompressUintsSharded(nil, us, shards)
-		gotU, err := DecompressUintsShardedLimited(ub, n, nil)
+		ub := appendUintsSharded(nil, us, shards)
+		gotU, err := decodeUintsSharded(ub, n, nil)
 		if err != nil {
 			t.Fatalf("shards=%d: uints: %v", shards, err)
 		}
@@ -116,8 +116,8 @@ func TestShardedUintsIntsRoundTrip(t *testing.T) {
 				t.Fatalf("shards=%d: uint %d: got %d want %d", shards, i, gotU[i], us[i])
 			}
 		}
-		ib := AppendCompressIntsSharded(nil, is, shards)
-		gotI, err := DecompressIntsShardedLimited(ib, n, nil)
+		ib := appendIntsSharded(nil, is, shards)
+		gotI, err := decodeIntsSharded(ib, n, nil)
 		if err != nil {
 			t.Fatalf("shards=%d: ints: %v", shards, err)
 		}
@@ -134,8 +134,8 @@ func TestShardedUintsIntsRoundTrip(t *testing.T) {
 // after its 2-varint header.
 func TestShardedSingleMatchesLegacy(t *testing.T) {
 	codes := shardTestCodes(10000, 256)
-	legacy := AppendCompressBytes(nil, codes)
-	sharded := AppendCompressCodesSharded(nil, codes, 256, 1)
+	legacy := compressBytes(codes)
+	sharded := appendCodesSharded(nil, codes, 256, 1)
 	if len(sharded) < 2 || sharded[0] != 1 {
 		t.Fatalf("expected shard count 1 header, got % x", sharded[:2])
 	}
@@ -153,35 +153,35 @@ func TestShardedSingleMatchesLegacy(t *testing.T) {
 
 func TestShardedCorruptAndLimits(t *testing.T) {
 	codes := shardTestCodes(8*minShardElems, 256) // large enough for all 8 shards to engage
-	buf := AppendCompressCodesSharded(nil, codes, 256, 8)
+	buf := appendCodesSharded(nil, codes, 256, 8)
 
 	// Truncation anywhere must error, not panic.
 	for _, cut := range []int{0, 1, 3, len(buf) / 2, len(buf) - 1} {
-		if _, err := DecompressCodesShardedLimited(buf[:cut], len(codes), 256, nil); err == nil {
+		if _, err := decodeCodesSharded(buf[:cut], len(codes), 256, nil); err == nil {
 			t.Fatalf("truncated at %d: expected error", cut)
 		}
 	}
 
 	// Trailing garbage after the declared shards must error.
-	if _, err := DecompressCodesShardedLimited(append(append([]byte{}, buf...), 0xFF), len(codes), 256, nil); err == nil {
+	if _, err := decodeCodesSharded(append(append([]byte{}, buf...), 0xFF), len(codes), 256, nil); err == nil {
 		t.Fatal("trailing bytes: expected error")
 	}
 
 	// Zero shard count is invalid.
 	bad := append([]byte{0}, buf[1:]...)
-	if _, err := DecompressCodesShardedLimited(bad, len(codes), 256, nil); err == nil {
+	if _, err := decodeCodesSharded(bad, len(codes), 256, nil); err == nil {
 		t.Fatal("zero shard count: expected error")
 	}
 
 	// A budget shard cap below the declared count must reject the stream.
 	b := declimits.New(declimits.Limits{MaxShards: 4})
-	if _, err := DecompressCodesShardedLimited(buf, len(codes), 256, b); err == nil {
+	if _, err := decodeCodesSharded(buf, len(codes), 256, b); err == nil {
 		t.Fatal("MaxShards=4 against 8 shards: expected error")
 	}
 
 	// A node budget smaller than n must reject before allocating output.
 	b = declimits.New(declimits.Limits{MaxNodes: 100})
-	if _, err := DecompressCodesShardedLimited(buf, len(codes), 256, b); err == nil {
+	if _, err := decodeCodesSharded(buf, len(codes), 256, b); err == nil {
 		t.Fatal("tiny node budget: expected error")
 	}
 }

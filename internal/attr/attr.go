@@ -56,7 +56,7 @@ func EncodeIntensity(vals []float32, mapping []int32, bits int) ([]byte, error) 
 	out := make([]byte, 0, len(vals)/2+16)
 	out = varint.AppendUint(out, uint64(bits))
 	out = varint.AppendUint(out, uint64(len(vals)))
-	payload := arith.CompressInts(deltas)
+	payload := arith.AppendCompressInts(nil, deltas)
 	out = varint.AppendUint(out, uint64(len(payload)))
 	out = append(out, payload...)
 	return out, nil
@@ -89,7 +89,7 @@ func DecodeIntensity(data []byte) ([]float32, error) {
 	if plen > uint64(len(data)) {
 		return nil, fmt.Errorf("%w: payload truncated", ErrCorrupt)
 	}
-	deltas, err := arith.DecompressInts(data[:plen], int(n64))
+	deltas, err := arith.AppendDecompressInts(nil, data[:plen], int(n64), nil)
 	if err != nil {
 		return nil, fmt.Errorf("attr: deltas: %w", err)
 	}

@@ -23,9 +23,9 @@
 // like every other DBGC stream. Packing needs no heap scratch (blocks live
 // in fixed stack arrays) and unpacking allocates only its output.
 //
-// Sharded variants reuse the container v3 shard framing of internal/arith,
-// so blockpacked streams keep the shard-parallel decode and the
-// DecodeLimits validation story of the entropy-coded streams they replace.
+// Blocks restart wherever a stream does, so internal/streamcodec can put a
+// blockpacked stream inside the container v3 shard framing, one run of
+// blocks per shard, like the entropy-coded streams it replaces.
 package blockpack
 
 import (
@@ -33,8 +33,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
-	"dbgc/internal/arith"
 	"dbgc/internal/declimits"
 	"dbgc/internal/varint"
 )
@@ -301,215 +301,66 @@ func unpackBlock(out []uint64, data []byte) (int, error) {
 
 // PackUint64 appends the blockpacked coding of vs to dst and returns the
 // extended slice. An empty input appends nothing.
-func PackUint64(dst []byte, vs []uint64) []byte {
+func PackUint64(dst []byte, vs []uint64) []byte { return pack(dst, vs, false) }
+
+// PackInt64 appends the blockpacked coding of vs, zigzag-mapped so small
+// magnitudes of either sign pack narrow.
+func PackInt64(dst []byte, vs []int64) []byte { return pack(dst, vs, true) }
+
+func pack[T int64 | uint64](dst []byte, vs []T, zigzag bool) []byte {
+	var blk [BlockSize]uint64
 	for len(vs) > 0 {
-		bl := len(vs)
-		if bl > BlockSize {
-			bl = BlockSize
+		bl := min(len(vs), BlockSize)
+		for i, v := range vs[:bl] {
+			blk[i] = uint64(v)
+			if zigzag {
+				blk[i] = varint.Zigzag(int64(v))
+			}
 		}
-		dst = packBlock(dst, vs[:bl])
+		dst = packBlock(dst, blk[:bl])
 		vs = vs[bl:]
 	}
 	return dst
 }
 
-// unpackUint64Into decodes exactly len(out) values from data, which must
-// hold the blocks and nothing else.
-func unpackUint64Into(out []uint64, data []byte) error {
-	for start := 0; start < len(out); start += BlockSize {
-		end := start + BlockSize
-		if end > len(out) {
-			end = len(out)
-		}
-		used, err := unpackBlock(out[start:end], data)
-		if err != nil {
-			return err
-		}
-		data = data[used:]
-	}
-	if len(data) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data))
-	}
-	return nil
+// UnpackUint64 decodes exactly n values from data, which must hold their
+// blocks and nothing else, and appends them to dst, charging them against
+// b (nil means unlimited).
+func UnpackUint64(dst []uint64, data []byte, n int, b *declimits.Budget) ([]uint64, error) {
+	return unpack(dst, data, n, b, false)
 }
 
-// UnpackUint64 decodes exactly n values from data, charging them against b
-// (nil means unlimited). The stream must hold exactly n values' blocks.
-func UnpackUint64(data []byte, n int, b *declimits.Budget) ([]uint64, error) {
+// UnpackInt64 inverts PackInt64 as UnpackUint64 inverts PackUint64.
+func UnpackInt64(dst []int64, data []byte, n int, b *declimits.Budget) ([]int64, error) {
+	return unpack(dst, data, n, b, true)
+}
+
+func unpack[T int64 | uint64](dst []T, data []byte, n int, b *declimits.Budget, zigzag bool) ([]T, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: negative element count", ErrCorrupt)
 	}
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
-	out := make([]uint64, 0, declimits.CapPrealloc(uint64(n)))
+	out := slices.Grow(dst, declimits.CapPrealloc(uint64(n)))
 	var blk [BlockSize]uint64
-	for len(out) < n {
-		bl := n - len(out)
-		if bl > BlockSize {
-			bl = BlockSize
-		}
+	for left := n; left > 0; {
+		bl := min(left, BlockSize)
 		used, err := unpackBlock(blk[:bl], data)
 		if err != nil {
 			return nil, err
 		}
 		data = data[used:]
-		out = append(out, blk[:bl]...)
+		left -= bl
+		for _, u := range blk[:bl] {
+			if zigzag {
+				u = uint64(varint.Unzigzag(u))
+			}
+			out = append(out, T(u))
+		}
 	}
 	if len(data) != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data))
-	}
-	return out, nil
-}
-
-// PackInt64 appends the blockpacked coding of vs, zigzag-mapped so small
-// magnitudes of either sign pack narrow.
-func PackInt64(dst []byte, vs []int64) []byte {
-	var blk [BlockSize]uint64
-	for len(vs) > 0 {
-		bl := len(vs)
-		if bl > BlockSize {
-			bl = BlockSize
-		}
-		for i, v := range vs[:bl] {
-			blk[i] = varint.Zigzag(v)
-		}
-		dst = packBlock(dst, blk[:bl])
-		vs = vs[bl:]
-	}
-	return dst
-}
-
-// UnpackInt64 inverts PackInt64, decoding exactly n values.
-func UnpackInt64(data []byte, n int, b *declimits.Budget) ([]int64, error) {
-	us, err := UnpackUint64(data, n, b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(us))
-	for i, u := range us {
-		out[i] = varint.Unzigzag(u)
-	}
-	return out, nil
-}
-
-// PackUint32 appends the blockpacked coding of vs. The wire format is the
-// shared 64-bit block layout (widths stay <= 32 naturally), so Uint32 and
-// Uint64 streams interoperate.
-func PackUint32(dst []byte, vs []uint32) []byte {
-	var blk [BlockSize]uint64
-	for len(vs) > 0 {
-		bl := len(vs)
-		if bl > BlockSize {
-			bl = BlockSize
-		}
-		for i, v := range vs[:bl] {
-			blk[i] = uint64(v)
-		}
-		dst = packBlock(dst, blk[:bl])
-		vs = vs[bl:]
-	}
-	return dst
-}
-
-// UnpackUint32 inverts PackUint32, decoding exactly n values and rejecting
-// streams whose values overflow 32 bits.
-func UnpackUint32(data []byte, n int, b *declimits.Budget) ([]uint32, error) {
-	us, err := UnpackUint64(data, n, b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]uint32, len(us))
-	for i, u := range us {
-		if u > 1<<32-1 {
-			return nil, fmt.Errorf("%w: value %d overflows uint32", ErrCorrupt, u)
-		}
-		out[i] = uint32(u)
-	}
-	return out, nil
-}
-
-// PackDeltaUint64 appends the blockpacked coding of the consecutive
-// differences of vs (wrapping, zigzag-mapped), for sorted or slowly-varying
-// sequences the caller has not already delta-coded.
-func PackDeltaUint64(dst []byte, vs []uint64) []byte {
-	var blk [BlockSize]uint64
-	prev := uint64(0)
-	for len(vs) > 0 {
-		bl := len(vs)
-		if bl > BlockSize {
-			bl = BlockSize
-		}
-		for i, v := range vs[:bl] {
-			blk[i] = varint.Zigzag(int64(v - prev))
-			prev = v
-		}
-		dst = packBlock(dst, blk[:bl])
-		vs = vs[bl:]
-	}
-	return dst
-}
-
-// UnpackDeltaUint64 inverts PackDeltaUint64, decoding exactly n values.
-func UnpackDeltaUint64(data []byte, n int, b *declimits.Budget) ([]uint64, error) {
-	us, err := UnpackUint64(data, n, b)
-	if err != nil {
-		return nil, err
-	}
-	prev := uint64(0)
-	for i, u := range us {
-		prev += uint64(varint.Unzigzag(u))
-		us[i] = prev
-	}
-	return us, nil
-}
-
-// PackUint64Sharded appends vs in the container v3 shard framing with
-// blockpacked shard payloads. The split depends only on (len(vs), shards),
-// so the bytes are independent of GOMAXPROCS. Block boundaries
-// restart per shard, keeping shard payloads independently decodable.
-func PackUint64Sharded(dst []byte, vs []uint64, shards int) []byte {
-	return arith.AppendSharded(dst, len(vs), shards, func(lo, hi int, out []byte) []byte {
-		return PackUint64(out, vs[lo:hi])
-	})
-}
-
-// UnpackUint64Sharded inverts PackUint64Sharded, decoding exactly n values,
-// charging them and the declared shard count against b.
-func UnpackUint64Sharded(buf []byte, n int, b *declimits.Budget) ([]uint64, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("%w: negative element count", ErrCorrupt)
-	}
-	if err := b.Nodes(int64(n)); err != nil {
-		return nil, err
-	}
-	out := make([]uint64, n)
-	err := arith.DecodeSharded(buf, n, b, func(_ int, shard []byte, lo, hi int) error {
-		return unpackUint64Into(out[lo:hi], shard)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PackInt64Sharded appends vs (zigzag-mapped) in the shard framing with
-// blockpacked shard payloads.
-func PackInt64Sharded(dst []byte, vs []int64, shards int) []byte {
-	return arith.AppendSharded(dst, len(vs), shards, func(lo, hi int, out []byte) []byte {
-		return PackInt64(out, vs[lo:hi])
-	})
-}
-
-// UnpackInt64Sharded inverts PackInt64Sharded, decoding exactly n values.
-func UnpackInt64Sharded(buf []byte, n int, b *declimits.Budget) ([]int64, error) {
-	us, err := UnpackUint64Sharded(buf, n, b)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int64, len(us))
-	for i, u := range us {
-		out[i] = varint.Unzigzag(u)
 	}
 	return out, nil
 }

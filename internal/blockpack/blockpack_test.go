@@ -6,13 +6,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"dbgc/internal/arith"
 	"dbgc/internal/declimits"
 )
 
 func roundTripUint64(t *testing.T, vs []uint64) {
 	t.Helper()
 	data := PackUint64(nil, vs)
-	got, err := UnpackUint64(data, len(vs), nil)
+	got, err := UnpackUint64(nil, data, len(vs), nil)
 	if err != nil {
 		t.Fatalf("UnpackUint64(%d values): %v", len(vs), err)
 	}
@@ -81,7 +82,7 @@ func TestRoundTripInt64(t *testing.T) {
 	vs[0] = math.MinInt64
 	vs[1] = math.MaxInt64
 	data := PackInt64(nil, vs)
-	got, err := UnpackInt64(data, len(vs), nil)
+	got, err := UnpackInt64(nil, data, len(vs), nil)
 	if err != nil {
 		t.Fatalf("UnpackInt64: %v", err)
 	}
@@ -89,53 +90,6 @@ func TestRoundTripInt64(t *testing.T) {
 		if got[i] != vs[i] {
 			t.Fatalf("value %d: got %d, want %d", i, got[i], vs[i])
 		}
-	}
-}
-
-func TestRoundTripUint32(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	vs := make([]uint32, 300)
-	for i := range vs {
-		vs[i] = rng.Uint32()
-	}
-	data := PackUint32(nil, vs)
-	got, err := UnpackUint32(data, len(vs), nil)
-	if err != nil {
-		t.Fatalf("UnpackUint32: %v", err)
-	}
-	for i := range vs {
-		if got[i] != vs[i] {
-			t.Fatalf("value %d: got %d, want %d", i, got[i], vs[i])
-		}
-	}
-	// A 64-bit stream whose values overflow uint32 must be rejected.
-	wide := PackUint64(nil, []uint64{1 << 40})
-	if _, err := UnpackUint32(wide, 1, nil); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("overflowing stream: got %v, want ErrCorrupt", err)
-	}
-}
-
-func TestRoundTripDelta(t *testing.T) {
-	vs := make([]uint64, 1000)
-	acc := uint64(0)
-	rng := rand.New(rand.NewSource(5))
-	for i := range vs {
-		acc += uint64(rng.Intn(50))
-		vs[i] = acc
-	}
-	data := PackDeltaUint64(nil, vs)
-	got, err := UnpackDeltaUint64(data, len(vs), nil)
-	if err != nil {
-		t.Fatalf("UnpackDeltaUint64: %v", err)
-	}
-	for i := range vs {
-		if got[i] != vs[i] {
-			t.Fatalf("value %d: got %d, want %d", i, got[i], vs[i])
-		}
-	}
-	// Delta coding a sorted ramp must beat plain coding.
-	if plain := PackUint64(nil, vs); len(data) >= len(plain) {
-		t.Fatalf("delta coding (%d bytes) should beat plain (%d bytes) on a ramp", len(data), len(plain))
 	}
 }
 
@@ -163,6 +117,29 @@ func TestExceptionsKeepBlockNarrow(t *testing.T) {
 	roundTripUint64(t, vs)
 }
 
+// packSharded and unpackSharded put a blockpacked stream inside the shard
+// framing, one run of blocks per shard, as internal/streamcodec does.
+func packSharded[T any](vs []T, shards int, pack func([]byte, []T) []byte) []byte {
+	return arith.AppendSharded(nil, len(vs), shards, func(lo, hi int, out []byte) []byte {
+		return pack(out, vs[lo:hi])
+	})
+}
+
+func unpackSharded[T any](data []byte, n int, b *declimits.Budget, unpack func([]T, []byte, int, *declimits.Budget) ([]T, error)) ([]T, error) {
+	if n < 0 {
+		return nil, ErrCorrupt
+	}
+	if err := b.Nodes(int64(n)); err != nil {
+		return nil, err
+	}
+	out := make([]T, n)
+	err := arith.DecodeSharded(data, n, b, func(_ int, shard []byte, lo, hi int) error {
+		_, err := unpack(out[lo:lo:hi], shard, hi-lo, nil)
+		return err
+	})
+	return out, err
+}
+
 func TestShardedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	vs := make([]uint64, 3000)
@@ -174,7 +151,7 @@ func TestShardedRoundTrip(t *testing.T) {
 		is[i] = int64(v) - 1<<19
 	}
 	for _, shards := range []int{1, 2, 7} {
-		got, err := UnpackUint64Sharded(PackUint64Sharded(nil, vs, shards), len(vs), nil)
+		got, err := unpackSharded(packSharded(vs, shards, PackUint64), len(vs), nil, UnpackUint64)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
@@ -183,7 +160,7 @@ func TestShardedRoundTrip(t *testing.T) {
 				t.Fatalf("shards=%d: value %d mismatch", shards, i)
 			}
 		}
-		gotI, err := UnpackInt64Sharded(PackInt64Sharded(nil, is, shards), len(is), nil)
+		gotI, err := unpackSharded(packSharded(is, shards, PackInt64), len(is), nil, UnpackInt64)
 		if err != nil {
 			t.Fatalf("int64 shards=%d: %v", shards, err)
 		}
@@ -199,15 +176,15 @@ func TestBudgetEnforced(t *testing.T) {
 	vs := make([]uint64, 1000)
 	data := PackUint64(nil, vs)
 	b := declimits.New(declimits.Limits{MaxNodes: 100})
-	if _, err := UnpackUint64(data, len(vs), b); !errors.Is(err, declimits.ErrLimit) {
+	if _, err := UnpackUint64(nil, data, len(vs), b); !errors.Is(err, declimits.ErrLimit) {
 		t.Fatalf("got %v, want ErrLimit past the node budget", err)
 	}
 	// The shard clamp needs >= 8192 elements per shard for the declared
 	// count to survive, so use a big enough stream to really get 8 shards.
 	big := make([]uint64, 8*8192)
-	sharded := PackUint64Sharded(nil, big, 8)
+	sharded := packSharded(big, 8, PackUint64)
 	b = declimits.New(declimits.Limits{MaxShards: 4, MaxNodes: 1 << 20})
-	if _, err := UnpackUint64Sharded(sharded, len(big), b); !errors.Is(err, declimits.ErrLimit) {
+	if _, err := unpackSharded(sharded, len(big), b, UnpackUint64); !errors.Is(err, declimits.ErrLimit) {
 		t.Fatalf("got %v, want ErrLimit past the shard cap", err)
 	}
 }
@@ -233,12 +210,12 @@ func TestCorruptStreams(t *testing.T) {
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := UnpackUint64(data, len(vs), nil); !errors.Is(err, ErrCorrupt) {
+			if _, err := UnpackUint64(nil, data, len(vs), nil); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("got %v, want ErrCorrupt", err)
 			}
 		})
 	}
-	if _, err := UnpackUint64(good, -1, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := UnpackUint64(nil, good, -1, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("negative count: got %v, want ErrCorrupt", err)
 	}
 }

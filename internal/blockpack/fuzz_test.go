@@ -19,8 +19,13 @@ func FuzzBlockPack(f *testing.F) {
 		ramp[i] = uint64(i * 7)
 	}
 	f.Add(PackUint64(nil, ramp), uint32(len(ramp)), uint8(0))
-	f.Add(PackUint64Sharded(nil, ramp, 4), uint32(len(ramp)), uint8(1))
-	f.Add(PackDeltaUint64(nil, ramp), uint32(len(ramp)), uint8(2))
+	f.Add(packSharded(ramp, 4, PackUint64), uint32(len(ramp)), uint8(1))
+	steps := make([]int64, len(ramp))
+	for i := range steps {
+		steps[i] = 7
+	}
+	steps[0] = 0
+	f.Add(PackInt64(nil, steps), uint32(len(steps)), uint8(0))
 	// Hostile headers: absurd width, exception counts, empty payloads.
 	f.Add([]byte{64, 128}, uint32(128), uint8(0))
 	f.Add([]byte{65, 0}, uint32(1), uint8(0))
@@ -28,16 +33,15 @@ func FuzzBlockPack(f *testing.F) {
 	f.Add([]byte{}, uint32(0), uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, n uint32, mode uint8) {
 		lim := declimits.Limits{MaxNodes: 1 << 16, MaxShards: 16, MemBudget: 16 << 20}
-		switch mode % 3 {
-		case 0:
-			if out, err := UnpackUint64(data, int(n), declimits.New(lim)); err == nil {
+		if mode%2 == 0 {
+			if out, err := UnpackUint64(nil, data, int(n), declimits.New(lim)); err == nil {
 				if int64(n) > lim.MaxNodes {
 					t.Fatalf("decoded %d values past the %d-node budget", n, lim.MaxNodes)
 				}
 				// A decodable stream must re-encode to a decodable stream of
 				// the same values (not necessarily the same bytes: packing is
 				// canonical, arbitrary input may not be).
-				again, err := UnpackUint64(PackUint64(nil, out), len(out), nil)
+				again, err := UnpackUint64(nil, PackUint64(nil, out), len(out), nil)
 				if err != nil {
 					t.Fatalf("repack failed: %v", err)
 				}
@@ -47,21 +51,18 @@ func FuzzBlockPack(f *testing.F) {
 					}
 				}
 			}
-			_, _ = UnpackInt64(data, int(n), declimits.New(lim))
-		case 1:
+			_, _ = UnpackInt64(nil, data, int(n), declimits.New(lim))
+		} else {
 			for _, procs := range []int{1, 2} {
 				partest.At(procs, func() {
-					if _, err := UnpackUint64Sharded(data, int(n), declimits.New(lim)); err == nil {
+					if _, err := unpackSharded(data, int(n), declimits.New(lim), UnpackUint64); err == nil {
 						if int64(n) > lim.MaxNodes {
 							t.Fatalf("sharded decode of %d values past the node budget", n)
 						}
 					}
-					_, _ = UnpackInt64Sharded(data, int(n), declimits.New(lim))
+					_, _ = unpackSharded(data, int(n), declimits.New(lim), UnpackInt64)
 				})
 			}
-		default:
-			_, _ = UnpackDeltaUint64(data, int(n), declimits.New(lim))
-			_, _ = UnpackUint32(data, int(n), declimits.New(lim))
 		}
 	})
 }

@@ -153,3 +153,51 @@ func TestContextModelRegion(t *testing.T) {
 		t.Fatalf("region decode returned %d points, filter says %d", len(got), wantN)
 	}
 }
+
+// TestContextModelPartialKeepsNoUnverifiedPoints: a ContextModel frame
+// written without shards or blockpack is container v5, but its sparse groups
+// carry no CRC of their own, so a sparse section that fails the section CRC
+// has nothing DecompressPartial could check a group against: it must come
+// back empty, never as points decoded from the damaged bytes. With Shards
+// the same frame's groups do carry CRCs, and the groups a flip spares are
+// still salvaged.
+func TestContextModelPartialKeepsNoUnverifiedPoints(t *testing.T) {
+	pc := frame(t, lidar.City)
+	for _, shards := range []int{0, 4} {
+		opts := DefaultOptions(0.02)
+		opts.ContextModel = true
+		opts.Shards = shards
+		data, _, err := Compress(pc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := parseContainer(data, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := c.sec[SectionSparse].payload // aliases data
+		salvaged := 0
+		for k := 0; k < 40; k++ {
+			at, bit := (2*k+1)*len(sp)/80, byte(1)<<(k%8)
+			sp[at] ^= bit
+			_, reports, err := DecompressPartial(data, DecompressOptions{})
+			sp[at] ^= bit
+			if err != nil {
+				t.Fatalf("shards %d, flip at %d: %v", shards, at, err)
+			}
+			r := reports[SectionSparse]
+			if r.Err == nil {
+				t.Fatalf("shards %d, flip at %d: damage not reported", shards, at)
+			}
+			if shards <= 1 && r.Points != 0 {
+				t.Errorf("shards %d, flip at %d: %d points kept from a section nothing verifies", shards, at, r.Points)
+			}
+			if r.Points > 0 {
+				salvaged++
+			}
+		}
+		if shards > 1 && salvaged == 0 {
+			t.Errorf("shards %d: no flip left a group to salvage", shards)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"dbgc/internal/outlier"
 	"dbgc/internal/par"
 	"dbgc/internal/sparse"
+	"dbgc/internal/streamcodec"
 	"dbgc/internal/varint"
 )
 
@@ -109,14 +110,25 @@ type container struct {
 	sec     [numSections]section
 }
 
-// flags returns the per-stream entropy dialect of the container: v2 is
+// streams returns the per-stream entropy dialect of the container: v2 is
 // plain, v3 sharded, v4 sharded+blockpacked, and v5 carries the combination
 // explicitly in its dialect byte.
-func (c container) flags() (sharded, blockpacked, ctx bool) {
+func (c container) streams() streamcodec.Dialect {
 	if c.version == version5 {
-		return c.dialect&dialectSharded != 0, c.dialect&dialectBlockPack != 0, c.dialect&dialectContext != 0
+		return streamcodec.Dialect{
+			Sharded:   c.dialect&dialectSharded != 0,
+			BlockPack: c.dialect&dialectBlockPack != 0,
+			Context:   c.dialect&dialectContext != 0,
+		}
 	}
-	return c.version >= version3, c.version >= version4, false
+	return streamcodec.Dialect{Sharded: c.version >= version3, BlockPack: c.version >= version4}
+}
+
+// octreeOptions returns what decodes the container's dense section, and its
+// outlier section under either tree mode: the dialect and the budget.
+func (c container) octreeOptions(b *declimits.Budget) octree.DecodeOptions {
+	d := c.streams()
+	return octree.DecodeOptions{Budget: b, Sharded: d.Sharded, BlockPack: d.BlockPack, Context: d.Context}
 }
 
 // parseContainer splits a frame into its envelope and sections, charging
@@ -219,9 +231,10 @@ func DecompressWith(data []byte, opts DecompressOptions) (geom.PointCloud, error
 // DecompressPartial decodes every intact section of a frame and skips
 // damaged ones, returning the partial cloud (sections in container order)
 // and a report per section. Damage is detected by section CRC and by
-// decode failure. On v3 frames the sparse section additionally salvages at
-// radial-group granularity: groups whose own CRC-32C checks out decode even
-// when the section as a whole is damaged. The error is non-nil only when
+// decode failure. Where the sparse section's radial groups carry a CRC-32C
+// of their own (sharded and blockpacked frames) it additionally salvages at
+// group granularity: groups whose CRC checks out decode even when the
+// section as a whole is damaged. The error is non-nil only when
 // the frame envelope itself cannot be parsed — then nothing is recoverable.
 func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []SectionReport, error) {
 	b := newBudget(opts.Limits)
@@ -238,12 +251,12 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 		}
 		if err := c.sec[id].verify(SectionID(id)); err != nil {
 			reports[id].Err = err
-			// v3 sparse sections carry a CRC per radial group, so a damaged
-			// section can still yield its intact groups — keep the payload
-			// and let the salvaging decoder condemn groups individually.
-			// Everything else: don't hand known-bad bytes to the decoder;
-			// empty the payload so decodeSections fails it at the header.
-			if SectionID(id) == SectionSparse && c.version >= version3 {
+			// A sparse section whose radial groups each carry a CRC can
+			// still yield its intact groups — keep the payload and let the
+			// salvaging decoder condemn groups individually. Everything
+			// else: don't hand known-bad bytes to the decoder; empty the
+			// payload so decodeSections fails it at the header.
+			if SectionID(id) == SectionSparse && sparse.GroupsCarryCRC(c.streams()) {
 				continue
 			}
 			c.sec[id].payload = nil
@@ -270,8 +283,8 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 // decodeSections decodes the three sections of a parsed frame through
 // par.Each — each is an independently entropy-coded stream — charging b
 // throughout. salvage lets the sparse decoder skip CRC-condemned radial
-// groups of a v3 stream instead of failing the section (DecompressPartial's
-// group-level recovery). The sections decode into consecutive windows of
+// groups instead of failing the section (DecompressPartial's group-level
+// recovery). The sections decode into consecutive windows of
 // buf, one slice sized from the point counts their headers declare, so
 // buf.Join(pts...) of intact sections is buf itself, every point written
 // once.
@@ -279,8 +292,7 @@ func decodeSections(c container, b *declimits.Budget, salvage bool) (buf geom.Po
 	// The container version (plus the v5 dialect byte), not the payload,
 	// selects the entropy dialect of the dense and outlier sections; sparse
 	// streams are self-flagged.
-	sharded, blockpacked, ctx := c.flags()
-	octOpts := octree.DecodeOptions{Budget: b, Sharded: sharded, BlockPack: blockpacked, Context: ctx}
+	octOpts := c.octreeOptions(b)
 	sparseOpts := sparse.DecodeOptions{Budget: b, Salvage: salvage}
 
 	var offs [numSections + 1]uint64

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"dbgc/internal/varint"
+	"dbgc/internal/octree"
+	"dbgc/internal/sparse"
 )
 
 // Layout describes a DBGC bit sequence's structure (Figure 8) without
@@ -26,9 +27,8 @@ type Layout struct {
 	ContextModeled bool
 	// Groups is the number of radial point groups in the sparse section.
 	Groups int
-	// PointsDense, PointsSparse, PointsOutlier are header point counts
-	// (dense and outlier sections record them directly; sparse requires
-	// full decode and is reported as -1).
+	// PointsDense and PointsOutlier are the point counts the sections'
+	// headers declare.
 	PointsDense   int
 	PointsOutlier int
 }
@@ -43,40 +43,14 @@ func Inspect(data []byte) (Layout, error) {
 		return l, err
 	}
 	l.OutlierMode = c.mode
-	l.ShardedStreams, l.BlockPacked, l.ContextModeled = c.flags()
+	d := c.streams()
+	l.ShardedStreams, l.BlockPacked, l.ContextModeled = d.Sharded, d.BlockPack, d.Context
 
-	dense := c.sec[SectionDense].payload
-	l.BytesDense = len(dense)
-	if n, _, err := varint.Uint(dense); err == nil {
-		l.PointsDense = int(n)
-	}
-	sparse := c.sec[SectionSparse].payload
-	l.BytesSparse = len(sparse)
-	// Sparse section: flags varint, q float64, group count varint.
-	if _, used, err := varint.Uint(sparse); err == nil {
-		rest := sparse[used:]
-		if len(rest) >= 8 {
-			if g, _, err := varint.Uint(rest[8:]); err == nil {
-				l.Groups = int(g)
-			}
-		}
-	}
-	outlierData := c.sec[SectionOutlier].payload
-	l.BytesOutlier = len(outlierData)
-	if l.OutlierMode == OutlierNone || l.OutlierMode == OutlierOctree {
-		if n, _, err := varint.Uint(outlierData); err == nil {
-			l.PointsOutlier = int(n)
-		}
-	} else if len(outlierData) > 8 {
-		// Quadtree outlier section: q (float64), quadtree stream length
-		// varint, then the quadtree stream whose first varint is the
-		// point count.
-		rest := outlierData[8:]
-		if _, used, err := varint.Uint(rest); err == nil {
-			if n, _, err := varint.Uint(rest[used:]); err == nil {
-				l.PointsOutlier = int(n)
-			}
-		}
-	}
+	l.BytesDense = len(c.sec[SectionDense].payload)
+	l.PointsDense = int(octree.PointCount(c.sec[SectionDense].payload))
+	l.BytesSparse = len(c.sec[SectionSparse].payload)
+	l.Groups = sparse.GroupCount(c.sec[SectionSparse].payload)
+	l.BytesOutlier = len(c.sec[SectionOutlier].payload)
+	l.PointsOutlier = int(outlierCount(c.sec[SectionOutlier].payload, c.mode))
 	return l, nil
 }

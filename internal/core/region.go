@@ -36,8 +36,7 @@ func DecompressRegionWith(data []byte, region geom.AABB, opts DecompressOptions)
 		}
 	}
 
-	sharded, blockpacked, ctx := c.flags()
-	octOpts := octree.DecodeOptions{Budget: b, Sharded: sharded, BlockPack: blockpacked, Context: ctx}
+	octOpts := c.octreeOptions(b)
 	// Sparse groups: [rLo, rHi] of the box from the sensor decides which
 	// groups can contribute.
 	rLo, rHi := regionRadialRange(region)

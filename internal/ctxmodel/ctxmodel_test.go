@@ -147,7 +147,7 @@ func TestIntsRoundTrip(t *testing.T) {
 		}
 		for _, shards := range []int{1, 3} {
 			stream := AppendIntsCtx(nil, vs, shards)
-			got, err := DecodeIntsCtx(stream, n, nil)
+			got, err := DecodeIntsCtx(nil, stream, n, nil)
 			if err != nil {
 				t.Fatalf("n %d shards %d: %v", n, shards, err)
 			}
@@ -164,12 +164,12 @@ func TestDecodeIntsCorrupt(t *testing.T) {
 	vs := []int64{1, -2, 300, -40000, 5}
 	stream := AppendIntsCtx(nil, vs, 1)
 	for l := 0; l < len(stream); l++ {
-		if _, err := DecodeIntsCtx(stream[:l], len(vs), nil); err == nil {
+		if _, err := DecodeIntsCtx(nil, stream[:l], len(vs), nil); err == nil {
 			t.Errorf("truncated at %d: want error", l)
 		}
 	}
 	b := declimits.New(declimits.Limits{MaxContexts: 4})
-	if _, err := DecodeIntsCtx(stream, len(vs), b); err == nil {
+	if _, err := DecodeIntsCtx(nil, stream, len(vs), b); err == nil {
 		t.Error("MaxContexts 4: want error")
 	}
 }
@@ -192,7 +192,7 @@ func TestBankSeeding(t *testing.T) {
 		}
 		return AppendIntsCtx(nil, vs, 2)
 	}()
-	got, err := DecodeIntsCtx(stream, len(syms), nil)
+	got, err := DecodeIntsCtx(nil, stream, len(syms), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

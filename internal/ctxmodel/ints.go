@@ -3,6 +3,7 @@ package ctxmodel
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"dbgc/internal/arith"
 	"dbgc/internal/declimits"
@@ -68,9 +69,9 @@ func AppendIntsCtx(dst []byte, vs []int64, shards int) []byte {
 	})
 }
 
-// DecodeIntsCtx inverts AppendIntsCtx, decoding exactly n integers and
-// charging them (plus the context tables) against b.
-func DecodeIntsCtx(data []byte, n int, b *declimits.Budget) ([]int64, error) {
+// DecodeIntsCtx inverts AppendIntsCtx, appending exactly n integers to dst
+// and charging them (plus the context tables) against b.
+func DecodeIntsCtx(dst []int64, data []byte, n int, b *declimits.Budget) ([]int64, error) {
 	// +2 for the shared seeding model and the continuation model.
 	if err := b.Contexts(IntContexts+2, ModelBytes256); err != nil {
 		return nil, err
@@ -78,7 +79,8 @@ func DecodeIntsCtx(data []byte, n int, b *declimits.Budget) ([]int64, error) {
 	if err := b.Nodes(int64(n)); err != nil {
 		return nil, err
 	}
-	out := make([]int64, n)
+	at := len(dst)
+	out := slices.Grow(dst, n)[:at+n]
 	err := arith.DecodeSharded(data, n, b, func(_ int, shard []byte, lo, hi int) error {
 		bank := GetBank(IntContexts, 256)
 		cont := arith.GetModel(256)
@@ -107,7 +109,7 @@ func DecodeIntsCtx(data []byte, n int, b *declimits.Budget) ([]int64, error) {
 				z |= uint64(sym&0x7f) << shift
 				shift += 7
 			}
-			out[k] = varint.Unzigzag(z)
+			out[at+k] = varint.Unzigzag(z)
 			prev = magBucket(z)
 		}
 		return nil

@@ -256,7 +256,7 @@ func Encode(points geom.PointCloud, q float64) (Encoded, error) {
 	}
 
 	payload := e.Finish()
-	countStream := arith.CompressUints(counts)
+	countStream := arith.AppendCompressUints(nil, counts)
 	out = varint.AppendUint(out, uint64(len(payload)))
 	out = append(out, payload...)
 	out = varint.AppendUint(out, uint64(len(counts)))
@@ -355,7 +355,7 @@ func DecodeLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud, err er
 	if err := b.Points(int64(n64)); err != nil {
 		return nil, err
 	}
-	counts, err := arith.DecompressUintsLimited(data[:streamLen], int(countLen64), b)
+	counts, err := arith.AppendDecompressUints(nil, data[:streamLen], int(countLen64), b)
 	if err != nil {
 		return nil, fmt.Errorf("gpcc: counts: %w", err)
 	}

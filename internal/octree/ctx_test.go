@@ -1,10 +1,12 @@
 package octree
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"dbgc/internal/ctxmodel"
+	"dbgc/internal/varint"
 )
 
 // TestContextRoundTrip: the context-modeled occupancy dialect decodes to
@@ -93,40 +95,36 @@ func TestContextCorrupt(t *testing.T) {
 	}
 }
 
-// TestGroupedContextRoundTrip: the context-modeled grouped dialect decodes
-// to the same geometry as the legacy grouped stream and is self-describing
-// (DecodeGrouped needs no option to read it).
-func TestGroupedContextRoundTrip(t *testing.T) {
-	pc := randomCloud(20000, 80, 6)
-	const q = 0.02
-	legacy, err := EncodeGrouped(pc, q)
+// TestGroupedContextMarkerRefused: a group list that opens with 257 — the
+// marker of a context-modeled grouped dialect that no longer exists — fails
+// closed as corrupt, like any group id past the 256 end mark.
+func TestGroupedContextMarkerRefused(t *testing.T) {
+	enc, err := EncodeGrouped(randomCloud(2000, 80, 6), 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DecodeGrouped(legacy.Data)
-	if err != nil {
+	if _, err := DecodeGrouped(enc.Data); err != nil {
 		t.Fatal(err)
 	}
-	ctx, err := EncodeGroupedWith(pc, q, true)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := DecodeGrouped(withGroupedMarker(t, enc.Data, 257)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("group list opening with 257: %v, want ErrCorrupt", err)
 	}
-	got, err := DecodeGrouped(ctx.Data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d points, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
+}
+
+// withGroupedMarker returns the EncodeGrouped stream data with the varint
+// marker spliced in where the group list begins: after the point count with
+// the cube (four floats), the depth and the code count.
+func withGroupedMarker(t testing.TB, data []byte, marker uint64) []byte {
+	t.Helper()
+	at := 0
+	for _, floats := range []int{4, 0, 0} { // a varint, then that many floats
+		_, used, err := varint.Uint(data[at:])
+		if err != nil {
+			t.Fatal(err)
 		}
+		at += used + 8*floats
 	}
-	t.Logf("grouped occupancy bytes: legacy %d, ctx %d", len(legacy.Data), len(ctx.Data))
-	for l := 0; l < len(ctx.Data); l += 13 {
-		if _, err := DecodeGrouped(ctx.Data[:l]); err == nil {
-			t.Errorf("grouped ctx truncated at %d: want error", l)
-		}
-	}
+	out := append([]byte(nil), data[:at]...)
+	out = varint.AppendUint(out, marker)
+	return append(out, data[at:]...)
 }

@@ -30,16 +30,12 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	groupedCtx, err := EncodeGroupedWith(pc, 0.02, true)
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(plain.Data)
 	f.Add(grouped.Data)
 	f.Add(sharded.Data)
 	f.Add(packed.Data)
 	f.Add(ctx.Data)
-	f.Add(groupedCtx.Data)
+	f.Add(withGroupedMarker(f, grouped.Data, 257))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		_, _ = Decode(b)
@@ -53,10 +49,11 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzContextOctree concentrates on the v5 context streams: the seed corpus
-// carries context-coded plain, sharded, and grouped streams plus variants
-// with truncated and garbled context-table headers (method marker, feature
-// byte, context-count varint); no mutation may panic or loop either the
-// plain or the grouped context decoder.
+// carries context-coded plain and sharded streams and a grouped stream
+// behind the refused context marker, plus variants with truncated and
+// garbled context-table headers (method marker, feature byte, context-count
+// varint); no mutation may panic or loop either the plain or the grouped
+// decoder.
 func FuzzContextOctree(f *testing.F) {
 	pc := geom.PointCloud{{X: 1, Y: 2, Z: 3}, {X: 1.1, Y: 2, Z: 3}, {X: -4, Y: 0, Z: 1}, {X: 0.5, Y: -2, Z: 0}}
 	ctx, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true})
@@ -67,13 +64,13 @@ func FuzzContextOctree(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	groupedCtx, err := EncodeGroupedWith(pc, 0.02, true)
+	grouped, err := EncodeGrouped(pc, 0.02)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(ctx.Data)
 	f.Add(shardedCtx.Data)
-	f.Add(groupedCtx.Data)
+	f.Add(withGroupedMarker(f, grouped.Data, 257))
 	// The occupancy section sits after the point count, three floats, the
 	// cube side, the depth varint, and the section length varint; garble a
 	// window of offsets around it so the method marker, feature byte, and

@@ -5,16 +5,10 @@ import (
 	"math"
 
 	"dbgc/internal/arith"
-	"dbgc/internal/ctxmodel"
 	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
 	"dbgc/internal/varint"
 )
-
-// groupedCtxMarker is the group-id sentinel announcing the context-modeled
-// grouped dialect. Legacy streams terminate the group list with 256 and
-// never emit an id above it, so a leading 257 is unambiguous.
-const groupedCtxMarker = 257
 
 // EncodeGrouped implements the "Octree_i" scheme (Garcia et al., §4.1 of
 // the paper): the tree is built exactly as in Encode, but occupancy codes
@@ -24,16 +18,6 @@ const groupedCtxMarker = 257
 // clouds, where many groups are too small to amortize per-group overhead —
 // this implementation reproduces that behaviour.
 func EncodeGrouped(points geom.PointCloud, q float64) (Encoded, error) {
-	return EncodeGroupedWith(points, q, false)
-}
-
-// EncodeGroupedWith is EncodeGrouped with an optional context-modeled
-// refinement: with ctx set, each group's codes are reflected by their
-// node's octant and coded under a snapshot-seeded bank keyed by the
-// parent-adjacency mask (the within-group analogue of the v5 occupancy
-// contexts; the parent code itself is already the group key). The dialect
-// is announced in-stream, so DecodeGrouped reads both.
-func EncodeGroupedWith(points geom.PointCloud, q float64, ctx bool) (Encoded, error) {
 	if q <= 0 {
 		return Encoded{}, fmt.Errorf("octree: error bound must be positive, got %v", q)
 	}
@@ -57,36 +41,23 @@ func EncodeGroupedWith(points geom.PointCloud, q float64, ctx bool) (Encoded, er
 	header = appendFloat(header, side)
 	header = varint.AppendUint(header, uint64(depth))
 
-	occ, parents, octants, counts, order := buildWithParents(points, cube.Min, side, depth)
+	occ, parents, counts, order := buildWithParents(points, cube.Min, side, depth)
 	enc.DecodedOrder = order
 
 	// Partition codes into 256 groups keyed by parent occupancy code and
 	// compress each group separately. The decoder replays the BFS, so it
 	// knows each node's parent code and pulls from the right group.
 	groups := make([][]byte, 256)
-	groupOct := make([][]uint8, 256)
 	for i, code := range occ {
-		p := parents[i]
-		groups[p] = append(groups[p], code)
-		if ctx {
-			groupOct[p] = append(groupOct[p], octants[i])
-		}
+		groups[parents[i]] = append(groups[parents[i]], code)
 	}
 	out := header
 	out = varint.AppendUint(out, uint64(len(occ)))
-	if ctx {
-		out = varint.AppendUint(out, groupedCtxMarker)
-	}
 	for p := 0; p < 256; p++ {
 		if len(groups[p]) == 0 {
 			continue
 		}
-		var stream []byte
-		if ctx {
-			stream = appendGroupCtx(groups[p], groupOct[p], byte(p))
-		} else {
-			stream = arith.CompressBytes(groups[p])
-		}
+		stream := arith.AppendCompressCodes(nil, groups[p], 256)
 		out = varint.AppendUint(out, uint64(p))
 		out = varint.AppendUint(out, uint64(len(groups[p])))
 		out = varint.AppendUint(out, uint64(len(stream)))
@@ -95,7 +66,7 @@ func EncodeGroupedWith(points geom.PointCloud, q float64, ctx bool) (Encoded, er
 	// Sentinel terminating the group list (256 is outside the code range).
 	out = varint.AppendUint(out, 256)
 
-	countStream := arith.CompressUints(counts)
+	countStream := arith.AppendCompressUints(nil, counts)
 	out = varint.AppendUint(out, uint64(len(counts)))
 	out = varint.AppendUint(out, uint64(len(countStream)))
 	out = append(out, countStream...)
@@ -103,28 +74,9 @@ func EncodeGroupedWith(points geom.PointCloud, q float64, ctx bool) (Encoded, er
 	return enc, nil
 }
 
-// appendGroupCtx codes one parent-code group's occupancy codes under a
-// snapshot-seeded bank: the context is the face-adjacency mask of the
-// node's octant within parent, and symbols are reflected by the octant so
-// mirror-image configurations share statistics.
-func appendGroupCtx(codes []byte, octants []uint8, parent byte) []byte {
-	feats := ctxmodel.DefaultFeatures
-	bank := ctxmodel.GetBank(feats.Contexts(), 256)
-	e := arith.GetEncoder()
-	for i, code := range codes {
-		oct := octants[i]
-		bank.Encode(e, feats.Index(parent, oct, 0, 0), int(ctxmodel.Reflect(code, oct)))
-	}
-	out := e.AppendFinish(nil)
-	arith.PutEncoder(e)
-	ctxmodel.PutBank(bank)
-	return out
-}
-
 // buildWithParents is buildAndSerialize plus, for every emitted occupancy
-// code, the occupancy code of its parent (0 for the root, which has none)
-// and the node's child octant within that parent (0 for the root).
-func buildWithParents(points geom.PointCloud, min geom.Point, side float64, depth int) (occ, parents []byte, octants []uint8, counts []uint64, order []int) {
+// code, the occupancy code of its parent (0 for the root, which has none).
+func buildWithParents(points geom.PointCloud, min geom.Point, side float64, depth int) (occ, parents []byte, counts []uint64, order []int) {
 	// Octree_i is a comparison baseline, not a hot path, so it keeps the
 	// simple bucket-per-node construction instead of the pooled scatter
 	// buffers of buildAndSerialize.
@@ -133,7 +85,6 @@ func buildWithParents(points geom.PointCloud, min geom.Point, side float64, dept
 		center     geom.Point
 		half       float64
 		parentCode byte
-		octant     uint8
 	}
 	all := make([]int32, len(points))
 	for i := range all {
@@ -160,7 +111,6 @@ func buildWithParents(points geom.PointCloud, min geom.Point, side float64, dept
 			}
 			occ = append(occ, code)
 			parents = append(parents, nd.parentCode)
-			octants = append(octants, nd.octant)
 			for c := 0; c < 8; c++ {
 				if len(buckets[c]) == 0 {
 					continue
@@ -170,7 +120,6 @@ func buildWithParents(points geom.PointCloud, min geom.Point, side float64, dept
 					center:     childCenter(nd.center, qh, c),
 					half:       qh,
 					parentCode: code,
-					octant:     uint8(c),
 				})
 			}
 		}
@@ -185,7 +134,7 @@ func buildWithParents(points geom.PointCloud, min geom.Point, side float64, dept
 			order = append(order, int(idx))
 		}
 	}
-	return occ, parents, octants, counts, order
+	return occ, parents, counts, order
 }
 
 // DecodeGrouped reconstructs a cloud from an EncodeGrouped stream.
@@ -248,37 +197,13 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 		return nil, fmt.Errorf("%w: code count overflow", ErrCorrupt)
 	}
 
-	// A leading sentinel 257 in the group list announces the context-modeled
-	// dialect; legacy streams go straight to group ids (or the 256 end mark).
-	ctx := false
-	if p, used, err := varint.Uint(data); err == nil && p == groupedCtxMarker {
-		ctx = true
-		data = data[used:]
-	}
-
-	// Read the per-parent-code group streams. Legacy groups decode eagerly;
-	// context groups hold a live decoder and are pulled one code at a time
-	// during the replay below (their contexts need the replay's octants).
+	// Read the per-parent-code group streams; an id above the 256 end mark
+	// is corrupt.
 	type group struct {
 		codes []byte
 		next  int
-		// Context-dialect state.
-		dec    *arith.Decoder
-		bank   *ctxmodel.Bank
-		parent byte
-		left   int
 	}
 	groups := make([]*group, 256)
-	defer func() {
-		for _, g := range groups {
-			if g == nil || g.dec == nil {
-				continue
-			}
-			arith.PutDecoder(g.dec)
-			ctxmodel.PutBank(g.bank)
-		}
-	}()
-	feats := ctxmodel.DefaultFeatures
 	for {
 		p, used, err := varint.Uint(data)
 		if err != nil {
@@ -299,17 +224,7 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 		if uint64(cnt) > total {
 			return nil, fmt.Errorf("%w: group of %d codes exceeds code total %d", ErrCorrupt, cnt, total)
 		}
-		if ctx {
-			if err := b.Contexts(int64(feats.Contexts())+1, ctxmodel.ModelBytes256); err != nil {
-				return nil, err
-			}
-			if err := b.Nodes(int64(cnt)); err != nil {
-				return nil, err
-			}
-			groups[p] = &group{dec: arith.GetDecoder(payload), bank: ctxmodel.GetBank(feats.Contexts(), 256), parent: byte(p), left: cnt}
-			continue
-		}
-		codes, err := arith.DecompressBytesLimited(payload, cnt, b)
+		codes, err := arith.AppendDecompressCodes(nil, payload, cnt, 256, b)
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +240,7 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 	if uint64(countLen) > n {
 		return nil, fmt.Errorf("%w: %d leaf counts for %d points", ErrCorrupt, countLen, n)
 	}
-	counts, err := arith.DecompressUintsLimited(countStream, countLen, b)
+	counts, err := arith.AppendDecompressUints(nil, countStream, countLen, b)
 	if err != nil {
 		return nil, fmt.Errorf("octree: counts: %w", err)
 	}
@@ -335,7 +250,6 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 		center     geom.Point
 		half       float64
 		parentCode byte
-		octant     uint8
 	}
 	half := side / 2
 	level := []cell{{center: min.Add(geom.Point{X: half, Y: half, Z: half}), half: half}}
@@ -344,27 +258,11 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 		next := make([]cell, 0, len(level)*2)
 		for _, cl := range level {
 			g := groups[cl.parentCode]
-			var code byte
-			switch {
-			case g == nil:
+			if g == nil || g.next >= len(g.codes) {
 				return nil, fmt.Errorf("%w: group %d exhausted", ErrCorrupt, cl.parentCode)
-			case ctx:
-				if g.left <= 0 {
-					return nil, fmt.Errorf("%w: group %d exhausted", ErrCorrupt, cl.parentCode)
-				}
-				sym, err := g.bank.Decode(g.dec, feats.Index(g.parent, cl.octant, 0, 0))
-				if err != nil {
-					return nil, fmt.Errorf("octree: group %d: %w", cl.parentCode, err)
-				}
-				code = ctxmodel.Reflect(byte(sym), cl.octant)
-				g.left--
-			default:
-				if g.next >= len(g.codes) {
-					return nil, fmt.Errorf("%w: group %d exhausted", ErrCorrupt, cl.parentCode)
-				}
-				code = g.codes[g.next]
-				g.next++
 			}
+			code := g.codes[g.next]
+			g.next++
 			read++
 			if code == 0 {
 				return nil, fmt.Errorf("%w: empty occupancy code", ErrCorrupt)
@@ -372,7 +270,7 @@ func DecodeGroupedLimited(data []byte, b *declimits.Budget) (pc geom.PointCloud,
 			qh := cl.half / 2
 			for c := 0; c < 8; c++ {
 				if code&(1<<uint(c)) != 0 {
-					next = append(next, cell{center: childCenter(cl.center, qh, c), half: qh, parentCode: code, octant: uint8(c)})
+					next = append(next, cell{center: childCenter(cl.center, qh, c), half: qh, parentCode: code})
 				}
 			}
 		}

@@ -23,12 +23,11 @@ import (
 	"sync"
 	"time"
 
-	"dbgc/internal/arith"
-	"dbgc/internal/blockpack"
 	"dbgc/internal/ctxmodel"
 	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
 	"dbgc/internal/par"
+	"dbgc/internal/streamcodec"
 	"dbgc/internal/varint"
 )
 
@@ -129,10 +128,6 @@ func (o EncodeOptions) ctxFeatures() ctxmodel.Features {
 	return ctxmodel.DefaultFeatures
 }
 
-// Sharded reports whether the options produce sharded entropy streams.
-// BlockPack (v4) always uses the shard framing, with possibly one shard.
-func (o EncodeOptions) sharded() bool { return o.Shards > 1 || o.BlockPack }
-
 // Encode compresses points so that every reconstructed coordinate differs
 // from the original by at most q per dimension. An empty input encodes to a
 // valid empty stream.
@@ -176,14 +171,10 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	// coders run side by side, and each stream additionally splits into
 	// opts.Shards independent shards.
 	entStart := time.Now()
+	d := streamcodec.Dialect{Sharded: opts.Shards > 1, BlockPack: opts.BlockPack}
 	var occStream, countStream []byte
 	encodeOcc := func() []byte {
-		var legacy []byte
-		if opts.sharded() {
-			legacy = arith.AppendCompressCodesSharded(nil, occ, 256, opts.Shards)
-		} else {
-			legacy = arith.CompressBytes(occ)
-		}
+		legacy := streamcodec.AppendCodes(nil, d.Codec(streamcodec.Occupancy), occ, 256, opts.Shards)
 		if !opts.Context {
 			return legacy
 		}
@@ -198,18 +189,11 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 		}
 		return append([]byte{occMethodLegacy}, legacy...)
 	}
-	encodeCounts := func() []byte {
-		if opts.BlockPack {
-			return blockpack.PackUint64Sharded(nil, counts, opts.Shards)
-		}
-		if opts.sharded() {
-			return arith.AppendCompressUintsSharded(nil, counts, opts.Shards)
-		}
-		return arith.AppendCompressUints(nil, counts)
-	}
 	par.Do(
 		func() { occStream = encodeOcc() },
-		func() { countStream = encodeCounts() },
+		func() {
+			countStream = streamcodec.AppendUints(nil, d.Codec(streamcodec.Bulk), counts, opts.Shards)
+		},
 	)
 	enc.EntropyTime = time.Since(entStart)
 
@@ -537,25 +521,16 @@ func decode(dst geom.PointCloud, data []byte, opts DecodeOptions, region *geom.A
 	defer decodePool.Put(s)
 
 	// The two streams are independent, like the coders that wrote them.
+	d := streamcodec.Dialect{Sharded: opts.Sharded, BlockPack: opts.BlockPack}
 	var occErr, countErr error
 	par.Do(func() {
-		switch {
-		case st.ctxOcc:
+		if st.ctxOcc {
 			s.occ, occErr = ctxmodel.DecodeOcc(st.occ, st.occLen, st.depth, b)
-		case opts.Sharded || opts.BlockPack:
-			s.occ, occErr = arith.DecompressCodesShardedLimited(st.occ, st.occLen, 256, b)
-		default:
-			s.occ, occErr = arith.AppendDecompressBytes(s.occ[:0], st.occ, st.occLen, b)
+		} else {
+			s.occ, occErr = streamcodec.DecodeCodes(s.occ[:0], d.Codec(streamcodec.Occupancy), st.occ, st.occLen, 256, b)
 		}
 	}, func() {
-		switch {
-		case opts.BlockPack:
-			s.counts, countErr = blockpack.UnpackUint64Sharded(st.counts, st.countLen, b)
-		case opts.Sharded:
-			s.counts, countErr = arith.DecompressUintsShardedLimited(st.counts, st.countLen, b)
-		default:
-			s.counts, countErr = arith.AppendDecompressUints(s.counts[:0], st.counts, st.countLen, b)
-		}
+		s.counts, countErr = streamcodec.DecodeUints(s.counts[:0], d.Codec(streamcodec.Bulk), st.counts, st.countLen, b)
 	})
 	if occErr != nil {
 		return nil, fmt.Errorf("octree: occupancy: %w", occErr)

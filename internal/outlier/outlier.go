@@ -13,11 +13,10 @@ import (
 	"math"
 	"slices"
 
-	"dbgc/internal/arith"
-	"dbgc/internal/blockpack"
 	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
 	"dbgc/internal/quadtree"
+	"dbgc/internal/streamcodec"
 	"dbgc/internal/varint"
 )
 
@@ -77,14 +76,8 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 		}
 		dz[i] = zq[i] - zq[i-1]
 	}
-	var zStream []byte
-	if opts.BlockPack {
-		zStream = blockpack.PackInt64Sharded(nil, dz, opts.Shards)
-	} else if opts.Shards > 1 {
-		zStream = arith.AppendCompressIntsSharded(nil, dz, opts.Shards)
-	} else {
-		zStream = arith.CompressInts(dz)
-	}
+	d := streamcodec.Dialect{Sharded: opts.Shards > 1, BlockPack: opts.BlockPack}
+	zStream := streamcodec.AppendInts(nil, d.Codec(streamcodec.Bulk), dz, opts.Shards)
 
 	out := make([]byte, 0, len(qt.Data)+len(zStream)+24)
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(q))
@@ -185,14 +178,8 @@ func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (pc geom.P
 	if zLen > uint64(len(data)) {
 		return nil, fmt.Errorf("%w: z stream truncated", ErrCorrupt)
 	}
-	var dz []int64
-	if opts.BlockPack {
-		dz, err = blockpack.UnpackInt64Sharded(data[:zLen], len(xy), b)
-	} else if opts.Sharded {
-		dz, err = arith.DecompressIntsShardedLimited(data[:zLen], len(xy), b)
-	} else {
-		dz, err = arith.DecompressIntsLimited(data[:zLen], len(xy), b)
-	}
+	d := streamcodec.Dialect{Sharded: opts.Sharded, BlockPack: opts.BlockPack}
+	dz, err := streamcodec.DecodeInts(nil, d.Codec(streamcodec.Bulk), data[:zLen], len(xy), b)
 	if err != nil {
 		return nil, fmt.Errorf("outlier: z deltas: %w", err)
 	}

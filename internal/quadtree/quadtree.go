@@ -11,9 +11,8 @@ import (
 	"fmt"
 	"math"
 
-	"dbgc/internal/arith"
-	"dbgc/internal/blockpack"
 	"dbgc/internal/declimits"
+	"dbgc/internal/streamcodec"
 	"dbgc/internal/varint"
 )
 
@@ -166,18 +165,13 @@ func EncodeWith(points []Point2, q float64, opts EncodeOptions) (Encoded, error)
 	}
 	enc.DecodedOrder = order
 
-	var occStream, countStream []byte
-	if opts.Shards > 1 || opts.BlockPack {
-		occStream = arith.AppendCompressCodesSharded(nil, occ, 16, opts.Shards)
-		if opts.BlockPack {
-			countStream = blockpack.PackUint64Sharded(nil, counts, opts.Shards)
-		} else {
-			countStream = arith.AppendCompressUintsSharded(nil, counts, opts.Shards)
-		}
-	} else {
-		occStream = compressCodes(occ)
-		countStream = arith.CompressUints(counts)
-	}
+	// The occupancy codes go to a single adaptive model. (Parent-code
+	// contexts were measured to cost ~1.5% here: outlier occupancy streams
+	// are dominated by one-hot chains whose statistics a single model
+	// already captures, and per-context adaptation is pure overhead.)
+	d := streamcodec.Dialect{Sharded: opts.Shards > 1, BlockPack: opts.BlockPack}
+	occStream := streamcodec.AppendCodes(nil, d.Codec(streamcodec.Occupancy), occ, 16, opts.Shards)
+	countStream := streamcodec.AppendUints(nil, d.Codec(streamcodec.Bulk), counts, opts.Shards)
 	out = varint.AppendUint(out, uint64(len(occ)))
 	out = varint.AppendUint(out, uint64(len(occStream)))
 	out = append(out, occStream...)
@@ -193,20 +187,6 @@ func childOff(c, qh float64, hi bool) float64 {
 		return c + qh
 	}
 	return c - qh
-}
-
-// compressCodes arithmetic-codes the occupancy sequence with a single
-// adaptive model. (Parent-code contexts were measured to cost ~1.5% here:
-// outlier occupancy streams are dominated by one-hot chains whose statistics
-// a single model already captures, and per-context adaptation is pure
-// overhead.)
-func compressCodes(codes []byte) []byte {
-	e := arith.NewEncoder()
-	m := arith.NewModel(16)
-	for _, c := range codes {
-		e.Encode(m, int(c))
-	}
-	return e.Finish()
 }
 
 // Decode reconstructs the 2D points (leaf centers, repeated by count) from
@@ -288,49 +268,18 @@ func DecodeWith(data []byte, opts DecodeOptions) (pts []Point2, err error) {
 	if uint64(countLen) > n {
 		return nil, fmt.Errorf("%w: %d leaf counts for %d points", ErrCorrupt, countLen, n)
 	}
-	var counts []uint64
-	if opts.BlockPack {
-		counts, err = blockpack.UnpackUint64Sharded(countStream, countLen, b)
-	} else if opts.Sharded {
-		counts, err = arith.DecompressUintsShardedLimited(countStream, countLen, b)
-	} else {
-		counts, err = arith.DecompressUintsLimited(countStream, countLen, b)
-	}
+	d := streamcodec.Dialect{Sharded: opts.Sharded, BlockPack: opts.BlockPack}
+	counts, err := streamcodec.DecodeUints(nil, d.Codec(streamcodec.Bulk), countStream, countLen, b)
 	if err != nil {
 		return nil, fmt.Errorf("quadtree: counts: %w", err)
 	}
-	// Unsharded streams decode occupancy lazily, interleaved with the tree
-	// walk; sharded streams materialize the code sequence first (the shards
-	// decode independently) and the walk replays it.
-	var decodeCode func(parent byte) (byte, error)
-	if opts.Sharded || opts.BlockPack {
-		occ, err := arith.DecompressCodesShardedLimited(occStream, occLen, 16, b)
-		if err != nil {
-			return nil, fmt.Errorf("quadtree: occupancy: %w", err)
-		}
-		k := 0
-		decodeCode = func(parent byte) (byte, error) {
-			_ = parent
-			c := occ[k]
-			k++
-			return c, nil
-		}
-	} else {
-		if err := b.Nodes(int64(occLen)); err != nil {
-			return nil, err
-		}
-		occDec := arith.NewDecoder(occStream)
-		occModel := arith.NewModel(16)
-		decodeCode = func(parent byte) (byte, error) {
-			_ = parent
-			sym, err := occDec.Decode(occModel)
-			return byte(sym), err
-		}
+	occ, err := streamcodec.DecodeCodes(nil, d.Codec(streamcodec.Occupancy), occStream, occLen, 16, b)
+	if err != nil {
+		return nil, fmt.Errorf("quadtree: occupancy: %w", err)
 	}
 
 	type cell struct {
 		cx, cy, hh float64
-		parent     byte
 	}
 	half := side / 2
 	level := []cell{{cx: minX + half, cy: minY + half, hh: half}}
@@ -341,11 +290,8 @@ func DecodeWith(data []byte, opts DecodeOptions) (pts []Point2, err error) {
 			if pos >= occLen {
 				return nil, fmt.Errorf("%w: occupancy stream too short", ErrCorrupt)
 			}
-			code, err := decodeCode(cl.parent)
+			code := occ[pos]
 			pos++
-			if err != nil {
-				return nil, fmt.Errorf("quadtree: occupancy %d: %w", pos, err)
-			}
 			if code == 0 || code > 15 {
 				return nil, fmt.Errorf("%w: bad occupancy code %d", ErrCorrupt, code)
 			}
@@ -353,10 +299,9 @@ func DecodeWith(data []byte, opts DecodeOptions) (pts []Point2, err error) {
 			for c := 0; c < 4; c++ {
 				if code&(1<<uint(c)) != 0 {
 					next = append(next, cell{
-						cx:     childOff(cl.cx, qh, c&1 != 0),
-						cy:     childOff(cl.cy, qh, c&2 != 0),
-						hh:     qh,
-						parent: code,
+						cx: childOff(cl.cx, qh, c&1 != 0),
+						cy: childOff(cl.cy, qh, c&2 != 0),
+						hh: qh,
 					})
 				}
 			}

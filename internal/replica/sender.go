@@ -22,6 +22,10 @@ var ErrReplTimeout = errors.New("replica: timed out waiting for follower durabil
 // follower was promoted and this node is a deposed primary.
 var ErrFenced = errors.New("replica: fenced by promoted follower")
 
+// handshakeTimeout bounds the replication hello exchange, and the digest
+// and manifest exchanges of a scrub.
+const handshakeTimeout = 5 * time.Second
+
 // ErrStopped reports use of a stopped sender.
 var ErrStopped = errors.New("replica: sender stopped")
 
@@ -49,8 +53,6 @@ type SenderConfig struct {
 	// often: digest comparison per tenant, manifest diff where digests
 	// diverge, re-ship of divergent records.
 	ScrubInterval time.Duration
-	// HandshakeTimeout bounds the replication hello exchange (default 5s).
-	HandshakeTimeout time.Duration
 	// MaxInFlight bounds unacked records on the wire (default 32). It need
 	// not fit the follower's session queue, which paces the link by not
 	// reading.
@@ -173,9 +175,6 @@ func NewSender(cfg SenderConfig) (*Sender, error) {
 	}
 	if cfg.BatchBytes <= 0 {
 		cfg.BatchBytes = 1 << 20
-	}
-	if cfg.HandshakeTimeout <= 0 {
-		cfg.HandshakeTimeout = 5 * time.Second
 	}
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 32
@@ -649,7 +648,7 @@ func (s *Sender) dialAndHandshake(addr string) (net.Conn, error) {
 		s.setLink(false)
 		return nil, err
 	}
-	conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	hello := netproto.Message{
 		Kind: netproto.KindReplHello, Seq: netproto.HelloSeq,
 		Payload: EncodeHello(Hello{Epoch: s.cfg.Epoch, Mode: ModeStream}),
@@ -718,7 +717,7 @@ func (s *Sender) replQuery(h Hello) ([]byte, error) {
 		return nil, err
 	}
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(s.cfg.HandshakeTimeout))
+	conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	msg := netproto.Message{
 		Kind: netproto.KindReplHello, Seq: netproto.HelloSeq, Payload: EncodeHello(h),
 	}

@@ -9,13 +9,11 @@ import (
 	"slices"
 	"sync"
 
-	"dbgc/internal/arith"
-	"dbgc/internal/blockpack"
-	"dbgc/internal/ctxmodel"
 	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
 	"dbgc/internal/par"
 	"dbgc/internal/polyline"
+	"dbgc/internal/streamcodec"
 	"dbgc/internal/varint"
 )
 
@@ -39,14 +37,19 @@ type DecodeOptions struct {
 	Salvage bool
 }
 
-// groupFlags carries the per-stream dialect bits every group decode needs.
+// groupFlags carries the stream header's flags, which every group decode
+// needs: the two ablations, and the dialect that chooses the streams' coders.
 type groupFlags struct {
 	cartesian  bool
 	plainDelta bool
-	sharded    bool
-	blockpack  bool
-	ctx        bool
+	dialect    streamcodec.Dialect
 }
+
+// GroupsCarryCRC tells the dialects whose group payloads are each prefixed
+// by their CRC-32C, which is what DecodeOptions.Salvage checks a group
+// against: sharded (v3) and blockpacked (v4) streams, under container v5
+// too. A context-modeled stream that is neither has no group CRCs.
+func GroupsCarryCRC(d streamcodec.Dialect) bool { return d.Sharded || d.BlockPack }
 
 // Decode reconstructs the polyline points from a stream produced by
 // Encode, in the same order as Encoded.DecodedOrder.
@@ -70,6 +73,13 @@ func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (pc geom.P
 		return nil, err
 	}
 	return fr.decodeGroups(dst, fr.groups, opts)
+}
+
+// GroupCount returns the number of radial groups of an Encode stream, or
+// how many of them can be read.
+func GroupCount(data []byte) int {
+	fr, _ := parseFrame(data)
+	return len(fr.groups)
 }
 
 // PointCount returns the number of points the group headers of an Encode
@@ -112,9 +122,11 @@ func parseFrame(data []byte) (fr frame, err error) {
 	fr.gf = groupFlags{
 		cartesian:  flags&flagCartesian != 0,
 		plainDelta: flags&flagPlainDelta != 0,
-		sharded:    flags&flagSharded != 0,
-		blockpack:  flags&flagBlockPack != 0,
-		ctx:        flags&flagContext != 0,
+		dialect: streamcodec.Dialect{
+			Sharded:   flags&flagSharded != 0,
+			BlockPack: flags&flagBlockPack != 0,
+			Context:   flags&flagContext != 0,
+		},
 	}
 	nGroups, used, err := varint.Uint(data)
 	if err != nil {
@@ -181,10 +193,10 @@ func (fr frame) readGroupHeader(data []byte) (h groupHeader, rest []byte, err er
 // declare, and the length of one polyline.
 const sane = 1 << 28
 
-// groupBody strips the CRC-32C prefix that sharded (v3) and blockpacked
-// (v4) groups carry, without checking it.
+// groupBody strips the CRC-32C prefix of a group that carries one, without
+// checking it.
 func (fr frame) groupBody(group []byte) []byte {
-	if fr.gf.sharded || fr.gf.blockpack {
+	if GroupsCarryCRC(fr.gf.dialect) {
 		return group[min(4, len(group)):]
 	}
 	return group
@@ -237,11 +249,10 @@ func (fr frame) decodeGroups(dst geom.PointCloud, groups [][]byte, opts DecodeOp
 	return dst.Join(pts...), nil
 }
 
-// decodeGroupChecked verifies the CRC-32C prefix that sharded (v3) and
-// blockpacked (v4) groups carry, then decodes the group payload. Legacy
-// groups pass through unchanged.
+// decodeGroupChecked verifies the CRC-32C prefix of a group that carries
+// one, then decodes the group payload.
 func (fr frame) decodeGroupChecked(dst geom.PointCloud, data []byte, s *groupScratch, b *declimits.Budget) (geom.PointCloud, error) {
-	if fr.gf.sharded || fr.gf.blockpack {
+	if GroupsCarryCRC(fr.gf.dialect) {
 		if len(data) < 4 {
 			return nil, fmt.Errorf("%w: group shorter than its CRC", ErrCorrupt)
 		}
@@ -256,21 +267,37 @@ func (fr frame) decodeGroupChecked(dst geom.PointCloud, data []byte, s *groupScr
 
 // groupScratch holds what decoding one group needs besides its output:
 // the polyline lengths, the five integer streams (θ head deltas, θ tails, φ
-// head deltas, φ tails, radials), the reference symbols, the inflated bytes
-// of a DEFLATEd stream, every line's points in one array with the lines
-// slicing it, and the consensus line. Pooled, one per goroutine decoding
+// head deltas, φ tails, radials), the reference symbols, every line's
+// points in one array with the lines slicing it, and the consensus line. Pooled, one per goroutine decoding
 // groups, so a steady-state decode allocates none of it.
 type groupScratch struct {
 	lens  []uint64
 	ints  [5][]int64
-	refs  []int
-	raw   []byte
+	refs  []byte
 	pts   []polyline.Point
 	lines []polyline.Line
 	cons  polyline.Consensus
 }
 
 var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
+
+// checkLengths holds a group's decoded polyline lengths to its header —
+// every line has a head and at least one tail, and together they have the
+// total points the header's line and tail counts add up to — and charges
+// those points to b.
+func checkLengths(lens []uint64, total int, b *declimits.Budget) error {
+	sum := 0
+	for _, l := range lens {
+		if l < 2 || l > sane {
+			return fmt.Errorf("%w: polyline length %d", ErrCorrupt, l)
+		}
+		sum += int(l)
+	}
+	if sum != total {
+		return fmt.Errorf("%w: tail count %d does not match lengths (%d)", ErrCorrupt, total-len(lens), sum-len(lens))
+	}
+	return b.Points(int64(total))
+}
 
 // decodeGroup decodes one group payload and appends its points to dst.
 func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b *declimits.Budget) (geom.PointCloud, error) {
@@ -282,10 +309,10 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 	nLines, nTails := h.nLines, h.nTails
 
 	// v5 groups carry a methods byte naming the entropy coder of each
-	// angular stream; for earlier dialects it stays zero, which is exactly
-	// intMethodLegacy for every stream.
+	// angular stream.
+	d := gf.dialect
 	var methods byte
-	if gf.ctx {
+	if d.Context {
 		if len(data) < 1 {
 			return nil, fmt.Errorf("%w: missing stream methods byte", ErrCorrupt)
 		}
@@ -296,7 +323,7 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 		}
 	}
 
-	var streams [7][]byte
+	var streams [len(streamTable)][]byte
 	for i := range streams {
 		l, used, err := varint.Uint(data)
 		if err != nil {
@@ -313,103 +340,38 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 		return nil, fmt.Errorf("%w: %d trailing bytes in group", ErrCorrupt, len(data))
 	}
 
-	if gf.blockpack {
-		s.lens, err = blockpack.UnpackUint64Sharded(streams[0], nLines, b)
-	} else {
-		s.lens, err = arith.AppendDecompressUints(s.lens[:0], streams[0], nLines, b)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("sparse: lengths: %w", err)
-	}
-	lens := s.lens
-	total := 0
-	for _, l := range lens {
-		if l < 2 || l > sane {
-			return nil, fmt.Errorf("%w: polyline length %d", ErrCorrupt, l)
-		}
-		total += int(l)
-	}
-	if total-nLines != nTails {
-		return nil, fmt.Errorf("%w: tail count %d does not match lengths (%d)", ErrCorrupt, nTails, total-nLines)
-	}
-	if err := b.Points(int64(total)); err != nil {
-		return nil, err
-	}
-
-	// legacyInts decodes stream i under the pre-v5 dialect rules: blockpack
-	// (v4) packs every stream (heads plain, high-volume streams in the shard
-	// framing); otherwise the azimuthal streams (1, 2) are DEFLATEd varints,
-	// the φ heads (3) plain arithmetic, and the high-volume streams (4, 5)
-	// arithmetic in the shard framing when the group is sharded (v3). The
-	// plain paths decode into the scratch's slot for the stream.
-	legacyInts := func(i, n int, highVolume bool) ([]int64, error) {
-		if gf.blockpack {
-			if highVolume {
-				return blockpack.UnpackInt64Sharded(streams[i], n, b)
+	// The stream table read the other way: every stream decodes, by the
+	// coder the dialect gives its class or the one its marker in the
+	// methods byte names, into the scratch's slot for it. A group has a
+	// head a line and a radial a point.
+	total := nLines + nTails
+	counts := [len(streamTable)]int{nLines, nLines, nTails, nLines, nTails, total, h.nRefs}
+	for i, st := range streamTable {
+		codec := d.Codec(st.class)
+		if d.Context && st.marker >= 0 {
+			m := methods >> st.marker & 3
+			if m == 3 {
+				return nil, fmt.Errorf("%w: unknown stream method", ErrCorrupt)
 			}
-			return blockpack.UnpackInt64(streams[i], n, b)
+			codec = d.Rivals(st.class)[m]
 		}
+		var err error
 		switch i {
-		case 1, 2:
-			// A zigzag varint is at most 10 bytes, so a valid head/tail
-			// stream inflates to at most 10 bytes per element; the bound
-			// stops DEFLATE bombs before they materialize.
-			var err error
-			if s.raw, err = inflateBytesBounded(s.raw[:0], streams[i], 10*int64(n), b); err != nil {
-				return nil, err
+		case streamLengths:
+			if s.lens, err = streamcodec.DecodeUints(s.lens[:0], codec, streams[i], counts[i], b); err == nil {
+				err = checkLengths(s.lens, total, b)
 			}
-			return varint.AppendDecodeInts(s.ints[i-1][:0], s.raw, n)
+		case streamRefs:
+			s.refs, err = streamcodec.DecodeCodes(s.refs[:0], codec, streams[i], counts[i], refAlphabet, b)
 		default:
-			if highVolume && gf.sharded {
-				return arith.DecompressIntsShardedLimited(streams[i], n, b)
-			}
-			return arith.AppendDecompressInts(s.ints[i-1][:0], streams[i], n, b)
+			s.ints[i-1], err = streamcodec.DecodeInts(s.ints[i-1][:0], codec, streams[i], counts[i], b)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("sparse: %s: %w", st.name, err)
 		}
 	}
-	// decodeInts dispatches stream i on its v5 method marker; marker zero is
-	// the legacy dialect, so pre-v5 groups (methods byte zero) take exactly
-	// the old paths.
-	decodeInts := func(i, n int, shift uint, highVolume bool) ([]int64, error) {
-		switch (methods >> shift) & 3 {
-		case intMethodLegacy:
-			return legacyInts(i, n, highVolume)
-		case intMethodArith:
-			if highVolume && gf.sharded {
-				return arith.DecompressIntsShardedLimited(streams[i], n, b)
-			}
-			return arith.AppendDecompressInts(s.ints[i-1][:0], streams[i], n, b)
-		case intMethodCtx:
-			return ctxmodel.DecodeIntsCtx(streams[i], n, b)
-		default:
-			return nil, fmt.Errorf("%w: unknown stream method", ErrCorrupt)
-		}
-	}
-
-	// Whatever a stream decoded into — its slot or, in the other dialects,
-	// a slice of the decoder's own — goes back into the slot for reuse.
-	ints := &s.ints
-	if ints[0], err = decodeInts(1, nLines, 0, false); err != nil {
-		return nil, fmt.Errorf("sparse: theta heads: %w", err)
-	}
-	if ints[1], err = decodeInts(2, nTails, 2, true); err != nil {
-		return nil, fmt.Errorf("sparse: theta tails: %w", err)
-	}
-	if ints[2], err = legacyInts(3, nLines, false); err != nil {
-		return nil, fmt.Errorf("sparse: phi heads: %w", err)
-	}
-	if ints[3], err = decodeInts(4, nTails, 4, true); err != nil {
-		return nil, fmt.Errorf("sparse: phi tails: %w", err)
-	}
-	if ints[4], err = legacyInts(5, total, true); err != nil {
-		return nil, fmt.Errorf("sparse: radials: %w", err)
-	}
+	lens, ints := s.lens, &s.ints
 	thetaTails, phiTails, radials := ints[1], ints[3], ints[4]
-	if err := b.Nodes(int64(h.nRefs)); err != nil {
-		return nil, err
-	}
-	if s.refs, err = decompressRefs(s.refs[:0], streams[6], h.nRefs); err != nil {
-		return nil, err
-	}
 
 	// Rebuild θ and φ of every line (steps 2/6/7 inverted). One array
 	// backs the points of all lines; every field of every point is set

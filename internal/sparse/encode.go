@@ -2,25 +2,20 @@ package sparse
 
 import (
 	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"dbgc/internal/arith"
-	"dbgc/internal/blockpack"
-	"dbgc/internal/ctxmodel"
-	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
 	"dbgc/internal/par"
 	"dbgc/internal/polyline"
 	"dbgc/internal/radix"
+	"dbgc/internal/streamcodec"
 	"dbgc/internal/varint"
 )
 
@@ -45,27 +40,23 @@ type Options struct {
 	// THrMeters is the radial distance threshold TH_r; zero means the
 	// paper's 2 m.
 	THrMeters float64
-	// Shards splits each group's high-volume entropy streams (φ tails and
-	// radials) into this many independently-coded shards (container v3)
-	// and adds a per-group CRC so damaged groups can be salvaged
-	// individually. Values <= 1 keep the legacy streams, byte-identical to
-	// previous releases. The flag rides in the stream header, so decoders
-	// need no out-of-band signal.
+	// Shards, BlockPack and Context are the container dialect (v3, v4, v5);
+	// which coder each of a group's streams gets under them is
+	// internal/streamcodec's table. Besides that, Shards > 1 and BlockPack
+	// each prefix every group with its CRC-32C, so damaged groups can be
+	// salvaged individually, and Context adds a methods byte a group. The
+	// flags ride in the stream header, so decoders need no out-of-band
+	// signal; all off leaves the legacy streams byte-identical to previous
+	// releases.
+	//
+	// Shards is the most shards a high-volume stream is cut into.
 	Shards int
-	// BlockPack codes the integer streams (polyline lengths, θ/φ heads and
-	// tails, radials) with the blockpack codec instead of varint+DEFLATE
-	// and the adaptive arithmetic coder (container v4). The high-volume
-	// streams keep the shard framing, so sharded decode composes;
-	// groups carry CRCs like the sharded dialect. The flag rides in the
-	// stream header. Off leaves every legacy dialect byte-identical.
+	// BlockPack codes the integer streams with the blockpack codec.
 	BlockPack bool
 	// Context lets the angular streams (θ-head deltas, θ tails, φ tails)
-	// compete against two extra entropy coders — plain adaptive arithmetic
-	// and the context-modeled magnitude-bucket coder of internal/ctxmodel —
-	// per group and per stream (container v5). Each group carries a methods
-	// byte recording the winner; a stream whose context coding loses keeps
-	// its legacy bytes, so the dialect never enlarges a stream by more than
-	// the one methods byte per group. The flag rides in the stream header.
+	// each take the smallest of their dialect's coder, plain adaptive
+	// arithmetic coding and the context-modeled magnitude-bucket coder, so
+	// the dialect never enlarges a stream.
 	Context bool
 }
 
@@ -113,27 +104,50 @@ type Encoded struct {
 const (
 	flagCartesian  = 1 << 0
 	flagPlainDelta = 1 << 1
-	// flagSharded marks the container v3 dialect: each group payload is
-	// prefixed by its CRC-32C, and the φ-tail and radial streams use the
-	// sharded entropy framing of internal/arith.
-	flagSharded = 1 << 2
-	// flagBlockPack marks the container v4 dialect: the integer streams are
-	// blockpacked (the high-volume ones inside the shard framing), and each
-	// group payload is CRC-prefixed like the sharded dialect.
+	// flagSharded, flagBlockPack and flagContext are the streamcodec.Dialect
+	// the stream was written under (container v3, v4, v5). Under the first
+	// two each group payload is prefixed by its CRC-32C; under the last each
+	// group carries a methods byte after its count header.
+	flagSharded   = 1 << 2
 	flagBlockPack = 1 << 3
-	// flagContext marks the container v5 dialect: each group carries a
-	// methods byte (after the count header) naming the per-stream entropy
-	// coder of the θ-head-delta, θ-tail, and φ-tail streams.
-	flagContext = 1 << 4
+	flagContext   = 1 << 4
 )
 
-// Per-stream entropy-coder markers in the v5 methods byte, two bits each:
-// θ-head deltas at bit 0, θ tails at bit 2, φ tails at bit 4.
+// streamTable is the stream table of a group payload: its seven streams in
+// wire order, each a length-prefixed slot. class is what internal/streamcodec
+// chooses the stream's coder by. A stream with marker >= 0 competes in the
+// v5 dialect: it takes the smallest of streamcodec's Rivals for its class,
+// and the winner's two-bit marker goes at that bit of the group's methods
+// byte. Encoder and decoder both walk this table, so it is the one place
+// that says what a group payload holds.
+var streamTable = [7]struct {
+	name   string
+	class  streamcodec.Class
+	marker int
+}{
+	{"lengths", streamcodec.Lengths, -1},
+	{"theta heads", streamcodec.ThetaHeads, 0}, // cross-line deltas of the heads
+	{"theta tails", streamcodec.ThetaTails, 2},
+	{"phi heads", streamcodec.PhiHeads, -1}, // cross-line deltas of the heads
+	{"phi tails", streamcodec.Bulk, 4},
+	{"radials", streamcodec.Bulk, -1},
+	{"refs", streamcodec.Refs, -1},
+}
+
+// The first and the last stream of the table are not signed integers: the
+// polyline lengths are unsigned, the reference symbols are codes over
+// refAlphabet. The five between them are, in order, the scratches' ints.
 const (
-	intMethodLegacy = 0 // the active dialect's coding (v1/v3/v4)
-	intMethodArith  = 1 // plain adaptive arithmetic (sharded if the group is)
-	intMethodCtx    = 2 // ctxmodel magnitude-bucket contexts
+	streamLengths = 0
+	streamRefs    = 6
+	refAlphabet   = 4
 )
+
+// dialect is what the options say to internal/streamcodec; the stream
+// header's flags carry it to the decoder.
+func (o Options) dialect() streamcodec.Dialect {
+	return streamcodec.Dialect{Sharded: o.Shards > 1, BlockPack: o.BlockPack, Context: o.Context}
+}
 
 // crcTable is the Castagnoli polynomial, matching the container CRCs.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -151,13 +165,14 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	if opts.DisableRadialOpt {
 		flags |= flagPlainDelta
 	}
-	if opts.Shards > 1 {
+	d := opts.dialect()
+	if d.Sharded {
 		flags |= flagSharded
 	}
-	if opts.BlockPack {
+	if d.BlockPack {
 		flags |= flagBlockPack
 	}
-	if opts.Context {
+	if d.Context {
 		flags |= flagContext
 	}
 
@@ -197,9 +212,9 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	enc.DecodedOrder = make([]int32, 0, nOrder)
 	for gi := range results {
 		r := &results[gi]
-		if opts.Shards > 1 || opts.BlockPack {
-			// v3/v4 dialect: the group length covers a leading CRC-32C so a
-			// damaged group can be detected — and skipped — on its own.
+		if GroupsCarryCRC(d) {
+			// The group length covers a leading CRC-32C so a damaged group
+			// can be detected — and skipped — on its own.
 			out = varint.AppendUint(out, uint64(len(r.data))+4)
 			out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(r.data, crcTable))
 		} else {
@@ -292,9 +307,9 @@ type groupResult struct {
 // radius-sorted indices and norms of the frame, and per group the quantized
 // points, the polyline lengths, the five integer streams (θ heads, θ tails,
 // φ heads, φ tails, radials), the reference symbols, the group payload
-// under assembly, the staging buffer of one stream, the consensus line and
-// the two DEFLATE writers with their outputs. Pooled, one per goroutine
-// encoding groups, so a steady-state encode allocates none of it.
+// under assembly, the staging buffer of one stream and the consensus line.
+// Pooled, one per goroutine encoding groups, so a steady-state encode
+// allocates none of it.
 type encodeScratch struct {
 	sorted []int32
 	rbits  []uint64
@@ -304,13 +319,10 @@ type encodeScratch struct {
 	qpts  []polyline.Point
 	lens  []uint64
 	ints  [5][]int64
-	refs  []int
+	refs  []byte
 	data  []byte
 	stage []byte
 	cons  polyline.Consensus
-
-	huffman, lz       *flate.Writer
-	huffmanOut, lzOut bytes.Buffer
 }
 
 var encodePool = sync.Pool{New: func() any { return new(encodeScratch) }}
@@ -402,14 +414,12 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 			res.order = append(res.order, l[k].Orig)
 		}
 	}
-	dThetaHeads := deltaInts(thetaHeads)
-	dPhiHeads := deltaInts(phiHeads)
-	es.lens, es.ints[0], es.ints[1], es.ints[2], es.ints[3] = lens, thetaHeads, thetaTails, phiHeads, phiTails
+	es.lens, es.ints[0], es.ints[1], es.ints[2], es.ints[3] = lens, deltaInts(thetaHeads), thetaTails, deltaInts(phiHeads), phiTails
 
-	radials, refs := es.encodeRadial(lines, thPhi, thR, opts.DisableRadialOpt)
+	refs := es.encodeRadial(lines, thPhi, thR, opts.DisableRadialOpt)
 
 	if capture != nil {
-		capture.dThetaHeads = slices.Clone(dThetaHeads)
+		capture.dThetaHeads = slices.Clone(es.ints[0])
 		capture.thetaTails = slices.Clone(thetaTails)
 		capture.lines, capture.thPhi, capture.thR = lines, thPhi, thR
 	}
@@ -424,112 +434,33 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	data = varint.AppendUint(data, uint64(len(thetaTails)))
 	data = varint.AppendUint(data, uint64(len(refs)))
 
-	// Stage each stream in the scratch's buffer; appendStream copies into
-	// the payload, so the buffer is safe to reuse immediately. deflate
-	// returns one of the scratch's two DEFLATE outputs, good until it is
-	// called again.
-	s := es.stage
-	if opts.Context {
-		// v5 dialect: the three angular streams each pick the smallest of
-		// their legacy coding, plain adaptive arithmetic, and the
-		// context-modeled coder; the winners land in the methods byte.
-		methodsAt := len(data)
+	// One walk over the stream table: streamcodec codes each stream into
+	// the scratch's staging buffer by the coder the dialect gives its class
+	// — in the v5 dialect the smallest of the class's rivals, the winner
+	// going into the methods byte — and appendStream copies it into the
+	// payload, so the buffer is free for the next.
+	d := opts.dialect()
+	methodsAt := len(data)
+	if d.Context {
 		data = append(data, 0)
-		if opts.BlockPack {
-			s = blockpack.PackUint64Sharded(s[:0], lens, opts.Shards)
-		} else {
-			s = arith.AppendCompressUints(s[:0], lens)
-		}
-		data = appendStream(data, s)
-
-		var legacy []byte
-		if opts.BlockPack {
-			legacy = blockpack.PackInt64(nil, dThetaHeads)
-		} else {
-			s = varint.AppendInts(s[:0], dThetaHeads)
-			legacy = es.deflate(s)
-		}
-		data = chooseIntStream(data, methodsAt, 0, legacy, dThetaHeads, 1)
-
-		if opts.BlockPack {
-			legacy = blockpack.PackInt64Sharded(nil, thetaTails, opts.Shards)
-		} else {
-			s = varint.AppendInts(s[:0], thetaTails)
-			legacy = es.deflate(s)
-		}
-		data = chooseIntStream(data, methodsAt, 2, legacy, thetaTails, opts.Shards)
-
-		if opts.BlockPack {
-			s = blockpack.PackInt64(s[:0], dPhiHeads)
-		} else {
-			s = arith.AppendCompressInts(s[:0], dPhiHeads)
-		}
-		data = appendStream(data, s)
-
-		switch {
-		case opts.BlockPack:
-			legacy = blockpack.PackInt64Sharded(nil, phiTails, opts.Shards)
-		case opts.Shards > 1:
-			legacy = arith.AppendCompressIntsSharded(nil, phiTails, opts.Shards)
-		default:
-			legacy = arith.AppendCompressInts(nil, phiTails)
-		}
-		data = chooseIntStream(data, methodsAt, 4, legacy, phiTails, opts.Shards)
-
-		switch {
-		case opts.BlockPack:
-			s = blockpack.PackInt64Sharded(s[:0], radials, opts.Shards)
-		case opts.Shards > 1:
-			s = arith.AppendCompressIntsSharded(s[:0], radials, opts.Shards)
-		default:
-			s = arith.AppendCompressInts(s[:0], radials)
-		}
-		data = appendStream(data, s)
-	} else if opts.BlockPack {
-		// v4 dialect: every integer stream blockpacks. The high-volume
-		// streams (lengths, tails, radials) keep the shard framing so
-		// sharded decode composes; the tiny head streams pack
-		// plain. Only the 4-symbol reference stream stays on the adaptive
-		// arithmetic coder, where sub-bit symbols beat any bit packing.
-		s = blockpack.PackUint64Sharded(s[:0], lens, opts.Shards)
-		data = appendStream(data, s)
-		s = blockpack.PackInt64(s[:0], dThetaHeads)
-		data = appendStream(data, s)
-		s = blockpack.PackInt64Sharded(s[:0], thetaTails, opts.Shards)
-		data = appendStream(data, s)
-		s = blockpack.PackInt64(s[:0], dPhiHeads)
-		data = appendStream(data, s)
-		s = blockpack.PackInt64Sharded(s[:0], phiTails, opts.Shards)
-		data = appendStream(data, s)
-		s = blockpack.PackInt64Sharded(s[:0], radials, opts.Shards)
-		data = appendStream(data, s)
-	} else {
-		s = arith.AppendCompressUints(s[:0], lens)
-		data = appendStream(data, s)
-		s = varint.AppendInts(s[:0], dThetaHeads)
-		data = appendStream(data, es.deflate(s))
-		s = varint.AppendInts(s[:0], thetaTails)
-		data = appendStream(data, es.deflate(s))
-		s = arith.AppendCompressInts(s[:0], dPhiHeads)
-		data = appendStream(data, s)
-		// φ tails and radials are the group's two high-volume streams; in the
-		// sharded dialect they split into independently-coded shards. The small
-		// head/length/ref streams stay single-coder: sharding them would cost
-		// model restarts without useful parallelism.
-		if opts.Shards > 1 {
-			s = arith.AppendCompressIntsSharded(s[:0], phiTails, opts.Shards)
-			data = appendStream(data, s)
-			s = arith.AppendCompressIntsSharded(s[:0], radials, opts.Shards)
-			data = appendStream(data, s)
-		} else {
-			s = arith.AppendCompressInts(s[:0], phiTails)
-			data = appendStream(data, s)
-			s = arith.AppendCompressInts(s[:0], radials)
-			data = appendStream(data, s)
-		}
 	}
-	s = appendCompressRefs(s[:0], refs)
-	data = appendStream(data, s)
+	s := es.stage
+	for i, st := range streamTable {
+		codec := d.Codec(st.class)
+		switch {
+		case i == streamLengths:
+			s = streamcodec.AppendUints(s[:0], codec, lens, opts.Shards)
+		case i == streamRefs:
+			s = streamcodec.AppendCodes(s[:0], codec, refs, refAlphabet, opts.Shards)
+		case d.Context && st.marker >= 0:
+			var m int
+			s, m = streamcodec.AppendSmallestInts(s[:0], d, st.class, es.ints[i-1], opts.Shards)
+			data[methodsAt] |= byte(m) << st.marker
+		default:
+			s = streamcodec.AppendInts(s[:0], codec, es.ints[i-1], opts.Shards)
+		}
+		data = appendStream(data, s)
+	}
 	es.stage, es.data = s, data
 	res.data = bytes.Clone(data)
 	t3 := time.Now()
@@ -537,15 +468,15 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	return res
 }
 
-// encodeRadial produces ∇L_r and L_ref (§3.5 step 8) in the scratch.
-func (es *encodeScratch) encodeRadial(lines []polyline.Line, thPhi, thR int64, plainDelta bool) (radials []int64, refs []int) {
+// encodeRadial produces ∇L_r, the last of the scratch's integer streams,
+// and L_ref (§3.5 step 8) in the scratch.
+func (es *encodeScratch) encodeRadial(lines []polyline.Line, thPhi, thR int64, plainDelta bool) (refs []byte) {
 	// Room for every point's radial was made with the other streams; a
 	// tail yields at most one reference symbol.
-	radials = es.ints[4][:len(es.ints[1])+len(lines)]
+	es.ints[4] = es.ints[4][:len(es.ints[1])+len(lines)]
 	refs = slices.Grow(es.refs[:0], len(es.ints[1]))
-	refs, _ = codeRadial(&es.cons, lines, thPhi, thR, plainDelta, false, radials, refs) // only decoding fails
-	es.ints[4], es.refs = radials, refs
-	return radials, refs
+	es.refs, _ = codeRadial(&es.cons, lines, thPhi, thR, plainDelta, false, es.ints[4], refs) // only decoding fails
+	return es.refs
 }
 
 // deltaInts replaces vs[i] by vs[i] − vs[i-1] in place, keeping vs[0].
@@ -563,107 +494,9 @@ func undeltaInts(vs []int64) []int64 {
 	return vs
 }
 
-func appendCompressRefs(dst []byte, refs []int) []byte {
-	e := arith.GetEncoder()
-	m := arith.GetModel(4)
-	for _, s := range refs {
-		e.Encode(m, s)
-	}
-	dst = e.AppendFinish(dst)
-	arith.PutModel(m)
-	arith.PutEncoder(e)
-	return dst
-}
-
-// decompressRefs appends the n symbols of L_ref to dst.
-func decompressRefs(dst []int, data []byte, n int) ([]int, error) {
-	d := arith.GetDecoder(data)
-	m := arith.GetModel(4)
-	defer func() {
-		arith.PutModel(m)
-		arith.PutDecoder(d)
-	}()
-	dst = slices.Grow(dst, n)
-	for i := 0; i < n; i++ {
-		s, err := d.Decode(m)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: ref symbol %d/%d: %w", i, n, err)
-		}
-		dst = append(dst, s)
-	}
-	return dst, nil
-}
-
 func appendStream(dst, stream []byte) []byte {
 	dst = varint.AppendUint(dst, uint64(len(stream)))
 	return append(dst, stream...)
-}
-
-// chooseIntStream appends the smallest coding of vs among the active
-// dialect's legacy bytes, plain adaptive arithmetic, and the context-modeled
-// magnitude-bucket coder, recording the winner's marker at bit position
-// shift of the methods byte at dst[methodsAt]. Ties go to the lowest marker,
-// so a stream the new coders cannot beat keeps its exact legacy bytes.
-func chooseIntStream(dst []byte, methodsAt int, shift uint, legacy []byte, vs []int64, shards int) []byte {
-	best, method := legacy, byte(intMethodLegacy)
-	var a []byte
-	if shards > 1 {
-		a = arith.AppendCompressIntsSharded(nil, vs, shards)
-	} else {
-		a = arith.AppendCompressInts(nil, vs)
-	}
-	if len(a) < len(best) {
-		best, method = a, intMethodArith
-	}
-	if c := ctxmodel.AppendIntsCtx(nil, vs, shards); len(c) < len(best) {
-		best, method = c, intMethodCtx
-	}
-	dst[methodsAt] |= method << shift
-	return appendStream(dst, best)
-}
-
-// lzLevel is the effort of deflate's LZ77 candidate: compress/flate's level
-// 5, hash chains at most 32 deep. On the θ streams — three or four distinct
-// byte values — level 9's 4096-deep chains cost ten times the time for about
-// 1% fewer bytes, and levels 1-4 find too few of the matches that pay.
-const lzLevel = 5
-
-// deflate codes data as a raw DEFLATE stream (§3.5 step 6, "Deflate on θ")
-// and returns the smaller of two encodings of it, good until the next call:
-// Huffman coding alone, and LZ77 matching at lzLevel. Ties go to Huffman
-// only. A short-period or constant stream is all matches and shrinks a
-// hundredfold under LZ77; the usual θ stream is near-memoryless noise on a
-// tiny alphabet, where a match costs more bits than the literals it
-// replaces and Huffman coding alone is smaller. Either is what any inflater
-// reads; nothing in the format says which was chosen.
-func (es *encodeScratch) deflate(data []byte) []byte {
-	if es.huffman == nil {
-		es.huffman, es.lz = newDeflater(flate.HuffmanOnly), newDeflater(lzLevel)
-	}
-	run := func(w *flate.Writer, out *bytes.Buffer) []byte {
-		out.Reset()
-		w.Reset(out)
-		if _, err := w.Write(data); err != nil {
-			panic(err) // bytes.Buffer cannot fail
-		}
-		if err := w.Close(); err != nil {
-			panic(err)
-		}
-		return out.Bytes()
-	}
-	best := run(es.huffman, &es.huffmanOut)
-	if lz := run(es.lz, &es.lzOut); len(lz) < len(best) {
-		best = lz
-	}
-	return best
-}
-
-func newDeflater(level int) *flate.Writer {
-	w, err := flate.NewWriter(nil, level)
-	if err != nil {
-		panic(err) // only fails for an invalid level
-	}
-	return w
 }
 
 // groupStreams holds one radial group's θ streams exactly as the encoder
@@ -690,40 +523,4 @@ func collectStreams(pc geom.PointCloud, idx []int32, opts Options) []groupStream
 		es.encodeGroup(pc, sorted[lo:hi], rs[lo:hi], opts, &streams[gi])
 	}
 	return streams
-}
-
-// inflater is a DEFLATE reader with its source, recycled through
-// inflatePool: flate.NewReader allocates the 32 KB window and the Huffman
-// tables that Reset keeps.
-type inflater struct {
-	src bytes.Reader
-	r   io.ReadCloser
-}
-
-var inflatePool = sync.Pool{New: func() any { return new(inflater) }}
-
-// inflateBytesBounded inflates data into dst's storage, refusing to inflate
-// past maxLen bytes (a DEFLATE stream can expand ~1000x, so the inflated
-// size must be bounded by what the caller can legitimately consume) and
-// charging the inflated bytes against b.
-func inflateBytesBounded(dst, data []byte, maxLen int64, b *declimits.Budget) ([]byte, error) {
-	if err := b.Mem(maxLen); err != nil {
-		return nil, err
-	}
-	z := inflatePool.Get().(*inflater)
-	defer inflatePool.Put(z)
-	z.src.Reset(data)
-	if z.r == nil {
-		z.r = flate.NewReader(&z.src)
-	} else if err := z.r.(flate.Resetter).Reset(&z.src, nil); err != nil {
-		return nil, fmt.Errorf("sparse: inflate: %w", err)
-	}
-	out := bytes.NewBuffer(dst[:0])
-	if _, err := out.ReadFrom(io.LimitReader(z.r, maxLen+1)); err != nil {
-		return nil, fmt.Errorf("sparse: inflate: %w", err)
-	}
-	if int64(out.Len()) > maxLen {
-		return nil, fmt.Errorf("%w: inflated stream exceeds %d bytes", ErrCorrupt, maxLen)
-	}
-	return out.Bytes(), nil
 }

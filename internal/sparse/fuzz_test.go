@@ -7,9 +7,9 @@ import (
 	"math"
 	"testing"
 
-	"dbgc/internal/arith"
 	"dbgc/internal/geom"
 	"dbgc/internal/polyline"
+	"dbgc/internal/streamcodec"
 	"dbgc/internal/varint"
 )
 
@@ -34,23 +34,21 @@ func craftStream(lines []polyline.Line, shards int) []byte {
 	radials := make([]int64, len(lines)+len(thetaTails))
 	refs, _ := codeRadial(new(polyline.Consensus), lines, thPhi, thR, false, false, radials, nil)
 
-	var es encodeScratch
 	group := binary.LittleEndian.AppendUint64(nil, math.Float64bits(rMax))
 	for _, v := range []int{thPhi, thR, len(lines), len(thetaTails), len(refs)} {
 		group = varint.AppendUint(group, uint64(v))
 	}
-	group = appendStream(group, arith.AppendCompressUints(nil, lens))
-	group = appendStream(group, es.deflate(varint.AppendInts(nil, deltaInts(thetaHeads))))
-	group = appendStream(group, es.deflate(varint.AppendInts(nil, thetaTails)))
-	group = appendStream(group, arith.AppendCompressInts(nil, deltaInts(phiHeads)))
+	bulk := streamcodec.Arith
 	if shards > 1 {
-		group = appendStream(group, arith.AppendCompressIntsSharded(nil, phiTails, shards))
-		group = appendStream(group, arith.AppendCompressIntsSharded(nil, radials, shards))
-	} else {
-		group = appendStream(group, arith.AppendCompressInts(nil, phiTails))
-		group = appendStream(group, arith.AppendCompressInts(nil, radials))
+		bulk = streamcodec.ArithSharded
 	}
-	group = appendStream(group, appendCompressRefs(nil, refs))
+	group = appendStream(group, streamcodec.AppendUints(nil, streamcodec.Arith, lens, 0))
+	group = appendStream(group, streamcodec.AppendInts(nil, streamcodec.DeflateVarint, deltaInts(thetaHeads), 0))
+	group = appendStream(group, streamcodec.AppendInts(nil, streamcodec.DeflateVarint, thetaTails, 0))
+	group = appendStream(group, streamcodec.AppendInts(nil, streamcodec.Arith, deltaInts(phiHeads), 0))
+	group = appendStream(group, streamcodec.AppendInts(nil, bulk, phiTails, shards))
+	group = appendStream(group, streamcodec.AppendInts(nil, bulk, radials, shards))
+	group = appendStream(group, streamcodec.AppendCodes(nil, streamcodec.Arith, refs, refAlphabet, 0))
 
 	var out []byte
 	if shards > 1 {

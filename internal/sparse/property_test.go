@@ -2,9 +2,6 @@ package sparse
 
 import (
 	"bytes"
-	"compress/flate"
-	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,6 +9,7 @@ import (
 	"testing/quick"
 
 	"dbgc/internal/geom"
+	"dbgc/internal/streamcodec"
 )
 
 // randomScanCloud builds a random but scan-structured cloud: rings of
@@ -170,44 +168,25 @@ func TestPropertyDeltaInts(t *testing.T) {
 // lossless for arbitrary symbol sequences.
 func TestPropertyRefsRoundTrip(t *testing.T) {
 	f := func(raw []byte) bool {
-		refs := make([]int, len(raw))
+		refs := make([]byte, len(raw))
 		for i, b := range raw {
-			refs[i] = int(b % 4)
+			refs[i] = b % refAlphabet
 		}
-		dec, err := decompressRefs(nil, appendCompressRefs(nil, refs), len(refs))
-		if err != nil {
-			return false
-		}
-		for i := range refs {
-			if dec[i] != refs[i] {
-				return false
-			}
-		}
-		return true
+		codec := streamcodec.Dialect{}.Codec(streamcodec.Refs)
+		dec, err := streamcodec.DecodeCodes(nil, codec, streamcodec.AppendCodes(nil, codec, refs, refAlphabet, 0), len(refs), refAlphabet, nil)
+		return err == nil && bytes.Equal(dec, refs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// inflateBytes inflates without a bound. Test-only: the decoder reaches
-// DEFLATE through inflateBytesBounded alone.
-func inflateBytes(data []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("sparse: inflate: %w", err)
-	}
-	return out, nil
-}
-
-// TestPropertyDeflate: the Deflate helpers are lossless.
+// TestPropertyDeflate: the θ streams' DEFLATE coding is lossless.
 func TestPropertyDeflate(t *testing.T) {
-	var s encodeScratch
-	f := func(data []byte) bool {
-		out, err := inflateBytes(s.deflate(data))
-		return err == nil && string(out) == string(data)
+	codec := streamcodec.Dialect{}.Codec(streamcodec.ThetaTails)
+	f := func(vs []int64) bool {
+		out, err := streamcodec.DecodeInts(nil, codec, streamcodec.AppendInts(nil, codec, vs, 0), len(vs), nil)
+		return err == nil && slices.Equal(out, vs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

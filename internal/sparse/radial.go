@@ -26,7 +26,7 @@ const (
 // that precede it, so the decoder replays the encoder's decisions. With
 // plainDelta the reference is always the preceding point (heads reference
 // the previous head): classic delta encoding, the -Radial ablation.
-func codeRadial(cons *polyline.Consensus, lines []polyline.Line, thPhi, thR int64, plainDelta, decode bool, radials []int64, refs []int) ([]int, error) {
+func codeRadial(cons *polyline.Consensus, lines []polyline.Line, thPhi, thR int64, plainDelta, decode bool, radials []int64, refs []byte) ([]byte, error) {
 	rp, refp := 0, 0
 	settle := func(p *polyline.Point, ref int64) {
 		if decode {
@@ -83,14 +83,14 @@ func codeRadial(cons *polyline.Consensus, lines []polyline.Line, thPhi, thR int6
 				if refp >= len(refs) {
 					return nil, fmt.Errorf("%w: L_ref exhausted", ErrCorrupt)
 				}
-				sym = refs[refp]
+				sym = int(refs[refp])
 				refp++
 				if sym >= n {
 					return nil, fmt.Errorf("%w: reference symbol %d not available", ErrCorrupt, sym)
 				}
 			} else {
 				sym = nearest(cand[:n], p.R)
-				refs = append(refs, sym)
+				refs = append(refs, byte(sym))
 			}
 			settle(p, cand[sym])
 		}

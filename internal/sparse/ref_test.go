@@ -16,7 +16,7 @@ import (
 // its reference window, and every neighbour query is a scan of it. It
 // returns ∇L_r and L_ref, which codeRadial must produce exactly when it
 // encodes and must turn back into the lines' r when it decodes.
-func referenceRadial(lines []polyline.Line, thPhi, thR int64, plainDelta bool) (radials []int64, refs []int) {
+func referenceRadial(lines []polyline.Line, thPhi, thR int64, plainDelta bool) (radials []int64, refs []byte) {
 	for i, l := range lines {
 		var cons polyline.Line
 		if !plainDelta {
@@ -78,7 +78,7 @@ func referenceRadial(lines []polyline.Line, thPhi, thR int64, plainDelta bool) (
 					best = s
 				}
 			}
-			refs = append(refs, best)
+			refs = append(refs, byte(best))
 			radials = append(radials, p.R-cand[best])
 		}
 	}

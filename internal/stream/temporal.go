@@ -196,7 +196,7 @@ func encodeP(pc geom.PointCloud, ref *temporalRef, opts dbgc.Options) (payload [
 		mapping = append(mapping, leaf.idx...)
 	}
 	occStream := e.Finish()
-	countStream := arith.CompressUints(counts)
+	countStream := arith.AppendCompressUints(nil, counts)
 
 	freshData, freshStats, err := dbgc.Compress(fresh, opts)
 	if err != nil {
@@ -248,7 +248,7 @@ func decodeP(payload []byte, ref *temporalRef, limits dbgc.DecodeLimits) (pc geo
 	if err := b.Points(int64(nPts)); err != nil {
 		return nil, err
 	}
-	counts, err := arith.DecompressUintsLimited(countStream, int(nLeaves), b)
+	counts, err := arith.AppendDecompressUints(nil, countStream, int(nLeaves), b)
 	if err != nil {
 		return nil, fmt.Errorf("stream: P counts: %w", err)
 	}
