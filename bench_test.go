@@ -8,6 +8,7 @@ package dbgc_test
 
 import (
 	"bytes"
+	"net"
 	"testing"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 	"dbgc/internal/core"
 	"dbgc/internal/geom"
 	"dbgc/internal/lidar"
+	"dbgc/internal/netproto"
 	"dbgc/internal/octree"
 	"dbgc/internal/stream"
 )
@@ -178,6 +180,10 @@ func BenchmarkTable2Outliers(b *testing.B) {
 // benchmark's region reads ask for.
 var laneBox = dbgc.AABB{Min: dbgc.Point{X: 5, Y: -5, Z: -3}, Max: dbgc.Point{X: 25, Y: 5, Z: 3}}
 
+// wholeBox makes a region query return the whole frame, as that benchmark's
+// whole-frame queries do.
+var wholeBox = dbgc.AABB{Min: dbgc.Point{X: -1e4, Y: -1e4, Z: -1e4}, Max: dbgc.Point{X: 1e4, Y: 1e4, Z: 1e4}}
+
 // BenchmarkFig12Latency measures Figure 12: compression and decompression
 // latency of DBGC on the city scene at 2 cm.
 func BenchmarkFig12Latency(b *testing.B) {
@@ -239,6 +245,115 @@ func BenchmarkFig12Latency(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkQueryAnswer measures the read path of the service outside the
+// repository benchmark: what the node does to answer a box query
+// (DecompressRegion, WriteBin into a buffer, netproto.Write), a loopback
+// TCP connection, and what the client does with the answer (netproto.Read,
+// ReadBin), for the whole frame and for the lane box. decompress and region
+// are the floor under whole: Decompress of the same bytes, and the region
+// decode of the whole box, each with nothing else running — inside an
+// answer the decode leg reads higher than either, because the answer's
+// three other buffers keep the collector busy. The legs are timed where
+// they run and reported beside the total; run it with -cpu 1,2.
+func BenchmarkQueryAnswer(b *testing.B) {
+	data, _, err := dbgc.Compress(cityFrame(b), dbgc.DefaultOptions(benchkit.DefaultQ))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		decode func() (dbgc.PointCloud, error)
+	}{
+		{"decompress", func() (dbgc.PointCloud, error) { return dbgc.Decompress(data) }},
+		{"region", func() (dbgc.PointCloud, error) { return dbgc.DecompressRegion(data, wholeBox) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.decode(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, c := range []struct {
+		name string
+		box  dbgc.AABB
+	}{{"whole", wholeBox}, {"lane", laneBox}} {
+		b.Run(c.name, func(b *testing.B) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer ln.Close()
+			// The client: every answer read off the wire and parsed, its
+			// point count (or -1) and parse time handed back.
+			type parsed struct {
+				points int
+				bin    time.Duration
+			}
+			answers := make(chan parsed)
+			go func() {
+				defer close(answers)
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				for {
+					m, err := netproto.Read(conn)
+					if err != nil {
+						return
+					}
+					start := time.Now()
+					pts, err := lidar.ReadBin(bytes.NewReader(m.Payload))
+					if err != nil {
+						answers <- parsed{points: -1}
+						return
+					}
+					answers <- parsed{len(pts), time.Since(start)}
+				}
+			}()
+			conn, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer conn.Close()
+
+			var decode, bin, wire time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				pts, err := dbgc.DecompressRegion(data, c.box)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t1 := time.Now()
+				var buf bytes.Buffer
+				if err := lidar.WriteBin(&buf, pts); err != nil {
+					b.Fatal(err)
+				}
+				t2 := time.Now()
+				if err := netproto.Write(conn, netproto.Message{Kind: netproto.KindQueryResult, Seq: uint64(i), Payload: buf.Bytes()}); err != nil {
+					b.Fatal(err)
+				}
+				got, ok := <-answers
+				if !ok || got.points != len(pts) {
+					b.Fatalf("the client parsed %d points (connection up: %v), %d were sent", got.points, ok, len(pts))
+				}
+				decode += t1.Sub(t0)
+				bin += t2.Sub(t1) + got.bin
+				wire += time.Since(t2) - got.bin
+			}
+			perOp := func(d time.Duration) float64 { return d.Seconds() * 1e3 / float64(b.N) }
+			b.ReportMetric(perOp(decode), "decode-ms/op")
+			b.ReportMetric(perOp(bin), "bin-ms/op")
+			b.ReportMetric(perOp(wire), "wire-ms/op")
+		})
+	}
 }
 
 // BenchmarkDecodeThroughput measures the decode path, reporting points per

@@ -209,6 +209,13 @@ func Decompress(data []byte) (geom.PointCloud, error) {
 
 // DecompressWith is Decompress with explicit options.
 func DecompressWith(data []byte, opts DecompressOptions) (geom.PointCloud, error) {
+	return decompress(data, nil, opts)
+}
+
+// decompress is the decode behind DecompressWith (region == nil) and
+// DecompressRegionWith: every section CRC checked, then the sections
+// decoded side by side into one buffer.
+func decompress(data []byte, region *geom.AABB, opts DecompressOptions) (geom.PointCloud, error) {
 	b := newBudget(opts.Limits)
 	c, err := parseContainer(data, b)
 	if err != nil {
@@ -219,13 +226,13 @@ func DecompressWith(data []byte, opts DecompressOptions) (geom.PointCloud, error
 			return nil, err
 		}
 	}
-	buf, pts, errs := decodeSections(c, b, false)
+	out, _, errs := decodeSections(c, b, region, false)
 	for id, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", SectionID(id), err)
 		}
 	}
-	return buf.Join(pts[:]...), nil
+	return out, nil
 }
 
 // DecompressPartial decodes every intact section of a frame and skips
@@ -262,33 +269,36 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 			c.sec[id].payload = nil
 		}
 	}
-	buf, pts, errs := decodeSections(c, b, true)
+	out, points, errs := decodeSections(c, b, nil, true)
 	for id := range reports {
 		if errs[id] != nil {
 			if reports[id].Err == nil {
 				reports[id].Err = errs[id]
 			}
-			pts[id] = nil
 			continue
 		}
 		// A section decodes here either because it was intact or because
 		// group-level salvage recovered part of it; in the salvage case
 		// Err stays set (recording the damage) while Points counts what
 		// survived.
-		reports[id].Points = len(pts[id])
+		reports[id].Points = points[id]
 	}
-	return buf.Join(pts[:]...), reports, nil
+	return out, reports, nil
 }
 
 // decodeSections decodes the three sections of a parsed frame through
 // par.Each — each is an independently entropy-coded stream — charging b
-// throughout. salvage lets the sparse decoder skip CRC-condemned radial
-// groups instead of failing the section (DecompressPartial's group-level
-// recovery). The sections decode into consecutive windows of
-// buf, one slice sized from the point counts their headers declare, so
-// buf.Join(pts...) of intact sections is buf itself, every point written
-// once.
-func decodeSections(c container, b *declimits.Budget, salvage bool) (buf geom.PointCloud, pts [numSections]geom.PointCloud, errs [numSections]error) {
+// throughout, and returns the points inside region (all of them when it is
+// nil) in section order, with how many each section gave; a section that
+// fails gives none and its error. salvage lets the sparse decoder skip
+// CRC-condemned radial groups instead of failing the section
+// (DecompressPartial's group-level recovery). The sections decode into
+// consecutive windows of one buffer sized from the point counts their
+// headers declare — of the radial groups whose shell reaches the box, and
+// of a dense section whose cube lies inside it — and Join closes the
+// windows up in place: a decode that keeps every point writes each once,
+// where it stays, whether or not it was given a box.
+func decodeSections(c container, b *declimits.Budget, region *geom.AABB, salvage bool) (out geom.PointCloud, points [numSections]int, errs [numSections]error) {
 	// The container version (plus the v5 dialect byte), not the payload,
 	// selects the entropy dialect of the dense and outlier sections; sparse
 	// streams are self-flagged.
@@ -296,23 +306,39 @@ func decodeSections(c container, b *declimits.Budget, salvage bool) (buf geom.Po
 	sparseOpts := sparse.DecodeOptions{Budget: b, Salvage: salvage}
 
 	var offs [numSections + 1]uint64
-	offs[SectionDense+1] = octree.PointCount(c.sec[SectionDense].payload)
-	offs[SectionSparse+1] = offs[SectionSparse] + sparse.PointCount(c.sec[SectionSparse].payload)
+	offs[SectionDense+1] = octree.PointCountIn(c.sec[SectionDense].payload, region)
+	offs[SectionSparse+1] = offs[SectionSparse] + sparse.PointCountIn(c.sec[SectionSparse].payload, region)
 	offs[SectionOutlier+1] = offs[SectionOutlier] + outlierCount(c.sec[SectionOutlier].payload, c.mode)
-	buf = make(geom.PointCloud, 0, b.Prealloc(offs[numSections]))
+	buf := make(geom.PointCloud, 0, b.Prealloc(offs[numSections]))
+	var pts [numSections]geom.PointCloud
 	par.Each(int(numSections), func(i int) {
 		id := SectionID(i)
 		dst, data := buf.Window(offs[id], offs[id+1]-offs[id]), c.sec[id].payload
 		switch id {
 		case SectionDense:
-			pts[id], errs[id] = octree.DecodeInto(dst, data, octOpts)
+			pts[id], errs[id] = octree.DecodeRegionInto(dst, data, region, octOpts)
 		case SectionSparse:
-			pts[id], errs[id] = sparse.DecodeInto(dst, data, sparseOpts)
+			pts[id], errs[id] = sparse.DecodeRegionInto(dst, data, region, sparseOpts)
 		case SectionOutlier:
+			// Few points, in one of three codings: they filter where they
+			// were decoded.
 			pts[id], errs[id] = decodeOutliers(dst, data, c.mode, octOpts)
+			if region != nil {
+				pts[id] = slices.DeleteFunc(pts[id], func(p geom.Point) bool { return !region.Contains(p) })
+			}
 		}
+		if errs[id] != nil {
+			pts[id] = nil
+		}
+		points[id] = len(pts[id])
 	})
-	return buf, pts, errs
+	out = buf.Join(offs[:], pts[:])
+	// A box that kept little gets a slice of its own size: the answer to a
+	// lane query must not pin a frame's worth of buffer.
+	if len(out) < cap(out)/2 {
+		out = slices.Clone(out)
+	}
+	return out, points, errs
 }
 
 // outlierCount returns the point count the outlier section declares under

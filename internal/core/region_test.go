@@ -3,63 +3,123 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
 	"sort"
 	"testing"
 
 	"dbgc/internal/geom"
 	"dbgc/internal/lidar"
+	"dbgc/internal/par/partest"
 )
 
-func TestDecompressRegion(t *testing.T) {
-	pc := frame(t, lidar.City)
-	data, _, err := Compress(pc, DefaultOptions(0.02))
-	if err != nil {
-		t.Fatal(err)
+// regionBoxes are the query shapes a region decode must get right on a frame
+// whose full decode is full: no point, a few, all (where the dense cube lies
+// inside the box and nothing is filtered), nearly all (where it does not),
+// the sensor's own position (a radial range from zero), one decoded point
+// as a box of no volume, and a box with its corners swapped.
+func regionBoxes(full geom.PointCloud) map[string]geom.AABB {
+	xs, ys := make([]float64, len(full)), make([]float64, len(full))
+	for i, p := range full {
+		xs[i], ys[i] = p.X, p.Y
 	}
-	full, err := Decompress(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	regions := []geom.AABB{
-		{Min: geom.Point{X: -10, Y: -10, Z: -3}, Max: geom.Point{X: 10, Y: 10, Z: 3}},
-		{Min: geom.Point{X: 20, Y: 20, Z: -3}, Max: geom.Point{X: 60, Y: 60, Z: 10}},
-		{Min: geom.Point{X: 500, Y: 500, Z: 0}, Max: geom.Point{X: 600, Y: 600, Z: 1}}, // empty
-	}
-	for ri, region := range regions {
-		got, err := DecompressRegion(data, region)
-		if err != nil {
-			t.Fatalf("region %d: %v", ri, err)
-		}
-		var want geom.PointCloud
-		for _, p := range full {
-			if region.Contains(p) {
-				want = append(want, p)
-			}
-		}
-		if len(got) != len(want) {
-			t.Fatalf("region %d: %d points, want %d", ri, len(got), len(want))
-		}
-		sortCloud(got)
-		sortCloud(want)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("region %d: point %d = %v, want %v", ri, i, got[i], want[i])
-			}
-		}
-		t.Logf("region %d: %d of %d points", ri, len(got), len(full))
+	sort.Float64s(xs)
+	sort.Float64s(ys)
+	mid := full[len(full)/2]
+	return map[string]geom.AABB{
+		"empty":    {Min: geom.Point{X: 500, Y: 500, Z: 0}, Max: geom.Point{X: 600, Y: 600, Z: 1}},
+		"lane":     laneBox,
+		"whole":    {Min: geom.Point{X: -1e4, Y: -1e4, Z: -1e4}, Max: geom.Point{X: 1e4, Y: 1e4, Z: 1e4}},
+		"most":     {Min: geom.Point{X: xs[len(xs)/20], Y: ys[len(ys)/20], Z: -1e4}, Max: geom.Point{X: 1e4, Y: 1e4, Z: 1e4}},
+		"origin":   {Min: geom.Point{X: -6, Y: -6, Z: -3}, Max: geom.Point{X: 6, Y: 6, Z: 3}},
+		"point":    {Min: mid, Max: mid},
+		"inverted": {Min: laneBox.Max, Max: laneBox.Min},
 	}
 }
 
-func sortCloud(pc geom.PointCloud) {
-	sort.Slice(pc, func(i, j int) bool {
-		if pc[i].X != pc[j].X {
-			return pc[i].X < pc[j].X
+// TestDecompressRegion: over fresh frames and the checked-in frames of every
+// container version, at one, two and four workers, a region decode returns
+// the points of the full decode that lie in the box, in the full decode's
+// order, whatever the shape of the box. And it fails closed where the full
+// decode does: a limit on points, section bytes or the context refuses both
+// or neither, for every box; the limits that meter work a box can skip
+// (entropy symbols of a culled radial group, its shards and contexts, the
+// memory of both) refuse the whole-frame box exactly when they refuse the
+// full decode, and never refuse a smaller box that the full decode passes.
+func TestDecompressRegion(t *testing.T) {
+	inputs := map[string][]byte{}
+	for _, kind := range []lidar.SceneKind{lidar.City, lidar.Road} {
+		data, _, err := Compress(frame(t, kind), DefaultOptions(0.02))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pc[i].Y != pc[j].Y {
-			return pc[i].Y < pc[j].Y
+		inputs[string(kind)] = data
+	}
+	for _, file := range []string{"default", "shards8", "blockpack", "ctx"} { // v2, v3, v4, v5
+		data, err := os.ReadFile("testdata/city-sector-" + file + ".dbgc")
+		if err != nil {
+			t.Fatal(err)
 		}
-		return pc[i].Z < pc[j].Z
-	})
+		inputs[file] = data
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	refused := func(err error) bool {
+		if err != nil && !errors.Is(err, ErrLimit) {
+			t.Fatalf("a decode under limits fails with %v, not ErrLimit", err)
+		}
+		return err != nil
+	}
+	for name, data := range inputs {
+		full, err := Decompress(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boxes := regionBoxes(full)
+		for _, procs := range []int{1, 2, 4} {
+			partest.At(procs, func() {
+				for boxName, box := range boxes {
+					got, err := DecompressRegion(data, box)
+					if err != nil {
+						t.Fatalf("%s, %s box, GOMAXPROCS=%d: %v", name, boxName, procs, err)
+					}
+					var want geom.PointCloud
+					for _, p := range full {
+						if box.Contains(p) {
+							want = append(want, p)
+						}
+					}
+					if !cloudsEqual(got, want) {
+						t.Fatalf("%s, %s box, GOMAXPROCS=%d: %d points, want the %d of the full decode in its order", name, boxName, procs, len(got), len(want))
+					}
+					if kept := float64(len(want)) / float64(len(full)); boxName == "most" && (kept < 0.85 || kept > 0.95) || boxName == "point" && len(want) == 0 {
+						t.Fatalf("%s: the %s box keeps %d of %d points", name, boxName, len(want), len(full))
+					}
+				}
+			})
+		}
+
+		// The point limit at its threshold and a dead context, and on the
+		// checked-in sectors — every dialect, a thirtieth of a frame's decode
+		// time — every limit field on a ladder from what refuses any frame
+		// to what passes this one.
+		limits := []DecodeLimits{{MaxPoints: int64(len(full))}, {MaxPoints: int64(len(full)) - 1}, {Ctx: cancelled}}
+		for v := int64(1); v <= 1<<26 && len(full) < 10000; v <<= 5 {
+			limits = append(limits, DecodeLimits{MaxPoints: v}, DecodeLimits{MaxNodes: v}, DecodeLimits{MaxSectionBytes: v},
+				DecodeLimits{MemBudget: v}, DecodeLimits{MaxShards: v}, DecodeLimits{MaxContexts: v})
+		}
+		for _, lim := range limits {
+			dopts := DecompressOptions{Limits: lim}
+			_, err := DecompressWith(data, dopts)
+			fullRefused := refused(err)
+			exact := lim.MaxPoints != 0 || lim.MaxSectionBytes != 0 || lim.Ctx != nil
+			for boxName, box := range boxes {
+				_, err := DecompressRegionWith(data, box, dopts)
+				if got := refused(err); got != fullRefused && (exact || boxName == "whole" || got) {
+					t.Fatalf("%s, %s box, %+v: region decode refused = %v, full decode refused = %v", name, boxName, lim, got, fullRefused)
+				}
+			}
+		}
+	}
 }
 
 func TestDecompressRegionGarbage(t *testing.T) {

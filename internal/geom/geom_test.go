@@ -158,9 +158,10 @@ func fill(w PointCloud, first, n int) PointCloud {
 	return w
 }
 
-// TestWindowJoin: parts appended into consecutive windows that each fill
-// exactly are adopted in place; a part that falls short, overflows its
-// window, or is missing makes Join copy — with the same points either way.
+// TestWindowJoin: parts appended into consecutive windows are closed up in
+// place — moving nothing when each filled its window exactly, moving the
+// later ones down when one fell short or is missing; a part that outgrew
+// its window makes Join copy — with the same points either way.
 func TestWindowJoin(t *testing.T) {
 	check := func(name string, got PointCloud, want int, inPlace bool, buf PointCloud) {
 		t.Helper()
@@ -176,29 +177,52 @@ func TestWindowJoin(t *testing.T) {
 			t.Fatalf("%s: in place = %v, want %v", name, same, inPlace)
 		}
 	}
+	// windows carves buf at offs and fills window i with lens[i] points,
+	// numbered on from the window before.
+	windows := func(buf PointCloud, offs []uint64, lens ...int) []PointCloud {
+		parts, first := make([]PointCloud, len(lens)), len(buf)
+		for i, n := range lens {
+			parts[i] = fill(buf.Window(offs[i], offs[i+1]-offs[i]), first, n)
+			first += n
+		}
+		return parts
+	}
 
 	buf := make(PointCloud, 0, 10)
-	a, b, c := fill(buf.Window(0, 3), 0, 3), fill(buf.Window(3, 0), 3, 0), fill(buf.Window(3, 7), 3, 7)
-	check("exact", buf.Join(a, b, c), 10, true, buf)
+	offs := []uint64{0, 3, 3, 10}
+	check("exact", buf.Join(offs, windows(buf, offs, 3, 0, 7)), 10, true, buf)
 
 	buf = make(PointCloud, 0, 10)
-	a, c = fill(buf.Window(0, 3), 0, 2), fill(buf.Window(3, 7), 2, 7) // a came up short
-	check("gap", buf.Join(a, c), 9, false, buf)
+	check("gap", buf.Join(offs, windows(buf, offs, 2, 0, 7)), 9, true, buf) // the first came up short
 
 	buf = make(PointCloud, 0, 10)
-	a, c = fill(buf.Window(0, 3), 0, 5), fill(buf.Window(3, 7), 5, 7) // a outgrew its window
-	check("overflow", buf.Join(a, c), 12, false, buf)
+	offs = []uint64{0, 3, 6, 10}
+	check("gaps", buf.Join(offs, windows(buf, offs, 1, 0, 4)), 5, true, buf) // short, missing, full
+
+	buf = make(PointCloud, 0, 10)
+	offs = []uint64{0, 3, 10}
+	check("overflow", buf.Join(offs, windows(buf, offs, 5, 7)), 12, false, buf) // the first outgrew its window
+
+	buf = make(PointCloud, 0, 10)
+	check("overflow after a gap", buf.Join(offs, windows(buf, offs, 1, 9)), 10, false, buf)
 
 	buf = make(PointCloud, 0, 4) // capacity clamped below the declared 10
-	a, c = fill(buf.Window(0, 3), 0, 3), fill(buf.Window(3, 7), 3, 7)
-	check("clamped", buf.Join(a, c), 10, false, buf)
+	check("clamped", buf.Join(offs, windows(buf, offs, 3, 7)), 10, false, buf)
 
 	buf = fill(make(PointCloud, 0, 10), 0, 2) // joining after points already there
-	a, c = fill(buf.Window(0, 3), 2, 3), fill(buf.Window(3, 5), 5, 5)
-	check("append", buf.Join(a, c), 10, true, buf)
+	offs = []uint64{0, 3, 8}
+	check("append", buf.Join(offs, windows(buf, offs, 3, 5)), 10, true, buf)
 
-	check("nothing", PointCloud(nil).Join(nil, nil), 0, false, nil)
+	buf = fill(make(PointCloud, 0, 10), 0, 2)
+	check("append over a gap", buf.Join(offs, windows(buf, offs, 1, 5)), 8, true, buf)
+
+	check("nothing", PointCloud(nil).Join([]uint64{0, 0, 0}, []PointCloud{nil, nil}), 0, false, nil)
 	if w := buf.Window(1<<63, 1<<63); len(w) != 0 || cap(w) != 0 {
 		t.Fatalf("window past the capacity has cap %d", cap(w))
 	}
+	// An offset past the capacity is where Window clamps to: a part cannot
+	// be there, and Join does not look.
+	buf = make(PointCloud, 0, 3)
+	offs = []uint64{0, 3, 1 << 63}
+	check("offset past the capacity", buf.Join(offs, windows(buf, offs, 3, 2)), 5, false, buf)
 }

@@ -148,17 +148,26 @@ func (pc PointCloud) Window(off, n uint64) PointCloud {
 	return pc[lo : lo : lo+int(min(n, free-off))]
 }
 
-// Join appends parts to pc in order. Parts that already lie back to back
-// right after pc's last point — decoded into consecutive Windows that were
-// each filled exactly — are adopted without copying a point; any other
-// arrangement is copied, together with pc, into a fresh slice.
-func (pc PointCloud) Join(parts ...PointCloud) PointCloud {
+// Join appends parts to pc in order, where parts[i] was appended to
+// pc.Window(offs[i], ·). A part still in its window is closed up in place:
+// it stays where it is when the parts before it filled their windows
+// exactly — a full decode moves nothing — and is moved down over the gap a
+// filter or a skipped part left otherwise. The first part that outgrew its
+// window has been reallocated elsewhere, so pc, it and the parts after it
+// are copied into a fresh slice of exactly their size.
+func (pc PointCloud) Join(offs []uint64, parts []PointCloud) PointCloud {
+	base, room := len(pc), pc[:cap(pc)]
 	for i, p := range parts {
 		if len(p) == 0 {
 			continue
 		}
-		if n := len(pc); n+len(p) <= cap(pc) && &pc[:n+1][n] == &p[0] {
-			pc = pc[:n+len(p)]
+		// Window clamps an offset past the capacity to it, where no part
+		// with a point in it can start.
+		if at := base + int(min(offs[i], uint64(len(room)-base))); at < len(room) && &room[at] == &p[0] {
+			if at != len(pc) {
+				copy(room[len(pc):], p)
+			}
+			pc = room[:len(pc)+len(p)]
 			continue
 		}
 		total := len(pc)

@@ -24,12 +24,8 @@ func ReadBinWithIntensity(r io.Reader) (geom.PointCloud, []float32, error) {
 	return readBin(r, true)
 }
 
-// A .bin record is four little-endian float32s; records are converted a
-// block at a time.
-const (
-	binRecord = 16
-	binBlock  = 64 << 10
-)
+// A .bin record is four little-endian float32s.
+const binRecord = 16
 
 // binRecords returns the number of records r is about to deliver if r can
 // say — an in-memory reader by its Len, a regular file by its size — and
@@ -46,39 +42,116 @@ func binRecords(r io.Reader) int {
 	return 0
 }
 
+// binDecoder is the one .bin parser, an io.Writer for io.Copy to feed: an
+// in-memory reader hands it all its bytes in one Write (WriteTo) and they
+// convert straight out of the reader's own slice, anything else arrives a
+// staging buffer at a time. Records convert as they complete; a record
+// split across Writes waits in tail.
+type binDecoder struct {
+	pc     geom.PointCloud
+	intens []float32 // nil: intensities dropped
+	tail   []byte
+}
+
+// records converts the whole records of p.
+func (d *binDecoder) records(p []byte) {
+	for ; len(p) >= binRecord; p = p[binRecord:] {
+		x := math.Float32frombits(binary.LittleEndian.Uint32(p[0:]))
+		y := math.Float32frombits(binary.LittleEndian.Uint32(p[4:]))
+		z := math.Float32frombits(binary.LittleEndian.Uint32(p[8:]))
+		d.pc = append(d.pc, geom.Point{X: float64(x), Y: float64(y), Z: float64(z)})
+		if d.intens != nil {
+			d.intens = append(d.intens, math.Float32frombits(binary.LittleEndian.Uint32(p[12:])))
+		}
+	}
+}
+
+func (d *binDecoder) Write(p []byte) (int, error) {
+	n := len(p)
+	if len(d.tail) > 0 {
+		k := min(binRecord-len(d.tail), len(p))
+		d.tail, p = append(d.tail, p[:k]...), p[k:]
+		if len(d.tail) < binRecord {
+			return n, nil
+		}
+		d.records(d.tail)
+		d.tail = d.tail[:0]
+	}
+	d.records(p)
+	d.tail = append(d.tail, p[len(p)-len(p)%binRecord:]...)
+	return n, nil
+}
+
 func readBin(r io.Reader, withIntensity bool) (geom.PointCloud, []float32, error) {
 	n := binRecords(r)
-	pc := make(geom.PointCloud, 0, n)
-	var intens []float32
+	d := binDecoder{pc: make(geom.PointCloud, 0, n)}
 	if withIntensity {
-		intens = make([]float32, 0, n)
+		d.intens = make([]float32, 0, n)
 	}
-	block := make([]byte, binBlock)
-	for {
-		got, err := io.ReadFull(r, block)
-		for rec := block[:got-got%binRecord]; len(rec) > 0; rec = rec[binRecord:] {
-			x := math.Float32frombits(binary.LittleEndian.Uint32(rec[0:]))
-			y := math.Float32frombits(binary.LittleEndian.Uint32(rec[4:]))
-			z := math.Float32frombits(binary.LittleEndian.Uint32(rec[8:]))
-			pc = append(pc, geom.Point{X: float64(x), Y: float64(y), Z: float64(z)})
-			if withIntensity {
-				intens = append(intens, math.Float32frombits(binary.LittleEndian.Uint32(rec[12:])))
-			}
-		}
-		switch {
-		case err == nil:
-		case (err == io.EOF || err == io.ErrUnexpectedEOF) && got%binRecord == 0:
-			// The input ended on a record boundary.
-			return pc, intens, nil
-		default:
-			return nil, nil, fmt.Errorf("lidar: reading .bin record %d: %w", len(pc), err)
-		}
+	_, err := io.Copy(&d, r)
+	if err == nil && len(d.tail) > 0 {
+		err = io.ErrUnexpectedEOF // the input ended inside a record
 	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("lidar: reading .bin record %d: %w", len(d.pc), err)
+	}
+	return d.pc, d.intens, nil
 }
 
 // WriteBin writes a cloud in KITTI .bin format with zero intensities.
 func WriteBin(w io.Writer, pc geom.PointCloud) error {
 	return WriteBinWithIntensity(w, pc, nil)
+}
+
+// binEncoder is the one .bin writer, an io.Reader for io.Copy to drain: a
+// bytes.Buffer reads it straight into its own spare room (ReadFrom), where
+// the records convert in place, anything else takes it a staging buffer at
+// a time. A record that does not fit what is left of p waits in tail.
+type binEncoder struct {
+	pc        geom.PointCloud
+	intensity []float32 // nil: zeros
+	next      int       // the first point not yet converted
+	rec       [binRecord]byte
+	tail      []byte
+}
+
+// records converts into p as many of the points left as p has room for
+// whole records, and returns the bytes written.
+func (e *binEncoder) records(p []byte) int {
+	n := min(len(p)/binRecord, len(e.pc)-e.next)
+	p = p[:n*binRecord]
+	var in []float32
+	if e.intensity != nil {
+		in = e.intensity[e.next : e.next+n]
+	}
+	for i, pt := range e.pc[e.next : e.next+n] {
+		// Two 8-byte stores a record: x|y, z|intensity.
+		lo := uint64(math.Float32bits(float32(pt.X))) | uint64(math.Float32bits(float32(pt.Y)))<<32
+		hi := uint64(math.Float32bits(float32(pt.Z)))
+		if in != nil {
+			hi |= uint64(math.Float32bits(in[i])) << 32
+		}
+		binary.LittleEndian.PutUint64(p[i*binRecord:], lo)
+		binary.LittleEndian.PutUint64(p[i*binRecord+8:], hi)
+	}
+	e.next += n
+	return n * binRecord
+}
+
+func (e *binEncoder) Read(p []byte) (n int, err error) {
+	n = copy(p, e.tail)
+	e.tail = e.tail[n:]
+	n += e.records(p[n:])
+	if e.next < len(e.pc) && len(e.tail) == 0 && n < len(p) {
+		e.records(e.rec[:])
+		k := copy(p[n:], e.rec[:])
+		e.tail = e.rec[k:]
+		n += k
+	}
+	if e.next == len(e.pc) && len(e.tail) == 0 {
+		err = io.EOF // with the last bytes: a ReadFrom stops without asking for more room
+	}
+	return n, err
 }
 
 // WriteBinWithIntensity writes a cloud in KITTI .bin format. intensity may
@@ -92,22 +165,8 @@ func WriteBinWithIntensity(w io.Writer, pc geom.PointCloud, intensity []float32)
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		g.Grow(binRecord * len(pc))
 	}
-	block := make([]byte, 0, min(binBlock, binRecord*len(pc)))
-	for i, p := range pc {
-		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(float32(p.X)))
-		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(float32(p.Y)))
-		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(float32(p.Z)))
-		var in float32
-		if intensity != nil {
-			in = intensity[i]
-		}
-		block = binary.LittleEndian.AppendUint32(block, math.Float32bits(in))
-		if len(block) == cap(block) || i == len(pc)-1 {
-			if _, err := w.Write(block); err != nil {
-				return fmt.Errorf("lidar: writing .bin: %w", err)
-			}
-			block = block[:0]
-		}
+	if _, err := io.Copy(w, &binEncoder{pc: pc, intensity: intensity}); err != nil {
+		return fmt.Errorf("lidar: writing .bin: %w", err)
 	}
 	return nil
 }

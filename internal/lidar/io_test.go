@@ -99,36 +99,78 @@ func binCloud(n int) (geom.PointCloud, []float32, []byte) {
 	return pc, intens, want
 }
 
-// plainReader hides everything but Read, so the reader has no Len.
+// binBlock is io.Copy's staging buffer: what a reader without WriteTo and a
+// writer without ReadFrom are served a piece at a time.
+const binBlock = 32 << 10
+
+// plainReader hides everything but Read, so the reader has no Len and no
+// WriteTo.
 type plainReader struct{ r io.Reader }
 
 func (p plainReader) Read(b []byte) (int, error) { return p.r.Read(b) }
 
+// plainWriter hides everything but Write, so the writer has no Grow and no
+// ReadFrom.
+type plainWriter struct{ w io.Writer }
+
+func (p plainWriter) Write(b []byte) (int, error) { return p.w.Write(b) }
+
 // TestBinBlocks: clouds below, at and above the block size are written as
 // the same bytes the record-at-a-time format defines, with intensities and
-// without, and read back exactly from readers that can size themselves
-// (bytes.Reader, a file), that cannot, and that deliver a byte at a time.
+// without, into a bytes.Buffer (which reads the records into its own spare
+// room), into a buffer that already holds bytes, into a writer that can only
+// Write (served a block at a time) and to a reader that asks for odd pieces;
+// and read back exactly from readers that hand over their bytes whole
+// (bytes.Reader, bytes.Buffer), from a file, from a reader that can only
+// Read, and from one that delivers a byte at a time.
 func TestBinBlocks(t *testing.T) {
 	const perBlock = binBlock / binRecord
 	for _, n := range []int{0, 1, perBlock - 1, perBlock, perBlock + 1, 3*perBlock + 17} {
 		pc, intens, want := binCloud(n)
-		var buf bytes.Buffer
-		if err := WriteBinWithIntensity(&buf, pc, intens); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("n=%d: WriteBinWithIntensity wrote other bytes than the format's", n)
-		}
-		buf.Reset()
-		if err := WriteBin(&buf, pc); err != nil {
-			t.Fatal(err)
-		}
 		zeroed := bytes.Clone(want)
 		for i := 12; i < len(zeroed); i += binRecord {
 			copy(zeroed[i:], []byte{0, 0, 0, 0})
 		}
-		if !bytes.Equal(buf.Bytes(), zeroed) {
-			t.Fatalf("n=%d: WriteBin wrote other bytes than the format's with zero intensity", n)
+		for name, c := range map[string]struct {
+			intens []float32
+			want   []byte
+		}{"WriteBinWithIntensity": {intens, want}, "WriteBin": {nil, zeroed}} {
+			var buf, plain bytes.Buffer
+			after := bytes.NewBufferString("header")
+			for _, w := range []io.Writer{&buf, plainWriter{&plain}, after} {
+				if err := WriteBinWithIntensity(w, pc, c.intens); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(buf.Bytes(), c.want) {
+				t.Fatalf("n=%d: %s wrote other bytes than the format's into a bytes.Buffer", n, name)
+			}
+			if !bytes.Equal(plain.Bytes(), c.want) {
+				t.Fatalf("n=%d: %s wrote other bytes than the format's into a plain io.Writer", n, name)
+			}
+			if !bytes.Equal(after.Bytes(), append([]byte("header"), c.want...)) {
+				t.Fatalf("n=%d: %s into a buffer that holds bytes did not append the format's", n, name)
+			}
+			for _, piece := range []int{1, 7, binRecord, binRecord + 7} {
+				if n > perBlock+1 && piece < binRecord {
+					continue
+				}
+				var got []byte
+				enc, p := &binEncoder{pc: pc, intensity: c.intens}, make([]byte, piece)
+				for {
+					k, err := enc.Read(p)
+					got = append(got, p[:k]...)
+					if err == io.EOF {
+						break
+					}
+					if err != nil || k == 0 {
+						t.Fatalf("n=%d: %s read %d bytes at a time: %d, %v", n, name, piece, k, err)
+					}
+				}
+				if !bytes.Equal(got, c.want) {
+					t.Fatalf("n=%d: %s read %d bytes at a time gives other bytes than the format's", n, name, piece)
+				}
+			}
 		}
 
 		path := filepath.Join(t.TempDir(), "frame.bin")
@@ -142,6 +184,7 @@ func TestBinBlocks(t *testing.T) {
 		defer f.Close()
 		for name, r := range map[string]io.Reader{
 			"bytes.Reader": bytes.NewReader(want),
+			"bytes.Buffer": bytes.NewBuffer(bytes.Clone(want)),
 			"file":         f,
 			"no Len":       plainReader{bytes.NewReader(want)},
 			"one byte":     iotest.OneByteReader(bytes.NewReader(want)),
@@ -172,12 +215,25 @@ func TestBinBlocks(t *testing.T) {
 func TestBinTornTail(t *testing.T) {
 	const perBlock = binBlock / binRecord
 	_, _, data := binCloud(perBlock + 2)
+	dir := t.TempDir()
 	for _, records := range []int{0, 1, perBlock - 1, perBlock, perBlock + 1} {
 		for extra := 0; extra < binRecord; extra++ {
 			cut := data[:records*binRecord+extra]
+			path := filepath.Join(dir, fmt.Sprintf("%d+%d.bin", records, extra))
+			if err := os.WriteFile(path, cut, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
 			for name, r := range map[string]io.Reader{
 				"bytes.Reader": bytes.NewReader(cut),
+				"bytes.Buffer": bytes.NewBuffer(bytes.Clone(cut)),
+				"file":         f,
 				"no Len":       plainReader{bytes.NewReader(cut)},
+				"one byte":     iotest.OneByteReader(bytes.NewReader(cut)),
 			} {
 				pc, err := ReadBin(r)
 				if extra == 0 {

@@ -3,6 +3,7 @@ package netproto
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"testing"
 )
 
@@ -43,6 +44,15 @@ func FuzzRead(f *testing.F) {
 		m, err := Read(bytes.NewReader(b))
 		if len(m.Payload) > MaxFrameSize {
 			t.Fatalf("payload of %d bytes exceeds MaxFrameSize", len(m.Payload))
+		}
+		// The checksum Read accumulates a chunk at a time is the checksum of
+		// the payload: accepted when the header's matches it, ErrChecksum,
+		// with the payload, when it does not.
+		if err == nil || err == ErrChecksum {
+			whole := crc32.Checksum(m.Payload, castagnoli) == binary.LittleEndian.Uint32(b[14:])
+			if whole != (err == nil) || len(m.Payload) != int(binary.LittleEndian.Uint32(b[10:])) {
+				t.Fatalf("Read returns %v for %d payload bytes whose checksum matches the header's: %v", err, len(m.Payload), whole)
+			}
 		}
 		if err != nil {
 			return

@@ -18,6 +18,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -194,7 +196,10 @@ func BusyHint(payload []byte) (retryAfter time.Duration, reason string, ok bool)
 	return time.Duration(ms) * time.Millisecond, rest, true
 }
 
-// Write serializes m to w.
+// Write serializes m to w: on a connection of package net's own, header and
+// payload leave in one gathered write (writev), so a frame costs one system
+// call and an ack is one packet; any other writer gets the header, then the
+// payload when there is one.
 func Write(w io.Writer, m Message) error {
 	if len(m.Payload) > MaxFrameSize {
 		return ErrFrameTooLarge
@@ -206,14 +211,26 @@ func Write(w io.Writer, m Message) error {
 	binary.LittleEndian.PutUint32(hdr[10:], uint32(len(m.Payload)))
 	binary.LittleEndian.PutUint32(hdr[14:], crc32.Checksum(m.Payload, castagnoli))
 	binary.LittleEndian.PutUint32(hdr[hdrCRCOff:], crc32.Checksum(hdr[:hdrCRCOff], castagnoli))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("netproto: writing header: %w", err)
+	frame := net.Buffers{hdr[:], m.Payload}
+	if len(m.Payload) == 0 {
+		frame = frame[:1]
 	}
-	if _, err := w.Write(m.Payload); err != nil {
-		return fmt.Errorf("netproto: writing payload: %w", err)
+	if _, err := frame.WriteTo(w); err != nil {
+		return fmt.Errorf("netproto: writing frame: %w", err)
 	}
 	return nil
 }
+
+// A payload is read, and checksummed, readChunk bytes at a time: the CRC
+// runs over bytes the read has just brought into the cache, not over the
+// whole payload in a second pass. Room for what the header declares is made
+// at once only up to eagerPayload — any real frame or query answer — and
+// past that grows as the bytes arrive, so a header alone cannot claim
+// MaxFrameSize of memory.
+const (
+	readChunk    = 128 << 10
+	eagerPayload = 4 << 20
+)
 
 // Read deserializes the next message from r.
 //
@@ -233,16 +250,24 @@ func Read(r io.Reader) (Message, error) {
 		return Message{}, fmt.Errorf("%w: got %d, want %d", ErrVersion, hdr[0], Version)
 	}
 	m := Message{Kind: hdr[1], Seq: binary.LittleEndian.Uint64(hdr[2:])}
-	n := binary.LittleEndian.Uint32(hdr[10:])
-	sum := binary.LittleEndian.Uint32(hdr[14:])
+	n := int(binary.LittleEndian.Uint32(hdr[10:]))
+	want := binary.LittleEndian.Uint32(hdr[14:])
 	if n > MaxFrameSize {
 		return Message{}, ErrFrameTooLarge
 	}
-	m.Payload = make([]byte, n)
-	if _, err := io.ReadFull(r, m.Payload); err != nil {
-		return Message{}, fmt.Errorf("netproto: reading payload: %w", err)
+	m.Payload = make([]byte, 0, min(n, eagerPayload))
+	var sum uint32
+	for len(m.Payload) < n {
+		k := min(readChunk, n-len(m.Payload))
+		m.Payload = slices.Grow(m.Payload, k)
+		chunk := m.Payload[len(m.Payload) : len(m.Payload)+k]
+		if _, err := io.ReadFull(r, chunk); err != nil {
+			return Message{}, fmt.Errorf("netproto: reading payload: %w", err)
+		}
+		sum = crc32.Update(sum, castagnoli, chunk)
+		m.Payload = m.Payload[:len(m.Payload)+k]
 	}
-	if crc32.Checksum(m.Payload, castagnoli) != sum {
+	if sum != want {
 		return m, ErrChecksum
 	}
 	return m, nil

@@ -7,8 +7,11 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
+	"runtime"
 	"testing"
 	"time"
+
+	"dbgc/internal/faultnet"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -231,5 +234,93 @@ func TestValidTenant(t *testing.T) {
 		if ValidTenant(name) {
 			t.Errorf("ValidTenant(%q) = true", name)
 		}
+	}
+}
+
+// writeLog records the length of every Write it is handed.
+type writeLog struct{ lens []int }
+
+func (w *writeLog) Write(p []byte) (int, error) {
+	w.lens = append(w.lens, len(p))
+	return len(p), nil
+}
+
+// loggedConn is a net.Conn that is not one of package net's own: what a
+// fault-injecting or otherwise wrapped connection looks like to Write.
+type loggedConn struct {
+	net.Conn
+	log *writeLog
+}
+
+func (c loggedConn) Write(p []byte) (int, error) { return c.log.Write(p) }
+
+// TestWriteCalls: a frame without a payload — every ack — is one Write, not
+// a header and an empty second one; a frame with a payload reaches a writer
+// that cannot gather as its header, then its payload, also through a
+// faultnet-wrapped connection, whose fault schedule draws once per Write.
+func TestWriteCalls(t *testing.T) {
+	var w writeLog
+	if err := Write(&w, Ack(7)); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.lens) != 1 || w.lens[0] != headerSize {
+		t.Fatalf("an ack is written as %v, want one write of the %d-byte header", w.lens, headerSize)
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	for name, conn := range map[string]net.Conn{
+		"wrapped":  loggedConn{client, &w},
+		"faultnet": faultnet.New(faultnet.Config{Seed: 1}).Wrap(loggedConn{client, &w}),
+	} {
+		w.lens = nil
+		if err := Write(conn, Nack(8, "checksum")); err != nil {
+			t.Fatal(err)
+		}
+		if len(w.lens) != 2 || w.lens[0] != headerSize || w.lens[1] != len("checksum") {
+			t.Fatalf("%s: a nack is written as %v, want header then payload", name, w.lens)
+		}
+	}
+}
+
+// TestReadDoesNotTrustDeclaredSize: a header alone cannot make Read allocate
+// what it declares. A valid header claiming MaxFrameSize followed by nothing,
+// or by a few bytes, costs a few MiB and an error; a frame larger than what
+// is allocated up front still arrives whole, and its checksum still counts.
+func TestReadDoesNotTrustDeclaredSize(t *testing.T) {
+	hdr := make([]byte, headerSize)
+	hdr[0] = Version
+	hdr[1] = KindCompressed
+	binary.LittleEndian.PutUint32(hdr[10:], MaxFrameSize)
+	binary.LittleEndian.PutUint32(hdr[hdrCRCOff:], crc32.Checksum(hdr[:hdrCRCOff], castagnoli))
+	for _, sent := range []int{0, 100, readChunk + 1} {
+		stream := append(bytes.Clone(hdr), make([]byte, sent)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m, err := Read(bytes.NewReader(stream))
+		runtime.ReadMemStats(&after)
+		if err == nil || errors.Is(err, ErrChecksum) || m.Payload != nil {
+			t.Fatalf("%d of %d declared bytes sent: Read returns %d bytes, %v", sent, MaxFrameSize, len(m.Payload), err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 8<<20 {
+			t.Fatalf("%d of %d declared bytes sent: Read allocated %d bytes", sent, MaxFrameSize, got)
+		}
+	}
+
+	big := make([]byte, eagerPayload+3*readChunk+17)
+	for i := range big {
+		big[i] = byte(i * 31)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, Message{Kind: KindRaw, Seq: 5, Payload: big}); err != nil {
+		t.Fatal(err)
+	}
+	raw := bytes.Clone(buf.Bytes())
+	if m, err := Read(&buf); err != nil || m.Seq != 5 || !bytes.Equal(m.Payload, big) {
+		t.Fatalf("a %d-byte frame read back as %d bytes, %v", len(big), len(m.Payload), err)
+	}
+	raw[len(raw)-1] ^= 1 // in the last chunk, past what was allocated at once
+	if m, err := Read(bytes.NewReader(raw)); err != ErrChecksum || m.Seq != 5 || len(m.Payload) != len(big) {
+		t.Fatalf("a flipped last byte: %d bytes, seq %d, %v; want the message and ErrChecksum", len(m.Payload), m.Seq, err)
 	}
 }

@@ -397,20 +397,14 @@ func DecodeWith(data []byte, opts DecodeOptions) (geom.PointCloud, error) {
 // DecodeInto is DecodeWith appending the points to dst. Given room for
 // PointCount(data) points it writes each point once, where it stays.
 func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (geom.PointCloud, error) {
-	return decode(dst, data, opts, nil)
+	return DecodeRegionInto(dst, data, nil, opts)
 }
 
 // PointCount returns the number of points the header of an Encode stream
 // declares, or zero if there is no reading it. The count is untrusted: a
 // hint for sizing DecodeInto's destination, which the decode then holds
 // the stream to.
-func PointCount(data []byte) uint64 {
-	n, _, err := varint.Uint(data)
-	if err != nil || n > math.MaxInt32 {
-		return 0
-	}
-	return n
-}
+func PointCount(data []byte) uint64 { return PointCountIn(data, nil) }
 
 // stream is a parsed Encode stream: the header fields and the two entropy
 // coded sections, still compressed.
@@ -503,11 +497,14 @@ type decodeScratch struct {
 
 var decodePool = sync.Pool{New: func() any { return new(decodeScratch) }}
 
-// decode is the one decoder behind DecodeInto (region == nil) and
-// DecodeRegionWith: entropy-decode both sections, replay the subdivision,
-// and append every leaf center, repeated by its count, that the region
-// keeps.
-func decode(dst geom.PointCloud, data []byte, opts DecodeOptions, region *geom.AABB) (pc geom.PointCloud, err error) {
+// DecodeRegionInto is the one decoder, appending to dst the points region
+// keeps (all of them when it is nil): entropy-decode both sections, replay
+// the subdivision, and append every leaf center, repeated by its count,
+// that lies in the box. The budget is charged as a full decode charges it,
+// declared point count included, so the two refuse the same streams. Given
+// room for PointCountIn(data, region) points, a decode that keeps every
+// point writes each once, where it stays.
+func DecodeRegionInto(dst geom.PointCloud, data []byte, region *geom.AABB, opts DecodeOptions) (pc geom.PointCloud, err error) {
 	defer declimits.Recover(&err, ErrCorrupt)
 	st, err := parse(data, opts)
 	if err != nil {
@@ -515,6 +512,9 @@ func decode(dst geom.PointCloud, data []byte, opts DecodeOptions, region *geom.A
 	}
 	if st.n == 0 {
 		return dst, nil
+	}
+	if region != nil && cubeInside(st.min, st.side, *region) {
+		region = nil // the box prunes nothing: no liveness to track
 	}
 	b := opts.Budget
 	s := decodePool.Get().(*decodeScratch)

@@ -13,11 +13,28 @@ func DecodeRegion(data []byte, region geom.AABB) (geom.PointCloud, error) {
 }
 
 // DecodeRegionWith is DecodeRegion with explicit options (sharded streams,
-// parallel shard decode, resource budget). The budget is charged as a full
-// decode charges it, declared point count included, so the two refuse the
-// same streams.
+// parallel shard decode, resource budget).
 func DecodeRegionWith(data []byte, region geom.AABB, opts DecodeOptions) (geom.PointCloud, error) {
-	return decode(geom.PointCloud{}, data, opts, &region)
+	return DecodeRegionInto(geom.PointCloud{}, data, &region, opts)
+}
+
+// PointCountIn is PointCount for a decode with region, as far as the header
+// can tell: every declared point when the region is nil or contains the
+// stream's cube, and none when the box cuts the cube — how many leaves it
+// keeps is known only once the tree has been replayed, and that decode
+// sizes its own result. A header that does not parse declares none.
+func PointCountIn(data []byte, region *geom.AABB) uint64 {
+	st, err := parse(data, DecodeOptions{})
+	if err != nil || region != nil && !cubeInside(st.min, st.side, *region) {
+		return 0
+	}
+	return st.n
+}
+
+// cubeInside reports whether the cube (min corner, side) lies in the box,
+// so that the box keeps every leaf center of a tree over the cube.
+func cubeInside(min geom.Point, side float64, b geom.AABB) bool {
+	return b.Contains(min) && b.Contains(min.Add(geom.Point{X: side, Y: side, Z: side}))
 }
 
 // cellIntersects reports whether the cube cell (center, half side) overlaps

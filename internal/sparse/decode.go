@@ -66,13 +66,8 @@ func DecodeWith(data []byte, opts DecodeOptions) (geom.PointCloud, error) {
 // DecodeInto is DecodeWith appending the points to dst. Given room for
 // PointCount(data) points, every radial group writes its points once,
 // where they stay.
-func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (pc geom.PointCloud, err error) {
-	defer declimits.Recover(&err, ErrCorrupt)
-	fr, err := parseFrame(data)
-	if err != nil {
-		return nil, err
-	}
-	return fr.decodeGroups(dst, fr.groups, opts)
+func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (geom.PointCloud, error) {
+	return DecodeRegionInto(dst, data, nil, opts)
 }
 
 // GroupCount returns the number of radial groups of an Encode stream, or
@@ -85,14 +80,7 @@ func GroupCount(data []byte) int {
 // PointCount returns the number of points the group headers of an Encode
 // stream declare, or what of it can be read: an untrusted hint for sizing
 // DecodeInto's destination.
-func PointCount(data []byte) uint64 {
-	fr, _ := parseFrame(data)
-	var n uint64
-	for _, g := range fr.groups {
-		n += fr.groupPoints(g)
-	}
-	return n
-}
+func PointCount(data []byte) uint64 { return PointCountIn(data, nil) }
 
 // frame is a parsed sparse stream: the stream-wide header and the payloads
 // of the radial groups, each still an independently entropy-coded section.
@@ -213,11 +201,12 @@ func (fr frame) groupPoints(group []byte) uint64 {
 }
 
 // decodeGroups decodes groups, a subset of fr.groups in stream order, and
-// appends their points to dst. Each group is an independently entropy-coded
-// section and decodes into its own window of one buffer sized from the
-// group headers, so the groups go through par.Workers: however many the
-// stream declares, at most GOMAXPROCS workers and scratches are in use.
-func (fr frame) decodeGroups(dst geom.PointCloud, groups [][]byte, opts DecodeOptions) (geom.PointCloud, error) {
+// appends to dst their points inside region (all of them when it is nil).
+// Each group is an independently entropy-coded section and decodes into its
+// own window of one buffer sized from the group headers, so the groups go
+// through par.Workers: however many the stream declares, at most GOMAXPROCS
+// workers and scratches are in use.
+func (fr frame) decodeGroups(dst geom.PointCloud, groups [][]byte, region *geom.AABB, opts DecodeOptions) (geom.PointCloud, error) {
 	offs := make([]uint64, len(groups)+1)
 	for gi, g := range groups {
 		offs[gi+1] = offs[gi] + fr.groupPoints(g)
@@ -231,7 +220,7 @@ func (fr frame) decodeGroups(dst geom.PointCloud, groups [][]byte, opts DecodeOp
 		for gi, ok := next(); ok; gi, ok = next() {
 			func() {
 				defer declimits.Recover(&errs[gi], ErrCorrupt)
-				pts[gi], errs[gi] = fr.decodeGroupChecked(dst.Window(offs[gi], offs[gi+1]-offs[gi]), groups[gi], s, opts.Budget)
+				pts[gi], errs[gi] = fr.decodeGroupChecked(dst.Window(offs[gi], offs[gi+1]-offs[gi]), groups[gi], region, s, opts.Budget)
 			}()
 		}
 	})
@@ -246,12 +235,12 @@ func (fr frame) decodeGroups(dst geom.PointCloud, groups [][]byte, opts DecodeOp
 			return nil, fmt.Errorf("sparse: group %d: %w", gi, errs[gi])
 		}
 	}
-	return dst.Join(pts...), nil
+	return dst.Join(offs, pts), nil
 }
 
 // decodeGroupChecked verifies the CRC-32C prefix of a group that carries
 // one, then decodes the group payload.
-func (fr frame) decodeGroupChecked(dst geom.PointCloud, data []byte, s *groupScratch, b *declimits.Budget) (geom.PointCloud, error) {
+func (fr frame) decodeGroupChecked(dst geom.PointCloud, data []byte, region *geom.AABB, s *groupScratch, b *declimits.Budget) (geom.PointCloud, error) {
 	if GroupsCarryCRC(fr.gf.dialect) {
 		if len(data) < 4 {
 			return nil, fmt.Errorf("%w: group shorter than its CRC", ErrCorrupt)
@@ -262,7 +251,7 @@ func (fr frame) decodeGroupChecked(dst geom.PointCloud, data []byte, s *groupScr
 			return nil, ErrGroupCRC
 		}
 	}
-	return fr.decodeGroup(dst, data, s, b)
+	return fr.decodeGroup(dst, data, region, s, b)
 }
 
 // groupScratch holds what decoding one group needs besides its output:
@@ -299,8 +288,9 @@ func checkLengths(lens []uint64, total int, b *declimits.Budget) error {
 	return b.Points(int64(total))
 }
 
-// decodeGroup decodes one group payload and appends its points to dst.
-func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b *declimits.Budget) (geom.PointCloud, error) {
+// decodeGroup decodes one group payload and appends to dst its points
+// inside region (all of them when it is nil).
+func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, region *geom.AABB, s *groupScratch, b *declimits.Budget) (geom.PointCloud, error) {
 	gf, q := fr.gf, fr.q
 	h, data, err := fr.readGroupHeader(data)
 	if err != nil {
@@ -410,16 +400,22 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, s *groupScratch, b
 		return nil, err
 	}
 
+	// The one pass out of the scratch: a point the box drops is converted
+	// and never written.
 	out := slices.Grow(dst, total)
 	if gf.cartesian {
 		cq := cartesianQuantizer{q: q}
 		for _, p := range s.pts {
-			out = append(out, cq.Cartesian(p))
+			if c := cq.Cartesian(p); region == nil || region.Contains(c) {
+				out = append(out, c)
+			}
 		}
 	} else {
 		qz := NewQuantizer(q, h.rMax)
 		for _, p := range s.pts {
-			out = append(out, qz.Cartesian(p))
+			if c := qz.Cartesian(p); region == nil || region.Contains(c) {
+				out = append(out, c)
+			}
 		}
 	}
 	return out, nil

@@ -84,8 +84,9 @@ func turnedBack(backwards bool) []polyline.Line {
 func TestNegativeThetaTailRefused(t *testing.T) {
 	readers := map[string]func([]byte) (geom.PointCloud, error){
 		"Decode": Decode,
-		"DecodeRadialRange": func(b []byte) (geom.PointCloud, error) {
-			return DecodeRadialRange(b, 0, math.Inf(1), DecodeOptions{})
+		"DecodeRegionInto": func(b []byte) (geom.PointCloud, error) {
+			inf := math.Inf(1)
+			return DecodeRegionInto(nil, b, &geom.AABB{Min: geom.Point{X: -inf, Y: -inf, Z: -inf}, Max: geom.Point{X: inf, Y: inf, Z: inf}}, DecodeOptions{})
 		},
 		"salvage": func(b []byte) (geom.PointCloud, error) { return DecodeWith(b, DecodeOptions{Salvage: true}) },
 	}

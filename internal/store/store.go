@@ -19,6 +19,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -236,21 +237,16 @@ func (s *Store) Quarantine(seq uint64, payload []byte) (written bool, err error)
 }
 
 func (s *Store) appendLocked(seq uint64, kind byte, payload []byte) (end int64, err error) {
-	var hdr [recordHeader]byte
-	binary.LittleEndian.PutUint64(hdr[0:], seq)
-	hdr[8] = kind
-	crc := crc32.Checksum(payload, castagnoli)
-	binary.LittleEndian.PutUint32(hdr[9:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[13:], crc)
+	info := RecordInfo{
+		Seq: seq, Kind: kind, Size: uint32(len(payload)), CRC: crc32.Checksum(payload, castagnoli),
+		Off: s.end, End: s.end + recordHeader + int64(len(payload)),
+	}
+	hdr := info.header()
 	if _, err := s.f.WriteAt(hdr[:], s.end); err != nil {
 		return s.end, fmt.Errorf("store: writing header: %w", err)
 	}
 	if _, err := s.f.WriteAt(payload, s.end+recordHeader); err != nil {
 		return s.end, fmt.Errorf("store: writing payload: %w", err)
-	}
-	info := RecordInfo{
-		Seq: seq, Kind: kind, Size: uint32(len(payload)), CRC: crc,
-		Off: s.end, End: s.end + recordHeader + int64(len(payload)),
 	}
 	s.index[seq] = len(s.log)
 	s.log = append(s.log, info)
@@ -262,7 +258,10 @@ func (s *Store) appendLocked(seq uint64, kind byte, payload []byte) (end int64, 
 }
 
 // Get returns the payload and kind of the frame with the given sequence
-// number.
+// number. Header and payload come off the disk in one read, and the record
+// must be the one the index knows: a header that names another sequence
+// number, kind, size or checksum, or a payload that fails the checksum, is
+// ErrCorrupt.
 func (s *Store) Get(seq uint64) ([]byte, byte, error) {
 	s.mu.Lock()
 	pos, ok := s.liveLocked(seq)
@@ -270,16 +269,12 @@ func (s *Store) Get(seq uint64) ([]byte, byte, error) {
 	if !ok {
 		return nil, 0, ErrNotFound
 	}
-	var hdr [recordHeader]byte
-	if _, err := s.f.ReadAt(hdr[:], pos.Off); err != nil {
+	rec := make([]byte, recordHeader+int(pos.Size))
+	if _, err := s.f.ReadAt(rec, pos.Off); err != nil {
 		return nil, 0, err
 	}
-	payload := make([]byte, pos.Size)
-	if _, err := s.f.ReadAt(payload, pos.Off+recordHeader); err != nil {
-		return nil, 0, err
-	}
-	want := binary.LittleEndian.Uint32(hdr[13:])
-	if crc32.Checksum(payload, castagnoli) != want {
+	hdr, payload := pos.header(), rec[recordHeader:]
+	if !bytes.Equal(rec[:recordHeader], hdr[:]) || crc32.Checksum(payload, castagnoli) != pos.CRC {
 		return nil, 0, ErrCorrupt
 	}
 	return payload, pos.Kind, nil
@@ -343,6 +338,15 @@ type RecordInfo struct {
 	CRC  uint32 // crc32c of the payload, as stored in the record header
 	Off  int64  // record start offset
 	End  int64  // record end offset (Off + header + Size)
+}
+
+// header returns the record header Append wrote for r.
+func (r RecordInfo) header() (hdr [recordHeader]byte) {
+	binary.LittleEndian.PutUint64(hdr[0:], r.Seq)
+	hdr[8] = r.Kind
+	binary.LittleEndian.PutUint32(hdr[9:], r.Size)
+	binary.LittleEndian.PutUint32(hdr[13:], r.CRC)
+	return hdr
 }
 
 // Record is a record with its payload, as handed to replication: announced

@@ -192,23 +192,32 @@ func TestRebuildStopsAtMidFileCorruption(t *testing.T) {
 }
 
 func TestCorruptionAfterOpenDetectedAtGet(t *testing.T) {
-	s, path := tempStore(t)
-	defer s.Close()
-	if err := s.Put(7, KindCompressed, bytes.Repeat([]byte{7}, 100)); err != nil {
-		t.Fatal(err)
-	}
 	// Corrupt the live file behind the store's back (bit rot after the
-	// rebuild scan): Get's own checksum must still catch it.
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt([]byte{0xff}, recordHeader+10); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	if _, _, err := s.Get(7); err != ErrCorrupt {
-		t.Fatalf("want ErrCorrupt, got %v", err)
+	// rebuild scan): Get must still catch it, in the payload by its checksum
+	// and in any header field by the index entry — a rewritten sequence
+	// number, kind or size leaves the checksum of the payload intact.
+	for name, off := range map[string]int64{
+		"payload": recordHeader + 10, "seq": 0, "kind": 8, "size": 9, "size high byte": 12, "crc": 13,
+	} {
+		s, path := tempStore(t)
+		if err := s.Put(7, KindCompressed, bytes.Repeat([]byte{7}, 100)); err != nil {
+			t.Fatal(err)
+		}
+		if _, kind, err := s.Get(7); err != nil || kind != KindCompressed {
+			t.Fatalf("%s: intact record: kind %d, %v", name, kind, err)
+		}
+		f, err := os.OpenFile(path, os.O_RDWR, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt([]byte{0x02}, off); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		if _, _, err := s.Get(7); err != ErrCorrupt {
+			t.Fatalf("%s rewritten on disk: want ErrCorrupt, got %v", name, err)
+		}
+		s.Close()
 	}
 }
 
