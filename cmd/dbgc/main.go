@@ -3,12 +3,17 @@
 //
 // Usage:
 //
-//	dbgc compress   [-q 0.02] [-groups 3] input.bin output.dbgc
+//	dbgc compress   [-q 0.02] [-groups 6] [-ctx=false] input.bin output.dbgc
 //	dbgc decompress input.dbgc output.bin
 //	dbgc info       input.dbgc
 //	dbgc simulate   [-scene kitti-city] [-seed 1] output.bin
-//	dbgc pack       [-q 0.02] [-intensity] frames... output.dbgs
+//	dbgc pack       [-q 0.02] [-intensity] [-ctx=false] frames... output.dbgs
 //	dbgc unpack     [-partial] [-max-points n] [-mem-budget bytes] input.dbgs output-dir
+//
+// compress and pack code each sparse angular stream by the cheapest of its
+// paper coder, plain arithmetic coding and the context coder (container v5);
+// -ctx=false keeps the paper's §3.5 coders (Deflate on θ, arithmetic coding
+// on φ, r and the lengths; container v2).
 //
 // Frames use the KITTI .bin layout (little-endian float32 records of
 // x, y, z, intensity) or PLY when the file name ends in .ply.
@@ -58,11 +63,11 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  dbgc compress   [-q meters] [-groups n] [-exact] [-shards n] [-blockpack|-blockpack-force] [-ctx] input.bin output.dbgc
+  dbgc compress   [-q meters] [-groups n] [-exact] [-shards n] [-blockpack|-blockpack-force] [-ctx=false] input.bin output.dbgc
   dbgc decompress input.dbgc output.bin
   dbgc info       input.dbgc
   dbgc simulate   [-scene kind] [-seed n] output.bin
-  dbgc pack       [-q meters] [-fps n] [-intensity] [-shards n] [-blockpack] [-ctx] frames... output.dbgs
+  dbgc pack       [-q meters] [-fps n] [-intensity] [-shards n] [-blockpack] [-ctx=false] frames... output.dbgs
   dbgc unpack     [-max-points n] [-mem-budget bytes] [-partial] input.dbgs output-dir
   dbgc view       [-extent m] [-size WxH] frame.bin|frame.ply|frame.dbgc
   dbgc query      -box x0,y0,z0,x1,y1,z1 frame.dbgc output.bin`)
@@ -77,7 +82,7 @@ func runCompress(args []string) error {
 	shards := fs.Int("shards", 1, "entropy shard count (>1 writes the v3 container)")
 	blockpack := fs.Bool("blockpack", false, "block-bitpack the integer streams when it shrinks the frame (v4 container, size-guarded)")
 	blockpackForce := fs.Bool("blockpack-force", false, "always write the v4 container, skipping the blockpack size guard")
-	ctx := fs.Bool("ctx", false, "context-model the occupancy and angular streams when it shrinks each stream (v5 container, size-guarded)")
+	ctx := fs.Bool("ctx", true, "code each sparse angular stream by the cheapest of its paper coder, arithmetic coding and the context coder (v5 container); -ctx=false keeps the paper's §3.5 coders (v2)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		usage()
@@ -229,7 +234,7 @@ func runInfo(args []string) error {
 		dialect += ", blockpacked integer streams"
 	}
 	if layout.ContextModeled {
-		dialect += ", context-modeled entropy streams"
+		dialect += ", per-stream coder choice (context dialect)"
 	}
 	fmt.Printf("%s: %d bytes, %d points, ratio %.2f (format v%d%s)\n",
 		fs.Arg(0), len(data), len(pc), float64(len(pc)*12)/float64(len(data)), layout.Version, dialect)

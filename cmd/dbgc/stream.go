@@ -23,10 +23,10 @@ func runPack(args []string) error {
 	withIntensity := fs.Bool("intensity", false, "carry the intensity channel")
 	shards := fs.Int("shards", 1, "entropy shard count per frame (>1 writes v3 frames)")
 	blockpack := fs.Bool("blockpack", false, "block-bitpack the integer streams when it shrinks each frame (v4, size-guarded)")
-	ctx := fs.Bool("ctx", false, "context-model the occupancy and angular streams when it shrinks each stream (v5, size-guarded)")
+	ctx := fs.Bool("ctx", true, "code each sparse angular stream by the cheapest of its paper coder, arithmetic coding and the context coder (v5 frames); -ctx=false keeps the paper's §3.5 coders (v2)")
 	fs.Parse(args)
 	if fs.NArg() < 2 {
-		fmt.Fprintln(os.Stderr, "usage: dbgc pack [-q m] [-fps n] [-intensity] [-shards n] [-blockpack] [-ctx] frame1.bin [frame2.bin ...] output.dbgs")
+		fmt.Fprintln(os.Stderr, "usage: dbgc pack [-q m] [-fps n] [-intensity] [-shards n] [-blockpack] [-ctx=false] frame1.bin [frame2.bin ...] output.dbgs")
 		os.Exit(2)
 	}
 	inputs := fs.Args()[:fs.NArg()-1]

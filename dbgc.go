@@ -63,7 +63,11 @@ const (
 // DefaultOptions returns the default configuration for per-dimension error
 // bound q (meters): k = 10 as in the paper, the surface-bound minPts
 // (⌈πk²/4⌉, see DESIGN.md), 6 geometric radial groups, HDL-64E sensor
-// geometry, quadtree outlier coding, and approximate clustering.
+// geometry, quadtree outlier coding, approximate clustering, and
+// ContextModel — each sparse angular stream coded by the cheapest of its
+// §3.5 coder, arithmetic coding and the context coder (container v5).
+// Setting ContextModel to false gives the paper's own stream coders and the
+// v2 container earlier releases wrote by default.
 func DefaultOptions(q float64) Options { return core.DefaultOptions(q) }
 
 // SensorOptions returns DefaultOptions adjusted to a sensor's angular

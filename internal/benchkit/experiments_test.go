@@ -18,13 +18,16 @@ func TestExperimentsSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows9) != 5 { // five codecs
+	if len(rows9) != 6 { // the paper's five codecs, and DBGC under DefaultOptions
 		t.Fatalf("Fig9 returned %d rows", len(rows9))
 	}
 	for _, r := range rows9 {
 		if r.Ratio <= 1 || r.Mbps <= 0 {
 			t.Fatalf("Fig9 row %+v implausible", r)
 		}
+	}
+	if paper, def := rows9[0], rows9[5]; paper.Codec != "DBGC" || def.Codec != "DBGC-default" || def.Ratio <= paper.Ratio {
+		t.Fatalf("Fig9: the paper's coders %+v, the default %+v", paper, def)
 	}
 
 	rows11, err := Fig11(qs, 1)

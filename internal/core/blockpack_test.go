@@ -14,7 +14,7 @@ import (
 // container does.
 func TestBlockPackRoundTrip(t *testing.T) {
 	pc := frame(t, lidar.City)
-	legacyData, _, err := Compress(pc, DefaultOptions(0.02))
+	legacyData, _, err := Compress(pc, paperOptions(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestBlockPackRoundTrip(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			opts := DefaultOptions(0.02)
+			opts := paperOptions(0.02)
 			opts.Shards = shards
 			opts.BlockPackForce = true
 			serial, _, err := Compress(pc, opts)
@@ -51,7 +51,7 @@ func TestBlockPackRoundTrip(t *testing.T) {
 func TestBlockPackOffByteIdentical(t *testing.T) {
 	pc := frame(t, lidar.Campus)
 	for _, shards := range []int{1, 4} {
-		opts := DefaultOptions(0.02)
+		opts := paperOptions(0.02)
 		opts.Shards = shards
 		ref, _, err := Compress(pc, opts)
 		if err != nil {
@@ -75,7 +75,7 @@ func TestBlockPackOffByteIdentical(t *testing.T) {
 func TestBlockPackSizeGuard(t *testing.T) {
 	pc := frame(t, lidar.City)
 	for _, shards := range []int{1, 4} {
-		opts := DefaultOptions(0.02)
+		opts := paperOptions(0.02)
 		opts.Shards = shards
 		plain, _, err := Compress(pc, opts)
 		if err != nil {
@@ -113,7 +113,7 @@ func TestBlockPackSizeGuard(t *testing.T) {
 // limits; real frames must pass and tiny budgets must fail cleanly.
 func TestBlockPackWithLimits(t *testing.T) {
 	pc := frame(t, lidar.City)
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	opts.BlockPackForce = true
 	opts.Shards = 4
 	data, _, err := Compress(pc, opts)
@@ -133,11 +133,11 @@ func TestBlockPackWithLimits(t *testing.T) {
 // dialect: the blockpacked frame yields the same region points as legacy.
 func TestBlockPackRegion(t *testing.T) {
 	pc := frame(t, lidar.City)
-	legacy, _, err := Compress(pc, DefaultOptions(0.02))
+	legacy, _, err := Compress(pc, paperOptions(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	opts.BlockPackForce = true
 	packed, _, err := Compress(pc, opts)
 	if err != nil {
@@ -162,7 +162,7 @@ func TestBlockPackRegion(t *testing.T) {
 // other groups and sections survive.
 func TestBlockPackPartialSalvage(t *testing.T) {
 	pc := frame(t, lidar.City)
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	opts.BlockPackForce = true
 	data, _, err := Compress(pc, opts)
 	if err != nil {

@@ -104,19 +104,26 @@ type Options struct {
 	// format tooling, tests, and callers that prefer decode throughput
 	// over ratio regardless of the frame. Implies BlockPack.
 	BlockPackForce bool
-	// ContextModel codes the octree occupancy stream and the sparse angular
-	// streams with the table-driven context models of internal/ctxmodel
-	// (parent occupancy, octant reflection, magnitude buckets; see DESIGN.md
-	// §15) and emits the container v5 dialect. Every context-modeled stream
-	// is size-guarded per stream: the encoder also builds the stream's
-	// v2/v3/v4 coding and keeps whichever is smaller, so enabling it costs
-	// at most a few marker bytes per frame and typically saves 3-4%.
-	// Composes with Shards (context state resets per shard) and with
-	// BlockPack.
+	// ContextModel emits the container v5 dialect, in which each sparse
+	// angular stream (θ-head deltas, θ tails, φ tails) is coded once, by
+	// whichever of its §3.5 coder, plain adaptive arithmetic coding and the
+	// magnitude-bucket context coder of internal/ctxmodel
+	// internal/streamcodec prices smallest (DESIGN.md §15), and says which in
+	// a methods byte a radial group. DefaultOptions sets it: 3-4% off a frame
+	// for a tenth more decode time, the θ tails being arithmetic-decoded
+	// where §3.5 inflates them. False is the spelling of the paper's own
+	// coders — Deflate on θ, arithmetic coding on φ, r and the lengths — and
+	// the v2/v3/v4 containers, byte-identical to previous releases. The
+	// octree occupancy stream keeps its order-0 coder either way (its context
+	// coder is octree.EncodeOptions.CtxFeatures). Composes with Shards
+	// (context state resets per shard) and with BlockPack.
 	ContextModel bool
 }
 
-// DefaultOptions returns the paper's configuration for error bound q.
+// DefaultOptions returns the configuration this implementation measures
+// best for error bound q: the paper's pipeline and parameters (§4.1) with
+// six geometric radial groups and the per-stream coder choice of
+// ContextModel. Setting ContextModel to false gives the paper's §3.5 coders.
 func DefaultOptions(q float64) Options {
 	return Options{
 		Q:                   q,
@@ -125,6 +132,7 @@ func DefaultOptions(q float64) Options {
 		UTheta:              2 * math.Pi / 2000,
 		UPhi:                (26.8 / 64) * math.Pi / 180,
 		ForceOctreeFraction: -1,
+		ContextModel:        true,
 	}
 }
 
@@ -191,9 +199,9 @@ const (
 	// blockpacking, so the combination must be spelled out. Emitted when
 	// Options.ContextModel is set. Versions 2 to 5 all decode.
 	version5 = 5
-	// version is what Compress emits for unsharded options (Shards <= 1);
-	// sharded compression emits version3, blockpacked version4,
-	// context-modeled version5.
+	// version is what Compress emits for unsharded options (Shards <= 1)
+	// without ContextModel; sharded compression emits version3, blockpacked
+	// version4, ContextModel — the default — version5.
 	version = version2
 )
 
@@ -242,14 +250,14 @@ func (e *Encoder) Compress(pc geom.PointCloud) ([]byte, *Stats, error) {
 		// heavily skewed streams the adaptive coders win. Encode both
 		// dialects and keep the smaller container; ties go to the plain
 		// dialect so guarded output degenerates to exactly v2/v3 bytes.
-		packed, _, err := e.compressOnce(pc, opts)
+		packed, _, err := e.compressOnce(pc, opts, nil)
 		if err != nil {
 			return nil, nil, err
 		}
 		packedStats := e.stats
 		plainOpts := opts
 		plainOpts.BlockPack = false
-		plain, stats, err := e.compressOnce(pc, plainOpts)
+		plain, stats, err := e.compressOnce(pc, plainOpts, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -262,10 +270,13 @@ func (e *Encoder) Compress(pc geom.PointCloud) ([]byte, *Stats, error) {
 		}
 		return plain, stats, nil
 	}
-	return e.compressOnce(pc, opts)
+	return e.compressOnce(pc, opts, nil)
 }
 
-func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats, error) {
+// compressOnce compresses pc under opts as they are. A non-nil clock makes
+// it a replay (ReplayStages): the octree leg runs after the sparse one
+// instead of beside it, and every stage's duration goes on the clock.
+func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options, clock StageTimes) ([]byte, *Stats, error) {
 	if opts.Q <= 0 {
 		return nil, nil, fmt.Errorf("core: error bound must be positive, got %v", opts.Q)
 	}
@@ -295,6 +306,7 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 	t0 := time.Now()
 	denseIdx, sparseIdx := e.splitPoints(pc, bounds, opts)
 	stats.DEN = time.Since(t0)
+	clock.set("cluster.split", stats.DEN)
 	stats.NumDense = len(denseIdx)
 
 	// Stage 2: octree compression of dense points (OCT), beside stages
@@ -308,7 +320,8 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 	var denseEnc octree.Encoded
 	var sparseEnc sparse.Encoded
 	var denseErr, err error
-	par.Do(func() {
+	sparseLeg := func() {
+		t := time.Now()
 		sparseEnc, err = sparse.Encode(pc, sparseIdx, sparse.Options{
 			Q:                opts.Q,
 			Groups:           opts.Groups,
@@ -320,12 +333,22 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 			BlockPack:        opts.BlockPack,
 			Context:          opts.ContextModel,
 		})
-	}, func() {
+		clock.set("sparse.encode", time.Since(t))
+		clock.set("polyline.organize", sparseEnc.TimeConvert+sparseEnc.TimeOrganize)
+	}
+	denseLeg := func() {
 		t := time.Now()
 		denseEnc, denseErr = octree.EncodeWith(densePts, opts.Q, octree.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack, Context: opts.ContextModel})
 		stats.OCT = time.Since(t)
 		stats.ENT = denseEnc.EntropyTime
-	})
+		clock.set("octree.encode", stats.OCT)
+	}
+	if clock != nil {
+		sparseLeg()
+		denseLeg()
+	} else {
+		par.Do(sparseLeg, denseLeg)
+	}
 	if denseErr != nil {
 		return nil, nil, fmt.Errorf("core: octree: %w", denseErr)
 	}
@@ -347,6 +370,7 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options) ([]byte, *Stats
 		return nil, nil, fmt.Errorf("core: outliers: %w", err)
 	}
 	stats.OUT = time.Since(t0)
+	clock.set("outlier.encode", stats.OUT)
 
 	// Final layout (Figure 8). Sharded entropy streams need the v3
 	// container, blockpacked streams the v4, so decoders select the right

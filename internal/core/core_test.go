@@ -17,6 +17,15 @@ var (
 	frames   = map[lidar.SceneKind]geom.PointCloud{}
 )
 
+// paperOptions is DefaultOptions with the paper's §3.5 coders (ContextModel
+// off): the v2 container the dialect tests build theirs from and compare
+// them with.
+func paperOptions(q float64) Options {
+	opts := DefaultOptions(q)
+	opts.ContextModel = false
+	return opts
+}
+
 func frame(t testing.TB, kind lidar.SceneKind) geom.PointCloud {
 	t.Helper()
 	framesMu.Lock()

@@ -15,7 +15,7 @@ import (
 // growing past the marker overhead.
 func TestContextModelEquivalence(t *testing.T) {
 	pc := frame(t, lidar.City)
-	plainData, _, err := Compress(pc, DefaultOptions(0.02))
+	plainData, _, err := Compress(pc, paperOptions(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestContextModelEquivalence(t *testing.T) {
 		blockpack bool
 	}{{0, false}, {4, false}, {0, true}, {4, true}} {
 		t.Run(fmt.Sprintf("shards=%d/blockpack=%v", cfg.shards, cfg.blockpack), func(t *testing.T) {
-			opts := DefaultOptions(0.02)
+			opts := paperOptions(0.02)
 			opts.Shards = cfg.shards
 			opts.BlockPack = cfg.blockpack
 			opts.BlockPackForce = cfg.blockpack // pin the dialect under test
@@ -86,7 +86,7 @@ func TestContextModelEquivalence(t *testing.T) {
 // rejects the frame up front instead of building the tables.
 func TestContextModelUnderLimits(t *testing.T) {
 	pc := frame(t, lidar.City)
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	opts.ContextModel = true
 	data, _, err := Compress(pc, opts)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestContextModelUnderLimits(t *testing.T) {
 // truncations anywhere in the frame.
 func TestContextModelCorrupt(t *testing.T) {
 	pc := frame(t, lidar.Residential)
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	opts.ContextModel = true
 	opts.Shards = 2
 	data, _, err := Compress(pc, opts)
@@ -128,7 +128,7 @@ func TestContextModelCorrupt(t *testing.T) {
 // TestContextModelRegion: region queries work on v5 frames.
 func TestContextModelRegion(t *testing.T) {
 	pc := frame(t, lidar.City)
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	opts.ContextModel = true
 	data, _, err := Compress(pc, opts)
 	if err != nil {
@@ -164,7 +164,7 @@ func TestContextModelRegion(t *testing.T) {
 func TestContextModelPartialKeepsNoUnverifiedPoints(t *testing.T) {
 	pc := frame(t, lidar.City)
 	for _, shards := range []int{0, 4} {
-		opts := DefaultOptions(0.02)
+		opts := paperOptions(0.02)
 		opts.ContextModel = true
 		opts.Shards = shards
 		data, _, err := Compress(pc, opts)

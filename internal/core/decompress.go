@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
+	"time"
 
 	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
@@ -226,7 +227,7 @@ func decompress(data []byte, region *geom.AABB, opts DecompressOptions) (geom.Po
 			return nil, err
 		}
 	}
-	out, _, errs := decodeSections(c, b, region, false)
+	out, _, errs := decodeSections(c, b, region, false, nil)
 	for id, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", SectionID(id), err)
@@ -269,7 +270,7 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 			c.sec[id].payload = nil
 		}
 	}
-	out, points, errs := decodeSections(c, b, nil, true)
+	out, points, errs := decodeSections(c, b, nil, true, nil)
 	for id := range reports {
 		if errs[id] != nil {
 			if reports[id].Err == nil {
@@ -297,8 +298,11 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 // headers declare — of the radial groups whose shell reaches the box, and
 // of a dense section whose cube lies inside it — and Join closes the
 // windows up in place: a decode that keeps every point writes each once,
-// where it stays, whether or not it was given a box.
-func decodeSections(c container, b *declimits.Budget, region *geom.AABB, salvage bool) (out geom.PointCloud, points [numSections]int, errs [numSections]error) {
+// where it stays, whether or not it was given a box. A non-nil clock makes
+// it a replay (ReplayDecode): the sections decode one after another, and
+// each one's duration goes on the clock as "octree", "sparse" or "outlier"
+// followed by ".decode" or, under a box, ".region".
+func decodeSections(c container, b *declimits.Budget, region *geom.AABB, salvage bool, clock StageTimes) (out geom.PointCloud, points [numSections]int, errs [numSections]error) {
 	// The container version (plus the v5 dialect byte), not the payload,
 	// selects the entropy dialect of the dense and outlier sections; sparse
 	// streams are self-flagged.
@@ -311,7 +315,7 @@ func decodeSections(c container, b *declimits.Budget, region *geom.AABB, salvage
 	offs[SectionOutlier+1] = offs[SectionOutlier] + outlierCount(c.sec[SectionOutlier].payload, c.mode)
 	buf := make(geom.PointCloud, 0, b.Prealloc(offs[numSections]))
 	var pts [numSections]geom.PointCloud
-	par.Each(int(numSections), func(i int) {
+	decode := func(i int) {
 		id := SectionID(i)
 		dst, data := buf.Window(offs[id], offs[id+1]-offs[id]), c.sec[id].payload
 		switch id {
@@ -331,7 +335,20 @@ func decodeSections(c container, b *declimits.Budget, region *geom.AABB, salvage
 			pts[id] = nil
 		}
 		points[id] = len(pts[id])
-	})
+	}
+	if clock == nil {
+		par.Each(int(numSections), decode)
+	} else {
+		pass := ".decode"
+		if region != nil {
+			pass = ".region"
+		}
+		for i, coder := range [numSections]string{"octree", "sparse", "outlier"} {
+			t := time.Now()
+			decode(i)
+			clock.set(coder+pass, time.Since(t))
+		}
+	}
 	out = buf.Join(offs[:], pts[:])
 	// A box that kept little gets a slice of its own size: the answer to a
 	// lane query must not pin a frame's worth of buffer.

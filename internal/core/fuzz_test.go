@@ -17,24 +17,23 @@ func FuzzDecompress(f *testing.F) {
 		{X: 3, Y: 1, Z: -1}, {X: 3.1, Y: 1.1, Z: -1}, {X: 3.2, Y: 1.2, Z: -1},
 		{X: 10, Y: -4, Z: 0.5}, {X: 40, Y: 40, Z: 2},
 	}
-	data, _, err := Compress(pc, DefaultOptions(0.02))
+	data, _, err := Compress(pc, paperOptions(0.02))
 	if err != nil {
 		f.Fatal(err)
 	}
-	sopts := DefaultOptions(0.02)
+	sopts := paperOptions(0.02)
 	sopts.Shards = 2
 	v3, _, err := Compress(pc, sopts)
 	if err != nil {
 		f.Fatal(err)
 	}
-	popts := DefaultOptions(0.02)
+	popts := paperOptions(0.02)
 	popts.BlockPackForce = true
 	v4, _, err := Compress(pc, popts)
 	if err != nil {
 		f.Fatal(err)
 	}
 	copts := DefaultOptions(0.02)
-	copts.ContextModel = true
 	copts.Shards = 2
 	v5, _, err := Compress(pc, copts)
 	if err != nil {
@@ -77,6 +76,13 @@ func FuzzDecompress(f *testing.F) {
 		mut5b[45] ^= 0xff
 	}
 	f.Add(mut5b)
+	// The default dialect as DefaultOptions writes it: v5 over unsharded
+	// streams, the occupancy behind its legacy marker.
+	def, _, err := Compress(pc, DefaultOptions(0.02))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(def)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, procs := range []int{1, 2} {
 			partest.At(procs, func() {

@@ -33,28 +33,35 @@ func pointsSHA(pc geom.PointCloud) string {
 }
 
 // TestCompressGolden pins, for two full frames under every container
-// dialect the codec emits by option (v2 default and exact clustering, v3
-// sharded, v4 blockpacked, v5 context-modeled alone and over either, and
-// the octree outlier mode), the compressed bytes, the decoded points
-// and the points of a lane-box region decode, at GOMAXPROCS 1 and 4 alike. The point hashes and the byte hashes of the context-modeled rows
-// were recorded before the clustering window sums (PR 12), the arithmetic
-// coder and the decoders' memory handling (PR 13) were rewritten; they say
-// that a change kept every label, every coded symbol and every decoded
-// float, not only the sizes. The byte hashes of the other rows were
-// re-recorded when the θ streams' DEFLATE encoder went from level 9 to the
-// smaller of Huffman-only and level 5 (PR 14): same symbols in the same
-// format, other DEFLATE bytes, and parentBytes — the frame's size before
-// that — is what each of those frames may not exceed. (The context-modeled
-// rows did not move: there the θ streams go to a coder that beats either
-// DEFLATE.) The blockpack, combined and outlier-octree rows were recorded at
-// commit a8d4062, before the dialect → coder decision moved into
-// internal/streamcodec (PR 23); their parentBytes is the size they had
-// then. A change that means to alter a hash updates it here.
+// dialect the codec emits by option (v2 — the paper's §3.5 coders, what
+// ContextModel: false spells — with approximate and exact clustering, v3
+// sharded, v4 blockpacked, v5 — the default — alone and over either, and the
+// octree outlier mode), the compressed bytes, the decoded points and the
+// points of a lane-box region decode, at GOMAXPROCS 1 and 4 alike. The point
+// hashes were recorded before the clustering window sums (PR 12), the
+// arithmetic coder and the decoders' memory handling (PR 13) were rewritten;
+// they say that a change kept every label, every coded symbol and every
+// decoded float, not only the sizes. The byte hashes of the paper, exact and
+// shards8 rows were re-recorded when the θ streams' DEFLATE encoder went
+// from level 9 to the smaller of Huffman-only and level 5 (PR 14): same
+// symbols in the same format, other DEFLATE bytes, and parentBytes — the
+// frame's size before that — is what each of those frames may not exceed.
+// The blockpack and outlier-octree rows were recorded at commit a8d4062,
+// before the dialect → coder decision moved into internal/streamcodec
+// (PR 23); their parentBytes is the size they had then. The v5 rows were
+// re-recorded when ContextModel became the default (PR 26): each competing
+// stream is now coded once, by the coder internal/streamcodec prices
+// smallest, and the occupancy stream keeps its order-0 coder behind the
+// method marker; their parentBytes is the same options' frame with
+// ContextModel off plus the bytes the dialect adds (a dialect byte, a
+// methods byte a radial group, a marker an occupancy stream), which choosing
+// by price may never exceed. A change that means to alter a hash updates it
+// here.
 func TestCompressGolden(t *testing.T) {
 	// Exact clustering labels a few points differently, so it decodes to
 	// other points, and the octree outlier mode snaps outliers to other
-	// cell centres; the sharded, blockpacked and context-modeled dialects
-	// code the same symbols as the default, so they decode to the same ones.
+	// cell centres; the sharded, blockpacked and context dialects code the
+	// same symbols as the paper's, so they decode to the same ones.
 	const (
 		cityPts  = "eddd57313485ff508721cc91e400b7d19d8184979e11b059876225d714e0d2a1"
 		cityLane = "80891f6c185194decce38070457a355764d0a4be2946cea349b811b0590ed186"
@@ -80,7 +87,7 @@ func TestCompressGolden(t *testing.T) {
 		bytes, pts, lanePts string
 		parentBytes         int
 	}{
-		{lidar.City, "default", func(*Options) {},
+		{lidar.City, "paper", func(*Options) {},
 			"ea94f0aa41d9cd754588ca9e1bf7a6f2329aca9e99afd6bd820ea02de836213d", cityPts, cityLane, 72498},
 		{lidar.City, "exact", func(o *Options) { o.ExactClustering = true },
 			"87ee8f4ac56f9ecaecdbcf83da0187c6d52a7be35b14a6379dcfa6b468b07044",
@@ -88,21 +95,21 @@ func TestCompressGolden(t *testing.T) {
 			"6d5b0ce04288c06ca673b54911620f1dd670f6c39950d0e8bf7f77eae0dd065d", 74011},
 		{lidar.City, "shards8", shards8,
 			"9eb3f1f029477e7147542ff4b93c2f4e47da7090c88c22cef996bc4a99161b15", cityPts, cityLane, 72680},
-		{lidar.City, "ctx", ctx,
-			"d29c52d3475259d1e6dfa8e1c3edb253d7b0ddb6e27a88ea74dd1284994140f3", cityPts, cityLane, 69730},
+		{lidar.City, "default", ctx,
+			"4ceb44d68a6661389c330d6c743948dddd089ba06cea0b7464563240b91551c6", cityPts, cityLane, 72195 + 8},
 		{lidar.City, "blockpack", blockpack,
 			"8fd3cec5b5d599e7ea63151d6cea888a0229b8489d28750eeb6a0f088a0af360", cityPts, cityLane, 106339},
 		{lidar.City, "shards8+ctx", both(shards8, ctx),
-			"2b779a777a4633362b39c697746d94d85ce4cf9a17d2c5b62dc0a95bf293dbc6", cityPts, cityLane, 70077},
+			"737d0d97bbe16e404c1a91968c4a121bfbf8caab1ccae02ea6882ddbb8f385c5", cityPts, cityLane, 72377 + 8},
 		{lidar.City, "blockpack+ctx", both(blockpack, ctx),
-			"c390f2cce42ab8d71403d5d36fa82100dbe6b86befb5273832f93a796d981eda", cityPts, cityLane, 86762},
+			"6ec5f23d99c152fd8b26345ccbc70104905f20e8eb775cc56f88204939dc6fe7", cityPts, cityLane, 106339 + 8},
 		{lidar.City, "blockpack+shards8", both(blockpack, shards8),
 			"468da3ebab4ed2b8782ad094ca7cae3468ef2c826d14619c8bb407d93de89705", cityPts, cityLane, 106413},
 		{lidar.City, "outlier-octree", outlierOctree,
 			"be51c89af7553e8e1306e1fde373798962b6fbebb289bff8cf81918a6481f864", cityOctPts, cityOctLane, 72201},
 		{lidar.City, "outlier-octree+ctx", both(outlierOctree, ctx),
-			"959344ed96beb23f04ac759294c396099937ab15738417fee4e48f00dfac94a6", cityOctPts, cityOctLane, 69737},
-		{lidar.Road, "default", func(*Options) {},
+			"4b3e700610b691a1117989a233f10b23b61f158a012ed71dcdf29c1da811b20c", cityOctPts, cityOctLane, 72201 + 9},
+		{lidar.Road, "paper", func(*Options) {},
 			"65ecc49cb802db312f73c86dc0aee98750e42debe7fc91da81f7819cd423aa9a", roadPts, roadLane, 82741},
 		{lidar.Road, "exact", func(o *Options) { o.ExactClustering = true },
 			"e5aa5cc418292f75abbdfff15aecb628f1f709e1b3a75f33befaf77c22b591d7",
@@ -110,25 +117,28 @@ func TestCompressGolden(t *testing.T) {
 			"c64de1e5249fef80e19e89a4f1aed9505cfea68c3f16c20aaeeb1f896df20740", 83998},
 		{lidar.Road, "shards8", shards8,
 			"c4fd4be204a0e43c2776e4cebfde40af7e3e2f4ab86f59b489e0beb72c1e7465", roadPts, roadLane, 82921},
-		{lidar.Road, "ctx", ctx,
-			"ba99140cec7b413837b721ed4ed66cc7d7096de0a1f2e96d6dc1ac7c1860b425", roadPts, roadLane, 79569},
+		{lidar.Road, "default", ctx,
+			"27592afc51ce64f4f09232ae6a9dbb058668119e53f39094ee734a2378c8ff47", roadPts, roadLane, 82546 + 8},
 		{lidar.Road, "blockpack", blockpack,
 			"387bb006868625dd51402417084bd807d77ffaa08a3aa353a7229e3ec92168c4", roadPts, roadLane, 122744},
 		{lidar.Road, "shards8+ctx", both(shards8, ctx),
-			"0a56817b26cd6a89b809f70741eaa7cc2f38e56a1d56d13a84e22b48c000bb63", roadPts, roadLane, 79901},
+			"ed937458968ec2b20811efcf0e6cc9d59fd00695be6bcdba5902c19ecf6df9cb", roadPts, roadLane, 82726 + 8},
 		{lidar.Road, "blockpack+ctx", both(blockpack, ctx),
-			"1fea60d718dc95daabb66c00e65ac35cba63f82fcba29f0cf826d9be92207564", roadPts, roadLane, 95373},
+			"cce9943a3f52cdb9acf2d7149128434aff96237bd908831e18e886714b12d215", roadPts, roadLane, 122744 + 8},
 		{lidar.Road, "blockpack+shards8", both(blockpack, shards8),
 			"6bbbdbdae2b63df0910dc73692fa3650842a226df1778822bfbbea5b5351279c", roadPts, roadLane, 122677},
 		{lidar.Road, "outlier-octree", outlierOctree,
 			"acc0a1a32a8a2b927377ea1f4db4b094e98c4e8aba473a20fdd92370030f6792", roadOctPts, roadOctLane, 82884},
 		{lidar.Road, "outlier-octree+ctx", both(outlierOctree, ctx),
-			"83b2905ef1da40dec116ec93d9ab5318467215f5e32f5a7d2b0bb2db9a32dbcb", roadOctPts, roadOctLane, 79908},
+			"ef5d9d4a90bead38d3a6df42504fc71479421749cf51dd8184cb27286738a136", roadOctPts, roadOctLane, 82884 + 9},
 	}
 	for _, g := range golden {
 		pc := frame(t, g.kind) // layout 1, sensor seed 1
-		opts := DefaultOptions(0.02)
+		opts := paperOptions(0.02)
 		g.set(&opts)
+		if g.name == "default" && opts != DefaultOptions(0.02) {
+			t.Fatalf("the default row pins %+v, DefaultOptions is %+v", opts, DefaultOptions(0.02))
+		}
 		for _, procs := range []int{1, 4} {
 			partest.At(procs, func() {
 				out, _, err := Compress(pc, opts)

@@ -11,20 +11,37 @@ import (
 	"dbgc/internal/varint"
 )
 
-// TestTruncationSweep feeds every prefix of a valid compressed frame to the
-// decoder under small decode limits: each must fail with a clean error —
-// no panic, no allocation past the budget — because the container's section
-// framing (and the v2 CRCs) cannot survive truncation.
+// TestTruncationSweep feeds every prefix of a valid compressed frame, and
+// the frame with each byte in turn damaged, to the decoder under small
+// decode limits, for the default dialect and for the paper's coders: a
+// prefix must fail with a clean error — the container's section framing
+// and CRCs cannot survive truncation — and a damaged frame must fail or
+// decode within the limits, with no panic and no allocation past the budget
+// either way.
 func TestTruncationSweep(t *testing.T) {
 	pc := frame(t, lidar.City)[:4000]
-	data, _, err := Compress(pc, DefaultOptions(0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
-	lim := DecodeLimits{MaxPoints: 1 << 20, MaxNodes: 1 << 24, MemBudget: 256 << 20}
-	for i := 0; i < len(data); i++ {
-		if _, err := DecompressWith(data[:i], DecompressOptions{Limits: lim}); err == nil {
-			t.Fatalf("prefix of %d/%d bytes decoded without error", i, len(data))
+	lim := DecompressOptions{Limits: DecodeLimits{MaxPoints: 1 << 20, MaxNodes: 1 << 24, MemBudget: 256 << 20}}
+	for name, opts := range map[string]Options{"default": DefaultOptions(0.02), "paper": paperOptions(0.02)} {
+		data, _, err := Compress(pc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(data); i++ {
+			if _, err := DecompressWith(data[:i], lim); err == nil {
+				t.Fatalf("%s: prefix of %d/%d bytes decoded without error", name, i, len(data))
+			}
+		}
+		bad := append([]byte(nil), data...)
+		for i := range bad {
+			bad[i] ^= 1 << (i % 8)
+			if got, err := DecompressWith(bad, lim); err == nil && len(got) > 1<<20 {
+				t.Fatalf("%s: byte %d flipped: %d points decoded past MaxPoints", name, i, len(got))
+			}
+			if _, err := DecompressRegionWith(bad, laneBox, lim); err == nil && i > len(magic)+8 {
+				// Past the envelope every byte is under a section CRC.
+				t.Fatalf("%s: byte %d flipped: region decode passed the section CRCs", name, i)
+			}
+			bad[i] = data[i]
 		}
 	}
 }

@@ -20,9 +20,10 @@ type Layout struct {
 	// BlockPacked reports the v4 dialect: integer hot-path streams coded
 	// with the blockpack codec inside the shard framing.
 	BlockPacked bool
-	// ContextModeled reports the v5 dialect: occupancy and angular streams
-	// may be coded under the ctxmodel context banks, per-stream size
-	// guarded. On v5 frames all three dialect flags come from the dialect
+	// ContextModeled reports the v5 dialect, what Options.ContextModel (the
+	// default) writes: every sparse angular stream names its coder in its
+	// group's methods byte, and the occupancy stream starts with a method
+	// marker. On v5 frames all three dialect flags come from the dialect
 	// byte rather than the version number.
 	ContextModeled bool
 	// Groups is the number of radial point groups in the sparse section.

@@ -8,7 +8,7 @@ import (
 
 func TestInspect(t *testing.T) {
 	pc := frame(t, lidar.Road)[:30000]
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	data, stats, err := Compress(pc, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -33,6 +33,15 @@ func regionBoxes(full geom.PointCloud) map[string]geom.AABB {
 		"origin":   {Min: geom.Point{X: -6, Y: -6, Z: -3}, Max: geom.Point{X: 6, Y: 6, Z: 3}},
 		"point":    {Min: mid, Max: mid},
 		"inverted": {Min: laneBox.Max, Max: laneBox.Min},
+		// What a polar group's window (internal/sparse) has to get right:
+		// arcs of azimuth away from the lane box's, which straddles the seam
+		// at θ = 0 — behind the sensor across θ = π, in one quadrant, along
+		// the y axis, a sliver on the seam — and boxes with no width.
+		"rear":      {Min: geom.Point{X: -25, Y: -5, Z: -3}, Max: geom.Point{X: -5, Y: 5, Z: 3}},
+		"rear-left": {Min: geom.Point{X: -30, Y: 2, Z: -3}, Max: geom.Point{X: -3, Y: 20, Z: 3}},
+		"side":      {Min: geom.Point{X: -5, Y: 5, Z: -3}, Max: geom.Point{X: 5, Y: 25, Z: 3}},
+		"seam":      {Min: geom.Point{X: 3, Y: -0.05, Z: -3}, Max: geom.Point{X: 60, Y: 0.05, Z: 3}},
+		"sheet":     {Min: geom.Point{X: mid.X, Y: -1e4, Z: -1e4}, Max: geom.Point{X: mid.X, Y: 1e4, Z: 1e4}},
 	}
 }
 
@@ -143,10 +152,10 @@ func TestDecompressRegionLimits(t *testing.T) {
 	everything := geom.AABB{Min: geom.Point{X: -1e3, Y: -1e3, Z: -1e3}, Max: geom.Point{X: 1e3, Y: 1e3, Z: 1e3}}
 	pc := frame(t, lidar.City)[:4000]
 	for name, set := range map[string]func(*Options){
-		"v2":          func(*Options) {},
-		"v3":          func(o *Options) { o.Shards = 8 },
-		"v4":          func(o *Options) { o.BlockPackForce = true },
-		"v5":          func(o *Options) { o.ContextModel = true },
+		"v2":          func(o *Options) { o.ContextModel = false },
+		"v3":          func(o *Options) { o.ContextModel, o.Shards = false, 8 },
+		"v4":          func(o *Options) { o.ContextModel, o.BlockPackForce = false, true },
+		"v5":          func(*Options) {},
 		"octree-outl": func(o *Options) { o.OutlierMode = OutlierOctree },
 		"raw-outl":    func(o *Options) { o.OutlierMode = OutlierNone },
 	} {

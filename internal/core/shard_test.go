@@ -17,7 +17,7 @@ import (
 // ±0.5% of the legacy container.
 func TestShardedEquivalence(t *testing.T) {
 	pc := frame(t, lidar.City)
-	legacyOpts := DefaultOptions(0.02)
+	legacyOpts := paperOptions(0.02)
 	legacyData, _, err := Compress(pc, legacyOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func TestShardedEquivalence(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			opts := DefaultOptions(0.02)
+			opts := paperOptions(0.02)
 			opts.Shards = shards
 			serial, stats, err := Compress(pc, opts)
 			if err != nil {
@@ -59,11 +59,11 @@ func TestShardedEquivalence(t *testing.T) {
 // keeps the exact v2 container of previous releases, byte for byte.
 func TestShardsOneByteIdentical(t *testing.T) {
 	pc := frame(t, lidar.Campus)
-	legacy, _, err := Compress(pc, DefaultOptions(0.02))
+	legacy, _, err := Compress(pc, paperOptions(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := DefaultOptions(0.02)
+	one := paperOptions(0.02)
 	one.Shards = 1
 	oneData, _, err := Compress(pc, one)
 	if err != nil {
@@ -82,7 +82,7 @@ func TestShardsOneByteIdentical(t *testing.T) {
 // count rejects the frame instead of spawning the fan-out.
 func TestShardedDecodeUnderLimits(t *testing.T) {
 	pc := frame(t, lidar.City)
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	opts.Shards = 8
 	data, _, err := Compress(pc, opts)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestShardedDecodeUnderLimits(t *testing.T) {
 // frame and checks the other sections still decode via DecompressPartial.
 func TestShardedPartialSectionRecovery(t *testing.T) {
 	pc := frame(t, lidar.City)
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	opts.Shards = 4
 	data, _, err := Compress(pc, opts)
 	if err != nil {
@@ -148,7 +148,7 @@ func TestShardedPartialSectionRecovery(t *testing.T) {
 // both other sections) while reporting the damage.
 func TestShardedPartialGroupSalvage(t *testing.T) {
 	pc := frame(t, lidar.City)
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	opts.Shards = 4
 	data, stats, err := Compress(pc, opts)
 	if err != nil {
@@ -196,7 +196,7 @@ func TestShardedPartialGroupSalvage(t *testing.T) {
 func TestShardedRegionQuery(t *testing.T) {
 	pc := frame(t, lidar.Campus)
 	box := geom.AABB{Min: geom.Point{X: -20, Y: -20, Z: -5}, Max: geom.Point{X: 20, Y: 20, Z: 5}}
-	legacy, _, err := Compress(pc, DefaultOptions(0.02))
+	legacy, _, err := Compress(pc, paperOptions(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestShardedRegionQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions(0.02)
+	opts := paperOptions(0.02)
 	opts.Shards = 4
 	data, _, err := Compress(pc, opts)
 	if err != nil {

@@ -25,8 +25,8 @@ import (
 // 0..6 plus "7 or more bits".
 const IntContexts = 8
 
-// magBucket buckets a zigzag-mapped value by bit length, saturating at 7.
-func magBucket(z uint64) int {
+// MagBucket buckets a zigzag-mapped value by bit length, saturating at 7.
+func MagBucket(z uint64) int {
 	b := bits.Len64(z)
 	if b > 7 {
 		b = 7
@@ -59,7 +59,7 @@ func AppendIntsCtx(dst []byte, vs []int64, shards int) []byte {
 				}
 				e.Encode(cont, sym)
 			}
-			prev = magBucket(z)
+			prev = MagBucket(z)
 		}
 		out = e.AppendFinish(out)
 		arith.PutEncoder(e)
@@ -110,7 +110,7 @@ func DecodeIntsCtx(dst []int64, data []byte, n int, b *declimits.Budget) ([]int6
 				shift += 7
 			}
 			out[at+k] = varint.Unzigzag(z)
-			prev = magBucket(z)
+			prev = MagBucket(z)
 		}
 		return nil
 	})

@@ -11,7 +11,8 @@ import (
 
 // TestContextRoundTrip: the context-modeled occupancy dialect decodes to
 // the same geometry as the legacy stream across shard counts, and the
-// stream leads with a valid method marker.
+// stream leads with a valid method marker. Without features (0) the marker
+// says legacy and the legacy bytes follow it, which is what core emits.
 func TestContextRoundTrip(t *testing.T) {
 	pc := randomCloud(60000, 120, 9)
 	const q = 0.02
@@ -30,6 +31,15 @@ func TestContextRoundTrip(t *testing.T) {
 				serial, err := EncodeWith(pc, q, opts)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if feats == 0 {
+					plain, err := EncodeWith(pc, q, EncodeOptions{Shards: shards})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if len(serial.Data) != len(plain.Data)+1 {
+						t.Fatalf("marker-only stream is %d bytes, the plain one %d", len(serial.Data), len(plain.Data))
+					}
 				}
 				got, err := DecodeWith(serial.Data, DecodeOptions{Sharded: shards > 1, Context: true})
 				if err != nil {
@@ -62,7 +72,7 @@ func TestContextGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, err := EncodeWith(pc, q, EncodeOptions{Context: true})
+	ctx, err := EncodeWith(pc, q, EncodeOptions{Context: true, CtxFeatures: ctxmodel.DefaultFeatures})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +91,7 @@ func TestContextGuard(t *testing.T) {
 // context stream anywhere errors rather than panicking.
 func TestContextCorrupt(t *testing.T) {
 	pc := randomCloud(3000, 40, 4)
-	enc, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true})
+	enc, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true, CtxFeatures: ctxmodel.DefaultFeatures})
 	if err != nil {
 		t.Fatal(err)
 	}

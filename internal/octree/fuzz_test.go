@@ -3,6 +3,7 @@ package octree
 import (
 	"testing"
 
+	"dbgc/internal/ctxmodel"
 	"dbgc/internal/geom"
 )
 
@@ -26,7 +27,7 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	ctx, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true})
+	ctx, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true, CtxFeatures: ctxmodel.DefaultFeatures})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -56,11 +57,11 @@ func FuzzDecode(f *testing.F) {
 // decoder.
 func FuzzContextOctree(f *testing.F) {
 	pc := geom.PointCloud{{X: 1, Y: 2, Z: 3}, {X: 1.1, Y: 2, Z: 3}, {X: -4, Y: 0, Z: 1}, {X: 0.5, Y: -2, Z: 0}}
-	ctx, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true})
+	ctx, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true, CtxFeatures: ctxmodel.DefaultFeatures})
 	if err != nil {
 		f.Fatal(err)
 	}
-	shardedCtx, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true, Shards: 2})
+	shardedCtx, err := EncodeWith(pc, 0.02, EncodeOptions{Context: true, CtxFeatures: ctxmodel.DefaultFeatures, Shards: 2})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -101,16 +101,20 @@ type EncodeOptions struct {
 	// requires DecodeWith with BlockPack set. Off keeps v2/v3 bytes
 	// unchanged.
 	BlockPack bool
-	// Context prefixes the occupancy stream with a one-byte method marker
-	// and, when the context-modeled coding of internal/ctxmodel beats the
-	// v2/v3/v4 bytes, emits it (container v5). The per-stream size guard
-	// means enabling Context never grows the stream; when context coding
-	// loses, the marker is followed by the exact legacy bytes. The
-	// produced stream requires DecodeWith with Context set.
+	// Context prefixes the occupancy stream with the one-byte method marker
+	// of the container v5 dialect. The marker says legacy — the v2/v3/v4
+	// bytes follow it unchanged — unless CtxFeatures asks for the
+	// context-modeled coding too. The produced stream requires DecodeWith
+	// with Context set.
 	Context bool
-	// CtxFeatures selects the occupancy context features when Context is
-	// set; zero means ctxmodel.DefaultFeatures. It exists for the benchkit
-	// ablation.
+	// CtxFeatures, when Context is set and it is non-zero, also codes the
+	// occupancy stream with the context models of internal/ctxmodel under
+	// these features and keeps that coding when it is smaller than the legacy
+	// bytes (ties go to legacy, so the stream never grows by more than its
+	// marker). core leaves it zero: the context-modeled stream decodes
+	// sequentially, which costs a region read more than the under one percent
+	// of a frame it saves (DESIGN.md §15). ctxmodel.DefaultFeatures is the
+	// measured best.
 	CtxFeatures ctxmodel.Features
 }
 
@@ -119,14 +123,6 @@ const (
 	occMethodLegacy = 0 // the v2/v3/v4 occupancy bytes, unchanged
 	occMethodCtx    = 1 // the ctxmodel context-coded stream
 )
-
-// ctxFeatures resolves the effective feature set of a Context encode.
-func (o EncodeOptions) ctxFeatures() ctxmodel.Features {
-	if o.CtxFeatures != 0 {
-		return o.CtxFeatures
-	}
-	return ctxmodel.DefaultFeatures
-}
 
 // Encode compresses points so that every reconstructed coordinate differs
 // from the original by at most q per dimension. An empty input encodes to a
@@ -174,20 +170,24 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	d := streamcodec.Dialect{Sharded: opts.Shards > 1, BlockPack: opts.BlockPack}
 	var occStream, countStream []byte
 	encodeOcc := func() []byte {
-		legacy := streamcodec.AppendCodes(nil, d.Codec(streamcodec.Occupancy), occ, 256, opts.Shards)
-		if !opts.Context {
+		var legacy []byte
+		if opts.Context {
+			// v5 dialect: a method marker precedes the stream.
+			legacy = []byte{occMethodLegacy}
+		}
+		legacy = streamcodec.AppendCodes(legacy, d.Codec(streamcodec.Occupancy), occ, 256, opts.Shards)
+		if !opts.Context || opts.CtxFeatures == 0 {
 			return legacy
 		}
-		// v5 dialect: a method marker precedes the stream, and the smaller
-		// of the context-modeled and legacy codings wins. Ties go to
-		// legacy, so guarded output degenerates to exactly the v3/v4 bytes
-		// plus one marker.
-		ctx := ctxmodel.AppendOcc(make([]byte, 1, 64+len(legacy)), occ, depth, opts.ctxFeatures(), opts.Shards)
-		if len(ctx) < len(legacy)+1 {
+		// The smaller of the context-modeled and legacy codings wins. Ties
+		// go to legacy, so guarded output degenerates to exactly the v3/v4
+		// bytes plus one marker.
+		ctx := ctxmodel.AppendOcc(make([]byte, 1, 64+len(legacy)), occ, depth, opts.CtxFeatures, opts.Shards)
+		if len(ctx) < len(legacy) {
 			ctx[0] = occMethodCtx
 			return ctx
 		}
-		return append([]byte{occMethodLegacy}, legacy...)
+		return legacy
 	}
 	par.Do(
 		func() { occStream = encodeOcc() },

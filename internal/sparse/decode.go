@@ -339,11 +339,11 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, region *geom.AABB,
 	for i, st := range streamTable {
 		codec := d.Codec(st.class)
 		if d.Context && st.marker >= 0 {
-			m := methods >> st.marker & 3
-			if m == 3 {
+			m := int(methods >> st.marker & 3)
+			if m > streamcodec.MarkCtx {
 				return nil, fmt.Errorf("%w: unknown stream method", ErrCorrupt)
 			}
-			codec = d.Rivals(st.class)[m]
+			codec = d.Marked(st.class, m)
 		}
 		var err error
 		switch i {
@@ -400,20 +400,31 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, region *geom.AABB,
 		return nil, err
 	}
 
-	// The one pass out of the scratch: a point the box drops is converted
-	// and never written.
+	// The one pass out of the scratch: a point the box drops is never
+	// written, and in a polar group it is converted only if its quantized
+	// radius and azimuth leave it a chance of being inside.
 	out := slices.Grow(dst, total)
-	if gf.cartesian {
+	switch {
+	case gf.cartesian:
 		cq := cartesianQuantizer{q: q}
 		for _, p := range s.pts {
 			if c := cq.Cartesian(p); region == nil || region.Contains(c) {
 				out = append(out, c)
 			}
 		}
-	} else {
-		qz := NewQuantizer(q, h.rMax)
+	case region == nil:
+		conv := converter{qz: NewQuantizer(q, h.rMax)}
 		for _, p := range s.pts {
-			if c := qz.Cartesian(p); region == nil || region.Contains(c) {
+			out = append(out, conv.cartesian(p))
+		}
+	default:
+		conv := converter{qz: NewQuantizer(q, h.rMax)}
+		w := newWindow(*region, conv.qz)
+		for _, p := range s.pts {
+			if !w.mayHold(p) {
+				continue
+			}
+			if c := conv.cartesian(p); region.Contains(c) {
 				out = append(out, c)
 			}
 		}

@@ -26,11 +26,17 @@ type sparseInput struct {
 }
 
 // thetaFrames returns the sparse points of city and road layout 1: what
-// the approximate clustering leaves, with core's default sparse options.
+// the approximate clustering leaves, with core's sparse options less the
+// dialect.
 func thetaFrames(t testing.TB) []sparseInput {
+	return sparseFrames(t, lidar.City, lidar.Road)
+}
+
+// sparseFrames is thetaFrames for layout 1 of the given scenes.
+func sparseFrames(t testing.TB, kinds ...lidar.SceneKind) []sparseInput {
 	t.Helper()
 	var out []sparseInput
-	for _, kind := range []lidar.SceneKind{lidar.City, lidar.Road} {
+	for _, kind := range kinds {
 		scene, err := lidar.NewScene(kind, 1)
 		if err != nil {
 			t.Fatal(err)

@@ -421,6 +421,7 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	if capture != nil {
 		capture.dThetaHeads = slices.Clone(es.ints[0])
 		capture.thetaTails = slices.Clone(thetaTails)
+		capture.phiTails = slices.Clone(phiTails)
 		capture.lines, capture.thPhi, capture.thR = lines, thPhi, thR
 	}
 
@@ -453,9 +454,12 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 		case i == streamRefs:
 			s = streamcodec.AppendCodes(s[:0], codec, refs, refAlphabet, opts.Shards)
 		case d.Context && st.marker >= 0:
-			var m int
-			s, m = streamcodec.AppendSmallestInts(s[:0], d, st.class, es.ints[i-1], opts.Shards)
+			var m, codings int
+			s, m, codings = streamcodec.AppendSmallestInts(s[:0], d, st.class, es.ints[i-1], opts.Shards)
 			data[methodsAt] |= byte(m) << st.marker
+			if capture != nil {
+				capture.codings = append(capture.codings, codings)
+			}
 		default:
 			s = streamcodec.AppendInts(s[:0], codec, es.ints[i-1], opts.Shards)
 		}
@@ -499,20 +503,23 @@ func appendStream(dst, stream []byte) []byte {
 	return append(dst, stream...)
 }
 
-// groupStreams holds one radial group's θ streams exactly as the encoder
-// hands them to deflate, and its polylines and thresholds exactly as step 8
-// gets them.
+// groupStreams holds one radial group's angular streams exactly as the
+// encoder hands them to their coders, its polylines and thresholds exactly
+// as step 8 gets them and, under the Context dialect, how many codings each
+// competing stream took to choose its coder, in stream-table order.
 type groupStreams struct {
 	dThetaHeads []int64
 	thetaTails  []int64
+	phiTails    []int64
 	lines       []polyline.Line
 	thPhi, thR  int64
+	codings     []int
 }
 
 // collectStreams runs the sparse pipeline on the subset of pc given by idx
-// and returns every group's θ streams and polylines without emitting a
-// stream: the real inputs TestDeflateNeverLoses holds deflate to, and
-// TestRadialMatchesReference step 8.
+// and returns every group's angular streams and polylines without emitting
+// a stream: the real inputs TestDeflateNeverLoses holds deflate to,
+// TestChooserOnScenes the chooser, and TestRadialMatchesReference step 8.
 func collectStreams(pc geom.PointCloud, idx []int32, opts Options) []groupStreams {
 	es := encodePool.Get().(*encodeScratch)
 	defer encodePool.Put(es)

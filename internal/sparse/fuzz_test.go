@@ -145,6 +145,21 @@ func FuzzDecode(f *testing.F) {
 	f.Add(craftStream(turnedBack(true), 1))
 	f.Add(craftStream(turnedBack(true), 2))
 	f.Add([]byte{})
+	// The default dialect on streams long enough to be priced, not coded by
+	// every rival: three rings of 2000 firings in one radial group.
+	var rings geom.PointCloud
+	var idx []int32
+	for i := 0; i < 6000; i++ {
+		theta, phi := 2*math.Pi*float64(i%2000)/2000, 1.6+0.007*float64(i/2000)
+		r := 12 + 0.01*float64(i%7)
+		rings = append(rings, geom.Point{X: r * math.Sin(phi) * math.Cos(theta), Y: r * math.Sin(phi) * math.Sin(theta), Z: r * math.Cos(phi)})
+		idx = append(idx, int32(i))
+	}
+	def, err := Encode(rings, idx, Options{Q: 0.02, Groups: 1, UTheta: 2 * math.Pi / 2000, UPhi: 0.007, Context: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(def.Data)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// The sharded, blockpack, and context flags ride in the stream
 		// header, so plain Decode already covers the v3-v5 dialects; Salvage

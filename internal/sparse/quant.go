@@ -55,6 +55,28 @@ func (qz Quantizer) Cartesian(p polyline.Point) geom.Point {
 	return geom.ToCartesian(qz.Dequantize(p.Theta, p.Phi, p.R))
 }
 
+// converter is Quantizer.Cartesian for a run of points that mostly share
+// their polar angle with the point before them, as the points of a polyline
+// do (most φ deltas are zero): it keeps the sine and cosine of the last φ,
+// which is one math.Sincos of the two a conversion takes. The floats are
+// Quantizer.Cartesian's, bit for bit.
+type converter struct {
+	qz             Quantizer
+	phi            int64
+	sinPhi, cosPhi float64
+	warm           bool
+}
+
+func (c *converter) cartesian(p polyline.Point) geom.Point {
+	s := c.qz.Dequantize(p.Theta, p.Phi, p.R)
+	if !c.warm || p.Phi != c.phi {
+		c.sinPhi, c.cosPhi = math.Sincos(s.Phi)
+		c.phi, c.warm = p.Phi, true
+	}
+	sinTheta, cosTheta := math.Sincos(s.Theta)
+	return geom.Point{X: s.R * c.sinPhi * cosTheta, Y: s.R * c.sinPhi * sinTheta, Z: s.R * c.cosPhi}
+}
+
 // cartesianQuantizer is the -Conversion ablation (§4.3): polylines are
 // organized and coded directly on scaled Cartesian coordinates, with
 // (x, y, z) standing in for (θ, φ, r).

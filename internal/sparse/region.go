@@ -5,6 +5,7 @@ import (
 
 	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
+	"dbgc/internal/polyline"
 )
 
 // DecodeRegionInto is DecodeInto keeping only the points inside region (all
@@ -13,7 +14,9 @@ import (
 // query skips, without entropy-decoding them, the groups whose shell cannot
 // reach the box — most groups of a large frame — and the groups it opens
 // test each point against the box as they convert it to Cartesian, so a
-// point outside is never written. Cartesian-mode streams carry no radial
+// point outside is never written — and, most points of a shell a narrow box
+// opens lying outside its range of radius and azimuth, few are converted
+// (window). Cartesian-mode streams carry no radial
 // structure and decode fully. The groups that decode are charged to
 // opts.Budget as DecodeWith charges them, and a skipped group still pays
 // for the points its header declares, so the point limit that refuses a
@@ -92,4 +95,69 @@ func radialRange(b geom.AABB) (lo, hi float64) {
 		}
 	}
 	return lo, hi
+}
+
+// window is a box as a polar group sees it before it converts a point: the
+// quantized radii and the arc of azimuth a point inside the box can have, a
+// quantization step of slack around each. A point outside the window is
+// outside the box, so the group's decode loop spares it the two math.Sincos
+// of the conversion; a point inside takes the exact test.
+type window struct {
+	rLo, rHi     int64   // quantized radii
+	thetaStep    float64 // radians a quantized θ
+	phiStep      float64 // radians a quantized φ
+	theta, width float64 // the arc [theta, theta+width], theta in [0, 2π); the whole circle from width 2π
+}
+
+func newWindow(b geom.AABB, qz Quantizer) window {
+	w := window{thetaStep: 2 * qz.QTheta, phiStep: 2 * qz.QPhi, width: 2 * math.Pi}
+	lo, hi := radialRange(b)
+	w.rLo, w.rHi = int64(math.Floor(lo/(2*qz.QR)))-1, int64(math.Ceil(hi/(2*qz.QR)))+1
+	if hi/(2*qz.QR) >= math.MaxInt64/2 {
+		w.rHi = math.MaxInt64
+	}
+	// A footprint that holds the sensor's axis is seen under every azimuth
+	// (and an inverted box holds nothing: the exact test says so). Any other
+	// is convex and off the axis, so it is seen within the arc its corners
+	// span, which is under half a turn and measured here from the direction
+	// of its centre so that the seam at θ = 0 is nowhere special.
+	if !(b.Min.X > 0 || b.Max.X < 0 || b.Min.Y > 0 || b.Max.Y < 0) || b.Min.X > b.Max.X || b.Min.Y > b.Max.Y {
+		return w
+	}
+	cx, cy := (b.Min.X+b.Max.X)/2, (b.Min.Y+b.Max.Y)/2
+	var first, last float64
+	for _, x := range [2]float64{b.Min.X, b.Max.X} {
+		for _, y := range [2]float64{b.Min.Y, b.Max.Y} {
+			rel := math.Atan2(cx*y-cy*x, cx*x+cy*y)
+			first, last = math.Min(first, rel), math.Max(last, rel)
+		}
+	}
+	theta := math.Atan2(cy, cx) + first - w.thetaStep
+	width := last - first + 2*w.thetaStep
+	if !(width < 2*math.Pi) { // also a NaN corner
+		return w
+	}
+	w.theta, w.width = theta-2*math.Pi*math.Floor(theta/(2*math.Pi)), width
+	return w
+}
+
+// mayHold reports whether p can convert to a point inside the window's box.
+// Coordinates no encoder writes — a negative radius, an angle outside its
+// range, which Quantizer.Cartesian folds back onto the sphere — are left to
+// the exact test.
+func (w window) mayHold(p polyline.Point) bool {
+	theta, phi := float64(p.Theta)*w.thetaStep, float64(p.Phi)*w.phiStep
+	if p.R < 0 || theta < 0 || theta > 2*math.Pi+w.thetaStep || phi < 0 || phi > math.Pi+w.phiStep {
+		return true
+	}
+	if p.R < w.rLo || p.R > w.rHi {
+		return false
+	}
+	d := theta - w.theta // in (−2π, 2π + a step]
+	if d < 0 {
+		d += 2 * math.Pi
+	} else if d >= 2*math.Pi {
+		d -= 2 * math.Pi
+	}
+	return d <= w.width
 }

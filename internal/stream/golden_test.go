@@ -42,11 +42,15 @@ func rampIntensity(fi int, pc geom.PointCloud) []float32 {
 }
 
 // pack writes frames, each with the ramp intensity channel, into one
-// container; interval >= 2 makes it temporal.
+// container; interval >= 2 makes it temporal. The frames are coded with the
+// paper's coders (ContextModel off), as they were when the pins were taken:
+// the pins are of the container, not of the frame codec's default.
 func pack(t *testing.T, frames []geom.PointCloud, interval int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	w, err := NewWriter(&buf, dbgc.DefaultOptions(0.02), 10)
+	opts := dbgc.DefaultOptions(0.02)
+	opts.ContextModel = false
+	w, err := NewWriter(&buf, opts, 10)
 	if err != nil {
 		t.Fatal(err)
 	}

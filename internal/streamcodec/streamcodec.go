@@ -110,8 +110,8 @@ var coders = [...]struct{ plain, sharded, blockpack Codec }{
 }
 
 // Codec returns the coder of a stream of class c under d. Context does not
-// enter: it lets a stream take another coder than this one when that is
-// smaller (Rivals here, the occupancy method marker in internal/octree),
+// enter: it lets a stream take another coder than this one (Rivals and
+// AppendSmallestInts here, the occupancy method marker in internal/octree),
 // and the stream then says so itself.
 func (d Dialect) Codec(c Class) Codec {
 	switch row := coders[c]; {
@@ -127,38 +127,6 @@ func (d Dialect) Codec(c Class) Codec {
 // highVolume tells the streams with an element per point from those with
 // one per polyline, which are never worth a second shard.
 func (c Class) highVolume() bool { return c == Bulk || c == ThetaTails }
-
-// Rivals returns the coders a sparse angular stream of class c chooses
-// among under the Context dialect, indexed by the two-bit marker the
-// group's methods byte records for it: the dialect's own coder, plain
-// arithmetic coding, and the context-modeled coder.
-func (d Dialect) Rivals(c Class) [3]Codec {
-	plain := Arith
-	if d.Sharded && c.highVolume() {
-		plain = ArithSharded
-	}
-	return [3]Codec{d.Codec(c), plain, Ctx}
-}
-
-// AppendSmallestInts appends the smallest coding of vs among d.Rivals(c)
-// and returns the winner's marker. Ties go to the lowest marker, so a
-// stream the other coders cannot beat keeps the dialect's own bytes.
-func AppendSmallestInts(dst []byte, d Dialect, c Class, vs []int64, shards int) ([]byte, int) {
-	if !c.highVolume() {
-		shards = 1
-	}
-	rivals := d.Rivals(c)
-	at, marker := len(dst), 0
-	dst = AppendInts(dst, rivals[0], vs, shards)
-	var other []byte
-	for m := 1; m < len(rivals); m++ {
-		other = AppendInts(other[:0], rivals[m], vs, shards)
-		if len(other) < len(dst)-at {
-			dst, marker = append(dst[:at], other...), m
-		}
-	}
-	return dst, marker
-}
 
 // AppendInts appends vs coded by c. shards is how many shards a framed
 // codec cuts the stream into at most (arith.ClampShards); the others ignore
