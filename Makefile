@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test race fuzz bench bench-pairs soak failover-soak vuln
+.PHONY: check build vet test race fuzz bench bench-pairs soak failover-soak vuln loc
 
 # check is the CI gate: vet + full test suite (which includes the
 # city-frame compression-ratio smoke test, TestRatioSmoke), then the
@@ -29,7 +29,12 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/par ./internal/cluster ./internal/core ./internal/sparse \
 		./internal/stream ./internal/framepipe ./internal/reliable ./internal/store ./internal/replica \
-		./internal/node ./cmd/dbgc-loadgen
+		./internal/node ./cmd/dbgc-server ./cmd/dbgc-loadgen
+
+# Non-test Go lines per package outside bench/, and the total: the figure
+# simplicity exit criteria and ROADMAP re-anchors are counted in.
+loc:
+	@bash scripts/loc.sh
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): one of the
 # five workloads, built from source and run for 15 s. TRACE=1 reports the

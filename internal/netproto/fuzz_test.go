@@ -27,7 +27,7 @@ func FuzzRead(f *testing.F) {
 		buf.Reset()
 	}
 	// Truncated header.
-	Write(&buf, Message{Kind: KindRaw, Seq: 2, Payload: []byte("abcdef")})
+	Write(&buf, Message{Kind: KindQueryResult, Seq: 2, Payload: []byte("abcdef")})
 	full := append([]byte(nil), buf.Bytes()...)
 	f.Add(full[:headerSize])
 	f.Add(full[:5])

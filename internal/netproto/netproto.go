@@ -29,13 +29,11 @@ import (
 // Read. Bump it when the header layout or frame semantics change.
 const Version byte = 1
 
-// Frame kinds.
+// Frame kinds. Kind 2 (an uncompressed frame) is retired and never reused:
+// a receiver answers it like any kind it does not know.
 const (
 	// KindCompressed carries a DBGC bit sequence B.
 	KindCompressed byte = 1
-	// KindRaw carries an uncompressed frame (benchmarking the no-
-	// compression path).
-	KindRaw byte = 2
 	// KindBye asks the server to finish up.
 	KindBye byte = 3
 	// KindQuery asks the server for the points of a stored frame inside

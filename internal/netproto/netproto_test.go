@@ -18,7 +18,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
 		{Kind: KindCompressed, Seq: 1, Payload: []byte("hello")},
-		{Kind: KindRaw, Seq: 2, Payload: make([]byte, 100000)},
+		{Kind: KindQueryResult, Seq: 2, Payload: make([]byte, 100000)},
 		{Kind: KindBye, Seq: 3, Payload: nil},
 	}
 	for _, m := range msgs {
@@ -312,7 +312,7 @@ func TestReadDoesNotTrustDeclaredSize(t *testing.T) {
 		big[i] = byte(i * 31)
 	}
 	var buf bytes.Buffer
-	if err := Write(&buf, Message{Kind: KindRaw, Seq: 5, Payload: big}); err != nil {
+	if err := Write(&buf, Message{Kind: KindQueryResult, Seq: 5, Payload: big}); err != nil {
 		t.Fatal(err)
 	}
 	raw := bytes.Clone(buf.Bytes())

@@ -1,10 +1,15 @@
 // Package node is the server of the DBGC system (Figure 2: receive →
-// optionally decompress → store) as one importable value. Open assembles
-// tenant shards → commit group → replication role → reliable.Server, and
-// the package owns the only copy of what runs per frame: the handler, the
-// fsync commit, the sync-replication gate, the querier, the quarantiner and
-// the health probes. cmd/dbgc-server is this package behind flags;
-// cmd/dbgc-loadgen crashes this package's nodes, not replicas of them.
+// store B) as one importable value. Open assembles tenant shards → commit
+// group → replication role → reliable.Server, and the package owns the only
+// copy of what runs per frame: the handler, the fsync commit, the
+// sync-replication gate, the querier, the quarantiner and the health
+// probes. cmd/dbgc-server is this package behind flags; cmd/dbgc-loadgen
+// crashes this package's nodes, not replicas of them.
+//
+// The node stores the bit sequence B as it arrived and decodes only to
+// answer a query (or, with Config.Verify, to check a frame before acking
+// it): a stored frame that no longer decodes whole is answered from the
+// sections that still do.
 //
 // The contract: an ack means durable according to Config.Fsync, and with
 // SyncRepl durable on two disks. A frame's shard stays pinned across
@@ -19,7 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,12 +52,13 @@ type Config struct {
 	// "always" (group-committed sync before every ack) or a positive
 	// duration (periodic sync; acks may run ahead of the disk by that much).
 	Fsync string
-	// Decompress stores decoded points instead of the bit sequence B.
-	// Partial (with Decompress) stores the intact sections of a damaged
-	// frame and quarantines the rest instead of nacking it. Limits bound
-	// every decode, at ingest and at query time.
-	Decompress, Partial bool
-	Limits              dbgc.DecodeLimits
+	// Verify decodes every frame under Limits before storing it, and
+	// discards the points: a frame no query could decode is nacked and
+	// quarantined at ingest. Off, the node stores what it is sent and a
+	// frame is first decoded by the first query for it. Limits bound every
+	// decode, at ingest and at query time.
+	Verify bool
+	Limits dbgc.DecodeLimits
 
 	// ServerConfig carries the transport's timeouts, admission limits,
 	// backpressure and shedding marks, and Logf — the node's one log sink.
@@ -129,8 +135,6 @@ func Open(cfg Config) (_ *Node, err error) {
 		return nil, errors.New("node: -sync-repl needs a follower (-replica-of): an ack would mean one disk")
 	case cfg.SyncRepl && !syncAlways:
 		return nil, errors.New("node: -sync-repl needs -fsync always: an ack would be durable on the follower only")
-	case cfg.Partial && !cfg.Decompress:
-		return nil, errors.New("node: -partial needs -decompress")
 	}
 	n := &Node{cfg: cfg, syncAlways: syncAlways, logf: cfg.ServerConfig.Logf}
 	if n.logf == nil {
@@ -385,91 +389,85 @@ func (n *Node) gate(tenant string, end int64) error {
 	return nil
 }
 
-// handle stores one data frame in its tenant's shard, decompressing first
-// when asked. Decode failures are reported as ErrBadFrame so the session
-// quarantines the payload; store failures are plain errors (nacked,
-// retried, not quarantined). In partial mode a frame with some damaged
-// sections stores what decoded and reports a PartialFrameError so the
-// session quarantines only the damaged bytes and still acks.
+// handle stores one data frame, as it arrived, in its tenant's shard. With
+// Verify the frame is decoded first — before the shard is pinned, so a
+// hostile frame costs a decode and not an open-store slot — and a failure
+// is reported as ErrBadFrame so the session quarantines the payload; store
+// failures are plain errors (nacked, retried, not quarantined).
 func (n *Node) handle(tenant string, m netproto.Message) error {
+	if m.Kind != netproto.KindCompressed {
+		return fmt.Errorf("%w: unexpected kind %d", reliable.ErrBadFrame, m.Kind)
+	}
+	if n.cfg.Verify {
+		if _, err := dbgc.DecompressWith(m.Payload, dbgc.DecompressOptions{Limits: n.cfg.Limits}); err != nil {
+			return fmt.Errorf("%w: frame %d: %v", reliable.ErrBadFrame, m.Seq, err)
+		}
+	}
 	st, err := n.shards.Acquire(tenant)
 	if err != nil {
 		return fmt.Errorf("tenant %s store: %w", tenant, err)
 	}
 	defer n.shards.Release(tenant)
-	opts := dbgc.DecompressOptions{Limits: n.cfg.Limits}
-	var end int64
-	var partial error
-	switch {
-	case m.Kind == netproto.KindCompressed && n.cfg.Partial:
-		pc, reports, err := dbgc.DecompressPartial(m.Payload, opts)
-		if err != nil {
-			return fmt.Errorf("%w: frame %d: %v", reliable.ErrBadFrame, m.Seq, err)
-		}
-		var damaged []byte
-		var reasons []string
-		for _, rep := range reports {
-			if rep.Err != nil {
-				damaged = append(damaged, rep.Raw...)
-				reasons = append(reasons, fmt.Sprintf("%s: %v", rep.Section, rep.Err))
-			}
-		}
-		if end, err = st.Append(m.Seq, store.KindDecompressed, encodeRaw(pc)); err != nil {
-			return err
-		}
-		if len(reasons) > 0 {
-			n.logf("%s frame %d: partial recovery, stored %d points", tenant, m.Seq, len(pc))
-			partial = &reliable.PartialFrameError{Reason: strings.Join(reasons, "; "), Damaged: damaged}
-		}
-	case m.Kind == netproto.KindCompressed && n.cfg.Decompress:
-		pc, err := dbgc.DecompressWith(m.Payload, opts)
-		if err != nil {
-			return fmt.Errorf("%w: frame %d: %v", reliable.ErrBadFrame, m.Seq, err)
-		}
-		if end, err = st.Append(m.Seq, store.KindDecompressed, encodeRaw(pc)); err != nil {
-			return err
-		}
-	case m.Kind == netproto.KindCompressed:
-		if end, err = st.Append(m.Seq, store.KindCompressed, m.Payload); err != nil {
-			return err
-		}
-	case m.Kind == netproto.KindRaw:
-		if end, err = st.Append(m.Seq, store.KindDecompressed, m.Payload); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("%w: unexpected kind %d", reliable.ErrBadFrame, m.Kind)
+	end, err := st.Append(m.Seq, store.KindCompressed, m.Payload)
+	if err != nil {
+		return err
 	}
 	if err := n.commit(st); err != nil {
 		return err
 	}
 	// Local durability first, then the replication gate: a sync-mode ack
 	// proves the frame is on both nodes' disks.
-	if err := n.gate(tenant, end); err != nil {
-		return err
-	}
-	return partial
+	return n.gate(tenant, end)
 }
 
-// query answers spatial queries from the tenant's shard.
+// query answers a spatial query from the tenant's shard with the pruning
+// region decoder, under the same decode limits as ingest-time verification
+// (payloads are stored unverified by default, so the query is where a
+// hostile frame is first decoded). A frame the region decoder refuses for
+// damage — not for its size — is answered from the sections that still
+// decode, filtered to the box: salvage costs nothing at ingest and loses
+// nothing on disk.
 func (n *Node) query(tenant string, q netproto.Query) ([]byte, error) {
 	st, err := n.shards.Acquire(tenant)
 	if err != nil {
 		return nil, err
 	}
 	defer n.shards.Release(tenant)
-	pts, err := answerQuery(st, q, n.cfg.Limits)
+	payload, kind, err := st.Get(q.Seq)
+	switch {
+	case err != nil:
+		return nil, err
+	case kind == store.KindQuarantined:
+		return nil, fmt.Errorf("frame %d is quarantined", q.Seq)
+	case kind != store.KindCompressed:
+		return nil, fmt.Errorf("unknown stored kind %d", kind)
+	}
+	opts := dbgc.DecompressOptions{Limits: n.cfg.Limits}
+	pts, err := dbgc.DecompressRegionWith(payload, q.Box, opts)
+	if err == nil {
+		return encodeRaw(pts), nil
+	}
+	if errors.Is(err, dbgc.ErrDecodeLimit) {
+		return nil, err
+	}
+	pts, reports, err := dbgc.DecompressPartial(payload, opts)
 	if err != nil {
 		return nil, err
 	}
-	return encodeRaw(pts), nil
+	for _, rep := range reports {
+		if errors.Is(rep.Err, dbgc.ErrDecodeLimit) {
+			return nil, rep.Err
+		}
+		if rep.Err != nil {
+			n.logf("%s frame %d: %s section damaged, %d of its points answer queries: %v", tenant, q.Seq, rep.Section, rep.Points, rep.Err)
+		}
+	}
+	return encodeRaw(slices.DeleteFunc(pts, func(p dbgc.Point) bool { return !q.Box.Contains(p) })), nil
 }
 
-// quarantine preserves a rejected payload for forensics — unless a good
-// record for that sequence number already exists (a corrupt retransmit
-// must not shadow a stored frame). Damaged sections of a partially
-// recovered frame land under the sequence number with the top bit set, so
-// they coexist with the frame's stored good sections.
+// quarantine preserves a rejected payload, whole and under its own
+// sequence number, for forensics — unless a good record for that number
+// already exists (a corrupt retransmit must not shadow a stored frame).
 func (n *Node) quarantine(tenant string, m netproto.Message, reason string) {
 	st, err := n.shards.Acquire(tenant)
 	if err != nil {
@@ -477,16 +475,6 @@ func (n *Node) quarantine(tenant string, m netproto.Message, reason string) {
 		return
 	}
 	defer n.shards.Release(tenant)
-	if strings.HasPrefix(reason, "partial: ") {
-		key := m.Seq | 1<<63
-		if err := st.Put(key, store.KindQuarantined, m.Payload); err != nil {
-			n.logf("%s frame %d: quarantining damaged sections failed: %v", tenant, m.Seq, err)
-			return
-		}
-		n.logf("%s frame %d: quarantined %d damaged section bytes under key %#x (%s)",
-			tenant, m.Seq, len(m.Payload), key, reason)
-		return
-	}
 	// One step under the store's lock: the good copy may be in a handler of
 	// this very session right now.
 	switch written, err := st.Quarantine(m.Seq, m.Payload); {
@@ -494,38 +482,6 @@ func (n *Node) quarantine(tenant string, m netproto.Message, reason string) {
 		n.logf("%s frame %d: quarantine failed: %v", tenant, m.Seq, err)
 	case written:
 		n.logf("%s frame %d: quarantined %d bytes (%s)", tenant, m.Seq, len(m.Payload), reason)
-	}
-}
-
-// answerQuery resolves a spatial query against the store: compressed
-// frames use the pruning region decoder, under the same decode limits as
-// ingest-time decoding (payloads are stored unvalidated by default, so the
-// query is where a hostile frame is first decoded); raw frames decode and
-// filter.
-func answerQuery(st *store.Store, q netproto.Query, limits dbgc.DecodeLimits) (dbgc.PointCloud, error) {
-	payload, kind, err := st.Get(q.Seq)
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case store.KindCompressed:
-		return dbgc.DecompressRegionWith(payload, q.Box, dbgc.DecompressOptions{Limits: limits})
-	case store.KindDecompressed:
-		pc, err := lidar.ReadBin(bytes.NewReader(payload))
-		if err != nil {
-			return nil, err
-		}
-		var out dbgc.PointCloud
-		for _, p := range pc {
-			if q.Box.Contains(p) {
-				out = append(out, p)
-			}
-		}
-		return out, nil
-	case store.KindQuarantined:
-		return nil, fmt.Errorf("frame %d is quarantined", q.Seq)
-	default:
-		return nil, fmt.Errorf("unknown stored kind %d", kind)
 	}
 }
 

@@ -159,8 +159,6 @@ func TestOpenValidatesConfig(t *testing.T) {
 		{"primary and follower", Config{SenderConfig: to(dead), Follower: true}, "mutually exclusive"},
 		{"follower", Config{Fsync: "always", Follower: true}, ""},
 		{"follower promoted at start", Config{Follower: true, Promote: true}, ""},
-		{"partial with decompress", Config{Decompress: true, Partial: true}, ""},
-		{"partial without decompress", Config{Partial: true}, "-decompress"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -189,34 +187,23 @@ func TestOpenValidatesConfig(t *testing.T) {
 }
 
 // TestIngestQueryRoundTrip sends one frame and reads a region of it back,
-// in every fsync mode and storage mode: the answer is the box filter of the
-// full decode.
+// in every fsync mode, verified at ingest or not: the answer is the box
+// filter of the full decode, and what is stored is what was sent.
 func TestIngestQueryRoundTrip(t *testing.T) {
-	pc, blob := testFrame()
+	_, blob := testFrame()
 	full, err := dbgc.Decompress(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := viaBin(t, inBox(full, laneBox))
 	for _, fsync := range []string{"off", "20ms", "always"} {
-		for _, mode := range []struct {
-			name       string
-			decompress bool
-			msg        netproto.Message
-			want       dbgc.PointCloud
-			kind       byte
-		}{
-			// Stored compressed, the box is cut before the .bin encoding;
-			// stored as points, after it.
-			{"compressed", false, netproto.Message{Kind: netproto.KindCompressed, Payload: blob}, viaBin(t, inBox(full, laneBox)), store.KindCompressed},
-			{"decompress", true, netproto.Message{Kind: netproto.KindCompressed, Payload: blob}, inBox(viaBin(t, full), laneBox), store.KindDecompressed},
-			{"raw", false, netproto.Message{Kind: netproto.KindRaw, Payload: encodeRaw(pc)}, inBox(viaBin(t, pc), laneBox), store.KindDecompressed},
-		} {
-			t.Run(fsync+"/"+mode.name, func(t *testing.T) {
-				n := openNode(t, Config{Fsync: fsync, Decompress: mode.decompress, Limits: dbgc.DefaultDecodeLimits()})
+		// "compressed" is the node as it runs by default; the name is the
+		// one this cell has carried since there were other storage modes.
+		for _, mode := range []string{"compressed", "verify"} {
+			t.Run(fsync+"/"+mode, func(t *testing.T) {
+				n := openNode(t, Config{Fsync: fsync, Verify: mode == "verify", Limits: dbgc.DefaultDecodeLimits()})
 				cli := dial(t, n, reliable.Options{Tenant: "acme"})
-				msg := mode.msg
-				msg.Seq = 7
-				if err := cli.Send(msg); err != nil {
+				if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 7, Payload: blob}); err != nil {
 					t.Fatal(err)
 				}
 				res, err := cli.Query(netproto.Query{Seq: 7, Box: laneBox})
@@ -227,8 +214,8 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(mode.want) == 0 || !sameMultiset(got, mode.want) {
-					t.Errorf("query answered %d points, the box filter of the full decode has %d", len(got), len(mode.want))
+				if len(want) == 0 || !sameMultiset(got, want) {
+					t.Errorf("query answered %d points, the box filter of the full decode has %d", len(got), len(want))
 				}
 				if miss, err := cli.Query(netproto.Query{Seq: 8, Box: laneBox}); err != nil || len(miss.Payload) != 0 {
 					t.Errorf("query of a frame never sent: %d bytes, %v", len(miss.Payload), err)
@@ -245,17 +232,62 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer st.Close()
-				if kind, ok := st.Kind(7); !ok || kind != mode.kind {
-					t.Errorf("stored kind %d (found %v), want %d", kind, ok, mode.kind)
+				if payload, kind, err := st.Get(7); err != nil || kind != store.KindCompressed || !bytes.Equal(payload, blob) {
+					t.Errorf("stored kind %d, %d bytes, %v; want the %d bytes sent, as B", kind, len(payload), err, len(blob))
 				}
 			})
 		}
 	}
 }
 
-// TestPartialFrameStoredAndQuarantined: with -decompress -partial a frame
-// with one damaged section is acked, its intact sections are stored, and
-// the damaged bytes land beside them under seq | 1<<63.
+// ingestOne sends payload as frame 3 of tenant acme to a node opened with
+// cfg, asks for the lane box, and closes both ends. It returns how the send
+// ended, the query's answer, and the tenant's shard reopened cold — in which
+// no record may sit under a key with the top bit set, where an earlier node
+// filed a frame's damaged sections.
+func ingestOne(t *testing.T, cfg Config, payload []byte) (sendErr error, answer dbgc.PointCloud, st *store.Store) {
+	t.Helper()
+	n := openNode(t, cfg)
+	cli := dial(t, n, reliable.Options{Tenant: "acme", FrameRetries: 1})
+	if sendErr = cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 3, Payload: payload}); sendErr == nil {
+		sendErr = cli.Flush()
+	}
+	res, err := cli.Query(netproto.Query{Seq: 3, Box: laneBox})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if answer, err = lidar.ReadBin(bytes.NewReader(res.Payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closeNode(t, n)
+	if st, err = store.Open(filepath.Join(n.cfg.Dir, "acme.db")); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	for _, seq := range st.Seqs() {
+		if seq != 3 {
+			t.Errorf("a record under key %#x", seq)
+		}
+	}
+	return sendErr, answer, st
+}
+
+// wantStored holds frame 3 of st to kind and payload, byte for byte.
+func wantStored(t *testing.T, st *store.Store, kind byte, payload []byte) {
+	t.Helper()
+	if got, k, err := st.Get(3); err != nil || k != kind || !bytes.Equal(got, payload) {
+		t.Errorf("frame 3: kind %d, %d bytes, %v; want kind %d and the %d bytes sent", k, len(got), err, kind, len(payload))
+	}
+}
+
+// TestPartialFrameStoredAndQuarantined: a frame with one section damaged at
+// its source. A plain node acks it, keeps every byte under its own sequence
+// number and answers a query from the sections that still decode, logging
+// each one that does not; a verifying node nacks it and quarantines it
+// whole — after a decode that opened no shard.
 func TestPartialFrameStoredAndQuarantined(t *testing.T) {
 	_, blob := testFrame()
 	damaged := bytes.Clone(blob)
@@ -264,39 +296,79 @@ func TestPartialFrameStoredAndQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lost []byte
+	lost := 0
 	for _, r := range reports {
 		if r.Err != nil {
-			lost = append(lost, r.Raw...)
+			lost++
 		}
 	}
-	if len(lost) == 0 || len(salvaged) == 0 {
-		t.Fatalf("the flipped byte damaged %d section bytes and left %d points: not a partial frame", len(lost), len(salvaged))
+	want := viaBin(t, inBox(salvaged, laneBox))
+	if lost == 0 || len(want) == 0 {
+		t.Fatalf("the flipped byte damaged %d sections and left %d points in the box: not a partial frame", lost, len(want))
 	}
 
-	n := openNode(t, Config{Fsync: "always", Decompress: true, Partial: true})
-	cli := dial(t, n, reliable.Options{Tenant: "acme"})
-	if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 3, Payload: damaged}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cli.Close(); err != nil {
-		t.Fatalf("a partially recovered frame must be acked: %v", err)
-	}
-	if st := cli.Stats(); st.Acked != 1 || st.Nacked != 0 {
-		t.Fatalf("client saw %+v, want one ack and no nack", st)
-	}
-	closeNode(t, n)
+	t.Run("stored", func(t *testing.T) {
+		var mu sync.Mutex
+		logged := 0
+		cfg := Config{Fsync: "always", Limits: dbgc.DefaultDecodeLimits()}
+		cfg.ServerConfig.Logf = func(format string, args ...any) {
+			t.Logf(format, args...)
+			if strings.Contains(format, "section damaged") {
+				mu.Lock()
+				logged++
+				mu.Unlock()
+			}
+		}
+		sendErr, answer, st := ingestOne(t, cfg, damaged)
+		if sendErr != nil {
+			t.Fatalf("a frame damaged at its source must be acked: %v", sendErr)
+		}
+		if !sameMultiset(answer, want) {
+			t.Errorf("query answered %d points, the box filter of the salvaged sections has %d", len(answer), len(want))
+		}
+		if logged != lost {
+			t.Errorf("%d lost sections logged, %d lost", logged, lost)
+		}
+		wantStored(t, st, store.KindCompressed, damaged)
+	})
+	t.Run("verify", func(t *testing.T) {
+		n := openNode(t, Config{Verify: true})
+		err := n.handle("acme", netproto.Message{Kind: netproto.KindCompressed, Seq: 3, Payload: damaged})
+		if !errors.Is(err, reliable.ErrBadFrame) || n.Snapshot().OpenShards != 0 {
+			t.Errorf("refusal %v with %d shards open; want a bad frame and the shard never opened", err, n.Snapshot().OpenShards)
+		}
+		sendErr, answer, st := ingestOne(t, Config{Fsync: "always", Verify: true}, damaged)
+		if !errors.Is(sendErr, reliable.ErrFrameRejected) {
+			t.Fatalf("send ended with %v, want ErrFrameRejected", sendErr)
+		}
+		if len(answer) != 0 {
+			t.Errorf("a quarantined frame answered a query with %d points", len(answer))
+		}
+		wantStored(t, st, store.KindQuarantined, damaged)
+	})
+}
 
-	st, err := store.Open(filepath.Join(n.cfg.Dir, "acme.db"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if payload, kind, err := st.Get(3); err != nil || kind != store.KindDecompressed || !bytes.Equal(payload, encodeRaw(salvaged)) {
-		t.Errorf("frame 3: kind %d, %d bytes, %v; want the %d salvaged points", kind, len(payload), err, len(salvaged))
-	}
-	if payload, kind, err := st.Get(3 | 1<<63); err != nil || kind != store.KindQuarantined || !bytes.Equal(payload, lost) {
-		t.Errorf("quarantine key: kind %d, %d bytes, %v; want the %d damaged section bytes", kind, len(payload), err, len(lost))
+// TestFrameOverLimits: a frame of more points than Limits allow is nacked
+// and quarantined by a verifying node; a plain node acks and stores it, and
+// refuses it when it is read — no salvage for a frame refused for its size.
+func TestFrameOverLimits(t *testing.T) {
+	_, blob := testFrame()
+	limits := dbgc.DecodeLimits{MaxPoints: 1000}
+	for _, verify := range []bool{false, true} {
+		t.Run(fmt.Sprintf("verify=%v", verify), func(t *testing.T) {
+			sendErr, answer, st := ingestOne(t, Config{Fsync: "always", Verify: verify, Limits: limits}, blob)
+			if rejected := errors.Is(sendErr, reliable.ErrFrameRejected); rejected != verify || (!verify && sendErr != nil) {
+				t.Fatalf("send ended with %v", sendErr)
+			}
+			if len(answer) != 0 {
+				t.Errorf("query answered %d points of a frame over the limit", len(answer))
+			}
+			kind := store.KindCompressed
+			if verify {
+				kind = store.KindQuarantined
+			}
+			wantStored(t, st, kind, blob)
+		})
 	}
 }
 
@@ -383,6 +455,34 @@ func TestCorruptRetransmitNeverShadows(t *testing.T) {
 	if payload, kind := stored(6); kind != store.KindCompressed || payload != string(good) {
 		t.Errorf("after the good retransmit frame 6 is kind %d %q", kind, payload)
 	}
+
+	// The retired wire kind 2 is a kind the session does not know: nacked,
+	// the session kept, nothing stored and nothing quarantined.
+	cli := dial(t, n, reliable.Options{FrameRetries: 1})
+	err := cli.Send(netproto.Message{Kind: 2, Seq: 9, Payload: good})
+	if err == nil {
+		err = cli.Flush()
+	}
+	if !errors.Is(err, reliable.ErrFrameRejected) || !strings.Contains(err.Error(), "unknown kind") {
+		t.Errorf("a frame of wire kind 2 ended with %v, want it rejected as an unknown kind", err)
+	}
+	if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 10, Payload: good}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Close(); err != nil || cli.Stats().Reconnects != 1 {
+		t.Errorf("the session did not survive the refusal: %v, %+v", err, cli.Stats())
+	}
+	if payload, kind := stored(10); kind != store.KindCompressed || payload != string(good) {
+		t.Errorf("frame 10, sent after the refusal, is kind %d %q", kind, payload)
+	}
+	st, err := n.shards.Acquire(reliable.DefaultTenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.shards.Release(reliable.DefaultTenant)
+	if _, found := st.Kind(9); found {
+		t.Error("a frame of wire kind 2 left a record")
+	}
 	if q := n.Snapshot().Quarantined; q != 2 {
 		t.Errorf("%d quarantine events counted, want 2", q)
 	}
@@ -433,6 +533,23 @@ func TestSyncReplicatedPairSurvivesOnFollower(t *testing.T) {
 	if snap := primary.Snapshot(); snap.Repl == nil || snap.Repl.FromMemory != 24 || snap.Repl.FromDisk != 0 {
 		t.Errorf("primary snapshot %+v, want 24 records shipped from memory and none from disk", snap.Repl)
 	}
+	// A record of the retired kind 2, as a shard written by an earlier node
+	// may hold: it replicates and reopens like any other, and a query
+	// refuses it by name.
+	const retired, retiredKind = 99, 2
+	st, err := primary.shards.Acquire("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = st.Put(retired, retiredKind, payload("acme", retired))
+	primary.shards.Release("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the kind-2 record on the follower", func() bool { return follower.Snapshot().Follower.Records == 25 })
+	if _, err := primary.query("acme", netproto.Query{Seq: retired, Box: laneBox}); err == nil || !strings.Contains(err.Error(), "unknown stored kind 2") {
+		t.Errorf("query of a kind-2 record: %v", err)
+	}
 	closeNode(t, primary)
 	closeNode(t, follower)
 
@@ -448,6 +565,9 @@ func TestSyncReplicatedPairSurvivesOnFollower(t *testing.T) {
 			if got, kind, err := st.Get(seq); err != nil || kind != store.KindCompressed || !bytes.Equal(got, payload(tenant, seq)) {
 				t.Errorf("%s frame %d on the follower: kind %d, %d bytes, %v", tenant, seq, kind, len(got), err)
 			}
+		}
+		if got, kind, err := st.Get(retired); tenant == "acme" && (err != nil || kind != retiredKind || !bytes.Equal(got, payload(tenant, retired))) {
+			t.Errorf("the kind-2 record on the follower: kind %d, %d bytes, %v", kind, len(got), err)
 		}
 		st.Close()
 	}

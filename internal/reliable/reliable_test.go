@@ -458,3 +458,47 @@ func TestGracefulShutdown(t *testing.T) {
 		t.Fatal("server still accepting after Shutdown")
 	}
 }
+
+// TestFrameRejectedSentinel: a frame nacked past its retry budget surfaces
+// ErrFrameRejected, and the client stays usable for the rest of the stream.
+func TestFrameRejectedSentinel(t *testing.T) {
+	addr, _, _ := startServer(t, ServerConfig{
+		Handle: func(_ string, m netproto.Message) error {
+			if bytes.HasPrefix(m.Payload, []byte("BAD")) {
+				return errors.New("undecodable")
+			}
+			return nil
+		},
+	})
+
+	cli, err := NewClient(Options{
+		Dial:         func() (net.Conn, error) { return net.Dial("tcp", addr) },
+		AckTimeout:   2 * time.Second,
+		MaxInFlight:  4,
+		FrameRetries: 1,
+		Logf:         t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rejected error
+	for seq, payload := range [][]byte{[]byte("good-0"), []byte("BAD-1")} {
+		if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: uint64(seq), Payload: payload}); err != nil {
+			rejected = err
+			break
+		}
+	}
+	if rejected == nil {
+		rejected = cli.Flush()
+	}
+	if !errors.Is(rejected, ErrFrameRejected) {
+		t.Fatalf("want ErrFrameRejected, got %v", rejected)
+	}
+	// The bad frame was dropped from the window; later traffic still flows.
+	if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 2, Payload: []byte("good-2")}); err != nil {
+		t.Fatalf("send after rejection: %v", err)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatalf("close after rejection: %v", err)
+	}
+}

@@ -37,33 +37,16 @@ var errStalled = errors.New("reliable: session stalled under backpressure")
 // refusal, shed tenant fully drained). Run maps it to a nil return.
 var errCloseSession = errors.New("reliable: close session")
 
-// PartialFrameError is returned (possibly wrapped) by a handler that
-// salvaged part of a frame: some sections decoded and were stored, the
-// rest are damaged at the source. The session quarantines the damaged
-// bytes and then ACKS the frame — the wire checksum already passed, so
-// the corruption predates transmission and a retransmit would deliver the
-// same bytes again.
-type PartialFrameError struct {
-	// Reason describes the damage (e.g. "dense: crc mismatch").
-	Reason string
-	// Damaged holds the unrecoverable section bytes for quarantine; may
-	// be nil when only the report matters.
-	Damaged []byte
-}
-
-func (e *PartialFrameError) Error() string {
-	return "reliable: partial frame: " + e.Reason
-}
-
 // ServerConfig configures Sessions. Handle is required; everything else
 // defaults.
 type ServerConfig struct {
-	// Handle processes one data frame (KindCompressed or KindRaw) for a
-	// tenant. A nil return acks the frame; an error nacks it. Wrap
-	// content errors in ErrBadFrame to also quarantine the payload. Must
-	// be safe for concurrent use — a session has up to QueueDepth frames
-	// in Handle together — and idempotent per (tenant, sequence number):
-	// retransmits can redeliver, even while the first copy is in Handle.
+	// Handle processes one data frame (KindCompressed, the only kind that
+	// carries one) for a tenant. A nil return acks the frame; an error
+	// nacks it. Wrap content errors in ErrBadFrame to also hand the whole
+	// frame to Quarantine. Must be safe for concurrent use — a session has
+	// up to QueueDepth frames in Handle together — and idempotent per
+	// (tenant, sequence number): retransmits can redeliver, even while the
+	// first copy is in Handle.
 	Handle func(tenant string, m netproto.Message) error
 	// Query, when set, answers KindQuery frames against a tenant's data;
 	// the returned payload travels back as KindQueryResult. A nil Query
@@ -408,7 +391,7 @@ func (s *Session) Run() (err error) {
 				}
 				return err
 			}
-		case netproto.KindCompressed, netproto.KindRaw:
+		case netproto.KindCompressed:
 			if err := s.ingest(m); err != nil {
 				if errors.Is(err, errCloseSession) {
 					return nil
@@ -428,8 +411,8 @@ func (s *Session) Run() (err error) {
 				return err
 			}
 		default:
-			// Unknown kind from a newer client: reject the frame,
-			// keep the session.
+			// A kind from a newer client, or a retired one (2): reject
+			// the frame, keep the session.
 			if err := s.write(netproto.Nack(m.Seq, "unknown kind")); err != nil {
 				return err
 			}
@@ -733,22 +716,6 @@ func (s *Session) finish(r ingestJob, herr error) {
 		}
 		if err := s.write(ack); err != nil {
 			s.conn.Close() // reader notices and ends the session
-		}
-		return
-	}
-	var pfe *PartialFrameError
-	if errors.As(herr, &pfe) {
-		// Partial salvage: quarantine only the damaged section bytes
-		// and ack — the corruption is at the source, so retransmitting
-		// cannot fix it.
-		s.cfg.Logf("reliable: frame %d partially recovered: %s", r.m.Seq, pfe.Reason)
-		s.quarantine(netproto.Message{Kind: r.m.Kind, Seq: r.m.Seq, Payload: pfe.Damaged},
-			"partial: "+pfe.Reason)
-		if s.srv != nil {
-			s.srv.metrics.Acked.Add(1)
-		}
-		if err := s.write(netproto.Ack(r.m.Seq)); err != nil {
-			s.conn.Close()
 		}
 		return
 	}

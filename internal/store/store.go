@@ -32,12 +32,12 @@ import (
 	"sync"
 )
 
-// Kind of a stored record.
+// Kind of a stored record. Kind 2 (a raw frame in .bin layout) is retired
+// and never reused: shards that hold such records still open, replicate and
+// Get them, and nothing writes new ones.
 const (
 	// KindCompressed marks a record holding a DBGC bit sequence.
 	KindCompressed byte = 1
-	// KindDecompressed marks a record holding a raw frame (.bin layout).
-	KindDecompressed byte = 2
 	// KindQuarantined marks a record holding a payload that failed
 	// validation on receipt (wire checksum or decode failure). It is
 	// kept for forensics, never served to queries, and is shadowed by a

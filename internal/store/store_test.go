@@ -24,8 +24,12 @@ func TestPutGet(t *testing.T) {
 	if err := s.Put(1, KindCompressed, []byte("frame-one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put(2, KindDecompressed, []byte("frame-two")); err != nil {
+	// The retired kind 2: the store keeps whatever kind byte it is given.
+	if err := s.Put(2, 2, []byte("frame-two")); err != nil {
 		t.Fatal(err)
+	}
+	if got, kind, err := s.Get(2); err != nil || kind != 2 || string(got) != "frame-two" {
+		t.Fatalf("got %q kind %d, %v", got, kind, err)
 	}
 	got, kind, err := s.Get(1)
 	if err != nil {
