@@ -490,21 +490,3 @@ func BenchmarkThroughput(b *testing.B) {
 	}
 	b.ReportMetric(mbps, "Mbps@10fps")
 }
-
-// BenchmarkTemporalPFrame measures the stream extension: encoding one
-// P-frame of a static capture against the previous decoded frame.
-func BenchmarkTemporalPFrame(b *testing.B) {
-	res, err := benchkit.Temporal(lidar.Campus, 2, benchkit.DefaultQ)
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = res
-	b.ReportMetric(res.Gain, "temporal-gain")
-	b.ReportAllocs()
-	// The heavy path is re-running the two-frame experiment.
-	for i := 0; i < b.N; i++ {
-		if _, err := benchkit.Temporal(lidar.Campus, 2, benchkit.DefaultQ); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -8,7 +8,7 @@
 //	dbgc-bench -exp fig9 -frames 3 # one experiment, 3 frames per config
 //
 // Experiments: fig3, fig9, fig10, fig11, table2, fig12, fig13, cluster,
-// throughput, memory, temporal, all. Speed and ratio numbers that enter the
+// throughput, memory, all. Speed and ratio numbers that enter the
 // repository come from the benchmark under bench/ (`make bench`), not from
 // here.
 package main
@@ -25,7 +25,7 @@ import (
 )
 
 // order is the sequence `-exp all` runs, and the list the -exp help prints.
-var order = []string{"fig3", "fig9", "fig10", "fig11", "table2", "fig12", "fig13", "cluster", "throughput", "memory", "temporal"}
+var order = []string{"fig3", "fig9", "fig10", "fig11", "table2", "fig12", "fig13", "cluster", "throughput", "memory"}
 
 var runners = map[string]func(frames int, quick bool) error{
 	"fig3":       runFig3,
@@ -38,7 +38,6 @@ var runners = map[string]func(frames int, quick bool) error{
 	"cluster":    runCluster,
 	"throughput": runThroughput,
 	"memory":     runMemory,
-	"temporal":   runTemporal,
 }
 
 func expHelp() string {
@@ -282,29 +281,6 @@ func runThroughput(frames int, quick bool) error {
 		res.CompressedMbps, res.FourGMbps, res.FitsFourG)
 	fmt.Printf("compression: %s/frame (%.1f frames/s sustained, sensor produces 10/s)\n",
 		res.CompressPerFrame.Round(1e6), res.FramesPerSecond)
-	return nil
-}
-
-func runTemporal(frames int, quick bool) error {
-	header("Extension: temporal stream compression (static campus capture, q=2cm)")
-	n := frames + 3
-	if n < 4 {
-		n = 4
-	}
-	res, err := benchkit.Temporal(lidar.Campus, n, benchkit.DefaultQ)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%6s %6s %10s %8s\n", "frame", "kind", "bytes", "ratio")
-	for _, r := range res.Frames {
-		kind := "I"
-		if r.Predicted {
-			kind = "P"
-		}
-		fmt.Printf("%6d %6s %10d %8.2f\n", r.Seq, kind, r.Bytes, r.Ratio)
-	}
-	fmt.Printf("all-I container %d bytes, temporal %d bytes: %.2fx\n",
-		res.PlainBytes, res.TemporalBytes, res.Gain)
 	return nil
 }
 

@@ -53,53 +53,69 @@ type compressedFrame struct {
 	stats                *dbgc.Stats
 }
 
-func main() {
-	server := flag.String("server", "localhost:7045", "dbgc-server address")
-	servers := flag.String("servers", "", "comma-separated server addresses in preference order (failover mode; overrides -server)")
-	tenant := flag.String("tenant", "", "tenant name announced to the server (empty = server default tenant)")
-	sceneKind := flag.String("scene", string(lidar.City), "scene preset")
-	frames := flag.Int("frames", 10, "number of frames to capture and send")
-	q := flag.Float64("q", 0.02, "error bound in meters")
-	rate := flag.Float64("rate", 10, "sensor frame rate (frames/second); 0 = as fast as possible")
-	queryBox := flag.String("query", "", "after sending, query frame 0 for x0,y0,z0,x1,y1,z1")
-	window := flag.Int("window", 8, "max unacknowledged frames in flight")
-	ackTimeout := flag.Duration("ack-timeout", 5*time.Second, "resend frames unacked after this long")
-	partial := flag.Bool("partial", false, "skip frames the server permanently rejects instead of aborting the run")
-	maxPoints := flag.Int64("max-points", 0, "verify each frame decodes under this point limit before sending (0 = no verification)")
-	memBudget := flag.Int64("mem-budget", 0, "verify each frame decodes under this memory budget before sending (0 = no verification)")
-	flag.Parse()
+// options is the command line: the reliable client's options, the decode
+// limits a frame is checked against before it is sent, and the run itself.
+type options struct {
+	reliable.Options
+	limits  dbgc.DecodeLimits
+	scene   string
+	frames  int
+	q, rate float64
+	query   string
+	partial bool
+}
 
-	scene, err := lidar.NewScene(lidar.SceneKind(*sceneKind), 1)
+// parseFlags defines the client's flags on fs and parses args into options.
+func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
+	var o options
+	server := fs.String("server", "localhost:7045", "dbgc-server address")
+	servers := fs.String("servers", "", "comma-separated server addresses in preference order (failover mode; overrides -server)")
+	fs.StringVar(&o.Tenant, "tenant", "", "tenant name announced to the server (empty = server default tenant)")
+	fs.StringVar(&o.scene, "scene", string(lidar.City), "scene preset")
+	fs.IntVar(&o.frames, "frames", 10, "number of frames to capture and send")
+	fs.Float64Var(&o.q, "q", 0.02, "error bound in meters")
+	fs.Float64Var(&o.rate, "rate", 10, "sensor frame rate (frames/second); 0 = as fast as possible")
+	fs.StringVar(&o.query, "query", "", "after sending, query frame 0 for x0,y0,z0,x1,y1,z1")
+	fs.IntVar(&o.MaxInFlight, "window", 8, "max unacknowledged frames in flight")
+	fs.DurationVar(&o.AckTimeout, "ack-timeout", 5*time.Second, "resend frames unacked after this long")
+	fs.BoolVar(&o.partial, "partial", false, "skip frames the server permanently rejects instead of aborting the run")
+	fs.Int64Var(&o.limits.MaxPoints, "max-points", 0, "verify each frame decodes under this point limit before sending (0 = no verification)")
+	fs.Int64Var(&o.limits.MemBudget, "mem-budget", 0, "verify each frame decodes under this memory budget before sending (0 = no verification)")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	o.Logf = log.Printf
+	if *servers != "" {
+		o.Addrs = strings.Split(*servers, ",")
+		o.DialTo = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
+	} else {
+		o.Dial = func() (net.Conn, error) { return net.Dial("tcp", *server) }
+	}
+	return o, nil
+}
+
+func main() {
+	o, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+	scene, err := lidar.NewScene(lidar.SceneKind(o.scene), 1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cfg := lidar.HDL64E()
-	opts := dbgc.SensorOptions(*q, cfg.Meta())
-
-	ropts := reliable.Options{
-		Tenant:      *tenant,
-		MaxInFlight: *window,
-		AckTimeout:  *ackTimeout,
-		Logf:        log.Printf,
-	}
-	if *servers != "" {
-		ropts.Addrs = strings.Split(*servers, ",")
-		ropts.DialTo = func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) }
-	} else {
-		ropts.Dial = func() (net.Conn, error) { return net.Dial("tcp", *server) }
-	}
-	cli, err := reliable.NewClient(ropts)
+	opts := dbgc.SensorOptions(o.q, cfg.Meta())
+	cli, err := reliable.NewClient(o.Options)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	var interval time.Duration
-	if *rate > 0 {
-		interval = time.Duration(float64(time.Second) / *rate)
+	if o.rate > 0 {
+		interval = time.Duration(float64(time.Second) / o.rate)
 	}
 	var totalRaw, totalCompressed, rejected int
 	start := time.Now()
-	limits := dbgc.DecodeLimits{MaxPoints: *maxPoints, MemBudget: *memBudget}
 	deliver := func(c compressedFrame, err error) {
 		if err != nil {
 			log.Fatal(err)
@@ -112,7 +128,7 @@ func main() {
 			// With -partial an undeliverable frame (rejected by the server
 			// past its retry budget) is logged and skipped; the connection
 			// and the rest of the stream continue.
-			if *partial && errors.Is(err, reliable.ErrFrameRejected) {
+			if o.partial && errors.Is(err, reliable.ErrFrameRejected) {
 				rejected++
 				log.Printf("frame %d: undeliverable, skipping: %v", c.seq, err)
 				return
@@ -131,10 +147,10 @@ func main() {
 		if err != nil {
 			return compressedFrame{}, fmt.Errorf("compressing frame %d: %w", j.seq, err)
 		}
-		if limits.MaxPoints > 0 || limits.MemBudget > 0 {
+		if o.limits.MaxPoints > 0 || o.limits.MemBudget > 0 {
 			// Pre-send check: a frame that exceeds the server's decode
 			// limits would be nacked on arrival; catch it here instead.
-			if _, err := dbgc.DecompressWith(data, dbgc.DecompressOptions{Limits: limits}); err != nil {
+			if _, err := dbgc.DecompressWith(data, dbgc.DecompressOptions{Limits: o.limits}); err != nil {
 				return compressedFrame{}, fmt.Errorf("frame %d exceeds decode limits: %w", j.seq, err)
 			}
 		}
@@ -144,7 +160,7 @@ func main() {
 		}, nil
 	}
 	pipe := framepipe.New(compressOne, deliver)
-	for seq := 0; seq < *frames; seq++ {
+	for seq := 0; seq < o.frames; seq++ {
 		frameStart := time.Now()
 		pipe.Submit(captureJob{seq: seq, pc: cfg.Simulate(scene, int64(seq+1))})
 		if interval > 0 {
@@ -154,17 +170,17 @@ func main() {
 		}
 	}
 	pipe.Drain()
-	if *queryBox != "" {
+	if o.query != "" {
 		var b dbgc.AABB
-		if _, err := fmt.Sscanf(*queryBox, "%f,%f,%f,%f,%f,%f",
+		if _, err := fmt.Sscanf(o.query, "%f,%f,%f,%f,%f,%f",
 			&b.Min.X, &b.Min.Y, &b.Min.Z, &b.Max.X, &b.Max.Y, &b.Max.Z); err != nil {
-			log.Fatalf("bad -query %q: %v", *queryBox, err)
+			log.Fatalf("bad -query %q: %v", o.query, err)
 		}
 		resp, err := cli.Query(netproto.Query{Seq: 0, Box: b})
 		if err != nil {
 			log.Fatalf("query: %v", err)
 		}
-		fmt.Printf("server returned %d points for frame 0 in box %s\n", len(resp.Payload)/16, *queryBox)
+		fmt.Printf("server returned %d points for frame 0 in box %s\n", len(resp.Payload)/16, o.query)
 	}
 	if err := cli.Close(); err != nil {
 		log.Fatalf("finishing session: %v", err)
@@ -175,10 +191,10 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	if rejected > 0 {
-		log.Printf("%d of %d frames were undeliverable and skipped", rejected, *frames)
+		log.Printf("%d of %d frames were undeliverable and skipped", rejected, o.frames)
 	}
 	fmt.Fprintf(os.Stdout, "sent %d frames in %v: %d raw bytes -> %d compressed (ratio %.2f), avg bandwidth %.2f Mbps\n",
-		*frames-rejected, elapsed.Round(time.Millisecond), totalRaw, totalCompressed,
+		o.frames-rejected, elapsed.Round(time.Millisecond), totalRaw, totalCompressed,
 		float64(totalRaw)/float64(totalCompressed),
 		float64(totalCompressed)*8/elapsed.Seconds()/1e6)
 }

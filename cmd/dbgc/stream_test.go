@@ -13,7 +13,12 @@ import (
 
 	"dbgc"
 	"dbgc/internal/lidar"
+	"dbgc/internal/stream"
 )
+
+// temporalArchive is a container from before P-frames were retired: six
+// frames, I P P I P P.
+const temporalArchive = "../../internal/stream/testdata/temporal3.dbgs"
 
 const testQ = 0.02
 
@@ -168,6 +173,21 @@ func TestPackUnpack(t *testing.T) {
 			}
 			if pc, _ := readFrame(t, out, 1); len(pc) >= len(clouds[1]) {
 				t.Errorf("damaged frame came back with all %d points", len(pc))
+			}
+		}},
+		{"-partial writes an old archive's P-frames empty and names why", []string{"-partial"}, temporalArchive, func(t *testing.T, out, log string, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.Count(log, "damaged: "+stream.ErrPredictedFrame.Error()) != 4 ||
+				!strings.Contains(log, "unpacked 6 frames, 4 damaged") {
+				t.Errorf("unpack log:\n%s", log)
+			}
+			for i := range 6 {
+				pc, _ := readFrame(t, out, i)
+				if iframe := i%3 == 0; iframe != (len(pc) > 0) {
+					t.Errorf("frame %d: %d points", i, len(pc))
+				}
 			}
 		}},
 		{"-max-points 1 refuses", []string{"-max-points", "1"}, packed, func(t *testing.T, out, log string, err error) {

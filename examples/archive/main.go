@@ -1,6 +1,6 @@
-// Archive: record a multi-frame capture of a static scene into a stream
-// container, comparing plain per-frame compression against temporal
-// (predicted-octree P-frame) mode — the stream composition the paper's
+// Archive: record a multi-frame capture of a static scene, with an
+// intensity channel, into a stream container of independently compressed
+// frames and read it back — the stream composition the paper's
 // introduction anticipates for single-frame compression.
 package main
 
@@ -43,39 +43,24 @@ func main() {
 	}
 	fmt.Printf("captured %d frames, %.1f MB raw\n\n", frames, float64(raw)/1e6)
 
-	plain, err := record(capture, intensity, 0)
+	size, err := record(capture, intensity)
 	if err != nil {
 		log.Fatal(err)
 	}
-	temporal, err := record(capture, intensity, frames) // one I-frame, rest P
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nper-frame (I only):      %8d bytes (%.1fx vs raw)\n", plain, float64(raw)/float64(plain))
-	fmt.Printf("temporal (I + P-frames): %8d bytes (%.1fx vs raw, %.2fx vs per-frame)\n",
-		temporal, float64(raw)/float64(temporal), float64(plain)/float64(temporal))
+	fmt.Printf("\ncontainer: %d bytes (%.1fx vs raw), every frame read back\n", size, float64(raw)/float64(size))
 }
 
 // record writes the capture to an in-memory container and verifies it
 // reads back, returning the container size.
-func record(capture []dbgc.PointCloud, intensity [][]float32, temporalInterval int) (int, error) {
+func record(capture []dbgc.PointCloud, intensity [][]float32) (int, error) {
 	var buf bytes.Buffer
 	w, err := stream.NewWriter(&buf, dbgc.DefaultOptions(q), 10)
 	if err != nil {
 		return 0, err
 	}
-	if temporalInterval >= 2 {
-		if err := w.EnableTemporal(temporalInterval); err != nil {
-			return 0, err
-		}
-	}
 	w.OnStats = func(fs stream.FrameStats) {
-		kind := "I"
-		if fs.Predicted {
-			kind = "P"
-		}
-		fmt.Printf("  frame %d [%s]: %7d geometry + %6d intensity bytes\n",
-			fs.Seq, kind, fs.GeometryBytes, fs.IntensityBytes)
+		fmt.Printf("  frame %d: %7d geometry + %6d intensity bytes (%.1fx)\n",
+			fs.Seq, fs.GeometryBytes, fs.IntensityBytes, fs.Ratio)
 	}
 	for i, pc := range capture {
 		if err := w.WriteFrame(pc, intensity[i]); err != nil {

@@ -88,19 +88,3 @@ func TestFig10ClusteredNearOptimum(t *testing.T) {
 		t.Fatalf("clustered split ratio %.2f far below manual best %.2f", clustered, best)
 	}
 }
-
-func TestTemporalExperiment(t *testing.T) {
-	res, err := Temporal(lidar.Road, 3, DefaultQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Frames) != 3 {
-		t.Fatalf("got %d frame rows", len(res.Frames))
-	}
-	if res.Frames[0].Predicted || !res.Frames[1].Predicted {
-		t.Fatal("frame kinds wrong")
-	}
-	if res.Gain < 1 {
-		t.Errorf("temporal mode should not be larger than all-I on a static scene: gain %.2f", res.Gain)
-	}
-}

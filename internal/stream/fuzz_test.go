@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"testing"
 
 	"dbgc"
@@ -29,23 +30,11 @@ func FuzzReader(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:10])
 	f.Add([]byte("DBGS\x01"))
-	var temporal bytes.Buffer
-	w, err = NewWriter(&temporal, dbgc.DefaultOptions(0.02), 10)
+	archive, err := os.ReadFile("testdata/temporal3.dbgs")
 	if err != nil {
 		f.Fatal(err)
 	}
-	if err := w.EnableTemporal(2); err != nil {
-		f.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := w.WriteFrame(pc, nil); err != nil {
-			f.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(temporal.Bytes())
+	f.Add(archive)
 	f.Add(oversizedHeader())
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r, err := NewReader(bytes.NewReader(b))

@@ -138,55 +138,6 @@ func TestPartialRecoversOtherFrames(t *testing.T) {
 	}
 }
 
-// TestPartialBreaksPredictionChain: in temporal mode a damaged I-frame
-// cannot anchor the following P-frame, which is reported as unrecoverable;
-// the chain restarts at the next clean I-frame.
-func TestPartialBreaksPredictionChain(t *testing.T) {
-	frames := testFrames(t, 4)
-	opts := dbgc.DefaultOptions(0.02)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, opts, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EnableTemporal(2); err != nil { // frames 0,2 are I; 1,3 are P
-		t.Fatal(err)
-	}
-	for _, pc := range frames {
-		if err := w.WriteFrame(pc, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	mut := corruptFrame(t, buf.Bytes(), frames[2], opts)
-	r, err := NewReader(bytes.NewReader(mut))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.EnablePartial(); err != nil {
-		t.Fatal(err)
-	}
-	got := readAll(t, r)
-	if len(got) != 4 {
-		t.Fatalf("partial read returned %d frames, want 4", len(got))
-	}
-	if got[0].Damage != nil || got[1].Damage != nil {
-		t.Fatalf("frames before the damage reported damage: %+v %+v", got[0].Damage, got[1].Damage)
-	}
-	if got[2].Damage == nil {
-		t.Fatal("damaged I-frame 2 carries no damage report")
-	}
-	if got[3].Damage == nil || got[3].Damage.Err == nil {
-		t.Fatal("P-frame 3 lost its prediction reference and must be reported unrecoverable")
-	}
-	if len(got[3].Cloud) != 0 {
-		t.Fatalf("unrecoverable P-frame returned %d points", len(got[3].Cloud))
-	}
-}
-
 func cloudsEqual(a, b geom.PointCloud) bool {
 	if len(a) != len(b) {
 		return false

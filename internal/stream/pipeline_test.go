@@ -57,60 +57,7 @@ func sameAtEveryWidth(t *testing.T, data []byte, n int) {
 // the same order as reading one frame at a time, intensity channel included.
 func TestPipelinedReaderMatchesSerial(t *testing.T) {
 	frames := testFrames(t, 4)
-	sameAtEveryWidth(t, pack(t, frames, 0), len(frames))
-}
-
-// TestPipelinedReaderTemporalStream: read-ahead stops at each P-frame until
-// the frame it is predicted from has arrived, so a temporal stream decodes to
-// the same frames at every width.
-func TestPipelinedReaderTemporalStream(t *testing.T) {
-	frames := testFrames(t, 5)
-	sameAtEveryWidth(t, pack(t, frames, 2), len(frames))
-}
-
-// TestTemporalWriterWide is the combination the writer used to refuse: a
-// temporal writer with room for several frames in flight. Each frame waits
-// for the one before it, so stats arrive in order, I and P alternate as the
-// interval says, and the stream decodes within the bound.
-func TestTemporalWriterWide(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	frames := staticFrames(t, 5)
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf, dbgc.DefaultOptions(0.02), 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.EnableTemporal(2); err != nil {
-		t.Fatal(err)
-	}
-	var statted int
-	w.OnStats = func(fs FrameStats) {
-		if fs.Seq != uint64(statted) || fs.Predicted != (statted%2 == 1) {
-			t.Errorf("position %d: frame %d, predicted=%v", statted, fs.Seq, fs.Predicted)
-		}
-		statted++
-	}
-	for i, pc := range frames {
-		if err := w.WriteFrame(pc, nil); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if statted < i {
-			t.Fatalf("frame %d queued with only %d frames written before it", i, statted)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if statted != len(frames) {
-		t.Fatalf("OnStats fired %d times, want %d", statted, len(frames))
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, fr := range readAll(t, r) {
-		verifyAgainstOriginal(t, frames[i], fr.Cloud, 0.02)
-	}
+	sameAtEveryWidth(t, pack(t, frames), len(frames))
 }
 
 // TestPipelinedWriterErrorSurfaces: a compression failure inside the window

@@ -5,14 +5,15 @@
 // a self-describing stream of independently compressed frames with optional
 // per-frame intensity channels, CRC protection, and sequential read-back.
 //
-// Frames are either I-frames (self-contained DBGC payloads) or, when
-// temporal mode is enabled, P-frames predicted from the previous decoded
-// frame (see temporal.go).
+// Every frame is an I-frame: a self-contained DBGC payload. Kind 1, the
+// P-frame an earlier writer predicted from the frame before it, is no
+// longer coded; a reader refuses such a frame with ErrPredictedFrame and
+// goes on to the next.
 //
 // Layout:
 //
 //	magic "DBGS" | version byte | q (float64) | fps (float64)
-//	frame*: marker 0x01 | seq uvarint | kind byte (0=I, 1=P)
+//	frame*: marker 0x01 | seq uvarint | kind byte (0=I; 1=P, refused)
 //	        | geomLen uvarint | geom | attrLen uvarint | attr
 //	        | crc32c (seq..attr) fixed32
 //	end:    marker 0x00
@@ -39,6 +40,11 @@ import (
 // ErrCorrupt reports a malformed stream.
 var ErrCorrupt = errors.New("stream: corrupt container")
 
+// ErrPredictedFrame refuses a P-frame (kind 1) of an archive written while
+// the container still coded them: such a frame cannot be decoded, but the
+// I-frames around it can.
+var ErrPredictedFrame = errors.New("stream: P-frames are no longer decoded")
+
 // errChecksum marks a frame whose body was fully read but whose trailing
 // CRC failed. The stream stays positioned at the next frame, so partial
 // mode can keep reading; all other read errors abort iteration.
@@ -56,7 +62,7 @@ const (
 // Frame kinds.
 const (
 	frameI = 0 // self-contained DBGC payload
-	frameP = 1 // predicted from the previous decoded frame
+	frameP = 1 // predicted from the frame before it; refused on read
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -68,14 +74,12 @@ const maxSection = 256 << 20
 // as many as GOMAXPROCS allows, and are written in the order WriteFrame
 // received them.
 type Writer struct {
-	w        *bufio.Writer
-	opts     dbgc.Options
-	seq      uint64
-	done     bool
-	interval int             // 0 = all I-frames
-	prev     geom.PointCloud // temporal mode: the last written frame as a reader decodes it
-	window   *framepipe.Window[encodeJob, encodedFrame]
-	err      error // first compression or write error, sticky
+	w      *bufio.Writer
+	opts   dbgc.Options
+	seq    uint64
+	done   bool
+	window *framepipe.Window[encodeJob, encodedFrame]
+	err    error // first compression or write error, sticky
 
 	// OnStats, when set, receives the FrameStats of each frame as it is
 	// written, in frame order, from a later WriteFrame or Close call on the
@@ -89,56 +93,31 @@ type encodeJob struct {
 	pc        geom.PointCloud
 	intensity []float32
 	opts      dbgc.Options
-	temporal  bool            // decode the frame again for the next one to predict from
-	ref       geom.PointCloud // non-nil: code a P-frame against this cloud
 }
 
 // encodedFrame is a fully framed body (seq..crc) ready to write.
 type encodedFrame struct {
-	body    []byte
-	stats   FrameStats
-	decoded geom.PointCloud // set for encodeJob.temporal
+	body  []byte
+	stats FrameStats
 }
 
-// encodeFrame compresses one frame, I or P, and assembles the container body
+// encodeFrame compresses one frame and assembles the container body
 // (seq | kind | sections | crc). It is safe to call concurrently.
 func encodeFrame(j encodeJob) (encodedFrame, error) {
 	var out encodedFrame
-	kind := byte(frameI)
-	var data []byte
-	var mapping []int32
-	var static int
-	var err error
-	if j.ref != nil {
-		kind = frameP
-		ref := newTemporalRef(j.ref, j.opts.Q)
-		if data, mapping, static, err = encodeP(j.pc, ref, j.opts); err != nil {
-			return out, fmt.Errorf("stream: frame %d: %w", j.seq, err)
-		}
-		if out.decoded, err = decodeP(data, ref, dbgc.DecodeLimits{}); err != nil {
-			return out, fmt.Errorf("stream: verifying P-frame %d: %w", j.seq, err)
-		}
-	} else {
-		var stats *dbgc.Stats
-		if data, stats, err = dbgc.Compress(j.pc, j.opts); err != nil {
-			return out, fmt.Errorf("stream: frame %d: %w", j.seq, err)
-		}
-		mapping = stats.Mapping
-		if j.temporal {
-			if out.decoded, err = dbgc.Decompress(data); err != nil {
-				return out, fmt.Errorf("stream: verifying I-frame %d: %w", j.seq, err)
-			}
-		}
+	data, stats, err := dbgc.Compress(j.pc, j.opts)
+	if err != nil {
+		return out, fmt.Errorf("stream: frame %d: %w", j.seq, err)
 	}
 	var attrData []byte
 	if j.intensity != nil {
-		attrData, err = attr.EncodeIntensity(j.intensity, mapping, 8)
+		attrData, err = attr.EncodeIntensity(j.intensity, stats.Mapping, 8)
 		if err != nil {
 			return out, fmt.Errorf("stream: frame %d intensity: %w", j.seq, err)
 		}
 	}
 	buf := varint.AppendUint(nil, j.seq)
-	buf = append(buf, kind)
+	buf = append(buf, frameI)
 	buf = varint.AppendUint(buf, uint64(len(data)))
 	buf = append(buf, data...)
 	buf = varint.AppendUint(buf, uint64(len(attrData)))
@@ -150,25 +129,8 @@ func encodeFrame(j encodeJob) (encodedFrame, error) {
 		GeometryBytes:  len(data),
 		IntensityBytes: len(attrData),
 		Ratio:          float64(len(j.pc)*12) / float64(len(data)),
-		Predicted:      kind == frameP,
-		StaticPoints:   static,
 	}
 	return out, nil
-}
-
-// EnableTemporal switches the writer to temporal mode: one I-frame every
-// interval frames, P-frames predicted from the previous decoded frame in
-// between. interval must be at least 2. Suitable for static or slowly
-// changing scenes (tripod captures, §1 of the paper); for fast-moving
-// sensors P-frames degrade to mostly-residual frames and cost about as
-// much as I-frames. Each frame of a temporal stream waits for the one
-// before it, so they compress one at a time.
-func (w *Writer) EnableTemporal(interval int) error {
-	if interval < 2 {
-		return fmt.Errorf("stream: temporal interval must be >= 2, got %d", interval)
-	}
-	w.interval = interval
-	return nil
 }
 
 // NewWriter starts a container on w, compressing every frame with opts.
@@ -203,10 +165,6 @@ type FrameStats struct {
 	GeometryBytes  int
 	IntensityBytes int
 	Ratio          float64
-	// Predicted marks a P-frame; StaticPoints counts its points coded
-	// via the re-occupancy dictionary.
-	Predicted    bool
-	StaticPoints int
 }
 
 // WriteFrame queues one frame for compression and returns; the frame is
@@ -219,21 +177,11 @@ func (w *Writer) WriteFrame(pc geom.PointCloud, intensity []float32) error {
 	if w.done {
 		return errors.New("stream: writer already closed")
 	}
-	j := encodeJob{seq: w.seq, pc: pc, intensity: intensity, opts: w.opts}
-	if w.interval >= 2 {
-		// A temporal frame is predicted from, or will be the reference of,
-		// its neighbour as a reader decodes it: wait for that one.
-		w.window.Drain()
-		j.temporal = true
-		if w.seq%uint64(w.interval) != 0 {
-			j.ref = w.prev
-		}
-	}
 	if w.err != nil {
 		return w.err
 	}
+	w.window.Submit(encodeJob{seq: w.seq, pc: pc, intensity: intensity, opts: w.opts})
 	w.seq++
-	w.window.Submit(j)
 	return w.err
 }
 
@@ -252,7 +200,6 @@ func (w *Writer) finish(f encodedFrame, err error) {
 		w.err = err
 		return
 	}
-	w.prev = f.decoded
 	if w.OnStats != nil {
 		w.OnStats(f.stats)
 	}
@@ -277,7 +224,7 @@ func (w *Writer) Close() error {
 
 // Reader iterates over a container. It decodes ahead of the caller, as many
 // frames side by side as GOMAXPROCS allows, and returns them in stream
-// order; a P-frame waits for the frame it is predicted from.
+// order.
 type Reader struct {
 	r   *bufio.Reader
 	q   float64
@@ -289,10 +236,9 @@ type Reader struct {
 	partial bool
 
 	window *framepipe.Window[decodeJob, Frame]
-	ready  []decoded       // decoded and not yet returned, oldest first
-	prev   geom.PointCloud // the last decoded frame; nil once one is lost or damaged
-	err    error           // why reading stopped: io.EOF at the end marker, else the framing error
-	one    [1]byte         // fold's scratch
+	ready  []decoded // decoded and not yet returned, oldest first
+	err    error     // why reading stopped: io.EOF at the end marker, else the framing error
+	one    [1]byte   // fold's scratch
 }
 
 // decodeJob is one raw frame body on its way through the decode window.
@@ -304,8 +250,6 @@ type decodeJob struct {
 	crcBad  bool // partial mode: the body was read in full but its checksum failed
 	partial bool
 	limits  dbgc.DecodeLimits
-	q       float64
-	prev    geom.PointCloud // a P-frame's reference; nil when that frame was lost
 }
 
 // decoded is one outcome of the decode window.
@@ -321,9 +265,7 @@ func (r *Reader) SetLimits(l dbgc.DecodeLimits) { r.limits = l }
 
 // EnablePartial switches the reader to partial-recovery mode: a damaged
 // frame no longer aborts iteration. ReadFrame returns the points of the
-// frame's intact sections and describes the damage in Frame.Damage; a
-// damaged frame also breaks the P-frame prediction chain until the next
-// clean I-frame.
+// frame's intact sections and describes the damage in Frame.Damage.
 func (r *Reader) EnablePartial() error {
 	r.partial = true
 	return nil
@@ -336,7 +278,7 @@ func newStreamBudget(l dbgc.DecodeLimits) *declimits.Budget {
 	return declimits.New(l)
 }
 
-// decodeFrame decodes one frame body, I or P. In partial mode whatever is
+// decodeFrame decodes one frame body. In partial mode whatever is
 // wrong with the frame is described in Frame.Damage and the error is nil. It
 // is safe to call concurrently.
 func decodeFrame(j decodeJob) (Frame, error) {
@@ -376,14 +318,7 @@ func decodeGeometry(j decodeJob) (cloud geom.PointCloud, sections []dbgc.Section
 			sections = nil
 		}
 	case frameP:
-		if j.prev == nil {
-			missing := "a preceding frame"
-			if j.partial {
-				missing = "an intact reference"
-			}
-			return nil, nil, fmt.Errorf("%w: P-frame %d without %s", ErrCorrupt, j.seq, missing)
-		}
-		cloud, err = decodeP(j.geom, newTemporalRef(j.prev, j.q), j.limits)
+		return nil, nil, fmt.Errorf("%w: frame %d", ErrPredictedFrame, j.seq)
 	default:
 		return nil, nil, fmt.Errorf("%w: unknown frame kind %d", ErrCorrupt, j.kind)
 	}
@@ -460,8 +395,7 @@ type FrameDamage struct {
 	// damaged (I-frames only).
 	Sections []dbgc.SectionReport
 	// Err is set when nothing was recoverable: an unparseable DBGC
-	// envelope, a failed P-frame decode, or a P-frame whose prediction
-	// reference was lost to earlier damage.
+	// envelope, or a P-frame, refused with ErrPredictedFrame.
 	Err error
 	// AttrErr is a non-nil intensity-decode failure; the frame's Intensity
 	// is dropped.
@@ -469,8 +403,8 @@ type FrameDamage struct {
 }
 
 // ReadFrame returns the next frame, or io.EOF after the end marker. A frame
-// that fails to decode costs one error and the P-frames predicted from it;
-// an error in the container's own framing ends iteration.
+// that fails to decode, or a P-frame, costs one error and the next call goes
+// on; an error in the container's own framing ends iteration.
 func (r *Reader) ReadFrame() (Frame, error) {
 	for len(r.ready) == 0 {
 		if r.err == nil {
@@ -509,24 +443,13 @@ func (r *Reader) readAhead() error {
 		}
 		j.crcBad = true
 	}
-	j.partial, j.limits, j.q = r.partial, r.limits, r.q
-	if j.kind == frameP {
-		// Predicted from the frame before it: let that one arrive first.
-		r.window.Drain()
-		j.prev = r.prev
-	}
+	j.partial, j.limits = r.partial, r.limits
 	r.window.Submit(j)
 	return nil
 }
 
 // deliver takes one decoded frame, in stream order, from the window.
 func (r *Reader) deliver(f Frame, err error) {
-	// Only a frame recovered whole can be predicted from; after anything
-	// less the chain restarts at the next clean I-frame.
-	r.prev = nil
-	if err == nil && f.Damage == nil {
-		r.prev = f.Cloud
-	}
 	r.ready = append(r.ready, decoded{f, err})
 }
 
