@@ -2,14 +2,10 @@ GO ?= go
 
 .PHONY: check build vet test race fuzz bench bench-pairs soak failover-soak vuln loc
 
-# check is the CI gate: vet + full test suite (which includes the
-# city-frame compression-ratio smoke test, TestRatioSmoke), then the
-# data-race pass (which includes the reliable-transport fault-injection
-# tests, and repeats on the packages that fan work out through
-# internal/par or internal/framepipe, on the ack path — session lanes,
-# store and commit group, replication link — and on the server node and
-# the chaos scenarios that crash it), then a known-vulnerability scan when
-# the scanner is installed.
+# check runs the steps of CI's test job: build, vet, the full suite and
+# bench/'s own (CI runs the suite shuffled, three times), the race pass
+# (CI's Race step is `make race`) and the vulnerability scan when the
+# scanner is installed. CI runs the job at GOMAXPROCS 1, 2 and 4.
 check: build vet test race vuln
 
 build:
@@ -25,6 +21,11 @@ test:
 	$(GO) test ./...
 	cd bench && $(GO) vet . && $(GO) test .
 
+# The data-race pass over everything (the reliable-transport
+# fault-injection tests among it), then twice more over the packages that
+# fan work out through internal/par or internal/framepipe, the ack path —
+# session lanes, store and commit group, replication link — and the server
+# node and the chaos scenarios that crash it.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 ./internal/par ./internal/cluster ./internal/core ./internal/sparse \

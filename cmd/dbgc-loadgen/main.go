@@ -7,8 +7,8 @@
 // crashes the disks and the server, restarts everything on the same
 // address, and lets the clients reconnect and converge.
 //
-// The harness enforces the system's core durability contract: with
-// group-committed fsync, an acked frame is on stable storage, so after any
+// The harness enforces the system's core durability contract: the node
+// acks a frame after its group-committed fsync, so after any
 // number of induced crashes every frame the clients saw acknowledged must
 // be present and intact in the reopened shards. Any missing or corrupt
 // acked frame is a loss, reported and fatal (exit code 1).
@@ -223,14 +223,13 @@ type chaosNode struct {
 	disks map[string]*faultnet.Disk
 }
 
-// openNode opens cfg on fault disks seeded from (seed, path), with group-
-// committed fsync and the harness's timings — short queues and retry hints,
-// so backpressure and recovery show within a run of seconds — and serves it.
+// openNode opens cfg on fault disks seeded from (seed, path), with the
+// harness's timings — short queues and retry hints, so backpressure and
+// recovery show within a run of seconds — and serves it.
 func openNode(cfg node.Config, seed int64, o options) (*chaosNode, error) {
 	c := &chaosNode{seed: seed, writeErr: o.writeErr, disks: make(map[string]*faultnet.Disk)}
 	cfg.OpenStores = 32
 	cfg.OpenFile = c.openFile
-	cfg.Fsync = "always" // ack ⇒ durable, fsync shared per round
 	cfg.ServerConfig = reliable.ServerConfig{
 		ReadTimeout:   30 * time.Second,
 		WriteTimeout:  5 * time.Second,

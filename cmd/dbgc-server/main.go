@@ -16,9 +16,9 @@
 // a client that sends no hello lands in the "default" tenant's shard);
 // admission control (-tenants, -max-sessions, -sessions-per-tenant),
 // per-tenant ingest budgets, and load shedding (-shed-high/-shed-low) keep
-// one noisy tenant from starving the rest. -fsync always batches fsyncs
-// across tenants via group commit: every ack still means durable, but
-// concurrent frames share fsync rounds.
+// one noisy tenant from starving the rest. Every ack means durable: a frame
+// is acked after a group-committed fsync, which concurrent frames of every
+// tenant share.
 //
 // Replication: -replica-of ADDR runs this node as
 // the primary and streams every stored record to the follower listening at
@@ -37,7 +37,6 @@
 //
 //	dbgc-server [-listen :7045] [-store-dir frames]
 //	            [-verify] [-max-points n] [-mem-budget bytes]
-//	            [-fsync off|always|<interval>]
 //	            [-tenants n] [-max-sessions n] [-sessions-per-tenant n]
 //	            [-queue-depth n] [-tenant-budget n] [-open-stores n]
 //	            [-shed-high n] [-shed-low n] [-retry-after 200ms]
@@ -82,7 +81,6 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.BoolVar(&o.Verify, "verify", false, "decode every frame under the decode limits before storing it: a frame no query could decode is nacked and quarantined instead of acked (the stored bytes are B either way)")
 	fs.Int64Var(&o.Limits.MaxPoints, "max-points", dbgc.DefaultDecodeLimits().MaxPoints, "decode limit: maximum points per frame (0 = unlimited)")
 	fs.Int64Var(&o.Limits.MemBudget, "mem-budget", dbgc.DefaultDecodeLimits().MemBudget, "decode limit: decoded-memory budget per frame in bytes (0 = unlimited)")
-	fs.StringVar(&o.Fsync, "fsync", "off", `durability mode: "off" (OS decides), "always" (group-committed sync before every ack), or a periodic interval like "500ms"`)
 	fs.IntVar(&sc.MaxTenants, "tenants", 0, "max concurrently active tenants (0 = unlimited)")
 	fs.IntVar(&sc.MaxSessions, "max-sessions", 0, "max concurrent connections server-wide (0 = unlimited)")
 	fs.IntVar(&sc.MaxSessionsPerTenant, "sessions-per-tenant", 0, "max concurrent sessions per tenant (0 = unlimited)")
@@ -131,8 +129,7 @@ func main() {
 		log.Printf("ops endpoint on http://%s (/healthz, /metrics)", o.httpAddr)
 	}
 
-	log.Printf("dbgc-server listening on %s, storage dir %s (verify=%v, fsync=%s)",
-		n.Addr(), o.Dir, o.Verify, o.Fsync)
+	log.Printf("dbgc-server listening on %s, storage dir %s (verify=%v)", n.Addr(), o.Dir, o.Verify)
 	go func() {
 		if err := n.Serve(); err != nil {
 			log.Printf("serve: %v", err)

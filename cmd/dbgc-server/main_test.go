@@ -23,31 +23,32 @@ func parse(args ...string) (options, string, error) {
 }
 
 // TestFlagsReachConfig: a flag lands in the field of node.Config it names;
-// the storage modes an earlier server had are not flags any more.
+// the storage and durability modes an earlier server had are not flags any
+// more.
 func TestFlagsReachConfig(t *testing.T) {
 	o, _, err := parse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Verify || o.Fsync != "off" || o.Dir != "frames" || o.Limits.MaxPoints == 0 || o.QueueDepth != 16 || o.ServerConfig.Logf == nil {
+	if o.Verify || o.Dir != "frames" || o.Limits.MaxPoints == 0 || o.QueueDepth != 16 || o.ServerConfig.Logf == nil {
 		t.Errorf("defaults: %+v", o.Config)
 	}
-	o, _, err = parse("-verify", "-max-points", "9", "-fsync", "always", "-replica-of", "10.0.0.2:7045",
+	o, _, err = parse("-verify", "-max-points", "9", "-replica-of", "10.0.0.2:7045",
 		"-sync-repl", "-tenants", "3", "-http", ":1", "-drain-timeout", "2s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.Verify || o.Limits.MaxPoints != 9 || o.Fsync != "always" || o.Addr != "10.0.0.2:7045" || !o.SyncRepl ||
+	if !o.Verify || o.Limits.MaxPoints != 9 || o.Addr != "10.0.0.2:7045" || !o.SyncRepl ||
 		o.MaxTenants != 3 || o.httpAddr != ":1" || o.drainTimeout != 2*time.Second {
 		t.Errorf("flags did not reach the configuration: %+v", o)
 	}
-	for _, retired := range []string{"-decompress", "-partial"} {
-		if _, out, err := parse(retired); err == nil || !strings.Contains(out, "flag provided but not defined: "+retired) {
+	for _, retired := range [][]string{{"-decompress"}, {"-partial"}, {"-fsync", "always"}} {
+		if _, out, err := parse(retired...); err == nil || !strings.Contains(out, "flag provided but not defined: "+retired[0]) {
 			t.Errorf("%s: %v, %q", retired, err, out)
 		}
 	}
 	if _, usage, err := parse("-h"); err != flag.ErrHelp || !strings.Contains(usage, "-verify") ||
-		strings.Contains(usage, "-decompress") || strings.Contains(usage, "-partial") {
+		strings.Contains(usage, "-decompress") || strings.Contains(usage, "-partial") || strings.Contains(usage, "-fsync") {
 		t.Errorf("-h: %v\n%s", err, usage)
 	}
 }
@@ -59,9 +60,7 @@ func TestSyncReplRefusedBeforeTheStoreDirExists(t *testing.T) {
 		name, want string
 		args       []string
 	}{
-		{"no follower", "-replica-of", []string{"-sync-repl", "-fsync", "always"}},
-		{"fsync off", "-fsync always", []string{"-sync-repl", "-replica-of", "127.0.0.1:1"}},
-		{"fsync interval", "-fsync always", []string{"-sync-repl", "-replica-of", "127.0.0.1:1", "-fsync", "500ms"}},
+		{"no follower", "-replica-of", []string{"-sync-repl"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "frames")

@@ -11,9 +11,10 @@
 // it): a stored frame that no longer decodes whole is answered from the
 // sections that still do.
 //
-// The contract: an ack means durable according to Config.Fsync, and with
-// SyncRepl durable on two disks. A frame's shard stays pinned across
-// Append → commit → WaitDurable, the sequence bench/service.go mirrors;
+// The contract: an ack means durable — every frame is group-committed
+// (store.Group) before it is acked — and with SyncRepl durable on two
+// disks. A frame's shard stays pinned across Append → Commit → WaitDurable,
+// the sequence bench/service.go mirrors;
 // Append itself hands the record to the replication sender, so the follower's
 // fsync runs beside the local one and the ack waits for the later of the two.
 package node
@@ -48,10 +49,6 @@ type Config struct {
 	Dir        string
 	OpenStores int
 	OpenFile   func(path string) (store.File, error)
-	// Fsync is the durability mode: "off" (or empty: the OS decides),
-	// "always" (group-committed sync before every ack) or a positive
-	// duration (periodic sync; acks may run ahead of the disk by that much).
-	Fsync string
 	// Verify decodes every frame under Limits before storing it, and
 	// discards the points: a frame no query could decode is nacked and
 	// quarantined at ingest. Off, the node stores what it is sent and a
@@ -77,9 +74,9 @@ type Config struct {
 	// follower listening there; ScrubInterval, Poll, MaxInFlight, Seed and
 	// DialTo (default: TCP, 5 s timeout) shape the link. Open fills Shards,
 	// Epoch and Logf. SyncRepl withholds each client ack until the follower
-	// has the frame durably, nacking after SyncTimeout; it needs Addr and
-	// Fsync "always", or the ack would not mean two disks. /healthz
-	// degrades once replication lag exceeds ReplLagMax bytes (0 = never).
+	// has the frame durably, nacking after SyncTimeout; it needs Addr, or
+	// the ack would not mean two disks. /healthz degrades once replication
+	// lag exceeds ReplLagMax bytes (0 = never).
 	replica.SenderConfig
 	SyncRepl    bool
 	SyncTimeout time.Duration
@@ -89,12 +86,11 @@ type Config struct {
 // Node is a running server. Open builds it, Serve accepts connections,
 // Close tears it down.
 type Node struct {
-	cfg        Config
-	syncAlways bool
-	logf       func(format string, args ...any)
+	cfg  Config
+	logf func(format string, args ...any)
 
 	shards   *store.Shards
-	group    *store.Group      // nil with fsync off
+	group    *store.Group
 	sender   *replica.Sender   // primary only
 	receiver *replica.Receiver // follower only
 	srv      *reliable.Server
@@ -104,39 +100,17 @@ type Node struct {
 	closeOnce sync.Once
 }
 
-// parseFsync maps the fsync mode onto (sync before every ack, periodic
-// interval).
-func parseFsync(mode string) (always bool, every time.Duration, err error) {
-	switch mode {
-	case "", "off":
-		return false, 0, nil
-	case "always":
-		return true, 0, nil
-	default:
-		d, err := time.ParseDuration(mode)
-		if err != nil || d <= 0 {
-			return false, 0, fmt.Errorf("want off, always, or a positive duration, got %q", mode)
-		}
-		return false, d, nil
-	}
-}
-
 // Open validates cfg, assembles the node and binds its listener. Promotion
 // happens before anything serves: the epoch bump must be durable before the
 // first client frame is acked. On error nothing is left running.
 func Open(cfg Config) (_ *Node, err error) {
-	syncAlways, syncEvery, err := parseFsync(cfg.Fsync)
 	switch {
-	case err != nil:
-		return nil, fmt.Errorf("node: fsync mode: %w", err)
 	case cfg.Addr != "" && cfg.Follower:
 		return nil, errors.New("node: -replica-of and -follower are mutually exclusive")
 	case cfg.SyncRepl && cfg.Addr == "":
 		return nil, errors.New("node: -sync-repl needs a follower (-replica-of): an ack would mean one disk")
-	case cfg.SyncRepl && !syncAlways:
-		return nil, errors.New("node: -sync-repl needs -fsync always: an ack would be durable on the follower only")
 	}
-	n := &Node{cfg: cfg, syncAlways: syncAlways, logf: cfg.ServerConfig.Logf}
+	n := &Node{cfg: cfg, logf: cfg.ServerConfig.Logf}
 	if n.logf == nil {
 		n.logf = func(string, ...any) {}
 	}
@@ -150,12 +124,9 @@ func Open(cfg Config) (_ *Node, err error) {
 		return nil, fmt.Errorf("node: opening storage: %w", err)
 	}
 	n.shards.OpenFile = cfg.OpenFile
-	// One commit group batches fsyncs across every tenant shard: "always"
-	// blocks each frame on its group round (ack ⇒ durable), an interval
-	// makes rounds periodic, off disables the group entirely.
-	if syncAlways || syncEvery > 0 {
-		n.group = store.NewGroup(syncEvery)
-	}
+	// One commit group batches the fsyncs of every tenant shard, the
+	// follower's applies among them: each frame waits for its round.
+	n.group = store.NewGroup(0)
 
 	if cfg.Promote && !cfg.Follower {
 		epoch, err := replica.Promote(n.shards.Dir())
@@ -207,10 +178,8 @@ func Open(cfg Config) (_ *Node, err error) {
 		sc.NotReady = n.receiver.NotReady
 	}
 	n.srv = reliable.NewServer(sc)
-	if n.group != nil {
-		// Sticky fsync failures surface in both /metrics and /healthz.
-		n.group.OnError = func(error) { n.srv.Metrics().StoreSyncErrors.Add(1) }
-	}
+	// Sticky fsync failures surface in both /metrics and /healthz.
+	n.group.OnError = func(error) { n.srv.Metrics().StoreSyncErrors.Add(1) }
 	n.addProbes()
 	return n, nil
 }
@@ -298,14 +267,12 @@ func (n *Node) shutdown(ctx context.Context) error {
 // sticky fsync errors, a down replication link, a fenced (deposed) primary,
 // or replication lag over ReplLagMax bytes.
 func (n *Node) addProbes() {
-	if n.group != nil {
-		n.health.Add("store", func() (string, bool) {
-			if err := n.group.Err(); err != nil {
-				return fmt.Sprintf("fsync failing (%d rounds): %v", n.group.ErrCount(), err), false
-			}
-			return "", true
-		})
-	}
+	n.health.Add("store", func() (string, bool) {
+		if err := n.group.Err(); err != nil {
+			return fmt.Sprintf("fsync failing (%d rounds): %v", n.group.ErrCount(), err), false
+		}
+		return "", true
+	})
 	if n.sender != nil {
 		lagMax := n.cfg.ReplLagMax
 		n.health.Add("replication", func() (string, bool) {
@@ -359,20 +326,6 @@ func (n *Node) Snapshot() Snapshot {
 	return out
 }
 
-// commit makes one frame durable according to the fsync mode: group-commit
-// (blocking) for always, dirty-mark for interval mode, nothing when off.
-func (n *Node) commit(st *store.Store) error {
-	switch {
-	case n.group == nil:
-		return nil
-	case n.syncAlways:
-		return n.group.Commit(st)
-	default:
-		n.group.Async(st)
-		return nil
-	}
-}
-
 // gate finishes one frame's replication obligations after local commit: in
 // sync mode the ack is withheld until the follower confirms durability of
 // the record Append handed to the sender.
@@ -412,7 +365,7 @@ func (n *Node) handle(tenant string, m netproto.Message) error {
 	if err != nil {
 		return err
 	}
-	if err := n.commit(st); err != nil {
+	if err := n.group.Commit(st); err != nil {
 		return err
 	}
 	// Local durability first, then the replication gate: a sync-mode ack

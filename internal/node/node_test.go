@@ -144,20 +144,11 @@ func TestOpenValidatesConfig(t *testing.T) {
 		cfg     Config
 		wantErr string
 	}{
-		{"fsync default", Config{}, ""},
-		{"fsync off", Config{Fsync: "off"}, ""},
-		{"fsync always", Config{Fsync: "always"}, ""},
-		{"fsync interval", Config{Fsync: "500ms"}, ""},
-		{"fsync word", Config{Fsync: "banana"}, "fsync mode"},
-		{"fsync zero interval", Config{Fsync: "0s"}, "fsync mode"},
-		{"fsync negative interval", Config{Fsync: "-1s"}, "fsync mode"},
-		{"async replication, fsync off", Config{SenderConfig: to(dead)}, ""},
-		{"sync-repl, fsync always", Config{Fsync: "always", SenderConfig: to(dead), SyncRepl: true}, ""},
-		{"sync-repl without follower", Config{Fsync: "always", SyncRepl: true}, "-replica-of"},
-		{"sync-repl, fsync off", Config{SenderConfig: to(dead), SyncRepl: true}, "-fsync always"},
-		{"sync-repl, fsync interval", Config{Fsync: "500ms", SenderConfig: to(dead), SyncRepl: true}, "-fsync always"},
+		{"async replication", Config{SenderConfig: to(dead)}, ""},
+		{"sync-repl, fsync always", Config{SenderConfig: to(dead), SyncRepl: true}, ""},
+		{"sync-repl without follower", Config{SyncRepl: true}, "-replica-of"},
 		{"primary and follower", Config{SenderConfig: to(dead), Follower: true}, "mutually exclusive"},
-		{"follower", Config{Fsync: "always", Follower: true}, ""},
+		{"follower", Config{Follower: true}, ""},
 		{"follower promoted at start", Config{Follower: true, Promote: true}, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,8 +178,8 @@ func TestOpenValidatesConfig(t *testing.T) {
 }
 
 // TestIngestQueryRoundTrip sends one frame and reads a region of it back,
-// in every fsync mode, verified at ingest or not: the answer is the box
-// filter of the full decode, and what is stored is what was sent.
+// verified at ingest or not: the answer is the box filter of the full
+// decode, and what is stored is what was sent.
 func TestIngestQueryRoundTrip(t *testing.T) {
 	_, blob := testFrame()
 	full, err := dbgc.Decompress(blob)
@@ -196,47 +187,45 @@ func TestIngestQueryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := viaBin(t, inBox(full, laneBox))
-	for _, fsync := range []string{"off", "20ms", "always"} {
-		// "compressed" is the node as it runs by default; the name is the
-		// one this cell has carried since there were other storage modes.
-		for _, mode := range []string{"compressed", "verify"} {
-			t.Run(fsync+"/"+mode, func(t *testing.T) {
-				n := openNode(t, Config{Fsync: fsync, Verify: mode == "verify", Limits: dbgc.DefaultDecodeLimits()})
-				cli := dial(t, n, reliable.Options{Tenant: "acme"})
-				if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 7, Payload: blob}); err != nil {
-					t.Fatal(err)
-				}
-				res, err := cli.Query(netproto.Query{Seq: 7, Box: laneBox})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := lidar.ReadBin(bytes.NewReader(res.Payload))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(want) == 0 || !sameMultiset(got, want) {
-					t.Errorf("query answered %d points, the box filter of the full decode has %d", len(got), len(want))
-				}
-				if miss, err := cli.Query(netproto.Query{Seq: 8, Box: laneBox}); err != nil || len(miss.Payload) != 0 {
-					t.Errorf("query of a frame never sent: %d bytes, %v", len(miss.Payload), err)
-				}
-				if err := cli.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if snap := n.Snapshot(); snap.Acked != 1 || snap.Nacked != 0 || snap.OpenShards != 1 {
-					t.Errorf("snapshot %+v, want one ack, no nack, one open shard", snap.MetricsSnapshot)
-				}
-				closeNode(t, n)
-				st, err := store.Open(filepath.Join(n.cfg.Dir, "acme.db"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer st.Close()
-				if payload, kind, err := st.Get(7); err != nil || kind != store.KindCompressed || !bytes.Equal(payload, blob) {
-					t.Errorf("stored kind %d, %d bytes, %v; want the %d bytes sent, as B", kind, len(payload), err, len(blob))
-				}
-			})
-		}
+	// "compressed" is the node as it runs by default; the name is the one
+	// this cell has carried since there were other storage modes.
+	for _, mode := range []string{"compressed", "verify"} {
+		t.Run(mode, func(t *testing.T) {
+			n := openNode(t, Config{Verify: mode == "verify", Limits: dbgc.DefaultDecodeLimits()})
+			cli := dial(t, n, reliable.Options{Tenant: "acme"})
+			if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 7, Payload: blob}); err != nil {
+				t.Fatal(err)
+			}
+			res, err := cli.Query(netproto.Query{Seq: 7, Box: laneBox})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := lidar.ReadBin(bytes.NewReader(res.Payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) == 0 || !sameMultiset(got, want) {
+				t.Errorf("query answered %d points, the box filter of the full decode has %d", len(got), len(want))
+			}
+			if miss, err := cli.Query(netproto.Query{Seq: 8, Box: laneBox}); err != nil || len(miss.Payload) != 0 {
+				t.Errorf("query of a frame never sent: %d bytes, %v", len(miss.Payload), err)
+			}
+			if err := cli.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if snap := n.Snapshot(); snap.Acked != 1 || snap.Nacked != 0 || snap.OpenShards != 1 {
+				t.Errorf("snapshot %+v, want one ack, no nack, one open shard", snap.MetricsSnapshot)
+			}
+			closeNode(t, n)
+			st, err := store.Open(filepath.Join(n.cfg.Dir, "acme.db"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if payload, kind, err := st.Get(7); err != nil || kind != store.KindCompressed || !bytes.Equal(payload, blob) {
+				t.Errorf("stored kind %d, %d bytes, %v; want the %d bytes sent, as B", kind, len(payload), err, len(blob))
+			}
+		})
 	}
 }
 
@@ -310,7 +299,7 @@ func TestPartialFrameStoredAndQuarantined(t *testing.T) {
 	t.Run("stored", func(t *testing.T) {
 		var mu sync.Mutex
 		logged := 0
-		cfg := Config{Fsync: "always", Limits: dbgc.DefaultDecodeLimits()}
+		cfg := Config{Limits: dbgc.DefaultDecodeLimits()}
 		cfg.ServerConfig.Logf = func(format string, args ...any) {
 			t.Logf(format, args...)
 			if strings.Contains(format, "section damaged") {
@@ -337,7 +326,7 @@ func TestPartialFrameStoredAndQuarantined(t *testing.T) {
 		if !errors.Is(err, reliable.ErrBadFrame) || n.Snapshot().OpenShards != 0 {
 			t.Errorf("refusal %v with %d shards open; want a bad frame and the shard never opened", err, n.Snapshot().OpenShards)
 		}
-		sendErr, answer, st := ingestOne(t, Config{Fsync: "always", Verify: true}, damaged)
+		sendErr, answer, st := ingestOne(t, Config{Verify: true}, damaged)
 		if !errors.Is(sendErr, reliable.ErrFrameRejected) {
 			t.Fatalf("send ended with %v, want ErrFrameRejected", sendErr)
 		}
@@ -356,7 +345,7 @@ func TestFrameOverLimits(t *testing.T) {
 	limits := dbgc.DecodeLimits{MaxPoints: 1000}
 	for _, verify := range []bool{false, true} {
 		t.Run(fmt.Sprintf("verify=%v", verify), func(t *testing.T) {
-			sendErr, answer, st := ingestOne(t, Config{Fsync: "always", Verify: verify, Limits: limits}, blob)
+			sendErr, answer, st := ingestOne(t, Config{Verify: verify, Limits: limits}, blob)
 			if rejected := errors.Is(sendErr, reliable.ErrFrameRejected); rejected != verify || (!verify && sendErr != nil) {
 				t.Fatalf("send ended with %v", sendErr)
 			}
@@ -408,7 +397,7 @@ func sendCorruptKind(t *testing.T, n *Node, kind byte, seq uint64, payload []byt
 // holds that number; and a good frame arriving later replaces a quarantined
 // one.
 func TestCorruptRetransmitNeverShadows(t *testing.T) {
-	n := openNode(t, Config{Fsync: "always"})
+	n := openNode(t, Config{})
 	good := []byte("the frame as the sensor sent it")
 	send := func(seq uint64) {
 		t.Helper()
@@ -491,9 +480,8 @@ func TestCorruptRetransmitNeverShadows(t *testing.T) {
 // openPair opens a follower and a primary replicating to it.
 func openPair(t *testing.T, syncRepl bool) (primary, follower *Node) {
 	t.Helper()
-	follower = openNode(t, Config{Fsync: "always", Follower: true, WMEvery: 4})
+	follower = openNode(t, Config{Follower: true, WMEvery: 4})
 	primary = openNode(t, Config{
-		Fsync:        "always",
 		SenderConfig: replica.SenderConfig{Addr: follower.Addr(), Poll: 2 * time.Millisecond},
 		SyncRepl:     syncRepl,
 		SyncTimeout:  5 * time.Second,
@@ -602,8 +590,8 @@ func TestSyncAckWaitsForTheLaterFsync(t *testing.T) {
 				}
 				return heldSync{faultnet.NewDisk(f, 0, faultnet.DiskConfig{}), hold}, nil
 			}
-			fcfg := Config{Fsync: "always", Follower: true, WMEvery: 4}
-			pcfg := Config{Fsync: "always", SyncRepl: true, SyncTimeout: 5 * time.Second}
+			fcfg := Config{Follower: true, WMEvery: 4}
+			pcfg := Config{SyncRepl: true, SyncTimeout: 5 * time.Second}
 			if held == "primary" {
 				pcfg.OpenFile = openHeld
 			} else {
@@ -663,10 +651,9 @@ func TestSyncAckWaitsForTheLaterFsync(t *testing.T) {
 // and the watermark reaches the primary's end.
 func TestReplicationLinkPacedByTransport(t *testing.T) {
 	const frames, syncTimeout = 64, 5 * time.Second
-	follower := openNode(t, Config{Fsync: "always", Follower: true, WMEvery: 4,
+	follower := openNode(t, Config{Follower: true, WMEvery: 4,
 		ServerConfig: reliable.ServerConfig{QueueDepth: 8}})
 	primary := openNode(t, Config{
-		Fsync:        "always",
 		SenderConfig: replica.SenderConfig{Addr: follower.Addr(), Poll: 2 * time.Millisecond, MaxInFlight: frames},
 		SyncRepl:     true,
 		SyncTimeout:  syncTimeout,
@@ -729,7 +716,7 @@ func TestReplicationLinkPacedByTransport(t *testing.T) {
 func TestCorruptReplicationRecordLeavesNoTrace(t *testing.T) {
 	var mu sync.Mutex
 	var logged []string
-	follower := openNode(t, Config{Fsync: "always", Follower: true, ServerConfig: reliable.ServerConfig{
+	follower := openNode(t, Config{Follower: true, ServerConfig: reliable.ServerConfig{
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			logged = append(logged, fmt.Sprintf(format, args...))
@@ -758,7 +745,7 @@ func TestCorruptReplicationRecordLeavesNoTrace(t *testing.T) {
 // TestFollowerRefusesClientsUntilPromoted drives the NotReady gate and
 // Promote over a real connection.
 func TestFollowerRefusesClientsUntilPromoted(t *testing.T) {
-	follower := openNode(t, Config{Fsync: "always", Follower: true})
+	follower := openNode(t, Config{Follower: true})
 	frame := netproto.Message{Kind: netproto.KindCompressed, Seq: 1, Payload: []byte("x")}
 	cli := dial(t, follower, reliable.Options{Tenant: "acme", AckTimeout: 500 * time.Millisecond, BusyRetries: 2, MaxStalls: 3})
 	if err := cli.Send(frame); err == nil {
@@ -838,7 +825,7 @@ func (f failingSync) Sync() error {
 // fsync fails costs the frame its ack and turns the store probe red.
 func TestFsyncFailureNacksAndDegrades(t *testing.T) {
 	var fail atomic.Bool
-	n := openNode(t, Config{Fsync: "always", OpenFile: func(path string) (store.File, error) {
+	n := openNode(t, Config{OpenFile: func(path string) (store.File, error) {
 		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 		if err != nil {
 			return nil, err
@@ -873,6 +860,80 @@ func TestFsyncFailureNacksAndDegrades(t *testing.T) {
 	}
 }
 
+// TestDefaultAckSurvivesCrash: a node told nothing but where to listen and
+// store acks a frame only once it is on the disk. Its shard sits on a
+// faultnet disk that, on Crash, keeps a seeded prefix of the unsynced
+// writes and tears the next; reopened cold, the shard holds every acked
+// frame byte for byte, and each decodes.
+func TestDefaultAckSurvivesCrash(t *testing.T) {
+	_, blob := testFrame()
+	const frames = 6
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			var mu sync.Mutex
+			var disks []*faultnet.Disk
+			dir := t.TempDir()
+			n, err := Open(Config{Listen: "127.0.0.1:0", Dir: dir, OpenFile: func(path string) (store.File, error) {
+				f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+				if err != nil {
+					return nil, err
+				}
+				d := faultnet.NewDisk(f, 0, faultnet.DiskConfig{Seed: seed, TearOnCrash: true, FlipOnTear: true})
+				mu.Lock()
+				disks = append(disks, d)
+				mu.Unlock()
+				return d, nil
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			go n.Serve()
+			var acked []uint64
+			cli := dial(t, n, reliable.Options{Tenant: "acme", OnAck: func(seq uint64) { acked = append(acked, seq) }})
+			for seq := uint64(1); seq <= frames; seq++ {
+				if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: blob}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := cli.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			// Power loss with the node still up, then the process dies:
+			// nothing after the acks gets to sync.
+			mu.Lock()
+			for _, d := range disks {
+				if _, _, err := d.Crash(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mu.Unlock()
+			if err := cli.Close(); err != nil {
+				t.Fatal(err)
+			}
+			n.Abort() // its final fsync fails against the crashed disks
+
+			if len(acked) != frames {
+				t.Fatalf("%d of %d frames acked", len(acked), frames)
+			}
+			st, err := store.Open(filepath.Join(dir, "acme.db"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for _, seq := range acked {
+				payload, kind, err := st.Get(seq)
+				if err != nil || kind != store.KindCompressed || !bytes.Equal(payload, blob) {
+					t.Errorf("acked frame %d after the crash: kind %d, %d bytes, %v; want the %d bytes sent", seq, kind, len(payload), err, len(blob))
+					continue
+				}
+				if _, err := dbgc.Decompress(payload); err != nil {
+					t.Errorf("acked frame %d after the crash: %v", seq, err)
+				}
+			}
+		})
+	}
+}
+
 // TestCloseIsSafeAndIdempotent: Close on a node that never opened anything,
 // on one whose Open failed half way, and twice on a running one.
 func TestCloseIsSafeAndIdempotent(t *testing.T) {
@@ -887,12 +948,12 @@ func TestCloseIsSafeAndIdempotent(t *testing.T) {
 	defer taken.Close()
 	dir := t.TempDir()
 	// Shards, group, receiver are up when the listener fails to bind.
-	if n, err := Open(Config{Listen: taken.Addr().String(), Dir: dir, Fsync: "always", Follower: true}); err == nil {
+	if n, err := Open(Config{Listen: taken.Addr().String(), Dir: dir, Follower: true}); err == nil {
 		closeNode(t, n)
 		t.Fatal("opened on an address already in use")
 	}
 
-	n, err := Open(Config{Listen: "127.0.0.1:0", Dir: dir, Fsync: "always", Follower: true})
+	n, err := Open(Config{Listen: "127.0.0.1:0", Dir: dir, Follower: true})
 	if err != nil {
 		t.Fatalf("reopening the directory of a failed Open: %v", err)
 	}

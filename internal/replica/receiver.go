@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"sync"
@@ -44,9 +45,12 @@ type ReceiverStats struct {
 }
 
 // NewReceiver loads the directory's replication metadata and wraps the
-// shard set. group batches the durability fsyncs; wmEvery <= 0 defaults
-// to 32.
+// shard set. group, which must not be nil, makes every applied record
+// durable before its ack; wmEvery <= 0 defaults to 32.
 func NewReceiver(shards *store.Shards, group *store.Group, wmEvery int) (*Receiver, error) {
+	if group == nil {
+		return nil, errors.New("replica: a receiver needs a commit group")
+	}
 	if wmEvery <= 0 {
 		wmEvery = 32
 	}
@@ -239,11 +243,7 @@ func (r *Receiver) HandleRecord(m netproto.Message) error {
 		_, err = st.Append(rec.Seq, rec.Kind, rec.Payload)
 	}
 	if err == nil {
-		if r.group != nil {
-			err = r.group.Commit(st)
-		} else {
-			err = st.Sync()
-		}
+		err = r.group.Commit(st)
 	}
 	r.shards.Release(rec.Tenant)
 	if err != nil {

@@ -293,14 +293,20 @@ func TestPromotionFencesOldPrimary(t *testing.T) {
 
 // TestReceiverWatermarkChain drives HandleRecord out of order and expects
 // the watermark to advance only when the prev chain closes — no holes
-// under the watermark, ever.
+// under the watermark, ever. A receiver without a commit group, which could
+// ack a record before it is durable, is refused.
 func TestReceiverWatermarkChain(t *testing.T) {
 	shards, err := store.OpenShards(t.TempDir(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer shards.Close()
-	recv, err := NewReceiver(shards, nil, 1000)
+	if _, err := NewReceiver(shards, nil, 1000); err == nil {
+		t.Fatal("a receiver without a commit group was built")
+	}
+	group := store.NewGroup(0)
+	defer group.Close()
+	recv, err := NewReceiver(shards, group, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

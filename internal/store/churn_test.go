@@ -168,8 +168,8 @@ func (f *flakyFile) Sync() error {
 }
 
 // TestGroupStickyError: an fsync failure inside a commit round must latch
-// in Err()/ErrCount() and reach OnError — Async rounds have no caller to
-// return to, so the sticky error is the only way a deployment notices.
+// in Err()/ErrCount() and reach OnError — the failing round's callers get
+// the error, and the latch is how the rest of a deployment notices.
 func TestGroupStickyError(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "frames.db")
 	raw, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)

@@ -27,10 +27,9 @@ var ErrGroupClosed = errors.New("store: commit group closed")
 type Group struct {
 	interval time.Duration
 
-	// OnError, when set before the first Commit/Async, is called with
-	// every fsync failure the committer observes — including failures of
-	// Async rounds, which have no waiting caller to return the error to.
-	// Called from the committer goroutine; must not block.
+	// OnError, when set before the first Commit, is called with every
+	// fsync failure the committer observes. Called from the committer
+	// goroutine; must not block.
 	OnError func(error)
 
 	mu      sync.Mutex
@@ -44,10 +43,10 @@ type Group struct {
 	commits uint64
 	rounds  uint64
 
-	// firstErr and errCount make fsync failures sticky: an Async round's
-	// error has no waiter to land on, so it is latched here instead of
-	// vanishing — a dying disk degrades loudly (Err, /healthz) rather
-	// than silently un-acking durability.
+	// firstErr and errCount make fsync failures sticky: each waiter gets
+	// its round's error, and the first is latched here too, so a dying
+	// disk degrades the node (Err, /healthz) and not only the frames that
+	// happened to be in the failing round.
 	firstErr error
 	errCount uint64
 }
@@ -93,25 +92,7 @@ func (g *Group) Commit(st *Store) error {
 	return b.err
 }
 
-// Async marks st dirty so the next round syncs it, without waiting. Used
-// by interval-durability mode, where acks may run ahead of the disk by at
-// most one interval.
-func (g *Group) Async(st *Store) {
-	g.mu.Lock()
-	if !g.closed {
-		g.commits++
-		if _, ok := g.pending[st]; !ok {
-			g.pending[st] = &commitBatch{done: make(chan struct{})}
-		}
-	}
-	g.mu.Unlock()
-	select {
-	case g.wake <- struct{}{}:
-	default:
-	}
-}
-
-// Stats returns (Commit+Async calls, fsync rounds) so far.
+// Stats returns (Commit calls, fsync rounds) so far.
 func (g *Group) Stats() (commits, rounds uint64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -195,16 +176,8 @@ func (g *Group) run() {
 			close(b.done)
 		}
 		if closed {
-			// One final drain: Commits that raced Close still resolve.
-			g.mu.Lock()
-			batch = g.pending
-			g.pending = make(map[*Store]*commitBatch)
-			g.mu.Unlock()
-			for st, b := range batch {
-				b.err = st.Sync()
-				g.noteErr(b.err)
-				close(b.done)
-			}
+			// No Commit joins after the round that saw closed: one that
+			// raced Close either was in it or got ErrGroupClosed.
 			return
 		}
 	}

@@ -2,8 +2,10 @@ package store
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -164,21 +166,84 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	t.Logf("group commit: %d commits in %d fsync rounds", commits, rounds)
 }
 
+// heldFile is a store file whose fsync signals entered and then waits
+// until hold is closed.
+type heldFile struct {
+	File
+	entered chan struct{}
+	hold    chan struct{}
+	syncs   atomic.Int32
+}
+
+func (f *heldFile) Sync() error {
+	f.syncs.Add(1)
+	select {
+	case f.entered <- struct{}{}:
+	default:
+	}
+	<-f.hold
+	return f.File.Sync()
+}
+
+// TestGroupCloseFlushesAndRejects: Close is called while one Commit waits
+// on a round that is on the disk and another is pending behind it. Both
+// resolve, each after an fsync of its own round; Close returns after them;
+// a Commit once Close has begun is refused at once.
 func TestGroupCloseFlushesAndRejects(t *testing.T) {
-	st, err := Open(filepath.Join(t.TempDir(), "one.db"))
+	raw, err := os.OpenFile(filepath.Join(t.TempDir(), "one.db"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &heldFile{File: osFile{raw}, entered: make(chan struct{}, 1), hold: make(chan struct{})}
+	st, err := OpenWith(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 	g := NewGroup(0)
-	if err := st.Put(1, KindCompressed, []byte("x")); err != nil {
-		t.Fatal(err)
+	commit := func(seq uint64) <-chan error {
+		if err := st.Put(seq, KindCompressed, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- g.Commit(st) }()
+		return done
 	}
-	g.Async(st)
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
+	onDisk := commit(1)
+	<-f.entered
+	pending := commit(2)
+	for commits, _ := g.Stats(); commits < 2; commits, _ = g.Stats() {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- g.Close() }()
+	for {
+		g.mu.Lock()
+		closing := g.closed
+		g.mu.Unlock()
+		if closing {
+			break
+		}
+		time.Sleep(time.Millisecond)
 	}
 	if err := g.Commit(st); err != ErrGroupClosed {
-		t.Fatalf("Commit after Close = %v", err)
+		t.Fatalf("Commit after Close began = %v", err)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v with a round on the disk", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(f.hold)
+	for name, done := range map[string]<-chan error{"on the disk": onDisk, "pending": pending} {
+		if err := <-done; err != nil {
+			t.Errorf("Commit %s when Close was called: %v", name, err)
+		}
+	}
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if n := f.syncs.Load(); n != 2 {
+		t.Errorf("%d fsyncs, want one for each round", n)
 	}
 }

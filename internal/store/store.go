@@ -2,7 +2,8 @@
 // system (Figure 2). The paper's server writes frames to files or to a
 // relational database via ODBC; in this stdlib-only build the store is an
 // append-only segment file with an in-memory index — one record per frame,
-// holding either the compressed bit sequence B or a decompressed cloud.
+// holding the compressed bit sequence B as it arrived (or, quarantined, a
+// payload that failed validation).
 //
 // # Durability contract
 //
@@ -12,10 +13,9 @@
 // truncates the file at the first torn or corrupt record, so after a crash
 // the store recovers exactly a durable prefix of the append order: every
 // record before the corruption point is intact and indexed, everything
-// from it on is discarded. Callers that acknowledge writes to a remote
-// peer (see cmd/dbgc-server's -fsync flag) must call Sync before — or
-// periodically between — acknowledgements to bound how many acked frames
-// a power loss can undo.
+// from it on is discarded. A caller that acknowledges a write to a remote
+// peer makes it durable first: internal/node and the replication receiver
+// Commit every record through a Group before they ack it.
 package store
 
 import (
