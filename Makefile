@@ -104,7 +104,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/quadtree
 	$(GO) test -fuzz=FuzzBlockPack -fuzztime=$(FUZZTIME) ./internal/blockpack
 	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/streamcodec
-	$(GO) test -fuzz=FuzzContextOctree -fuzztime=$(FUZZTIME) ./internal/octree
+	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/octree
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) ./internal/arith
 	$(GO) test -fuzz=FuzzCoderMatchesReference -fuzztime=$(FUZZTIME) ./internal/arith
 	$(GO) test -fuzz=FuzzShardedStream -fuzztime=$(FUZZTIME) ./internal/arith

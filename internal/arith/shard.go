@@ -116,11 +116,10 @@ func AppendSharded(dst []byte, n, shards int, encode func(lo, hi int, dst []byte
 	return dst
 }
 
-// ParseShards splits a sharded stream into its S payloads, validating the
+// parseShards splits a sharded stream into its S payloads, validating the
 // declared lengths against the available bytes and b's shard cap. The
-// returned slices alias data. DecodeSharded is the usual way in; a decoder
-// whose shards must be read in order (ctxmodel.DecodeOcc) walks them itself.
-func ParseShards(data []byte, b *declimits.Budget) ([][]byte, error) {
+// returned slices alias data.
+func parseShards(data []byte, b *declimits.Budget) ([][]byte, error) {
 	s64, used, err := varint.Uint(data)
 	if err != nil {
 		return nil, fmt.Errorf("arith: shard count: %w", err)
@@ -165,7 +164,7 @@ func ParseShards(data []byte, b *declimits.Budget) ([][]byte, error) {
 // width. The error of the lowest failing shard wins. The counterpart of
 // AppendSharded.
 func DecodeSharded(data []byte, n int, b *declimits.Budget, decode func(i int, shard []byte, lo, hi int) error) error {
-	shards, err := ParseShards(data, b)
+	shards, err := parseShards(data, b)
 	if err != nil {
 		return err
 	}

@@ -43,7 +43,7 @@ func FuzzShardedStream(f *testing.F) {
 		}
 		// The framing parser itself must honor the shard cap.
 		b := declimits.New(declimits.Limits{MaxShards: 2, MaxNodes: 1 << 16, MemBudget: 16 << 20})
-		if shards, err := ParseShards(data, b); err == nil && len(shards) > 2 {
+		if shards, err := parseShards(data, b); err == nil && len(shards) > 2 {
 			t.Fatalf("parseShards returned %d shards past the cap of 2", len(shards))
 		}
 	})

@@ -114,9 +114,11 @@ type Options struct {
 	// where §3.5 inflates them. False is the spelling of the paper's own
 	// coders — Deflate on θ, arithmetic coding on φ, r and the lengths — and
 	// the v2/v3/v4 containers, byte-identical to previous releases. The
-	// octree occupancy stream keeps its order-0 coder either way (its context
-	// coder is octree.EncodeOptions.CtxFeatures). Composes with Shards
-	// (context state resets per shard) and with BlockPack.
+	// octree occupancy stream keeps its order-0 coder either way, behind a
+	// method marker that says so; a frame whose marker names the retired
+	// context-modeled occupancy coder is refused with
+	// octree.ErrContextOccupancy. Composes with Shards (context state resets
+	// per shard) and with BlockPack.
 	ContextModel bool
 }
 
@@ -209,7 +211,7 @@ const (
 const (
 	dialectSharded   = 1 << 0 // v3 sharded entropy framing
 	dialectBlockPack = 1 << 1 // v4 blockpacked integer hot paths
-	dialectContext   = 1 << 2 // context-modeled occupancy/angular streams
+	dialectContext   = 1 << 2 // coder-choice angular streams, occupancy method marker
 )
 
 // castagnoli is the CRC32-C table shared by section framing and checks.

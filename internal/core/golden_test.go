@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"os"
 	"testing"
 
 	"dbgc/internal/geom"
 	"dbgc/internal/lidar"
+	"dbgc/internal/octree"
 	"dbgc/internal/par/partest"
 )
 
@@ -219,5 +221,56 @@ func TestDecodeGoldenVectors(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestContextOccupancyRefused: testdata/city-ctx-occupancy.dbgc is the
+// city frame (layout 1, sensor seed 1) under DefaultOptions(0.02) with its
+// dense section replaced by internal/octree's testdata/ctx-occupancy.oct —
+// the same points coded by the retired context-modeled occupancy coder
+// (method 1), CRC recomputed. The last encoder that had the coder decoded
+// it to the default frame's points (cityPts of TestCompressGolden). Now
+// both decoders refuse it by octree.ErrContextOccupancy, and
+// DecompressPartial names that error on the dense section and still
+// returns the sparse and outlier points, pinned by the digest taken then.
+func TestContextOccupancyRefused(t *testing.T) {
+	const (
+		fileSHA      = "d29c52d3475259d1e6dfa8e1c3edb253d7b0ddb6e27a88ea74dd1284994140f3"
+		salvagedPts  = "6820c83f0b6c84391717b157eebfd0936ddbcfe05fd59205745514ee2a7bea8c"
+		sparsePoints = 47938
+		outlierPts   = 1441
+	)
+	data, err := os.ReadFile("testdata/city-ctx-occupancy.dbgc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha(data); got != fileSHA {
+		t.Fatalf("testdata/city-ctx-occupancy.dbgc has sha256 %s, want %s", got, fileSHA)
+	}
+	if pc, err := Decompress(data); !errors.Is(err, octree.ErrContextOccupancy) || pc != nil {
+		t.Errorf("Decompress: %d points, %v; want ErrContextOccupancy", len(pc), err)
+	}
+	if pc, err := DecompressRegion(data, laneBox); !errors.Is(err, octree.ErrContextOccupancy) || pc != nil {
+		t.Errorf("DecompressRegion: %d points, %v; want ErrContextOccupancy", len(pc), err)
+	}
+	for _, procs := range []int{1, 4} {
+		partest.At(procs, func() {
+			pc, reports, err := DecompressPartial(data, DecompressOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := reports[SectionDense]; !errors.Is(r.Err, octree.ErrContextOccupancy) || r.Points != 0 {
+				t.Errorf("GOMAXPROCS=%d: dense section: %d points, %v; want ErrContextOccupancy", procs, r.Points, r.Err)
+			}
+			if r := reports[SectionSparse]; r.Err != nil || r.Points != sparsePoints {
+				t.Errorf("GOMAXPROCS=%d: sparse section: %d points, %v; want %d", procs, r.Points, r.Err, sparsePoints)
+			}
+			if r := reports[SectionOutlier]; r.Err != nil || r.Points != outlierPts {
+				t.Errorf("GOMAXPROCS=%d: outlier section: %d points, %v; want %d", procs, r.Points, r.Err, outlierPts)
+			}
+			if got := pointsSHA(pc); got != salvagedPts {
+				t.Errorf("GOMAXPROCS=%d: %d salvaged points, sha256 %s, want %s", procs, len(pc), got, salvagedPts)
+			}
+		})
 	}
 }

@@ -1,42 +1,11 @@
 package ctxmodel
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
 	"dbgc/internal/declimits"
 )
-
-// genOcc builds a random but structurally valid breadth-first occupancy
-// sequence for an octree of the given depth, with branching thinned so the
-// node count stays testable.
-func genOcc(rng *rand.Rand, depth int) []byte {
-	occ := []byte{}
-	level := 1
-	for d := 0; d < depth && level > 0; d++ {
-		next := 0
-		for i := 0; i < level; i++ {
-			var code byte
-			for code == 0 {
-				code = byte(rng.Intn(256)) & byte(rng.Intn(256)) // skew sparse
-				if code == 0 && rng.Intn(4) == 0 {
-					code = 1 << uint(rng.Intn(8))
-				}
-			}
-			occ = append(occ, code)
-			if d+1 < depth {
-				for c := 0; c < 8; c++ {
-					if code&(1<<uint(c)) != 0 {
-						next++
-					}
-				}
-			}
-		}
-		level = next
-	}
-	return occ
-}
 
 func TestReflectInvolution(t *testing.T) {
 	for o := uint8(0); o < 8; o++ {
@@ -49,85 +18,6 @@ func TestReflectInvolution(t *testing.T) {
 	// Reflection permutes bits, so popcount is invariant.
 	if Reflect(0x01, 1) != 0x02 || Reflect(0x01, 7) != 0x80 {
 		t.Fatalf("reflection axes wrong: %#x %#x", Reflect(0x01, 1), Reflect(0x01, 7))
-	}
-}
-
-func TestFeatureContexts(t *testing.T) {
-	cases := map[Features]int{
-		0:                        1,
-		FeatOctant:               1,
-		FeatParent:               8,
-		FeatSibling:              4,
-		FeatDepth:                4,
-		DefaultFeatures:          8,
-		FeatAll:                  128,
-		FeatParent | FeatSibling: 32,
-	}
-	for f, want := range cases {
-		if got := f.Contexts(); got != want {
-			t.Errorf("Features(%#x).Contexts() = %d, want %d", byte(f), got, want)
-		}
-	}
-}
-
-func TestOccRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	feats := []Features{0, FeatOctant, DefaultFeatures, FeatParent | FeatSibling, FeatAll}
-	for _, depth := range []int{1, 2, 4, 6} {
-		occ := genOcc(rng, depth)
-		for _, f := range feats {
-			for _, shards := range []int{1, 4} {
-				stream := AppendOcc(nil, occ, depth, f, shards)
-				got, err := DecodeOcc(stream, len(occ), depth, nil)
-				if err != nil {
-					t.Fatalf("depth %d feats %#x shards %d: decode: %v", depth, byte(f), shards, err)
-				}
-				if !bytes.Equal(got, occ) {
-					t.Fatalf("depth %d feats %#x shards %d: roundtrip mismatch", depth, byte(f), shards)
-				}
-			}
-		}
-	}
-}
-
-func TestOccEmpty(t *testing.T) {
-	stream := AppendOcc(nil, nil, 0, DefaultFeatures, 1)
-	got, err := DecodeOcc(stream, 0, 0, nil)
-	if err != nil {
-		t.Fatalf("decode empty: %v", err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("decoded %d codes from empty stream", len(got))
-	}
-}
-
-func TestDecodeOccCorrupt(t *testing.T) {
-	occ := genOcc(rand.New(rand.NewSource(1)), 4)
-	stream := AppendOcc(nil, occ, 4, DefaultFeatures, 2)
-
-	if _, err := DecodeOcc(nil, len(occ), 4, nil); err == nil {
-		t.Error("empty stream: want error")
-	}
-	// Unknown feature bits.
-	bad := append([]byte{0xf0}, stream[1:]...)
-	if _, err := DecodeOcc(bad, len(occ), 4, nil); err == nil {
-		t.Error("unknown feature bits: want error")
-	}
-	// Context count disagreeing with the feature mask.
-	bad = append([]byte{stream[0], 0x7f}, stream[2:]...)
-	if _, err := DecodeOcc(bad, len(occ), 4, nil); err == nil {
-		t.Error("wrong context count: want error")
-	}
-	// Truncations at every prefix must error, never panic or hang.
-	for l := 0; l < len(stream); l += 7 {
-		if _, err := DecodeOcc(stream[:l], len(occ), 4, nil); err == nil {
-			t.Errorf("truncated at %d: want error", l)
-		}
-	}
-	// A context-table budget below the bank size must refuse up front.
-	b := declimits.New(declimits.Limits{MaxContexts: 2})
-	if _, err := DecodeOcc(stream, len(occ), 4, b); err == nil {
-		t.Error("MaxContexts 2: want error")
 	}
 }
 
@@ -203,35 +93,15 @@ func TestBankSeeding(t *testing.T) {
 	}
 }
 
-// TestBankPooling bounds steady-state allocations of the pooled bank and
-// replay scratch: after warmup, an occupancy encode/decode cycle must not
-// allocate bank tables or replay arrays anew (the PR 2/5 scratch-reuse
-// contract).
+// TestBankPooling: after warmup, taking a bank from the pool and putting it
+// back allocates nothing, so the coders that take one a shard do not
+// rebuild its 1 KiB model tables every frame. Under the race detector
+// sync.Pool drops puts at random, which the count would read as a leak.
 func TestBankPooling(t *testing.T) {
-	occ := genOcc(rand.New(rand.NewSource(5)), 5)
-	stream := AppendOcc(nil, occ, 5, DefaultFeatures, 2)
-	dst := make([]byte, 0, 2*len(stream))
-	// Warm the pools.
-	for i := 0; i < 3; i++ {
-		AppendOcc(dst[:0], occ, 5, DefaultFeatures, 2)
+	if raceDetector {
+		t.Skip("sync.Pool drops puts at random under the race detector")
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		AppendOcc(dst[:0], occ, 5, DefaultFeatures, 2)
-	})
-	// The shard framing allocates a few slice headers per encode; the
-	// bound is that models/tables (1KiB+ each) are NOT rebuilt: with 9
-	// fresh 257-entry tables per run this would exceed 25 allocations.
-	if allocs > 16 {
-		t.Errorf("AppendOcc allocates %.1f objects/run, want <= 16 (bank tables not pooled?)", allocs)
-	}
-	decAllocs := testing.AllocsPerRun(20, func() {
-		if _, err := DecodeOcc(stream, len(occ), 5, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if decAllocs > 16 {
-		t.Errorf("DecodeOcc allocates %.1f objects/run, want <= 16", decAllocs)
-	}
+	PutBank(GetBank(8, 256))
 	bankAllocs := testing.AllocsPerRun(50, func() {
 		b := GetBank(8, 256)
 		PutBank(b)

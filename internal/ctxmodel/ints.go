@@ -19,7 +19,7 @@ import (
 // byte of every value selects its model by the previous value's magnitude
 // bucket; continuation bytes share one model. The bucket state and the
 // bank reset at shard boundaries, so shards stay independently decodable
-// (and, unlike the occupancy replay, decode in parallel).
+// and decode in parallel.
 
 // IntContexts is the first-byte context count: zigzag bit-length buckets
 // 0..6 plus "7 or more bits".

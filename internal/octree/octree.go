@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"dbgc/internal/ctxmodel"
 	"dbgc/internal/declimits"
 	"dbgc/internal/geom"
 	"dbgc/internal/par"
@@ -102,27 +101,23 @@ type EncodeOptions struct {
 	// unchanged.
 	BlockPack bool
 	// Context prefixes the occupancy stream with the one-byte method marker
-	// of the container v5 dialect. The marker says legacy — the v2/v3/v4
-	// bytes follow it unchanged — unless CtxFeatures asks for the
-	// context-modeled coding too. The produced stream requires DecodeWith
-	// with Context set.
+	// of the container v5 dialect, which says legacy: the v2/v3/v4 bytes
+	// follow it unchanged. The produced stream requires DecodeWith with
+	// Context set.
 	Context bool
-	// CtxFeatures, when Context is set and it is non-zero, also codes the
-	// occupancy stream with the context models of internal/ctxmodel under
-	// these features and keeps that coding when it is smaller than the legacy
-	// bytes (ties go to legacy, so the stream never grows by more than its
-	// marker). core leaves it zero: the context-modeled stream decodes
-	// sequentially, which costs a region read more than the under one percent
-	// of a frame it saves (DESIGN.md §15). ctxmodel.DefaultFeatures is the
-	// measured best.
-	CtxFeatures ctxmodel.Features
 }
 
-// Occupancy method markers of the Context (v5) dialect.
+// Occupancy method markers of the Context (v5) dialect. Method 1 was the
+// context-modeled coding of internal/ctxmodel, written only by opt-in runs
+// and no longer decoded (ErrContextOccupancy).
 const (
-	occMethodLegacy = 0 // the v2/v3/v4 occupancy bytes, unchanged
-	occMethodCtx    = 1 // the ctxmodel context-coded stream
+	occMethodLegacy  = 0 // the v2/v3/v4 occupancy bytes, unchanged
+	occMethodRetired = 1 // the context-modeled occupancy coder
 )
+
+// ErrContextOccupancy refuses a v5 occupancy stream under method 1, the
+// context-modeled coder that is no longer decoded. It wraps ErrCorrupt.
+var ErrContextOccupancy = fmt.Errorf("%w: occupancy method 1, the retired context coder, is no longer decoded", ErrCorrupt)
 
 // Encode compresses points so that every reconstructed coordinate differs
 // from the original by at most q per dimension. An empty input encodes to a
@@ -169,28 +164,14 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	entStart := time.Now()
 	d := streamcodec.Dialect{Sharded: opts.Shards > 1, BlockPack: opts.BlockPack}
 	var occStream, countStream []byte
-	encodeOcc := func() []byte {
-		var legacy []byte
-		if opts.Context {
-			// v5 dialect: a method marker precedes the stream.
-			legacy = []byte{occMethodLegacy}
-		}
-		legacy = streamcodec.AppendCodes(legacy, d.Codec(streamcodec.Occupancy), occ, 256, opts.Shards)
-		if !opts.Context || opts.CtxFeatures == 0 {
-			return legacy
-		}
-		// The smaller of the context-modeled and legacy codings wins. Ties
-		// go to legacy, so guarded output degenerates to exactly the v3/v4
-		// bytes plus one marker.
-		ctx := ctxmodel.AppendOcc(make([]byte, 1, 64+len(legacy)), occ, depth, opts.CtxFeatures, opts.Shards)
-		if len(ctx) < len(legacy) {
-			ctx[0] = occMethodCtx
-			return ctx
-		}
-		return legacy
-	}
 	par.Do(
-		func() { occStream = encodeOcc() },
+		func() {
+			if opts.Context {
+				// v5 dialect: a method marker precedes the stream.
+				occStream = []byte{occMethodLegacy}
+			}
+			occStream = streamcodec.AppendCodes(occStream, d.Codec(streamcodec.Occupancy), occ, 256, opts.Shards)
+		},
 		func() {
 			countStream = streamcodec.AppendUints(nil, d.Codec(streamcodec.Bulk), counts, opts.Shards)
 		},
@@ -378,7 +359,8 @@ type DecodeOptions struct {
 	BlockPack bool
 	// Context declares that the occupancy stream starts with a one-byte
 	// method marker (container v5): occMethodLegacy keeps the dialect the
-	// other options select, occMethodCtx is the ctxmodel coding.
+	// other options select; occMethodRetired is refused with
+	// ErrContextOccupancy, any other marker as corrupt.
 	Context bool
 }
 
@@ -415,7 +397,6 @@ type stream struct {
 	depth    int
 	occLen   int
 	occ      []byte
-	ctxOcc   bool // occ is the ctxmodel coding (v5 method marker)
 	countLen int
 	counts   []byte
 }
@@ -473,8 +454,8 @@ func parse(data []byte, opts DecodeOptions) (st stream, err error) {
 		}
 		switch st.occ[0] {
 		case occMethodLegacy:
-		case occMethodCtx:
-			st.ctxOcc = true
+		case occMethodRetired:
+			return st, ErrContextOccupancy
 		default:
 			return st, fmt.Errorf("%w: unknown occupancy method %d", ErrCorrupt, st.occ[0])
 		}
@@ -524,11 +505,7 @@ func DecodeRegionInto(dst geom.PointCloud, data []byte, region *geom.AABB, opts 
 	d := streamcodec.Dialect{Sharded: opts.Sharded, BlockPack: opts.BlockPack}
 	var occErr, countErr error
 	par.Do(func() {
-		if st.ctxOcc {
-			s.occ, occErr = ctxmodel.DecodeOcc(st.occ, st.occLen, st.depth, b)
-		} else {
-			s.occ, occErr = streamcodec.DecodeCodes(s.occ[:0], d.Codec(streamcodec.Occupancy), st.occ, st.occLen, 256, b)
-		}
+		s.occ, occErr = streamcodec.DecodeCodes(s.occ[:0], d.Codec(streamcodec.Occupancy), st.occ, st.occLen, 256, b)
 	}, func() {
 		s.counts, countErr = streamcodec.DecodeUints(s.counts[:0], d.Codec(streamcodec.Bulk), st.counts, st.countLen, b)
 	})

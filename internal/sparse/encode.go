@@ -37,9 +37,6 @@ type Options struct {
 	// coordinates instead of spherical ones (the paper's -Conversion
 	// ablation).
 	CartesianMode bool
-	// THrMeters is the radial distance threshold TH_r; zero means the
-	// paper's 2 m.
-	THrMeters float64
 	// Shards, BlockPack and Context are the container dialect (v3, v4, v5);
 	// which coder each of a group's streams gets under them is
 	// internal/streamcodec's table. Besides that, Shards > 1 and BlockPack
@@ -73,12 +70,10 @@ func (o Options) groups() int {
 	return g
 }
 
-func (o Options) thR() float64 {
-	if o.THrMeters > 0 {
-		return o.THrMeters
-	}
-	return 2.0
-}
+// thR is the radial distance threshold TH_r in metres, the paper's 2 m
+// (§3.5 step 8). Every group header carries it, quantized, so a decoder
+// needs no constant of its own.
+func (Options) thR() float64 { return 2.0 }
 
 // Encoded is the output of Encode.
 type Encoded struct {

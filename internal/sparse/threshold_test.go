@@ -2,28 +2,6 @@ package sparse
 
 import "testing"
 
-// TestTHrMetersOption: the radial threshold knob must flow into the stream
-// and decode consistently.
-func TestTHrMetersOption(t *testing.T) {
-	pc, idx, meta := sparseFrame(t)
-	if len(idx) > 20000 {
-		idx = idx[:20000]
-	}
-	for _, th := range []float64{0.25, 2.0, 10.0} {
-		opts := defaultOpts(meta)
-		opts.THrMeters = th
-		enc, err := Encode(pc, idx, opts)
-		if err != nil {
-			t.Fatalf("th=%v: %v", th, err)
-		}
-		dec, err := Decode(enc.Data)
-		if err != nil {
-			t.Fatalf("th=%v: decode: %v", th, err)
-		}
-		verify(t, pc, enc, dec, opts.Q)
-	}
-}
-
 // TestOptionsDefaults checks the zero-value handling of Options helpers.
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
