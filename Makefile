@@ -67,10 +67,10 @@ soak:
 	mkdir -p .bench_build
 	$(GO) run -race ./cmd/dbgc-loadgen $(SOAK_FLAGS)
 
-# Replication failover soak: sync-replicated primary→follower pair under
-# link chaos; severs the replication link (healthz must degrade, then
-# recover), kills the primary mid-stream, promotes the follower, and
-# cold-verifies every sync-acked frame in the follower's store.
+# Replication failover soak: primary→follower pair (an ack means both
+# disks) under link chaos; severs the replication link (healthz must
+# degrade, then recover), kills the primary mid-stream, promotes the
+# follower, and cold-verifies every acked frame in the follower's store.
 FAILOVER_FLAGS ?= -failover -tenants 4 -clients 2 -frames 100 \
 	-out .bench_build/failover-soak.json
 failover-soak:

@@ -1,10 +1,10 @@
 // The -failover scenario: a two-node replicated deployment under chaos.
 //
 // A primary and a follower run in-process — two node.Nodes, configured as
-// dbgc-server -replica-of ADDR -sync-repl and dbgc-server -follower would be
-// — each on its own crash-prone faultnet.Disk shard set. The primary replicates every committed record
-// to the follower over a fault-injected link (bit flips, drops, torn
-// writes) in sync mode: a client ack is withheld until the record is
+// dbgc-server -replica-of ADDR and dbgc-server -follower would be — each on
+// its own crash-prone faultnet.Disk shard set. The primary replicates every
+// committed record to the follower over a fault-injected link (bit flips,
+// drops, torn writes), and a client ack is withheld until the record is
 // durable on BOTH nodes. Multi-address clients stream frames against
 // [primary, follower], recording exactly which sequence numbers were
 // acknowledged.
@@ -15,8 +15,8 @@
 // drain — promotes the follower, and lets the clients fail over to it.
 //
 // The contract under test: after the follower is cold-reopened at the
-// end, every sync-acked frame must be present and intact there. A frame
-// acked before the kill was follower-durable by the sync gate; a frame
+// end, every acked frame must be present and intact there. A frame acked
+// before the kill was follower-durable by the replication gate; a frame
 // acked after it was written by the promoted follower itself. Any loss
 // is fatal.
 package main
@@ -130,14 +130,14 @@ func runFailover(o options) (benchResult, error) {
 	// multi-address clients bounce off it and stick with the primary.
 	follower, err := openNode(node.Config{
 		Listen: "127.0.0.1:0", Dir: filepath.Join(o.dir, "follower"),
-		Follower: true, WMEvery: 16,
+		Follower: true,
 	}, o.seed^0x5f5f, o)
 	if err != nil {
 		return benchResult{}, fmt.Errorf("starting follower: %w", err)
 	}
 	defer func() { follower.Abort() }()
 
-	// Primary: sync-replication gate in the handler, sender tailing the
+	// Primary: replication gate in the handler, sender tailing the
 	// shards over the chaos link.
 	link := &chaosLink{inj: faultnet.New(faultnet.Config{
 		Seed:        o.seed ^ 0x1ea4,
@@ -155,7 +155,6 @@ func runFailover(o options) (benchResult, error) {
 			MaxInFlight:   64,
 			Seed:          o.seed,
 		},
-		SyncRepl:    true,
 		SyncTimeout: o.syncTimeout,
 		ReplLagMax:  32 << 20,
 	}, o.seed, o)
@@ -239,7 +238,7 @@ func runFailover(o options) (benchResult, error) {
 	receiverStats := *follower.Snapshot().Follower
 	follower.stop(&tot)
 
-	// Verification: every sync-acked frame must be present and intact in
+	// Verification: every acked frame must be present and intact in
 	// the follower's cold-reopened shards.
 	res, err := conclude(o, f, filepath.Join(o.dir, "follower"), duration, tot, []crashReport{rep}, failures)
 	if err != nil {

@@ -80,7 +80,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Float64Var(&o.writeErr, "write-err", 0.0005, "disk injected write-fault probability")
 	fs.IntVar(&o.shedHigh, "shed-high", 0, "server shed high-water mark (0 = shedding off)")
 	fs.IntVar(&o.shedLow, "shed-low", 0, "server shed low-water mark")
-	fs.DurationVar(&o.syncTimeout, "sync-timeout", time.Second, "sync-replication follower ack budget per frame (failover scenario)")
+	fs.DurationVar(&o.syncTimeout, "sync-timeout", time.Second, "follower durable-ack budget per frame (failover scenario)")
 	fs.StringVar(&o.dir, "dir", "", "shard directory (default: a fresh temp dir, removed on success)")
 	fs.BoolVar(&o.verbose, "v", false, "log per-client reliability events")
 }
@@ -389,7 +389,7 @@ func (f *fleet) waitProgress(target int64) bool {
 }
 
 // ackSet records which sequence numbers a client saw acknowledged: each one
-// is a durability promise (in sync mode, covering both nodes).
+// is a durability promise (from a replicated primary, covering both nodes).
 type ackSet struct {
 	mu   sync.Mutex
 	seqs map[uint64]struct{}
@@ -424,8 +424,8 @@ type clientConfig struct {
 	// addrs switches the client to multi-address failover mode (used by
 	// the -failover scenario; overrides addr).
 	addrs []string
-	// ackTimeout overrides the 2s default resend timer (sync replication
-	// holds acks longer than a single-node server would).
+	// ackTimeout overrides the 2s default resend timer (a replicated
+	// primary holds acks longer than a single-node server would).
 	ackTimeout time.Duration
 	// onAck observes every acknowledged sequence number.
 	onAck func(seq uint64)

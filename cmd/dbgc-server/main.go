@@ -20,18 +20,20 @@
 // is acked after a group-committed fsync, which concurrent frames of every
 // tenant share.
 //
-// Replication: -replica-of ADDR runs this node as
-// the primary and streams every stored record to the follower listening at
-// ADDR; -sync-repl additionally withholds each client ack until the
-// follower has the frame durably (quorum of 2). -follower runs this node
-// as the follower: it accepts only replication traffic — client hellos and
-// frames are refused with a busy hint so multi-address clients rotate to
-// the primary — until it is promoted. -promote bumps the replication epoch
-// at startup, fencing the deposed primary; restart the surviving follower
-// with -promote (keep -follower to fence stray replication from the old
-// epoch, drop it to run as a plain server) to take over. /healthz reports
-// degraded (HTTP 503) on replication lag over -repl-lag-max, a down
-// replication link, or sticky fsync errors.
+// Replication: -replica-of ADDR runs this node as the primary and streams
+// every stored record to the follower listening at ADDR, withholding each
+// client ack until the follower has the frame durably (quorum of 2). While
+// the follower is unreachable the primary still stores every frame but
+// nacks it after -sync-timeout; the follower catches up from disk once the
+// link is back. To run on one disk, leave -replica-of out. -follower runs
+// this node as the follower: it accepts only replication traffic — client
+// hellos and frames are refused with a busy hint so multi-address clients
+// rotate to the primary — until it is promoted. -promote bumps the
+// replication epoch at startup, fencing the deposed primary; restart the
+// surviving follower with -promote (keep -follower to fence stray
+// replication from the old epoch, drop it to run as a plain server) to take
+// over. /healthz reports degraded (HTTP 503) on replication lag over
+// -repl-lag-max, a down replication link, or sticky fsync errors.
 //
 // Usage:
 //
@@ -40,9 +42,9 @@
 //	            [-tenants n] [-max-sessions n] [-sessions-per-tenant n]
 //	            [-queue-depth n] [-tenant-budget n] [-open-stores n]
 //	            [-shed-high n] [-shed-low n] [-retry-after 200ms]
-//	            [-replica-of addr] [-follower] [-promote] [-sync-repl]
+//	            [-replica-of addr] [-follower] [-promote]
 //	            [-sync-timeout 5s] [-scrub-interval 1m] [-repl-lag-max n]
-//	            [-wm-every n] [-http :7046]
+//	            [-http :7046]
 //	            [-read-timeout 60s] [-drain-timeout 10s]
 package main
 
@@ -90,14 +92,12 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.IntVar(&sc.ShedLowWater, "shed-low", 0, "in-flight level at which shed tenants are readmitted (default shed-high/2)")
 	fs.DurationVar(&sc.RetryAfter, "retry-after", 200*time.Millisecond, "retry hint attached to busy nacks")
 	fs.DurationVar(&sc.StallTimeout, "stall-timeout", 0, "cut sessions that stay backpressured this long without draining (0 = never)")
-	fs.StringVar(&rc.Addr, "replica-of", "", "run as primary, replicating every stored record to the follower at this address")
+	fs.StringVar(&rc.Addr, "replica-of", "", "run as primary: replicate every stored record to the follower at this address and ack a frame once it is durable on both")
 	fs.BoolVar(&o.Follower, "follower", false, "run as follower: accept replication, refuse client traffic until promoted")
 	fs.BoolVar(&o.Promote, "promote", false, "bump the replication epoch at startup (failover: fences the deposed primary)")
-	fs.BoolVar(&o.SyncRepl, "sync-repl", false, "with -replica-of: withhold client acks until the follower has each frame durably (quorum 2)")
-	fs.DurationVar(&o.SyncTimeout, "sync-timeout", 5*time.Second, "with -sync-repl: nack a frame if the follower ack takes longer than this")
+	fs.DurationVar(&o.SyncTimeout, "sync-timeout", node.DefaultSyncTimeout, "with -replica-of: nack a frame if the follower's durable ack takes longer than this")
 	fs.DurationVar(&rc.ScrubInterval, "scrub-interval", time.Minute, "with -replica-of: anti-entropy scrub period (0 = off)")
 	fs.Int64Var(&o.ReplLagMax, "repl-lag-max", 32<<20, "with -replica-of: /healthz degrades when replication lag exceeds this many bytes")
-	fs.IntVar(&o.WMEvery, "wm-every", 32, "with -follower: persist watermarks every this many applied records")
 	fs.StringVar(&o.httpAddr, "http", "", "serve /healthz and /metrics on this address (empty = disabled)")
 	fs.DurationVar(&sc.ReadTimeout, "read-timeout", 60*time.Second, "idle timeout per connection")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "how long to wait for sessions to finish on shutdown")

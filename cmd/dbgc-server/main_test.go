@@ -23,44 +23,52 @@ func parse(args ...string) (options, string, error) {
 }
 
 // TestFlagsReachConfig: a flag lands in the field of node.Config it names;
-// the storage and durability modes an earlier server had are not flags any
-// more.
+// the storage, durability and replication modes an earlier server had are
+// not flags any more.
 func TestFlagsReachConfig(t *testing.T) {
 	o, _, err := parse()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Verify || o.Dir != "frames" || o.Limits.MaxPoints == 0 || o.QueueDepth != 16 || o.ServerConfig.Logf == nil {
+	if o.Verify || o.Dir != "frames" || o.Limits.MaxPoints == 0 || o.QueueDepth != 16 || o.ServerConfig.Logf == nil ||
+		o.SyncTimeout != node.DefaultSyncTimeout {
 		t.Errorf("defaults: %+v", o.Config)
 	}
 	o, _, err = parse("-verify", "-max-points", "9", "-replica-of", "10.0.0.2:7045",
-		"-sync-repl", "-tenants", "3", "-http", ":1", "-drain-timeout", "2s")
+		"-sync-timeout", "3s", "-tenants", "3", "-http", ":1", "-drain-timeout", "2s")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.Verify || o.Limits.MaxPoints != 9 || o.Addr != "10.0.0.2:7045" || !o.SyncRepl ||
+	if !o.Verify || o.Limits.MaxPoints != 9 || o.Addr != "10.0.0.2:7045" || o.SyncTimeout != 3*time.Second ||
 		o.MaxTenants != 3 || o.httpAddr != ":1" || o.drainTimeout != 2*time.Second {
 		t.Errorf("flags did not reach the configuration: %+v", o)
 	}
-	for _, retired := range [][]string{{"-decompress"}, {"-partial"}, {"-fsync", "always"}} {
-		if _, out, err := parse(retired...); err == nil || !strings.Contains(out, "flag provided but not defined: "+retired[0]) {
-			t.Errorf("%s: %v, %q", retired, err, out)
+	retired := [][]string{{"-decompress"}, {"-partial"}, {"-fsync", "always"}, {"-sync-repl"}, {"-wm-every", "16"}}
+	for _, args := range retired {
+		if _, out, err := parse(args...); err == nil || !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s: %v, %q", args, err, out)
 		}
 	}
-	if _, usage, err := parse("-h"); err != flag.ErrHelp || !strings.Contains(usage, "-verify") ||
-		strings.Contains(usage, "-decompress") || strings.Contains(usage, "-partial") || strings.Contains(usage, "-fsync") {
+	_, usage, err := parse("-h")
+	if err != flag.ErrHelp || !strings.Contains(usage, "-verify") {
 		t.Errorf("-h: %v\n%s", err, usage)
+	}
+	for _, args := range retired {
+		if strings.Contains(usage, args[0]) {
+			t.Errorf("-h names the retired %s:\n%s", args[0], usage)
+		}
 	}
 }
 
-// TestSyncReplRefusedBeforeTheStoreDirExists: a -sync-repl whose ack would
-// mean one disk is refused by node.Open with nothing created.
-func TestSyncReplRefusedBeforeTheStoreDirExists(t *testing.T) {
+// TestConflictingRolesRefusedBeforeTheStoreDirExists: a command line whose
+// roles conflict — a node cannot be both a primary and a follower — is
+// refused by node.Open with nothing created.
+func TestConflictingRolesRefusedBeforeTheStoreDirExists(t *testing.T) {
 	for _, tc := range []struct {
 		name, want string
 		args       []string
 	}{
-		{"no follower", "-replica-of", []string{"-sync-repl"}},
+		{"replica-of and follower", "mutually exclusive", []string{"-replica-of", "127.0.0.1:1", "-follower"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "frames")
@@ -74,7 +82,7 @@ func TestSyncReplRefusedBeforeTheStoreDirExists(t *testing.T) {
 				t.Fatal("accepted")
 			}
 			if !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("refusal %q does not name %s", err, tc.want)
+				t.Errorf("refusal %q does not say %s", err, tc.want)
 			}
 			if _, serr := os.Stat(dir); !os.IsNotExist(serr) {
 				t.Errorf("a refused command line created %s", dir)

@@ -20,10 +20,7 @@ func TestBeatsBaselines(t *testing.T) {
 	q := 0.02
 	for _, kind := range []lidar.SceneKind{lidar.City, lidar.Campus, lidar.Road} {
 		pc := frame(t, kind)
-		data, stats, err := Compress(pc, DefaultOptions(q))
-		if err != nil {
-			t.Fatal(err)
-		}
+		data, stats := defaultFrame(t, kind)
 		o, err := octree.Encode(pc, q)
 		if err != nil {
 			t.Fatal(err)

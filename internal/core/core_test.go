@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,7 +17,14 @@ import (
 var (
 	framesMu sync.Mutex
 	frames   = map[lidar.SceneKind]geom.PointCloud{}
+	defaults = map[lidar.SceneKind]compressed{}
 )
+
+// compressed is one frame as Compress returned it.
+type compressed struct {
+	data  []byte
+	stats Stats
+}
 
 // paperOptions is DefaultOptions with the paper's §3.5 coders (ContextModel
 // off): the v2 container the dialect tests build theirs from and compare
@@ -40,6 +49,29 @@ func frame(t testing.TB, kind lidar.SceneKind) geom.PointCloud {
 	pc := lidar.HDL64E().Simulate(scene, 1)
 	frames[kind] = pc
 	return pc
+}
+
+// defaultFrame is frame(t, kind) compressed under DefaultOptions(0.02),
+// memoised like frame: the tests that only read that frame share one
+// compression. Each call returns its own copy of the bytes and the stats,
+// since some callers damage the frame they are given.
+func defaultFrame(t testing.TB, kind lidar.SceneKind) ([]byte, *Stats) {
+	t.Helper()
+	pc := frame(t, kind)
+	framesMu.Lock()
+	defer framesMu.Unlock()
+	c, ok := defaults[kind]
+	if !ok {
+		data, stats, err := Compress(pc, DefaultOptions(0.02))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c = compressed{data, *stats}
+		defaults[kind] = c
+	}
+	stats := c.stats
+	stats.Mapping = slices.Clone(c.stats.Mapping)
+	return bytes.Clone(c.data), &stats
 }
 
 // verifyRoundTrip checks the one-to-one mapping and the error bound for a
@@ -82,13 +114,8 @@ func TestCompressDecompressAllScenes(t *testing.T) {
 	for _, kind := range lidar.AllScenes {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			pc := frame(t, kind)
-			opts := DefaultOptions(0.02)
-			data, stats, err := Compress(pc, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			verifyRoundTrip(t, pc, data, stats, opts.Q)
+			data, stats := defaultFrame(t, kind)
+			verifyRoundTrip(t, frame(t, kind), data, stats, 0.02)
 			if r := stats.CompressionRatio(); r < 8 {
 				t.Errorf("%s: compression ratio %.2f below expectation", kind, r)
 			}
@@ -98,7 +125,7 @@ func TestCompressDecompressAllScenes(t *testing.T) {
 
 func TestErrorBounds(t *testing.T) {
 	pc := frame(t, lidar.City)
-	for _, q := range []float64{0.0006, 0.005, 0.02} {
+	for _, q := range []float64{0.0006, 0.005} {
 		opts := DefaultOptions(q)
 		data, stats, err := Compress(pc, opts)
 		if err != nil {
@@ -106,15 +133,21 @@ func TestErrorBounds(t *testing.T) {
 		}
 		verifyRoundTrip(t, pc, data, stats, q)
 	}
+	data, stats := defaultFrame(t, lidar.City)
+	verifyRoundTrip(t, pc, data, stats, 0.02)
 }
 
 func TestRatioImprovesWithLooserBound(t *testing.T) {
 	pc := frame(t, lidar.City)
+	_, def := defaultFrame(t, lidar.City)
 	var prev float64
 	for _, q := range []float64{0.0006, 0.0025, 0.01, 0.02} {
-		_, stats, err := Compress(pc, DefaultOptions(q))
-		if err != nil {
-			t.Fatal(err)
+		stats := def
+		if q != 0.02 {
+			var err error
+			if _, stats, err = Compress(pc, DefaultOptions(q)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		r := stats.CompressionRatio()
 		if r <= prev {
@@ -159,7 +192,8 @@ func TestClusteringBeatsExtremes(t *testing.T) {
 		}
 		return stats.CompressionRatio()
 	}
-	clustered := ratio(DefaultOptions(0.02))
+	_, def := defaultFrame(t, lidar.City)
+	clustered := def.CompressionRatio()
 	allOctree := func() Options { o := DefaultOptions(0.02); o.ForceOctreeFraction = 1; return o }()
 	allSparse := func() Options { o := DefaultOptions(0.02); o.ForceOctreeFraction = 0; return o }()
 	rOct := ratio(allOctree)

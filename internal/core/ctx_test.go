@@ -85,13 +85,7 @@ func TestContextModelEquivalence(t *testing.T) {
 // production limits, and a MaxContexts cap below the stream's context count
 // rejects the frame up front instead of building the tables.
 func TestContextModelUnderLimits(t *testing.T) {
-	pc := frame(t, lidar.City)
-	opts := paperOptions(0.02)
-	opts.ContextModel = true
-	data, _, err := Compress(pc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, _ := defaultFrame(t, lidar.City)
 	if _, err := DecompressWith(data, DecompressOptions{Limits: DefaultDecodeLimits()}); err != nil {
 		t.Fatalf("default limits reject a real v5 frame: %v", err)
 	}
@@ -127,13 +121,7 @@ func TestContextModelCorrupt(t *testing.T) {
 
 // TestContextModelRegion: region queries work on v5 frames.
 func TestContextModelRegion(t *testing.T) {
-	pc := frame(t, lidar.City)
-	opts := paperOptions(0.02)
-	opts.ContextModel = true
-	data, _, err := Compress(pc, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, _ := defaultFrame(t, lidar.City)
 	full, err := Decompress(data)
 	if err != nil {
 		t.Fatal(err)

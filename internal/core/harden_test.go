@@ -88,11 +88,7 @@ func TestDecodeLimitsEnforced(t *testing.T) {
 // byte-identically to a full decode of the pristine frame while reporting
 // the damaged one.
 func TestDecompressPartialRecoversIntactSections(t *testing.T) {
-	pc := frame(t, lidar.City)
-	data, stats, err := Compress(pc, DefaultOptions(0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
+	data, stats := defaultFrame(t, lidar.City)
 	if stats.NumDense == 0 || stats.NumSparse == 0 || stats.NumOutliers == 0 {
 		t.Fatalf("test frame must populate all sections, got %d/%d/%d",
 			stats.NumDense, stats.NumSparse, stats.NumOutliers)

@@ -19,10 +19,7 @@ func TestRatioSmoke(t *testing.T) {
 	ratio := func(data []byte) float64 {
 		return float64(len(pc)*12) / float64(len(data))
 	}
-	def, _, err := Compress(pc, DefaultOptions(0.02))
-	if err != nil {
-		t.Fatal(err)
-	}
+	def, _ := defaultFrame(t, lidar.City)
 	if r := ratio(def); r < 21.0 {
 		t.Errorf("default compression ratio %.2f below the 21.0 floor", r)
 	}

@@ -57,11 +57,7 @@ func regionBoxes(full geom.PointCloud) map[string]geom.AABB {
 func TestDecompressRegion(t *testing.T) {
 	inputs := map[string][]byte{}
 	for _, kind := range []lidar.SceneKind{lidar.City, lidar.Road} {
-		data, _, err := Compress(frame(t, kind), DefaultOptions(0.02))
-		if err != nil {
-			t.Fatal(err)
-		}
-		inputs[string(kind)] = data
+		inputs[string(kind)], _ = defaultFrame(t, kind)
 	}
 	for _, file := range []string{"default", "shards8", "blockpack", "ctx"} { // v2, v3, v4, v5
 		data, err := os.ReadFile("testdata/city-sector-" + file + ".dbgc")

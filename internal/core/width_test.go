@@ -162,7 +162,6 @@ func TestWidthInvariance(t *testing.T) {
 		{"default", func(*Options) {}},
 		{"exact", func(o *Options) { o.ExactClustering = true }},
 		{"shards8", func(o *Options) { o.Shards = 8 }},
-		{"ctx", func(o *Options) { o.ContextModel = true }}, // the default, spelled out
 		{"blockpack", func(o *Options) { o.BlockPackForce = true }},
 		{"paper", func(o *Options) { o.ContextModel = false }},
 	}

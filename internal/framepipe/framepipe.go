@@ -5,8 +5,8 @@
 // order.
 //
 // How wide is not the caller's to say: like internal/par, a Window reads it
-// from GOMAXPROCS. A frame that depends on the one before it is the caller's
-// business too — it calls Drain before submitting that frame.
+// from GOMAXPROCS. No frame depends on another, so the caller calls Drain
+// only at the end of its stream.
 package framepipe
 
 import "runtime"

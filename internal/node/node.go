@@ -2,7 +2,7 @@
 // store B) as one importable value. Open assembles tenant shards → commit
 // group → replication role → reliable.Server, and the package owns the only
 // copy of what runs per frame: the handler, the fsync commit, the
-// sync-replication gate, the querier, the quarantiner and the health
+// replication gate, the querier, the quarantiner and the health
 // probes. cmd/dbgc-server is this package behind flags; cmd/dbgc-loadgen
 // crashes this package's nodes, not replicas of them.
 //
@@ -12,9 +12,9 @@
 // sections that still do.
 //
 // The contract: an ack means durable — every frame is group-committed
-// (store.Group) before it is acked — and with SyncRepl durable on two
-// disks. A frame's shard stays pinned across Append → Commit → WaitDurable,
-// the sequence bench/service.go mirrors;
+// (store.Group) before it is acked — and, on a primary, durable on the
+// follower's disk too. A frame's shard stays pinned across Append → Commit →
+// WaitDurable, the sequence bench/service.go mirrors;
 // Append itself hands the record to the replication sender, so the follower's
 // fsync runs beside the local one and the ack waits for the later of the two.
 package node
@@ -62,26 +62,29 @@ type Config struct {
 	// Open fills Handle, Query, Quarantine, ReplHello, ReplRecord, NotReady.
 	reliable.ServerConfig
 
-	// Follower accepts replication and busy-nacks clients until promoted,
-	// persisting watermarks every WMEvery applied records. Promote bumps
-	// the replication epoch before the node serves (fencing the deposed
-	// primary).
+	// Follower accepts replication and busy-nacks clients until promoted.
+	// Promote bumps the replication epoch before the node serves (fencing
+	// the deposed primary).
 	Follower bool
 	Promote  bool
-	WMEvery  int
 
 	// SenderConfig.Addr, when set, makes this node the primary of the
 	// follower listening there; ScrubInterval, Poll, MaxInFlight, Seed and
 	// DialTo (default: TCP, 5 s timeout) shape the link. Open fills Shards,
-	// Epoch and Logf. SyncRepl withholds each client ack until the follower
-	// has the frame durably, nacking after SyncTimeout; it needs Addr, or
-	// the ack would not mean two disks. /healthz degrades once replication
-	// lag exceeds ReplLagMax bytes (0 = never).
+	// Epoch and Logf. A primary withholds each client ack until the
+	// follower has the frame durably, nacking after SyncTimeout (default
+	// DefaultSyncTimeout): while the follower is unreachable every frame is
+	// stored and nacked, and the follower catches up from disk later.
+	// /healthz degrades once replication lag exceeds ReplLagMax bytes
+	// (0 = never).
 	replica.SenderConfig
-	SyncRepl    bool
 	SyncTimeout time.Duration
 	ReplLagMax  int64
 }
+
+// DefaultSyncTimeout is how long a primary waits for the follower's ack of
+// a frame when Config.SyncTimeout is not positive.
+const DefaultSyncTimeout = 5 * time.Second
 
 // Node is a running server. Open builds it, Serve accepts connections,
 // Close tears it down.
@@ -104,11 +107,11 @@ type Node struct {
 // happens before anything serves: the epoch bump must be durable before the
 // first client frame is acked. On error nothing is left running.
 func Open(cfg Config) (_ *Node, err error) {
-	switch {
-	case cfg.Addr != "" && cfg.Follower:
+	if cfg.Addr != "" && cfg.Follower {
 		return nil, errors.New("node: -replica-of and -follower are mutually exclusive")
-	case cfg.SyncRepl && cfg.Addr == "":
-		return nil, errors.New("node: -sync-repl needs a follower (-replica-of): an ack would mean one disk")
+	}
+	if cfg.SyncTimeout <= 0 {
+		cfg.SyncTimeout = DefaultSyncTimeout
 	}
 	n := &Node{cfg: cfg, logf: cfg.ServerConfig.Logf}
 	if n.logf == nil {
@@ -136,7 +139,7 @@ func Open(cfg Config) (_ *Node, err error) {
 		n.logf("promoted: replication epoch now %d", epoch)
 	}
 	if cfg.Follower {
-		if n.receiver, err = replica.NewReceiver(n.shards, n.group, cfg.WMEvery); err != nil {
+		if n.receiver, err = replica.NewReceiver(n.shards, n.group, 0); err != nil {
 			return nil, fmt.Errorf("node: follower setup: %w", err)
 		}
 		if cfg.Promote {
@@ -164,7 +167,7 @@ func Open(cfg Config) (_ *Node, err error) {
 			return nil, fmt.Errorf("node: replication sender: %w", err)
 		}
 		go n.sender.Run()
-		n.logf("replicating to %s (epoch %d, sync=%v)", cfg.Addr, meta.Epoch, cfg.SyncRepl)
+		n.logf("replicating to %s (epoch %d)", cfg.Addr, meta.Epoch)
 	}
 
 	if n.ln, err = net.Listen("tcp", cfg.Listen); err != nil {
@@ -326,17 +329,17 @@ func (n *Node) Snapshot() Snapshot {
 	return out
 }
 
-// gate finishes one frame's replication obligations after local commit: in
-// sync mode the ack is withheld until the follower confirms durability of
+// gate finishes one frame's replication obligations after local commit: on
+// a primary the ack is withheld until the follower confirms durability of
 // the record Append handed to the sender.
 func (n *Node) gate(tenant string, end int64) error {
-	if n.sender == nil || !n.cfg.SyncRepl {
+	if n.sender == nil {
 		return nil
 	}
 	if err := n.sender.WaitDurable(tenant, end, n.cfg.SyncTimeout); err != nil {
 		// Nack: the client retransmits, and the retry waits again. The
-		// frame is locally durable but unconfirmed on the follower — in
-		// sync mode that is not yet an ackable state.
+		// frame is locally durable but unconfirmed on the follower, which
+		// is not yet an ackable state.
 		return fmt.Errorf("sync replication: %w", err)
 	}
 	return nil
@@ -368,7 +371,7 @@ func (n *Node) handle(tenant string, m netproto.Message) error {
 	if err := n.group.Commit(st); err != nil {
 		return err
 	}
-	// Local durability first, then the replication gate: a sync-mode ack
+	// Local durability first, then the replication gate: a primary's ack
 	// proves the frame is on both nodes' disks.
 	return n.gate(tenant, end)
 }

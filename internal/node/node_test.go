@@ -133,20 +133,21 @@ func sameMultiset(a, b dbgc.PointCloud) bool {
 	return true
 }
 
-// TestOpenValidatesConfig: the combinations Open refuses — a -sync-repl
-// whose ack would mean one disk among them — are refused before anything
-// touches the disk, and the ones it accepts open and close cleanly.
+// TestOpenValidatesConfig: the combinations Open refuses are refused before
+// anything touches the disk, and the ones it accepts open and close cleanly.
+// A primary configured with nothing but its follower's address acks a frame
+// through it: a zero SyncTimeout takes the default, not a zero budget.
 func TestOpenValidatesConfig(t *testing.T) {
 	const dead = "127.0.0.1:1" // a sender keeps redialing; nothing needs to answer
 	to := func(addr string) replica.SenderConfig { return replica.SenderConfig{Addr: addr} }
+	live := openNode(t, Config{Follower: true})
 	for _, tc := range []struct {
 		name    string
 		cfg     Config
 		wantErr string
 	}{
-		{"async replication", Config{SenderConfig: to(dead)}, ""},
-		{"sync-repl, fsync always", Config{SenderConfig: to(dead), SyncRepl: true}, ""},
-		{"sync-repl without follower", Config{SyncRepl: true}, "-replica-of"},
+		{"primary", Config{SenderConfig: to(dead)}, ""},
+		{"primary with zero SyncTimeout acks", Config{SenderConfig: to(live.Addr())}, ""},
 		{"primary and follower", Config{SenderConfig: to(dead), Follower: true}, "mutually exclusive"},
 		{"follower", Config{Follower: true}, ""},
 		{"follower promoted at start", Config{Follower: true, Promote: true}, ""},
@@ -159,6 +160,16 @@ func TestOpenValidatesConfig(t *testing.T) {
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("refused: %v", err)
+				}
+				if cfg.Addr == live.Addr() {
+					go n.Serve()
+					cli := dial(t, n, reliable.Options{Tenant: "acme", FrameRetries: 1})
+					if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 1, Payload: []byte("x")}); err != nil {
+						t.Fatal(err)
+					}
+					if err := cli.Close(); err != nil {
+						t.Errorf("a primary with a zero SyncTimeout did not ack through a live follower: %v", err)
+					}
 				}
 				closeNode(t, n)
 				return
@@ -478,23 +489,21 @@ func TestCorruptRetransmitNeverShadows(t *testing.T) {
 }
 
 // openPair opens a follower and a primary replicating to it.
-func openPair(t *testing.T, syncRepl bool) (primary, follower *Node) {
+func openPair(t *testing.T) (primary, follower *Node) {
 	t.Helper()
-	follower = openNode(t, Config{Follower: true, WMEvery: 4})
+	follower = openNode(t, Config{Follower: true})
 	primary = openNode(t, Config{
 		SenderConfig: replica.SenderConfig{Addr: follower.Addr(), Poll: 2 * time.Millisecond},
-		SyncRepl:     syncRepl,
-		SyncTimeout:  5 * time.Second,
 		ReplLagMax:   32 << 20,
 	})
 	return primary, follower
 }
 
-// TestSyncReplicatedPairSurvivesOnFollower: every frame a sync-replicated
+// TestReplicatedPairSurvivesOnFollower: every frame a replicated
 // primary acked is byte-identical in the follower's directory after a cold
 // reopen — the ack meant two disks.
-func TestSyncReplicatedPairSurvivesOnFollower(t *testing.T) {
-	primary, follower := openPair(t, true)
+func TestReplicatedPairSurvivesOnFollower(t *testing.T) {
+	primary, follower := openPair(t)
 	payload := func(tenant string, seq uint64) []byte {
 		return bytes.Repeat([]byte(fmt.Sprintf("%s/%d ", tenant, seq)), 50)
 	}
@@ -572,7 +581,7 @@ func (f heldSync) Sync() error {
 	return f.File.Sync()
 }
 
-// TestSyncAckWaitsForTheLaterFsync: the two fsyncs of a sync-replicated ack
+// TestSyncAckWaitsForTheLaterFsync: the two fsyncs of a replicated ack
 // run side by side because Append hands the record to the sender, not because
 // of how the goroutines happen to be scheduled. Hold the primary's fsync and
 // the follower still gets the record, makes it durable and acks it; hold the
@@ -590,8 +599,8 @@ func TestSyncAckWaitsForTheLaterFsync(t *testing.T) {
 				}
 				return heldSync{faultnet.NewDisk(f, 0, faultnet.DiskConfig{}), hold}, nil
 			}
-			fcfg := Config{Follower: true, WMEvery: 4}
-			pcfg := Config{SyncRepl: true, SyncTimeout: 5 * time.Second}
+			fcfg := Config{Follower: true}
+			var pcfg Config
 			if held == "primary" {
 				pcfg.OpenFile = openHeld
 			} else {
@@ -651,11 +660,10 @@ func TestSyncAckWaitsForTheLaterFsync(t *testing.T) {
 // and the watermark reaches the primary's end.
 func TestReplicationLinkPacedByTransport(t *testing.T) {
 	const frames, syncTimeout = 64, 5 * time.Second
-	follower := openNode(t, Config{Follower: true, WMEvery: 4,
+	follower := openNode(t, Config{Follower: true,
 		ServerConfig: reliable.ServerConfig{QueueDepth: 8}})
 	primary := openNode(t, Config{
 		SenderConfig: replica.SenderConfig{Addr: follower.Addr(), Poll: 2 * time.Millisecond, MaxInFlight: frames},
-		SyncRepl:     true,
 		SyncTimeout:  syncTimeout,
 	})
 	// 64 KB a frame: 4 MB is more than the link's socket buffers hold, so
@@ -775,33 +783,54 @@ func TestFollowerRefusesClientsUntilPromoted(t *testing.T) {
 	}
 }
 
-// TestFencedPrimaryReportsUnhealthy: once the follower is promoted, the
-// deposed primary's next shipped record is refused and /healthz degrades.
+// TestFencedPrimaryReportsUnhealthy: a fenced primary never acks. Once the
+// follower is promoted, the deposed primary's next frame is nacked until the
+// client gives up on it, the promoted node does not hold it, and /healthz
+// degrades.
 func TestFencedPrimaryReportsUnhealthy(t *testing.T) {
-	primary, follower := openPair(t, false)
-	cli := dial(t, primary, reliable.Options{Tenant: "acme"})
-	send := func(seq uint64) {
-		t.Helper()
+	primary, follower := openPair(t)
+	var mu sync.Mutex
+	var acked []uint64
+	cli := dial(t, primary, reliable.Options{Tenant: "acme", FrameRetries: 2, OnAck: func(seq uint64) {
+		mu.Lock()
+		acked = append(acked, seq)
+		mu.Unlock()
+	}})
+	send := func(seq uint64) error {
 		if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: []byte("x")}); err != nil {
-			t.Fatal(err)
+			return err
 		}
-		if err := cli.Flush(); err != nil {
-			t.Fatal(err)
-		}
+		return cli.Flush()
 	}
-	send(1)
-	waitFor(t, "replication caught up", func() bool { return follower.Snapshot().Follower.Records == 1 })
+	if err := send(1); err != nil {
+		t.Fatal(err)
+	}
 	if st := primary.Health().Evaluate(); st.Status != "ok" {
 		t.Fatalf("primary before the promotion reports %+v", st)
 	}
 	if _, err := follower.Promote(); err != nil {
 		t.Fatal(err)
 	}
-	send(2)
-	waitFor(t, "primary fenced", func() bool { return primary.Snapshot().Repl.Fenced })
-	st := primary.Health().Evaluate()
-	if st.Status != "degraded" || len(st.Reasons) != 1 || !strings.Contains(st.Reasons[0], "fenced") {
-		t.Errorf("fenced primary reports %+v", st)
+	if err := send(2); !errors.Is(err, reliable.ErrFrameRejected) {
+		t.Errorf("frame 2, sent to the deposed primary, ended with %v; want ErrFrameRejected", err)
+	}
+	mu.Lock()
+	if len(acked) != 1 || acked[0] != 1 {
+		t.Errorf("acks %v, want frame 1 only", acked)
+	}
+	mu.Unlock()
+	st, err := follower.shards.Acquire("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = st.Get(2)
+	follower.shards.Release("acme")
+	if !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("the promoted node's frame 2: %v, want it never stored", err)
+	}
+	health := primary.Health().Evaluate()
+	if health.Status != "degraded" || len(health.Reasons) != 1 || !strings.Contains(health.Reasons[0], "fenced") {
+		t.Errorf("fenced primary reports %+v", health)
 	}
 	if err := cli.Close(); err != nil {
 		t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 	"dbgc/internal/store"
 )
 
-// ErrReplTimeout reports that a sync-replication wait outlived its budget:
+// ErrReplTimeout reports that a replication wait outlived its budget:
 // the record is locally durable but not yet confirmed on the follower.
 var ErrReplTimeout = errors.New("replica: timed out waiting for follower durability")
 
@@ -364,9 +364,9 @@ func (s *Sender) Stats() SenderStats {
 
 // WaitDurable blocks until every record of the tenant with end offset at
 // or below end has been acked by the follower (applied and fsynced there),
-// or the timeout passes. This is the sync-replication gate: a server
-// handler acks its client only after WaitDurable returns nil, so a synced
-// ack proves the frame exists durably on two nodes.
+// or the timeout passes. This is the replication gate: a primary's
+// handler acks its client only after WaitDurable returns nil, so its ack
+// proves the frame exists durably on two nodes.
 func (s *Sender) WaitDurable(tenant string, end int64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	s.mu.Lock()

@@ -1,6 +1,7 @@
 package dbgc_test
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -20,6 +21,9 @@ import (
 // itself reports or takes — Stats' DEN + OCT + COR + ORG + SPA + OUT for
 // Compress, wall time for the two decodes — a missing or doubled stage being
 // far outside the factor of two the comparison of two separate runs allows.
+// Every time compared is the fastest of a few runs: on a host shared with
+// other work a run can be held off its processor for longer than a stage
+// takes, and that says nothing about the stages.
 func TestReplayStages(t *testing.T) {
 	pc, err := benchkit.Frame(lidar.Road, 1)
 	if err != nil {
@@ -46,40 +50,58 @@ func TestReplayStages(t *testing.T) {
 			t.Errorf("%s: stages add up to %v of a replay that took %v", what, stages, replay)
 		}
 	}
+	const runs = 5
+	// fastest times run runs times and returns the shortest wall time; keep
+	// is told each time a run is the fastest so far.
+	fastest := func(run func() (core.StageTimes, error), keep func(core.StageTimes)) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for range runs {
+			t0 := time.Now()
+			times, err := run()
+			took := time.Since(t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if took < best {
+				best = took
+				keep(times)
+			}
+		}
+		return best
+	}
+	discard := func(core.StageTimes) {}
 	partest.At(1, func() {
-		data, stats, err := dbgc.Compress(pc, opts)
-		if err != nil {
-			t.Fatal(err)
+		var data []byte
+		call := time.Duration(math.MaxInt64)
+		for range runs {
+			out, stats, err := dbgc.Compress(pc, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = out
+			call = min(call, stats.DEN+stats.OCT+stats.COR+stats.ORG+stats.SPA+stats.OUT)
 		}
-		t0 := time.Now()
-		enc, err := core.ReplayStages(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replay := time.Since(t0)
+		var enc core.StageTimes
+		replay := fastest(func() (core.StageTimes, error) { return core.ReplayStages(pc, opts) },
+			func(times core.StageTimes) { enc = times })
 		stages := sum(enc, "cluster.split", "octree.encode", "sparse.encode", "outlier.encode")
 		within("compress", stages, replay)
-		about("compress", stages, stats.DEN+stats.OCT+stats.COR+stats.ORG+stats.SPA+stats.OUT)
+		about("compress", stages, call)
 		if org := sum(enc, "polyline.organize"); org >= enc["sparse.encode"] {
 			t.Errorf("polyline.organize %v is not inside sparse.encode %v", org, enc["sparse.encode"])
 		}
 
-		t0 = time.Now()
-		if _, err := dbgc.Decompress(data); err != nil {
-			t.Fatal(err)
-		}
-		full := time.Since(t0)
-		t0 = time.Now()
-		if _, err := dbgc.DecompressRegion(data, box); err != nil {
-			t.Fatal(err)
-		}
-		region := time.Since(t0)
-		t0 = time.Now()
-		dec, err := core.ReplayDecode(data, box)
-		if err != nil {
-			t.Fatal(err)
-		}
-		replay = time.Since(t0)
+		full := fastest(func() (core.StageTimes, error) {
+			_, err := dbgc.Decompress(data)
+			return nil, err
+		}, discard)
+		region := fastest(func() (core.StageTimes, error) {
+			_, err := dbgc.DecompressRegion(data, box)
+			return nil, err
+		}, discard)
+		var dec core.StageTimes
+		replay = fastest(func() (core.StageTimes, error) { return core.ReplayDecode(data, box) },
+			func(times core.StageTimes) { dec = times })
 		fullStages := sum(dec, "octree.decode", "sparse.decode", "outlier.decode")
 		regionStages := sum(dec, "octree.region", "sparse.region", "outlier.region")
 		within("decode and region decode", fullStages+regionStages, replay)
