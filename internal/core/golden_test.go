@@ -57,13 +57,15 @@ func pointsSHA(pc geom.PointCloud) string {
 // method marker; their parentBytes is the same options' frame with
 // ContextModel off plus the bytes the dialect adds (a dialect byte, a
 // methods byte a radial group, a marker an occupancy stream), which choosing
-// by price may never exceed. A change that means to alter a hash updates it
-// here.
+// by price may never exceed. The v5 rows' byte and point hashes were
+// re-recorded when the v5 sparse stream took the forward-first order
+// (polylines cut at x = 0, the pieces ahead of the sensor first), with their
+// parentBytes kept. A change that means to alter a hash updates it here.
 func TestCompressGolden(t *testing.T) {
 	// Exact clustering labels a few points differently, so it decodes to
 	// other points, and the octree outlier mode snaps outliers to other
-	// cell centres; the sharded, blockpacked and context dialects code the
-	// same symbols as the paper's, so they decode to the same ones.
+	// cell centres; the sharded and blockpacked dialects code the same
+	// symbols as the paper's, so they decode to the same ones.
 	const (
 		cityPts  = "eddd57313485ff508721cc91e400b7d19d8184979e11b059876225d714e0d2a1"
 		cityLane = "80891f6c185194decce38070457a355764d0a4be2946cea349b811b0590ed186"
@@ -74,6 +76,17 @@ func TestCompressGolden(t *testing.T) {
 		cityOctLane = "dd88e60ae2030188c326cb197f36df8e5c6345cf4d0f850c3cce8a1151c1c9fa"
 		roadOctPts  = "e2436a27564d72a5d83298ca7b2875fced5161efc08c1bb204bbdb4e9a4de7ed"
 		roadOctLane = "e3d150ae63e7c6d5c9a2706de7a4511dd17ea576ce6e4ded3eea6397248d8e4f"
+
+		// The v5 dialect writes the forward-first order: the same points
+		// as the paper's coders, in another order (TestContextModelEquivalence
+		// holds the multisets equal). The city frame's lane-box points come
+		// out in the paper's order.
+		cityCtxPts     = "23874bfc9c20c3b19a1b00f171efc8a7c8f973878f60801dcc07eb3792cf89ac"
+		roadCtxPts     = "60b3fff69f389ca1c0415eb45c97d69e341aca63d7938e0418497ffab37f5b80"
+		roadCtxLane    = "68aa93632c2163343115176a0ed9b3904d82fee877c46562bed86c8621875afa"
+		cityOctCtxPts  = "362bb1b42badf144ce19d41e822023200babb2bb802fbb721a18b5b2a9ff845e"
+		roadOctCtxPts  = "5a9e367fa8270a309e0a5669ee906e892fa7e5d9ee7d9eccb7e5eadab7bb1606"
+		roadOctCtxLane = "6bbbdbbf8b13d53e59b4428181bcb7abd778ea8e6b3c7654e5b07983cd30c128"
 	)
 	blockpack := func(o *Options) { o.BlockPackForce = true }
 	shards8 := func(o *Options) { o.Shards = 8 }
@@ -98,19 +111,19 @@ func TestCompressGolden(t *testing.T) {
 		{lidar.City, "shards8", shards8,
 			"9eb3f1f029477e7147542ff4b93c2f4e47da7090c88c22cef996bc4a99161b15", cityPts, cityLane, 72680},
 		{lidar.City, "default", ctx,
-			"4ceb44d68a6661389c330d6c743948dddd089ba06cea0b7464563240b91551c6", cityPts, cityLane, 72195 + 8},
+			"9895533e94a436e4d15367a2a2d8a7d0e0b6355d756544f4a7581143f85d6c7b", cityCtxPts, cityLane, 72195 + 8},
 		{lidar.City, "blockpack", blockpack,
 			"8fd3cec5b5d599e7ea63151d6cea888a0229b8489d28750eeb6a0f088a0af360", cityPts, cityLane, 106339},
 		{lidar.City, "shards8+ctx", both(shards8, ctx),
-			"737d0d97bbe16e404c1a91968c4a121bfbf8caab1ccae02ea6882ddbb8f385c5", cityPts, cityLane, 72377 + 8},
+			"dda88a12e7dae2932fdc7f3ac222b17c4c5b6130579aa2151defebd97290dbbc", cityCtxPts, cityLane, 72377 + 8},
 		{lidar.City, "blockpack+ctx", both(blockpack, ctx),
-			"6ec5f23d99c152fd8b26345ccbc70104905f20e8eb775cc56f88204939dc6fe7", cityPts, cityLane, 106339 + 8},
+			"496af94f51afc5fbbbf1df73061128fd2f4ef65ca2fd594e51ac6dc0dddcb648", cityCtxPts, cityLane, 106339 + 8},
 		{lidar.City, "blockpack+shards8", both(blockpack, shards8),
 			"468da3ebab4ed2b8782ad094ca7cae3468ef2c826d14619c8bb407d93de89705", cityPts, cityLane, 106413},
 		{lidar.City, "outlier-octree", outlierOctree,
 			"be51c89af7553e8e1306e1fde373798962b6fbebb289bff8cf81918a6481f864", cityOctPts, cityOctLane, 72201},
 		{lidar.City, "outlier-octree+ctx", both(outlierOctree, ctx),
-			"4b3e700610b691a1117989a233f10b23b61f158a012ed71dcdf29c1da811b20c", cityOctPts, cityOctLane, 72201 + 9},
+			"ce0cc77d3acb2d54e7c0538f3b1769af2f34a78130ed341aff61d67dcf7180d9", cityOctCtxPts, cityOctLane, 72201 + 9},
 		{lidar.Road, "paper", func(*Options) {},
 			"65ecc49cb802db312f73c86dc0aee98750e42debe7fc91da81f7819cd423aa9a", roadPts, roadLane, 82741},
 		{lidar.Road, "exact", func(o *Options) { o.ExactClustering = true },
@@ -120,19 +133,19 @@ func TestCompressGolden(t *testing.T) {
 		{lidar.Road, "shards8", shards8,
 			"c4fd4be204a0e43c2776e4cebfde40af7e3e2f4ab86f59b489e0beb72c1e7465", roadPts, roadLane, 82921},
 		{lidar.Road, "default", ctx,
-			"27592afc51ce64f4f09232ae6a9dbb058668119e53f39094ee734a2378c8ff47", roadPts, roadLane, 82546 + 8},
+			"beb2b7ed1ccb1f9ea73284034fed6390aefcdd6b388578b8d8ff171ed46da247", roadCtxPts, roadCtxLane, 82546 + 8},
 		{lidar.Road, "blockpack", blockpack,
 			"387bb006868625dd51402417084bd807d77ffaa08a3aa353a7229e3ec92168c4", roadPts, roadLane, 122744},
 		{lidar.Road, "shards8+ctx", both(shards8, ctx),
-			"ed937458968ec2b20811efcf0e6cc9d59fd00695be6bcdba5902c19ecf6df9cb", roadPts, roadLane, 82726 + 8},
+			"8882892fdfff4e2d02091ee0edcf7950fdcd7f1e10c1215f6c7324a3337b5c4b", roadCtxPts, roadCtxLane, 82726 + 8},
 		{lidar.Road, "blockpack+ctx", both(blockpack, ctx),
-			"cce9943a3f52cdb9acf2d7149128434aff96237bd908831e18e886714b12d215", roadPts, roadLane, 122744 + 8},
+			"62472e3c262012e5e233bc6434de5c0b5905b7bbe916ddee40dded66e469c850", roadCtxPts, roadCtxLane, 122744 + 8},
 		{lidar.Road, "blockpack+shards8", both(blockpack, shards8),
 			"6bbbdbdae2b63df0910dc73692fa3650842a226df1778822bfbbea5b5351279c", roadPts, roadLane, 122677},
 		{lidar.Road, "outlier-octree", outlierOctree,
 			"acc0a1a32a8a2b927377ea1f4db4b094e98c4e8aba473a20fdd92370030f6792", roadOctPts, roadOctLane, 82884},
 		{lidar.Road, "outlier-octree+ctx", both(outlierOctree, ctx),
-			"ef5d9d4a90bead38d3a6df42504fc71479421749cf51dd8184cb27286738a136", roadOctPts, roadOctLane, 82884 + 9},
+			"db92d7de4db2e09bc96ad5b5af50a176206033109b10d9c7dabe5fd90804b811", roadOctCtxPts, roadOctCtxLane, 82884 + 9},
 	}
 	for _, g := range golden {
 		pc := frame(t, g.kind) // layout 1, sensor seed 1

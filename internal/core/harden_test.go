@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"dbgc/internal/geom"
@@ -208,6 +209,16 @@ func TestV1FramesRefused(t *testing.T) {
 			t.Errorf("%s: returned %d points from a refused frame", name, len(pts))
 		}
 	}
+}
+
+// sameMultiset reports whether a and b hold the same points, in any order.
+func sameMultiset(a, b geom.PointCloud) bool {
+	sorted := func(pc geom.PointCloud) geom.PointCloud {
+		pc = slices.Clone(pc)
+		slices.SortFunc(pc, geom.Point.Compare)
+		return pc
+	}
+	return cloudsEqual(sorted(a), sorted(b))
 }
 
 func cloudsEqual(a, b geom.PointCloud) bool {

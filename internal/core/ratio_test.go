@@ -85,7 +85,8 @@ func TestDefaultNeverLargerThanPaper(t *testing.T) {
 // rough size, on every sensor the simulator has and at half and twice the
 // HDL-64E's range noise, or it is a property of one simulated sensor. The
 // default frame is at most 0.985 of the paper-coded frame on every row
-// (measured: 0.962 to 0.980).
+// (measured: 0.970 to 0.9845, the top one VLP-16 on the road scene, where
+// the sparse stream's forward-first order costs the most).
 func TestRatioAdmission(t *testing.T) {
 	noise := func(sigma float64) lidar.SensorConfig {
 		s := lidar.HDL64E()

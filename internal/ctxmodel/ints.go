@@ -72,6 +72,14 @@ func AppendIntsCtx(dst []byte, vs []int64, shards int) []byte {
 // DecodeIntsCtx inverts AppendIntsCtx, appending exactly n integers to dst
 // and charging them (plus the context tables) against b.
 func DecodeIntsCtx(dst []int64, data []byte, n int, b *declimits.Budget) ([]int64, error) {
+	return DecodeIntsCtxPrefix(dst, data, n, n, b)
+}
+
+// DecodeIntsCtxPrefix is DecodeIntsCtx stopping after the first keep of the
+// stream's n integers, keep at most n: it appends those to dst and leaves
+// the rest of the shard they end in, and the shards after it, unread. It
+// charges b for all n.
+func DecodeIntsCtxPrefix(dst []int64, data []byte, n, keep int, b *declimits.Budget) ([]int64, error) {
 	// +2 for the shared seeding model and the continuation model.
 	if err := b.Contexts(IntContexts+2, ModelBytes256); err != nil {
 		return nil, err
@@ -80,8 +88,12 @@ func DecodeIntsCtx(dst []int64, data []byte, n int, b *declimits.Budget) ([]int6
 		return nil, err
 	}
 	at := len(dst)
-	out := slices.Grow(dst, n)[:at+n]
+	out := slices.Grow(dst, keep)[:at+keep]
 	err := arith.DecodeSharded(data, n, b, func(_ int, shard []byte, lo, hi int) error {
+		hi = min(hi, keep)
+		if lo >= hi {
+			return nil
+		}
 		bank := GetBank(IntContexts, 256)
 		cont := arith.GetModel(256)
 		d := arith.GetDecoder(shard)

@@ -4,6 +4,7 @@
 package geom
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 )
@@ -43,6 +44,12 @@ func (p Point) Dist2(q Point) float64 {
 // bound.
 func (p Point) ChebDist(q Point) float64 {
 	return math.Max(math.Abs(p.X-q.X), math.Max(math.Abs(p.Y-q.Y), math.Abs(p.Z-q.Z)))
+}
+
+// Compare orders p and q by x, then y, then z, for slices.SortFunc: two
+// clouds hold the same points when their sorted copies are equal.
+func (p Point) Compare(q Point) int {
+	return cmp.Or(cmp.Compare(p.X, q.X), cmp.Compare(p.Y, q.Y), cmp.Compare(p.Z, q.Z))
 }
 
 func (p Point) String() string {

@@ -50,7 +50,9 @@ const (
 	// a short human-readable reason. The sender should retransmit.
 	// Overloaded receivers encode a machine-readable backpressure hint in
 	// the reason (see NackBusy/BusyHint); senders honoring the hint wait
-	// before retransmitting.
+	// before retransmitting. A refusal no retransmit can change carries a
+	// permanence hint instead (NackFinal/FinalHint): the sender gives the
+	// frame up.
 	KindNack byte = 7
 	// KindHello identifies the sender at the start of a connection; the
 	// payload is a tenant name (see ValidTenant). The receiver answers
@@ -192,6 +194,24 @@ func BusyHint(payload []byte) (retryAfter time.Duration, reason string, ok bool)
 		return 0, "", false
 	}
 	return time.Duration(ms) * time.Millisecond, rest, true
+}
+
+// finalPrefix marks a nack payload that refuses the frame for good: the
+// receiver will refuse every copy of it, so resending is pointless. The
+// payload layout is "!final <reason>".
+const finalPrefix = "!final "
+
+// NackFinal builds a permanent refusal: the sender should give the frame up
+// at once instead of retransmitting it.
+func NackFinal(seq uint64, reason string) Message {
+	return Message{Kind: KindNack, Seq: seq, Payload: []byte(finalPrefix + reason)}
+}
+
+// FinalHint parses the reason out of a permanent refusal. ok is false for
+// every other nack.
+func FinalHint(payload []byte) (reason string, ok bool) {
+	reason, ok = strings.CutPrefix(string(payload), finalPrefix)
+	return reason, ok
 }
 
 // Write serializes m to w: on a connection of package net's own, header and

@@ -364,7 +364,11 @@ func (n *Node) handle(tenant string, m netproto.Message) error {
 		return fmt.Errorf("tenant %s store: %w", tenant, err)
 	}
 	defer n.shards.Release(tenant)
-	end, err := st.Append(m.Seq, store.KindCompressed, m.Payload)
+	// A retransmit of a frame the shard already holds on disk — its ack
+	// was lost, or the follower was unreachable — is not appended again:
+	// the commit and the gate then wait on the stored copy. A copy no
+	// successful fsync has covered is appended afresh.
+	end, err := st.AppendOnce(m.Seq, store.KindCompressed, m.Payload)
 	if err != nil {
 		return err
 	}

@@ -5,10 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,24 +114,10 @@ func inBox(pc dbgc.PointCloud, box dbgc.AABB) dbgc.PointCloud {
 }
 
 func sameMultiset(a, b dbgc.PointCloud) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	key := func(pc dbgc.PointCloud) []string {
-		out := make([]string, len(pc))
-		for i, p := range pc {
-			out[i] = fmt.Sprint(p.X, p.Y, p.Z)
-		}
-		sort.Strings(out)
-		return out
-	}
-	ka, kb := key(a), key(b)
-	for i := range ka {
-		if ka[i] != kb[i] {
-			return false
-		}
-	}
-	return true
+	a, b = slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(a, dbgc.Point.Compare)
+	slices.SortFunc(b, dbgc.Point.Compare)
+	return slices.Equal(a, b)
 }
 
 // TestOpenValidatesConfig: the combinations Open refuses are refused before
@@ -788,7 +775,21 @@ func TestFollowerRefusesClientsUntilPromoted(t *testing.T) {
 // client gives up on it, the promoted node does not hold it, and /healthz
 // degrades.
 func TestFencedPrimaryReportsUnhealthy(t *testing.T) {
-	primary, follower := openPair(t)
+	// The deposed primary's replica sender gives a record up at the
+	// follower's first "epoch fenced" refusal: no resend of it is logged.
+	var resends atomic.Int32
+	logf := func(format string, args ...any) {
+		if strings.Contains(format, "resending") {
+			resends.Add(1)
+		}
+		t.Logf(format, args...)
+	}
+	follower := openNode(t, Config{Follower: true})
+	primary := openNode(t, Config{
+		SenderConfig: replica.SenderConfig{Addr: follower.Addr(), Poll: 2 * time.Millisecond},
+		ReplLagMax:   32 << 20,
+		ServerConfig: reliable.ServerConfig{Logf: logf},
+	})
 	var mu sync.Mutex
 	var acked []uint64
 	cli := dial(t, primary, reliable.Options{Tenant: "acme", FrameRetries: 2, OnAck: func(seq uint64) {
@@ -832,35 +833,126 @@ func TestFencedPrimaryReportsUnhealthy(t *testing.T) {
 	if health.Status != "degraded" || len(health.Reasons) != 1 || !strings.Contains(health.Reasons[0], "fenced") {
 		t.Errorf("fenced primary reports %+v", health)
 	}
+	if n := resends.Load(); n > 1 {
+		t.Errorf("the primary's sender resent a fenced record %d times before it stopped", n)
+	}
 	if err := cli.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// failingSync is a shard file whose fsync starts failing on command.
+// TestRetransmitsAppendOnce: while the follower is unreachable every frame
+// is stored and nacked after SyncTimeout, and the client retransmits it; the
+// retransmits append nothing. Once the follower is up the frames are acked,
+// and each disk holds one record per frame, shadowed copies included.
+func TestRetransmitsAppendOnce(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	followerAddr := ln.Addr().String()
+	ln.Close() // nothing listens there until the follower opens
+	primary := openNode(t, Config{
+		SenderConfig: replica.SenderConfig{Addr: followerAddr, Poll: 2 * time.Millisecond},
+		SyncTimeout:  50 * time.Millisecond,
+	})
+	var mu sync.Mutex
+	acked := map[uint64]bool{}
+	cli := dial(t, primary, reliable.Options{Tenant: "acme", FrameRetries: 1000, OnAck: func(seq uint64) {
+		mu.Lock()
+		acked[seq] = true
+		mu.Unlock()
+	}})
+	payload := func(seq uint64) []byte { return bytes.Repeat([]byte(fmt.Sprintf("frame %d ", seq)), 100) }
+	for seq := uint64(1); seq <= 2; seq++ {
+		if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: seq, Payload: payload(seq)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for cli.Stats().Resent < 6 {
+		if err := cli.Tick(10 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	follower, err := Open(Config{Listen: followerAddr, Dir: t.TempDir(), Follower: true, ServerConfig: reliable.ServerConfig{Logf: t.Logf}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go follower.Serve()
+	t.Cleanup(func() { closeNode(t, follower) })
+	if err := cli.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	if !acked[1] || !acked[2] {
+		t.Errorf("acks %v, want frames 1 and 2", acked)
+	}
+	mu.Unlock()
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closeNode(t, primary) // before the follower, whose drain waits for the link
+	closeNode(t, follower)
+	for name, n := range map[string]*Node{"primary": primary, "follower": follower} {
+		st, err := store.Open(filepath.Join(n.cfg.Dir, "acme.db"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := st.ReadSince(0, 0)
+		st.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 2 {
+			t.Errorf("%s: %d records after %d retransmits, want one a frame", name, len(recs), cli.Stats().Resent)
+		}
+		for _, rec := range recs {
+			if !bytes.Equal(rec.Payload, payload(rec.Seq)) {
+				t.Errorf("%s: frame %d holds other bytes", name, rec.Seq)
+			}
+		}
+	}
+}
+
+// failingSync is a shard file whose next fails fsyncs fail. covered is the
+// file's size when the last fsync that succeeded began: what it made durable.
 type failingSync struct {
 	store.File
-	fail *atomic.Bool
+	fails, covered *atomic.Int64
 }
 
 func (f failingSync) Sync() error {
-	if f.fail.Load() {
+	if f.fails.Add(-1) >= 0 {
 		return errors.New("injected fsync failure")
 	}
-	return f.File.Sync()
+	size, err := f.File.Size()
+	if err != nil {
+		return err
+	}
+	if err := f.File.Sync(); err != nil {
+		return err
+	}
+	f.covered.Store(size)
+	return nil
+}
+
+// openFailingSync opens a node whose shard files are failingSync.
+func openFailingSync(t *testing.T, fails, covered *atomic.Int64) *Node {
+	return openNode(t, Config{OpenFile: func(path string) (store.File, error) {
+		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		return failingSync{faultnet.NewDisk(f, 0, faultnet.DiskConfig{}), fails, covered}, nil
+	}})
 }
 
 // TestFsyncFailureNacksAndDegrades: through the OpenFile hook, a disk whose
 // fsync fails costs the frame its ack and turns the store probe red.
 func TestFsyncFailureNacksAndDegrades(t *testing.T) {
-	var fail atomic.Bool
-	n := openNode(t, Config{OpenFile: func(path string) (store.File, error) {
-		f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-		if err != nil {
-			return nil, err
-		}
-		return failingSync{faultnet.NewDisk(f, 0, faultnet.DiskConfig{}), &fail}, nil
-	}})
+	var fails, covered atomic.Int64
+	n := openFailingSync(t, &fails, &covered)
 	cli := dial(t, n, reliable.Options{Tenant: "acme", FrameRetries: 1})
 	if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 1, Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -868,7 +960,7 @@ func TestFsyncFailureNacksAndDegrades(t *testing.T) {
 	if err := cli.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	fail.Store(true)
+	fails.Store(math.MaxInt64)
 	err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 2, Payload: []byte("y")})
 	if err == nil {
 		err = cli.Flush()
@@ -883,9 +975,52 @@ func TestFsyncFailureNacksAndDegrades(t *testing.T) {
 	if snap := n.Snapshot(); snap.StoreSyncErrors == 0 || snap.Acked != 1 {
 		t.Errorf("snapshot %+v, want fsync errors counted and one ack", snap.MetricsSnapshot)
 	}
-	fail.Store(false) // let the shutdown's final fsync through
+	fails.Store(0) // let the shutdown's final fsync through
 	if err := cli.Close(); err != nil {
 		t.Errorf("client close after the rejected frame: %v", err)
+	}
+}
+
+// TestRetransmitAfterFailedFsyncIsWrittenAgain: a frame whose fsync failed
+// is nacked, and its retransmit is appended afresh — the failed fsync may
+// have dropped the first copy's pages, and the next fsync that succeeds need
+// not write them — and acked only once a successful fsync covered the copy.
+func TestRetransmitAfterFailedFsyncIsWrittenAgain(t *testing.T) {
+	var fails, covered, coveredAtAck atomic.Int64
+	fails.Store(1)
+	n := openFailingSync(t, &fails, &covered)
+	cli := dial(t, n, reliable.Options{Tenant: "acme", FrameRetries: 4, OnAck: func(uint64) {
+		coveredAtAck.Store(covered.Load())
+	}})
+	payload := []byte("frame one")
+	if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 1, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cli.Flush(); err != nil {
+		t.Fatalf("retransmit after one failed fsync: %v", err)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resent := cli.Stats().Resent
+	closeNode(t, n)
+	st, err := store.Open(filepath.Join(n.cfg.Dir, "acme.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := st.ReadSince(0, 0)
+	st.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resent == 0 || len(recs) != 2 {
+		t.Fatalf("%d records after %d retransmits, want the failed copy and a fresh one", len(recs), resent)
+	}
+	if !bytes.Equal(recs[1].Payload, payload) {
+		t.Errorf("the fresh copy holds %q", recs[1].Payload)
+	}
+	if got := coveredAtAck.Load(); got < recs[1].End {
+		t.Errorf("acked with %d bytes fsynced, want the fresh copy's end %d", got, recs[1].End)
 	}
 }
 

@@ -506,6 +506,10 @@ func (c *Client) handleEvent(ev event) error {
 			return nil // late nack for a frame that was since acked
 		}
 		c.stats.Nacked++
+		if reason, final := netproto.FinalHint(ev.msg.Payload); final {
+			c.forget(ev.msg.Seq)
+			return fmt.Errorf("%w: frame %d refused for good (%s)", ErrFrameRejected, ev.msg.Seq, reason)
+		}
 		f.retries++
 		if f.retries > c.cfg.FrameRetries {
 			// Remove the frame so the client stays usable for the rest of

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -456,6 +457,45 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	if _, err := net.DialTimeout("tcp", addr, 500*time.Millisecond); err == nil {
 		t.Fatal("server still accepting after Shutdown")
+	}
+}
+
+// TestFinalRefusalEndsTheFrame: a handler error wrapping ErrFinal is nacked
+// as a permanent refusal, which the client honours at once — the frame is
+// given up with ErrFrameRejected and never resent, whatever FrameRetries
+// allows — and the client stays usable.
+func TestFinalRefusalEndsTheFrame(t *testing.T) {
+	var handled atomic.Int32
+	addr, _, _ := startServer(t, ServerConfig{
+		Handle: func(_ string, m netproto.Message) error {
+			if bytes.HasPrefix(m.Payload, []byte("FENCED")) {
+				handled.Add(1)
+				return fmt.Errorf("%w: epoch fenced", ErrFinal)
+			}
+			return nil
+		},
+	})
+	cli, err := NewClient(Options{Dial: tcpDial(addr), FrameRetries: 64, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The nack surfaces from Send when it has arrived by then, else from
+	// Flush.
+	err = cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 1, Payload: []byte("FENCED-1")})
+	if err == nil {
+		err = cli.Flush()
+	}
+	if !errors.Is(err, ErrFrameRejected) || !strings.Contains(err.Error(), "epoch fenced") {
+		t.Fatalf("the refused frame ended with %v, want ErrFrameRejected naming the refusal", err)
+	}
+	if st := cli.Stats(); st.Resent != 0 || handled.Load() != 1 {
+		t.Fatalf("a final refusal was resent %d times and handled %d times, want 0 and 1", st.Resent, handled.Load())
+	}
+	if err := cli.Send(netproto.Message{Kind: netproto.KindCompressed, Seq: 2, Payload: []byte("good-2")}); err != nil {
+		t.Fatalf("send after the refusal: %v", err)
+	}
+	if err := cli.Close(); err != nil {
+		t.Fatalf("close after the refusal: %v", err)
 	}
 }
 

@@ -23,6 +23,12 @@ var ErrServerClosed = errors.New("reliable: server closed")
 // quarantine because retrying may genuinely succeed.
 var ErrBadFrame = errors.New("reliable: bad frame")
 
+// ErrFinal marks a handler failure no retransmit can change, such as a
+// replication record from a fenced epoch. The session nacks it with
+// netproto.NackFinal, and a Client gives the frame up at the first such
+// nack.
+var ErrFinal = errors.New("reliable: refused for good")
+
 // nackChecksum is the nack reason of a frame whose payload failed the wire
 // checksum: the one refusal a client answers by sending the same bytes again,
 // whatever the frame was — a hello included.
@@ -723,7 +729,11 @@ func (s *Session) finish(r ingestJob, herr error) {
 	if s.srv != nil {
 		s.srv.metrics.Nacked.Add(1)
 	}
-	if err := s.write(netproto.Nack(r.m.Seq, clip(herr.Error()))); err != nil {
+	nack := netproto.Nack(r.m.Seq, clip(herr.Error()))
+	if errors.Is(herr, ErrFinal) {
+		nack = netproto.NackFinal(r.m.Seq, clip(herr.Error()))
+	}
+	if err := s.write(nack); err != nil {
 		s.conn.Close()
 	}
 }

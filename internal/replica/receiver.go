@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dbgc/internal/netproto"
+	"dbgc/internal/reliable"
 	"dbgc/internal/store"
 )
 
@@ -209,12 +210,12 @@ func (r *Receiver) HandleRecord(m netproto.Message) error {
 	if rec.Epoch < r.epoch {
 		r.mu.Unlock()
 		r.noteRejected()
-		return fmt.Errorf("%w: record epoch %d < %d", ErrEpochFenced, rec.Epoch, r.epoch)
+		return fmt.Errorf("%w: %w: record epoch %d < %d", reliable.ErrFinal, ErrEpochFenced, rec.Epoch, r.epoch)
 	}
 	if r.promoted {
 		r.mu.Unlock()
 		r.noteRejected()
-		return fmt.Errorf("%w: node promoted", ErrEpochFenced)
+		return fmt.Errorf("%w: %w: node promoted", reliable.ErrFinal, ErrEpochFenced)
 	}
 	if rec.Epoch > r.epoch {
 		r.epoch = rec.Epoch

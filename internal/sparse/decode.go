@@ -38,11 +38,13 @@ type DecodeOptions struct {
 }
 
 // groupFlags carries the stream header's flags, which every group decode
-// needs: the two ablations, and the dialect that chooses the streams' coders.
+// needs: the two ablations, the dialect that chooses the streams' coders,
+// and the forward-first order of the lines.
 type groupFlags struct {
-	cartesian  bool
-	plainDelta bool
-	dialect    streamcodec.Dialect
+	cartesian    bool
+	plainDelta   bool
+	dialect      streamcodec.Dialect
+	forwardFirst bool
 }
 
 // GroupsCarryCRC tells the dialects whose group payloads are each prefixed
@@ -99,6 +101,12 @@ func parseFrame(data []byte) (fr frame, err error) {
 		return fr, fmt.Errorf("sparse: flags: %w", err)
 	}
 	data = data[used:]
+	if flags&^knownFlags != 0 {
+		return fr, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags&^knownFlags)
+	}
+	if flags&flagForwardFirst != 0 && (flags&flagContext == 0 || flags&flagCartesian != 0) {
+		return fr, fmt.Errorf("%w: forward-first order outside a polar v5 stream", ErrCorrupt)
+	}
 	if len(data) < 8 {
 		return fr, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
@@ -115,6 +123,7 @@ func parseFrame(data []byte) (fr frame, err error) {
 			BlockPack: flags&flagBlockPack != 0,
 			Context:   flags&flagContext != 0,
 		},
+		forwardFirst: flags&flagForwardFirst != 0,
 	}
 	nGroups, used, err := varint.Uint(data)
 	if err != nil {
@@ -271,13 +280,18 @@ type groupScratch struct {
 var groupPool = sync.Pool{New: func() any { return new(groupScratch) }}
 
 // checkLengths holds a group's decoded polyline lengths to its header —
-// every line has a head and at least one tail, and together they have the
-// total points the header's line and tail counts add up to — and charges
-// those points to b.
-func checkLengths(lens []uint64, total int, b *declimits.Budget) error {
+// every line has a head and at least one tail, or, in a forward-first
+// stream, may be a single head — and together they have the total points
+// the header's line and tail counts add up to — and charges those points to
+// b.
+func checkLengths(lens []uint64, total int, forwardFirst bool, b *declimits.Budget) error {
+	shortest := uint64(2)
+	if forwardFirst {
+		shortest = 1
+	}
 	sum := 0
 	for _, l := range lens {
-		if l < 2 || l > sane {
+		if l < shortest || l > sane {
 			return fmt.Errorf("%w: polyline length %d", ErrCorrupt, l)
 		}
 		sum += int(l)
@@ -289,7 +303,11 @@ func checkLengths(lens []uint64, total int, b *declimits.Budget) error {
 }
 
 // decodeGroup decodes one group payload and appends to dst its points
-// inside region (all of them when it is nil).
+// inside region (all of them when it is nil). In a forward-first stream a
+// region wholly at x > 0 needs only the lines before the first one behind
+// the sensor: the lengths, the heads and the references decode whole, the
+// tails and the radials only as far as those lines reach where their coder
+// can stop, and step 8 replays over those lines alone.
 func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, region *geom.AABB, s *groupScratch, b *declimits.Budget) (geom.PointCloud, error) {
 	gf, q := fr.gf, fr.q
 	h, data, err := fr.readGroupHeader(data)
@@ -313,8 +331,12 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, region *geom.AABB,
 		}
 	}
 
+	// The stream table read the other way: every stream decodes by the
+	// coder the dialect gives its class or the one its marker in the
+	// methods byte names.
 	var streams [len(streamTable)][]byte
-	for i := range streams {
+	var codecs [len(streamTable)]streamcodec.Codec
+	for i, st := range streamTable {
 		l, used, err := varint.Uint(data)
 		if err != nil {
 			return nil, fmt.Errorf("sparse: stream %d length: %w", i, err)
@@ -325,54 +347,83 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, region *geom.AABB,
 		}
 		streams[i] = data[:l]
 		data = data[l:]
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in group", ErrCorrupt, len(data))
-	}
-
-	// The stream table read the other way: every stream decodes, by the
-	// coder the dialect gives its class or the one its marker in the
-	// methods byte names, into the scratch's slot for it. A group has a
-	// head a line and a radial a point.
-	total := nLines + nTails
-	counts := [len(streamTable)]int{nLines, nLines, nTails, nLines, nTails, total, h.nRefs}
-	for i, st := range streamTable {
-		codec := d.Codec(st.class)
+		codecs[i] = d.Codec(st.class)
 		if d.Context && st.marker >= 0 {
 			m := int(methods >> st.marker & 3)
 			if m > streamcodec.MarkCtx {
 				return nil, fmt.Errorf("%w: unknown stream method", ErrCorrupt)
 			}
-			codec = d.Marked(st.class, m)
-		}
-		var err error
-		switch i {
-		case streamLengths:
-			if s.lens, err = streamcodec.DecodeUints(s.lens[:0], codec, streams[i], counts[i], b); err == nil {
-				err = checkLengths(s.lens, total, b)
-			}
-		case streamRefs:
-			s.refs, err = streamcodec.DecodeCodes(s.refs[:0], codec, streams[i], counts[i], refAlphabet, b)
-		default:
-			s.ints[i-1], err = streamcodec.DecodeInts(s.ints[i-1][:0], codec, streams[i], counts[i], b)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sparse: %s: %w", st.name, err)
+			codecs[i] = d.Marked(st.class, m)
 		}
 	}
-	lens, ints := s.lens, &s.ints
-	thetaTails, phiTails, radials := ints[1], ints[3], ints[4]
+	if len(data) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes in group", ErrCorrupt, len(data))
+	}
+	named := func(i int, err error) error {
+		if err != nil {
+			return fmt.Errorf("sparse: %s: %w", streamTable[i].name, err)
+		}
+		return nil
+	}
 
-	// Rebuild θ and φ of every line (steps 2/6/7 inverted). One array
-	// backs the points of all lines; every field of every point is set
-	// here, so what the array held before does not matter.
+	// First the streams that decode whole: the lengths, the heads (a line
+	// has one) and the references.
+	total := nLines + nTails
+	if s.lens, err = streamcodec.DecodeUints(s.lens[:0], codecs[streamLengths], streams[streamLengths], nLines, b); err == nil {
+		err = checkLengths(s.lens, total, gf.forwardFirst, b)
+	}
+	if err := named(streamLengths, err); err != nil {
+		return nil, err
+	}
+	for _, i := range [2]int{1, 3} { // θ and φ heads
+		s.ints[i-1], err = streamcodec.DecodeInts(s.ints[i-1][:0], codecs[i], streams[i], nLines, b)
+		if err := named(i, err); err != nil {
+			return nil, err
+		}
+	}
+	s.refs, err = streamcodec.DecodeCodes(s.refs[:0], codecs[streamRefs], streams[streamRefs], h.nRefs, refAlphabet, b)
+	if err := named(streamRefs, err); err != nil {
+		return nil, err
+	}
+	lens, ints := s.lens, &s.ints
 	thetaHeads := undeltaInts(ints[0])
 	phiHeads := undeltaInts(ints[2])
-	s.pts = slices.Grow(s.pts[:0], total)[:total]
-	s.lines = slices.Grow(s.lines[:0], nLines)[:nLines]
+
+	// The lines to rebuild: all of them, or those ahead of the sensor when
+	// the box is.
+	var hv halves
+	if gf.forwardFirst {
+		hv = newHalves(NewQuantizer(q, h.rMax))
+	}
+	nKeep, keep := nLines, total
+	if gf.forwardFirst && region != nil && region.Min.X > 0 {
+		nKeep, keep = 0, 0
+		for nKeep < nLines && !hv.behind(polyline.Point{Theta: thetaHeads[nKeep], Phi: phiHeads[nKeep]}) {
+			keep += int(lens[nKeep])
+			nKeep++
+		}
+	}
+
+	// Then the streams with a value a tail or a point, as far as those lines
+	// reach.
+	tails := keep - nKeep
+	for _, st := range [...]struct{ i, n, keep int }{{2, nTails, tails}, {4, nTails, tails}, {5, total, keep}} {
+		ints[st.i-1], err = streamcodec.DecodeIntsPrefix(ints[st.i-1][:0], codecs[st.i], streams[st.i], st.n, st.keep, b)
+		if err := named(st.i, err); err != nil {
+			return nil, err
+		}
+	}
+	thetaTails, phiTails, radials := ints[1], ints[3], ints[4]
+
+	// Rebuild θ and φ of the lines (steps 2/6/7 inverted). One array backs
+	// their points; every field of every point is set here, so what the
+	// array held before does not matter.
+	s.pts = slices.Grow(s.pts[:0], keep)[:keep]
+	s.lines = slices.Grow(s.lines[:0], nKeep)[:nKeep]
 	lines := s.lines
 	rest := s.pts
 	tp := 0
+	seenBehind := false
 	for i := range lines {
 		n := int(lens[i])
 		line := polyline.Line(rest[:n:n])
@@ -391,19 +442,36 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, region *geom.AABB,
 			}
 			tp++
 		}
+		if gf.forwardFirst {
+			// The promise a region decode trusts: every line lies in one
+			// half, and no line ahead of the sensor follows one behind it.
+			back, mixed := hv.side(line)
+			if mixed {
+				return nil, fmt.Errorf("%w: polyline %d crosses x = 0", ErrCorrupt, i)
+			}
+			if seenBehind && !back {
+				return nil, fmt.Errorf("%w: polyline %d ahead of the sensor follows one behind it", ErrCorrupt, i)
+			}
+			seenBehind = back
+		}
 		lines[i] = line
 	}
 
 	// Replay the radial reference decisions to recover r (step 8
-	// inverted).
-	if _, err := codeRadial(&s.cons, lines, h.thPhi, h.thR, gf.plainDelta, true, radials, s.refs); err != nil {
+	// inverted). The lines take every symbol of L_ref, unless they are a
+	// prefix of the group's.
+	used, err := codeRadial(&s.cons, lines, h.thPhi, h.thR, gf.plainDelta, true, radials, s.refs)
+	if err != nil {
 		return nil, err
+	}
+	if nKeep == nLines && len(used) != len(s.refs) {
+		return nil, fmt.Errorf("%w: %d unused L_ref symbols", ErrCorrupt, len(s.refs)-len(used))
 	}
 
 	// The one pass out of the scratch: a point the box drops is never
 	// written, and in a polar group it is converted only if its quantized
 	// radius and azimuth leave it a chance of being inside.
-	out := slices.Grow(dst, total)
+	out := slices.Grow(dst, keep)
 	switch {
 	case gf.cartesian:
 		cq := cartesianQuantizer{q: q}

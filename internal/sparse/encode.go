@@ -106,7 +106,17 @@ const (
 	flagSharded   = 1 << 2
 	flagBlockPack = 1 << 3
 	flagContext   = 1 << 4
+	// flagForwardFirst is the forward-first order of a polar v5 stream: every
+	// group's polylines are cut where they cross from one half of halves to
+	// the other, and the pieces ahead of the sensor come before those behind
+	// it, so a box ahead of the sensor decodes a prefix of every group.
+	flagForwardFirst = 1 << 5
+	knownFlags       = flagCartesian | flagPlainDelta | flagSharded | flagBlockPack | flagContext | flagForwardFirst
 )
+
+// forwardFirst tells whether the options write the forward-first order: the
+// v5 dialect on polar coordinates.
+func (o Options) forwardFirst() bool { return o.Context && !o.CartesianMode }
 
 // streamTable is the stream table of a group payload: its seven streams in
 // wire order, each a length-prefixed slot. class is what internal/streamcodec
@@ -169,6 +179,9 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	}
 	if d.Context {
 		flags |= flagContext
+	}
+	if opts.forwardFirst() {
+		flags |= flagForwardFirst
 	}
 
 	es := encodePool.Get().(*encodeScratch)
@@ -300,9 +313,11 @@ type groupResult struct {
 
 // encodeScratch holds what encoding needs besides its output: the
 // radius-sorted indices and norms of the frame, and per group the quantized
-// points, the polyline lengths, the five integer streams (θ heads, θ tails,
-// φ heads, φ tails, radials), the reference symbols, the group payload
-// under assembly, the staging buffer of one stream and the consensus line.
+// points, the forward-first pieces behind the sensor while they wait for
+// those ahead, the polyline lengths, the five integer streams (θ heads, θ
+// tails, φ heads, φ tails, radials), the reference symbols, the group
+// payload under assembly, the staging buffer of one stream and the
+// consensus line.
 // Pooled, one per goroutine encoding groups, so a steady-state encode
 // allocates none of it.
 type encodeScratch struct {
@@ -311,13 +326,14 @@ type encodeScratch struct {
 	rs     []float64
 	sort   radix.Scratch
 
-	qpts  []polyline.Point
-	lens  []uint64
-	ints  [5][]int64
-	refs  []byte
-	data  []byte
-	stage []byte
-	cons  polyline.Consensus
+	qpts   []polyline.Point
+	behind []polyline.Line
+	lens   []uint64
+	ints   [5][]int64
+	refs   []byte
+	data   []byte
+	stage  []byte
+	cons   polyline.Consensus
 }
 
 var encodePool = sync.Pool{New: func() any { return new(encodeScratch) }}
@@ -330,6 +346,7 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	var rMax float64
 	var cfg polyline.Config
 	var thR int64
+	var hv halves
 	t0 := time.Now()
 
 	es.qpts = slices.Grow(es.qpts[:0], len(group))[:len(group)]
@@ -370,6 +387,7 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 			Cartesian: qz.Cartesian,
 		}
 		thR = int64(math.Round(opts.thR() / (2 * qz.QR)))
+		hv = newHalves(qz)
 	}
 	if thR < 1 {
 		thR = 1
@@ -378,6 +396,9 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	t1 := time.Now()
 
 	lines, loose := polyline.Organize(qpts, cfg)
+	if opts.forwardFirst() {
+		lines = es.cutForwardFirst(lines, hv)
+	}
 	res.outliers = make([]int32, len(loose))
 	for i, p := range loose {
 		res.outliers[i] = p.Orig
@@ -465,6 +486,35 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	t3 := time.Now()
 	res.times = [3]time.Duration{t1.Sub(t0), t2.Sub(t1), t3.Sub(t2)}
 	return res
+}
+
+// cutForwardFirst cuts every line where its points cross from one half of hv
+// to the other and returns the pieces ahead of the sensor, then those behind
+// it, each half in the order of the lines it was cut from. A piece may be a
+// single point. The pieces slice the lines' points, which do not move.
+func (es *encodeScratch) cutForwardFirst(lines []polyline.Line, hv halves) []polyline.Line {
+	ahead := make([]polyline.Line, 0, len(lines)+len(lines)/4)
+	behind := es.behind[:0]
+	for _, l := range lines {
+		start, back := 0, hv.behind(l[0])
+		for k := 1; k <= len(l); k++ {
+			if k < len(l) && hv.behind(l[k]) == back {
+				continue
+			}
+			if back {
+				behind = append(behind, l[start:k:k])
+			} else {
+				ahead = append(ahead, l[start:k:k])
+			}
+			if k < len(l) {
+				start, back = k, !back
+			}
+		}
+	}
+	es.behind = behind
+	polyline.SortLines(ahead)
+	polyline.SortLines(behind)
+	return append(ahead, behind...)
 }
 
 // encodeRadial produces ∇L_r, the last of the scratch's integer streams,

@@ -19,6 +19,24 @@ import (
 // had Organize produced them. Encode cannot be made to write a polyline
 // that turns back in θ; this can.
 func craftStream(lines []polyline.Line, shards int) []byte {
+	if shards > 1 {
+		return craft(lines, flagSharded, shards)
+	}
+	return craft(lines, 0, 0)
+}
+
+// craftV5 is craftStream in the v5 dialect, every angular stream marked
+// for plain arithmetic coding, with the forward-first flag when it is
+// asked for — whether or not lines keep the order's promise.
+func craftV5(lines []polyline.Line, forwardFirst bool) []byte {
+	flags := uint64(flagContext)
+	if forwardFirst {
+		flags |= flagForwardFirst
+	}
+	return craft(lines, flags, 0)
+}
+
+func craft(lines []polyline.Line, flags uint64, shards int) []byte {
 	const q, rMax, thPhi, thR = 0.02, 40.0, 8, 50
 	var lens []uint64
 	var thetaHeads, thetaTails, phiHeads, phiTails []int64
@@ -38,24 +56,26 @@ func craftStream(lines []polyline.Line, shards int) []byte {
 	for _, v := range []int{thPhi, thR, len(lines), len(thetaTails), len(refs)} {
 		group = varint.AppendUint(group, uint64(v))
 	}
-	bulk := streamcodec.Arith
+	bulk, theta := streamcodec.Arith, streamcodec.DeflateVarint
 	if shards > 1 {
 		bulk = streamcodec.ArithSharded
 	}
+	if flags&flagContext != 0 {
+		m := byte(streamcodec.MarkPlain)
+		group = append(group, m<<streamTable[1].marker|m<<streamTable[2].marker|m<<streamTable[4].marker)
+		theta = streamcodec.Arith
+	}
 	group = appendStream(group, streamcodec.AppendUints(nil, streamcodec.Arith, lens, 0))
-	group = appendStream(group, streamcodec.AppendInts(nil, streamcodec.DeflateVarint, deltaInts(thetaHeads), 0))
-	group = appendStream(group, streamcodec.AppendInts(nil, streamcodec.DeflateVarint, thetaTails, 0))
+	group = appendStream(group, streamcodec.AppendInts(nil, theta, deltaInts(thetaHeads), 0))
+	group = appendStream(group, streamcodec.AppendInts(nil, theta, thetaTails, 0))
 	group = appendStream(group, streamcodec.AppendInts(nil, streamcodec.Arith, deltaInts(phiHeads), 0))
 	group = appendStream(group, streamcodec.AppendInts(nil, bulk, phiTails, shards))
 	group = appendStream(group, streamcodec.AppendInts(nil, bulk, radials, shards))
 	group = appendStream(group, streamcodec.AppendCodes(nil, streamcodec.Arith, refs, refAlphabet, 0))
 
-	var out []byte
-	if shards > 1 {
-		out = varint.AppendUint(out, flagSharded)
+	out := varint.AppendUint(nil, flags)
+	if flags&flagSharded != 0 {
 		group = append(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(group, crcTable)), group...)
-	} else {
-		out = varint.AppendUint(out, 0)
 	}
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(q))
 	out = varint.AppendUint(out, 1)
@@ -160,11 +180,20 @@ func FuzzDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(def.Data)
+	// Forward-first streams (the ctx and default seeds above are the
+	// encoder's): a sound one, the flag set on a stream whose lines cross
+	// x = 0, and a line behind the sensor moved ahead of the lines ahead.
+	f.Add(craftV5(append(aheadLines(), behindLine(3000, 3010, 3020)), true))
+	f.Add(craftV5(append(aheadLines()[:1], behindLine(1500, 1510, 1600), aheadLines()[1]), true))
+	f.Add(craftV5(append([]polyline.Line{behindLine(3000, 3010)}, aheadLines()...), true))
+	ahead := geom.AABB{Min: geom.Point{X: 1, Y: -40, Z: -40}, Max: geom.Point{X: 40, Y: 40, Z: 40}}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		// The sharded, blockpack, and context flags ride in the stream
 		// header, so plain Decode already covers the v3-v5 dialects; Salvage
-		// additionally exercises the per-group CRC recovery path.
+		// additionally exercises the per-group CRC recovery path, and a box
+		// ahead of the sensor a forward-first stream's prefix decode.
 		_, _ = Decode(b)
 		_, _ = DecodeWith(b, DecodeOptions{Salvage: true})
+		_, _ = DecodeRegionInto(nil, b, &ahead, DecodeOptions{})
 	})
 }

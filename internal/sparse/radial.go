@@ -20,10 +20,12 @@ const (
 // over the lines of one group, in either direction. radials holds ∇L_r, one
 // value per point in line order, and refs is L_ref. Encoding reads every
 // point's r, fills radials and appends a symbol to refs, which comes in
-// empty, for each point in situation (2)(b); decoding reads both and sets
-// every point's r, and fails if refs does not hold exactly the symbols the
-// lines call for. Which reference a point takes depends only on values
-// that precede it, so the decoder replays the encoder's decisions. With
+// empty, for each point in situation (2)(b), and returns refs; decoding
+// reads both, sets every point's r, fails if refs runs out, and returns the
+// symbols of refs the lines took — all of them, unless the lines are a
+// prefix of the group's, which its caller knows. Which reference a point
+// takes depends only on values that precede it, so the decoder replays the
+// encoder's decisions, and a prefix of the lines replays alone. With
 // plainDelta the reference is always the preceding point (heads reference
 // the previous head): classic delta encoding, the -Radial ablation.
 func codeRadial(cons *polyline.Consensus, lines []polyline.Line, thPhi, thR int64, plainDelta, decode bool, radials []int64, refs []byte) ([]byte, error) {
@@ -95,8 +97,8 @@ func codeRadial(cons *polyline.Consensus, lines []polyline.Line, thPhi, thR int6
 			settle(p, cand[sym])
 		}
 	}
-	if decode && refp != len(refs) {
-		return nil, fmt.Errorf("%w: %d unused L_ref symbols", ErrCorrupt, len(refs)-refp)
+	if decode {
+		return refs[:refp], nil
 	}
 	return refs, nil
 }

@@ -16,13 +16,15 @@ import (
 // test each point against the box as they convert it to Cartesian, so a
 // point outside is never written — and, most points of a shell a narrow box
 // opens lying outside its range of radius and azimuth, few are converted
-// (window). Cartesian-mode streams carry no radial
-// structure and decode fully. The groups that decode are charged to
-// opts.Budget as DecodeWith charges them, and a skipped group still pays
-// for the points its header declares, so the point limit that refuses a
-// frame's full decode refuses its every query. Given room for
-// PointCountIn(data, region) points, every point kept is written where the
-// decode can close the result up in place.
+// (window). In a forward-first stream a box wholly at x > 0 decodes each
+// group it opens only as far as its lines ahead of the sensor reach
+// (decodeGroup), trusting the order the full decode checks. Cartesian-mode
+// streams carry no radial structure and decode fully. The groups that
+// decode are charged to opts.Budget as DecodeWith charges them, whole, and
+// a skipped group still pays for the points its header declares, so the
+// point limit that refuses a frame's full decode refuses its every query.
+// Given room for PointCountIn(data, region) points, every point kept is
+// written where the decode can close the result up in place.
 func DecodeRegionInto(dst geom.PointCloud, data []byte, region *geom.AABB, opts DecodeOptions) (pc geom.PointCloud, err error) {
 	defer declimits.Recover(&err, ErrCorrupt)
 	fr, err := parseFrame(data)
@@ -160,4 +162,62 @@ func (w window) mayHold(p polyline.Point) bool {
 		d -= 2 * math.Pi
 	}
 	return d <= w.width
+}
+
+// halves cuts a polar group's quantized points in two at x = 0, for the
+// forward-first order: a point is behind the sensor when its quantized θ
+// lies in [thetaLo, thetaHi] — [π/2, 3π/2] narrowed to where the cosine of
+// the dequantized θ is not positive — and its quantized φ in [0, phiHi],
+// where the sine of the dequantized φ is not negative. Such a point
+// converts to x ≤ 0 whatever its radius, so a box wholly at x > 0 holds no
+// point behind the sensor. Both bounds are integers computed from the
+// group's quantizer alone, so the encoder and the decoder cut every point
+// the same way. (A φ rounded past π, within half a step of the nadir, puts
+// a point ahead: its sine is negative and it may convert to x > 0.)
+type halves struct {
+	thetaLo, thetaHi, phiHi int64
+}
+
+func newHalves(qz Quantizer) halves {
+	cos := func(t int64) float64 { _, c := math.Sincos(qz.Dequantize(t, 0, 0).Theta); return c }
+	sin := func(t int64) float64 { s, _ := math.Sincos(qz.Dequantize(0, t, 0).Phi); return s }
+	h := halves{
+		thetaLo: int64(math.Ceil(math.Pi / 2 / (2 * qz.QTheta))),
+		thetaHi: int64(math.Floor(3 * math.Pi / 2 / (2 * qz.QTheta))),
+		phiHi:   int64(math.Floor(math.Pi / (2 * qz.QPhi))),
+	}
+	// The rounded quotients miss the crossings by at most a rounding error,
+	// so one step inwards is all an edge can need; inside the edges the
+	// cosine and the sine are a step or more away from zero.
+	if cos(h.thetaLo) > 0 {
+		h.thetaLo++
+	}
+	if cos(h.thetaHi) > 0 {
+		h.thetaHi--
+	}
+	if sin(h.phiHi) < 0 {
+		h.phiHi--
+	}
+	return h
+}
+
+// behind reports whether p lies in the half behind the sensor.
+func (h halves) behind(p polyline.Point) bool {
+	return p.Theta >= h.thetaLo && p.Theta <= h.thetaHi && p.Phi >= 0 && p.Phi <= h.phiHi
+}
+
+// side reports whether line l lies behind the sensor, and mixed when its
+// points lie on both sides. θ ascends along a line, so one that starts past
+// thetaHi or ends before thetaLo is ahead without a look at its points.
+func (h halves) side(l polyline.Line) (back, mixed bool) {
+	if l[0].Theta > h.thetaHi || l[len(l)-1].Theta < h.thetaLo {
+		return false, false
+	}
+	back = h.behind(l[0])
+	for _, p := range l[1:] {
+		if h.behind(p) != back {
+			return back, true
+		}
+	}
+	return back, false
 }

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"dbgc/internal/geom"
@@ -34,6 +35,14 @@ func defaultOpts(meta lidar.Meta) Options {
 		UTheta: meta.UTheta(),
 		UPhi:   meta.UPhi(),
 	}
+}
+
+// sortedCloud returns a copy of pc sorted by x, then y, then z: two decodes
+// hold the same points when their sorted copies are equal.
+func sortedCloud(pc geom.PointCloud) geom.PointCloud {
+	pc = slices.Clone(pc)
+	slices.SortFunc(pc, geom.Point.Compare)
+	return pc
 }
 
 // verify checks the one-to-one mapping and the Theorem 3.2 error bound.

@@ -254,3 +254,88 @@ func TestSubscribeAnnouncesEveryAppend(t *testing.T) {
 		t.Errorf("after replace and cancel: the successor heard %d appends and the first %d, want 1 and 1", replaced, len(heard["early"]))
 	}
 }
+
+// TestAppendOnceSkipsTheStoredCopy: a retransmit — same sequence number,
+// kind and payload — of a record a successful Sync covered appends nothing,
+// announces nothing and returns the stored record's end. A copy no Sync has
+// covered yet, or one a failed Sync may have dropped (even once a later Sync
+// succeeds), is appended again; so is another payload or another kind under
+// the number, which shadows the old record.
+func TestAppendOnceSkipsTheStoredCopy(t *testing.T) {
+	sh, err := OpenShards(filepath.Join(t.TempDir(), "stores"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sh.Acquire("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff := &flakyFile{File: st.f}
+	st.f = ff
+	heard := 0
+	sh.Subscribe(func(string, Record) { heard++ })
+	appendOnce := func(seq uint64, kind byte, payload string, wantNew bool) {
+		t.Helper()
+		before := st.End()
+		end, err := st.AppendOnce(seq, kind, []byte(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wrote := end > before; wrote != wantNew {
+			t.Fatalf("frame %d kind %d %q: appended %v, want %v", seq, kind, payload, wrote, wantNew)
+		}
+		if got, k, err := st.Get(seq); err != nil || string(got) != payload || k != kind {
+			t.Fatalf("frame %d: Get returns kind %d %q, %v", seq, k, got, err)
+		}
+	}
+
+	appendOnce(7, KindCompressed, "frame seven", true)
+	appendOnce(7, KindCompressed, "frame seven", true) // not synced yet
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Append(8, KindCompressed, []byte("frame eight")); err != nil {
+		t.Fatal(err)
+	}
+	appendOnce(7, KindCompressed, "frame seven", false)
+	appendOnce(7, KindCompressed, "frame SEVEN", true)
+	appendOnce(7, KindCompressed, "frame seven, longer", true)
+	appendOnce(7, KindQuarantined, "frame seven, longer", true)
+	if got := len(st.log); got != 6 || heard != 6 {
+		t.Fatalf("the log holds %d records and %d were announced, want 6 and 6", got, heard)
+	}
+
+	ff.failSync.Store(true)
+	if err := st.Sync(); err == nil {
+		t.Fatal("injected fsync failure not reported")
+	}
+	ff.failSync.Store(false)
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	appendOnce(8, KindCompressed, "frame eight", true) // the failed fsync may have lost it
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	appendOnce(8, KindCompressed, "frame eight", false)
+
+	// A reopened segment trusts no copy it found: no Sync of its own
+	// covered them.
+	sh.Release("acme")
+	if err := sh.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = Open(filepath.Join(sh.Dir(), "acme.db"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	appendOnce(8, KindCompressed, "frame eight", true)
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	appendOnce(8, KindCompressed, "frame eight", false)
+}

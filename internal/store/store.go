@@ -88,6 +88,15 @@ type Store struct {
 	end   int64
 	// announce, when set (Shards.Subscribe), is told of every append under mu.
 	announce func(Record)
+	// synced is the end offset as it stood when the last successful Sync
+	// began: every record ending there is on stable storage. tainted is the
+	// end offset when the last failed Sync returned: that fsync may have
+	// dropped any write made before it, and a later fsync that succeeds
+	// need not write it again (Linux reports a writeback error once and may
+	// mark the pages clean). AppendOnce trusts a stored copy only when it
+	// lies wholly in [tainted, synced]. The records found at open start
+	// tainted: no Sync of this process wrote them.
+	synced, tainted int64
 
 	// syncMu keeps Close from closing the file under a Sync in flight; Sync
 	// holds it instead of mu, so appends flow during an fsync.
@@ -127,6 +136,7 @@ func OpenWith(f File) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
+	s.tainted = s.end
 	return s, nil
 }
 
@@ -222,6 +232,26 @@ func (s *Store) Append(seq uint64, kind byte, payload []byte) (end int64, err er
 	return s.appendLocked(seq, kind, payload)
 }
 
+// AppendOnce is Append unless the live record under seq already holds kind
+// and payload byte for byte and a Sync that succeeded covered it, with no
+// failed Sync since it was written — a retransmit of what is durably stored.
+// Then nothing is written or announced, and end is that record's end
+// offset. A copy that is not known durable is appended afresh, so the
+// caller's next Sync covers it. Check and write are one step under the
+// store mutex.
+func (s *Store) AppendOnce(seq uint64, kind byte, payload []byte) (end int64, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if live, ok := s.liveLocked(seq); ok && live.Kind == kind && live.Size == uint32(len(payload)) &&
+		live.Off >= s.tainted && live.End <= s.synced {
+		stored := make([]byte, len(payload))
+		if _, err := s.f.ReadAt(stored, live.Off+recordHeader); err == nil && bytes.Equal(stored, payload) {
+			return live.End, nil
+		}
+	}
+	return s.appendLocked(seq, kind, payload)
+}
+
 // Quarantine appends payload as a KindQuarantined record under seq unless a
 // good record already holds that number, reporting whether it wrote. Check
 // and write are one step under the store mutex: a corrupt retransmit can
@@ -293,10 +323,23 @@ func (s *Store) Kind(seq uint64) (byte, bool) {
 // Sync was called. See the package comment for the durability contract. The
 // fsync runs outside the index mutex: appends (and reads) proceed while a
 // round is on the disk, and whatever they add is the next Sync's to cover.
+// Sync also moves the marks AppendOnce reads: a success covers the segment
+// as it stood when the Sync began, a failure taints it as it stands after.
 func (s *Store) Sync() error {
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
-	return s.f.Sync()
+	s.mu.Lock()
+	began := s.end
+	s.mu.Unlock()
+	err := s.f.Sync()
+	s.mu.Lock()
+	if err != nil {
+		s.tainted = s.end
+	} else {
+		s.synced = max(s.synced, began)
+	}
+	s.mu.Unlock()
+	return err
 }
 
 // Len returns the number of stored frames.

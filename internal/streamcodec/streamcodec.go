@@ -169,6 +169,28 @@ func DecodeInts(dst []int64, c Codec, data []byte, n int, b *declimits.Budget) (
 	return nil, fmt.Errorf("%w: %v does not code signed integers", ErrCorrupt, c)
 }
 
+// DecodeIntsPrefix is DecodeInts for a caller that needs only the first
+// keep of the stream's n integers, keep at most n. The plain arithmetic
+// coder and the context-modeled one stop after them; the others — DEFLATE,
+// blockpack, and the shard framing around the arithmetic coder — decode all
+// n. Either way it returns at least keep integers, and it charges b for all
+// n.
+func DecodeIntsPrefix(dst []int64, c Codec, data []byte, n, keep int, b *declimits.Budget) ([]int64, error) {
+	if keep < 0 || keep > n {
+		return nil, fmt.Errorf("%w: prefix of %d of %d elements", ErrCorrupt, keep, n)
+	}
+	switch c {
+	case Arith:
+		if err := b.Nodes(int64(n - keep)); err != nil {
+			return nil, err
+		}
+		return arith.AppendDecompressInts(dst, data, keep, b)
+	case Ctx:
+		return ctxmodel.DecodeIntsCtxPrefix(dst, data, n, keep, b)
+	}
+	return DecodeInts(dst, c, data, n, b)
+}
+
 // AppendUints is AppendInts for unsigned sequences (lengths, counts), which
 // the arithmetic and blockpack coders take.
 func AppendUints(dst []byte, c Codec, vs []uint64, shards int) []byte {

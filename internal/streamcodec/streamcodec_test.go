@@ -230,6 +230,49 @@ func TestCodecs(t *testing.T) {
 	}
 }
 
+// TestDecodeIntsPrefix: every signed-integer codec returns at least the
+// first keep integers of a stream, and exactly those where it can stop —
+// the plain arithmetic and the context-modeled coders, in one shard or
+// several — while the budget pays for the whole stream whatever keep is.
+func TestDecodeIntsPrefix(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []Codec{Arith, ArithSharded, DeflateVarint, BlockPack, BlockPackSharded, Ctx} {
+		for _, n := range []int{0, 1, 129, 8193, 2*8192 + 1} {
+			vs := make([]int64, n)
+			for i := range vs {
+				vs[i] = int64(rng.Intn(9)) - 4
+			}
+			for _, shards := range []int{1, 4} {
+				data := AppendInts(nil, c, vs, shards)
+				for _, keep := range []int{0, 1, n / 2, n - 1, n} {
+					if keep < 0 || keep > n {
+						continue
+					}
+					got, err := DecodeIntsPrefix([]int64{42}, c, data, n, keep, declimits.New(limits))
+					if err != nil || len(got) < 1+keep || got[0] != 42 || !slices.Equal(got[1:1+keep], vs[:keep]) {
+						t.Fatalf("%v n=%d shards=%d keep=%d: %d integers, %v", c, n, shards, keep, len(got), err)
+					}
+					if stops := c == Arith || c == Ctx; stops && len(got) != 1+keep || !stops && len(got) != 1+n {
+						t.Fatalf("%v n=%d shards=%d keep=%d: %d integers", c, n, shards, keep, len(got)-1)
+					}
+					if n > 1 { // as in TestCodecs: nodes, or what DEFLATE may inflate to
+						tight := limits
+						tight.MaxNodes, tight.MemBudget = int64(n)-1, 10*int64(n)-1
+						if _, err := DecodeIntsPrefix(nil, c, data, n, keep, declimits.New(tight)); !errors.Is(err, declimits.ErrLimit) {
+							t.Fatalf("%v n=%d keep=%d under MaxNodes %d: %v, want ErrLimit", c, n, keep, tight.MaxNodes, err)
+						}
+					}
+				}
+				for _, keep := range []int{-1, n + 1} {
+					if _, err := DecodeIntsPrefix(nil, c, data, n, keep, nil); !errors.Is(err, ErrCorrupt) {
+						t.Fatalf("%v n=%d keep=%d: %v, want ErrCorrupt", c, n, keep, err)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAppendsToDestination: both directions extend what dst holds and leave
 // it alone, framed codecs included.
 func TestAppendsToDestination(t *testing.T) {
