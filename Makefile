@@ -89,10 +89,11 @@ vuln:
 
 # Short fuzz sweeps over the wire decoder, the stream container's reader and
 # every geometry decoder, each
-# running under DecodeLimits so a decompression bomb fails the target, and
-# over the three differential targets (polyline candidate index, sliding
+# running under DecodeLimits so a decompression bomb fails the target, over
+# the three differential targets (polyline candidate index, sliding
 # consensus line, arithmetic coder) that hold an optimized kernel to its
-# reference.
+# reference, and over the replication payload decoders, whose accepted
+# values must survive a re-encode.
 FUZZTIME ?= 15s
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=$(FUZZTIME) ./internal/netproto
@@ -110,3 +111,4 @@ fuzz:
 	$(GO) test -fuzz=FuzzShardedStream -fuzztime=$(FUZZTIME) ./internal/arith
 	$(GO) test -fuzz=FuzzDecompress -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzReader -fuzztime=$(FUZZTIME) ./internal/stream
+	$(GO) test -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/replica

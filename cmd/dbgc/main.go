@@ -63,11 +63,11 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  dbgc compress   [-q meters] [-groups n] [-exact] [-shards n] [-blockpack|-blockpack-force] [-ctx=false] input.bin output.dbgc
+  dbgc compress   [-q meters] [-groups n] [-exact] [-ctx=false] input.bin output.dbgc
   dbgc decompress input.dbgc output.bin
   dbgc info       input.dbgc
   dbgc simulate   [-scene kind] [-seed n] output.bin
-  dbgc pack       [-q meters] [-fps n] [-intensity] [-shards n] [-blockpack] [-ctx=false] frames... output.dbgs
+  dbgc pack       [-q meters] [-fps n] [-intensity] [-ctx=false] frames... output.dbgs
   dbgc unpack     [-max-points n] [-mem-budget bytes] [-partial] input.dbgs output-dir
   dbgc view       [-extent m] [-size WxH] frame.bin|frame.ply|frame.dbgc
   dbgc query      -box x0,y0,z0,x1,y1,z1 frame.dbgc output.bin`)
@@ -79,9 +79,6 @@ func runCompress(args []string) error {
 	q := fs.Float64("q", 0.02, "per-dimension error bound in meters")
 	groups := fs.Int("groups", 6, "radial point groups")
 	exact := fs.Bool("exact", false, "use exact cell-based clustering")
-	shards := fs.Int("shards", 1, "entropy shard count (>1 writes the v3 container)")
-	blockpack := fs.Bool("blockpack", false, "block-bitpack the integer streams when it shrinks the frame (v4 container, size-guarded)")
-	blockpackForce := fs.Bool("blockpack-force", false, "always write the v4 container, skipping the blockpack size guard")
 	ctx := fs.Bool("ctx", true, "code each sparse angular stream by the cheapest of its paper coder, arithmetic coding and the context coder (v5 container); -ctx=false keeps the paper's §3.5 coders (v2)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
@@ -94,9 +91,6 @@ func runCompress(args []string) error {
 	opts := dbgc.DefaultOptions(*q)
 	opts.Groups = *groups
 	opts.ExactClustering = *exact
-	opts.Shards = *shards
-	opts.BlockPack = *blockpack
-	opts.BlockPackForce = *blockpackForce
 	opts.ContextModel = *ctx
 	data, stats, err := dbgc.Compress(pc, opts)
 	if err != nil {

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -77,6 +79,58 @@ func TestSingleFrameCommands(t *testing.T) {
 	for j, oi := range stats.Mapping {
 		if d := pc[oi].Dist(dec[j]); d > bound {
 			t.Fatalf("decoded point %d is %v from its source %d, bound %v", j, d, oi, bound)
+		}
+	}
+}
+
+// TestRetiredFlags runs compress and pack as the command line does, in a
+// child process, with each flag that once chose the sharded (v3) or
+// blockpacked (v4) container: the command refuses the flag, exits 2 and
+// writes no output, on an input it compresses without the flag.
+func TestRetiredFlags(t *testing.T) {
+	if args, ok := os.LookupEnv("DBGC_TEST_ARGS"); ok {
+		os.Args = append([]string{"dbgc"}, strings.Split(args, "\n")...)
+		main()
+		return
+	}
+	dbgc := func(args ...string) (string, error) {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestRetiredFlags$")
+		cmd.Env = append(os.Environ(), "DBGC_TEST_ARGS="+strings.Join(args, "\n"))
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		return stderr.String(), err
+	}
+	in, out := t.TempDir(), t.TempDir()
+	writeFrames(t, in, 1)
+	frame := filepath.Join(in, "000000.bin")
+	for _, c := range []struct {
+		cmd, flag, output string
+	}{
+		{"compress", "-shards=8", "frame.dbgc"},
+		{"compress", "-blockpack", "frame.dbgc"},
+		{"compress", "-blockpack-force", "frame.dbgc"},
+		{"pack", "-shards=8", "drive.dbgs"},
+		{"pack", "-blockpack", "drive.dbgs"},
+	} {
+		dst := filepath.Join(out, c.output)
+		stderr, err := dbgc(c.cmd, c.flag, frame, dst)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("dbgc %s %s: %v, want exit status 2", c.cmd, c.flag, err)
+		}
+		name, _, _ := strings.Cut(c.flag, "=")
+		if want := "flag provided but not defined: " + name; !strings.Contains(stderr, want) {
+			t.Errorf("dbgc %s %s printed %q, want %q", c.cmd, c.flag, stderr, want)
+		}
+		if _, err := os.Stat(dst); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("dbgc %s %s left %s behind (%v)", c.cmd, c.flag, c.output, err)
+		}
+		if stderr, err := dbgc(c.cmd, frame, dst); err != nil {
+			t.Fatalf("dbgc %s without %s: %v\n%s", c.cmd, c.flag, err, stderr)
+		}
+		if err := os.Remove(dst); err != nil {
+			t.Fatalf("dbgc %s without %s wrote no %s: %v", c.cmd, c.flag, c.output, err)
 		}
 	}
 }

@@ -21,12 +21,10 @@ func runPack(args []string) error {
 	q := fs.Float64("q", 0.02, "per-dimension error bound in meters")
 	fps := fs.Float64("fps", 10, "sensor frame rate recorded in the container")
 	withIntensity := fs.Bool("intensity", false, "carry the intensity channel")
-	shards := fs.Int("shards", 1, "entropy shard count per frame (>1 writes v3 frames)")
-	blockpack := fs.Bool("blockpack", false, "block-bitpack the integer streams when it shrinks each frame (v4, size-guarded)")
 	ctx := fs.Bool("ctx", true, "code each sparse angular stream by the cheapest of its paper coder, arithmetic coding and the context coder (v5 frames); -ctx=false keeps the paper's §3.5 coders (v2)")
 	fs.Parse(args)
 	if fs.NArg() < 2 {
-		fmt.Fprintln(os.Stderr, "usage: dbgc pack [-q m] [-fps n] [-intensity] [-shards n] [-blockpack] [-ctx=false] frame1.bin [frame2.bin ...] output.dbgs")
+		fmt.Fprintln(os.Stderr, "usage: dbgc pack [-q m] [-fps n] [-intensity] [-ctx=false] frame1.bin [frame2.bin ...] output.dbgs")
 		os.Exit(2)
 	}
 	inputs := fs.Args()[:fs.NArg()-1]
@@ -60,8 +58,6 @@ func runPack(args []string) error {
 	}
 
 	packOpts := dbgc.DefaultOptions(*q)
-	packOpts.Shards = *shards
-	packOpts.BlockPack = *blockpack
 	packOpts.ContextModel = *ctx
 	out, err := os.Create(outPath)
 	if err != nil {
@@ -146,9 +142,7 @@ func runUnpack(args []string) error {
 		r.SetLimits(dbgc.DecodeLimits{MaxPoints: *maxPoints, MemBudget: *memBudget})
 	}
 	if *partial {
-		if err := r.EnablePartial(); err != nil {
-			return err
-		}
+		r.EnablePartial()
 	}
 	n, damaged := 0, 0
 	for {

@@ -10,8 +10,9 @@ import (
 )
 
 // TestBlockPackRoundTrip is the v4 dialect contract: for every shard count,
-// the container carries version 4 and decodes exactly to what the legacy
-// container does.
+// BlockPack writes a container that carries version 4 — larger than the
+// legacy one on LiDAR frames, and written all the same — and decodes exactly
+// to what the legacy container does.
 func TestBlockPackRoundTrip(t *testing.T) {
 	pc := frame(t, lidar.City)
 	legacyData, _, err := Compress(pc, paperOptions(0.02))
@@ -26,7 +27,7 @@ func TestBlockPackRoundTrip(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			opts := paperOptions(0.02)
 			opts.Shards = shards
-			opts.BlockPackForce = true
+			opts.BlockPack = true
 			serial, _, err := Compress(pc, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -68,53 +69,12 @@ func TestBlockPackOffByteIdentical(t *testing.T) {
 	}
 }
 
-// TestBlockPackSizeGuard pins the guard contract: on a frame where the
-// adaptive coders beat blockpack (LiDAR streams are heavily skewed, so
-// real frames do), guarded BlockPack output is byte-identical to the plain
-// container, while BlockPackForce always emits v4.
-func TestBlockPackSizeGuard(t *testing.T) {
-	pc := frame(t, lidar.City)
-	for _, shards := range []int{1, 4} {
-		opts := paperOptions(0.02)
-		opts.Shards = shards
-		plain, _, err := Compress(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.BlockPack = true
-		guarded, _, err := Compress(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.BlockPackForce = true
-		forced, _, err := Compress(pc, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if forced[len(magic)] != version4 {
-			t.Fatalf("shards=%d: forced container has version %d, want %d",
-				shards, forced[len(magic)], version4)
-		}
-		if len(forced) < len(plain) {
-			// Blockpack won outright; the guard must have kept it.
-			if !bytes.Equal(guarded, forced) {
-				t.Fatalf("shards=%d: guard dropped a smaller v4 container", shards)
-			}
-			continue
-		}
-		if !bytes.Equal(guarded, plain) {
-			t.Fatalf("shards=%d: guard kept a v4 container that is not smaller (guarded %d, plain %d, forced %d bytes)",
-				shards, len(guarded), len(plain), len(forced))
-		}
-	}
-}
-
 // TestBlockPackWithLimits decodes a v4 frame under the production decode
 // limits; real frames must pass and tiny budgets must fail cleanly.
 func TestBlockPackWithLimits(t *testing.T) {
 	pc := frame(t, lidar.City)
 	opts := paperOptions(0.02)
-	opts.BlockPackForce = true
+	opts.BlockPack = true
 	opts.Shards = 4
 	data, _, err := Compress(pc, opts)
 	if err != nil {
@@ -138,7 +98,7 @@ func TestBlockPackRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := paperOptions(0.02)
-	opts.BlockPackForce = true
+	opts.BlockPack = true
 	packed, _, err := Compress(pc, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +123,7 @@ func TestBlockPackRegion(t *testing.T) {
 func TestBlockPackPartialSalvage(t *testing.T) {
 	pc := frame(t, lidar.City)
 	opts := paperOptions(0.02)
-	opts.BlockPackForce = true
+	opts.BlockPack = true
 	data, _, err := Compress(pc, opts)
 	if err != nil {
 		t.Fatal(err)

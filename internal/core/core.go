@@ -86,24 +86,20 @@ type Options struct {
 	// polyline lengths and θ/φ/r deltas, outlier quadtree counts and Δz —
 	// with the blockpack codec (FastPFOR-style 128-value blocks, patched
 	// exceptions) instead of adaptive arithmetic coding and varint+DEFLATE,
-	// and emits the container v4 dialect. Arithmetic-coded occupancy and
-	// reference-symbol streams are unaffected. Off keeps v2/v3 bytes
-	// unchanged; on composes with Shards (blockpacked streams reuse the
-	// shard framing, so their shards still decode side by side).
+	// and emits the container v4 dialect (with ContextModel, v5 with the
+	// blockpack dialect bit). Arithmetic-coded occupancy and
+	// reference-symbol streams are unaffected. It composes with Shards
+	// (blockpacked streams reuse the shard framing, so their shards still
+	// decode side by side).
 	//
-	// BlockPack is guarded by a whole-frame size comparison: the encoder
-	// also builds the plain v2/v3 container and emits whichever is
-	// smaller, so enabling it never grows a frame. On heavily skewed
-	// streams the adaptive coders win and the frame stays v2/v3; on
-	// flatter distributions the packed v4 container wins and decodes
-	// several times faster. The guard roughly doubles encode work; see
-	// BlockPackForce to skip it.
+	// LiDAR streams are skewed, so the packed frame is larger: 1.13-1.52×
+	// on the HDL-64E, HDL-32E and VLP-16 city, road, campus and residential
+	// frames. Under the paper's coders it decodes faster (two vCPUs: city
+	// 9.4 → 6.2 ms, road 10.8 → 5.6 ms); under ContextModel the gain is
+	// smaller or absent (city 10.9 → 8.8 ms, road 10.7 → 11.1 ms). No
+	// workload sets it: the format tests and bench's stage replay name it,
+	// and it stays until they no longer do (ROADMAP item 6).
 	BlockPack bool
-	// BlockPackForce emits the v4 container unconditionally, skipping the
-	// BlockPack size guard (and its second encode pass). Intended for
-	// format tooling, tests, and callers that prefer decode throughput
-	// over ratio regardless of the frame. Implies BlockPack.
-	BlockPackForce bool
 	// ContextModel emits the container v5 dialect, in which each sparse
 	// angular stream (θ-head deltas, θ tails, φ tails) is coded once, by
 	// whichever of its §3.5 coder, plain adaptive arithmetic coding and the
@@ -192,8 +188,7 @@ const (
 	// version4 keeps the v3 envelope and framing but codes the integer hot
 	// paths (leaf counts, polyline lengths, θ/φ/r deltas, Δz) with the
 	// blockpack codec of internal/blockpack. Emitted when Options.BlockPack
-	// is set and the packed container wins the size guard (or when
-	// BlockPackForce skips the guard).
+	// is set without ContextModel.
 	version4 = 4
 	// version5 keeps the envelope but follows the version byte with a
 	// dialect byte: v2-v4 infer the entropy dialect from the version number
@@ -243,36 +238,7 @@ func NewEncoder(opts Options) *Encoder { return &Encoder{Opts: opts} }
 // outlive the frame. The compressed frame itself is freshly allocated and
 // caller-owned.
 func (e *Encoder) Compress(pc geom.PointCloud) ([]byte, *Stats, error) {
-	opts := e.Opts
-	if opts.BlockPackForce {
-		opts.BlockPack = true
-	}
-	if opts.BlockPack && !opts.BlockPackForce {
-		// Size guard: blockpack trades ratio for decode speed, and on
-		// heavily skewed streams the adaptive coders win. Encode both
-		// dialects and keep the smaller container; ties go to the plain
-		// dialect so guarded output degenerates to exactly v2/v3 bytes.
-		packed, _, err := e.compressOnce(pc, opts, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		packedStats := e.stats
-		plainOpts := opts
-		plainOpts.BlockPack = false
-		plain, stats, err := e.compressOnce(pc, plainOpts, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(packed) < len(plain) {
-			// The mapping is dialect-independent, and the second pass
-			// rebuilt the identical content in e.mapping, so the saved
-			// stats still alias valid scratch.
-			e.stats = packedStats
-			return packed, &e.stats, nil
-		}
-		return plain, stats, nil
-	}
-	return e.compressOnce(pc, opts, nil)
+	return e.compressOnce(pc, e.Opts, nil)
 }
 
 // compressOnce compresses pc under opts as they are. A non-nil clock makes

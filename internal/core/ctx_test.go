@@ -33,7 +33,6 @@ func TestContextModelEquivalence(t *testing.T) {
 			opts := paperOptions(0.02)
 			opts.Shards = cfg.shards
 			opts.BlockPack = cfg.blockpack
-			opts.BlockPackForce = cfg.blockpack // pin the dialect under test
 			plain, _, err := Compress(pc, opts)
 			if err != nil {
 				t.Fatal(err)

@@ -28,7 +28,7 @@ func FuzzDecompress(f *testing.F) {
 		f.Fatal(err)
 	}
 	popts := paperOptions(0.02)
-	popts.BlockPackForce = true
+	popts.BlockPack = true
 	v4, _, err := Compress(pc, popts)
 	if err != nil {
 		f.Fatal(err)

@@ -34,67 +34,68 @@ func pointsSHA(pc geom.PointCloud) string {
 	return sha(buf)
 }
 
-// TestCompressGolden pins, for two full frames under every container
-// dialect the codec emits by option (v2 — the paper's §3.5 coders, what
-// ContextModel: false spells — with approximate and exact clustering, v3
-// sharded, v4 blockpacked, v5 — the default — alone and over either, and the
-// octree outlier mode), the compressed bytes, the decoded points and the
-// points of a lane-box region decode, at GOMAXPROCS 1 and 4 alike. The point
-// hashes were recorded before the clustering window sums (PR 12), the
-// arithmetic coder and the decoders' memory handling (PR 13) were rewritten;
-// they say that a change kept every label, every coded symbol and every
-// decoded float, not only the sizes. The byte hashes of the paper, exact and
-// shards8 rows were re-recorded when the θ streams' DEFLATE encoder went
-// from level 9 to the smaller of Huffman-only and level 5 (PR 14): same
+// The decoded and lane-box points of the city and road frames (layout 1,
+// sensor seed 1) under the paper's coders and under the default dialect,
+// which TestCompressGolden and TestWidthInvariance both pin. The sharded and
+// blockpacked dialects code the same symbols as their base dialect, so they
+// decode to the same points. The v5 dialect writes the forward-first order:
+// the same points as the paper's coders, in another order
+// (TestContextModelEquivalence holds the multisets equal). The city frame's
+// lane-box points come out in the paper's order.
+const (
+	cityPts  = "eddd57313485ff508721cc91e400b7d19d8184979e11b059876225d714e0d2a1"
+	cityLane = "80891f6c185194decce38070457a355764d0a4be2946cea349b811b0590ed186"
+	roadPts  = "cba9c9dd8771228d4481e2f03226d42863a8083e02d22949289ff4a545345625"
+	roadLane = "8d2c71de5cb42628fae9d34226b9503d006c5b4b95a95c918ffbc199063c2373"
+
+	cityCtxPts  = "23874bfc9c20c3b19a1b00f171efc8a7c8f973878f60801dcc07eb3792cf89ac"
+	roadCtxPts  = "60b3fff69f389ca1c0415eb45c97d69e341aca63d7938e0418497ffab37f5b80"
+	roadCtxLane = "68aa93632c2163343115176a0ed9b3904d82fee877c46562bed86c8621875afa"
+)
+
+// TestCompressGolden pins, for two full frames under the container
+// dialects the codec emits by option that TestWidthInvariance does not
+// already pin (v2 — the paper's §3.5 coders, what ContextModel: false
+// spells — with exact clustering, v3 sharded, v4 blockpacked alone and
+// sharded, and the octree outlier mode under v2 and v5), the compressed
+// bytes, the decoded points and the points of a lane-box region decode, at
+// GOMAXPROCS 1 and 4 alike. The point hashes were recorded before the
+// clustering window sums, the arithmetic coder and the decoders' memory
+// handling were rewritten; they say that a change kept every label, every
+// coded symbol and every decoded float, not only the sizes. The byte hashes
+// of the exact and shards8 rows were re-recorded when the θ streams' DEFLATE
+// encoder went from level 9 to the smaller of Huffman-only and level 5: same
 // symbols in the same format, other DEFLATE bytes, and parentBytes — the
 // frame's size before that — is what each of those frames may not exceed.
 // The blockpack and outlier-octree rows were recorded at commit a8d4062,
-// before the dialect → coder decision moved into internal/streamcodec
-// (PR 23); their parentBytes is the size they had then. The v5 rows were
-// re-recorded when ContextModel became the default (PR 26): each competing
-// stream is now coded once, by the coder internal/streamcodec prices
-// smallest, and the occupancy stream keeps its order-0 coder behind the
-// method marker; their parentBytes is the same options' frame with
-// ContextModel off plus the bytes the dialect adds (a dialect byte, a
-// methods byte a radial group, a marker an occupancy stream), which choosing
-// by price may never exceed. The v5 rows' byte and point hashes were
-// re-recorded when the v5 sparse stream took the forward-first order
-// (polylines cut at x = 0, the pieces ahead of the sensor first), with their
-// parentBytes kept. A change that means to alter a hash updates it here.
+// before the dialect → coder decision moved into internal/streamcodec; their
+// parentBytes is the size they had then. The outlier-octree+ctx rows were
+// re-recorded when ContextModel became the default and again when the v5 sparse stream took the
+// forward-first order (polylines cut at x = 0, the pieces ahead of the
+// sensor first); their parentBytes is the same options' frame with
+// ContextModel off plus the bytes the dialect adds. A change that means to
+// alter a hash updates it here.
 func TestCompressGolden(t *testing.T) {
 	// Exact clustering labels a few points differently, so it decodes to
 	// other points, and the octree outlier mode snaps outliers to other
-	// cell centres; the sharded and blockpacked dialects code the same
-	// symbols as the paper's, so they decode to the same ones.
+	// cell centres.
 	const (
-		cityPts  = "eddd57313485ff508721cc91e400b7d19d8184979e11b059876225d714e0d2a1"
-		cityLane = "80891f6c185194decce38070457a355764d0a4be2946cea349b811b0590ed186"
-		roadPts  = "cba9c9dd8771228d4481e2f03226d42863a8083e02d22949289ff4a545345625"
-		roadLane = "8d2c71de5cb42628fae9d34226b9503d006c5b4b95a95c918ffbc199063c2373"
-
 		cityOctPts  = "b2a10cef01bc81785deaaae7a46003d60caf9498f648826f66c2d6e2b1d1f9cd"
 		cityOctLane = "dd88e60ae2030188c326cb197f36df8e5c6345cf4d0f850c3cce8a1151c1c9fa"
 		roadOctPts  = "e2436a27564d72a5d83298ca7b2875fced5161efc08c1bb204bbdb4e9a4de7ed"
 		roadOctLane = "e3d150ae63e7c6d5c9a2706de7a4511dd17ea576ce6e4ded3eea6397248d8e4f"
 
-		// The v5 dialect writes the forward-first order: the same points
-		// as the paper's coders, in another order (TestContextModelEquivalence
-		// holds the multisets equal). The city frame's lane-box points come
-		// out in the paper's order.
-		cityCtxPts     = "23874bfc9c20c3b19a1b00f171efc8a7c8f973878f60801dcc07eb3792cf89ac"
-		roadCtxPts     = "60b3fff69f389ca1c0415eb45c97d69e341aca63d7938e0418497ffab37f5b80"
-		roadCtxLane    = "68aa93632c2163343115176a0ed9b3904d82fee877c46562bed86c8621875afa"
 		cityOctCtxPts  = "362bb1b42badf144ce19d41e822023200babb2bb802fbb721a18b5b2a9ff845e"
 		roadOctCtxPts  = "5a9e367fa8270a309e0a5669ee906e892fa7e5d9ee7d9eccb7e5eadab7bb1606"
 		roadOctCtxLane = "6bbbdbbf8b13d53e59b4428181bcb7abd778ea8e6b3c7654e5b07983cd30c128"
 	)
-	blockpack := func(o *Options) { o.BlockPackForce = true }
+	blockpack := func(o *Options) { o.BlockPack = true }
 	shards8 := func(o *Options) { o.Shards = 8 }
-	ctx := func(o *Options) { o.ContextModel = true }
 	outlierOctree := func(o *Options) { o.OutlierMode = OutlierOctree }
 	both := func(a, b func(*Options)) func(*Options) {
 		return func(o *Options) { a(o); b(o) }
 	}
+	ctx := func(o *Options) { o.ContextModel = true }
 	golden := []struct {
 		kind                lidar.SceneKind
 		name                string
@@ -102,44 +103,28 @@ func TestCompressGolden(t *testing.T) {
 		bytes, pts, lanePts string
 		parentBytes         int
 	}{
-		{lidar.City, "paper", func(*Options) {},
-			"ea94f0aa41d9cd754588ca9e1bf7a6f2329aca9e99afd6bd820ea02de836213d", cityPts, cityLane, 72498},
 		{lidar.City, "exact", func(o *Options) { o.ExactClustering = true },
 			"87ee8f4ac56f9ecaecdbcf83da0187c6d52a7be35b14a6379dcfa6b468b07044",
 			"3c3005f3e366b2e3f4d0f50a12a6048a318e19dca934e61ae0a604eace2f4a44",
 			"6d5b0ce04288c06ca673b54911620f1dd670f6c39950d0e8bf7f77eae0dd065d", 74011},
 		{lidar.City, "shards8", shards8,
 			"9eb3f1f029477e7147542ff4b93c2f4e47da7090c88c22cef996bc4a99161b15", cityPts, cityLane, 72680},
-		{lidar.City, "default", ctx,
-			"9895533e94a436e4d15367a2a2d8a7d0e0b6355d756544f4a7581143f85d6c7b", cityCtxPts, cityLane, 72195 + 8},
 		{lidar.City, "blockpack", blockpack,
 			"8fd3cec5b5d599e7ea63151d6cea888a0229b8489d28750eeb6a0f088a0af360", cityPts, cityLane, 106339},
-		{lidar.City, "shards8+ctx", both(shards8, ctx),
-			"dda88a12e7dae2932fdc7f3ac222b17c4c5b6130579aa2151defebd97290dbbc", cityCtxPts, cityLane, 72377 + 8},
-		{lidar.City, "blockpack+ctx", both(blockpack, ctx),
-			"496af94f51afc5fbbbf1df73061128fd2f4ef65ca2fd594e51ac6dc0dddcb648", cityCtxPts, cityLane, 106339 + 8},
 		{lidar.City, "blockpack+shards8", both(blockpack, shards8),
 			"468da3ebab4ed2b8782ad094ca7cae3468ef2c826d14619c8bb407d93de89705", cityPts, cityLane, 106413},
 		{lidar.City, "outlier-octree", outlierOctree,
 			"be51c89af7553e8e1306e1fde373798962b6fbebb289bff8cf81918a6481f864", cityOctPts, cityOctLane, 72201},
 		{lidar.City, "outlier-octree+ctx", both(outlierOctree, ctx),
 			"ce0cc77d3acb2d54e7c0538f3b1769af2f34a78130ed341aff61d67dcf7180d9", cityOctCtxPts, cityOctLane, 72201 + 9},
-		{lidar.Road, "paper", func(*Options) {},
-			"65ecc49cb802db312f73c86dc0aee98750e42debe7fc91da81f7819cd423aa9a", roadPts, roadLane, 82741},
 		{lidar.Road, "exact", func(o *Options) { o.ExactClustering = true },
 			"e5aa5cc418292f75abbdfff15aecb628f1f709e1b3a75f33befaf77c22b591d7",
 			"f31d70b408ec938e7a1033b9417c86271359b97a3b3ade5c66e05f371f525418",
 			"c64de1e5249fef80e19e89a4f1aed9505cfea68c3f16c20aaeeb1f896df20740", 83998},
 		{lidar.Road, "shards8", shards8,
 			"c4fd4be204a0e43c2776e4cebfde40af7e3e2f4ab86f59b489e0beb72c1e7465", roadPts, roadLane, 82921},
-		{lidar.Road, "default", ctx,
-			"beb2b7ed1ccb1f9ea73284034fed6390aefcdd6b388578b8d8ff171ed46da247", roadCtxPts, roadCtxLane, 82546 + 8},
 		{lidar.Road, "blockpack", blockpack,
 			"387bb006868625dd51402417084bd807d77ffaa08a3aa353a7229e3ec92168c4", roadPts, roadLane, 122744},
-		{lidar.Road, "shards8+ctx", both(shards8, ctx),
-			"8882892fdfff4e2d02091ee0edcf7950fdcd7f1e10c1215f6c7324a3337b5c4b", roadCtxPts, roadCtxLane, 82726 + 8},
-		{lidar.Road, "blockpack+ctx", both(blockpack, ctx),
-			"62472e3c262012e5e233bc6434de5c0b5905b7bbe916ddee40dded66e469c850", roadCtxPts, roadCtxLane, 122744 + 8},
 		{lidar.Road, "blockpack+shards8", both(blockpack, shards8),
 			"6bbbdbdae2b63df0910dc73692fa3650842a226df1778822bfbbea5b5351279c", roadPts, roadLane, 122677},
 		{lidar.Road, "outlier-octree", outlierOctree,
@@ -151,9 +136,6 @@ func TestCompressGolden(t *testing.T) {
 		pc := frame(t, g.kind) // layout 1, sensor seed 1
 		opts := paperOptions(0.02)
 		g.set(&opts)
-		if g.name == "default" && opts != DefaultOptions(0.02) {
-			t.Fatalf("the default row pins %+v, DefaultOptions is %+v", opts, DefaultOptions(0.02))
-		}
 		for _, procs := range []int{1, 4} {
 			partest.At(procs, func() {
 				out, _, err := Compress(pc, opts)
@@ -190,7 +172,7 @@ func TestCompressGolden(t *testing.T) {
 // sensor seed 1) whose azimuth atan2(y, x)+π lies in [10, 11)·2π/25 — 4972
 // points, about half of them dense, 147 polylines, 89 outliers — under
 // DefaultOptions(0.02) and with Shards: 8 by the encoder of PR 13 (commit
-// ff27d99, level-9 DEFLATE on the θ streams), and with BlockPackForce and
+// ff27d99, level-9 DEFLATE on the θ streams), and with BlockPack and
 // with ContextModel by the encoder of PR 22 (commit a8d4062, the last
 // before internal/streamcodec). Unlike TestCompressGolden, nothing here depends on
 // today's encoder: bytes an earlier release wrote must keep decoding to

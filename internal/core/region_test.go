@@ -150,7 +150,7 @@ func TestDecompressRegionLimits(t *testing.T) {
 	for name, set := range map[string]func(*Options){
 		"v2":          func(o *Options) { o.ContextModel = false },
 		"v3":          func(o *Options) { o.ContextModel, o.Shards = false, 8 },
-		"v4":          func(o *Options) { o.ContextModel, o.BlockPackForce = false, true },
+		"v4":          func(o *Options) { o.ContextModel, o.BlockPack = false, true },
 		"v5":          func(*Options) {},
 		"octree-outl": func(o *Options) { o.OutlierMode = OutlierOctree },
 		"raw-outl":    func(o *Options) { o.OutlierMode = OutlierNone },

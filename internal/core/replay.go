@@ -29,9 +29,6 @@ func (s StageTimes) set(name string, d time.Duration) {
 // over the radial groups, so at more than one processor it is CPU time, not
 // a span). A stage still uses the processors there are.
 func ReplayStages(pc geom.PointCloud, opts Options) (StageTimes, error) {
-	if opts.BlockPackForce {
-		opts.BlockPack = true
-	}
 	clock := StageTimes{}
 	var e Encoder
 	if _, _, err := e.compressOnce(pc, opts, clock); err != nil {

@@ -53,6 +53,7 @@ func errClass(err error) string {
 
 // outcome is everything one run of the codec over one input yields.
 type outcome struct {
+	size                                 int
 	data, mapping, points, lane, partial string
 	reports, failures                    []string
 }
@@ -65,8 +66,7 @@ func run(t *testing.T, pc geom.PointCloud, opts Options) outcome {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var o outcome
-	o.data = sha(data)
+	o := outcome{size: len(data), data: sha(data)}
 	mapping := make([]byte, 0, 4*len(stats.Mapping))
 	for _, m := range stats.Mapping {
 		mapping = append(mapping, byte(m), byte(m>>8), byte(m>>16), byte(m>>24))
@@ -145,7 +145,19 @@ func run(t *testing.T, pc geom.PointCloud, opts Options) outcome {
 // the class of every decode error are the same at every GOMAXPROCS. Widths
 // 1 (everything inline), 2 (the benchmark host), 3 (chunks that do not
 // divide evenly) and 8 (more workers than most stages have chunks) run the
-// same inputs; TestCompressGolden ties width 1 and 4 to recorded hashes.
+// same inputs. For the city and road frames, width 1 is also held to
+// recorded hashes of the compressed bytes, the decoded points and the
+// lane-box points, and to a size its frame may not exceed (parentBytes);
+// TestCompressGolden pins the dialects this table does not run. The paper
+// rows' byte hashes were re-recorded when the θ streams' DEFLATE encoder
+// went from level 9 to the smaller of Huffman-only and level 5, and their
+// parentBytes is the frame's size before that. The v5 rows were re-recorded
+// when ContextModel became the default and again when the v5 sparse stream
+// took the forward-first order; their parentBytes is the same options' frame
+// with ContextModel off plus the bytes the dialect adds (a dialect byte, a
+// methods byte a radial group, a marker an occupancy stream), which choosing
+// by price may never exceed. A change that means to alter a hash updates it
+// here.
 func TestWidthInvariance(t *testing.T) {
 	inputs := []struct {
 		name string
@@ -162,8 +174,21 @@ func TestWidthInvariance(t *testing.T) {
 		{"default", func(*Options) {}},
 		{"exact", func(o *Options) { o.ExactClustering = true }},
 		{"shards8", func(o *Options) { o.Shards = 8 }},
-		{"blockpack", func(o *Options) { o.BlockPackForce = true }},
+		{"blockpack", func(o *Options) { o.BlockPack = true }},
 		{"paper", func(o *Options) { o.ContextModel = false }},
+	}
+	golden := map[string]struct {
+		bytes, pts, lanePts string
+		parentBytes         int
+	}{
+		"city/default":   {"9895533e94a436e4d15367a2a2d8a7d0e0b6355d756544f4a7581143f85d6c7b", cityCtxPts, cityLane, 72195 + 8},
+		"city/shards8":   {"dda88a12e7dae2932fdc7f3ac222b17c4c5b6130579aa2151defebd97290dbbc", cityCtxPts, cityLane, 72377 + 8},
+		"city/blockpack": {"496af94f51afc5fbbbf1df73061128fd2f4ef65ca2fd594e51ac6dc0dddcb648", cityCtxPts, cityLane, 106339 + 8},
+		"city/paper":     {"ea94f0aa41d9cd754588ca9e1bf7a6f2329aca9e99afd6bd820ea02de836213d", cityPts, cityLane, 72498},
+		"road/default":   {"beb2b7ed1ccb1f9ea73284034fed6390aefcdd6b388578b8d8ff171ed46da247", roadCtxPts, roadCtxLane, 82546 + 8},
+		"road/shards8":   {"8882892fdfff4e2d02091ee0edcf7950fdcd7f1e10c1215f6c7324a3337b5c4b", roadCtxPts, roadCtxLane, 82726 + 8},
+		"road/blockpack": {"62472e3c262012e5e233bc6434de5c0b5905b7bbe916ddee40dded66e469c850", roadCtxPts, roadCtxLane, 122744 + 8},
+		"road/paper":     {"65ecc49cb802db312f73c86dc0aee98750e42debe7fc91da81f7819cd423aa9a", roadPts, roadLane, 82741},
 	}
 	for _, in := range inputs {
 		for _, d := range dialects {
@@ -176,6 +201,20 @@ func TestWidthInvariance(t *testing.T) {
 					partest.At(procs, func() { got = run(t, in.pc, opts) })
 					if i == 0 {
 						want = got
+						if g, ok := golden[in.name+"/"+d.name]; ok {
+							for _, f := range []struct{ name, got, want string }{
+								{"compressed bytes", got.data, g.bytes},
+								{"decoded points", got.points, g.pts},
+								{"lane-box points", got.lane, g.lanePts},
+							} {
+								if f.got != f.want {
+									t.Errorf("GOMAXPROCS=%d: %s sha256 %s, want %s", procs, f.name, f.got, f.want)
+								}
+							}
+							if got.size > g.parentBytes {
+								t.Errorf("GOMAXPROCS=%d: %d bytes, larger than the %d recorded", procs, got.size, g.parentBytes)
+							}
+						}
 						continue
 					}
 					for _, f := range []struct{ name, got, want string }{

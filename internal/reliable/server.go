@@ -202,7 +202,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		go func() {
 			defer s.wg.Done()
 			defer s.track(conn, false)
-			sess := newSession(conn, s.cfg, s)
+			sess := &Session{conn: conn, cfg: s.cfg, srv: s}
 			if err := sess.Run(); err != nil {
 				s.cfg.Logf("reliable: client %s: %v", conn.RemoteAddr(), err)
 			}
@@ -292,9 +292,9 @@ func (s *Server) connCount() int {
 type Session struct {
 	conn net.Conn
 	cfg  ServerConfig
-	srv  *Server // nil for standalone sessions
+	srv  *Server
 
-	tenant *tenant // nil until bound (and always nil when srv is nil)
+	tenant *tenant // nil until bound, and for a replication session
 	bound  string  // tenant name after binding, "" before
 
 	// The ingest queue, made when the session binds. A frame holds a slot
@@ -320,26 +320,13 @@ type ingestJob struct {
 	at time.Time
 }
 
-// NewSession wraps an accepted connection in a standalone session (no
-// admission control or tenant budgets — those need a Server).
-func NewSession(conn net.Conn, cfg ServerConfig) *Session {
-	cfg.fillDefaults()
-	return newSession(conn, cfg, nil)
-}
-
-func newSession(conn net.Conn, cfg ServerConfig, srv *Server) *Session {
-	return &Session{conn: conn, cfg: cfg, srv: srv}
-}
-
 // Run serves the connection until the client says goodbye, disconnects, or
 // the stream framing is lost. A panic anywhere in the session (including
 // the dispatch path) is caught and reported as an error rather than
 // crashing the server.
 func (s *Session) Run() (err error) {
-	if s.srv != nil {
-		s.srv.metrics.SessionsOpened.Add(1)
-		s.srv.metrics.ActiveSessions.Add(1)
-	}
+	s.srv.metrics.SessionsOpened.Add(1)
+	s.srv.metrics.ActiveSessions.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("reliable: session panic: %v", r)
@@ -358,11 +345,9 @@ func (s *Session) Run() (err error) {
 			s.working.Wait()
 		}
 		s.conn.Close()
-		if s.srv != nil {
-			s.srv.unbind(s.tenant)
-			s.srv.metrics.SessionsClosed.Add(1)
-			s.srv.metrics.ActiveSessions.Add(-1)
-		}
+		s.srv.unbind(s.tenant)
+		s.srv.metrics.SessionsClosed.Add(1)
+		s.srv.metrics.ActiveSessions.Add(-1)
 	}()
 	s.lastDrain.Store(time.Now().UnixNano())
 	for {
@@ -447,9 +432,7 @@ func (s *Session) notReady(seq uint64) (refused bool, err error) {
 	if retryAfter <= 0 {
 		retryAfter = s.cfg.RetryAfter
 	}
-	if s.srv != nil {
-		s.srv.metrics.BusyNacked.Add(1)
-	}
+	s.srv.metrics.BusyNacked.Add(1)
 	if werr := s.write(netproto.NackBusy(seq, retryAfter, reason)); werr != nil {
 		return true, werr
 	}
@@ -550,14 +533,10 @@ func (s *Session) ingestRepl(m netproto.Message) error {
 		// A tenant-bound client smuggling repl frames: reject, keep session.
 		return s.write(netproto.Nack(m.Seq, "session bound to a tenant"))
 	}
-	if s.srv != nil {
-		s.srv.metrics.FramesIn.Add(1)
-		s.srv.metrics.ReplRecords.Add(1)
-		s.srv.metrics.BytesIn.Add(uint64(len(m.Payload)))
-	}
-	if s.srv != nil {
-		s.srv.noteInflight(1)
-	}
+	s.srv.metrics.FramesIn.Add(1)
+	s.srv.metrics.ReplRecords.Add(1)
+	s.srv.metrics.BytesIn.Add(uint64(len(m.Payload)))
+	s.srv.noteInflight(1)
 	s.enqueue(m, true)
 	return nil
 }
@@ -593,15 +572,13 @@ func (s *Session) hello(m netproto.Message) error {
 }
 
 // bind admits the session under the given tenant name and starts the
-// ingest queue. Standalone sessions (no server) bind trivially.
+// ingest queue.
 func (s *Session) bind(name string) error {
-	if s.srv != nil {
-		t, err := s.srv.admit(name)
-		if err != nil {
-			return err
-		}
-		s.tenant = t
+	t, err := s.srv.admit(name)
+	if err != nil {
+		return err
 	}
+	s.tenant = t
 	s.bound = name
 	s.makeQueue()
 	return nil
@@ -634,10 +611,8 @@ func (s *Session) ingest(m netproto.Message) error {
 	if err := s.ensureBound(m.Seq); err != nil {
 		return err
 	}
-	if s.srv != nil {
-		s.srv.metrics.FramesIn.Add(1)
-		s.srv.metrics.BytesIn.Add(uint64(len(m.Payload)))
-	}
+	s.srv.metrics.FramesIn.Add(1)
+	s.srv.metrics.BytesIn.Add(uint64(len(m.Payload)))
 	// A shedding tenant drains: queued frames finish and ack, new ones
 	// are refused, and once the queue is empty the session closes so the
 	// client re-dials into admission control.
@@ -654,16 +629,12 @@ func (s *Session) ingest(m netproto.Message) error {
 	if s.tenant != nil && !s.tenant.tryAcquire(s.cfg.TenantBudget) {
 		return s.overloaded(m.Seq, "tenant queue full")
 	}
-	if s.srv != nil {
-		s.srv.noteInflight(1)
-	}
+	s.srv.noteInflight(1)
 	if !s.enqueue(m, false) {
 		if s.tenant != nil {
 			s.tenant.release()
 		}
-		if s.srv != nil {
-			s.srv.noteInflight(-1)
-		}
+		s.srv.noteInflight(-1)
 		return s.overloaded(m.Seq, "session queue full")
 	}
 	return nil
@@ -679,9 +650,7 @@ func (s *Session) overloaded(seq uint64, reason string) error {
 	if s.cfg.StallTimeout > 0 {
 		last := time.Unix(0, s.lastDrain.Load())
 		if time.Since(last) > s.cfg.StallTimeout {
-			if s.srv != nil {
-				s.srv.metrics.SessionsStalled.Add(1)
-			}
+			s.srv.metrics.SessionsStalled.Add(1)
 			return errStalled
 		}
 	}
@@ -689,31 +658,27 @@ func (s *Session) overloaded(seq uint64, reason string) error {
 }
 
 func (s *Session) busyNack(seq uint64, reason string) error {
-	if s.srv != nil {
-		s.srv.metrics.BusyNacked.Add(1)
-	}
+	s.srv.metrics.BusyNacked.Add(1)
 	return s.write(netproto.NackBusy(seq, s.cfg.RetryAfter, reason))
 }
 
-// finish answers one handled frame and releases its backpressure tokens.
+// finish releases one handled frame's backpressure tokens and answers it.
+// The tokens go first: once the client has its answer, the frame is no
+// longer in flight.
 func (s *Session) finish(r ingestJob, herr error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.cfg.Logf("reliable: finish panic on frame %d: %v", r.m.Seq, p)
 		}
-		s.lastDrain.Store(time.Now().UnixNano())
-		if s.tenant != nil {
-			s.tenant.release()
-		}
-		if s.srv != nil {
-			s.srv.noteInflight(-1)
-			s.srv.metrics.ObserveLatency(time.Since(r.at))
-		}
 	}()
+	s.lastDrain.Store(time.Now().UnixNano())
+	if s.tenant != nil {
+		s.tenant.release()
+	}
+	s.srv.noteInflight(-1)
+	s.srv.metrics.ObserveLatency(time.Since(r.at))
 	if herr == nil {
-		if s.srv != nil {
-			s.srv.metrics.Acked.Add(1)
-		}
+		s.srv.metrics.Acked.Add(1)
 		ack := netproto.Ack(r.m.Seq)
 		if r.m.Kind == netproto.KindReplRecord {
 			// The replication dialect acks with its own kind so the
@@ -726,9 +691,7 @@ func (s *Session) finish(r ingestJob, herr error) {
 		return
 	}
 	s.cfg.Logf("reliable: frame %d rejected: %v", r.m.Seq, herr)
-	if s.srv != nil {
-		s.srv.metrics.Nacked.Add(1)
-	}
+	s.srv.metrics.Nacked.Add(1)
 	nack := netproto.Nack(r.m.Seq, clip(herr.Error()))
 	if errors.Is(herr, ErrFinal) {
 		nack = netproto.NackFinal(r.m.Seq, clip(herr.Error()))
@@ -805,9 +768,7 @@ func (s *Session) callQuery(q netproto.Query) (payload []byte, err error) {
 }
 
 func (s *Session) quarantine(m netproto.Message, reason string) {
-	if s.srv != nil {
-		s.srv.metrics.Quarantined.Add(1)
-	}
+	s.srv.metrics.Quarantined.Add(1)
 	if s.cfg.Quarantine != nil && m.Kind != netproto.KindReplRecord {
 		s.cfg.Quarantine(s.tenantName(), m, reason)
 	}

@@ -266,10 +266,7 @@ func (r *Reader) SetLimits(l dbgc.DecodeLimits) { r.limits = l }
 // EnablePartial switches the reader to partial-recovery mode: a damaged
 // frame no longer aborts iteration. ReadFrame returns the points of the
 // frame's intact sections and describes the damage in Frame.Damage.
-func (r *Reader) EnablePartial() error {
-	r.partial = true
-	return nil
-}
+func (r *Reader) EnablePartial() { r.partial = true }
 
 func newStreamBudget(l dbgc.DecodeLimits) *declimits.Budget {
 	if l.MaxPoints == 0 && l.MaxNodes == 0 && l.MaxSectionBytes == 0 && l.MemBudget == 0 && l.Ctx == nil {
