@@ -221,14 +221,8 @@ func runInfo(args []string) error {
 		return err
 	}
 	dialect := ""
-	if layout.ShardedStreams {
-		dialect = ", sharded entropy streams"
-	}
-	if layout.BlockPacked {
-		dialect += ", blockpacked integer streams"
-	}
 	if layout.ContextModeled {
-		dialect += ", per-stream coder choice (context dialect)"
+		dialect = ", per-stream coder choice (context dialect)"
 	}
 	fmt.Printf("%s: %d bytes, %d points, ratio %.2f (format v%d%s)\n",
 		fs.Arg(0), len(data), len(pc), float64(len(pc)*12)/float64(len(data)), layout.Version, dialect)

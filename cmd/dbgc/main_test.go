@@ -88,19 +88,7 @@ func TestSingleFrameCommands(t *testing.T) {
 // blockpacked (v4) container: the command refuses the flag, exits 2 and
 // writes no output, on an input it compresses without the flag.
 func TestRetiredFlags(t *testing.T) {
-	if args, ok := os.LookupEnv("DBGC_TEST_ARGS"); ok {
-		os.Args = append([]string{"dbgc"}, strings.Split(args, "\n")...)
-		main()
-		return
-	}
-	dbgc := func(args ...string) (string, error) {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestRetiredFlags$")
-		cmd.Env = append(os.Environ(), "DBGC_TEST_ARGS="+strings.Join(args, "\n"))
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		return stderr.String(), err
-	}
+	dbgc := childProcess(t, "TestRetiredFlags")
 	in, out := t.TempDir(), t.TempDir()
 	writeFrames(t, in, 1)
 	frame := filepath.Join(in, "000000.bin")
@@ -132,5 +120,45 @@ func TestRetiredFlags(t *testing.T) {
 		if err := os.Remove(dst); err != nil {
 			t.Fatalf("dbgc %s without %s wrote no %s: %v", c.cmd, c.flag, c.output, err)
 		}
+	}
+}
+
+// childProcess returns a function that runs the command line with args in a
+// child process — the test binary rerunning test, which must call it first —
+// and returns what it wrote to stderr and how it exited.
+func childProcess(t *testing.T, test string) func(args ...string) (string, error) {
+	if args, ok := os.LookupEnv("DBGC_TEST_ARGS"); ok {
+		os.Args = append([]string{"dbgc"}, strings.Split(args, "\n")...)
+		main()
+		os.Exit(0)
+	}
+	return func(args ...string) (string, error) {
+		cmd := exec.Command(os.Args[0], "-test.run=^"+test+"$")
+		cmd.Env = append(os.Environ(), "DBGC_TEST_ARGS="+strings.Join(args, "\n"))
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		return stderr.String(), err
+	}
+}
+
+// TestInfoRefusesRetiredDialects runs info on the two checked-in frames of
+// the retired containers, sharded v3 and blockpacked v4: it exits 1 and says
+// why by dbgc.ErrRetiredDialect, where the default frame's vector beside
+// them is described.
+func TestInfoRefusesRetiredDialects(t *testing.T) {
+	run := childProcess(t, "TestInfoRefusesRetiredDialects")
+	for _, file := range []string{"city-sector-shards8.dbgc", "city-sector-blockpack.dbgc"} {
+		stderr, err := run("info", filepath.Join("..", "..", "internal", "core", "testdata", file))
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("dbgc info %s: %v, want exit status 1", file, err)
+		}
+		if !strings.Contains(stderr, dbgc.ErrRetiredDialect.Error()) {
+			t.Errorf("dbgc info %s printed %q, want it to name %q", file, stderr, dbgc.ErrRetiredDialect)
+		}
+	}
+	if stderr, err := run("info", filepath.Join("..", "..", "internal", "core", "testdata", "city-sector-ctx.dbgc")); err != nil {
+		t.Errorf("dbgc info on the v5 vector: %v\n%s", err, stderr)
 	}
 }

@@ -142,6 +142,12 @@ type DecodeLimits = core.DecodeLimits
 // DecodeLimits.
 var ErrDecodeLimit = core.ErrLimit
 
+// ErrRetiredDialect is wrapped by errors returned for a frame in a retired
+// dialect — container version 3 (sharded entropy streams) or 4 (blockpacked
+// integer streams), or a v5 frame that declares either — which no release
+// writes or reads any more.
+var ErrRetiredDialect = core.ErrRetiredDialect
+
 // DefaultDecodeLimits returns production limits generous enough for any
 // real LiDAR frame while bounding hostile input.
 func DefaultDecodeLimits() DecodeLimits { return core.DefaultDecodeLimits() }

@@ -9,7 +9,9 @@ import (
 	"dbgc/internal/varint"
 )
 
-// Sharded entropy streams (container v3). A sharded stream splits one
+// Sharded entropy streams, the retired container v3's: no container writes
+// or reads them, and only internal/streamcodec's retired codecs and their
+// tests call this file. A sharded stream splits one
 // symbol sequence into S contiguous shards, each coded by its own adaptive
 // arithmetic coder, so encode and decode parallelize across cores while the
 // sequence semantics stay identical. The framing is:

@@ -26,6 +26,10 @@
 // Blocks restart wherever a stream does, so internal/streamcodec can put a
 // blockpacked stream inside the container v3 shard framing, one run of
 // blocks per shard, like the entropy-coded streams it replaces.
+//
+// The blockpacked dialect (container v4) is retired: no container writes or
+// reads these blocks, and only internal/streamcodec's retired codecs and
+// their tests call this package.
 package blockpack
 
 import (

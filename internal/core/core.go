@@ -22,11 +22,17 @@ import (
 	"dbgc/internal/outlier"
 	"dbgc/internal/par"
 	"dbgc/internal/sparse"
+	"dbgc/internal/streamcodec"
 	"dbgc/internal/varint"
 )
 
 // ErrCorrupt reports a malformed DBGC stream.
 var ErrCorrupt = errors.New("core: corrupt stream")
+
+// ErrRetiredDialect reports a frame in a retired dialect — container v3
+// (sharded) or v4 (blockpacked), or a v5 frame or stream that declares
+// either — or options that ask for one.
+var ErrRetiredDialect = streamcodec.ErrRetiredDialect
 
 // OutlierMode selects how points off all polylines are compressed (§4.3
 // "Optimized Outlier Compression" comparison, Table 2).
@@ -74,31 +80,13 @@ type Options struct {
 	// the octree — the manual split of Figure 10. Negative means "use
 	// clustering".
 	ForceOctreeFraction float64
-	// Shards splits every section's high-volume entropy streams (octree
-	// occupancy/count levels, sparse φ tails and radials, outlier
-	// quadtree/Δz payloads) into this many independently coded shards —
-	// the unit of multi-core entropy parallelism — and emits the container
-	// v3 dialect. Values <= 1 keep the legacy single-coder v2 container,
-	// byte-identical to previous releases. The output depends only on the
-	// input and the shard count, never on GOMAXPROCS.
-	Shards int
-	// BlockPack codes the integer hot paths — octree leaf counts, sparse
-	// polyline lengths and θ/φ/r deltas, outlier quadtree counts and Δz —
-	// with the blockpack codec (FastPFOR-style 128-value blocks, patched
-	// exceptions) instead of adaptive arithmetic coding and varint+DEFLATE,
-	// and emits the container v4 dialect (with ContextModel, v5 with the
-	// blockpack dialect bit). Arithmetic-coded occupancy and
-	// reference-symbol streams are unaffected. It composes with Shards
-	// (blockpacked streams reuse the shard framing, so their shards still
-	// decode side by side).
-	//
-	// LiDAR streams are skewed, so the packed frame is larger: 1.13-1.52×
-	// on the HDL-64E, HDL-32E and VLP-16 city, road, campus and residential
-	// frames. Under the paper's coders it decodes faster (two vCPUs: city
-	// 9.4 → 6.2 ms, road 10.8 → 5.6 ms); under ContextModel the gain is
-	// smaller or absent (city 10.9 → 8.8 ms, road 10.7 → 11.1 ms). No
-	// workload sets it: the format tests and bench's stage replay name it,
-	// and it stays until they no longer do (ROADMAP item 6).
+	// Shards and BlockPack asked for the retired sharded (v3) and
+	// blockpacked (v4) containers, which no workload wrote and which were
+	// larger than the default frame; they are no longer read or written
+	// (DESIGN.md §9, "Retired dialects"). Compress refuses Shards > 1 and
+	// BlockPack with ErrRetiredDialect. Kept for bench/, which names them;
+	// a change to the benchmark deletes them.
+	Shards    int
 	BlockPack bool
 	// ContextModel emits the container v5 dialect, in which each sparse
 	// angular stream (θ-head deltas, θ tails, φ tails) is coded once, by
@@ -109,12 +97,11 @@ type Options struct {
 	// for a tenth more decode time, the θ tails being arithmetic-decoded
 	// where §3.5 inflates them. False is the spelling of the paper's own
 	// coders — Deflate on θ, arithmetic coding on φ, r and the lengths — and
-	// the v2/v3/v4 containers, byte-identical to previous releases. The
-	// octree occupancy stream keeps its order-0 coder either way, behind a
-	// method marker that says so; a frame whose marker names the retired
+	// the v2 container, byte-identical to previous releases. The octree
+	// occupancy stream keeps its order-0 coder either way, behind a method
+	// marker that says so; a frame whose marker names the retired
 	// context-modeled occupancy coder is refused with
-	// octree.ErrContextOccupancy. Composes with Shards (context state resets
-	// per shard) and with BlockPack.
+	// octree.ErrContextOccupancy.
 	ContextModel bool
 }
 
@@ -178,34 +165,26 @@ const (
 	// version2 frames each section as "length uvarint | crc fixed32 LE |
 	// payload", the CRC32-C making damage attributable to one section so
 	// the others stay recoverable (DecompressPartial). Version 1, the same
-	// framing without the CRC, is no longer read.
+	// framing without the CRC, is no longer read. Compress writes it
+	// without ContextModel.
 	version2 = 2
-	// version3 keeps the v2 envelope (magic, mode, per-section CRCs) but
-	// codes the high-volume entropy streams inside every section with the
-	// sharded framing of internal/arith, and prefixes each sparse radial
-	// group with its own CRC-32C.
+	// version3 (sharded entropy streams) and version4 (blockpacked integer
+	// streams) are retired: parseContainer refuses them with
+	// ErrRetiredDialect.
 	version3 = 3
-	// version4 keeps the v3 envelope and framing but codes the integer hot
-	// paths (leaf counts, polyline lengths, θ/φ/r deltas, Δz) with the
-	// blockpack codec of internal/blockpack. Emitted when Options.BlockPack
-	// is set without ContextModel.
 	version4 = 4
 	// version5 keeps the envelope but follows the version byte with a
-	// dialect byte: v2-v4 infer the entropy dialect from the version number
-	// alone, while v5's context modeling composes with sharding and
-	// blockpacking, so the combination must be spelled out. Emitted when
-	// Options.ContextModel is set. Versions 2 to 5 all decode.
+	// dialect byte, whose one live bit is dialectContext. Compress writes it
+	// under ContextModel, the default.
 	version5 = 5
-	// version is what Compress emits for unsharded options (Shards <= 1)
-	// without ContextModel; sharded compression emits version3, blockpacked
-	// version4, ContextModel — the default — version5.
-	version = version2
 )
 
-// Dialect bits of the v5 container's dialect byte.
+// Dialect bits of the v5 container's dialect byte. The sharded and
+// blockpack bits are retired: parseContainer refuses a frame that sets
+// either with ErrRetiredDialect.
 const (
-	dialectSharded   = 1 << 0 // v3 sharded entropy framing
-	dialectBlockPack = 1 << 1 // v4 blockpacked integer hot paths
+	dialectSharded   = 1 << 0 // retired: v3 sharded entropy framing
+	dialectBlockPack = 1 << 1 // retired: v4 blockpacked integer streams
 	dialectContext   = 1 << 2 // coder-choice angular streams, occupancy method marker
 )
 
@@ -247,6 +226,9 @@ func (e *Encoder) Compress(pc geom.PointCloud) ([]byte, *Stats, error) {
 func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options, clock StageTimes) ([]byte, *Stats, error) {
 	if opts.Q <= 0 {
 		return nil, nil, fmt.Errorf("core: error bound must be positive, got %v", opts.Q)
+	}
+	if opts.Shards > 1 || opts.BlockPack {
+		return nil, nil, fmt.Errorf("core: Options.Shards %d, BlockPack %v: %w", opts.Shards, opts.BlockPack, ErrRetiredDialect)
 	}
 	if opts.UTheta <= 0 {
 		opts.UTheta = 2 * math.Pi / 2000
@@ -297,8 +279,6 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options, clock StageTime
 			UPhi:             opts.UPhi,
 			DisableRadialOpt: opts.DisableRadialOpt,
 			CartesianMode:    opts.CartesianPolylines,
-			Shards:           opts.Shards,
-			BlockPack:        opts.BlockPack,
 			Context:          opts.ContextModel,
 		})
 		clock.set("sparse.encode", time.Since(t))
@@ -306,7 +286,7 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options, clock StageTime
 	}
 	denseLeg := func() {
 		t := time.Now()
-		denseEnc, denseErr = octree.EncodeWith(densePts, opts.Q, octree.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack, Context: opts.ContextModel})
+		denseEnc, denseErr = octree.EncodeWith(densePts, opts.Q, octree.EncodeOptions{Context: opts.ContextModel})
 		stats.OCT = time.Since(t)
 		stats.ENT = denseEnc.EntropyTime
 		clock.set("octree.encode", stats.OCT)
@@ -340,33 +320,14 @@ func (e *Encoder) compressOnce(pc geom.PointCloud, opts Options, clock StageTime
 	stats.OUT = time.Since(t0)
 	clock.set("outlier.encode", stats.OUT)
 
-	// Final layout (Figure 8). Sharded entropy streams need the v3
-	// container, blockpacked streams the v4, so decoders select the right
-	// dialect per section. Context-modeled streams need the v5 container,
-	// whose dialect byte spells out the full combination.
-	ver := byte(version)
-	if opts.Shards > 1 {
-		ver = version3
-	}
-	if opts.BlockPack {
-		ver = version4
-	}
-	var dialect byte
-	if opts.ContextModel {
-		ver = version5
-		dialect = dialectContext
-		if opts.Shards > 1 {
-			dialect |= dialectSharded
-		}
-		if opts.BlockPack {
-			dialect |= dialectBlockPack
-		}
-	}
+	// Final layout (Figure 8). Context-modeled streams need the v5
+	// container, whose dialect byte says so.
 	out := make([]byte, 0, len(denseEnc.Data)+len(sparseEnc.Data)+len(outlierData)+64)
 	out = append(out, magic...)
-	out = append(out, ver)
-	if ver == version5 {
-		out = append(out, dialect)
+	if opts.ContextModel {
+		out = append(out, version5, dialectContext)
+	} else {
+		out = append(out, version2)
 	}
 	out = varint.AppendUint(out, uint64(opts.OutlierMode))
 	out = appendSection(out, denseEnc.Data)
@@ -527,13 +488,13 @@ func SplitPoints(pc geom.PointCloud, opts Options) (dense, sparseIdx []int32) {
 func encodeOutliers(pts geom.PointCloud, opts Options) ([]byte, []int, error) {
 	switch opts.OutlierMode {
 	case OutlierQuadtree:
-		enc, err := outlier.EncodeWith(pts, opts.Q, outlier.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack})
+		enc, err := outlier.Encode(pts, opts.Q)
 		if err != nil {
 			return nil, nil, err
 		}
 		return enc.Data, enc.DecodedOrder, nil
 	case OutlierOctree:
-		enc, err := octree.EncodeWith(pts, opts.Q, octree.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack, Context: opts.ContextModel})
+		enc, err := octree.EncodeWith(pts, opts.Q, octree.EncodeOptions{Context: opts.ContextModel})
 		if err != nil {
 			return nil, nil, err
 		}

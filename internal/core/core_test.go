@@ -356,19 +356,27 @@ func TestRejectsOverflowingNorm(t *testing.T) {
 // the limit the far point and hundreds of ordinary points with it used to
 // come back outside √3·q with no error from either side, and so did a far
 // point at the limit that landed in the octree while that stopped at 40
-// levels.
+// levels. The frames at the limit are decoded and checked at GOMAXPROCS 1;
+// at 4 their bytes and Stats.Mapping must equal those, and equal bytes
+// decode equally. The refusals run at both widths.
 func TestCoordinateLimit(t *testing.T) {
 	city := frame(t, lidar.City)
 	for _, q := range []float64{0.001, 0.02, 0.1} {
 		limit := q * (1 << 48)
+		opts := DefaultOptions(q)
+		// Where clustering puts the stray is an accident of how a frame this
+		// wide aliases cells, so it also goes through the octree with every
+		// other point.
+		allDense := opts
+		allDense.ForceOctreeFraction = 1
+		type coded struct {
+			data    []byte
+			mapping []int32
+		}
+		var want []coded
 		for _, procs := range []int{1, 4} {
 			partest.At(procs, func() {
-				opts := DefaultOptions(q)
-				// Where clustering puts the stray is an accident of how a frame
-				// this wide aliases cells, so it also goes through the octree
-				// with every other point.
-				allDense := opts
-				allDense.ForceOctreeFraction = 1
+				k := 0
 				for _, stray := range []geom.Point{{X: limit}, {Z: -limit}, {X: -limit, Y: limit / 2, Z: limit / 4}} {
 					pc := append(append(geom.PointCloud(nil), city...), stray)
 					for _, o := range []Options{opts, allDense} {
@@ -376,7 +384,13 @@ func TestCoordinateLimit(t *testing.T) {
 						if err != nil {
 							t.Fatalf("q=%v GOMAXPROCS=%d stray %v at the limit: %v", q, procs, stray, err)
 						}
-						verifyRoundTrip(t, pc, data, stats, q)
+						if procs == 1 {
+							verifyRoundTrip(t, pc, data, stats, q)
+							want = append(want, coded{data, stats.Mapping})
+						} else if !bytes.Equal(data, want[k].data) || !slices.Equal(stats.Mapping, want[k].mapping) {
+							t.Errorf("q=%v stray %v: GOMAXPROCS=%d writes other bytes or another mapping than GOMAXPROCS=1", q, stray, procs)
+						}
+						k++
 					}
 				}
 				beyond := math.Nextafter(limit, math.Inf(1))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -8,13 +9,13 @@ import (
 	"dbgc/internal/lidar"
 )
 
-// TestContextModelEquivalence is the v5 contract: across the dialect matrix
-// (shards × blockpack), a ContextModel frame decodes to exactly the points
-// of the plain frame — every one of them, in the forward-first order of the
-// v5 sparse stream, so compared as multisets — the container carries
-// version 5 with the right
-// dialect byte, and the per-stream size guard keeps the frame from ever
-// growing past the marker overhead.
+// TestContextModelEquivalence is the v5 contract: a ContextModel frame
+// decodes to exactly the points of the plain frame — every one of them, in
+// the forward-first order of the v5 sparse stream, so compared as
+// multisets — the container carries version 5 with the context dialect
+// byte, and the per-stream size guard keeps the frame from ever growing
+// past the marker overhead. The rows that ask for a shard count or
+// blockpack are the retired dialects' and are refused.
 func TestContextModelEquivalence(t *testing.T) {
 	pc := frame(t, lidar.City)
 	plainData, _, err := Compress(pc, paperOptions(0.02))
@@ -25,61 +26,60 @@ func TestContextModelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The sharded and blockpacked dialects are retired: with the context
+	// model or without, options that ask for one are refused.
 	for _, cfg := range []struct {
 		shards    int
 		blockpack bool
-	}{{0, false}, {4, false}, {0, true}, {4, true}} {
+	}{{4, false}, {0, true}, {4, true}} {
 		t.Run(fmt.Sprintf("shards=%d/blockpack=%v", cfg.shards, cfg.blockpack), func(t *testing.T) {
 			opts := paperOptions(0.02)
-			opts.Shards = cfg.shards
-			opts.BlockPack = cfg.blockpack
-			plain, _, err := Compress(pc, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			opts.ContextModel = true
-			serial, stats, err := Compress(pc, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if serial[len(magic)] != version5 {
-				t.Fatalf("context container has version %d, want %d", serial[len(magic)], version5)
-			}
-			wantDialect := byte(dialectContext)
-			if cfg.shards > 1 {
-				wantDialect |= dialectSharded
-			}
-			if cfg.blockpack {
-				wantDialect |= dialectBlockPack
-			}
-			if serial[len(magic)+1] != wantDialect {
-				t.Fatalf("dialect byte %#x, want %#x", serial[len(magic)+1], wantDialect)
-			}
-			// The guard bound: the v5 frame carries one dialect byte plus at
-			// most one method marker per guarded stream over its base dialect.
-			if len(serial) > len(plain)+16 {
-				t.Fatalf("context frame %dB exceeds plain %dB + markers", len(serial), len(plain))
-			}
-			t.Logf("frame bytes: plain %d, ctx %d (ratio %.2f)", len(plain), len(serial), stats.CompressionRatio())
-			if len(stats.Mapping) != len(pc) {
-				t.Fatalf("mapping has %d entries, want %d", len(stats.Mapping), len(pc))
-			}
-			got, err := Decompress(serial)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if !sameMultiset(want, got) {
-				t.Fatal("decode holds other points than the legacy decode")
-			}
-			lay, err := Inspect(serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !lay.ContextModeled || lay.ShardedStreams != (cfg.shards > 1) || lay.BlockPacked != cfg.blockpack {
-				t.Fatalf("Inspect reports ctx=%v sharded=%v blockpack=%v", lay.ContextModeled, lay.ShardedStreams, lay.BlockPacked)
+			opts.Shards, opts.BlockPack = cfg.shards, cfg.blockpack
+			for _, ctx := range []bool{false, true} {
+				opts.ContextModel = ctx
+				if out, stats, err := Compress(pc, opts); !errors.Is(err, ErrRetiredDialect) || out != nil || stats != nil {
+					t.Errorf("ContextModel %v: %d bytes, %v; want ErrRetiredDialect", ctx, len(out), err)
+				}
 			}
 		})
 	}
+	t.Run("shards=0/blockpack=false", func(t *testing.T) {
+		opts := paperOptions(0.02)
+		opts.ContextModel = true
+		serial, stats, err := Compress(pc, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serial[len(magic)] != version5 {
+			t.Fatalf("context container has version %d, want %d", serial[len(magic)], version5)
+		}
+		if serial[len(magic)+1] != dialectContext {
+			t.Fatalf("dialect byte %#x, want %#x", serial[len(magic)+1], dialectContext)
+		}
+		// The guard bound: the v5 frame carries one dialect byte plus at
+		// most one method marker per guarded stream over the paper's frame.
+		if len(serial) > len(plainData)+16 {
+			t.Fatalf("context frame %dB exceeds plain %dB + markers", len(serial), len(plainData))
+		}
+		t.Logf("frame bytes: plain %d, ctx %d (ratio %.2f)", len(plainData), len(serial), stats.CompressionRatio())
+		if len(stats.Mapping) != len(pc) {
+			t.Fatalf("mapping has %d entries, want %d", len(stats.Mapping), len(pc))
+		}
+		got, err := Decompress(serial)
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if !sameMultiset(want, got) {
+			t.Fatal("decode holds other points than the legacy decode")
+		}
+		lay, err := Inspect(serial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !lay.ContextModeled || lay.ShardedStreams || lay.BlockPacked {
+			t.Fatalf("Inspect reports ctx=%v sharded=%v blockpack=%v", lay.ContextModeled, lay.ShardedStreams, lay.BlockPacked)
+		}
+	})
 }
 
 // TestContextModelUnderLimits: a v5 frame decodes under the default
@@ -101,10 +101,7 @@ func TestContextModelUnderLimits(t *testing.T) {
 // truncations anywhere in the frame.
 func TestContextModelCorrupt(t *testing.T) {
 	pc := frame(t, lidar.Residential)
-	opts := paperOptions(0.02)
-	opts.ContextModel = true
-	opts.Shards = 2
-	data, _, err := Compress(pc, opts)
+	data, _, err := Compress(pc, DefaultOptions(0.02))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,50 +140,31 @@ func TestContextModelRegion(t *testing.T) {
 	}
 }
 
-// TestContextModelPartialKeepsNoUnverifiedPoints: a ContextModel frame
-// written without shards or blockpack is container v5, but its sparse groups
-// carry no CRC of their own, so a sparse section that fails the section CRC
-// has nothing DecompressPartial could check a group against: it must come
-// back empty, never as points decoded from the damaged bytes. With Shards
-// the same frame's groups do carry CRCs, and the groups a flip spares are
-// still salvaged.
+// TestContextModelPartialKeepsNoUnverifiedPoints: the sparse groups of a
+// ContextModel frame carry no CRC of their own, so a sparse section that
+// fails the section CRC has nothing DecompressPartial could check a group
+// against: it must come back empty, never as points decoded from the
+// damaged bytes.
 func TestContextModelPartialKeepsNoUnverifiedPoints(t *testing.T) {
-	pc := frame(t, lidar.City)
-	for _, shards := range []int{0, 4} {
-		opts := paperOptions(0.02)
-		opts.ContextModel = true
-		opts.Shards = shards
-		data, _, err := Compress(pc, opts)
+	data, _, err := Compress(frame(t, lidar.City), DefaultOptions(0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := parseContainer(data, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := c.sec[SectionSparse].payload // aliases data
+	for k := 0; k < 40; k++ {
+		at, bit := (2*k+1)*len(sp)/80, byte(1)<<(k%8)
+		sp[at] ^= bit
+		_, reports, err := DecompressPartial(data, DecompressOptions{})
+		sp[at] ^= bit
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("flip at %d: %v", at, err)
 		}
-		c, err := parseContainer(data, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := c.sec[SectionSparse].payload // aliases data
-		salvaged := 0
-		for k := 0; k < 40; k++ {
-			at, bit := (2*k+1)*len(sp)/80, byte(1)<<(k%8)
-			sp[at] ^= bit
-			_, reports, err := DecompressPartial(data, DecompressOptions{})
-			sp[at] ^= bit
-			if err != nil {
-				t.Fatalf("shards %d, flip at %d: %v", shards, at, err)
-			}
-			r := reports[SectionSparse]
-			if r.Err == nil {
-				t.Fatalf("shards %d, flip at %d: damage not reported", shards, at)
-			}
-			if shards <= 1 && r.Points != 0 {
-				t.Errorf("shards %d, flip at %d: %d points kept from a section nothing verifies", shards, at, r.Points)
-			}
-			if r.Points > 0 {
-				salvaged++
-			}
-		}
-		if shards > 1 && salvaged == 0 {
-			t.Errorf("shards %d: no flip left a group to salvage", shards)
+		if r := reports[SectionSparse]; r.Err == nil || r.Points != 0 {
+			t.Errorf("flip at %d: %d points kept, %v; want none and the damage", at, r.Points, r.Err)
 		}
 	}
 }

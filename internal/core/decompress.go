@@ -15,7 +15,6 @@ import (
 	"dbgc/internal/outlier"
 	"dbgc/internal/par"
 	"dbgc/internal/sparse"
-	"dbgc/internal/streamcodec"
 	"dbgc/internal/varint"
 )
 
@@ -77,9 +76,7 @@ type SectionReport struct {
 	// the section is damaged beyond salvage).
 	Points int
 	// Err is nil for an intact section; otherwise it explains the damage
-	// (CRC mismatch or decode failure). On v3 sparse sections Err and a
-	// nonzero Points can coexist: the per-group CRCs let the decoder skip
-	// only the condemned radial groups and keep the rest.
+	// (CRC mismatch or decode failure).
 	Err error
 	// Raw is the section's compressed payload, aliasing the input frame.
 	// Callers quarantining damaged bytes should copy it before the input
@@ -101,44 +98,29 @@ func (s *section) verify(id SectionID) error {
 	return nil
 }
 
-// container is a parsed frame envelope: version, dialect byte (v5 only,
-// zero otherwise), outlier mode, and the three section payloads (not yet
-// decoded or CRC-verified).
+// container is a parsed frame envelope: version, outlier mode, and the
+// three section payloads (not yet decoded or CRC-verified).
 type container struct {
 	version byte
-	dialect byte
 	mode    OutlierMode
 	sec     [numSections]section
 }
 
-// streams returns the per-stream entropy dialect of the container: v2 is
-// plain, v3 sharded, v4 sharded+blockpacked, and v5 carries the combination
-// explicitly in its dialect byte.
-func (c container) streams() streamcodec.Dialect {
-	if c.version == version5 {
-		return streamcodec.Dialect{
-			Sharded:   c.dialect&dialectSharded != 0,
-			BlockPack: c.dialect&dialectBlockPack != 0,
-			Context:   c.dialect&dialectContext != 0,
-		}
-	}
-	return streamcodec.Dialect{Sharded: c.version >= version3, BlockPack: c.version >= version4}
-}
+// context tells the v5 container, whose streams are context-modeled.
+func (c container) context() bool { return c.version == version5 }
 
 // octreeOptions returns what decodes the container's dense section, and its
 // outlier section under either tree mode: the dialect and the budget.
 func (c container) octreeOptions(b *declimits.Budget) octree.DecodeOptions {
-	d := c.streams()
-	return octree.DecodeOptions{Budget: b, Sharded: d.Sharded, BlockPack: d.BlockPack, Context: d.Context}
+	return octree.DecodeOptions{Budget: b, Context: c.context()}
 }
 
 // parseContainer splits a frame into its envelope and sections, charging
-// declared section lengths against b. It reads versions 2 to 5, which share
-// one section framing (length uvarint, CRC32-C fixed32 LE, payload): v3
-// keeps the v2 envelope while the section payloads use the sharded entropy
-// dialect, v4 additionally codes the integer hot paths with blockpack, and
-// v5 names its dialect in a byte after the version. Version 1 (bare section
-// lengths, no CRC) is refused like any other unknown version.
+// declared section lengths against b. It reads versions 2 and 5, which share
+// one section framing (length uvarint, CRC32-C fixed32 LE, payload); v5
+// names its dialect in a byte after the version. Versions 3 and 4 and a v5
+// dialect byte with a retired bit are refused with ErrRetiredDialect,
+// version 1 (bare section lengths, no CRC) like any other unknown version.
 func parseContainer(data []byte, b *declimits.Budget) (container, error) {
 	var c container
 	if len(data) < len(magic)+1 {
@@ -148,7 +130,11 @@ func parseContainer(data []byte, b *declimits.Budget) (container, error) {
 		return c, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	c.version = data[len(magic)]
-	if c.version < version2 || c.version > version5 {
+	switch c.version {
+	case version2, version5:
+	case version3, version4:
+		return c, fmt.Errorf("core: container version %d: %w", c.version, ErrRetiredDialect)
+	default:
 		return c, fmt.Errorf("core: unsupported version %d", c.version)
 	}
 	data = data[len(magic)+1:]
@@ -156,9 +142,11 @@ func parseContainer(data []byte, b *declimits.Budget) (container, error) {
 		if len(data) < 1 {
 			return c, fmt.Errorf("%w: missing dialect byte", ErrCorrupt)
 		}
-		c.dialect = data[0]
-		if c.dialect&^(dialectSharded|dialectBlockPack|dialectContext) != 0 {
-			return c, fmt.Errorf("%w: unknown dialect bits %#x", ErrCorrupt, c.dialect)
+		switch dialect := data[0]; {
+		case dialect&^(dialectSharded|dialectBlockPack|dialectContext) != 0:
+			return c, fmt.Errorf("%w: unknown dialect bits %#x", ErrCorrupt, dialect)
+		case dialect&(dialectSharded|dialectBlockPack) != 0:
+			return c, fmt.Errorf("core: v5 dialect byte %#x: %w", dialect, ErrRetiredDialect)
 		}
 		data = data[1:]
 	}
@@ -194,7 +182,7 @@ func parseContainer(data []byte, b *declimits.Budget) (container, error) {
 
 // newBudget returns nil (unlimited, zero overhead) for zero limits.
 func newBudget(l DecodeLimits) *declimits.Budget {
-	if l.MaxPoints == 0 && l.MaxNodes == 0 && l.MaxSectionBytes == 0 && l.MemBudget == 0 && l.MaxShards == 0 && l.MaxContexts == 0 && l.Ctx == nil {
+	if l.MaxPoints == 0 && l.MaxNodes == 0 && l.MaxSectionBytes == 0 && l.MemBudget == 0 && l.MaxContexts == 0 && l.Ctx == nil {
 		return nil
 	}
 	return declimits.New(l)
@@ -227,7 +215,7 @@ func decompress(data []byte, region *geom.AABB, opts DecompressOptions) (geom.Po
 			return nil, err
 		}
 	}
-	out, _, errs := decodeSections(c, b, region, false, nil)
+	out, _, errs := decodeSections(c, b, region, nil)
 	for id, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", SectionID(id), err)
@@ -239,11 +227,8 @@ func decompress(data []byte, region *geom.AABB, opts DecompressOptions) (geom.Po
 // DecompressPartial decodes every intact section of a frame and skips
 // damaged ones, returning the partial cloud (sections in container order)
 // and a report per section. Damage is detected by section CRC and by
-// decode failure. Where the sparse section's radial groups carry a CRC-32C
-// of their own (sharded and blockpacked frames) it additionally salvages at
-// group granularity: groups whose CRC checks out decode even when the
-// section as a whole is damaged. The error is non-nil only when
-// the frame envelope itself cannot be parsed — then nothing is recoverable.
+// decode failure. The error is non-nil only when the frame envelope itself
+// cannot be parsed — then nothing is recoverable.
 func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []SectionReport, error) {
 	b := newBudget(opts.Limits)
 	c, err := parseContainer(data, b)
@@ -258,30 +243,17 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 			Raw:     c.sec[id].payload,
 		}
 		if err := c.sec[id].verify(SectionID(id)); err != nil {
+			// Don't hand known-bad bytes to the decoder: an empty payload
+			// fails at the header.
 			reports[id].Err = err
-			// A sparse section whose radial groups each carry a CRC can
-			// still yield its intact groups — keep the payload and let the
-			// salvaging decoder condemn groups individually. Everything
-			// else: don't hand known-bad bytes to the decoder; empty the
-			// payload so decodeSections fails it at the header.
-			if SectionID(id) == SectionSparse && sparse.GroupsCarryCRC(c.streams()) {
-				continue
-			}
 			c.sec[id].payload = nil
 		}
 	}
-	out, points, errs := decodeSections(c, b, nil, true, nil)
+	out, points, errs := decodeSections(c, b, nil, nil)
 	for id := range reports {
-		if errs[id] != nil {
-			if reports[id].Err == nil {
-				reports[id].Err = errs[id]
-			}
-			continue
+		if reports[id].Err == nil {
+			reports[id].Err = errs[id]
 		}
-		// A section decodes here either because it was intact or because
-		// group-level salvage recovered part of it; in the salvage case
-		// Err stays set (recording the damage) while Points counts what
-		// survived.
 		reports[id].Points = points[id]
 	}
 	return out, reports, nil
@@ -291,9 +263,7 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 // par.Each — each is an independently entropy-coded stream — charging b
 // throughout, and returns the points inside region (all of them when it is
 // nil) in section order, with how many each section gave; a section that
-// fails gives none and its error. salvage lets the sparse decoder skip
-// CRC-condemned radial groups instead of failing the section
-// (DecompressPartial's group-level recovery). The sections decode into
+// fails gives none and its error. The sections decode into
 // consecutive windows of one buffer sized from the point counts their
 // headers declare — of the radial groups whose shell reaches the box, and
 // of a dense section whose cube lies inside it — and Join closes the
@@ -302,12 +272,11 @@ func DecompressPartial(data []byte, opts DecompressOptions) (geom.PointCloud, []
 // it a replay (ReplayDecode): the sections decode one after another, and
 // each one's duration goes on the clock as "octree", "sparse" or "outlier"
 // followed by ".decode" or, under a box, ".region".
-func decodeSections(c container, b *declimits.Budget, region *geom.AABB, salvage bool, clock StageTimes) (out geom.PointCloud, points [numSections]int, errs [numSections]error) {
-	// The container version (plus the v5 dialect byte), not the payload,
-	// selects the entropy dialect of the dense and outlier sections; sparse
-	// streams are self-flagged.
+func decodeSections(c container, b *declimits.Budget, region *geom.AABB, clock StageTimes) (out geom.PointCloud, points [numSections]int, errs [numSections]error) {
+	// The container version, not the payload, selects the dialect of the
+	// dense and outlier sections; sparse streams are self-flagged.
 	octOpts := c.octreeOptions(b)
-	sparseOpts := sparse.DecodeOptions{Budget: b, Salvage: salvage}
+	sparseOpts := sparse.DecodeOptions{Budget: b}
 
 	var offs [numSections + 1]uint64
 	offs[SectionDense+1] = octree.PointCountIn(c.sec[SectionDense].payload, region)
@@ -378,7 +347,7 @@ func decodeOutliers(dst geom.PointCloud, data []byte, mode OutlierMode, opts oct
 	defer declimits.Recover(&err, ErrCorrupt)
 	switch mode {
 	case OutlierQuadtree:
-		return outlier.DecodeInto(dst, data, outlier.DecodeOptions{Budget: opts.Budget, Sharded: opts.Sharded, BlockPack: opts.BlockPack})
+		return outlier.DecodeInto(dst, data, outlier.DecodeOptions{Budget: opts.Budget})
 	case OutlierOctree:
 		return octree.DecodeInto(dst, data, opts)
 	case OutlierNone:

@@ -36,9 +36,8 @@ func pointsSHA(pc geom.PointCloud) string {
 
 // The decoded and lane-box points of the city and road frames (layout 1,
 // sensor seed 1) under the paper's coders and under the default dialect,
-// which TestCompressGolden and TestWidthInvariance both pin. The sharded and
-// blockpacked dialects code the same symbols as their base dialect, so they
-// decode to the same points. The v5 dialect writes the forward-first order:
+// which TestCompressGolden and TestWidthInvariance both pin. The v5 dialect
+// writes the forward-first order:
 // the same points as the paper's coders, in another order
 // (TestContextModelEquivalence holds the multisets equal). The city frame's
 // lane-box points come out in the paper's order.
@@ -53,21 +52,19 @@ const (
 	roadCtxLane = "68aa93632c2163343115176a0ed9b3904d82fee877c46562bed86c8621875afa"
 )
 
-// TestCompressGolden pins, for two full frames under the container
-// dialects the codec emits by option that TestWidthInvariance does not
-// already pin (v2 — the paper's §3.5 coders, what ContextModel: false
-// spells — with exact clustering, v3 sharded, v4 blockpacked alone and
-// sharded, and the octree outlier mode under v2 and v5), the compressed
-// bytes, the decoded points and the points of a lane-box region decode, at
-// GOMAXPROCS 1 and 4 alike. The point hashes were recorded before the
+// TestCompressGolden pins, for two full frames under the options
+// TestWidthInvariance does not already pin (v2 — the paper's §3.5 coders,
+// what ContextModel: false spells — with exact clustering, and the octree
+// outlier mode under v2 and v5), the compressed bytes, the decoded points
+// and the points of a lane-box region decode, at GOMAXPROCS 1 and 4 alike. The point hashes were recorded before the
 // clustering window sums, the arithmetic coder and the decoders' memory
 // handling were rewritten; they say that a change kept every label, every
 // coded symbol and every decoded float, not only the sizes. The byte hashes
-// of the exact and shards8 rows were re-recorded when the θ streams' DEFLATE
-// encoder went from level 9 to the smaller of Huffman-only and level 5: same
+// of the exact rows were re-recorded when the θ streams' DEFLATE encoder
+// went from level 9 to the smaller of Huffman-only and level 5: same
 // symbols in the same format, other DEFLATE bytes, and parentBytes — the
 // frame's size before that — is what each of those frames may not exceed.
-// The blockpack and outlier-octree rows were recorded at commit a8d4062,
+// The outlier-octree rows were recorded at commit a8d4062,
 // before the dialect → coder decision moved into internal/streamcodec; their
 // parentBytes is the size they had then. The outlier-octree+ctx rows were
 // re-recorded when ContextModel became the default and again when the v5 sparse stream took the
@@ -89,8 +86,6 @@ func TestCompressGolden(t *testing.T) {
 		roadOctCtxPts  = "5a9e367fa8270a309e0a5669ee906e892fa7e5d9ee7d9eccb7e5eadab7bb1606"
 		roadOctCtxLane = "6bbbdbbf8b13d53e59b4428181bcb7abd778ea8e6b3c7654e5b07983cd30c128"
 	)
-	blockpack := func(o *Options) { o.BlockPack = true }
-	shards8 := func(o *Options) { o.Shards = 8 }
 	outlierOctree := func(o *Options) { o.OutlierMode = OutlierOctree }
 	both := func(a, b func(*Options)) func(*Options) {
 		return func(o *Options) { a(o); b(o) }
@@ -107,12 +102,6 @@ func TestCompressGolden(t *testing.T) {
 			"87ee8f4ac56f9ecaecdbcf83da0187c6d52a7be35b14a6379dcfa6b468b07044",
 			"3c3005f3e366b2e3f4d0f50a12a6048a318e19dca934e61ae0a604eace2f4a44",
 			"6d5b0ce04288c06ca673b54911620f1dd670f6c39950d0e8bf7f77eae0dd065d", 74011},
-		{lidar.City, "shards8", shards8,
-			"9eb3f1f029477e7147542ff4b93c2f4e47da7090c88c22cef996bc4a99161b15", cityPts, cityLane, 72680},
-		{lidar.City, "blockpack", blockpack,
-			"8fd3cec5b5d599e7ea63151d6cea888a0229b8489d28750eeb6a0f088a0af360", cityPts, cityLane, 106339},
-		{lidar.City, "blockpack+shards8", both(blockpack, shards8),
-			"468da3ebab4ed2b8782ad094ca7cae3468ef2c826d14619c8bb407d93de89705", cityPts, cityLane, 106413},
 		{lidar.City, "outlier-octree", outlierOctree,
 			"be51c89af7553e8e1306e1fde373798962b6fbebb289bff8cf81918a6481f864", cityOctPts, cityOctLane, 72201},
 		{lidar.City, "outlier-octree+ctx", both(outlierOctree, ctx),
@@ -121,12 +110,6 @@ func TestCompressGolden(t *testing.T) {
 			"e5aa5cc418292f75abbdfff15aecb628f1f709e1b3a75f33befaf77c22b591d7",
 			"f31d70b408ec938e7a1033b9417c86271359b97a3b3ade5c66e05f371f525418",
 			"c64de1e5249fef80e19e89a4f1aed9505cfea68c3f16c20aaeeb1f896df20740", 83998},
-		{lidar.Road, "shards8", shards8,
-			"c4fd4be204a0e43c2776e4cebfde40af7e3e2f4ab86f59b489e0beb72c1e7465", roadPts, roadLane, 82921},
-		{lidar.Road, "blockpack", blockpack,
-			"387bb006868625dd51402417084bd807d77ffaa08a3aa353a7229e3ec92168c4", roadPts, roadLane, 122744},
-		{lidar.Road, "blockpack+shards8", both(blockpack, shards8),
-			"6bbbdbdae2b63df0910dc73692fa3650842a226df1778822bfbbea5b5351279c", roadPts, roadLane, 122677},
 		{lidar.Road, "outlier-octree", outlierOctree,
 			"acc0a1a32a8a2b927377ea1f4db4b094e98c4e8aba473a20fdd92370030f6792", roadOctPts, roadOctLane, 82884},
 		{lidar.Road, "outlier-octree+ctx", both(outlierOctree, ctx),
@@ -170,13 +153,13 @@ func TestCompressGolden(t *testing.T) {
 // TestDecodeGoldenVectors decodes frames that earlier encoders wrote,
 // checked in under testdata/: the points of the city frame (layout 1,
 // sensor seed 1) whose azimuth atan2(y, x)+π lies in [10, 11)·2π/25 — 4972
-// points, about half of them dense, 147 polylines, 89 outliers — under
-// DefaultOptions(0.02) and with Shards: 8 by the encoder of PR 13 (commit
-// ff27d99, level-9 DEFLATE on the θ streams), and with BlockPack and
-// with ContextModel by the encoder of PR 22 (commit a8d4062, the last
-// before internal/streamcodec). Unlike TestCompressGolden, nothing here depends on
-// today's encoder: bytes an earlier release wrote must keep decoding to
-// these points.
+// points, about half of them dense, 147 polylines, 89 outliers — under the
+// paper's coders by the encoder of commit ff27d99 (level-9 DEFLATE on the θ
+// streams), and with ContextModel by the encoder of commit a8d4062, the
+// last before internal/streamcodec. Unlike TestCompressGolden, nothing here
+// depends on today's encoder: bytes an earlier release wrote must keep
+// decoding to these points. The same sector in the retired v3 and v4
+// containers is TestRetiredVectorsRefused.
 func TestDecodeGoldenVectors(t *testing.T) {
 	const (
 		pts     = "0099b9c9ce9f0b51d007431d13b0ed2676c5eaf9acbd4215ed6d7ad54ff64e96"
@@ -187,8 +170,6 @@ func TestDecodeGoldenVectors(t *testing.T) {
 		version byte
 	}{
 		{"testdata/city-sector-default.dbgc", version2},
-		{"testdata/city-sector-shards8.dbgc", version3},
-		{"testdata/city-sector-blockpack.dbgc", version4},
 		{"testdata/city-sector-ctx.dbgc", version5},
 	} {
 		data, err := os.ReadFile(v.file)

@@ -14,17 +14,15 @@ type Layout struct {
 	BytesDense   int
 	BytesSparse  int
 	BytesOutlier int
-	// ShardedStreams reports the v3 dialect: high-volume entropy streams
-	// split into independently coded shards, sparse groups CRC-prefixed.
-	ShardedStreams bool
-	// BlockPacked reports the v4 dialect: integer hot-path streams coded
-	// with the blockpack codec inside the shard framing.
-	BlockPacked bool
+	// ShardedStreams and BlockPacked reported the retired sharded (v3) and
+	// blockpacked (v4) dialects, which Inspect refuses with
+	// ErrRetiredDialect: they are false on every frame it accepts. Kept for
+	// bench/, which names them; a change to the benchmark deletes them.
+	ShardedStreams, BlockPacked bool
 	// ContextModeled reports the v5 dialect, what Options.ContextModel (the
 	// default) writes: every sparse angular stream names its coder in its
 	// group's methods byte, and the occupancy stream starts with a method
-	// marker. On v5 frames all three dialect flags come from the dialect
-	// byte rather than the version number.
+	// marker.
 	ContextModeled bool
 	// Groups is the number of radial point groups in the sparse section.
 	Groups int
@@ -44,8 +42,7 @@ func Inspect(data []byte) (Layout, error) {
 		return l, err
 	}
 	l.OutlierMode = c.mode
-	d := c.streams()
-	l.ShardedStreams, l.BlockPacked, l.ContextModeled = d.Sharded, d.BlockPack, d.Context
+	l.ContextModeled = c.context()
 
 	l.BytesDense = len(c.sec[SectionDense].payload)
 	l.PointsDense = int(octree.PointCount(c.sec[SectionDense].payload))

@@ -17,8 +17,8 @@ func TestInspect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l.Version != version {
-		t.Fatalf("version %d", l.Version)
+	if l.Version != version2 || l.ContextModeled || l.ShardedStreams || l.BlockPacked {
+		t.Fatalf("version %d, context %v, sharded %v, blockpacked %v", l.Version, l.ContextModeled, l.ShardedStreams, l.BlockPacked)
 	}
 	if l.BytesTotal != stats.BytesTotal || l.BytesDense != stats.BytesDense ||
 		l.BytesSparse != stats.BytesSparse || l.BytesOutlier != stats.BytesOutlier {

@@ -45,21 +45,21 @@ func regionBoxes(full geom.PointCloud) map[string]geom.AABB {
 	}
 }
 
-// TestDecompressRegion: over fresh frames and the checked-in frames of every
-// container version, at one, two and four workers, a region decode returns
+// TestDecompressRegion: over fresh frames and the checked-in frames of both
+// container versions still read (v2 and v5), at one, two and four workers, a region decode returns
 // the points of the full decode that lie in the box, in the full decode's
 // order, whatever the shape of the box. And it fails closed where the full
 // decode does: a limit on points, section bytes or the context refuses both
 // or neither, for every box; the limits that meter work a box can skip
-// (entropy symbols of a culled radial group, its shards and contexts, the
-// memory of both) refuse the whole-frame box exactly when they refuse the
+// (entropy symbols of a culled radial group, its contexts, the memory of
+// both) refuse the whole-frame box exactly when they refuse the
 // full decode, and never refuse a smaller box that the full decode passes.
 func TestDecompressRegion(t *testing.T) {
 	inputs := map[string][]byte{}
 	for _, kind := range []lidar.SceneKind{lidar.City, lidar.Road} {
 		inputs[string(kind)], _ = defaultFrame(t, kind)
 	}
-	for _, file := range []string{"default", "shards8", "blockpack", "ctx"} { // v2, v3, v4, v5
+	for _, file := range []string{"default", "ctx"} { // v2, v5
 		data, err := os.ReadFile("testdata/city-sector-" + file + ".dbgc")
 		if err != nil {
 			t.Fatal(err)
@@ -104,13 +104,13 @@ func TestDecompressRegion(t *testing.T) {
 		}
 
 		// The point limit at its threshold and a dead context, and on the
-		// checked-in sectors — every dialect, a thirtieth of a frame's decode
+		// checked-in sectors — both dialects, a thirtieth of a frame's decode
 		// time — every limit field on a ladder from what refuses any frame
 		// to what passes this one.
 		limits := []DecodeLimits{{MaxPoints: int64(len(full))}, {MaxPoints: int64(len(full)) - 1}, {Ctx: cancelled}}
 		for v := int64(1); v <= 1<<26 && len(full) < 10000; v <<= 5 {
 			limits = append(limits, DecodeLimits{MaxPoints: v}, DecodeLimits{MaxNodes: v}, DecodeLimits{MaxSectionBytes: v},
-				DecodeLimits{MemBudget: v}, DecodeLimits{MaxShards: v}, DecodeLimits{MaxContexts: v})
+				DecodeLimits{MemBudget: v}, DecodeLimits{MaxContexts: v})
 		}
 		for _, lim := range limits {
 			dopts := DecompressOptions{Limits: lim}
@@ -149,8 +149,6 @@ func TestDecompressRegionLimits(t *testing.T) {
 	pc := frame(t, lidar.City)[:4000]
 	for name, set := range map[string]func(*Options){
 		"v2":          func(o *Options) { o.ContextModel = false },
-		"v3":          func(o *Options) { o.ContextModel, o.Shards = false, 8 },
-		"v4":          func(o *Options) { o.ContextModel, o.BlockPack = false, true },
 		"v5":          func(*Options) {},
 		"octree-outl": func(o *Options) { o.OutlierMode = OutlierOctree },
 		"raw-outl":    func(o *Options) { o.OutlierMode = OutlierNone },

@@ -50,7 +50,7 @@ func ReplayDecode(data []byte, box geom.AABB) (StageTimes, error) {
 	}
 	clock := StageTimes{}
 	for _, region := range []*geom.AABB{nil, &box} {
-		_, _, errs := decodeSections(c, nil, region, false, clock)
+		_, _, errs := decodeSections(c, nil, region, clock)
 		for id, err := range errs {
 			if err != nil {
 				return nil, fmt.Errorf("core: %s: %w", SectionID(id), err)

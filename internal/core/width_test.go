@@ -84,8 +84,7 @@ func run(t *testing.T, pc geom.PointCloud, opts Options) outcome {
 	o.lane = pointsSHA(lane)
 
 	// One byte flipped in the middle of the sparse section: whole-frame
-	// decode fails, partial decode keeps the other sections and, where
-	// groups carry CRCs, the other groups.
+	// decode fails, partial decode keeps the other sections.
 	damaged := bytes.Clone(data)
 	c, err := parseContainer(damaged, nil)
 	if err != nil {
@@ -148,7 +147,9 @@ func run(t *testing.T, pc geom.PointCloud, opts Options) outcome {
 // same inputs. For the city and road frames, width 1 is also held to
 // recorded hashes of the compressed bytes, the decoded points and the
 // lane-box points, and to a size its frame may not exceed (parentBytes);
-// TestCompressGolden pins the dialects this table does not run. The paper
+// TestCompressGolden pins the options this table does not run. The shards8
+// and blockpack rows ask for the retired sharded and blockpacked dialects,
+// which Compress refuses at every width. The paper
 // rows' byte hashes were re-recorded when the θ streams' DEFLATE encoder
 // went from level 9 to the smaller of Huffman-only and level 5, and their
 // parentBytes is the frame's size before that. The v5 rows were re-recorded
@@ -168,33 +169,40 @@ func TestWidthInvariance(t *testing.T) {
 		{"sector", citySector(t)},
 	}
 	dialects := []struct {
-		name string
-		set  func(*Options)
+		name    string
+		set     func(*Options)
+		retired bool
 	}{
-		{"default", func(*Options) {}},
-		{"exact", func(o *Options) { o.ExactClustering = true }},
-		{"shards8", func(o *Options) { o.Shards = 8 }},
-		{"blockpack", func(o *Options) { o.BlockPack = true }},
-		{"paper", func(o *Options) { o.ContextModel = false }},
+		{"default", func(*Options) {}, false},
+		{"exact", func(o *Options) { o.ExactClustering = true }, false},
+		{"shards8", func(o *Options) { o.Shards = 8 }, true},
+		{"blockpack", func(o *Options) { o.BlockPack = true }, true},
+		{"paper", func(o *Options) { o.ContextModel = false }, false},
 	}
 	golden := map[string]struct {
 		bytes, pts, lanePts string
 		parentBytes         int
 	}{
-		"city/default":   {"9895533e94a436e4d15367a2a2d8a7d0e0b6355d756544f4a7581143f85d6c7b", cityCtxPts, cityLane, 72195 + 8},
-		"city/shards8":   {"dda88a12e7dae2932fdc7f3ac222b17c4c5b6130579aa2151defebd97290dbbc", cityCtxPts, cityLane, 72377 + 8},
-		"city/blockpack": {"496af94f51afc5fbbbf1df73061128fd2f4ef65ca2fd594e51ac6dc0dddcb648", cityCtxPts, cityLane, 106339 + 8},
-		"city/paper":     {"ea94f0aa41d9cd754588ca9e1bf7a6f2329aca9e99afd6bd820ea02de836213d", cityPts, cityLane, 72498},
-		"road/default":   {"beb2b7ed1ccb1f9ea73284034fed6390aefcdd6b388578b8d8ff171ed46da247", roadCtxPts, roadCtxLane, 82546 + 8},
-		"road/shards8":   {"8882892fdfff4e2d02091ee0edcf7950fdcd7f1e10c1215f6c7324a3337b5c4b", roadCtxPts, roadCtxLane, 82726 + 8},
-		"road/blockpack": {"62472e3c262012e5e233bc6434de5c0b5905b7bbe916ddee40dded66e469c850", roadCtxPts, roadCtxLane, 122744 + 8},
-		"road/paper":     {"65ecc49cb802db312f73c86dc0aee98750e42debe7fc91da81f7819cd423aa9a", roadPts, roadLane, 82741},
+		"city/default": {"9895533e94a436e4d15367a2a2d8a7d0e0b6355d756544f4a7581143f85d6c7b", cityCtxPts, cityLane, 72195 + 8},
+		"city/paper":   {"ea94f0aa41d9cd754588ca9e1bf7a6f2329aca9e99afd6bd820ea02de836213d", cityPts, cityLane, 72498},
+		"road/default": {"beb2b7ed1ccb1f9ea73284034fed6390aefcdd6b388578b8d8ff171ed46da247", roadCtxPts, roadCtxLane, 82546 + 8},
+		"road/paper":   {"65ecc49cb802db312f73c86dc0aee98750e42debe7fc91da81f7819cd423aa9a", roadPts, roadLane, 82741},
 	}
 	for _, in := range inputs {
 		for _, d := range dialects {
 			t.Run(in.name+"/"+d.name, func(t *testing.T) {
 				opts := DefaultOptions(0.02)
 				d.set(&opts)
+				if d.retired {
+					for _, procs := range partest.Widths {
+						partest.At(procs, func() {
+							if out, _, err := Compress(in.pc, opts); !errors.Is(err, ErrRetiredDialect) || out != nil {
+								t.Errorf("GOMAXPROCS=%d: %d bytes, %v; want ErrRetiredDialect", procs, len(out), err)
+							}
+						})
+					}
+					return
+				}
 				var want outcome
 				for i, procs := range partest.Widths {
 					var got outcome
@@ -244,35 +252,31 @@ func TestWidthInvariance(t *testing.T) {
 // whole and by region, at each width: a torn frame fails, and fails the
 // same way, however many workers read it.
 func TestTruncationWidthInvariance(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		opts := DefaultOptions(0.02)
-		opts.Shards = shards
-		data, _, err := Compress(citySector(t), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lim := DecompressOptions{Limits: DecodeLimits{MaxPoints: 1 << 20, MaxNodes: 1 << 24, MemBudget: 256 << 20}}
-		classes := func() []string {
-			out := make([]string, 0, 2*len(data))
-			for i := 0; i < len(data); i++ {
-				_, err := DecompressWith(data[:i], lim)
-				_, rerr := DecompressRegionWith(data[:i], laneBox, lim)
-				if err == nil || rerr == nil {
-					t.Fatalf("shards=%d: prefix of %d/%d bytes decoded without error", shards, i, len(data))
-				}
-				out = append(out, errClass(err), errClass(rerr))
+	data, _, err := Compress(citySector(t), DefaultOptions(0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := DecompressOptions{Limits: DecodeLimits{MaxPoints: 1 << 20, MaxNodes: 1 << 24, MemBudget: 256 << 20}}
+	classes := func() []string {
+		out := make([]string, 0, 2*len(data))
+		for i := 0; i < len(data); i++ {
+			_, err := DecompressWith(data[:i], lim)
+			_, rerr := DecompressRegionWith(data[:i], laneBox, lim)
+			if err == nil || rerr == nil {
+				t.Fatalf("prefix of %d/%d bytes decoded without error", i, len(data))
 			}
-			return out
+			out = append(out, errClass(err), errClass(rerr))
 		}
-		var want []string
-		for i, procs := range partest.Widths {
-			var got []string
-			partest.At(procs, func() { got = classes() })
-			if i == 0 {
-				want = got
-			} else if !slices.Equal(got, want) {
-				t.Errorf("shards=%d GOMAXPROCS=%d: error classes over the prefixes differ from GOMAXPROCS=%d", shards, procs, partest.Widths[0])
-			}
+		return out
+	}
+	var want []string
+	for i, procs := range partest.Widths {
+		var got []string
+		partest.At(procs, func() { got = classes() })
+		if i == 0 {
+			want = got
+		} else if !slices.Equal(got, want) {
+			t.Errorf("GOMAXPROCS=%d: error classes over the prefixes differ from GOMAXPROCS=%d", procs, partest.Widths[0])
 		}
 	}
 }

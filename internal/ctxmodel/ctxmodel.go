@@ -14,10 +14,6 @@
 // distribution instead of the uniform prior. The shared model tracks every
 // symbol until all contexts are live, then stops updating (encoder and
 // decoder apply the same rule, so they stay in lockstep).
-//
-// Context state is per-shard: every shard of a sharded stream takes a bank
-// of its own, so shards encoding and decoding side by side write and read
-// the same bytes as one after the other.
 package ctxmodel
 
 import (
@@ -131,7 +127,7 @@ func (b *Bank) Decode(d *arith.Decoder, ctx int) (int, error) {
 }
 
 // bankPool recycles Banks — and, critically, the arith count tables
-// inside them — across shards and frames. Reshaping a pooled bank to a
+// inside them — across streams and frames. Reshaping a pooled bank to a
 // different context count keeps the models already built.
 var bankPool = sync.Pool{New: func() any { return new(Bank) }}
 

@@ -1,6 +1,7 @@
 package ctxmodel
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -35,16 +36,14 @@ func TestIntsRoundTrip(t *testing.T) {
 				vs[i] = rng.Int63() - rng.Int63()
 			}
 		}
-		for _, shards := range []int{1, 3} {
-			stream := AppendIntsCtx(nil, vs, shards)
-			got, err := DecodeIntsCtx(nil, stream, n, nil)
-			if err != nil {
-				t.Fatalf("n %d shards %d: %v", n, shards, err)
-			}
-			for i := range vs {
-				if got[i] != vs[i] {
-					t.Fatalf("n %d shards %d: value %d = %d, want %d", n, shards, i, got[i], vs[i])
-				}
+		stream := AppendIntsCtx(nil, vs)
+		got, err := DecodeIntsCtx(nil, stream, n, nil)
+		if err != nil {
+			t.Fatalf("n %d: %v", n, err)
+		}
+		for i := range vs {
+			if got[i] != vs[i] {
+				t.Fatalf("n %d: value %d = %d, want %d", n, i, got[i], vs[i])
 			}
 		}
 	}
@@ -52,7 +51,7 @@ func TestIntsRoundTrip(t *testing.T) {
 
 func TestDecodeIntsCorrupt(t *testing.T) {
 	vs := []int64{1, -2, 300, -40000, 5}
-	stream := AppendIntsCtx(nil, vs, 1)
+	stream := AppendIntsCtx(nil, vs)
 	for l := 0; l < len(stream); l++ {
 		if _, err := DecodeIntsCtx(nil, stream[:l], len(vs), nil); err == nil {
 			t.Errorf("truncated at %d: want error", l)
@@ -61,6 +60,15 @@ func TestDecodeIntsCorrupt(t *testing.T) {
 	b := declimits.New(declimits.Limits{MaxContexts: 4})
 	if _, err := DecodeIntsCtx(nil, stream, len(vs), b); err == nil {
 		t.Error("MaxContexts 4: want error")
+	}
+	if _, err := DecodeIntsCtx(nil, append(stream[:len(stream):len(stream)], 0), len(vs), nil); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("a trailing byte: %v, want ErrCorrupt", err)
+	}
+	for _, shards := range []byte{0, 2} {
+		bad := append([]byte{shards}, stream[1:]...)
+		if _, err := DecodeIntsCtx(nil, bad, len(vs), nil); !errors.Is(err, ErrShardCount) {
+			t.Errorf("%d shards: %v, want ErrShardCount", shards, err)
+		}
 	}
 }
 
@@ -80,7 +88,7 @@ func TestBankSeeding(t *testing.T) {
 		for i, s := range syms {
 			vs[i] = int64(s - 128)
 		}
-		return AppendIntsCtx(nil, vs, 2)
+		return AppendIntsCtx(nil, vs)
 	}()
 	got, err := DecodeIntsCtx(nil, stream, len(syms), nil)
 	if err != nil {
@@ -94,7 +102,7 @@ func TestBankSeeding(t *testing.T) {
 }
 
 // TestBankPooling: after warmup, taking a bank from the pool and putting it
-// back allocates nothing, so the coders that take one a shard do not
+// back allocates nothing, so the coders that take one a stream do not
 // rebuild its 1 KiB model tables every frame. Under the race detector
 // sync.Pool drops puts at random, which the count would read as a leak.
 func TestBankPooling(t *testing.T) {

@@ -39,10 +39,12 @@ type Limits struct {
 	// MemBudget caps the total bytes of decoded output the frame may
 	// materialize (points, occupancy buffers, count tables).
 	MemBudget int64
-	// MaxShards caps the shard count any single sharded entropy stream
-	// (container v3) may declare. Each declared shard costs a length
+	// MaxShards caps the shard count any single stream in internal/arith's
+	// shard framing may declare. Each declared shard costs a length
 	// varint, a slice header, and eventually a goroutine, so the cap keeps
-	// a corrupt header from amplifying into thousands of decode tasks.
+	// a corrupt header from amplifying into thousands of decode tasks. Only
+	// the retired codecs use that framing: no container reads it since the
+	// sharded dialect (v3) was retired.
 	MaxShards int64
 	// MaxContexts caps the context count any single context-modeled
 	// entropy stream (container v5) may declare. Every context backs an
@@ -167,9 +169,9 @@ func (b *Budget) Shards(n int64) error {
 
 // Contexts validates one context-modeled stream's declared context count
 // and charges the frequency-table memory the bank will allocate
-// (n contexts of modelBytes each, shared per shard by the pooled banks).
-// Like Shards it is per-stream, not cumulative across streams — but the
-// table bytes do charge the cumulative memory budget.
+// (n contexts of modelBytes each). Like Shards it is per-stream, not
+// cumulative across streams — but the table bytes do charge the cumulative
+// memory budget.
 func (b *Budget) Contexts(n, modelBytes int64) error {
 	if b == nil {
 		return nil

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"dbgc"
+	"dbgc/internal/core"
 	"dbgc/internal/lidar"
 	"dbgc/internal/netproto"
 	"dbgc/internal/ops"
@@ -349,10 +350,15 @@ func (n *Node) gate(tenant string, end int64) error {
 // Verify the frame is decoded first — before the shard is pinned, so a
 // hostile frame costs a decode and not an open-store slot — and a failure
 // is reported as ErrBadFrame so the session quarantines the payload; store
-// failures are plain errors (nacked, retried, not quarantined).
+// failures are plain errors (nacked, retried, not quarantined). A frame in
+// a retired dialect, which no query could read, is told by its envelope
+// and quarantined with or without Verify.
 func (n *Node) handle(tenant string, m netproto.Message) error {
 	if m.Kind != netproto.KindCompressed {
 		return fmt.Errorf("%w: unexpected kind %d", reliable.ErrBadFrame, m.Kind)
+	}
+	if _, err := core.Inspect(m.Payload); errors.Is(err, dbgc.ErrRetiredDialect) {
+		return fmt.Errorf("%w: frame %d: %v", reliable.ErrBadFrame, m.Seq, err)
 	}
 	if n.cfg.Verify {
 		if _, err := dbgc.DecompressWith(m.Payload, dbgc.DecompressOptions{Limits: n.cfg.Limits}); err != nil {

@@ -335,6 +335,51 @@ func TestPartialFrameStoredAndQuarantined(t *testing.T) {
 	})
 }
 
+// TestRetiredDialectQuarantined: a frame in a retired container — the v3
+// and v4 vectors internal/core keeps, which no query could read — is nacked
+// and quarantined whole, with dbgc.ErrRetiredDialect as the logged reason,
+// by a plain node as by a verifying one.
+func TestRetiredDialectQuarantined(t *testing.T) {
+	for _, file := range []string{"city-sector-shards8.dbgc", "city-sector-blockpack.dbgc"} {
+		blob, err := os.ReadFile(filepath.Join("..", "core", "testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, verify := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/verify=%v", file, verify), func(t *testing.T) {
+				var mu sync.Mutex
+				var reasons []string
+				cfg := Config{Verify: verify}
+				cfg.ServerConfig.Logf = func(format string, args ...any) {
+					line := fmt.Sprintf(format, args...)
+					t.Log(line)
+					if strings.Contains(line, ": quarantined ") {
+						mu.Lock()
+						reasons = append(reasons, line)
+						mu.Unlock()
+					}
+				}
+				sendErr, answer, st := ingestOne(t, cfg, blob)
+				if !errors.Is(sendErr, reliable.ErrFrameRejected) {
+					t.Fatalf("send ended with %v, want ErrFrameRejected", sendErr)
+				}
+				if len(answer) != 0 {
+					t.Errorf("a quarantined frame answered a query with %d points", len(answer))
+				}
+				wantStored(t, st, store.KindQuarantined, blob)
+				for _, r := range reasons {
+					if !strings.Contains(r, dbgc.ErrRetiredDialect.Error()) {
+						t.Errorf("quarantine logged %q, want it to name %q", r, dbgc.ErrRetiredDialect)
+					}
+				}
+				if len(reasons) == 0 {
+					t.Error("no quarantine logged")
+				}
+			})
+		}
+	}
+}
+
 // TestFrameOverLimits: a frame of more points than Limits allow is nacked
 // and quarantined by a verifying node; a plain node acks and stores it, and
 // refuses it when it is read — no salvage for a frame refused for its size.

@@ -10,13 +10,15 @@ import (
 	"testing"
 
 	"dbgc/internal/geom"
+	"dbgc/internal/streamcodec"
 	"dbgc/internal/varint"
 )
 
 // TestContextRoundTrip: the v5 occupancy marker says legacy, the legacy
 // bytes follow it, and the stream decodes to the same geometry as the
-// plain one across shard counts. The row names keep the feature mask of
-// the retired context coder, which these rows left at zero.
+// plain one. The row names keep the shard count of the retired sharded
+// dialect and the feature mask of the retired context coder; the row of
+// four shards is that dialect's, and its encode and decode are refused.
 func TestContextRoundTrip(t *testing.T) {
 	pc := randomCloud(60000, 120, 9)
 	const q = 0.02
@@ -28,34 +30,87 @@ func TestContextRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d/feats=0x0", shards), func(t *testing.T) {
-			serial, err := EncodeWith(pc, q, EncodeOptions{Shards: shards, Context: true})
+	t.Run("shards=1/feats=0x0", func(t *testing.T) {
+		serial, err := EncodeWith(pc, q, EncodeOptions{Context: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(serial.Data) != len(legacy.Data)+1 {
+			t.Fatalf("marker-only stream is %d bytes, the plain one %d", len(serial.Data), len(legacy.Data))
+		}
+		got, err := DecodeWith(serial.Data, DecodeOptions{Context: true})
+		if err != nil {
+			t.Fatalf("decode: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("decoded %d points, want %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
+			}
+		}
+		checkErrorBound(t, pc, got, serial.DecodedOrder, q)
+	})
+	t.Run("shards=4/feats=0x0", func(t *testing.T) {
+		refusesRetired(t, pc, legacy.Data, EncodeOptions{Shards: 4, Context: true}, DecodeOptions{Sharded: true, Context: true})
+	})
+}
+
+// refusesRetired checks that an encode of pc with enc and a decode of the
+// stream data with dec, both naming a retired dialect, fail with
+// streamcodec.ErrRetiredDialect and return nothing.
+func refusesRetired(t *testing.T, pc geom.PointCloud, data []byte, enc EncodeOptions, dec DecodeOptions) {
+	t.Helper()
+	if e, err := EncodeWith(pc, 0.02, enc); !errors.Is(err, streamcodec.ErrRetiredDialect) || e.Data != nil {
+		t.Errorf("%+v: %d bytes, %v; want ErrRetiredDialect", enc, len(e.Data), err)
+	}
+	if pts, err := DecodeWith(data, dec); !errors.Is(err, streamcodec.ErrRetiredDialect) || pts != nil {
+		t.Errorf("%+v: %d points, %v; want ErrRetiredDialect", dec, len(pts), err)
+	}
+}
+
+// TestShardedRoundTrip: Shards 1 is no dialect — it writes the plain bytes,
+// which decode to the plain geometry — while more shards, BlockPack, or a
+// decode told its stream is in either, ask for a retired dialect and fail
+// with streamcodec.ErrRetiredDialect, whether or not the stream carries the
+// v5 marker.
+func TestShardedRoundTrip(t *testing.T) {
+	pc := randomCloud(60000, 120, 3)
+	const q = 0.02
+	legacy, err := Encode(pc, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			if shards > 1 {
+				for _, ctx := range []bool{false, true} {
+					refusesRetired(t, pc, legacy.Data, EncodeOptions{Shards: shards, Context: ctx}, DecodeOptions{Sharded: true, Context: ctx})
+				}
+				return
+			}
+			serial, err := EncodeWith(pc, q, EncodeOptions{Shards: shards})
 			if err != nil {
 				t.Fatal(err)
 			}
-			plain, err := EncodeWith(pc, q, EncodeOptions{Shards: shards})
-			if err != nil {
-				t.Fatal(err)
+			if !bytes.Equal(serial.Data, legacy.Data) {
+				t.Fatal("Shards=1 stream differs from legacy stream")
 			}
-			if len(serial.Data) != len(plain.Data)+1 {
-				t.Fatalf("marker-only stream is %d bytes, the plain one %d", len(serial.Data), len(plain.Data))
-			}
-			got, err := DecodeWith(serial.Data, DecodeOptions{Sharded: shards > 1, Context: true})
+			got, err := DecodeWith(serial.Data, DecodeOptions{})
 			if err != nil {
 				t.Fatalf("decode: %v", err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("decoded %d points, want %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("point %d: got %v want %v", i, got[i], want[i])
-				}
 			}
 			checkErrorBound(t, pc, got, serial.DecodedOrder, q)
 		})
 	}
+	t.Run("blockpack", func(t *testing.T) {
+		for _, ctx := range []bool{false, true} {
+			for _, shards := range []int{0, 4} {
+				refusesRetired(t, pc, legacy.Data, EncodeOptions{Shards: shards, BlockPack: true, Context: ctx}, DecodeOptions{BlockPack: true, Context: ctx})
+			}
+		}
+	})
 }
 
 // TestContextGuard: the v5 dialect costs an occupancy stream exactly its

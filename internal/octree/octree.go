@@ -88,22 +88,16 @@ func grow[T any](s []T, n int) []T {
 
 // EncodeOptions tunes Encode.
 type EncodeOptions struct {
-	// Shards splits the occupancy and count entropy streams into this many
-	// independently-coded shards (container v3). Values <= 1 keep the
-	// legacy single-coder streams, byte-identical to previous releases.
-	// The produced stream requires a shard-aware decoder (DecodeWith with
-	// Sharded set) when Shards > 1.
-	Shards int
-	// BlockPack codes the per-leaf count stream with the blockpack codec
-	// instead of the adaptive arithmetic coder (container v4) and moves the
-	// occupancy stream into the sharded framing. The produced stream
-	// requires DecodeWith with BlockPack set. Off keeps v2/v3 bytes
-	// unchanged.
+	// Shards and BlockPack asked for the retired sharded (v3) and
+	// blockpacked (v4) dialects: EncodeWith refuses Shards > 1 and
+	// BlockPack with streamcodec.ErrRetiredDialect. Kept for bench/, which
+	// names them; a change to the benchmark deletes them.
+	Shards    int
 	BlockPack bool
 	// Context prefixes the occupancy stream with the one-byte method marker
-	// of the container v5 dialect, which says legacy: the v2/v3/v4 bytes
-	// follow it unchanged. The produced stream requires DecodeWith with
-	// Context set.
+	// of the container v5 dialect, which says legacy: the v2 bytes follow
+	// it unchanged. The produced stream requires DecodeWith with Context
+	// set.
 	Context bool
 }
 
@@ -111,7 +105,7 @@ type EncodeOptions struct {
 // context-modeled coding of internal/ctxmodel, written only by opt-in runs
 // and no longer decoded (ErrContextOccupancy).
 const (
-	occMethodLegacy  = 0 // the v2/v3/v4 occupancy bytes, unchanged
+	occMethodLegacy  = 0 // the v2 occupancy bytes, unchanged
 	occMethodRetired = 1 // the context-modeled occupancy coder
 )
 
@@ -130,6 +124,9 @@ func Encode(points geom.PointCloud, q float64) (Encoded, error) {
 func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded, error) {
 	if q <= 0 {
 		return Encoded{}, fmt.Errorf("octree: error bound must be positive, got %v", q)
+	}
+	if opts.Shards > 1 || opts.BlockPack {
+		return Encoded{}, streamcodec.ErrRetiredDialect
 	}
 	var enc Encoded
 	header := make([]byte, 0, 64)
@@ -159,10 +156,8 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	enc.DecodedOrder = order
 
 	// The two output streams are independent, so the occupancy and count
-	// coders run side by side, and each stream additionally splits into
-	// opts.Shards independent shards.
+	// coders run side by side.
 	entStart := time.Now()
-	d := streamcodec.Dialect{Sharded: opts.Shards > 1, BlockPack: opts.BlockPack}
 	var occStream, countStream []byte
 	par.Do(
 		func() {
@@ -170,10 +165,10 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 				// v5 dialect: a method marker precedes the stream.
 				occStream = []byte{occMethodLegacy}
 			}
-			occStream = streamcodec.AppendCodes(occStream, d.Codec(streamcodec.Occupancy), occ, 256, opts.Shards)
+			occStream = streamcodec.AppendCodes(occStream, streamcodec.Occupancy.Own(), occ, 256)
 		},
 		func() {
-			countStream = streamcodec.AppendUints(nil, d.Codec(streamcodec.Bulk), counts, opts.Shards)
+			countStream = streamcodec.AppendUints(nil, streamcodec.Bulk.Own(), counts)
 		},
 	)
 	enc.EntropyTime = time.Since(entStart)
@@ -349,18 +344,15 @@ func Decode(data []byte) (geom.PointCloud, error) {
 type DecodeOptions struct {
 	// Budget charges decoded points, symbols, and nodes; nil is unlimited.
 	Budget *declimits.Budget
-	// Sharded declares that the entropy streams use the container v3
-	// sharded framing. The container records this per section; it is not
-	// inferred from the payload.
-	Sharded bool
-	// BlockPack declares that the count stream uses the blockpack codec in
-	// the shard framing (container v4). Implies the sharded framing for the
-	// occupancy stream.
-	BlockPack bool
+	// Sharded and BlockPack declared the retired sharded (v3) and
+	// blockpacked (v4) dialects: a decode with either set is refused with
+	// streamcodec.ErrRetiredDialect. Kept for bench/, which names them; a
+	// change to the benchmark deletes them.
+	Sharded, BlockPack bool
 	// Context declares that the occupancy stream starts with a one-byte
-	// method marker (container v5): occMethodLegacy keeps the dialect the
-	// other options select; occMethodRetired is refused with
-	// ErrContextOccupancy, any other marker as corrupt.
+	// method marker (container v5): occMethodLegacy is the order-0 coder's
+	// stream; occMethodRetired is refused with ErrContextOccupancy, any
+	// other marker as corrupt.
 	Context bool
 }
 
@@ -405,6 +397,9 @@ type stream struct {
 // point count against the budget. An empty cloud parses to n == 0 and
 // nothing else.
 func parse(data []byte, opts DecodeOptions) (st stream, err error) {
+	if opts.Sharded || opts.BlockPack {
+		return st, streamcodec.ErrRetiredDialect
+	}
 	var used int
 	if st.n, used, err = varint.Uint(data); err != nil {
 		return st, fmt.Errorf("octree: point count: %w", err)
@@ -502,12 +497,11 @@ func DecodeRegionInto(dst geom.PointCloud, data []byte, region *geom.AABB, opts 
 	defer decodePool.Put(s)
 
 	// The two streams are independent, like the coders that wrote them.
-	d := streamcodec.Dialect{Sharded: opts.Sharded, BlockPack: opts.BlockPack}
 	var occErr, countErr error
 	par.Do(func() {
-		s.occ, occErr = streamcodec.DecodeCodes(s.occ[:0], d.Codec(streamcodec.Occupancy), st.occ, st.occLen, 256, b)
+		s.occ, occErr = streamcodec.DecodeCodes(s.occ[:0], streamcodec.Occupancy.Own(), st.occ, st.occLen, 256, b)
 	}, func() {
-		s.counts, countErr = streamcodec.DecodeUints(s.counts[:0], d.Codec(streamcodec.Bulk), st.counts, st.countLen, b)
+		s.counts, countErr = streamcodec.DecodeUints(s.counts[:0], streamcodec.Bulk.Own(), st.counts, st.countLen, b)
 	})
 	if occErr != nil {
 		return nil, fmt.Errorf("octree: occupancy: %w", occErr)

@@ -12,8 +12,8 @@ func DecodeRegion(data []byte, region geom.AABB) (geom.PointCloud, error) {
 	return DecodeRegionWith(data, region, DecodeOptions{})
 }
 
-// DecodeRegionWith is DecodeRegion with explicit options (sharded streams,
-// parallel shard decode, resource budget).
+// DecodeRegionWith is DecodeRegion with explicit options (the occupancy
+// method marker, resource budget).
 func DecodeRegionWith(data []byte, region geom.AABB, opts DecodeOptions) (geom.PointCloud, error) {
 	return DecodeRegionInto(geom.PointCloud{}, data, &region, opts)
 }

@@ -33,13 +33,11 @@ type Encoded struct {
 
 // EncodeOptions tunes Encode.
 type EncodeOptions struct {
-	// Shards splits the quadtree and z-delta entropy streams into this
-	// many independently-coded shards (container v3). Values <= 1 keep the
-	// legacy single-coder streams.
-	Shards int
-	// BlockPack codes the z-delta and quadtree count streams with the
-	// blockpack codec in the shard framing (container v4). Off keeps v2/v3
-	// bytes unchanged.
+	// Shards and BlockPack asked for the retired sharded (v3) and
+	// blockpacked (v4) dialects: EncodeWith refuses Shards > 1 and
+	// BlockPack with streamcodec.ErrRetiredDialect. Kept for bench/, which
+	// names them; a change to the benchmark deletes them.
+	Shards    int
 	BlockPack bool
 }
 
@@ -53,11 +51,14 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 	if q <= 0 {
 		return Encoded{}, fmt.Errorf("outlier: error bound must be positive, got %v", q)
 	}
+	if opts.Shards > 1 || opts.BlockPack {
+		return Encoded{}, streamcodec.ErrRetiredDialect
+	}
 	xy := make([]quadtree.Point2, len(points))
 	for i, p := range points {
 		xy[i] = quadtree.Point2{X: p.X, Y: p.Y}
 	}
-	qt, err := quadtree.EncodeWith(xy, q, quadtree.EncodeOptions{Shards: opts.Shards, BlockPack: opts.BlockPack})
+	qt, err := quadtree.Encode(xy, q)
 	if err != nil {
 		return Encoded{}, fmt.Errorf("outlier: quadtree: %w", err)
 	}
@@ -76,8 +77,7 @@ func EncodeWith(points geom.PointCloud, q float64, opts EncodeOptions) (Encoded,
 		}
 		dz[i] = zq[i] - zq[i-1]
 	}
-	d := streamcodec.Dialect{Sharded: opts.Shards > 1, BlockPack: opts.BlockPack}
-	zStream := streamcodec.AppendInts(nil, d.Codec(streamcodec.Bulk), dz, opts.Shards)
+	zStream := streamcodec.AppendInts(nil, streamcodec.Bulk.Own(), dz)
 
 	out := make([]byte, 0, len(qt.Data)+len(zStream)+24)
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(q))
@@ -97,12 +97,11 @@ func Decode(data []byte) (geom.PointCloud, error) {
 type DecodeOptions struct {
 	// Budget charges decoded points and entropy symbols; nil is unlimited.
 	Budget *declimits.Budget
-	// Sharded declares that the entropy streams use the container v3
-	// sharded framing.
-	Sharded bool
-	// BlockPack declares that the z-delta and quadtree count streams use
-	// the blockpack codec in the shard framing (container v4).
-	BlockPack bool
+	// Sharded and BlockPack declared the retired sharded (v3) and
+	// blockpacked (v4) dialects: a decode with either set is refused with
+	// streamcodec.ErrRetiredDialect. Kept for bench/, which names them; a
+	// change to the benchmark deletes them.
+	Sharded, BlockPack bool
 }
 
 // DecodeLimited is Decode charging decoded points and entropy symbols
@@ -157,16 +156,15 @@ func readHeader(data []byte) (q float64, qt, rest []byte, err error) {
 // DecodeInto is DecodeWith appending the points to dst.
 func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (pc geom.PointCloud, err error) {
 	defer declimits.Recover(&err, ErrCorrupt)
+	if opts.Sharded || opts.BlockPack {
+		return nil, streamcodec.ErrRetiredDialect
+	}
 	b := opts.Budget
 	q, qt, data, err := readHeader(data)
 	if err != nil {
 		return nil, err
 	}
-	xy, err := quadtree.DecodeWith(qt, quadtree.DecodeOptions{
-		Budget:    b,
-		Sharded:   opts.Sharded,
-		BlockPack: opts.BlockPack,
-	})
+	xy, err := quadtree.DecodeLimited(qt, b)
 	if err != nil {
 		return nil, fmt.Errorf("outlier: quadtree: %w", err)
 	}
@@ -178,8 +176,7 @@ func DecodeInto(dst geom.PointCloud, data []byte, opts DecodeOptions) (pc geom.P
 	if zLen > uint64(len(data)) {
 		return nil, fmt.Errorf("%w: z stream truncated", ErrCorrupt)
 	}
-	d := streamcodec.Dialect{Sharded: opts.Sharded, BlockPack: opts.BlockPack}
-	dz, err := streamcodec.DecodeInts(nil, d.Codec(streamcodec.Bulk), data[:zLen], len(xy), b)
+	dz, err := streamcodec.DecodeInts(nil, streamcodec.Bulk.Own(), data[:zLen], len(xy), b)
 	if err != nil {
 		return nil, fmt.Errorf("outlier: z deltas: %w", err)
 	}

@@ -14,27 +14,19 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sharded, err := EncodeWith(pts, 0.02, EncodeOptions{Shards: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	packed, err := EncodeWith(pts, 0.02, EncodeOptions{BlockPack: true})
+	spread, err := Encode(randomPoints(300, 160, 5), 0.02)
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(enc.Data)
 	f.Add(enc.Data[:len(enc.Data)/2])
-	f.Add(sharded.Data)
-	f.Add(packed.Data)
+	f.Add(spread.Data)
+	f.Add(spread.Data[:len(spread.Data)-1])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lim := declimits.Limits{
 			MaxPoints: 1 << 16, MaxNodes: 1 << 20, MemBudget: 32 << 20,
 		}
 		_, _ = DecodeLimited(data, declimits.New(lim))
-		// The v3/v4 dialect flags are out of band: feed every input through
-		// the sharded and blockpack decoders too.
-		_, _ = DecodeWith(data, DecodeOptions{Budget: declimits.New(lim), Sharded: true})
-		_, _ = DecodeWith(data, DecodeOptions{Budget: declimits.New(lim), BlockPack: true})
 	})
 }

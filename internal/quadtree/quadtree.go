@@ -35,26 +35,9 @@ type Encoded struct {
 	DecodedOrder []int
 }
 
-// EncodeOptions tunes Encode.
-type EncodeOptions struct {
-	// Shards splits the occupancy and count entropy streams into this many
-	// independently-coded shards (container v3). Values <= 1 keep the
-	// legacy single-coder streams.
-	Shards int
-	// BlockPack codes the leaf count stream with the blockpack codec in the
-	// shard framing (container v4) and moves the occupancy stream into the
-	// sharded framing. Off keeps v2/v3 bytes unchanged.
-	BlockPack bool
-}
-
 // Encode compresses the 2D points so each reconstructed coordinate is
 // within q of the original on both dimensions.
 func Encode(points []Point2, q float64) (Encoded, error) {
-	return EncodeWith(points, q, EncodeOptions{})
-}
-
-// EncodeWith is Encode with explicit options.
-func EncodeWith(points []Point2, q float64, opts EncodeOptions) (Encoded, error) {
 	if q <= 0 {
 		return Encoded{}, fmt.Errorf("quadtree: error bound must be positive, got %v", q)
 	}
@@ -169,9 +152,8 @@ func EncodeWith(points []Point2, q float64, opts EncodeOptions) (Encoded, error)
 	// contexts were measured to cost ~1.5% here: outlier occupancy streams
 	// are dominated by one-hot chains whose statistics a single model
 	// already captures, and per-context adaptation is pure overhead.)
-	d := streamcodec.Dialect{Sharded: opts.Shards > 1, BlockPack: opts.BlockPack}
-	occStream := streamcodec.AppendCodes(nil, d.Codec(streamcodec.Occupancy), occ, 16, opts.Shards)
-	countStream := streamcodec.AppendUints(nil, d.Codec(streamcodec.Bulk), counts, opts.Shards)
+	occStream := streamcodec.AppendCodes(nil, streamcodec.Occupancy.Own(), occ, 16)
+	countStream := streamcodec.AppendUints(nil, streamcodec.Bulk.Own(), counts)
 	out = varint.AppendUint(out, uint64(len(occ)))
 	out = varint.AppendUint(out, uint64(len(occStream)))
 	out = append(out, occStream...)
@@ -195,30 +177,11 @@ func Decode(data []byte) ([]Point2, error) {
 	return DecodeLimited(data, nil)
 }
 
-// DecodeOptions selects the stream dialect and resources of one decode.
-type DecodeOptions struct {
-	// Budget charges decoded points, symbols, and nodes; nil is unlimited.
-	Budget *declimits.Budget
-	// Sharded declares that the entropy streams use the container v3
-	// sharded framing.
-	Sharded bool
-	// BlockPack declares that the count stream uses the blockpack codec in
-	// the shard framing (container v4). Implies the sharded framing for the
-	// occupancy stream.
-	BlockPack bool
-}
-
 // DecodeLimited is Decode charging decoded points, occupancy symbols, and
 // tree nodes against b. A nil budget is unlimited. Panics on hostile bytes
 // are recovered into ErrCorrupt-wrapped errors.
-func DecodeLimited(data []byte, b *declimits.Budget) ([]Point2, error) {
-	return DecodeWith(data, DecodeOptions{Budget: b})
-}
-
-// DecodeWith is Decode with explicit options.
-func DecodeWith(data []byte, opts DecodeOptions) (pts []Point2, err error) {
+func DecodeLimited(data []byte, b *declimits.Budget) (pts []Point2, err error) {
 	defer declimits.Recover(&err, ErrCorrupt)
-	b := opts.Budget
 	n, used, err := varint.Uint(data)
 	if err != nil {
 		return nil, fmt.Errorf("quadtree: point count: %w", err)
@@ -268,12 +231,11 @@ func DecodeWith(data []byte, opts DecodeOptions) (pts []Point2, err error) {
 	if uint64(countLen) > n {
 		return nil, fmt.Errorf("%w: %d leaf counts for %d points", ErrCorrupt, countLen, n)
 	}
-	d := streamcodec.Dialect{Sharded: opts.Sharded, BlockPack: opts.BlockPack}
-	counts, err := streamcodec.DecodeUints(nil, d.Codec(streamcodec.Bulk), countStream, countLen, b)
+	counts, err := streamcodec.DecodeUints(nil, streamcodec.Bulk.Own(), countStream, countLen, b)
 	if err != nil {
 		return nil, fmt.Errorf("quadtree: counts: %w", err)
 	}
-	occ, err := streamcodec.DecodeCodes(nil, d.Codec(streamcodec.Occupancy), occStream, occLen, 16, b)
+	occ, err := streamcodec.DecodeCodes(nil, streamcodec.Occupancy.Own(), occStream, occLen, 16, b)
 	if err != nil {
 		return nil, fmt.Errorf("quadtree: occupancy: %w", err)
 	}

@@ -21,6 +21,17 @@ func FuzzDecode(f *testing.F) {
 	f.Add(EncodeManifest([]ManifestEntry{{Seq: 1, CRC: 2}, {Seq: 1 << 50, CRC: 0xffffffff}}))
 
 	f.Fuzz(func(t *testing.T, p []byte) {
+		// What a decoder returns never holds more entries than the input
+		// has bytes.
+		if _, wm, err := DecodeWatermarks(p); err == nil && len(wm) > len(p) {
+			t.Fatalf("%d watermarks from %d bytes", len(wm), len(p))
+		}
+		if d, err := DecodeDigests(p); err == nil && len(d) > len(p) {
+			t.Fatalf("%d digests from %d bytes", len(d), len(p))
+		}
+		if m, err := DecodeManifest(p); err == nil && len(m) > len(p) {
+			t.Fatalf("%d manifest entries from %d bytes", len(m), len(p))
+		}
 		if r, err := DecodeRecord(p); err == nil {
 			again, err := DecodeRecord(EncodeRecord(r))
 			if err != nil || !reflect.DeepEqual(again, r) {

@@ -186,8 +186,10 @@ func DecodeWatermarks(p []byte) (epoch byte, wm map[string]int64, err error) {
 	}
 	epoch = p[0]
 	count := int(binary.LittleEndian.Uint16(p[1:]))
-	wm = make(map[string]int64, count)
 	rest := p[3:]
+	// An entry takes at least 9 bytes (an empty name and its watermark), so
+	// the bytes, not the declared count, size the map.
+	wm = make(map[string]int64, min(count, len(rest)/9))
 	for i := 0; i < count; i++ {
 		if len(rest) < 1 {
 			return 0, nil, fmt.Errorf("%w: watermark entry", ErrMalformed)
@@ -230,8 +232,10 @@ func DecodeDigests(p []byte) (map[string]Digest, error) {
 		return nil, fmt.Errorf("%w: digests header", ErrMalformed)
 	}
 	count := int(binary.LittleEndian.Uint16(p))
-	out := make(map[string]Digest, count)
 	rest := p[2:]
+	// An entry takes at least 13 bytes (an empty name, its count and CRC),
+	// so the bytes, not the declared count, size the map.
+	out := make(map[string]Digest, min(count, len(rest)/13))
 	for i := 0; i < count; i++ {
 		if len(rest) < 1 {
 			return nil, fmt.Errorf("%w: digest entry", ErrMalformed)

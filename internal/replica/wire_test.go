@@ -94,6 +94,33 @@ func TestDigestsAndManifestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodersSizeFromBytes: a watermark or digest response that declares
+// 65535 entries and carries none is refused as ErrMalformed without a map
+// sized for what it declares — under a kilobyte a decode, where a map for
+// the declared count took megabytes.
+func TestDecodersSizeFromBytes(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"watermarks 00 ff ff", func() error { _, _, err := DecodeWatermarks([]byte{0x00, 0xff, 0xff}); return err }},
+		{"digests ff ff", func() error { _, err := DecodeDigests([]byte{0xff, 0xff}); return err }},
+	} {
+		if err := c.decode(); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: %v, want ErrMalformed", c.name, err)
+		}
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = c.decode()
+			}
+		})
+		if got := res.AllocedBytesPerOp(); got >= 1024 {
+			t.Errorf("%s: %d bytes allocated a decode, want under 1 KiB", c.name, got)
+		}
+	}
+}
+
 func TestMetaRoundTripAndCorruption(t *testing.T) {
 	dir := t.TempDir()
 	// Missing file: zero meta, no error.

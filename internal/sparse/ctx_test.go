@@ -1,20 +1,24 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
 	"dbgc/internal/geom"
 	"dbgc/internal/lidar"
+	"dbgc/internal/streamcodec"
 )
 
 // TestContextRoundTrip: the v5 context dialect decodes to the points of the
 // legacy section — every one of them, in the forward-first order, so
-// compared as multisets — across the dialect matrix (shards × blockpack) and
-// on all six scenes, and the section never grows by more than the per-group
-// methods byte. (Layouts 2 and 3 read the same; they are left out to keep
-// the race-detector run of this package short.)
+// compared as multisets — on the test frame and on all six scenes, and the
+// section never grows by more than the per-group methods byte. (Layouts 2
+// and 3 read the same; they are left out to keep the race-detector run of
+// this package short.) The first rows' names keep the shard count and the
+// blockpack flag of the retired dialects; the rows that ask for either are
+// refused, with the context dialect or without.
 func TestContextRoundTrip(t *testing.T) {
 	check := func(t *testing.T, pc geom.PointCloud, plain, serial Encoded, opts Options) {
 		t.Helper()
@@ -46,26 +50,31 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 	pc, idx, meta := sparseFrame(t)
 	base := defaultOpts(meta)
-	for _, cfg := range []Options{
-		{},
-		{Shards: 4},
-		{BlockPack: true},
-		{Shards: 4, BlockPack: true},
-	} {
-		t.Run(fmt.Sprintf("shards=%d/blockpack=%v", cfg.Shards, cfg.BlockPack), func(t *testing.T) {
-			opts := base
-			opts.Shards = cfg.Shards
-			opts.BlockPack = cfg.BlockPack
-			plain, err := Encode(pc, idx, opts)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("shards=0/blockpack=false", func(t *testing.T) {
+		opts := base
+		plain, err := Encode(pc, idx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Context = true
+		serial, err := Encode(pc, idx, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, pc, plain, serial, opts)
+	})
+	for _, cfg := range []struct {
+		shards    int
+		blockpack bool
+	}{{4, false}, {0, true}, {4, true}} {
+		t.Run(fmt.Sprintf("shards=%d/blockpack=%v", cfg.shards, cfg.blockpack), func(t *testing.T) {
+			for _, ctx := range []bool{false, true} {
+				opts := base
+				opts.Shards, opts.BlockPack, opts.Context = cfg.shards, cfg.blockpack, ctx
+				if enc, err := Encode(pc, idx, opts); !errors.Is(err, streamcodec.ErrRetiredDialect) || enc.Data != nil {
+					t.Errorf("Context %v: %d bytes, %v; want ErrRetiredDialect", ctx, len(enc.Data), err)
+				}
 			}
-			opts.Context = true
-			serial, err := Encode(pc, idx, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			check(t, pc, plain, serial, opts)
 		})
 	}
 	for _, kind := range lidar.AllScenes {

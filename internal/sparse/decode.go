@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"slices"
 	"sync"
@@ -20,38 +19,23 @@ import (
 // ErrCorrupt reports a malformed sparse stream.
 var ErrCorrupt = errors.New("sparse: corrupt stream")
 
-// ErrGroupCRC reports a radial group whose CRC-32C (carried by sharded v3
-// streams) does not match its payload. It wraps ErrCorrupt.
-var ErrGroupCRC = fmt.Errorf("%w: group CRC mismatch", ErrCorrupt)
-
 // DecodeOptions configures decoding. The zero value decodes without
 // limits.
 type DecodeOptions struct {
 	// Budget, when non-nil, bounds decoded points, entropy symbols, and
 	// memory. It is safe to share with concurrently decoding sections.
 	Budget *declimits.Budget
-	// Salvage skips radial groups whose CRC-32C mismatches instead of
-	// failing the whole section. Only sharded (v3) streams carry group
-	// CRCs; on legacy streams the option is a no-op. The returned cloud
-	// holds the points of every intact group, in group order.
-	Salvage bool
 }
 
 // groupFlags carries the stream header's flags, which every group decode
-// needs: the two ablations, the dialect that chooses the streams' coders,
-// and the forward-first order of the lines.
+// needs: the two ablations, the context dialect that lets the angular
+// streams name their coders, and the forward-first order of the lines.
 type groupFlags struct {
 	cartesian    bool
 	plainDelta   bool
-	dialect      streamcodec.Dialect
+	context      bool
 	forwardFirst bool
 }
-
-// GroupsCarryCRC tells the dialects whose group payloads are each prefixed
-// by their CRC-32C, which is what DecodeOptions.Salvage checks a group
-// against: sharded (v3) and blockpacked (v4) streams, under container v5
-// too. A context-modeled stream that is neither has no group CRCs.
-func GroupsCarryCRC(d streamcodec.Dialect) bool { return d.Sharded || d.BlockPack }
 
 // Decode reconstructs the polyline points from a stream produced by
 // Encode, in the same order as Encoded.DecodedOrder.
@@ -104,6 +88,9 @@ func parseFrame(data []byte) (fr frame, err error) {
 	if flags&^knownFlags != 0 {
 		return fr, fmt.Errorf("%w: unknown flags %#x", ErrCorrupt, flags&^knownFlags)
 	}
+	if flags&(flagSharded|flagBlockPack) != 0 {
+		return fr, fmt.Errorf("%w: sparse flags %#x", streamcodec.ErrRetiredDialect, flags)
+	}
 	if flags&flagForwardFirst != 0 && (flags&flagContext == 0 || flags&flagCartesian != 0) {
 		return fr, fmt.Errorf("%w: forward-first order outside a polar v5 stream", ErrCorrupt)
 	}
@@ -116,13 +103,9 @@ func parseFrame(data []byte) (fr frame, err error) {
 		return fr, fmt.Errorf("%w: invalid error bound %v", ErrCorrupt, fr.q)
 	}
 	fr.gf = groupFlags{
-		cartesian:  flags&flagCartesian != 0,
-		plainDelta: flags&flagPlainDelta != 0,
-		dialect: streamcodec.Dialect{
-			Sharded:   flags&flagSharded != 0,
-			BlockPack: flags&flagBlockPack != 0,
-			Context:   flags&flagContext != 0,
-		},
+		cartesian:    flags&flagCartesian != 0,
+		plainDelta:   flags&flagPlainDelta != 0,
+		context:      flags&flagContext != 0,
 		forwardFirst: flags&flagForwardFirst != 0,
 	}
 	nGroups, used, err := varint.Uint(data)
@@ -156,8 +139,8 @@ type groupHeader struct {
 	nLines, nTails, nRefs int
 }
 
-// readGroupHeader reads the header of a group payload (its CRC prefix, if
-// the dialect has one, already stripped) and returns what follows it.
+// readGroupHeader reads the header of a group payload and returns what
+// follows it.
 func (fr frame) readGroupHeader(data []byte) (h groupHeader, rest []byte, err error) {
 	if !fr.gf.cartesian {
 		if len(data) < 8 {
@@ -190,19 +173,10 @@ func (fr frame) readGroupHeader(data []byte) (h groupHeader, rest []byte, err er
 // declare, and the length of one polyline.
 const sane = 1 << 28
 
-// groupBody strips the CRC-32C prefix of a group that carries one, without
-// checking it.
-func (fr frame) groupBody(group []byte) []byte {
-	if GroupsCarryCRC(fr.gf.dialect) {
-		return group[min(4, len(group)):]
-	}
-	return group
-}
-
 // groupPoints returns the point count group's header declares (a line has
 // a head and its tails), or zero if the header does not parse.
 func (fr frame) groupPoints(group []byte) uint64 {
-	h, _, err := fr.readGroupHeader(fr.groupBody(group))
+	h, _, err := fr.readGroupHeader(group)
 	if err != nil {
 		return 0
 	}
@@ -229,38 +203,16 @@ func (fr frame) decodeGroups(dst geom.PointCloud, groups [][]byte, region *geom.
 		for gi, ok := next(); ok; gi, ok = next() {
 			func() {
 				defer declimits.Recover(&errs[gi], ErrCorrupt)
-				pts[gi], errs[gi] = fr.decodeGroupChecked(dst.Window(offs[gi], offs[gi+1]-offs[gi]), groups[gi], region, s, opts.Budget)
+				pts[gi], errs[gi] = fr.decodeGroup(dst.Window(offs[gi], offs[gi+1]-offs[gi]), groups[gi], region, s, opts.Budget)
 			}()
 		}
 	})
-	for gi := range groups {
-		if errs[gi] != nil {
-			// A CRC-attributable failure condemns only its own group when
-			// the caller asked for salvage; everything else stays fatal.
-			if opts.Salvage && errors.Is(errs[gi], ErrGroupCRC) {
-				pts[gi] = nil
-				continue
-			}
-			return nil, fmt.Errorf("sparse: group %d: %w", gi, errs[gi])
+	for gi, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("sparse: group %d: %w", gi, err)
 		}
 	}
 	return dst.Join(offs, pts), nil
-}
-
-// decodeGroupChecked verifies the CRC-32C prefix of a group that carries
-// one, then decodes the group payload.
-func (fr frame) decodeGroupChecked(dst geom.PointCloud, data []byte, region *geom.AABB, s *groupScratch, b *declimits.Budget) (geom.PointCloud, error) {
-	if GroupsCarryCRC(fr.gf.dialect) {
-		if len(data) < 4 {
-			return nil, fmt.Errorf("%w: group shorter than its CRC", ErrCorrupt)
-		}
-		want := binary.LittleEndian.Uint32(data)
-		data = data[4:]
-		if crc32.Checksum(data, crcTable) != want {
-			return nil, ErrGroupCRC
-		}
-	}
-	return fr.decodeGroup(dst, data, region, s, b)
 }
 
 // groupScratch holds what decoding one group needs besides its output:
@@ -318,9 +270,8 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, region *geom.AABB,
 
 	// v5 groups carry a methods byte naming the entropy coder of each
 	// angular stream.
-	d := gf.dialect
 	var methods byte
-	if d.Context {
+	if gf.context {
 		if len(data) < 1 {
 			return nil, fmt.Errorf("%w: missing stream methods byte", ErrCorrupt)
 		}
@@ -331,9 +282,8 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, region *geom.AABB,
 		}
 	}
 
-	// The stream table read the other way: every stream decodes by the
-	// coder the dialect gives its class or the one its marker in the
-	// methods byte names.
+	// The stream table read the other way: every stream decodes by its
+	// class's own coder or the one its marker in the methods byte names.
 	var streams [len(streamTable)][]byte
 	var codecs [len(streamTable)]streamcodec.Codec
 	for i, st := range streamTable {
@@ -347,13 +297,13 @@ func (fr frame) decodeGroup(dst geom.PointCloud, data []byte, region *geom.AABB,
 		}
 		streams[i] = data[:l]
 		data = data[l:]
-		codecs[i] = d.Codec(st.class)
-		if d.Context && st.marker >= 0 {
+		codecs[i] = st.class.Own()
+		if gf.context && st.marker >= 0 {
 			m := int(methods >> st.marker & 3)
 			if m > streamcodec.MarkCtx {
 				return nil, fmt.Errorf("%w: unknown stream method", ErrCorrupt)
 			}
-			codecs[i] = d.Marked(st.class, m)
+			codecs[i] = st.class.Marked(m)
 		}
 	}
 	if len(data) != 0 {

@@ -100,7 +100,7 @@ func TestDeflateNeverLoses(t *testing.T) {
 
 	wins := map[string]int{}
 	for name, in := range inputs {
-		got := streamcodec.AppendInts(nil, streamcodec.DeflateVarint, in, 0)
+		got := streamcodec.AppendInts(nil, streamcodec.DeflateVarint, in)
 		back, err := streamcodec.DecodeInts(nil, streamcodec.DeflateVarint, got, len(in), nil)
 		if err != nil || !slices.Equal(back, in) {
 			t.Fatalf("%s: does not decode to the input (%v)", name, err)

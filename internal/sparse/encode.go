@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"slices"
 	"sync"
@@ -37,23 +36,20 @@ type Options struct {
 	// coordinates instead of spherical ones (the paper's -Conversion
 	// ablation).
 	CartesianMode bool
-	// Shards, BlockPack and Context are the container dialect (v3, v4, v5);
-	// which coder each of a group's streams gets under them is
-	// internal/streamcodec's table. Besides that, Shards > 1 and BlockPack
-	// each prefix every group with its CRC-32C, so damaged groups can be
-	// salvaged individually, and Context adds a methods byte a group. The
-	// flags ride in the stream header, so decoders need no out-of-band
-	// signal; all off leaves the legacy streams byte-identical to previous
-	// releases.
-	//
-	// Shards is the most shards a high-volume stream is cut into.
-	Shards int
-	// BlockPack codes the integer streams with the blockpack codec.
+	// Shards and BlockPack asked for the retired sharded (v3) and
+	// blockpacked (v4) dialects: Encode refuses Shards > 1 and BlockPack
+	// with streamcodec.ErrRetiredDialect. Kept for bench/, which names
+	// them; a change to the benchmark deletes them.
+	Shards    int
 	BlockPack bool
-	// Context lets the angular streams (θ-head deltas, θ tails, φ tails)
-	// each take the smallest of their dialect's coder, plain adaptive
-	// arithmetic coding and the context-modeled magnitude-bucket coder, so
-	// the dialect never enlarges a stream.
+	// Context is the container v5 dialect: the angular streams (θ-head
+	// deltas, θ tails, φ tails) each take the smallest of their own coder,
+	// plain adaptive arithmetic coding and the context-modeled
+	// magnitude-bucket coder, named in a methods byte a group, so the
+	// dialect never enlarges a stream; and the polar lines go in the
+	// forward-first order. The flag rides in the stream header, so decoders
+	// need no out-of-band signal; off leaves the paper's streams
+	// byte-identical to previous releases.
 	Context bool
 }
 
@@ -99,13 +95,14 @@ type Encoded struct {
 const (
 	flagCartesian  = 1 << 0
 	flagPlainDelta = 1 << 1
-	// flagSharded, flagBlockPack and flagContext are the streamcodec.Dialect
-	// the stream was written under (container v3, v4, v5). Under the first
-	// two each group payload is prefixed by its CRC-32C; under the last each
-	// group carries a methods byte after its count header.
+	// flagSharded and flagBlockPack were the retired sharded (v3) and
+	// blockpacked (v4) dialects; a stream that sets either is refused with
+	// streamcodec.ErrRetiredDialect.
 	flagSharded   = 1 << 2
 	flagBlockPack = 1 << 3
-	flagContext   = 1 << 4
+	// flagContext is the context-modeled dialect (container v5): each group
+	// carries a methods byte after its count header.
+	flagContext = 1 << 4
 	// flagForwardFirst is the forward-first order of a polar v5 stream: every
 	// group's polylines are cut where they cross from one half of halves to
 	// the other, and the pieces ahead of the sensor come before those behind
@@ -121,7 +118,7 @@ func (o Options) forwardFirst() bool { return o.Context && !o.CartesianMode }
 // streamTable is the stream table of a group payload: its seven streams in
 // wire order, each a length-prefixed slot. class is what internal/streamcodec
 // chooses the stream's coder by. A stream with marker >= 0 competes in the
-// v5 dialect: it takes the smallest of streamcodec's Rivals for its class,
+// v5 dialect: it takes the smallest of its class's streamcodec Rivals,
 // and the winner's two-bit marker goes at that bit of the group's methods
 // byte. Encoder and decoder both walk this table, so it is the one place
 // that says what a group payload holds.
@@ -148,20 +145,14 @@ const (
 	refAlphabet   = 4
 )
 
-// dialect is what the options say to internal/streamcodec; the stream
-// header's flags carry it to the decoder.
-func (o Options) dialect() streamcodec.Dialect {
-	return streamcodec.Dialect{Sharded: o.Shards > 1, BlockPack: o.BlockPack, Context: o.Context}
-}
-
-// crcTable is the Castagnoli polynomial, matching the container CRCs.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // Encode compresses the sparse subset of pc given by idx. The cloud's
 // origin must be the sensor position (§3.3).
 func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	if opts.Q <= 0 {
 		return Encoded{}, fmt.Errorf("sparse: error bound must be positive, got %v", opts.Q)
+	}
+	if opts.Shards > 1 || opts.BlockPack {
+		return Encoded{}, streamcodec.ErrRetiredDialect
 	}
 	flags := uint64(0)
 	if opts.CartesianMode {
@@ -170,14 +161,7 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	if opts.DisableRadialOpt {
 		flags |= flagPlainDelta
 	}
-	d := opts.dialect()
-	if d.Sharded {
-		flags |= flagSharded
-	}
-	if d.BlockPack {
-		flags |= flagBlockPack
-	}
-	if d.Context {
+	if opts.Context {
 		flags |= flagContext
 	}
 	if opts.forwardFirst() {
@@ -208,7 +192,7 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	size, nOut, nOrder := 3*binary.MaxVarintLen64, 0, 0 // flags, q, group count
 	for gi := range results {
 		r := &results[gi]
-		size += binary.MaxVarintLen64 + 4 + len(r.data) // length, CRC, payload
+		size += binary.MaxVarintLen64 + len(r.data) // length, payload
 		nOut += len(r.outliers)
 		nOrder += len(r.order)
 	}
@@ -220,15 +204,7 @@ func Encode(pc geom.PointCloud, idx []int32, opts Options) (Encoded, error) {
 	enc.DecodedOrder = make([]int32, 0, nOrder)
 	for gi := range results {
 		r := &results[gi]
-		if GroupsCarryCRC(d) {
-			// The group length covers a leading CRC-32C so a damaged group
-			// can be detected — and skipped — on its own.
-			out = varint.AppendUint(out, uint64(len(r.data))+4)
-			out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(r.data, crcTable))
-		} else {
-			out = varint.AppendUint(out, uint64(len(r.data)))
-		}
-		out = append(out, r.data...)
+		out = appendStream(out, r.data)
 		enc.OutlierIdx = append(enc.OutlierIdx, r.outliers...)
 		enc.DecodedOrder = append(enc.DecodedOrder, r.order...)
 		enc.NumLines += r.nLines
@@ -452,32 +428,31 @@ func (es *encodeScratch) encodeGroup(pc geom.PointCloud, group []int32, rs []flo
 	data = varint.AppendUint(data, uint64(len(refs)))
 
 	// One walk over the stream table: streamcodec codes each stream into
-	// the scratch's staging buffer by the coder the dialect gives its class
-	// — in the v5 dialect the smallest of the class's rivals, the winner
-	// going into the methods byte — and appendStream copies it into the
-	// payload, so the buffer is free for the next.
-	d := opts.dialect()
+	// the scratch's staging buffer by its class's own coder — in the v5
+	// dialect the smallest of the class's rivals, the winner going into the
+	// methods byte — and appendStream copies it into the payload, so the
+	// buffer is free for the next.
 	methodsAt := len(data)
-	if d.Context {
+	if opts.Context {
 		data = append(data, 0)
 	}
 	s := es.stage
 	for i, st := range streamTable {
-		codec := d.Codec(st.class)
+		codec := st.class.Own()
 		switch {
 		case i == streamLengths:
-			s = streamcodec.AppendUints(s[:0], codec, lens, opts.Shards)
+			s = streamcodec.AppendUints(s[:0], codec, lens)
 		case i == streamRefs:
-			s = streamcodec.AppendCodes(s[:0], codec, refs, refAlphabet, opts.Shards)
-		case d.Context && st.marker >= 0:
+			s = streamcodec.AppendCodes(s[:0], codec, refs, refAlphabet)
+		case opts.Context && st.marker >= 0:
 			var m, codings int
-			s, m, codings = streamcodec.AppendSmallestInts(s[:0], d, st.class, es.ints[i-1], opts.Shards)
+			s, m, codings = streamcodec.AppendSmallestInts(s[:0], st.class, es.ints[i-1])
 			data[methodsAt] |= byte(m) << st.marker
 			if capture != nil {
 				capture.codings = append(capture.codings, codings)
 			}
 		default:
-			s = streamcodec.AppendInts(s[:0], codec, es.ints[i-1], opts.Shards)
+			s = streamcodec.AppendInts(s[:0], codec, es.ints[i-1])
 		}
 		data = appendStream(data, s)
 	}

@@ -186,8 +186,8 @@ func TestForwardFirstPromiseRefused(t *testing.T) {
 		{"ahead after behind", craftV5(append([]polyline.Line{behindLine(3000, 3010)}, aheadLines()...), true), "follows one behind"},
 		{"flag on an ordinary stream", craftV5(append(aheadLines()[:1], behindLine(1500, 1510, 1600), aheadLines()[1]), true), "crosses x = 0"},
 		{"one point, unflagged", craftV5(aheadLines(), false), "polyline length 1"},
-		{"one point, legacy", craftStream(aheadLines(), 1), "polyline length 1"},
-		{"flag without v5", flagged(craftStream(aheadLines()[:2], 1), flagForwardFirst), "outside a polar v5 stream"},
+		{"one point, legacy", craftStream(aheadLines()), "polyline length 1"},
+		{"flag without v5", flagged(craftStream(aheadLines()[:2]), flagForwardFirst), "outside a polar v5 stream"},
 		{"flag in a Cartesian stream", flagged(craftV5(aheadLines(), true), flagCartesian), "outside a polar v5 stream"},
 		{"unknown flag", flagged(craftV5(aheadLines(), true), 1<<6), "unknown flags"},
 	} {

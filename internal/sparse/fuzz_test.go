@@ -1,9 +1,10 @@
 package sparse
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,16 +15,10 @@ import (
 )
 
 // craftStream writes lines, as they are, as the one radial group of a
-// spherical stream in the legacy dialect or, with shards above one, the
-// sharded one with its group CRC: the streams Encode would write for them,
-// had Organize produced them. Encode cannot be made to write a polyline
-// that turns back in θ; this can.
-func craftStream(lines []polyline.Line, shards int) []byte {
-	if shards > 1 {
-		return craft(lines, flagSharded, shards)
-	}
-	return craft(lines, 0, 0)
-}
+// spherical stream in the legacy dialect: the streams Encode would write for
+// them, had Organize produced them. Encode cannot be made to write a
+// polyline that turns back in θ; this can.
+func craftStream(lines []polyline.Line) []byte { return craft(lines, 0) }
 
 // craftV5 is craftStream in the v5 dialect, every angular stream marked
 // for plain arithmetic coding, with the forward-first flag when it is
@@ -33,10 +28,12 @@ func craftV5(lines []polyline.Line, forwardFirst bool) []byte {
 	if forwardFirst {
 		flags |= flagForwardFirst
 	}
-	return craft(lines, flags, 0)
+	return craft(lines, flags)
 }
 
-func craft(lines []polyline.Line, flags uint64, shards int) []byte {
+// craft writes lines under the header flags given; past the flags, the
+// bytes are those of the legacy or, with flagContext, the v5 dialect.
+func craft(lines []polyline.Line, flags uint64) []byte {
 	const q, rMax, thPhi, thR = 0.02, 40.0, 8, 50
 	var lens []uint64
 	var thetaHeads, thetaTails, phiHeads, phiTails []int64
@@ -56,27 +53,21 @@ func craft(lines []polyline.Line, flags uint64, shards int) []byte {
 	for _, v := range []int{thPhi, thR, len(lines), len(thetaTails), len(refs)} {
 		group = varint.AppendUint(group, uint64(v))
 	}
-	bulk, theta := streamcodec.Arith, streamcodec.DeflateVarint
-	if shards > 1 {
-		bulk = streamcodec.ArithSharded
-	}
+	theta := streamcodec.DeflateVarint
 	if flags&flagContext != 0 {
 		m := byte(streamcodec.MarkPlain)
 		group = append(group, m<<streamTable[1].marker|m<<streamTable[2].marker|m<<streamTable[4].marker)
 		theta = streamcodec.Arith
 	}
-	group = appendStream(group, streamcodec.AppendUints(nil, streamcodec.Arith, lens, 0))
-	group = appendStream(group, streamcodec.AppendInts(nil, theta, deltaInts(thetaHeads), 0))
-	group = appendStream(group, streamcodec.AppendInts(nil, theta, thetaTails, 0))
-	group = appendStream(group, streamcodec.AppendInts(nil, streamcodec.Arith, deltaInts(phiHeads), 0))
-	group = appendStream(group, streamcodec.AppendInts(nil, bulk, phiTails, shards))
-	group = appendStream(group, streamcodec.AppendInts(nil, bulk, radials, shards))
-	group = appendStream(group, streamcodec.AppendCodes(nil, streamcodec.Arith, refs, refAlphabet, 0))
+	group = appendStream(group, streamcodec.AppendUints(nil, streamcodec.Arith, lens))
+	group = appendStream(group, streamcodec.AppendInts(nil, theta, deltaInts(thetaHeads)))
+	group = appendStream(group, streamcodec.AppendInts(nil, theta, thetaTails))
+	group = appendStream(group, streamcodec.AppendInts(nil, streamcodec.Arith, deltaInts(phiHeads)))
+	group = appendStream(group, streamcodec.AppendInts(nil, streamcodec.Arith, phiTails))
+	group = appendStream(group, streamcodec.AppendInts(nil, streamcodec.Arith, radials))
+	group = appendStream(group, streamcodec.AppendCodes(nil, streamcodec.Arith, refs, refAlphabet))
 
 	out := varint.AppendUint(nil, flags)
-	if flags&flagSharded != 0 {
-		group = append(binary.LittleEndian.AppendUint32(nil, crc32.Checksum(group, crcTable)), group...)
-	}
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(q))
 	out = varint.AppendUint(out, 1)
 	return appendStream(out, group)
@@ -98,9 +89,9 @@ func turnedBack(backwards bool) []polyline.Line {
 }
 
 // TestNegativeThetaTailRefused: a group with a polyline that turns back in
-// θ fails closed, whichever way the stream is read — and is not a group
-// salvage may skip, since its CRC is good. The same streams with the
-// polyline going forward decode, so it is the turn they are refused for.
+// θ fails closed, whichever way the stream is read, in the legacy and the
+// v5 dialect. The same streams with the polyline going forward decode, so
+// it is the turn they are refused for.
 func TestNegativeThetaTailRefused(t *testing.T) {
 	readers := map[string]func([]byte) (geom.PointCloud, error){
 		"Decode": Decode,
@@ -108,19 +99,81 @@ func TestNegativeThetaTailRefused(t *testing.T) {
 			inf := math.Inf(1)
 			return DecodeRegionInto(nil, b, &geom.AABB{Min: geom.Point{X: -inf, Y: -inf, Z: -inf}, Max: geom.Point{X: inf, Y: inf, Z: inf}}, DecodeOptions{})
 		},
-		"salvage": func(b []byte) (geom.PointCloud, error) { return DecodeWith(b, DecodeOptions{Salvage: true}) },
 	}
-	for _, shards := range []int{1, 2} {
+	dialects := map[string]func([]polyline.Line) []byte{
+		"legacy": craftStream,
+		"v5":     func(lines []polyline.Line) []byte { return craftV5(lines, false) },
+	}
+	for dialect, craft := range dialects {
 		for name, read := range readers {
-			if pc, err := read(craftStream(turnedBack(false), shards)); err != nil || len(pc) != 9 {
-				t.Errorf("%s, shards %d: forward polylines decode to %d points, %v", name, shards, len(pc), err)
+			if pc, err := read(craft(turnedBack(false))); err != nil || len(pc) != 9 {
+				t.Errorf("%s, %s: forward polylines decode to %d points, %v", name, dialect, len(pc), err)
 			}
-			pc, err := read(craftStream(turnedBack(true), shards))
-			if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrGroupCRC) || pc != nil {
-				t.Errorf("%s, shards %d: polyline turning back in θ gives %d points, %v; want ErrCorrupt", name, shards, len(pc), err)
+			pc, err := read(craft(turnedBack(true)))
+			if !errors.Is(err, ErrCorrupt) || pc != nil {
+				t.Errorf("%s, %s: polyline turning back in θ gives %d points, %v; want ErrCorrupt", name, dialect, len(pc), err)
 			}
 		}
 	}
+}
+
+// TestShardedRoundTrip: Shards 1 is no dialect — it writes the plain
+// section, which decodes to the plain points — while Encode refuses more
+// shards and BlockPack, with the context dialect or without, and a stream
+// whose header sets the sharded or the blockpack flag is refused as
+// streamcodec.ErrRetiredDialect by every decoder, whatever the groups after
+// it hold.
+func TestShardedRoundTrip(t *testing.T) {
+	pc, idx, meta := sparseFrame(t)
+	base := defaultOpts(meta)
+	legacy, err := Encode(pc, idx, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(t *testing.T, retired Options) {
+		for _, ctx := range []bool{false, true} {
+			o := base
+			o.Context, o.Shards, o.BlockPack = ctx, retired.Shards, retired.BlockPack
+			if enc, err := Encode(pc, idx, o); !errors.Is(err, streamcodec.ErrRetiredDialect) || enc.Data != nil {
+				t.Errorf("Shards %d, BlockPack %v, Context %v: %d bytes, %v; want ErrRetiredDialect", o.Shards, o.BlockPack, ctx, len(enc.Data), err)
+			}
+		}
+	}
+	for _, shards := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			if shards > 1 {
+				refused(t, Options{Shards: shards})
+				return
+			}
+			opts := base
+			opts.Shards = shards
+			serial, err := Encode(pc, idx, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(serial.Data, legacy.Data) {
+				t.Fatal("Shards=1 stream differs from legacy stream")
+			}
+			got, err := Decode(serial.Data)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			verify(t, pc, serial, got, base.Q)
+		})
+	}
+	t.Run("blockpack", func(t *testing.T) { refused(t, Options{BlockPack: true}) })
+	t.Run("flags", func(t *testing.T) {
+		for _, flags := range []uint64{flagSharded, flagBlockPack, flagSharded | flagBlockPack | flagContext} {
+			for _, stream := range [][]byte{craft(turnedBack(false), flags), flagged(legacy.Data, byte(flags))} {
+				if pts, err := Decode(stream); !errors.Is(err, streamcodec.ErrRetiredDialect) || pts != nil {
+					t.Errorf("flags %#x: %d points, %v; want ErrRetiredDialect", flags, len(pts), err)
+				}
+				if pts, err := DecodeRegionInto(nil, stream, &geom.AABB{Max: geom.Point{X: 9, Y: 9, Z: 9}}, DecodeOptions{}); !errors.Is(err, streamcodec.ErrRetiredDialect) || pts != nil {
+					t.Errorf("flags %#x, region: %d points, %v; want ErrRetiredDialect", flags, len(pts), err)
+				}
+			}
+		}
+	})
 }
 
 // FuzzDecode hammers the sparse decoder with mutated group streams; it
@@ -134,16 +187,6 @@ func FuzzDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	sharded, err := Encode(pc, []int32{0, 1, 2, 3, 4},
-		Options{Q: 0.02, Groups: 2, UTheta: 0.003, UPhi: 0.007, Shards: 2})
-	if err != nil {
-		f.Fatal(err)
-	}
-	packed, err := Encode(pc, []int32{0, 1, 2, 3, 4},
-		Options{Q: 0.02, Groups: 2, UTheta: 0.003, UPhi: 0.007, BlockPack: true})
-	if err != nil {
-		f.Fatal(err)
-	}
 	ctx, err := Encode(pc, []int32{0, 1, 2, 3, 4},
 		Options{Q: 0.02, Groups: 2, UTheta: 0.003, UPhi: 0.007, Context: true})
 	if err != nil {
@@ -151,8 +194,9 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add(enc.Data)
 	f.Add(enc.Data[:len(enc.Data)/3])
-	f.Add(sharded.Data)
-	f.Add(packed.Data)
+	// The retired sharded and blockpacked dialects' flags.
+	f.Add(craft(turnedBack(false), flagSharded))
+	f.Add(craft(turnedBack(false), flagBlockPack|flagContext))
 	f.Add(ctx.Data)
 	f.Add(ctx.Data[:2*len(ctx.Data)/3])
 	// Garble the per-group methods byte region so unknown method markers and
@@ -162,8 +206,8 @@ func FuzzDecode(f *testing.F) {
 		mut[16] ^= 0xff
 	}
 	f.Add(mut)
-	f.Add(craftStream(turnedBack(true), 1))
-	f.Add(craftStream(turnedBack(true), 2))
+	f.Add(craftStream(turnedBack(true)))
+	f.Add(craftV5(turnedBack(true), false))
 	f.Add([]byte{})
 	// The default dialect on streams long enough to be priced, not coded by
 	// every rival: three rings of 2000 firings in one radial group.
@@ -188,12 +232,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add(craftV5(append([]polyline.Line{behindLine(3000, 3010)}, aheadLines()...), true))
 	ahead := geom.AABB{Min: geom.Point{X: 1, Y: -40, Z: -40}, Max: geom.Point{X: 40, Y: 40, Z: 40}}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		// The sharded, blockpack, and context flags ride in the stream
-		// header, so plain Decode already covers the v3-v5 dialects; Salvage
-		// additionally exercises the per-group CRC recovery path, and a box
-		// ahead of the sensor a forward-first stream's prefix decode.
-		_, _ = Decode(b)
-		_, _ = DecodeWith(b, DecodeOptions{Salvage: true})
+		// The dialect flags ride in the stream header, so plain Decode
+		// covers the v5 dialect and refuses the retired ones; a box ahead of
+		// the sensor exercises a forward-first stream's prefix decode.
+		_, err := Decode(b)
+		if flags, _, ferr := varint.Uint(b); ferr == nil && flags&^knownFlags == 0 && flags&(flagSharded|flagBlockPack) != 0 && !errors.Is(err, streamcodec.ErrRetiredDialect) {
+			t.Fatalf("flags %#x: %v, want ErrRetiredDialect", flags, err)
+		}
 		_, _ = DecodeRegionInto(nil, b, &ahead, DecodeOptions{})
 	})
 }

@@ -172,8 +172,8 @@ func TestPropertyRefsRoundTrip(t *testing.T) {
 		for i, b := range raw {
 			refs[i] = b % refAlphabet
 		}
-		codec := streamcodec.Dialect{}.Codec(streamcodec.Refs)
-		dec, err := streamcodec.DecodeCodes(nil, codec, streamcodec.AppendCodes(nil, codec, refs, refAlphabet, 0), len(refs), refAlphabet, nil)
+		codec := streamcodec.Refs.Own()
+		dec, err := streamcodec.DecodeCodes(nil, codec, streamcodec.AppendCodes(nil, codec, refs, refAlphabet), len(refs), refAlphabet, nil)
 		return err == nil && bytes.Equal(dec, refs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -183,9 +183,9 @@ func TestPropertyRefsRoundTrip(t *testing.T) {
 
 // TestPropertyDeflate: the θ streams' DEFLATE coding is lossless.
 func TestPropertyDeflate(t *testing.T) {
-	codec := streamcodec.Dialect{}.Codec(streamcodec.ThetaTails)
+	codec := streamcodec.ThetaTails.Own()
 	f := func(vs []int64) bool {
-		out, err := streamcodec.DecodeInts(nil, codec, streamcodec.AppendInts(nil, codec, vs, 0), len(vs), nil)
+		out, err := streamcodec.DecodeInts(nil, codec, streamcodec.AppendInts(nil, codec, vs), len(vs), nil)
 		return err == nil && slices.Equal(out, vs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -5,7 +5,11 @@
 // arithmetic-coded polar streams (step 7), the radial distance optimized
 // delta encoding (step 8, Definition 3.3), and the output layout (step 9).
 // Point grouping by radial distance (§3.5 "Point Grouping") wraps the whole
-// pipeline.
+// pipeline. The stream header's flags carry the two ablations and the
+// context-modeled dialect (container v5: the angular streams' coder chosen
+// per group, the forward-first order); a header with the flags of the
+// retired sharded or blockpacked dialect is refused with
+// streamcodec.ErrRetiredDialect.
 package sparse
 
 import (

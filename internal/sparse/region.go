@@ -66,7 +66,7 @@ func (fr frame) reaching(region *geom.AABB) (groups, skipped [][]byte) {
 	for _, g := range fr.groups {
 		// A group too short for its header is kept, for decodeGroups to
 		// refuse.
-		if h, _, err := fr.readGroupHeader(fr.groupBody(g)); err == nil {
+		if h, _, err := fr.readGroupHeader(g); err == nil {
 			lo := prevRMax
 			prevRMax = h.rMax
 			if h.rMax+slack < rLo || lo-slack > rHi {

@@ -4,27 +4,23 @@ import (
 	"math"
 	"sync"
 
-	"dbgc/internal/arith"
 	"dbgc/internal/ctxmodel"
 	"dbgc/internal/varint"
 )
 
 // The markers of a competing stream, as a group's methods byte records them.
 const (
-	MarkOwn   = iota // the dialect's own coder for the stream's class
+	MarkOwn   = iota // the stream's own coder, Class.Own
 	MarkPlain        // plain arithmetic coding
 	MarkCtx          // the context-modeled coder
 )
 
-// Marked returns the coder marker m names for a stream of class c under d.
-func (d Dialect) Marked(c Class, m int) Codec {
+// Marked returns the coder marker m names for a stream of class c.
+func (c Class) Marked(m int) Codec {
 	switch m {
 	case MarkOwn:
-		return d.Codec(c)
+		return c.Own()
 	case MarkPlain:
-		if d.Sharded && c.highVolume() {
-			return ArithSharded
-		}
 		return Arith
 	default:
 		return Ctx
@@ -32,10 +28,10 @@ func (d Dialect) Marked(c Class, m int) Codec {
 }
 
 // Rivals returns the markers a sparse angular stream of class c chooses
-// among under the Context dialect: every marker whose coder no lower marker
-// names already (the φ tails' own coder is plain arithmetic coding).
-func (d Dialect) Rivals(c Class) []int {
-	if d.Marked(c, MarkOwn) == d.Marked(c, MarkPlain) {
+// among in the context-modeled container: every marker whose coder no lower
+// marker names already (the φ tails' own coder is plain arithmetic coding).
+func (c Class) Rivals() []int {
+	if c.Own() == Arith {
 		return []int{MarkOwn, MarkCtx}
 	}
 	return []int{MarkOwn, MarkPlain, MarkCtx}
@@ -56,49 +52,42 @@ const smallStream = 256
 // fifth. Longer periods go unseen: finding them takes LZ77 itself.
 const repeating = 15.0 / 16
 
-// AppendSmallestInts appends vs coded by one of d.Rivals(c) and returns the
+// ctxFraming is what the context coder's one-shard framing costs: a byte for
+// the shard count and about two for the payload's length.
+const ctxFraming = 3
+
+// AppendSmallestInts appends vs coded by one of c.Rivals() and returns the
 // winner's marker and how many codings of the stream it took to decide: one,
-// unless a rival without a price had to be tried. The arithmetic rivals are
-// priced by priceInts, without coding, and the cheapest is the one coded. A
-// rival with no price — DEFLATE, blockpack — is coded first, to be kept if
-// it comes in under that price (ties to it: it is the lower marker), and
-// only where it can: blockpack costs next to nothing to try; DEFLATE wins
-// only on a stream that repeats itself or is too short for a model to learn.
-// shards is the frame's; it cuts high-volume streams under a Sharded dialect.
-func AppendSmallestInts(dst []byte, d Dialect, c Class, vs []int64, shards int) (out []byte, marker, codings int) {
-	if !d.Sharded || !c.highVolume() {
-		shards = 1
-	}
-	plain, ctx, repeats := priceInts(vs, shards)
-	// The shard framing is a byte for the shard count and about two a shard
-	// for its length.
-	framing := float64(1 + 2*arith.ClampShards(shards, len(vs)))
+// unless DEFLATE had to be tried. The arithmetic rivals are priced by
+// priceInts, without coding, and the cheapest is the one coded. DEFLATE has
+// no price: it is coded first, to be kept if it comes in under that price
+// (ties to it: it is the lower marker), and only where it can win — on a
+// stream that repeats itself or is too short for a model to learn.
+func AppendSmallestInts(dst []byte, c Class, vs []int64) (out []byte, marker, codings int) {
+	plain, ctx, repeats := priceInts(vs)
 	best, marker := math.Inf(1), -1
-	for _, m := range d.Rivals(c) {
+	for _, m := range c.Rivals() {
 		p := math.Inf(1)
-		switch d.Marked(c, m) {
+		switch c.Marked(m) {
 		case Arith:
 			p = plain
-		case ArithSharded:
-			p = plain + framing
 		case Ctx:
-			p = ctx + framing
+			p = ctx + ctxFraming
 		}
 		if p < best {
 			best, marker = p, m
 		}
 	}
 	at := len(dst)
-	if own := d.Codec(c); own == BlockPack || own == BlockPackSharded ||
-		own == DeflateVarint && (len(vs) < smallStream || float64(repeats) > repeating*float64(len(vs))) {
+	if c.Own() == DeflateVarint && (len(vs) < smallStream || float64(repeats) > repeating*float64(len(vs))) {
 		codings++
-		dst = AppendInts(dst, own, vs, shards)
+		dst = AppendInts(dst, DeflateVarint, vs)
 		if float64(len(dst)-at) <= best {
 			return dst, MarkOwn, codings
 		}
 		dst = dst[:at]
 	}
-	return AppendInts(dst, d.Marked(c, marker), vs, shards), marker, codings + 1
+	return AppendInts(dst, c.Marked(marker), vs), marker, codings + 1
 }
 
 // pricer holds the models priceInts follows: the plain coder's one, and the
@@ -114,12 +103,12 @@ type pricer struct {
 var pricerPool = sync.Pool{New: func() any { return new(pricer) }}
 
 // priceInts returns what the plain arithmetic coder and the context coder
-// each spend on vs cut into shards, in bytes, without running either: one
-// pass over the values takes every LEB128 byte through the models the two
-// coders would code it under, as arith.AppendCompressInts and
+// each spend on vs, in bytes and the latter's framing aside, without running
+// either: one pass over the values takes every LEB128 byte through the
+// models the two coders would code it under, as arith.AppendCompressInts and
 // ctxmodel.AppendIntsCtx do. repeats counts the values equal to the value
 // two before them.
-func priceInts(vs []int64, shards int) (plain, ctx float64, repeats int) {
+func priceInts(vs []int64) (plain, ctx float64, repeats int) {
 	p := pricerPool.Get().(*pricer)
 	defer pricerPool.Put(p)
 	for i, v := range vs[min(2, len(vs)):] {
@@ -127,47 +116,43 @@ func priceInts(vs []int64, shards int) (plain, ctx float64, repeats int) {
 			repeats++
 		}
 	}
-	s := arith.ClampShards(shards, len(vs))
-	for i := 0; i < s; i++ {
-		lo, hi := arith.ShardRange(len(vs), s, i)
-		p.shared.reset()
-		p.all.seed(&p.shared)
-		p.cont.seed(&p.shared)
-		var live [ctxmodel.IntContexts]bool
-		pending, prev := len(live), 0
-		for _, v := range vs[lo:hi] {
-			z := varint.Zigzag(v)
-			sym, rest := byte(z&0x7f), z>>7
+	p.shared.reset()
+	p.all.seed(&p.shared)
+	p.cont.seed(&p.shared)
+	var live [ctxmodel.IntContexts]bool
+	pending, prev := len(live), 0
+	for _, v := range vs {
+		z := varint.Zigzag(v)
+		sym, rest := byte(z&0x7f), z>>7
+		if rest != 0 {
+			sym |= 0x80
+		}
+		plain += p.all.add(sym)
+		first := &p.first[prev]
+		if !live[prev] {
+			first.seed(&p.shared)
+			live[prev] = true
+			pending--
+		}
+		ctx += first.add(sym)
+		if pending > 0 {
+			p.shared.update(sym)
+		}
+		for rest != 0 {
+			sym, rest = byte(rest&0x7f), rest>>7
 			if rest != 0 {
 				sym |= 0x80
 			}
 			plain += p.all.add(sym)
-			first := &p.first[prev]
-			if !live[prev] {
-				first.seed(&p.shared)
-				live[prev] = true
-				pending--
-			}
-			ctx += first.add(sym)
-			if pending > 0 {
-				p.shared.update(sym)
-			}
-			for rest != 0 {
-				sym, rest = byte(rest&0x7f), rest>>7
-				if rest != 0 {
-					sym |= 0x80
-				}
-				plain += p.all.add(sym)
-				ctx += p.cont.add(sym)
-			}
-			prev = ctxmodel.MagBucket(z)
+			ctx += p.cont.add(sym)
 		}
-		plain += p.all.price()
-		ctx += p.cont.price()
-		for b := range live {
-			if live[b] {
-				ctx += p.first[b].price()
-			}
+		prev = ctxmodel.MagBucket(z)
+	}
+	plain += p.all.price()
+	ctx += p.cont.price()
+	for b := range live {
+		if live[b] {
+			ctx += p.first[b].price()
 		}
 	}
 	return plain / 8, ctx / 8, repeats

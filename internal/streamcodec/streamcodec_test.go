@@ -66,7 +66,7 @@ func refInts(t testing.TB, c Codec, vs []int64, shards int) []byte {
 	case BlockPackSharded:
 		return refSharded(vs, shards, blockpack.PackInt64)
 	default:
-		return ctxmodel.AppendIntsCtx(nil, vs, shards)
+		return ctxmodel.AppendIntsCtx(nil, vs)
 	}
 }
 
@@ -97,14 +97,21 @@ func refCodes(c Codec, codes []byte, alphabet, shards int) []byte {
 	return plain(nil, codes)
 }
 
+// retired reports whether c is one of the retired codecs, which take a
+// shard count; the others ignore the suite's.
+func retired(c Codec) bool { return c > Ctx }
+
 // stream is one (element type, codec) pair of the suite behind one
 // signature: encode n generated elements either way, decode under a budget,
-// and say whether the decoded elements are the generated ones.
+// and say whether the decoded elements are the generated ones. refused, if
+// set, returns what the retired sharded dialect wrote for the stream where
+// that was other than its one-shard bytes, and nil elsewhere.
 type stream struct {
-	kind   string
-	codec  Codec
-	encode func(t testing.TB, n, shards int) (got, ref []byte)
-	decode func(data []byte, n int, b *declimits.Budget) (elems int, same bool, err error)
+	kind    string
+	codec   Codec
+	encode  func(t testing.TB, n, shards int) (got, ref []byte)
+	decode  func(data []byte, n int, b *declimits.Budget) (elems int, same bool, err error)
+	refused func(t testing.TB, n, shards int) []byte
 }
 
 // streams lists every pair the package codes. Values are what the real
@@ -138,32 +145,52 @@ func streams() []stream {
 	}
 	var out []stream
 	for _, c := range []Codec{Arith, ArithSharded, DeflateVarint, BlockPack, BlockPackSharded, Ctx} {
-		out = append(out, stream{"ints", c,
-			func(t testing.TB, n, shards int) ([]byte, []byte) {
-				return AppendInts(nil, c, ints(n), shards), refInts(t, c, ints(n), shards)
+		st := stream{kind: "ints", codec: c,
+			encode: func(t testing.TB, n, shards int) ([]byte, []byte) {
+				if retired(c) {
+					return AppendRetiredInts(nil, c, ints(n), shards), refInts(t, c, ints(n), shards)
+				}
+				return AppendInts(nil, c, ints(n)), refInts(t, c, ints(n), shards)
 			},
-			func(data []byte, n int, b *declimits.Budget) (int, bool, error) {
+			decode: func(data []byte, n int, b *declimits.Budget) (int, bool, error) {
 				vs, err := DecodeInts(nil, c, data, n, b)
 				return len(vs), slices.Equal(vs, ints(n)), err
-			}})
+			}}
+		if c == Ctx {
+			st.refused = func(t testing.TB, n, shards int) []byte {
+				if arith.ClampShards(shards, n) == 1 {
+					return nil
+				}
+				return refSharded(ints(n), shards, func(dst []byte, vs []int64) []byte {
+					return append(dst, ctxPayload(t, vs)...)
+				})
+			}
+		}
+		out = append(out, st)
 	}
 	for _, c := range []Codec{Arith, ArithSharded, BlockPack, BlockPackSharded} {
-		out = append(out, stream{"uints", c,
-			func(_ testing.TB, n, shards int) ([]byte, []byte) {
-				return AppendUints(nil, c, uints(n), shards), refUints(c, uints(n), shards)
+		out = append(out, stream{kind: "uints", codec: c,
+			encode: func(_ testing.TB, n, shards int) ([]byte, []byte) {
+				if retired(c) {
+					return AppendRetiredUints(nil, c, uints(n), shards), refUints(c, uints(n), shards)
+				}
+				return AppendUints(nil, c, uints(n)), refUints(c, uints(n), shards)
 			},
-			func(data []byte, n int, b *declimits.Budget) (int, bool, error) {
+			decode: func(data []byte, n int, b *declimits.Budget) (int, bool, error) {
 				vs, err := DecodeUints(nil, c, data, n, b)
 				return len(vs), slices.Equal(vs, uints(n)), err
 			}})
 	}
 	for _, alphabet := range []int{4, 16, 256} {
 		for _, c := range []Codec{Arith, ArithSharded} {
-			out = append(out, stream{fmt.Sprintf("codes%d", alphabet), c,
-				func(_ testing.TB, n, shards int) ([]byte, []byte) {
-					return AppendCodes(nil, c, codes(n, alphabet), alphabet, shards), refCodes(c, codes(n, alphabet), alphabet, shards)
+			out = append(out, stream{kind: fmt.Sprintf("codes%d", alphabet), codec: c,
+				encode: func(_ testing.TB, n, shards int) ([]byte, []byte) {
+					if retired(c) {
+						return AppendRetiredCodes(nil, c, codes(n, alphabet), alphabet, shards), refCodes(c, codes(n, alphabet), alphabet, shards)
+					}
+					return AppendCodes(nil, c, codes(n, alphabet), alphabet), refCodes(c, codes(n, alphabet), alphabet, shards)
 				},
-				func(data []byte, n int, b *declimits.Budget) (int, bool, error) {
+				decode: func(data []byte, n int, b *declimits.Budget) (int, bool, error) {
 					vs, err := DecodeCodes(nil, c, data, n, alphabet, b)
 					return len(vs), bytes.Equal(vs, codes(n, alphabet)), err
 				}})
@@ -181,7 +208,10 @@ var limits = declimits.Limits{MaxNodes: 1 << 15, MaxShards: 8, MaxContexts: 64, 
 // it is byte for byte what the call it replaced wrote, at GOMAXPROCS 1 and 4;
 // and a truncated or bit-flipped copy of it, decoded under DecodeLimits,
 // returns an error or exactly n elements — no panic, nothing past the
-// budget — while limits below the stream's own refuse it as ErrLimit.
+// budget — while limits below the stream's own refuse it as ErrLimit. Only
+// the retired codecs take the shard count; the context coder writes one
+// shard whatever it is, and refuses as ErrRetiredDialect the several shards
+// the sharded dialect cut the same stream into.
 func TestCodecs(t *testing.T) {
 	for _, s := range streams() {
 		for _, n := range []int{0, 1, 127, 128, 129, 8193, 2*8192 + 1} {
@@ -199,6 +229,13 @@ func TestCodecs(t *testing.T) {
 					}
 					if elems, same, err := s.decode(data, n, declimits.New(limits)); err != nil || !same {
 						t.Fatalf("round trip: %d elements of %d, %v", elems, n, err)
+					}
+					if s.refused != nil {
+						if old := s.refused(t, n, shards); old != nil {
+							if _, _, err := s.decode(old, n, declimits.New(limits)); !errors.Is(err, ErrRetiredDialect) {
+								t.Errorf("the sharded dialect's %d shards: %v, want ErrRetiredDialect", arith.ClampShards(shards, n), err)
+							}
+						}
 					}
 					if n > 1 { // a limit of 0 is no limit
 						// Elements are charged as nodes; DeflateVarint charges
@@ -232,57 +269,100 @@ func TestCodecs(t *testing.T) {
 
 // TestDecodeIntsPrefix: every signed-integer codec returns at least the
 // first keep integers of a stream, and exactly those where it can stop —
-// the plain arithmetic and the context-modeled coders, in one shard or
-// several — while the budget pays for the whole stream whatever keep is.
+// the plain arithmetic and the context-modeled coders — while the budget
+// pays for the whole stream whatever keep is.
 func TestDecodeIntsPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, c := range []Codec{Arith, ArithSharded, DeflateVarint, BlockPack, BlockPackSharded, Ctx} {
+	for _, c := range []Codec{Arith, DeflateVarint, Ctx} {
 		for _, n := range []int{0, 1, 129, 8193, 2*8192 + 1} {
 			vs := make([]int64, n)
 			for i := range vs {
 				vs[i] = int64(rng.Intn(9)) - 4
 			}
-			for _, shards := range []int{1, 4} {
-				data := AppendInts(nil, c, vs, shards)
-				for _, keep := range []int{0, 1, n / 2, n - 1, n} {
-					if keep < 0 || keep > n {
-						continue
-					}
-					got, err := DecodeIntsPrefix([]int64{42}, c, data, n, keep, declimits.New(limits))
-					if err != nil || len(got) < 1+keep || got[0] != 42 || !slices.Equal(got[1:1+keep], vs[:keep]) {
-						t.Fatalf("%v n=%d shards=%d keep=%d: %d integers, %v", c, n, shards, keep, len(got), err)
-					}
-					if stops := c == Arith || c == Ctx; stops && len(got) != 1+keep || !stops && len(got) != 1+n {
-						t.Fatalf("%v n=%d shards=%d keep=%d: %d integers", c, n, shards, keep, len(got)-1)
-					}
-					if n > 1 { // as in TestCodecs: nodes, or what DEFLATE may inflate to
-						tight := limits
-						tight.MaxNodes, tight.MemBudget = int64(n)-1, 10*int64(n)-1
-						if _, err := DecodeIntsPrefix(nil, c, data, n, keep, declimits.New(tight)); !errors.Is(err, declimits.ErrLimit) {
-							t.Fatalf("%v n=%d keep=%d under MaxNodes %d: %v, want ErrLimit", c, n, keep, tight.MaxNodes, err)
-						}
+			data := AppendInts(nil, c, vs)
+			for _, keep := range []int{0, 1, n / 2, n - 1, n} {
+				if keep < 0 || keep > n {
+					continue
+				}
+				got, err := DecodeIntsPrefix([]int64{42}, c, data, n, keep, declimits.New(limits))
+				if err != nil || len(got) < 1+keep || got[0] != 42 || !slices.Equal(got[1:1+keep], vs[:keep]) {
+					t.Fatalf("%v n=%d keep=%d: %d integers, %v", c, n, keep, len(got), err)
+				}
+				if stops := c == Arith || c == Ctx; stops && len(got) != 1+keep || !stops && len(got) != 1+n {
+					t.Fatalf("%v n=%d keep=%d: %d integers", c, n, keep, len(got)-1)
+				}
+				if n > 1 { // as in TestCodecs: nodes, or what DEFLATE may inflate to
+					tight := limits
+					tight.MaxNodes, tight.MemBudget = int64(n)-1, 10*int64(n)-1
+					if _, err := DecodeIntsPrefix(nil, c, data, n, keep, declimits.New(tight)); !errors.Is(err, declimits.ErrLimit) {
+						t.Fatalf("%v n=%d keep=%d under MaxNodes %d: %v, want ErrLimit", c, n, keep, tight.MaxNodes, err)
 					}
 				}
-				for _, keep := range []int{-1, n + 1} {
-					if _, err := DecodeIntsPrefix(nil, c, data, n, keep, nil); !errors.Is(err, ErrCorrupt) {
-						t.Fatalf("%v n=%d keep=%d: %v, want ErrCorrupt", c, n, keep, err)
-					}
+			}
+			for _, keep := range []int{-1, n + 1} {
+				if _, err := DecodeIntsPrefix(nil, c, data, n, keep, nil); !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%v n=%d keep=%d: %v, want ErrCorrupt", c, n, keep, err)
 				}
 			}
 		}
 	}
 }
 
+// ctxPayload returns the context coder's stream of vs without its one-shard
+// framing.
+func ctxPayload(t testing.TB, vs []int64) []byte {
+	data := AppendInts(nil, Ctx, vs)
+	if data[0] != 1 {
+		t.Fatalf("context-modeled stream declares %d shards", data[0])
+	}
+	l, used, err := varint.Uint(data[1:])
+	if err != nil || l != uint64(len(data)-1-used) {
+		t.Fatalf("context-modeled stream's framing: length %d of %d bytes (%v)", l, len(data)-1-used, err)
+	}
+	return data[1+used:]
+}
+
+// TestRetiredShardCounts: the context coder writes the one-shard framing —
+// 01, the payload's length, the payload — and a stream in that framing
+// that declares any other shard count, which only the retired sharded
+// dialect wrote, is refused as ErrRetiredDialect, in full and by prefix.
+func TestRetiredShardCounts(t *testing.T) {
+	vs := make([]int64, 1000)
+	for i := range vs {
+		vs[i] = int64(i%13) - 6
+	}
+	half := len(vs) / 2
+	one, two := ctxPayload(t, vs[:half]), ctxPayload(t, vs[half:])
+	// What the sharded dialect wrote for two shards: the count, both
+	// lengths, both payloads.
+	sharded := varint.AppendUint([]byte{2}, uint64(len(one)))
+	sharded = append(varint.AppendUint(sharded, uint64(len(two))), one...)
+	sharded = append(sharded, two...)
+	for name, data := range map[string][]byte{
+		"0 shards":    {0, 0},
+		"2 shards":    sharded,
+		"4096 shards": varint.AppendUint(nil, 4096),
+		"huge count":  {0xff, 0xff, 0xff, 0xff, 0x0f},
+	} {
+		if _, err := DecodeInts(nil, Ctx, data, len(vs), nil); !errors.Is(err, ErrRetiredDialect) {
+			t.Errorf("%s: %v, want ErrRetiredDialect", name, err)
+		}
+		if _, err := DecodeIntsPrefix(nil, Ctx, data, len(vs), half, nil); !errors.Is(err, ErrRetiredDialect) {
+			t.Errorf("%s, prefix: %v, want ErrRetiredDialect", name, err)
+		}
+	}
+}
+
 // TestAppendsToDestination: both directions extend what dst holds and leave
-// it alone, framed codecs included.
+// it alone, the framed context coder included.
 func TestAppendsToDestination(t *testing.T) {
 	vs := make([]int64, 300)
 	for i := range vs {
 		vs[i] = int64(i%7) - 3
 	}
-	for _, c := range []Codec{Arith, ArithSharded, DeflateVarint, BlockPack, BlockPackSharded, Ctx} {
-		data := AppendInts([]byte("head"), c, vs, 2)
-		if string(data[:4]) != "head" || !bytes.Equal(data[4:], AppendInts(nil, c, vs, 2)) {
+	for _, c := range []Codec{Arith, DeflateVarint, Ctx} {
+		data := AppendInts([]byte("head"), c, vs)
+		if string(data[:4]) != "head" || !bytes.Equal(data[4:], AppendInts(nil, c, vs)) {
 			t.Errorf("%v: AppendInts does not append", c)
 		}
 		got, err := DecodeInts([]int64{42, 43}, c, data[4:], len(vs), nil)
@@ -292,62 +372,43 @@ func TestAppendsToDestination(t *testing.T) {
 	}
 }
 
-// TestDialectTable spells the stream × dialect → coder table out once more,
-// as the per-package switches this package replaced had it, and holds Codec,
-// Marked and Rivals to it for every combination of flags: a marker names
-// what it always named, and Rivals lists every marker whose coder no lower
-// one names, so no coder twice.
+// TestDialectTable spells the stream → coder table of §3.5 out once more,
+// as the per-package switches this package replaced had it, and holds Own,
+// Marked and Rivals to it: a marker names what it always named, and Rivals
+// lists every marker whose coder no lower one names, so no coder twice.
 func TestDialectTable(t *testing.T) {
-	for _, d := range []Dialect{{}, {Sharded: true}, {BlockPack: true}, {Sharded: true, BlockPack: true}} {
-		for _, ctx := range []bool{false, true} {
-			d.Context = ctx
-			want := map[Class]Codec{
-				Bulk: Arith, Occupancy: Arith, Lengths: Arith, ThetaHeads: DeflateVarint,
-				ThetaTails: DeflateVarint, PhiHeads: Arith, Refs: Arith,
+	want := map[Class]Codec{
+		Bulk: Arith, Occupancy: Arith, Lengths: Arith, ThetaHeads: DeflateVarint,
+		ThetaTails: DeflateVarint, PhiHeads: Arith, Refs: Arith,
+	}
+	for c, codec := range want {
+		if got := c.Own(); got != codec {
+			t.Errorf("class %d: %v, want %v", c, got, codec)
+		}
+	}
+	for _, c := range []Class{ThetaHeads, ThetaTails, Bulk} {
+		for m, w := range [3]Codec{want[c], Arith, Ctx} {
+			if got := c.Marked(m); got != w {
+				t.Errorf("class %d marker %d: %v, want %v", c, m, got, w)
 			}
-			switch {
-			case d.BlockPack:
-				want[Bulk], want[Lengths], want[ThetaTails] = BlockPackSharded, BlockPackSharded, BlockPackSharded
-				want[ThetaHeads], want[PhiHeads] = BlockPack, BlockPack
-				want[Occupancy] = ArithSharded
-			case d.Sharded:
-				want[Bulk], want[Occupancy] = ArithSharded, ArithSharded
-			}
-			for c, codec := range want {
-				if got := d.Codec(c); got != codec {
-					t.Errorf("%+v class %d: %v, want %v", d, c, got, codec)
-				}
-			}
-			for _, c := range []Class{ThetaHeads, ThetaTails, Bulk} {
-				plain := Arith
-				if d.Sharded && c != ThetaHeads {
-					plain = ArithSharded
-				}
-				marked := [3]Codec{want[c], plain, Ctx}
-				for m, w := range marked {
-					if got := d.Marked(c, m); got != w {
-						t.Errorf("%+v class %d marker %d: %v, want %v", d, c, m, got, w)
-					}
-				}
-				wantRivals := []int{MarkOwn, MarkPlain, MarkCtx}
-				if want[c] == plain {
-					wantRivals = []int{MarkOwn, MarkCtx}
-				}
-				if got := d.Rivals(c); !slices.Equal(got, wantRivals) {
-					t.Errorf("%+v class %d rivals: %v, want %v", d, c, got, wantRivals)
-				}
-			}
+		}
+		wantRivals := []int{MarkOwn, MarkPlain, MarkCtx}
+		if want[c] == Arith {
+			wantRivals = []int{MarkOwn, MarkCtx}
+		}
+		if got := c.Rivals(); !slices.Equal(got, wantRivals) {
+			t.Errorf("class %d rivals: %v, want %v", c, got, wantRivals)
 		}
 	}
 }
 
 // exactSmallest codes vs by every rival and returns the smallest coding's
 // marker, ties to the lowest, and every rival's size.
-func exactSmallest(d Dialect, c Class, vs []int64, shards int) (best int, sizes map[int]int) {
+func exactSmallest(c Class, vs []int64) (best int, sizes map[int]int) {
 	sizes = map[int]int{}
 	best = -1
-	for _, m := range d.Rivals(c) {
-		sizes[m] = len(AppendInts(nil, d.Marked(c, m), vs, shards))
+	for _, m := range c.Rivals() {
+		sizes[m] = len(AppendInts(nil, c.Marked(m), vs))
 		if best < 0 || sizes[m] < sizes[best] {
 			best = m
 		}
@@ -393,43 +454,35 @@ func chooserStreams() map[string][]int64 {
 	return out
 }
 
-// TestAppendSmallestInts: a stream is coded once — twice where DEFLATE or
-// blockpack, which have no price, had to be tried: under blockpack, and
-// under the other dialects on a stream that repeats itself or has under
-// smallStream elements — and gets a rival within 1% (or four bytes) of the
-// smallest; the smallest itself, then, wherever that is clear of the others.
-// The bytes are the named rival's alone, appended, only a tail stream under
-// a Sharded dialect is cut into the shards the frame asks for, and the
+// TestAppendSmallestInts: a stream is coded once — twice where DEFLATE,
+// which has no price, had to be tried: on a stream that repeats itself or
+// has under smallStream elements — and gets a rival within 1% (or four
+// bytes) of the smallest; the smallest itself, then, wherever that is clear
+// of the others. The bytes are the named rival's alone, appended, and the
 // stream decodes to its values.
 func TestAppendSmallestInts(t *testing.T) {
 	for name, vs := range chooserStreams() {
-		for _, d := range []Dialect{{Context: true}, {Context: true, Sharded: true}, {Context: true, BlockPack: true}} {
-			for _, c := range []Class{ThetaHeads, ThetaTails, Bulk} {
-				shards := 4
-				got, marker, codings := AppendSmallestInts([]byte{0xAA}, d, c, vs, shards)
-				if c == ThetaHeads || !d.Sharded {
-					shards = 1
-				}
-				what := fmt.Sprintf("%s %+v class %d", name, d, c)
-				if !slices.Contains(d.Rivals(c), marker) {
-					t.Fatalf("%s: marker %d is none of %v", what, marker, d.Rivals(c))
-				}
-				if got[0] != 0xAA || !bytes.Equal(got[1:], AppendInts(nil, d.Marked(c, marker), vs, shards)) {
-					t.Errorf("%s: not marker %d's bytes appended", what, marker)
-				}
-				back, err := DecodeInts(nil, d.Marked(c, marker), got[1:], len(vs), nil)
-				if err != nil || !slices.Equal(back, vs) {
-					t.Errorf("%s: marker %d does not decode to the values (%v)", what, marker, err)
-				}
-				best, sizes := exactSmallest(d, c, vs, shards)
-				repeats := name == "runs" || name == "constant" || name == "zero" || name == "alternating" || name == "small constant"
-				tried := d.BlockPack || d.Codec(c) == DeflateVarint && (len(vs) < smallStream || repeats)
-				if want := 1; codings != want && !(tried && codings == want+1) {
-					t.Errorf("%s: %d codings of %d elements", what, codings, len(vs))
-				}
-				if marker != best && 100*sizes[marker] > 101*sizes[best] && sizes[marker] > sizes[best]+4 {
-					t.Errorf("%s: marker %d, rivals are %v", what, marker, sizes)
-				}
+		for _, c := range []Class{ThetaHeads, ThetaTails, Bulk} {
+			got, marker, codings := AppendSmallestInts([]byte{0xAA}, c, vs)
+			what := fmt.Sprintf("%s class %d", name, c)
+			if !slices.Contains(c.Rivals(), marker) {
+				t.Fatalf("%s: marker %d is none of %v", what, marker, c.Rivals())
+			}
+			if got[0] != 0xAA || !bytes.Equal(got[1:], AppendInts(nil, c.Marked(marker), vs)) {
+				t.Errorf("%s: not marker %d's bytes appended", what, marker)
+			}
+			back, err := DecodeInts(nil, c.Marked(marker), got[1:], len(vs), nil)
+			if err != nil || !slices.Equal(back, vs) {
+				t.Errorf("%s: marker %d does not decode to the values (%v)", what, marker, err)
+			}
+			best, sizes := exactSmallest(c, vs)
+			repeats := name == "runs" || name == "constant" || name == "zero" || name == "alternating" || name == "small constant"
+			tried := c.Own() == DeflateVarint && (len(vs) < smallStream || repeats)
+			if want := 1; codings != want && !(tried && codings == want+1) {
+				t.Errorf("%s: %d codings of %d elements", what, codings, len(vs))
+			}
+			if marker != best && 100*sizes[marker] > 101*sizes[best] && sizes[marker] > sizes[best]+4 {
+				t.Errorf("%s: marker %d, rivals are %v", what, marker, sizes)
 			}
 		}
 	}
@@ -437,26 +490,26 @@ func TestAppendSmallestInts(t *testing.T) {
 
 // TestPriceMatchesCoders: priceInts is what the two arithmetic coders write,
 // to within 0.3% and the few bytes a coder takes to finish, on every stream
-// of the chooser's suite at one shard and at three — which holds the model
-// constants copied here to internal/arith's, and the seeding of the context
-// models to ctxmodel's.
+// of the chooser's suite — which holds the model constants copied here to
+// internal/arith's, and the seeding of the context models to ctxmodel's —
+// and ctxFraming is what the context coder's framing costs, to a byte.
 func TestPriceMatchesCoders(t *testing.T) {
 	for name, vs := range chooserStreams() {
-		for _, shards := range []int{1, 3} {
-			plain, ctx, _ := priceInts(vs, shards)
-			s := arith.ClampShards(shards, len(vs))
-			framing := len(arith.AppendSharded(nil, len(vs), shards, func(_, _ int, out []byte) []byte { return out }))
-			for _, coder := range []struct {
-				name  string
-				price float64
-				bytes int
-			}{
-				{"plain", plain, len(AppendInts(nil, ArithSharded, vs, shards)) - framing},
-				{"ctx", ctx, len(AppendInts(nil, Ctx, vs, shards)) - framing},
-			} {
-				if slack := 0.003*float64(coder.bytes) + float64(4*s); math.Abs(coder.price-float64(coder.bytes)) > slack {
-					t.Errorf("%s, %d shards, %s: priced %.1f bytes, coded %d", name, s, coder.name, coder.price, coder.bytes)
-				}
+		plain, ctx, _ := priceInts(vs)
+		framing := len(AppendInts(nil, Ctx, vs)) - len(ctxPayload(t, vs))
+		if framing < ctxFraming-1 || framing > ctxFraming+1 {
+			t.Errorf("%s: the context coder's framing is %d bytes, priced at %d", name, framing, ctxFraming)
+		}
+		for _, coder := range []struct {
+			name  string
+			price float64
+			bytes int
+		}{
+			{"plain", plain, len(AppendInts(nil, Arith, vs))},
+			{"ctx", ctx, len(ctxPayload(t, vs))},
+		} {
+			if slack := 0.003*float64(coder.bytes) + 4; math.Abs(coder.price-float64(coder.bytes)) > slack {
+				t.Errorf("%s, %s: priced %.1f bytes, coded %d", name, coder.name, coder.price, coder.bytes)
 			}
 		}
 	}
@@ -466,7 +519,7 @@ func TestPriceMatchesCoders(t *testing.T) {
 // element is refused before it materializes, and the inflated bytes are
 // charged to the memory budget up front.
 func TestInflateBounded(t *testing.T) {
-	bomb := AppendInts(nil, DeflateVarint, make([]int64, 1<<20), 0)
+	bomb := AppendInts(nil, DeflateVarint, make([]int64, 1<<20))
 	if len(bomb) > 4096 {
 		t.Fatalf("bomb is %d bytes", len(bomb))
 	}
